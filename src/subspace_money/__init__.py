@@ -53,8 +53,6 @@ from .gf2 import (
     BitVec,
     Gf2Matrix,
     SubspaceBasis,
-    apply_basis_map,
-    dual_basis,
     random_basis_map,
     random_bitvec,
     random_isometry,
@@ -63,14 +61,9 @@ from .gf2 import (
 )
 from .oracles import (
     CombinedOracle,
-    CosetPredicate,
     MembershipPredicate,
     QueryLedger,
     apply_phase_oracle,
-    ledger_charge,
-    member_combined,
-    member_subset,
-    member_syndrome,
     project_via_control,
     subset_predicate,
     syndrome_predicate,

@@ -193,9 +193,7 @@ def _cmd_mint(args) -> int:
             raise ValueError("--code supports only the direct route")
         spec = load_code(args.code)
         base = registry.generate(r)
-        record = MintRecord(base.r, base.serial, spec, "direct")
-        registry.records[r] = record
-        registry.serial_index[record.serial] = r
+        registry.install_record(MintRecord(base.r, base.serial, spec, "direct"))
     if args.route == "conjugate":
         x = None if args.x is None else BitVec.from_string(args.x)
         note = mint_conjugate(registry, r, x, test_mode=args.test_mode)

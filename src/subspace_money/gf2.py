@@ -431,18 +431,6 @@ class SubspaceBasis:
         return f"SubspaceBasis({self.n}, {self.basis.to_strings()!r})"
 
 
-def member(s: SubspaceBasis, v: BitVec) -> bool:
-    return s.member(v)
-
-
-def dual(s: SubspaceBasis) -> SubspaceBasis:
-    return s.dual()
-
-
-def min_distance(s: SubspaceBasis, budget: int = DEFAULT_ENUM_BUDGET) -> int:
-    return s.min_distance(budget)
-
-
 class BasisMap:
     """An invertible linear map of F_2^n given by its images of the standard basis.
 
@@ -518,14 +506,6 @@ class BasisMap:
 
     def __repr__(self) -> str:
         return f"BasisMap({self.matrix.to_strings()!r})"
-
-
-def dual_basis(b: BasisMap) -> Gf2Matrix:
-    return b.dual_basis()
-
-
-def apply_basis_map(b: BasisMap, x: BitVec) -> BitVec:
-    return b.apply(x)
 
 
 def random_subspace(n: int, dim: int, seed: Seed) -> SubspaceBasis:

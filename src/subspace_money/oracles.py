@@ -1,11 +1,19 @@
 """Classical membership oracles, their action on states, and query accounting.
 
-Verification never touches a code directly: it asks membership predicates.
-The subset predicates decide "is x within q bit flips of the code (or its
-dual)" by decoding the syndrome against an explicit table; the syndrome
-predicates decide the very same set through an independent route, testing
-the syndrome against the good-syndrome key set with no decoding.  Keeping
-the two code paths separate gives a free cross-validation oracle.
+Verification never touches a code directly: it asks membership predicates,
+and every predicate asks one question, whether the syndrome Hx of a string
+x under one side's parity check H lies in an accepted set.  x is within q
+bit flips of the code (or its dual) exactly when Hx is the syndrome of an
+error of weight <= q, and x lies in the single coset code + e exactly when
+Hx = He.  So a predicate is a side plus an accepted-syndrome set, and its
+mask over all 2^n strings is a lookup into one vectorized syndrome array
+per (code, side), which coset predicates derived from it share.
+
+The subset and syndrome predicates derive their accepted sets in separate
+code: the subset route takes the keys of a decoding SyndromeTable, the
+syndrome route enumerates the weight-<=q vectors itself.  They share only
+the syndrome array, so comparing their masks cross-validates the two
+derivations.
 
 A phase oracle flips the sign of basis states inside the predicate's set;
 the projector form runs the oracle controlled on a |+> ancilla and measures
@@ -21,14 +29,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codes import CodeSpec, SyndromeTable, build_syndrome_table, enumerate_errors
+from .codes import CodeSpec, build_syndrome_table, enumerate_errors
 from .gf2 import BitVec, Gf2Matrix
 from .states import DenseState, MixedState, State
 
 SIDES = ("primal", "dual")
-
-SUBSET_KINDS = ("subset-primal", "subset-dual")
-SYNDROME_KINDS = ("syndrome-primal", "syndrome-dual")
+ROUTES = ("subset", "syndrome", "coset")
 
 
 def _parity_for(spec: CodeSpec, side: str) -> Gf2Matrix:
@@ -37,33 +43,42 @@ def _parity_for(spec: CodeSpec, side: str) -> Gf2Matrix:
     return spec.parity_primal if side == "primal" else spec.parity_dual
 
 
-class MembershipPredicate:
-    """A pure boolean function on n-bit strings backed by one code.
+def syndrome_array(parity: Gf2Matrix) -> np.ndarray:
+    """H x for every x in F_2^n at once, indexed by the packed value of x.
 
-    kind fixes both the tested set (primal: union of code cosets by
-    tolerated bit-flips; dual: same for the dual code) and the decision
-    route (subset: syndrome-table decode; syndrome: good-syndrome key set).
+    Built by doubling: the strings in [2^p, 2^(p+1)) are those below 2^p
+    plus bit p, so their syndromes are the earlier ones XOR the matching
+    column of H.  The dtype is the smallest unsigned type holding a syndrome.
+    """
+    n = parity.cols
+    dtype = np.min_scalar_type((1 << parity.rows) - 1)
+    columns = parity.transpose().row_values  # column j is coordinate j, bit n-1-j
+    syn = np.zeros(1 << n, dtype=dtype)
+    for p in range(n):
+        syn[1 << p : 2 << p] = syn[: 1 << p] ^ dtype.type(columns[n - 1 - p])
+    syn.setflags(write=False)
+    return syn
+
+
+class MembershipPredicate:
+    """Membership in {x : H x in accepted} for one side's parity check H.
+
+    kind is "<route>-<side>": the side picks the code (primal) or its dual,
+    the route names how the accepted set was derived (subset: syndrome-table
+    keys; syndrome: weight-limited enumeration; coset: the single syndrome
+    of one error).
     """
 
-    __slots__ = ("kind", "spec", "table", "good_syndromes", "_mask")
+    __slots__ = ("kind", "spec", "accepted", "_syndromes", "_mask")
 
-    def __init__(
-        self,
-        kind: str,
-        spec: CodeSpec,
-        table: SyndromeTable | None = None,
-        good_syndromes: frozenset[BitVec] | None = None,
-    ):
-        if kind not in SUBSET_KINDS + SYNDROME_KINDS:
+    def __init__(self, kind: str, spec: CodeSpec, accepted: frozenset[BitVec]):
+        route, _, side = kind.partition("-")
+        if route not in ROUTES or side not in SIDES:
             raise ValueError(f"unknown predicate kind {kind!r}")
-        if kind in SUBSET_KINDS and table is None:
-            raise ValueError("subset predicates need a syndrome table")
-        if kind in SYNDROME_KINDS and good_syndromes is None:
-            raise ValueError("syndrome predicates need the good-syndrome set")
         self.kind = kind
         self.spec = spec
-        self.table = table
-        self.good_syndromes = good_syndromes
+        self.accepted = accepted
+        self._syndromes = None
         self._mask = None
 
     @property
@@ -74,95 +89,70 @@ class MembershipPredicate:
     def side(self) -> str:
         return self.kind.split("-")[1]
 
+    @property
+    def parity(self) -> Gf2Matrix:
+        return _parity_for(self.spec, self.side)
+
     def __call__(self, x: BitVec) -> bool:
         if x.n != self.spec.n:
             raise ValueError(f"length mismatch: {x.n} vs {self.spec.n}")
-        syndrome = _parity_for(self.spec, self.side).mul_vec(x)
-        if self.kind in SUBSET_KINDS:
-            return self.table.decode(syndrome) is not None
-        return syndrome in self.good_syndromes
+        return self.parity.mul_vec(x) in self.accepted
+
+    def syndromes(self) -> np.ndarray:
+        """The side's syndrome array, computed on first use and shared by cosets."""
+        if self._syndromes is None:
+            self._syndromes = syndrome_array(self.parity)
+        return self._syndromes
 
     def support_mask(self) -> np.ndarray:
-        """Boolean truth table over all 2^n inputs, cached after first use."""
+        """Boolean mask over all 2^n inputs, cached after first use."""
         if self._mask is None:
-            self._mask = _truth_table(self)
+            syn = self.syndromes()
+            if len(self.accepted) == 1:
+                (only,) = self.accepted
+                mask = syn == only.value
+            else:
+                good = np.zeros(1 << self.parity.rows, dtype=bool)
+                good[[s.value for s in self.accepted]] = True
+                mask = good[syn]
+            mask.setflags(write=False)
+            self._mask = mask
         return self._mask
 
+    def coset(self, error: BitVec) -> "MembershipPredicate":
+        """Membership in the single coset side-code + error (accepted set {H error}).
 
-def _truth_table(pred) -> np.ndarray:
-    n = pred.n
-    mask = np.fromiter(
-        (pred(BitVec(n, v)) for v in range(1 << n)), dtype=bool, count=1 << n
-    )
-    mask.setflags(write=False)
-    return mask
+        One such oracle exists per tolerated error vector; testing them in
+        sequence identifies which error occurred.  The result reads this
+        predicate's syndrome array instead of computing its own.
+        """
+        if error.n != self.spec.n:
+            raise ValueError("error vector length differs from the code length")
+        pred = MembershipPredicate(
+            f"coset-{self.side}", self.spec, frozenset({self.parity.mul_vec(error)})
+        )
+        pred._syndromes = self.syndromes()
+        return pred
 
 
 def subset_predicate(spec: CodeSpec, side: str) -> MembershipPredicate:
     """Membership in the union of cosets side-code + e over tolerated e."""
     table = build_syndrome_table(_parity_for(spec, side), spec.q)
-    return MembershipPredicate(f"subset-{side}", spec, table=table)
+    return MembershipPredicate(f"subset-{side}", spec, table.syndromes())
 
 
 def syndrome_predicate(spec: CodeSpec, side: str) -> MembershipPredicate:
-    """The same set, decided by good-syndrome membership with no decoding.
+    """The same set, with the accepted syndromes enumerated here directly.
 
-    The key set is computed here directly from weight-limited vectors, not
-    taken from a SyndromeTable, so the two predicate families share no code.
+    The key set comes from weight-limited vectors, not from a SyndromeTable,
+    so the two predicate families derive their sets in separate code.
     """
     parity = _parity_for(spec, side)
     good = set()
     for j in range(min(spec.q, spec.n) + 1):
         for positions in itertools.combinations(range(spec.n), j):
             good.add(parity.mul_vec(BitVec.from_support(spec.n, positions)))
-    return MembershipPredicate(f"syndrome-{side}", spec, good_syndromes=frozenset(good))
-
-
-class CosetPredicate:
-    """Membership in a single coset side-code + e (the error-correcting collection).
-
-    One such oracle exists per tolerated error vector; testing them in
-    sequence identifies which error occurred, at one query charge each.
-    """
-
-    __slots__ = ("spec", "side", "error", "_mask")
-
-    def __init__(self, spec: CodeSpec, side: str, error: BitVec):
-        if side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}")
-        if error.n != spec.n:
-            raise ValueError("error vector length differs from the code length")
-        self.spec = spec
-        self.side = side
-        self.error = error
-        self._mask = None
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    def __call__(self, x: BitVec) -> bool:
-        if x.n != self.spec.n:
-            raise ValueError(f"length mismatch: {x.n} vs {self.spec.n}")
-        code = self.spec.code if self.side == "primal" else self.spec.dual_code
-        return code.member(x ^ self.error)
-
-    def support_mask(self) -> np.ndarray:
-        if self._mask is None:
-            self._mask = _truth_table(self)
-        return self._mask
-
-
-def member_subset(pred: MembershipPredicate, x: BitVec) -> bool:
-    if pred.kind not in SUBSET_KINDS:
-        raise ValueError(f"not a subset predicate: {pred.kind}")
-    return pred(x)
-
-
-def member_syndrome(pred: MembershipPredicate, x: BitVec) -> bool:
-    if pred.kind not in SYNDROME_KINDS:
-        raise ValueError(f"not a syndrome predicate: {pred.kind}")
-    return pred(x)
+    return MembershipPredicate(f"syndrome-{side}", spec, frozenset(good))
 
 
 def apply_phase_oracle(pred, st: State) -> State:
@@ -265,14 +255,10 @@ class CombinedOracle:
         if entry is None:
             return False  # padding tag
         side, e = entry
-        code = self.spec.code if side == "primal" else self.spec.dual_code
-        return code.member(x ^ e)
+        parity = _parity_for(self.spec, side)
+        return parity.mul_vec(x) == parity.mul_vec(e)
 
     __call__ = member
-
-
-def member_combined(oracle: CombinedOracle, tagged_x: BitVec) -> bool:
-    return oracle.member(tagged_x)
 
 
 ORACLE_NAMES = ("primal", "dual", "combined", "coset")
@@ -329,6 +315,3 @@ class QueryLedger:
         primal, dual, combined, coset = self.counts
         return self.conversion_factor * (primal + dual) + combined + coset
 
-
-def ledger_charge(ledger: QueryLedger, name: str, count: int = 1) -> QueryLedger:
-    return ledger.charge(name, count)

@@ -37,7 +37,7 @@ from .codes import (
 from .errors import SerialCollisionError, UndecodableError, UnknownSerialError
 from .gf2 import BasisMap, BitVec, Gf2Matrix, SubspaceBasis, random_bitvec
 from .oracles import (
-    CosetPredicate,
+    MembershipPredicate,
     ProjectionBranches,
     QueryLedger,
     apply_phase_oracle,
@@ -136,7 +136,7 @@ class OracleSession:
         self._spec = spec
         self._primal = make(spec, "primal")
         self._dual = make(spec, "dual")
-        self._coset_cache: dict[tuple[str, BitVec], CosetPredicate] = {}
+        self._coset_cache: dict[tuple[str, BitVec], MembershipPredicate] = {}
         self.serial = serial
         self.approach = approach
         self.ledger = QueryLedger.fresh(error_count(spec.n, spec.q))
@@ -145,31 +145,40 @@ class OracleSession:
     def n(self) -> int:
         return self._spec.n
 
-    def _charge(self, name: str, count: int = 1) -> None:
+    def charge(self, name: str, count: int = 1) -> None:
+        """Record count queries to the named oracle (see QueryLedger)."""
         self.ledger = self.ledger.charge(name, count)
 
     def member(self, side: str, x: BitVec) -> bool:
         pred = self._primal if side == "primal" else self._dual
-        self._charge(side)
+        self.charge(side)
         return pred(x)
 
     def phase(self, side: str, st: State) -> State:
         pred = self._primal if side == "primal" else self._dual
-        self._charge(side)
+        self.charge(side)
         return apply_phase_oracle(pred, st)
 
     def project(self, side: str, st: State) -> ProjectionBranches:
         pred = self._primal if side == "primal" else self._dual
-        self._charge(side)
+        self.charge(side)
         return project_via_control(pred, st)
 
     def project_coset(self, side: str, error: BitVec, st: State) -> ProjectionBranches:
+        """Project onto the coset side-code + error; its mask reads the side's syndrome array."""
         key = (side, error)
         pred = self._coset_cache.get(key)
         if pred is None:
-            pred = self._coset_cache[key] = CosetPredicate(self._spec, side, error)
-        self._charge("coset")
+            base = self._primal if side == "primal" else self._dual
+            pred = self._coset_cache[key] = base.coset(error)
+        self.charge("coset")
         return project_via_control(pred, st)
+
+    def run_verifier(self, st: State) -> tuple[float, State | None]:
+        """The four-stage pipeline on st, charged as one primal and one dual query."""
+        self.charge("primal")
+        self.charge("dual")
+        return apply_verifier(st, self._primal, self._dual)
 
 
 class OracleRegistry:
@@ -458,10 +467,7 @@ def verify(
         return VerifyOutcome(False, 0.0, None, reason="unknown serial")
     if session is None:
         session = registry.session(note.serial, approach)
-    state = _as_state(note.state)
-    session._charge("primal")
-    session._charge("dual")
-    prob, post = apply_verifier(state, session._primal, session._dual)
+    prob, post = session.run_verifier(_as_state(note.state))
     accepted = _sample(registry, rng, prob)
     return VerifyOutcome(accepted, prob, post)
 
@@ -489,8 +495,8 @@ def double_verify(
     record = registry.record_for_serial(serial)  # raises UnknownSerialError
     if session is None:
         session = registry.session(serial)
-    session._charge("primal", 2)
-    session._charge("dual", 2)
+    session.charge("primal", 2)
+    session.charge("dual", 2)
     mat = registry.tolerated_matrix(serial)
     n = record.spec.n
 

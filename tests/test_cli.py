@@ -190,6 +190,21 @@ def test_mint_against_code_file(tmp_path, capsys):
     assert bank.spec == load_code(code)
 
 
+def test_mint_refuses_uncertified_code_file(tmp_path, capsys):
+    from subspace_money.codes import CodeSpec, save_code
+    from subspace_money.gf2 import SubspaceBasis
+
+    code = tmp_path / "code.json"
+    weak = SubspaceBasis.from_strings(["110000", "001100", "000011"])  # d = 2
+    save_code(CodeSpec.build(weak, q=1), code)
+    note = tmp_path / "note.json"
+    rc = run_cli("--seed", 53, "--out", note, "mint", "--n", 6, "--q", 1, "--code", code)
+    assert rc == 1
+    assert "fails certification" in capsys.readouterr().err
+    assert not note.with_suffix(".bank.json").exists()
+    assert not note.exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli("gencode", "--n", 6)  # missing --q

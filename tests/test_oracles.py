@@ -4,18 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_money.codes import enumerate_errors, error_count, search_applicable_code
 from subspace_money.gf2 import BitVec
 from subspace_money.oracles import (
     CombinedOracle,
-    CosetPredicate,
     QueryLedger,
     apply_phase_oracle,
-    ledger_charge,
-    member_combined,
-    member_subset,
-    member_syndrome,
     project_via_control,
     subset_predicate,
     syndrome_predicate,
@@ -39,25 +36,20 @@ def bv(s):
 
 def test_member_subset_worked_examples(worked_spec):
     pred = subset_predicate(worked_spec, "primal")
-    assert member_subset(pred, bv("000000"))
-    assert member_subset(pred, bv("110000"))  # one flip away from 111000
-    assert not member_subset(pred, bv("000111"))  # undecodable syndrome
+    assert pred(bv("000000"))
+    assert pred(bv("110000"))  # one flip away from 111000
+    assert not pred(bv("000111"))  # undecodable syndrome
 
 
 def test_member_syndrome_worked_examples(worked_spec):
     pred = syndrome_predicate(worked_spec, "primal")
     for w in worked_spec.code.vectors():
-        assert member_syndrome(pred, w)  # all-zero syndrome
-    assert not member_syndrome(pred, bv("000111"))
+        assert pred(w)  # all-zero syndrome
+    assert not pred(bv("000111"))
 
 
 def test_member_kind_guards(worked_spec):
     sub = subset_predicate(worked_spec, "primal")
-    syn = syndrome_predicate(worked_spec, "primal")
-    with pytest.raises(ValueError):
-        member_subset(syn, bv("000000"))
-    with pytest.raises(ValueError):
-        member_syndrome(sub, bv("000000"))
     with pytest.raises(ValueError):
         sub(bv("0000"))
 
@@ -79,13 +71,14 @@ def test_subset_size_is_cosets_times_code(worked_spec):
 
 
 def test_coset_predicates_partition_the_subset(worked_spec):
+    subset = subset_predicate(worked_spec, "primal")
     union = np.zeros(64, dtype=int)
     for e in enumerate_errors(6, 1):
-        union += CosetPredicate(worked_spec, "primal", e).support_mask()
+        union += subset.coset(e).support_mask()
     # Disjoint cosets: every point covered at most once, 56 points covered.
     assert union.max() == 1
     assert union.sum() == 56
-    subset_mask = subset_predicate(worked_spec, "primal").support_mask()
+    subset_mask = subset.support_mask()
     assert np.array_equal(union.astype(bool), subset_mask)
 
 
@@ -204,12 +197,12 @@ def test_member_combined_basic(worked_spec):
     oracle = CombinedOracle(worked_spec)
     tag = oracle.tag_for("primal", BitVec.zeros(6))
     for w in worked_spec.code.vectors():
-        assert member_combined(oracle, tag.concat(w))
+        assert oracle.member(tag.concat(w))
     # Padding tags never match.
     for v in (14, 15):
-        assert not member_combined(oracle, BitVec(4, v).concat(bv("000000")))
+        assert not oracle.member(BitVec(4, v).concat(bv("000000")))
     with pytest.raises(ValueError):
-        member_combined(oracle, bv("000000"))
+        oracle.member(bv("000000"))
 
 
 def test_member_combined_unfolds_to_subset(worked_spec):
@@ -219,9 +212,9 @@ def test_member_combined_unfolds_to_subset(worked_spec):
     for v in range(64):
         x = BitVec(6, v)
         via_tags = any(
-            member_combined(oracle, oracle.tag_for("primal", e).concat(x)) for e in errors
+            oracle.member(oracle.tag_for("primal", e).concat(x)) for e in errors
         )
-        assert via_tags == member_subset(pred, x)
+        assert via_tags == pred(x)
 
 
 def test_combined_oracle_total_matching_count(worked_spec):
@@ -242,13 +235,13 @@ def test_combined_oracle_total_matching_count(worked_spec):
 def test_ledger_charges(worked_spec):
     ledger = QueryLedger.fresh(error_count(6, 1))
     assert ledger.combined_equivalent == 0
-    ledger = ledger_charge(ledger, "primal")
+    ledger = ledger.charge("primal")
     assert ledger.combined_equivalent == 7
-    ledger = ledger_charge(ledger, "dual")
+    ledger = ledger.charge("dual")
     assert ledger.combined_equivalent == 14
-    ledger = ledger_charge(ledger, "combined", 3)
+    ledger = ledger.charge("combined", 3)
     assert ledger.combined_equivalent == 17
-    ledger = ledger_charge(ledger, "coset", 2)
+    ledger = ledger.charge("coset", 2)
     assert ledger.combined_equivalent == 19
     assert ledger.counters == {"primal": 1, "dual": 1, "combined": 3, "coset": 2}
 
@@ -295,3 +288,26 @@ def test_randomized_agreement_large_n():
     rng = np.random.default_rng(23)
     xs = [BitVec(14, int(v)) for v in rng.integers(0, 1 << 14, size=100_000)]
     assert all(sub(x) == syn(x) for x in xs)
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.sampled_from([6, 8, 10, 12]), seed=st.integers(0, 2**32 - 1))
+def test_syndrome_array_masks_match_per_string_reference(n, seed):
+    spec = search_applicable_code(n, 1, seed=seed)
+    oracle = CombinedOracle(spec)
+    xs = [BitVec(n, v) for v in range(1 << n)]
+    for side in ("primal", "dual"):
+        subset = subset_predicate(spec, side)
+        for pred in (subset, syndrome_predicate(spec, side)):
+            assert np.array_equal(pred.support_mask(), [pred(x) for x in xs])
+        code = spec.code if side == "primal" else spec.dual_code
+        union = np.zeros(1 << n, dtype=int)
+        for e in oracle.errors:
+            mask = subset.coset(e).support_mask()
+            assert np.array_equal(mask, [code.member(x ^ e) for x in xs])
+            tag = oracle.tag_for(side, e)
+            assert np.array_equal(mask, [oracle.member(tag.concat(x)) for x in xs])
+            union += mask
+        # The coset masks partition the subset mask.
+        assert union.max() == 1
+        assert np.array_equal(union.astype(bool), subset.support_mask())
