@@ -26,7 +26,7 @@ for kind in ("passthrough-mixed", "measure-and-copy", "random-state"):
           f"analytic {row['analytic_rate']:.4f}")
 
 print()
-print("== existence margins (negative = applicable code guaranteed) ==")
+print("== existence margins (positive = applicable code exists, asymptotically) ==")
 table = gv_table(range(2, 21), [1, 2])
 for n, q, margin in table.rows:
     if q == 1 and n <= 12:

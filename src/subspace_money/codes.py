@@ -135,9 +135,9 @@ def search_applicable_code(
 ) -> CodeSpec:
     """Rejection-sample uniformly random n/2-dim subspaces until one is applicable.
 
-    Raises CodeSearchError after max_attempts; a persistent failure at
-    negative ``gv_margin(n, q)`` would be surprising, while failure at
-    positive margin usually means the parameters are infeasible.
+    Raises CodeSearchError after max_attempts; persistent failure at positive
+    ``gv_margin(n, q)`` (existence, asymptotically) would be surprising,
+    while a negative margin guarantees nothing.
     """
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
@@ -168,7 +168,7 @@ def search_applicable_code(
         )
     raise CodeSearchError(
         f"no applicable code found for n={n}, q={q} in {max_attempts} attempts "
-        f"(gv_margin={gv_margin(n, q):+.4f}; negative means one should exist)"
+        f"(gv_margin={gv_margin(n, q):+.4f}; positive means one exists asymptotically)"
     )
 
 
@@ -370,8 +370,8 @@ def binary_entropy(x: float) -> float:
 def gv_margin(n: int, q: int) -> float:
     """Gilbert-Varshamov existence margin 1 - 2 H(2q/n).
 
-    A negative margin guarantees that an applicable code for (n, q) exists;
-    the k=0 code of this scheme corresponds to the zero left-hand side.
+    Positive means an applicable code for (n, q) exists (asymptotically, by
+    Gilbert-Varshamov at rate 1/2, for n > 4q); negative guarantees nothing.
     """
     if n < 1 or q < 0 or 2 * q > n:
         raise ValueError(f"need 0 <= 2q <= n, got n={n}, q={q}")

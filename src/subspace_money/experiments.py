@@ -283,8 +283,8 @@ def gv_table(n_range: Iterable[int], q_list: Sequence[int]) -> ExperimentReport:
     """Existence margins 1 - 2 H(2q/n) over a parameter grid.
 
     For fixed q the margin starts at +1 when n = 2q, decreases through zero
-    to -1 at n = 4q, then increases monotonically; the negative stretch is
-    where applicable codes are guaranteed to exist.
+    to -1 at n = 4q, then increases monotonically; the positive stretch for
+    large n is where applicable codes exist (asymptotically).
     """
     n_values = list(n_range)
     rows = []

@@ -179,34 +179,20 @@ def project_via_control(pred, st: State) -> ProjectionBranches:
     complementary amplitudes; zero-probability branches come back as None.
     """
     mask = pred.support_mask()
-    if isinstance(st, DenseState):
-        oracle_amps = np.where(mask, -st.amplitudes, st.amplitudes)
-        raw_in = (st.amplitudes - oracle_amps) / 2.0
-        raw_out = (st.amplitudes + oracle_amps) / 2.0
-        prob_in = float((np.abs(raw_in) ** 2).sum())
-        prob_out = float((np.abs(raw_out) ** 2).sum())
-        state_in = (
-            DenseState(st.n, raw_in / np.sqrt(prob_in), check_norm=False)
-            if prob_in > 0.0
-            else None
-        )
-        state_out = (
-            DenseState(st.n, raw_out / np.sqrt(prob_out), check_norm=False)
-            if prob_out > 0.0
-            else None
-        )
-        return ProjectionBranches(prob_in, state_in, state_out)
-
-    diag = np.real(np.diag(st.matrix))
-    prob_in = float(diag[mask].sum())
-    prob_out = float(diag[~mask].sum())
-    state_in = state_out = None
-    if prob_in > 0.0:
-        kept = st.matrix * np.outer(mask, mask)
-        state_in = MixedState(st.n, kept / prob_in, validate=False)
-    if prob_out > 0.0:
-        kept = st.matrix * np.outer(~mask, ~mask)
-        state_out = MixedState(st.n, kept / prob_out, validate=False)
+    branches = []
+    for keep in (mask, ~mask):
+        post = None
+        if isinstance(st, DenseState):
+            kept = np.where(keep, st.amplitudes, 0.0)
+            prob = float((np.abs(kept) ** 2).sum())
+            if prob > 0.0:
+                post = DenseState(st.n, kept / np.sqrt(prob), check_norm=False)
+        else:
+            prob = float(np.real(np.diag(st.matrix))[keep].sum())
+            if prob > 0.0:
+                post = MixedState(st.n, st.matrix * np.outer(keep, keep) / prob, validate=False)
+        branches.append((prob, post))
+    (prob_in, state_in), (_, state_out) = branches
     return ProjectionBranches(prob_in, state_in, state_out)
 
 

@@ -174,6 +174,10 @@ class OracleSession:
         self.charge("coset")
         return project_via_control(pred, st)
 
+    def support_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The primal and dual masks the verifier projects with; reading them charges nothing."""
+        return self._primal.support_mask(), self._dual.support_mask()
+
     def run_verifier(self, st: State) -> tuple[float, State | None]:
         """The four-stage pipeline on st, charged as one primal and one dual query."""
         self.charge("primal")
@@ -204,7 +208,7 @@ class OracleRegistry:
         self.serial_retries = serial_retries
         self.records: dict[BitVec, MintRecord] = {}
         self.serial_index: dict[BitVec, BitVec] = {}
-        self._tolerated_cache: dict[BitVec, np.ndarray] = {}
+        self._testers: dict[tuple[BitVec, str], MembershipPredicate] = {}
         # Stream for sampled accept/reject decisions when callers pass no rng.
         self._decision_rng = as_generator(derive_sequence(self.master_seed, 0xDEC1DE))
 
@@ -280,19 +284,9 @@ class OracleRegistry:
             raise ValueError(f"side must be primal or dual, got {side!r}")
         if not self.serial_check(z):
             return False
-        spec = self.record_for_serial(z).spec
-        return subset_predicate(spec, side)(x)
-
-    def tolerated_matrix(self, serial: BitVec) -> np.ndarray:
-        """Row-stacked amplitudes of all tolerated coset states for the serial's code."""
-        mat = self._tolerated_cache.get(serial)
-        if mat is None:
-            spec = self.record_for_serial(serial).spec
-            states = tolerated_coset_states(spec)
-            mat = np.stack([s.amplitudes for s in states])
-            mat.setflags(write=False)
-            self._tolerated_cache[serial] = mat
-        return mat
+        if (z, side) not in self._testers:
+            self._testers[z, side] = subset_predicate(self.record_for_serial(z).spec, side)
+        return self._testers[z, side](x)
 
 
 def _random_full_rank(rng: np.random.Generator, rows: int, n: int) -> list[BitVec]:
@@ -436,8 +430,9 @@ def apply_verifier(state: State, primal_pred, dual_pred) -> tuple[float, State |
     """Run the four-stage verification pipeline on a dense or mixed state.
 
     Returns the exact acceptance probability (product of the two projective
-    stage probabilities) and the accepted-branch post-state, already rotated
-    back to the computational basis; None when the probability is zero.
+    stage probabilities, with rounding above one clipped) and the
+    accepted-branch post-state, already rotated back to the computational
+    basis; None when the probability is zero.
     """
     prob1, branch, _ = project_via_control(primal_pred, state)
     if branch is None:
@@ -446,7 +441,7 @@ def apply_verifier(state: State, primal_pred, dual_pred) -> tuple[float, State |
     prob2, branch2, _ = project_via_control(dual_pred, rotated)
     if branch2 is None:
         return 0.0, None
-    return prob1 * prob2, hadamard_all(branch2)
+    return min(prob1 * prob2, 1.0), hadamard_all(branch2)
 
 
 def verify(
@@ -487,61 +482,68 @@ def double_verify(
 ) -> DoubleVerifyOutcome:
     """Ver2: verify two (possibly entangled) registers under one serial number.
 
-    The acceptance probability is the squared fidelity of the joint state
-    with the two-fold tensor power of the tolerated span.  The joint state
-    is either a 2n-qubit DenseState or MixedState, or a pair (sigma1,
-    sigma2) meaning the product state sigma1 (x) sigma2.
+    The acceptance probability is tr((P (x) P) rho) for the verifier's projector
+    P = H M_dual H M_primal onto the tolerated span, run through the session's
+    masks and the FWHT one register axis at a time.  The joint state is a 2n-qubit
+    DenseState or MixedState, or a pair (sigma1, sigma2) meaning sigma1 (x) sigma2.
     """
-    record = registry.record_for_serial(serial)  # raises UnknownSerialError
+    n = registry.record_for_serial(serial).spec.n  # raises UnknownSerialError
     if session is None:
         session = registry.session(serial)
     session.charge("primal", 2)
     session.charge("dual", 2)
-    mat = registry.tolerated_matrix(serial)
-    n = record.spec.n
+    masks = session.support_masks()
+    dim = 1 << n
 
     if isinstance(joint, tuple):
         sigma1, sigma2 = joint
-        prob = _register_probability(mat, sigma1, n) * _register_probability(mat, sigma2, n)
-    elif isinstance(joint, DenseState):
-        if joint.n != 2 * n:
-            raise ValueError(f"joint state must act on 2n={2 * n} qubits")
-        grid = joint.amplitudes.reshape(1 << n, 1 << n)
-        coeffs = mat.conj() @ grid @ mat.conj().T
-        prob = float((np.abs(coeffs) ** 2).sum())
-    elif isinstance(joint, MixedState):
-        if joint.n != 2 * n:
-            raise ValueError(f"joint state must act on 2n={2 * n} qubits")
-        dim = 1 << n
-        rho = joint.matrix.reshape(dim, dim, dim, dim)
-        prob = float(
-            np.real(
-                np.einsum(
-                    "ix,jy,xyuv,iu,jv->",
-                    mat.conj(),
-                    mat.conj(),
-                    rho,
-                    mat,
-                    mat,
-                    optimize=True,
-                )
-            )
-        )
-    else:
+        prob = _register_probability(sigma1, n, masks) * _register_probability(sigma2, n, masks)
+    elif not isinstance(joint, (DenseState, MixedState)):
         raise TypeError(f"unsupported joint state type {type(joint).__name__}")
+    elif joint.n != 2 * n:
+        raise ValueError(f"joint state must act on 2n={2 * n} qubits")
+    elif isinstance(joint, DenseState):
+        grid = _masked_transform(joint.amplitudes.reshape(dim, dim), masks)
+        grid = _masked_transform(grid.T, masks)
+        prob = float(np.vdot(grid, grid).real) / (dim * dim)
+    else:
+        # rho[x1, y1, x2, y2]: reduce register two, then the Hermitian rest as above.
+        rho = joint.matrix.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3)
+        reduced = _trace_with_projector(rho, masks)
+        prob = float(_trace_with_projector(reduced.real, masks))
 
     prob = min(max(prob, 0.0), 1.0)
     return DoubleVerifyOutcome(prob, _sample(registry, rng, prob))
 
 
-def _register_probability(mat: np.ndarray, sigma: State, n: int) -> float:
+def _register_probability(sigma: State, n: int, masks: tuple[np.ndarray, np.ndarray]) -> float:
+    """tr(P sigma) for one n-qubit register."""
     if sigma.n != n:
         raise ValueError(f"register must act on n={n} qubits")
     if isinstance(sigma, DenseState):
-        coeffs = mat.conj() @ sigma.amplitudes
-        return float((np.abs(coeffs) ** 2).sum())
-    overlaps = np.einsum("ix,xy,iy->i", mat.conj(), sigma.matrix, mat)
-    return float(np.real(overlaps.sum()))
+        amps = _masked_transform(sigma.amplitudes, masks)
+        return float(np.vdot(amps, amps).real) / (1 << n)
+    # P is real symmetric, so the antisymmetric imaginary part of sigma adds nothing.
+    return float(_trace_with_projector(sigma.matrix.real, masks))
+
+
+def _masked_transform(amps: np.ndarray, masks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """M_dual fwht(M_primal amps) on the last axis, whose |.|^2 / 2^n is <amps|P|amps>."""
+    primal, dual = masks
+    return fwht(amps * primal) * dual
+
+
+def _trace_with_projector(mat: np.ndarray, masks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """tr(P mat) over the last two axes, from XOR-diagonal sums and one Walsh transform.
+
+    tr(P mat) sums the diagonal of H M_primal mat H / 2^n over the dual mask, and
+    that diagonal is fwht(s) for s_z = sum of mat[x, x ^ z] over primal-mask rows x.
+    """
+    primal, dual = masks
+    dtype = np.min_scalar_type(primal.size - 1)
+    rows = np.flatnonzero(primal).astype(dtype)[:, None]
+    sums = mat[..., rows, rows ^ np.arange(primal.size, dtype=dtype)].sum(axis=-2)
+    return fwht(sums)[..., dual].sum(axis=-1) / primal.size
 
 
 def verification_matrix(spec: CodeSpec, approach: str = "subset") -> np.ndarray:
@@ -551,21 +553,16 @@ def verification_matrix(spec: CodeSpec, approach: str = "subset") -> np.ndarray:
     tolerated coset states.
     """
     make = subset_predicate if approach == "subset" else syndrome_predicate
-    primal_mask = make(spec, "primal").support_mask()
-    dual_mask = make(spec, "dual").support_mask()
     dim = 1 << spec.n
-    mat = np.eye(dim, dtype=np.complex128)
-    mat[~primal_mask, :] = 0.0
-    mat = fwht(mat.T).T / math.sqrt(dim)
-    mat[~dual_mask, :] = 0.0
-    mat = fwht(mat.T).T / math.sqrt(dim)
-    return mat
+    hadamard = fwht(np.eye(dim, dtype=np.complex128)) / math.sqrt(dim)
+    # Masking a matrix's columns applies the mask first: H M_dual times H M_primal.
+    dual, primal = (hadamard * make(spec, side).support_mask() for side in ("dual", "primal"))
+    return dual @ primal
 
 
 def tolerated_projector(spec: CodeSpec) -> np.ndarray:
     """Sum of |c><c| over all tolerated coset states."""
-    states = tolerated_coset_states(spec)
-    mat = np.stack([s.amplitudes for s in states])
+    mat = np.stack([s.amplitudes for s in tolerated_coset_states(spec)])
     return mat.T @ mat.conj()
 
 

@@ -9,6 +9,7 @@ acceptance-style quantity ignores them, as any projective measurement must.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence, Union
@@ -211,19 +212,37 @@ def apply_pauli(st: DenseState, e: BitVec, e_prime: BitVec) -> DenseState:
     return DenseState(st.n, out, check_norm=False)
 
 
+@functools.lru_cache(maxsize=None)
+def _sylvester(size: int, dtype: np.dtype) -> np.ndarray:
+    """The read-only size x size +-1 Sylvester-Hadamard matrix in the given dtype."""
+    h = np.ones((1, 1), dtype=dtype)
+    while len(h) < size:
+        h = np.block([[h, h], [h, -h]])
+    h.setflags(write=False)
+    return h
+
+
 def fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along the last axis."""
-    shape = a.shape
-    size = shape[-1]
-    a = a.reshape(-1, size).copy()
-    h = 1
+    """Unnormalized Walsh-Hadamard transform along the last axis, keeping the dtype.
+
+    The lowest min(n, 6) index bits go through one Sylvester-matrix product,
+    each higher bit through an in-place butterfly with a reused buffer.
+    """
+    size = a.shape[-1]
+    if size <= 64:
+        return a @ _sylvester(size, a.dtype)
+    out = (a.reshape(-1, 64) @ _sylvester(64, a.dtype)).reshape(-1, size)
+    half = np.empty(out.size // 2, dtype=out.dtype)
+    h = 64
     while h < size:
-        a = a.reshape(a.shape[0], -1, 2, h)
-        top = a[:, :, 0, :] + a[:, :, 1, :]
-        bottom = a[:, :, 0, :] - a[:, :, 1, :]
-        a = np.stack([top, bottom], axis=2).reshape(a.shape[0], size)
+        pairs = out.reshape(out.shape[0], -1, 2, h)
+        top, bottom = pairs[:, :, 0, :], pairs[:, :, 1, :]
+        diff = half.reshape(top.shape)
+        np.subtract(top, bottom, out=diff)
+        top += bottom
+        bottom[...] = diff
         h *= 2
-    return a.reshape(shape)
+    return out.reshape(a.shape)
 
 
 def hadamard_all(st: State) -> State:
@@ -232,11 +251,8 @@ def hadamard_all(st: State) -> State:
     For a density matrix the transform conjugates both sides.
     """
     if isinstance(st, DenseState):
-        out = fwht(st.amplitudes) / math.sqrt(1 << st.n)
-        return DenseState(st.n, out, check_norm=False)
-    scale = float(1 << st.n)
-    mat = fwht(fwht(st.matrix).T).T / scale
-    return MixedState(st.n, mat, validate=False)
+        return DenseState(st.n, fwht(st.amplitudes) / math.sqrt(1 << st.n), check_norm=False)
+    return MixedState(st.n, fwht(fwht(st.matrix).T).T / float(1 << st.n), validate=False)
 
 
 def apply_basis_permutation(st: DenseState, b: BasisMap) -> DenseState:
@@ -323,8 +339,8 @@ def fidelity_with_span(st: State, basis_states: Sequence[DenseState]) -> float:
     if isinstance(st, DenseState):
         coeffs = mat.conj() @ st.amplitudes
         return float(np.sqrt((np.abs(coeffs) ** 2).sum()))
-    overlaps = np.einsum("ix,xy,iy->i", mat.conj(), st.matrix, mat)
-    return float(np.sqrt(max(np.real(overlaps.sum()), 0.0)))
+    overlap = np.real(((mat.conj() @ st.matrix) * mat).sum())
+    return float(np.sqrt(max(overlap, 0.0)))
 
 
 def tolerated_coset_states(

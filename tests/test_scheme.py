@@ -1,10 +1,14 @@
 """Tests for minting, the registry and its oracles, verification and correction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from subspace_money import oracles
 from subspace_money.codes import enumerate_errors
 from subspace_money.errors import UndecodableError, UnknownSerialError
 from subspace_money.gf2 import BitVec, SubspaceBasis, random_bitvec
@@ -175,6 +179,26 @@ def test_tester_oracle_surface(registry):
     assert not registry.tester("primal", BitVec.zeros(18), member)
     with pytest.raises(ValueError):
         registry.tester("sideways", rec.serial, member)
+
+
+def test_tester_builds_one_syndrome_table_per_side(registry, monkeypatch):
+    rec = registry.generate(bv("011000"))
+    reference = {side: oracles.subset_predicate(rec.spec, side) for side in oracles.SIDES}
+    built = []
+    real = oracles.build_syndrome_table
+
+    def counting(parity, q):
+        built.append(parity)
+        return real(parity, q)
+
+    monkeypatch.setattr(oracles, "build_syndrome_table", counting)
+    rng = np.random.default_rng(170)
+    for i in range(100):
+        side = oracles.SIDES[i % 2]
+        x = random_bitvec(6, rng)
+        assert registry.tester(side, rec.serial, x) == reference[side](x)
+    sides = (rec.spec.parity_primal, rec.spec.parity_dual)
+    assert sorted(h.row_values for h in built) == sorted(h.row_values for h in sides)
 
 
 def test_session_phase_oracle_charges(worked_registry):
@@ -414,6 +438,54 @@ def test_double_verify_product_paths_agree(worked_registry):
         joint = DenseState(12, np.kron(s1.amplitudes, s2.amplitudes))
         p_joint, _ = double_verify(reg, record.serial, joint, rng=0)
         assert p_pair == pytest.approx(p_joint, abs=1e-12)
+
+
+def _random_pure(rng, n):
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    return DenseState(n, amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.sampled_from([6, 8]), seed=st.integers(0, 2**32 - 1))
+def test_double_verify_matches_projector_reference(n, seed):
+    reg = OracleRegistry(n, 1, master_seed=seed)
+    record = reg.generate(BitVec.zeros(n))
+    proj = tolerated_projector(record.spec)
+    rng = np.random.default_rng(seed)
+
+    def expect(state):
+        if isinstance(state, DenseState):
+            return np.vdot(state.amplitudes, proj @ state.amplitudes).real
+        return np.trace(proj @ state.matrix).real
+
+    one, two = _random_pure(rng, n), _random_pure(rng, n)
+    prob, _ = double_verify(reg, record.serial, (one, two), rng=0)
+    assert abs(prob - expect(one) * expect(two)) < 1e-10
+
+    a, b = _random_pure(rng, n).amplitudes, _random_pure(rng, n).amplitudes
+    w = rng.uniform(0.1, 0.9)
+    rank2 = MixedState(n, w * np.outer(a, a.conj()) + (1 - w) * np.outer(b, b.conj()))
+    prob, _ = double_verify(reg, record.serial, (one, rank2), rng=0)
+    assert abs(prob - expect(one) * expect(rank2)) < 1e-10
+
+    joint = _random_pure(rng, 2 * n)
+    grid = joint.amplitudes.reshape(1 << n, 1 << n)
+    expected = np.vdot(grid, proj @ grid @ proj.T).real
+    prob, _ = double_verify(reg, record.serial, joint, rng=0)
+    assert abs(prob - expected) < 1e-10
+
+
+def test_double_verify_n16_stays_within_state_budget():
+    reg = OracleRegistry(16, 1, master_seed=1616)
+    note = mint_direct(reg, BitVec.zeros(16))
+    tracemalloc.start()
+    try:
+        prob, _ = double_verify(reg, note.serial, (note.state, note.state), rng=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prob == pytest.approx(1.0, abs=1e-9)
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from subspace_money.states import (
     dump_state,
     fidelity,
     fidelity_with_span,
+    fwht,
     hadamard_all,
     inner,
     load_state,
@@ -182,6 +183,22 @@ def test_hadamard_swaps_coset_roles_with_global_sign(worked_spec):
         sign = -1 if e.dot(ep) else 1
         rhs = coset_state(dual, ep, e, sign)
         assert max_deviation(lhs, rhs) < ATOL_EXACT
+
+
+def test_fwht_matches_sylvester_matrix():
+    # Reference: the explicit +-1 matrix H[i, j] = (-1)^(popcount(i & j)).
+    rng = np.random.default_rng(44)
+    for n in range(11):
+        idx = np.arange(1 << n)
+        sylvester = 1 - 2 * (np.bitwise_count(idx[:, None] & idx) & 1).astype(np.float64)
+        real = rng.standard_normal((3, 1 << n))
+        for a in (real, real + 1j * rng.standard_normal((3, 1 << n))):
+            for x in (a[0], a):  # 1-D, and a batch along the last axis
+                out = fwht(x)
+                assert out.dtype == x.dtype
+                assert out.shape == x.shape
+                assert np.allclose(out, x @ sylvester, atol=1e-9)
+                assert np.allclose(fwht(out), (1 << n) * x, atol=1e-9)
 
 
 def test_hadamard_on_mixed_state():
