@@ -29,7 +29,6 @@ from .errors import (
 from .experiments import ATTACK_KINDS, gv_table, run_attack, soundness_table
 from .gf2 import BitVec, random_bitvec
 from .scheme import (
-    MintRecord,
     OracleRegistry,
     correct,
     corrupt,
@@ -191,9 +190,7 @@ def _cmd_mint(args) -> int:
     if args.code is not None:
         if args.route == "conjugate":
             raise ValueError("--code supports only the direct route")
-        spec = load_code(args.code)
-        base = registry.generate(r)
-        registry.install_record(MintRecord(base.r, base.serial, spec, "direct"))
+        registry.generate(r, load_code(args.code))
     if args.route == "conjugate":
         x = None if args.x is None else BitVec.from_string(args.x)
         note = mint_conjugate(registry, r, x, test_mode=args.test_mode)

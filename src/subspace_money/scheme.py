@@ -121,10 +121,10 @@ class DoubleVerifyOutcome(NamedTuple):
 class OracleSession:
     """Charge-counting access to one banknote's membership oracles.
 
-    This is the only surface attack code may touch: predicates and
-    projectors, never the code itself.  Every oracle use charges the
-    session's ledger; the ledger is a value, so reading it at any point
-    gives a consistent snapshot.
+    This is the only surface attack code may touch: predicates, projectors
+    and masks, never the code itself.  Every oracle use, handing out masks
+    included, charges the session's ledger; the ledger is a value, so
+    reading it at any point gives a consistent snapshot.
     """
 
     def __init__(self, registry: "OracleRegistry", serial: BitVec, approach: str = "subset"):
@@ -159,11 +159,6 @@ class OracleSession:
         self.charge(side)
         return apply_phase_oracle(pred, st)
 
-    def project(self, side: str, st: State) -> ProjectionBranches:
-        pred = self._primal if side == "primal" else self._dual
-        self.charge(side)
-        return project_via_control(pred, st)
-
     def project_coset(self, side: str, error: BitVec, st: State) -> ProjectionBranches:
         """Project onto the coset side-code + error; its mask reads the side's syndrome array."""
         key = (side, error)
@@ -174,15 +169,11 @@ class OracleSession:
         self.charge("coset")
         return project_via_control(pred, st)
 
-    def support_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The primal and dual masks the verifier projects with; reading them charges nothing."""
+    def verifier_masks(self, passes: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """The primal and dual masks of the verifier, charged as passes queries to each side."""
+        self.charge("primal", passes)
+        self.charge("dual", passes)
         return self._primal.support_mask(), self._dual.support_mask()
-
-    def run_verifier(self, st: State) -> tuple[float, State | None]:
-        """The four-stage pipeline on st, charged as one primal and one dual query."""
-        self.charge("primal")
-        self.charge("dual")
-        return apply_verifier(st, self._primal, self._dual)
 
 
 class OracleRegistry:
@@ -214,12 +205,12 @@ class OracleRegistry:
 
     # -- record generation ---------------------------------------------------
 
-    def generate(self, r: BitVec) -> MintRecord:
+    def generate(self, r: BitVec, spec: CodeSpec | None = None) -> MintRecord:
         """The banknote generator: deterministic in (master_seed, r), cached.
 
         Serial distinctness is enforced actively: on a collision with an
         already-issued serial the whole derivation is redone with the next
-        nonce.
+        nonce.  A given spec replaces the code search and must pass certification.
         """
         if r.n != self.n:
             raise ValueError(f"r must have length n={self.n}")
@@ -232,12 +223,12 @@ class OracleRegistry:
             serial = random_bitvec(3 * self.n, as_generator(serial_seq))
             if serial in self.serial_index:
                 continue
-            spec = search_applicable_code(self.n, self.q, code_seq, self.max_attempts)
+            code = spec or search_applicable_code(self.n, self.q, code_seq, self.max_attempts)
             theta = basis_map = None
             if self.route == "conjugate":
-                theta, basis_map = _conjugate_parts(spec, as_generator(basis_seq))
-            record = MintRecord(r, serial, spec, self.route, theta, basis_map)
-            self._install(record)
+                theta, basis_map = _conjugate_parts(code, as_generator(basis_seq))
+            record = MintRecord(r, serial, code, self.route, theta, basis_map)
+            self.install_record(record, require_applicable=spec is not None)
             return record
         raise SerialCollisionError(
             f"could not find a fresh serial for r={r} in {self.serial_retries} tries"
@@ -427,21 +418,37 @@ def _as_state(note_state: Union[DenseState, CosetLabel, MixedState]) -> State:
 
 
 def apply_verifier(state: State, primal_pred, dual_pred) -> tuple[float, State | None]:
-    """Run the four-stage verification pipeline on a dense or mixed state.
+    """Run verify's mask-and-FWHT pipeline with the predicates' masks on a dense or mixed state.
 
-    Returns the exact acceptance probability (product of the two projective
-    stage probabilities, with rounding above one clipped) and the
-    accepted-branch post-state, already rotated back to the computational
-    basis; None when the probability is zero.
+    Returns the exact acceptance probability (for a pure state the product
+    of the two stage probabilities; rounding above one is clipped) and the
+    accepted-branch post-state in the computational basis; None when the
+    probability is zero.
     """
-    prob1, branch, _ = project_via_control(primal_pred, state)
-    if branch is None:
+    return _pipeline(state, (primal_pred.support_mask(), dual_pred.support_mask()))
+
+
+def _pipeline(state: State, masks: tuple[np.ndarray, np.ndarray]) -> tuple[float, State | None]:
+    """P = H M_dual H M_primal on one register: acceptance probability and post-state."""
+    dim = 1 << state.n
+    if isinstance(state, DenseState):
+        kept = state.amplitudes * masks[0]
+        prob1 = float((np.abs(kept) ** 2).sum())
+        if prob1 == 0.0:
+            return 0.0, None
+        half = _masked_transform(kept / np.sqrt(prob1), masks) / math.sqrt(dim)
+        prob2 = float((np.abs(half) ** 2).sum())
+        if prob2 == 0.0:
+            return 0.0, None
+        post = fwht(half / np.sqrt(prob2)) / math.sqrt(dim)
+        return min(prob1 * prob2, 1.0), DenseState(state.n, post, check_norm=False)
+    # A rho A^T for A = M_dual H' M_primal, H' = sqrt(dim) H the unnormalised transform.
+    sandwich = _masked_transform(_masked_transform(state.matrix, masks).T, masks).T
+    prob = float(np.trace(sandwich).real) / dim
+    if prob <= 0.0:
         return 0.0, None
-    rotated = hadamard_all(branch)
-    prob2, branch2, _ = project_via_control(dual_pred, rotated)
-    if branch2 is None:
-        return 0.0, None
-    return min(prob1 * prob2, 1.0), hadamard_all(branch2)
+    post = fwht(fwht(sandwich).T).T / (dim * dim * prob)
+    return min(prob, 1.0), MixedState(state.n, post, validate=False)
 
 
 def verify(
@@ -452,7 +459,7 @@ def verify(
     rng: Seed | None = None,
     session: OracleSession | None = None,
 ) -> VerifyOutcome:
-    """Ver: reject unknown serials, then run the projective pipeline.
+    """Ver: reject unknown serials, then run the pipeline on the session's charged masks.
 
     The outcome carries both the exact acceptance probability and one
     sampled decision; the post-state is the accepted branch whenever it
@@ -462,7 +469,7 @@ def verify(
         return VerifyOutcome(False, 0.0, None, reason="unknown serial")
     if session is None:
         session = registry.session(note.serial, approach)
-    prob, post = session.run_verifier(_as_state(note.state))
+    prob, post = _pipeline(_as_state(note.state), session.verifier_masks())
     accepted = _sample(registry, rng, prob)
     return VerifyOutcome(accepted, prob, post)
 
@@ -490,9 +497,7 @@ def double_verify(
     n = registry.record_for_serial(serial).spec.n  # raises UnknownSerialError
     if session is None:
         session = registry.session(serial)
-    session.charge("primal", 2)
-    session.charge("dual", 2)
-    masks = session.support_masks()
+    masks = session.verifier_masks(passes=2)
     dim = 1 << n
 
     if isinstance(joint, tuple):
@@ -547,17 +552,15 @@ def _trace_with_projector(mat: np.ndarray, masks: tuple[np.ndarray, np.ndarray])
 
 
 def verification_matrix(spec: CodeSpec, approach: str = "subset") -> np.ndarray:
-    """The dense matrix of the verification pipeline as a linear map.
+    """The verification pipeline's kernel applied to the identity: its dense real matrix.
 
     For an applicable code this equals the projector onto the span of all
     tolerated coset states.
     """
     make = subset_predicate if approach == "subset" else syndrome_predicate
+    masks = tuple(make(spec, side).support_mask() for side in ("primal", "dual"))
     dim = 1 << spec.n
-    hadamard = fwht(np.eye(dim, dtype=np.complex128)) / math.sqrt(dim)
-    # Masking a matrix's columns applies the mask first: H M_dual times H M_primal.
-    dual, primal = (hadamard * make(spec, side).support_mask() for side in ("dual", "primal"))
-    return dual @ primal
+    return fwht(_masked_transform(np.eye(dim), masks)) / dim
 
 
 def tolerated_projector(spec: CodeSpec) -> np.ndarray:

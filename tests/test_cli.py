@@ -205,6 +205,32 @@ def test_mint_refuses_uncertified_code_file(tmp_path, capsys):
     assert not note.exists()
 
 
+def test_mint_code_skips_code_search(tmp_path, capsys):
+    from subspace_money.codes import CodeSpec, certify, save_code
+    from subspace_money.gf2 import SubspaceBasis
+
+    # The extended quadratic-residue code [18, 9, 6]: certified for q=2, although
+    # a random search at (18, 2) gives up after its 10000 attempts.
+    residues = {0, 1, 2, 4, 8, 9, 13, 15, 16}
+    rows = []
+    for shift in range(17):
+        bits = [int((i - shift) % 17 in residues) for i in range(17)]
+        rows.append("".join(map(str, bits + [sum(bits) % 2])))
+    spec = CodeSpec.build(SubspaceBasis.from_strings(rows), q=2)
+    assert spec.code.dim == 9 and certify(spec).passed
+    code = tmp_path / "qr18.json"
+    save_code(spec, code)
+    note = tmp_path / "note.json"
+    rc = run_cli("--seed", 5, "--out", note, "mint", "--n", 18, "--q", 2, "--code", code)
+    assert rc == 0
+    capsys.readouterr()
+    bank = note.with_suffix(".bank.json")
+    assert load_record(bank).spec == spec
+    rc = run_cli("--seed", 1, "--format", "json", "verify", note, "--bank", bank)
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["accept_probability"] == 1.0
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli("gencode", "--n", 6)  # missing --q

@@ -41,6 +41,15 @@ def test_completeness_sweep_q0():
     assert report.rows[0][2] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_completeness_rows_are_exactly_one():
+    # Criterion 02 allows 1e-9; the verifier's arithmetic gives exactly one.
+    for n in (6, 8, 10, 12):
+        for seed in range(5):
+            report = completeness_sweep(search_applicable_code(n, 1, seed=seed))
+            assert len(report.rows) == (n + 1) ** 2
+            assert all(row[2] == 1.0 for row in report.rows), (n, seed)
+
+
 def test_completeness_sweep_undecodable_probe(worked_spec):
     report = completeness_sweep(worked_spec, probe_undecodable=True)
     assert len(report.rows) == 50

@@ -355,6 +355,24 @@ def test_verify_charges_ledger(worked_registry):
     assert session.ledger.combined_equivalent == 14
 
 
+def test_verifier_charges_per_pass(registry):
+    note = mint_direct(registry, BitVec.zeros(6))
+    session = registry.session(note.serial)
+    double_verify(registry, note.serial, (note.state, note.state), rng=0, session=session)
+    assert session.ledger.counters == {"primal": 2, "dual": 2, "combined": 0, "coset": 0}
+    assert session.ledger.combined_equivalent == 28
+
+    session = registry.session(note.serial)
+    verify(registry, note, session=session, rng=0)
+    assert session.ledger.counters == {"primal": 1, "dual": 1, "combined": 0, "coset": 0}
+    session.verifier_masks()
+    assert session.ledger.counters["primal"] == session.ledger.counters["dual"] == 2
+    primal, dual = session.verifier_masks(passes=2)
+    assert session.ledger.counters["primal"] == session.ledger.counters["dual"] == 4
+    assert session.ledger.combined_equivalent == 7 * 8
+    assert primal.shape == dual.shape == (64,)
+
+
 def test_verify_coset_label_banknote(worked_registry, worked_spec):
     reg, record = worked_registry
     label = CosetLabel(worked_spec, bv("010000"), bv("000010"))
@@ -473,6 +491,29 @@ def test_double_verify_matches_projector_reference(n, seed):
     expected = np.vdot(grid, proj @ grid @ proj.T).real
     prob, _ = double_verify(reg, record.serial, joint, rng=0)
     assert abs(prob - expected) < 1e-10
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.sampled_from([6, 8]), seed=st.integers(0, 2**32 - 1))
+def test_verify_matches_projector_reference(n, seed):
+    reg = OracleRegistry(n, 1, master_seed=seed)
+    record = reg.generate(BitVec.zeros(n))
+    proj = tolerated_projector(record.spec)
+    rng = np.random.default_rng(seed)
+
+    psi = _random_pure(rng, n).amplitudes
+    image = proj @ psi
+    outcome = verify(reg, Banknote(record.serial, DenseState(n, psi)), rng=0)
+    assert abs(outcome.accept_probability - np.vdot(psi, image).real) < 1e-10
+    assert np.abs(outcome.post_state.amplitudes - image / np.linalg.norm(image)).max() < 1e-10
+
+    a, b = _random_pure(rng, n).amplitudes, _random_pure(rng, n).amplitudes
+    w = rng.uniform(0.1, 0.9)
+    rho = w * np.outer(a, a.conj()) + (1 - w) * np.outer(b, b.conj())
+    outcome = verify(reg, Banknote(record.serial, MixedState(n, rho)), rng=0)
+    prob = np.trace(proj @ rho).real
+    assert abs(outcome.accept_probability - prob) < 1e-10
+    assert np.abs(outcome.post_state.matrix - proj @ rho @ proj / prob).max() < 1e-10
 
 
 def test_double_verify_n16_stays_within_state_budget():
