@@ -135,20 +135,35 @@ def search_applicable_code(
 ) -> CodeSpec:
     """Rejection-sample uniformly random n/2-dim subspaces until one is applicable.
 
-    Raises CodeSearchError after max_attempts; persistent failure at positive
-    ``gv_margin(n, q)`` (existence, asymptotically) would be surprising,
-    while a negative margin guarantees nothing.
+    Raises CodeSearchError before the first attempt when no applicable code
+    can exist: C and its dual are both [n, n/2] codes, so each must meet the
+    Singleton bound (2q+1 <= n/2 + 1) and the sphere-packing bound
+    (|E_q| <= 2^(n/2)).  Passing both proves nothing: (14, 2) passes them,
+    yet no [14, 7] code has d >= 5, so its search runs out its attempts.
+    Otherwise raises CodeSearchError after max_attempts; persistent failure
+    at positive ``gv_margin(n, q)`` (existence, asymptotically) would be
+    surprising, while a negative margin guarantees nothing.
     """
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
     if q < 0:
         raise ValueError("q must be >= 0")
-    if 1 << (n // 2) > budget:
-        raise BudgetExceededError(f"2^{n // 2} codewords exceed budget {budget}")
-    need = 2 * q + 1
+    k, need = n // 2, 2 * q + 1
+    if need > k + 1:
+        raise CodeSearchError(
+            f"no [{n}, {k}] code has d >= {need}: the Singleton bound caps d at n/2 + 1 = {k + 1}"
+        )
+    ball = error_count(n, q)
+    if ball > 1 << k:
+        raise CodeSearchError(
+            f"no [{n}, {k}] code corrects {q} errors: the sphere-packing bound needs "
+            f"|E_q| = {ball} <= 2^(n/2) = {1 << k}"
+        )
+    if 1 << k > budget:
+        raise BudgetExceededError(f"2^{k} codewords exceed budget {budget}")
     rng = as_generator(seed)
     for _ in range(max_attempts):
-        code = random_subspace(n, n // 2, rng)
+        code = random_subspace(n, k, rng)
         d_p = code.min_distance(budget)
         if d_p < need:
             continue

@@ -15,11 +15,58 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import BudgetExceededError
 from .rng import Seed, as_generator
 
 # Exhaustive span enumeration refuses to walk more elements than this.
 DEFAULT_ENUM_BUDGET = 1 << 26
+
+# min_distance tabulates the span of this many basis rows once and weighs the
+# rest of the span one table-sized block at a time.  Larger blocks raise the
+# peak memory of code search without making it faster.
+_BLOCK_ROWS = 10
+_LIMB_MASK = (1 << 64) - 1
+
+
+def _span_table(rows: Sequence[int], width: int) -> np.ndarray:
+    """Every XOR of a subset of width-bit rows: entry i sums the rows picked by the bits of i.
+
+    Built by doubling, entries [2^j, 2^(j+1)) being entries [0, 2^j) XOR row
+    j, in the smallest unsigned dtype that holds width bits.  Wider than 64
+    bits, each entry is a row of uint64 limbs along a trailing axis, most
+    significant limb first.
+    """
+    if width <= 64:
+        packed = np.array(rows, dtype=np.min_scalar_type((1 << width) - 1))
+    else:
+        limbs = -(-width // 64)
+        packed = np.array(
+            [[(r >> (64 * j)) & _LIMB_MASK for j in reversed(range(limbs))] for r in rows],
+            dtype=np.uint64,
+        ).reshape(len(rows), limbs)
+    table = np.zeros((1 << len(rows),) + packed.shape[1:], dtype=packed.dtype)
+    for j in range(len(rows)):
+        np.bitwise_xor(table[: 1 << j], packed[j], out=table[1 << j : 2 << j])
+    return table
+
+
+def _weights(words: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Hamming weight of every entry of a span table, written through counts."""
+    np.bitwise_count(words, out=counts)
+    return counts if counts.ndim == 1 else counts.sum(axis=1)
+
+
+def _random_rows(n: int, count: int, rng: np.random.Generator) -> list[int]:
+    """count uniformly random n-bit values, drawn as one count x n block of bits.
+
+    The block holds the same bits, and leaves the generator in the same
+    state, as count separate n-bit draws.
+    """
+    packed = np.packbits(rng.integers(0, 2, size=(count, n)), axis=1)
+    pad = 8 * packed.shape[1] - n
+    return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
 
 
 class BitVec:
@@ -128,9 +175,7 @@ class BitVec:
 
 def random_bitvec(n: int, seed: Seed) -> BitVec:
     """Uniformly random length-n vector, deterministic given the seed."""
-    rng = as_generator(seed)
-    bits = rng.integers(0, 2, size=n)
-    return BitVec.from_bits([int(b) for b in bits])
+    return BitVec(n, _random_rows(n, 1, as_generator(seed))[0])
 
 
 class Gf2Matrix:
@@ -361,21 +406,26 @@ class SubspaceBasis:
     __contains__ = member
 
     def vectors(self, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[BitVec]:
-        """All 2^dim elements of the subspace, in Gray-code order."""
-        for v in self.vector_values(budget):
+        """All 2^dim elements of the subspace, in the order of ``vector_values``."""
+        table = self.vector_values(budget)
+        if table.ndim == 1:
+            values = table.tolist()
+        else:
+            values = [int.from_bytes(row.astype(">u8").tobytes(), "big") for row in table]
+        for v in values:
             yield BitVec(self.n, v)
 
-    def vector_values(self, budget: int = DEFAULT_ENUM_BUDGET) -> list[int]:
+    def vector_values(self, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+        """All 2^dim packed elements of the subspace, in binary-counting order.
+
+        Entry i is the sum of the RREF basis rows picked by the bits of i (bit
+        j picks row j), in the smallest unsigned dtype that holds n bits; for
+        n > 64 each entry is a row of uint64 limbs, most significant first.
+        """
         k = self.dim
         if 1 << k > budget:
             raise BudgetExceededError(f"2^{k} span elements exceed budget {budget}")
-        rows = self.basis.row_values
-        out = [0] * (1 << k)
-        cur = 0
-        for i in range(1, 1 << k):
-            cur ^= rows[(i & -i).bit_length() - 1]
-            out[i] = cur
-        return out
+        return _span_table(self.basis.row_values, self.n)
 
     def dual(self) -> "SubspaceBasis":
         """Orthogonal complement under the GF(2) dot product."""
@@ -395,23 +445,28 @@ class SubspaceBasis:
         return SubspaceBasis(n, rows)
 
     def min_distance(self, budget: int = DEFAULT_ENUM_BUDGET) -> int:
-        """Minimum Hamming weight over the nonzero span, by exhaustive walk."""
+        """Minimum Hamming weight over the nonzero span, by exhaustive walk.
+
+        Every codeword is an entry of the span table of the first 10 RREF
+        basis rows XOR one sum of the remaining rows.  So the walk weighs a
+        block of up to 2^10 codewords per numpy call, through two reused
+        buffers, and takes 2^(dim-10) Python steps instead of 2^dim.
+        """
         k = self.dim
         if k == 0:
             raise ValueError("minimum distance undefined for the zero subspace")
         if 1 << k > budget:
             raise BudgetExceededError(f"2^{k} codewords exceed budget {budget}")
         rows = self.basis.row_values
-        best = self.n
-        cur = 0
-        for i in range(1, 1 << k):
-            cur ^= rows[(i & -i).bit_length() - 1]
-            w = cur.bit_count()
-            if w < best:
-                best = w
-                if best == 1:
-                    break
-        return best
+        low = _span_table(rows[:_BLOCK_ROWS], self.n)
+        offsets = _span_table(rows[_BLOCK_ROWS:], self.n)
+        counts = np.empty(low.shape, dtype=np.uint8)
+        best = _weights(low, counts)[1:].min()  # entry 0 of the first block is the zero word
+        buf = np.empty_like(low)
+        for offset in offsets[1:]:
+            np.bitwise_xor(low, offset, out=buf)
+            best = min(best, _weights(buf, counts).min())
+        return int(best)
 
     def intersection_dim(self, other: "SubspaceBasis") -> int:
         if self.n != other.n:
@@ -511,8 +566,10 @@ class BasisMap:
 def random_subspace(n: int, dim: int, seed: Seed) -> SubspaceBasis:
     """Uniformly random dim-dimensional subspace of F_2^n.
 
-    Samples dim random rows and rejects on rank deficiency; conditioned on
-    full rank, the row space is uniform over all dim-dimensional subspaces.
+    Samples dim random rows, as one dim x n block of bits, and rejects on rank
+    deficiency; conditioned on full rank, the row space is uniform over all
+    dim-dimensional subspaces.  The block draws the same bits as dim calls
+    to ``random_bitvec`` on the same generator.
     """
     if not 0 <= dim <= n:
         raise ValueError(f"dim {dim} out of range for n={n}")
@@ -520,8 +577,7 @@ def random_subspace(n: int, dim: int, seed: Seed) -> SubspaceBasis:
         return SubspaceBasis.zero(n)
     rng = as_generator(seed)
     while True:
-        rows = [random_bitvec(n, rng) for _ in range(dim)]
-        s = SubspaceBasis(n, rows)
+        s = SubspaceBasis(n, _random_rows(n, dim, rng))
         if s.dim == dim:
             return s
 
@@ -530,7 +586,7 @@ def random_basis_map(n: int, seed: Seed) -> BasisMap:
     """Uniformly random invertible linear map of F_2^n (rejection on singularity)."""
     rng = as_generator(seed)
     while True:
-        m = Gf2Matrix.from_rows([random_bitvec(n, rng) for _ in range(n)])
+        m = Gf2Matrix(n, n, _random_rows(n, n, rng))
         try:
             return BasisMap(m)
         except ValueError:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import CodeSpec, build_syndrome_table, enumerate_errors
-from .gf2 import BitVec, Gf2Matrix
+from .gf2 import BitVec, Gf2Matrix, _span_table
 from .states import DenseState, MixedState, State
 
 SIDES = ("primal", "dual")
@@ -46,16 +46,11 @@ def _parity_for(spec: CodeSpec, side: str) -> Gf2Matrix:
 def syndrome_array(parity: Gf2Matrix) -> np.ndarray:
     """H x for every x in F_2^n at once, indexed by the packed value of x.
 
-    Built by doubling: the strings in [2^p, 2^(p+1)) are those below 2^p
-    plus bit p, so their syndromes are the earlier ones XOR the matching
-    column of H.  The dtype is the smallest unsigned type holding a syndrome.
+    H x is the sum of the columns of H picked by the bits of x, and bit p of
+    x is coordinate n-1-p, so this is the span table of H's columns in
+    reverse order, in the smallest unsigned dtype that holds a syndrome.
     """
-    n = parity.cols
-    dtype = np.min_scalar_type((1 << parity.rows) - 1)
-    columns = parity.transpose().row_values  # column j is coordinate j, bit n-1-j
-    syn = np.zeros(1 << n, dtype=dtype)
-    for p in range(n):
-        syn[1 << p : 2 << p] = syn[: 1 << p] ^ dtype.type(columns[n - 1 - p])
+    syn = _span_table(parity.transpose().row_values[::-1], parity.rows)
     syn.setflags(write=False)
     return syn
 

@@ -235,11 +235,16 @@ class OracleRegistry:
         )
 
     def install_record(self, record: MintRecord, *, require_applicable: bool = True) -> None:
-        """Register an externally-built record (worked examples, bank key files)."""
-        if require_applicable and not certify(record.spec).passed:
-            raise ValueError(
-                "record's code fails certification; pass require_applicable=False to force"
-            )
+        """Register an externally-built record (worked examples, bank key files).
+
+        Raises ValueError naming every failed ``certify`` check, unless
+        require_applicable is False.
+        """
+        if require_applicable:
+            report = certify(record.spec)
+            if not report.passed:
+                failed = "; ".join(f"{c.name}: {c.detail}" for c in report.checks if not c.passed)
+                raise ValueError(f"record's code fails certification ({failed})")
         if record.serial in self.serial_index and self.serial_index[record.serial] != record.r:
             raise SerialCollisionError(f"serial {record.serial} already issued")
         self._install(record)

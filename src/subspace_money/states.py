@@ -170,7 +170,7 @@ def subspace_state(
 ) -> DenseState:
     """Uniform superposition over all vectors of the subspace."""
     _check_pure_budget(s.n, max_qubits)
-    values = np.array(s.vector_values(), dtype=np.int64)
+    values = s.vector_values()
     amps = np.zeros(1 << s.n, dtype=np.complex128)
     amps[values] = 1.0 / math.sqrt(len(values))
     return DenseState(s.n, amps)
@@ -187,10 +187,10 @@ def coset_state(
     if e.n != s.n or e_prime.n != s.n:
         raise ValueError("error vector length differs from the ambient dimension")
     _check_pure_budget(s.n, max_qubits)
-    values = np.array(s.vector_values(), dtype=np.int64)
-    parity = (np.bitwise_count(values & np.int64(e_prime.value)) & 1).astype(np.float64)
+    values = s.vector_values()
+    parity = (np.bitwise_count(values & e_prime.value) & 1).astype(np.float64)
     amps = np.zeros(1 << s.n, dtype=np.complex128)
-    amps[values ^ np.int64(e.value)] = sign * (1.0 - 2.0 * parity) / math.sqrt(len(values))
+    amps[values ^ e.value] = sign * (1.0 - 2.0 * parity) / math.sqrt(len(values))
     return DenseState(s.n, amps)
 
 

@@ -205,6 +205,24 @@ def test_mint_refuses_uncertified_code_file(tmp_path, capsys):
     assert not note.exists()
 
 
+def test_mint_uncertified_code_names_the_failed_check(tmp_path, capsys):
+    from subspace_money.codes import CodeSpec, save_code
+    from subspace_money.gf2 import SubspaceBasis
+
+    # An [8, 4, 3] code whose dual has d = 2: only the dual distance check fails.
+    rows = ["10000111", "01010101", "00100101", "00001011"]
+    code = tmp_path / "code.json"
+    save_code(CodeSpec.build(SubspaceBasis.from_strings(rows), q=1), code)
+    rc = run_cli("--seed", 53, "--out", tmp_path / "note.json", "mint", "--n", 8, "--q", 1,
+                 "--code", code)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "fails certification" in err
+    assert "distance_dual: d=2, need >= 3 for q=1" in err
+    assert "distance_primal" not in err
+    assert "require_applicable" not in err
+
+
 def test_mint_code_skips_code_search(tmp_path, capsys):
     from subspace_money.codes import CodeSpec, certify, save_code
     from subspace_money.gf2 import SubspaceBasis

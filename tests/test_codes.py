@@ -57,6 +57,21 @@ def test_search_infeasible_parameters_raise():
         search_applicable_code(6, 2, seed=3, max_attempts=3000)
 
 
+@pytest.mark.parametrize(
+    "n, q, bound", [(6, 2, "Singleton bound"), (10, 2, "sphere-packing bound"),
+                    (12, 2, "sphere-packing bound")]
+)
+def test_search_impossible_parameters_fail_before_sampling(monkeypatch, n, q, bound):
+    import subspace_money.codes as codes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched although no applicable code exists")
+
+    monkeypatch.setattr(codes, "random_subspace", refuse)
+    with pytest.raises(CodeSearchError, match=bound):
+        search_applicable_code(n, q, seed=3)
+
+
 def test_search_validates_input():
     with pytest.raises(ValueError):
         search_applicable_code(7, 1, seed=0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_money.errors import BudgetExceededError
 from subspace_money.gf2 import (
@@ -208,6 +210,59 @@ def test_vectors_enumerates_whole_span(worked_code):
     assert "000000" in words and "111000" in words
 
 
+def gray_walk_span(s):
+    """Every span element as an int, by a Python Gray-code walk (the reference)."""
+    rows = s.basis.row_values
+    out, cur = [0], 0
+    for i in range(1, 1 << s.dim):
+        cur ^= rows[(i & -i).bit_length() - 1]
+        out.append(cur)
+    return out
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    k=st.sampled_from([1, 9, 10, 11, 13, 16]),
+    n=st.sampled_from([24, 31, 64, 66, 70]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_span_walks_match_gray_walk_reference(k, n, seed):
+    # Dimensions on both sides of min_distance's 2^10-word block, and widths
+    # on both sides of one uint64.
+    s = random_subspace(n, k, seed)
+    ref = gray_walk_span(s)
+    assert s.min_distance() == min(v.bit_count() for v in ref[1:])
+    values = [v.value for v in s.vectors()]
+    assert len(values) == len(set(values)) == 1 << k
+    assert set(values) == set(ref)
+    if n <= 64:
+        table = s.vector_values()
+        assert table.dtype == np.min_scalar_type((1 << n) - 1)
+        assert table.tolist() == values
+
+
+@pytest.mark.parametrize("n", [40, 70])
+def test_min_distance_finds_a_word_only_in_the_last_block(n):
+    # Rows e_j + t_j: a word's weight is |S| + wt(sum of the tails over S).
+    # Rows 10 and 11 share a tail and every other tail is distinct and of
+    # weight >= 2, so their sum, weight 2, is the only word lighter than 3.
+    rng = np.random.default_rng(n)
+    tails = [int(t) for t in rng.integers(0, 1 << (n - 12), size=11)]
+    tails.append(tails[10])
+    assert min(t.bit_count() for t in tails) >= 2 and len(set(tails)) == 11
+    rows = [(1 << (n - 1 - j)) | t for j, t in enumerate(tails)]
+    s = SubspaceBasis(n, rows)
+    assert s.basis.row_values == tuple(rows)
+    assert s.min_distance() == 2
+
+
+def test_span_budget_checked_before_tabulating():
+    with pytest.raises(BudgetExceededError):
+        SubspaceBasis.full(12).min_distance(budget=1 << 11)
+    with pytest.raises(BudgetExceededError):
+        SubspaceBasis.full(12).vector_values(budget=1 << 11)
+
+
 # ---------------------------------------------------------------------------
 # BasisMap
 
@@ -325,3 +380,29 @@ def test_isometry_preserves_distance_of_worked_code(worked_code):
 def test_random_bitvec_deterministic():
     assert random_bitvec(8, 123) == random_bitvec(8, 123)
     assert random_bitvec(8, 123).n == 8
+
+
+def per_row_draws(n, count, rng):
+    """count n-bit values drawn one n-bit row at a time (the reference)."""
+    return [int("".join(str(b) for b in rng.integers(0, 2, size=n)), 2) for _ in range(count)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+def test_random_draws_match_per_row_reference(n, seed):
+    got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    dim = seed % (n + 1)
+    while True:
+        want = SubspaceBasis(n, per_row_draws(n, dim, ref))
+        if want.dim == dim:
+            break
+    assert random_subspace(n, dim, got) == want
+    assert random_bitvec(n, got).value == per_row_draws(n, 1, ref)[0]
+    while True:
+        try:
+            want_map = BasisMap(Gf2Matrix(n, n, per_row_draws(n, n, ref)))
+            break
+        except ValueError:
+            continue
+    assert random_basis_map(n, got) == want_map
+    assert got.integers(0, 1 << 62) == ref.integers(0, 1 << 62)
