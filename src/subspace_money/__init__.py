@@ -64,7 +64,6 @@ from .oracles import (
     MembershipPredicate,
     QueryLedger,
     apply_phase_oracle,
-    project_via_control,
     subset_predicate,
     syndrome_predicate,
 )

@@ -10,6 +10,7 @@ one is drawn and printed so the run can be replayed.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -53,7 +54,9 @@ DOMAIN_ERRORS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later main() call."""
     parser = argparse.ArgumentParser(
         prog="subspace-money",
         description="Noise-tolerant public-key quantum money, exactly simulated at desk scale.",
@@ -130,8 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.seed is None:
         args.seed = int(np.random.SeedSequence().entropy % (1 << 62))
         print(f"seed: {args.seed} (drawn; pass --seed {args.seed} to reproduce)")

@@ -15,17 +15,17 @@ syndrome route enumerates the weight-<=q vectors itself.  They share only
 the syndrome array, so comparing their masks cross-validates the two
 derivations.
 
-A phase oracle flips the sign of basis states inside the predicate's set;
-the projector form runs the oracle controlled on a |+> ancilla and measures
-the ancilla in the Hadamard basis, which reduces algebraically to amplitude
-masking and is implemented that way, branch by branch.
+A phase oracle flips the sign of basis states inside the predicate's set.
+Measuring membership in one coset code + e gives outcome "inside" with the
+total probability of the strings whose syndrome is He, so one weighted
+histogram of the syndrome array gives the outcome probability of every
+coset test at once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -114,6 +114,15 @@ class MembershipPredicate:
             self._mask = mask
         return self._mask
 
+    def coset_weights(self, weights: np.ndarray) -> np.ndarray:
+        """The total of weights[x] over each coset of the side's code, indexed by syndrome.
+
+        With weights[x] the probability of basis string x, entry He is the
+        probability that a test of the coset side-code + e comes out inside.
+        """
+        rows = self.parity.rows
+        return np.bincount(self.syndromes(), weights=weights, minlength=1 << rows)
+
     def coset(self, error: BitVec) -> "MembershipPredicate":
         """Membership in the single coset side-code + error (accepted set {H error}).
 
@@ -157,38 +166,6 @@ def apply_phase_oracle(pred, st: State) -> State:
     if isinstance(st, DenseState):
         return DenseState(st.n, signs * st.amplitudes, check_norm=False)
     return MixedState(st.n, signs[:, None] * st.matrix * signs[None, :], validate=False)
-
-
-class ProjectionBranches(NamedTuple):
-    prob_in: float
-    state_in: State | None
-    state_out: State | None
-
-
-def project_via_control(pred, st: State) -> ProjectionBranches:
-    """Measure membership through a controlled phase oracle on a |+> ancilla.
-
-    The |-> ancilla outcome projects onto the predicate set.  With the
-    oracle-applied amplitudes U psi, the two ancilla branches carry
-    (psi - U psi)/2 and (psi + U psi)/2, which are exactly the masked and
-    complementary amplitudes; zero-probability branches come back as None.
-    """
-    mask = pred.support_mask()
-    branches = []
-    for keep in (mask, ~mask):
-        post = None
-        if isinstance(st, DenseState):
-            kept = np.where(keep, st.amplitudes, 0.0)
-            prob = float((np.abs(kept) ** 2).sum())
-            if prob > 0.0:
-                post = DenseState(st.n, kept / np.sqrt(prob), check_norm=False)
-        else:
-            prob = float(np.real(np.diag(st.matrix))[keep].sum())
-            if prob > 0.0:
-                post = MixedState(st.n, st.matrix * np.outer(keep, keep) / prob, validate=False)
-        branches.append((prob, post))
-    (prob_in, state_in), (_, state_out) = branches
-    return ProjectionBranches(prob_in, state_in, state_out)
 
 
 class CombinedOracle:

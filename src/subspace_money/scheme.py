@@ -38,10 +38,8 @@ from .errors import SerialCollisionError, UndecodableError, UnknownSerialError
 from .gf2 import BasisMap, BitVec, Gf2Matrix, SubspaceBasis, random_bitvec
 from .oracles import (
     MembershipPredicate,
-    ProjectionBranches,
     QueryLedger,
     apply_phase_oracle,
-    project_via_control,
     subset_predicate,
     syndrome_predicate,
 )
@@ -56,7 +54,6 @@ from .states import (
     coset_to_dense,
     dump_state,
     fwht,
-    hadamard_all,
     load_state,
     subspace_state,
     tolerated_coset_states,
@@ -121,8 +118,8 @@ class DoubleVerifyOutcome(NamedTuple):
 class OracleSession:
     """Charge-counting access to one banknote's membership oracles.
 
-    This is the only surface attack code may touch: predicates, projectors
-    and masks, never the code itself.  Every oracle use, handing out masks
+    This is the only surface attack code may touch: predicates, masks and
+    coset tests, never the code itself.  Every oracle use, handing out masks
     included, charges the session's ledger; the ledger is a value, so
     reading it at any point gives a consistent snapshot.
     """
@@ -136,7 +133,6 @@ class OracleSession:
         self._spec = spec
         self._primal = make(spec, "primal")
         self._dual = make(spec, "dual")
-        self._coset_cache: dict[tuple[str, BitVec], MembershipPredicate] = {}
         self.serial = serial
         self.approach = approach
         self.ledger = QueryLedger.fresh(error_count(spec.n, spec.q))
@@ -159,15 +155,22 @@ class OracleSession:
         self.charge(side)
         return apply_phase_oracle(pred, st)
 
-    def project_coset(self, side: str, error: BitVec, st: State) -> ProjectionBranches:
-        """Project onto the coset side-code + error; its mask reads the side's syndrome array."""
-        key = (side, error)
-        pred = self._coset_cache.get(key)
-        if pred is None:
-            base = self._primal if side == "primal" else self._dual
-            pred = self._coset_cache[key] = base.coset(error)
-        self.charge("coset")
-        return project_via_control(pred, st)
+    def find_coset(self, side: str, weights: np.ndarray) -> BitVec | None:
+        """The first tolerated error e whose coset side-code + e holds all but 1e-9 of weights.
+
+        weights[x] is the probability of basis string x.  The errors are tested
+        in lexicographic order, each test up to and including the match
+        charged as one coset query; None, with every test charged, when no
+        coset matches.
+        """
+        pred = self._primal if side == "primal" else self._dual
+        errors = enumerate_errors(self.n, self._spec.q)
+        syn = pred.syndromes()
+        inside = pred.coset_weights(weights)[syn[[e.value for e in errors]]]
+        hits = np.flatnonzero(inside > 1.0 - 1e-9)
+        tests = int(hits[0]) + 1 if hits.size else len(errors)
+        self.charge("coset", tests)
+        return errors[tests - 1] if hits.size else None
 
     def verifier_masks(self, passes: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """The primal and dual masks of the verifier, charged as passes queries to each side."""
@@ -583,34 +586,35 @@ def diagnose(
     *,
     session: OracleSession | None = None,
 ) -> tuple[BitVec, BitVec]:
-    """Identify the Pauli error on a tolerated coset state via per-coset oracles.
+    """Identify the Pauli error on a tolerated coset state by syndrome decoding.
 
-    Tests the bit-flip cosets in lexicographic error order, then the
-    phase-flip cosets in the Hadamard basis, charging one coset query per
-    test.  Raises UndecodableError when no coset matches cleanly.
+    The bit-flip cosets are tested on the computational-basis probabilities,
+    the phase-flip cosets on the Hadamard-basis ones (the diagonal of H rho H
+    for a mixed note); each side's coset probabilities come from one
+    histogram over its syndrome array, and the session charges one coset
+    query per error tested in lexicographic order.  Raises UndecodableError
+    when no coset holds all but 1e-9 of the probability.
     """
-    record = registry.record_for_serial(note.serial)
+    registry.record_for_serial(note.serial)  # raises UnknownSerialError
     if session is None:
         session = registry.session(note.serial)
-    spec = record.spec
     state = _as_state(note.state)
-    errors = enumerate_errors(spec.n, spec.q)
-
-    found_e = None
-    for e in errors:
-        prob, _, _ = session.project_coset("primal", e, state)
-        if prob > 1.0 - 1e-9:
-            found_e = e
-            break
-    if found_e is None:
+    dim = 1 << state.n
+    if isinstance(state, DenseState):
+        bit_flip = np.abs(state.amplitudes) ** 2
+        phase_flip = np.abs(fwht(state.amplitudes)) ** 2 / dim
+    else:
+        # The imaginary part of a Hermitian rho adds nothing to the diagonal of H rho H.
+        rho = state.matrix.real
+        bit_flip = np.diagonal(rho)
+        phase_flip = np.diagonal(fwht(fwht(rho).T)) / dim
+    e = session.find_coset("primal", bit_flip)
+    if e is None:
         raise UndecodableError("state lies in no tolerated bit-flip coset")
-
-    rotated = hadamard_all(state)
-    for ep in errors:
-        prob, _, _ = session.project_coset("dual", ep, rotated)
-        if prob > 1.0 - 1e-9:
-            return found_e, ep
-    raise UndecodableError("state lies in no tolerated phase-flip coset")
+    ep = session.find_coset("dual", phase_flip)
+    if ep is None:
+        raise UndecodableError("state lies in no tolerated phase-flip coset")
+    return e, ep
 
 
 def correct(

@@ -46,8 +46,9 @@ class DenseState:
             raise ValueError(f"expected {1 << n} amplitudes for n={n}, got shape {arr.shape}")
         if check_norm:
             norm = float(np.linalg.norm(arr))
-            if abs(norm - 1.0) > ATOL_INVARIANT:
-                raise ValueError(f"state is not normalized: |psi| = {norm}")
+            # NaN compares False against any tolerance, so finiteness is checked apart.
+            if not math.isfinite(norm) or abs(norm - 1.0) > ATOL_INVARIANT:
+                raise ValueError(f"state is not a finite unit vector: |psi| = {norm}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "n", n)
@@ -363,16 +364,17 @@ def tolerated_coset_states(
 
 def dump_state(st: DenseState) -> str:
     """One line per nonzero amplitude: '<bitstring> <re> <im>', in index order."""
-    lines = []
-    for i, amp in enumerate(st.amplitudes):
-        if amp != 0:
-            bits = format(i, f"0{st.n}b")
-            lines.append(f"{bits} {amp.real:.17g} {amp.imag:.17g}")
+    support = np.flatnonzero(st.amplitudes)
+    lines = [
+        f"{i:0{st.n}b} {amp.real:.17g} {amp.imag:.17g}"
+        for i, amp in zip(support.tolist(), st.amplitudes[support].tolist())
+    ]
     return "\n".join(lines) + "\n"
 
 
 def load_state(text: str) -> DenseState:
-    entries = []
+    """Parse dump_state's text, refusing malformed or repeated bit strings."""
+    indices, values = [], []
     n = None
     for line in text.splitlines():
         line = line.strip()
@@ -381,12 +383,14 @@ def load_state(text: str) -> DenseState:
         bits, re_s, im_s = line.split()
         if n is None:
             n = len(bits)
-        elif len(bits) != n:
-            raise ValueError("inconsistent bit-string lengths in state dump")
-        entries.append((int(bits, 2), float(re_s), float(im_s)))
+        if len(bits) != n or bits.strip("01"):
+            raise ValueError(f"bit string {bits!r} is not {n} binary digits")
+        indices.append(int(bits, 2))
+        values.append(complex(float(re_s), float(im_s)))
     if n is None:
         raise ValueError("empty state dump")
+    if len(set(indices)) != len(indices):
+        raise ValueError("repeated bit string in state dump")
     amps = np.zeros(1 << n, dtype=np.complex128)
-    for idx, re_v, im_v in entries:
-        amps[idx] = complex(re_v, im_v)
+    amps[indices] = values
     return DenseState(n, amps)

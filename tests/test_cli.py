@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from subspace_money import cli
 from subspace_money.cli import main
 from subspace_money.scheme import load_banknote, load_record
 
@@ -253,3 +255,37 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli("gencode", "--n", 6)  # missing --q
     assert exc.value.code == 2
+
+
+def test_reused_parser_matches_fresh_parsers(tmp_path, monkeypatch, capsys):
+    steps = [
+        ["--seed", 5, "--out", "note.json", "mint", "--n", 6, "--q", 1],
+        ["--seed", 5, "mint", "--n", 6],  # missing --q: usage error
+        ["--seed", 5, "corrupt", "note.json", "--e", "100000", "--ez", "000010"],
+        ["--seed", 5, "--format", "json", "verify", "note.json", "--bank", "note.bank.json"],
+        ["--seed", 5, "correct", "note.json", "--bank", "note.bank.json"],
+        ["--seed", 5, "--out", "code.json", "gencode", "--n", 6, "--q", 1],
+    ]
+
+    def run_all(name, fresh_parsers):
+        # Relative paths keep stdout free of the directory name.
+        monkeypatch.chdir(tmp_path.joinpath(name))
+        cli.build_parser.cache_clear()
+        codes = []
+        for argv in steps:
+            if fresh_parsers:
+                cli.build_parser.cache_clear()
+            try:
+                codes.append(run_cli(*argv))
+            except SystemExit as exc:
+                codes.append(exc.code)
+        files = {p.name: p.read_bytes() for p in sorted(Path.cwd().iterdir())}
+        return codes, capsys.readouterr(), files, cli.build_parser.cache_info()
+
+    tmp_path.joinpath("reused").mkdir()
+    tmp_path.joinpath("fresh").mkdir()
+    codes, streams, files, info = run_all("reused", fresh_parsers=False)
+    assert codes == [0, 2, 0, 0, 0, 0]
+    assert (info.misses, info.hits) == (1, len(steps) - 1)
+    assert sorted(files) == ["code.json", "note.bank.json", "note.json"]
+    assert run_all("fresh", fresh_parsers=True)[:3] == (codes, streams, files)

@@ -1,6 +1,4 @@
-"""Tests for membership predicates, phase oracles, projection and query accounting."""
-
-import math
+"""Tests for membership predicates, phase oracles, coset weights and query accounting."""
 
 import numpy as np
 import pytest
@@ -13,7 +11,6 @@ from subspace_money.oracles import (
     CombinedOracle,
     QueryLedger,
     apply_phase_oracle,
-    project_via_control,
     subset_predicate,
     syndrome_predicate,
 )
@@ -83,7 +80,7 @@ def test_coset_predicates_partition_the_subset(worked_spec):
 
 
 # ---------------------------------------------------------------------------
-# phase oracle and projector
+# phase oracle and coset weights
 
 
 def test_phase_oracle_involution(worked_spec):
@@ -127,49 +124,44 @@ def test_phase_oracle_padding_tag_is_identity(worked_spec):
     assert max_deviation(st, out) == 0
 
 
-def test_project_via_control_matches_direct_masking(worked_spec):
+def subset_probability(pred, weights):
+    """Probability of the predicate's set, summed from its per-coset histogram."""
+    return float(pred.coset_weights(weights)[[s.value for s in pred.accepted]].sum())
+
+
+def test_coset_weights_match_direct_masking(worked_spec):
     pred = subset_predicate(worked_spec, "primal")
     rng = np.random.default_rng(7)
     amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    st = DenseState(6, amps / np.linalg.norm(amps))
-    prob, inside, outside = project_via_control(pred, st)
-
-    mask = pred.support_mask()
-    direct_in = np.where(mask, st.amplitudes, 0)
-    direct_out = np.where(mask, 0, st.amplitudes)
-    prob_in = float((np.abs(direct_in) ** 2).sum())
-    prob_out = float((np.abs(direct_out) ** 2).sum())
-    assert prob == prob_in
-    assert np.array_equal(inside.amplitudes, direct_in / math.sqrt(prob_in))
-    assert np.array_equal(outside.amplitudes, direct_out / math.sqrt(prob_out))
+    probs = DenseState(6, amps / np.linalg.norm(amps)).probabilities()
+    weights = pred.coset_weights(probs)
+    assert weights.shape == (8,)
+    for e in enumerate_errors(6, 1):
+        direct = probs[pred.coset(e).support_mask()].sum()
+        assert weights[pred.parity.mul_vec(e).value] == pytest.approx(direct, abs=1e-15)
+    prob_in = float(probs[pred.support_mask()].sum())
+    assert subset_probability(pred, probs) == pytest.approx(prob_in, abs=1e-15)
 
 
-def test_project_via_control_pure_branches(worked_spec):
+def test_coset_weights_of_code_and_outside_states(worked_spec):
     pred = subset_predicate(worked_spec, "primal")
     inside_state = subspace_state(worked_spec.code)
-    prob, state_in, state_out = project_via_control(pred, inside_state)
-    assert prob == pytest.approx(1.0, abs=1e-12)
-    assert state_out is None
-    assert max_deviation(state_in, inside_state) < ATOL_EXACT
+    assert subset_probability(pred, inside_state.probabilities()) == pytest.approx(1.0, abs=1e-12)
 
     outside_state = DenseState.basis_state(6, bv("000111"))
-    prob, state_in, state_out = project_via_control(pred, outside_state)
-    assert prob == 0.0
-    assert state_in is None
-    assert max_deviation(state_out, outside_state) == 0
+    assert subset_probability(pred, outside_state.probabilities()) == 0.0
 
 
 def test_project_uniform_superposition(worked_spec):
     pred = subset_predicate(worked_spec, "primal")
-    prob, _, _ = project_via_control(pred, DenseState.uniform(6))
+    prob = subset_probability(pred, DenseState.uniform(6).probabilities())
     assert prob == pytest.approx(56 / 64, abs=1e-12)
 
 
 def test_project_mixed_state(worked_spec):
     pred = subset_predicate(worked_spec, "primal")
-    prob, state_in, _ = project_via_control(pred, MixedState.maximally_mixed(6))
-    assert prob == pytest.approx(56 / 64, abs=1e-12)
-    assert abs(np.trace(state_in.matrix) - 1.0) < 1e-12
+    diagonal = np.diagonal(MixedState.maximally_mixed(6).matrix).real
+    assert subset_probability(pred, diagonal) == pytest.approx(56 / 64, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Tests for minting, the registry and its oracles, verification and correction."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subspace_money import oracles
@@ -41,6 +42,8 @@ from subspace_money.states import (
     DenseState,
     MixedState,
     coset_state,
+    coset_to_dense,
+    hadamard_all,
     inner,
     max_deviation,
     subspace_state,
@@ -579,6 +582,101 @@ def test_diagnose_charge_accounting(worked_registry):
     diagnose(reg, corrupt(fresh, e, ep), session=session)
     # One charge per tested coset: positions are 0-based, so index+1 tests.
     assert session.ledger.counters["coset"] == (3 + 1) + (5 + 1)
+
+
+def reference_coset_index(spec, side, weights):
+    """Index of the first tolerated error whose coset holds all but 1e-9 of weights, or None.
+
+    Sums weights over one syn == H e mask per error, one coset at a time.
+    """
+    parity = spec.parity_primal if side == "primal" else spec.parity_dual
+    syn = oracles.syndrome_array(parity)
+    for i, e in enumerate(enumerate_errors(spec.n, spec.q)):
+        if weights[syn == parity.mul_vec(e).value].sum() > 1.0 - 1e-9:
+            return i
+    return None
+
+
+def reference_weights(state):
+    """Probabilities of the computational and the Hadamard basis states."""
+    if isinstance(state, CosetLabel):
+        state = coset_to_dense(state)
+    rotated = hadamard_all(state)
+    if isinstance(state, DenseState):
+        return state.probabilities(), rotated.probabilities()
+    return np.diagonal(state.matrix).real, np.diagonal(rotated.matrix).real
+
+
+def undecodable_probe(spec, side):
+    """The first weight-(q+1) error whose syndrome no tolerated error shares.
+
+    At q = 1 one always exists: were every sum of two columns of H zero or a
+    column, the columns and zero would fill F_2^(n/2), yet n + 1 != 2^(n/2).
+    """
+    parity = spec.parity_primal if side == "primal" else spec.parity_dual
+    tolerated = {parity.mul_vec(e) for e in enumerate_errors(spec.n, spec.q)}
+    supports = itertools.combinations(range(spec.n), spec.q + 1)
+    probes = (BitVec.from_support(spec.n, positions) for positions in supports)
+    return next(p for p in probes if parity.mul_vec(p) not in tolerated)
+
+
+# No q = 2 code exists at n <= 12 (Singleton and sphere-packing bounds), so q is 1.
+# Mixed notes stop at n = 8: a 2^12 x 2^12 density matrix alone is 256 MiB.
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([6, 8, 10, 12]),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["dense", "label", "mixed"]),
+    data=st.data(),
+)
+def test_diagnose_matches_per_coset_reference(n, seed, kind, data):
+    assume(kind != "mixed" or n <= 8)
+    reg = OracleRegistry(n, 1, master_seed=seed)
+    record = reg.generate(random_bitvec(n, seed))
+    spec = record.spec
+    errors = enumerate_errors(n, spec.q)
+    i = data.draw(st.integers(0, len(errors) - 1), label="bit-flip index")
+    j = data.draw(st.integers(0, len(errors) - 1), label="phase-flip index")
+    sign = data.draw(st.sampled_from([1, -1]), label="sign")
+
+    def as_kind(dense):
+        return Banknote(record.serial, dense if kind != "mixed" else MixedState.from_pure(dense))
+
+    def note_for(e, ep):
+        label = CosetLabel(spec, e, ep, sign)
+        return Banknote(record.serial, label) if kind == "label" else as_kind(coset_to_dense(label))
+
+    note = note_for(errors[i], errors[j])
+    bit_flip, phase_flip = reference_weights(note.state)
+    assert reference_coset_index(spec, "primal", bit_flip) == i
+    assert reference_coset_index(spec, "dual", phase_flip) == j
+    session = reg.session(record.serial)
+    assert diagnose(reg, note, session=session) == (errors[i], errors[j])
+    assert session.ledger.counters["coset"] == (i + 1) + (j + 1)
+    for side, weights, index in (("primal", bit_flip, i), ("dual", phase_flip, j)):
+        session = reg.session(record.serial)
+        assert session.find_coset(side, weights) == errors[index]
+        assert session.ledger.counters["coset"] == index + 1
+
+    zero = BitVec.zeros(n)
+    other = errors[(i + 1) % len(errors)]
+    split = sum(coset_state(spec.code, e, zero).amplitudes for e in (errors[i], other))
+    probes = [
+        ("primal", note_for(undecodable_probe(spec, "primal"), zero)),
+        ("dual", note_for(zero, undecodable_probe(spec, "dual"))),
+        # An even split over two tolerated bit-flip cosets lies in neither.
+        ("primal", as_kind(DenseState(n, split / math.sqrt(2)))),
+    ]
+    for side, bad in probes:
+        weights = reference_weights(bad.state)[0 if side == "primal" else 1]
+        assert reference_coset_index(spec, side, weights) is None
+        session = reg.session(record.serial)
+        flip = "bit-flip" if side == "primal" else "phase-flip"
+        with pytest.raises(UndecodableError, match=f"no tolerated {flip} coset"):
+            diagnose(reg, bad, session=session)
+        # Every error is tested on the failing side, after one test matching zero on the other.
+        expected = len(errors) + (0 if side == "primal" else 1)
+        assert session.ledger.counters["coset"] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_money.codes import search_applicable_code
 from subspace_money.errors import BudgetExceededError
@@ -359,3 +361,47 @@ def test_state_dump_complex_phases():
     assert "01 0.59999999999999998 0" in text
     back = load_state(text)
     assert max_deviation(st, back) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 14), data=st.data())
+def test_state_dump_round_trip_random_sparse(n, data):
+    support = data.draw(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=64, unique=True)
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    k = len(support)
+    # Some entries are purely real or purely imaginary; the first never vanishes.
+    re = rng.standard_normal(k) * rng.integers(0, 2, k)
+    im = rng.standard_normal(k) * rng.integers(0, 2, k)
+    re[0] = 1.0
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[support] = re + 1j * im
+    state = DenseState(n, amps / np.linalg.norm(amps))
+    text = dump_state(state)
+    assert len(text.splitlines()) == np.count_nonzero(amps)
+    back = load_state(text)
+    assert np.array_equal(back.amplitudes, state.amplitudes)
+    assert dump_state(back) == text
+
+
+@pytest.mark.parametrize("text", ["00 nan 0\n", "00 1 0\n01 inf 0\n", "0 0 nan\n"])
+def test_load_state_rejects_non_finite_amplitudes(text):
+    with pytest.raises(ValueError, match="finite"):
+        load_state(text)
+
+
+def test_dense_state_rejects_non_finite_amplitudes():
+    with pytest.raises(ValueError, match="finite"):
+        DenseState(1, [float("nan"), 1.0])
+
+
+def test_load_state_rejects_repeated_bit_strings():
+    with pytest.raises(ValueError, match="repeated"):
+        load_state("00 0.6 0\n00 1 0\n")
+
+
+@pytest.mark.parametrize("text", ["00 1 0\n1 0 0\n", "-1 1 0\n", "0_1 1 0\n"])
+def test_load_state_rejects_malformed_bit_strings(text):
+    with pytest.raises(ValueError, match="binary digits"):
+        load_state(text)
