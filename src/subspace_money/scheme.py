@@ -70,7 +70,7 @@ class Banknote:
     """A serial number and the money state a wallet holds for it."""
 
     serial: BitVec
-    state: Union[DenseState, CosetLabel]
+    state: Union[DenseState, MixedState, CosetLabel]
 
     @property
     def n(self) -> int:
@@ -449,14 +449,14 @@ def _pipeline(state: State, masks: tuple[np.ndarray, np.ndarray]) -> tuple[float
         if prob2 == 0.0:
             return 0.0, None
         post = fwht(half / np.sqrt(prob2)) / math.sqrt(dim)
-        return min(prob1 * prob2, 1.0), DenseState(state.n, post, check_norm=False)
+        return min(prob1 * prob2, 1.0), DenseState._own(state.n, post)
     # A rho A^T for A = M_dual H' M_primal, H' = sqrt(dim) H the unnormalised transform.
     sandwich = _masked_transform(_masked_transform(state.matrix, masks).T, masks).T
     prob = float(np.trace(sandwich).real) / dim
     if prob <= 0.0:
         return 0.0, None
     post = fwht(fwht(sandwich).T).T / (dim * dim * prob)
-    return min(prob, 1.0), MixedState(state.n, post, validate=False)
+    return min(prob, 1.0), MixedState._own(state.n, post)
 
 
 def verify(
@@ -500,7 +500,8 @@ def double_verify(
     The acceptance probability is tr((P (x) P) rho) for the verifier's projector
     P = H M_dual H M_primal onto the tolerated span, run through the session's
     masks and the FWHT one register axis at a time.  The joint state is a 2n-qubit
-    DenseState or MixedState, or a pair (sigma1, sigma2) meaning sigma1 (x) sigma2.
+    DenseState or MixedState, or a pair (sigma1, sigma2) meaning sigma1 (x) sigma2,
+    whose probability is the product of register_probability over the two.
     """
     n = registry.record_for_serial(serial).spec.n  # raises UnknownSerialError
     if session is None:
@@ -510,7 +511,7 @@ def double_verify(
 
     if isinstance(joint, tuple):
         sigma1, sigma2 = joint
-        prob = _register_probability(sigma1, n, masks) * _register_probability(sigma2, n, masks)
+        prob = register_probability(sigma1, masks) * register_probability(sigma2, masks)
     elif not isinstance(joint, (DenseState, MixedState)):
         raise TypeError(f"unsupported joint state type {type(joint).__name__}")
     elif joint.n != 2 * n:
@@ -529,15 +530,36 @@ def double_verify(
     return DoubleVerifyOutcome(prob, _sample(registry, rng, prob))
 
 
-def _register_probability(sigma: State, n: int, masks: tuple[np.ndarray, np.ndarray]) -> float:
-    """tr(P sigma) for one n-qubit register."""
-    if sigma.n != n:
-        raise ValueError(f"register must act on n={n} qubits")
+def register_probability(
+    sigma: Union[State, np.ndarray], masks: tuple[np.ndarray, np.ndarray]
+) -> Union[float, np.ndarray]:
+    """tr(P sigma) for one n-qubit register, or for every register of a block.
+
+    sigma is a DenseState, a MixedState, or a block of pure registers: a real
+    array of shape (..., parts, 2^n) whose parts are each register's real and
+    imaginary amplitudes (one part for a real register), not necessarily
+    normalised.  P is real, so |M_d H M_p (a + ib)|^2 is the sum of the parts'
+    |M_d H M_p a|^2, and a block's probabilities, of shape (...), are those sums
+    divided by the registers' squared norms.
+    """
+    dim = masks[0].size
+    if isinstance(sigma, (DenseState, MixedState)):
+        if sigma.n != dim.bit_length() - 1:
+            raise ValueError(f"register must act on n={dim.bit_length() - 1} qubits")
+    elif sigma.shape[-1] != dim:
+        raise ValueError(f"registers of the block must have {dim} amplitudes")
+    if isinstance(sigma, MixedState):
+        # P is real symmetric, so the antisymmetric imaginary part of sigma adds nothing.
+        return float(_trace_with_projector(sigma.matrix.real, masks))
+    amps = sigma.amplitudes if isinstance(sigma, DenseState) else sigma
+    out = _masked_transform(amps, masks)
+    weight = np.vecdot(out, out).real
     if isinstance(sigma, DenseState):
-        amps = _masked_transform(sigma.amplitudes, masks)
-        return float(np.vdot(amps, amps).real) / (1 << n)
-    # P is real symmetric, so the antisymmetric imaginary part of sigma adds nothing.
-    return float(_trace_with_projector(sigma.matrix.real, masks))
+        return float(weight) / dim
+    norm = np.vecdot(amps, amps).sum(axis=-1)
+    if not np.all(np.isfinite(norm) & (norm > 0.0)):
+        raise ValueError("a register of the block is not a finite nonzero vector")
+    return weight.sum(axis=-1) / norm / dim
 
 
 def _masked_transform(amps: np.ndarray, masks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -627,13 +649,13 @@ def correct(
 
     The inverse of X^e Z^e' is applied with its commutation sign, so for a
     state that was exactly a signed coset state the result equals the fresh
-    subspace state exactly, not just up to phase.
+    subspace state exactly, not just up to phase.  A mixed note is conjugated
+    by the inverse, where the sign drops out.
     """
     e, ep = diagnose(registry, note, session=session)
-    state = _as_state(note.state)
-    fixed = apply_pauli(state, e, ep)
-    if e.dot(ep):
-        fixed = DenseState(fixed.n, -fixed.amplitudes, check_norm=False)
+    fixed = apply_pauli(_as_state(note.state), e, ep)
+    if e.dot(ep) and isinstance(fixed, DenseState):
+        fixed = DenseState._own(fixed.n, -fixed.amplitudes)
     return Banknote(note.serial, fixed)
 
 

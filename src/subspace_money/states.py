@@ -35,6 +35,13 @@ def _check_pure_budget(n: int, max_qubits: int) -> None:
         raise BudgetExceededError(f"{n} qubits exceed the dense budget of {max_qubits}")
 
 
+def _check_unit_norm(amps: np.ndarray) -> None:
+    norm = float(np.linalg.norm(amps))
+    # NaN compares False against any tolerance, so finiteness is checked apart.
+    if not math.isfinite(norm) or abs(norm - 1.0) > ATOL_INVARIANT:
+        raise ValueError(f"state is not a finite unit vector: |psi| = {norm}")
+
+
 class DenseState:
     """A pure n-qubit state as 2^n complex amplitudes."""
 
@@ -45,14 +52,19 @@ class DenseState:
         if arr.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} amplitudes for n={n}, got shape {arr.shape}")
         if check_norm:
-            norm = float(np.linalg.norm(arr))
-            # NaN compares False against any tolerance, so finiteness is checked apart.
-            if not math.isfinite(norm) or abs(norm - 1.0) > ATOL_INVARIANT:
-                raise ValueError(f"state is not a finite unit vector: |psi| = {norm}")
-        arr = arr.copy()
-        arr.setflags(write=False)
+            _check_unit_norm(arr)
+        self._adopt(n, arr.copy())
+
+    @classmethod
+    def _own(cls, n: int, amplitudes: np.ndarray) -> "DenseState":
+        """Take a freshly built complex128 vector without copying or checking it."""
+        return object.__new__(cls)._adopt(n, amplitudes)
+
+    def _adopt(self, n: int, amplitudes: np.ndarray) -> "DenseState":
+        amplitudes.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "amplitudes", amplitudes)
+        return self
 
     def __setattr__(self, name, val):
         raise AttributeError("DenseState is immutable")
@@ -106,10 +118,18 @@ class MixedState:
             eigs = np.linalg.eigvalsh(mat)
             if eigs.min() < -ATOL_INVARIANT:
                 raise ValueError(f"density matrix has a negative eigenvalue {eigs.min()}")
-        mat = mat.copy()
-        mat.setflags(write=False)
+        self._adopt(n, mat.copy())
+
+    @classmethod
+    def _own(cls, n: int, matrix: np.ndarray) -> "MixedState":
+        """Take a freshly built complex128 matrix without copying or validating it."""
+        return object.__new__(cls)._adopt(n, matrix)
+
+    def _adopt(self, n: int, matrix: np.ndarray) -> "MixedState":
+        matrix.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", matrix)
+        return self
 
     def __setattr__(self, name, val):
         raise AttributeError("MixedState is immutable")
@@ -119,12 +139,14 @@ class MixedState:
         if n > max_qubits:
             raise BudgetExceededError(f"{n} qubits exceed the density budget of {max_qubits}")
         dim = 1 << n
-        return cls(n, np.eye(dim, dtype=np.complex128) / dim, validate=False)
+        mat = np.eye(dim, dtype=np.complex128)
+        mat /= dim
+        return cls._own(n, mat)
 
     @classmethod
     def from_pure(cls, st: DenseState) -> "MixedState":
         a = st.amplitudes
-        return cls(st.n, np.outer(a, a.conj()), validate=False)
+        return cls._own(st.n, np.outer(a, a.conj()))
 
     def __repr__(self) -> str:
         return f"MixedState(n={self.n})"
@@ -174,7 +196,7 @@ def subspace_state(
     values = s.vector_values()
     amps = np.zeros(1 << s.n, dtype=np.complex128)
     amps[values] = 1.0 / math.sqrt(len(values))
-    return DenseState(s.n, amps)
+    return DenseState._own(s.n, amps)
 
 
 def coset_state(
@@ -192,25 +214,32 @@ def coset_state(
     parity = (np.bitwise_count(values & e_prime.value) & 1).astype(np.float64)
     amps = np.zeros(1 << s.n, dtype=np.complex128)
     amps[values ^ e.value] = sign * (1.0 - 2.0 * parity) / math.sqrt(len(values))
-    return DenseState(s.n, amps)
+    return DenseState._own(s.n, amps)
 
 
 def coset_to_dense(label: CosetLabel, max_qubits: int = DEFAULT_PURE_QUBITS) -> DenseState:
     return coset_state(label.spec.code, label.e, label.e_prime, label.sign, max_qubits)
 
 
-def apply_pauli(st: DenseState, e: BitVec, e_prime: BitVec) -> DenseState:
+def apply_pauli(st: State, e: BitVec, e_prime: BitVec) -> State:
     """X^e Z^e' as an operator product on kets: phase from the pre-shift index.
 
-    New amplitude at b+e is (-1)^(b.e') times the old amplitude at b.
+    New amplitude at b+e is (-1)^(b.e') times the old amplitude at b.  A density
+    matrix is conjugated: entry (x+e, y+e) is (-1)^(x.e' + y.e') rho[x, y], so the
+    global sign of the operator drops out.
     """
     if e.n != st.n or e_prime.n != st.n:
         raise ValueError("error vector length differs from the state size")
     idx = np.arange(1 << st.n, dtype=np.int64)
-    parity = (np.bitwise_count(idx & np.int64(e_prime.value)) & 1).astype(np.float64)
-    out = np.empty_like(st.amplitudes)
-    out[idx ^ np.int64(e.value)] = (1.0 - 2.0 * parity) * st.amplitudes
-    return DenseState(st.n, out, check_norm=False)
+    source = idx ^ np.int64(e.value)
+    parity = np.bitwise_count(source & np.int64(e_prime.value)) & 1
+    signs = 1.0 - 2.0 * parity
+    if isinstance(st, DenseState):
+        return DenseState._own(st.n, signs * st.amplitudes[source])
+    out = st.matrix[np.ix_(source, source)]
+    out *= signs[:, None]
+    out *= signs
+    return MixedState._own(st.n, out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -252,8 +281,8 @@ def hadamard_all(st: State) -> State:
     For a density matrix the transform conjugates both sides.
     """
     if isinstance(st, DenseState):
-        return DenseState(st.n, fwht(st.amplitudes) / math.sqrt(1 << st.n), check_norm=False)
-    return MixedState(st.n, fwht(fwht(st.matrix).T).T / float(1 << st.n), validate=False)
+        return DenseState._own(st.n, fwht(st.amplitudes) / math.sqrt(1 << st.n))
+    return MixedState._own(st.n, fwht(fwht(st.matrix).T).T / float(1 << st.n))
 
 
 def apply_basis_permutation(st: DenseState, b: BasisMap) -> DenseState:
@@ -393,4 +422,5 @@ def load_state(text: str) -> DenseState:
         raise ValueError("repeated bit string in state dump")
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[indices] = values
-    return DenseState(n, amps)
+    _check_unit_norm(amps)
+    return DenseState._own(n, amps)

@@ -1,12 +1,16 @@
 """Tests for the experiment harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_money.codes import search_applicable_code
 from subspace_money.experiments import (
+    ATTACK_KINDS,
     AttackStrategy,
     amplification_cost,
     completeness_sweep,
@@ -16,7 +20,9 @@ from subspace_money.experiments import (
     soundness_table,
     wilson_interval,
 )
-from subspace_money.scheme import OracleRegistry
+from subspace_money.gf2 import random_bitvec
+from subspace_money.scheme import OracleRegistry, double_verify, mint_direct
+from subspace_money.states import DenseState, MixedState
 
 
 @pytest.fixture()
@@ -108,19 +114,79 @@ def test_unknown_strategy_rejected(registry):
 
 def test_strategies_see_only_the_session_surface(registry):
     # Strategies must work against a stub exposing nothing but the session
-    # protocol they are allowed to use: n plus the oracle entry points.
+    # surface they are allowed to use: n.
     from subspace_money.experiments import _STRATEGIES
-    from subspace_money.scheme import mint_direct
-    from subspace_money.gf2 import random_bitvec
 
     class OpaqueSession:
+        __slots__ = ()
         n = 6
 
     note = mint_direct(registry, random_bitvec(6, 1))
     rng = np.random.default_rng(0)
     for kind, fn in _STRATEGIES.items():
-        joint = fn(note, OpaqueSession(), rng)
-        assert isinstance(joint, tuple) and len(joint) == 2
+        blocks = list(fn(note, OpaqueSession(), rng, 11))
+        assert sum(len(uniforms) for _, uniforms, _ in blocks) == 11
+        for pairs, _, _ in blocks:
+            assert all(isinstance(pair, tuple) and len(pair) == 2 for pair in pairs)
+
+
+def reference_attack(registry, kind, trials, seed):
+    """The per-trial loop: one strategy call and one double_verify per trial."""
+    rng = np.random.default_rng(seed)
+    note = mint_direct(registry, random_bitvec(registry.n, rng))
+    session = registry.session(note.serial)
+    n = registry.n
+
+    def haar():
+        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        return DenseState(n, amps / np.linalg.norm(amps))
+
+    successes, prob_sum = 0, 0.0
+    for _ in range(trials):
+        if kind == "passthrough-mixed":
+            joint = (note.state, MixedState.maximally_mixed(n))
+        elif kind == "measure-and-copy":
+            probs = note.state.probabilities()
+            copy = DenseState.basis_state(n, int(rng.choice(len(probs), p=probs)))
+            joint = (copy, copy)
+        else:
+            joint = (haar(), haar())
+        prob, sampled = double_verify(registry, note.serial, joint, rng=rng, session=session)
+        successes += int(sampled)
+        prob_sum += prob
+    return successes, prob_sum / trials, session.ledger
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.sampled_from([6, 8]),
+    kind=st.sampled_from(ATTACK_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    trials=st.sampled_from([1, 7, 1001]),
+)
+def test_blocked_attack_matches_per_trial_reference(n, kind, seed, trials):
+    master_seed = seed % 997
+    report = run_attack(OracleRegistry(n, 1, master_seed=master_seed), kind, trials, seed)
+    row = dict(zip(report.columns, report.rows[0]))
+    successes, mean, ledger = reference_attack(
+        OracleRegistry(n, 1, master_seed=master_seed), kind, trials, seed
+    )
+    assert row["successes"] == successes
+    assert row["mean_probability"] == pytest.approx(mean, abs=1e-12)
+    assert row["queries_primal"] == ledger.counters["primal"] == 2 * trials
+    assert row["queries_dual"] == ledger.counters["dual"] == 2 * trials
+    assert row["combined_equivalent"] == ledger.combined_equivalent
+
+
+def test_random_state_attack_memory_is_bounded(registry):
+    run_attack(registry, "random-state", trials=1, seed=0)  # code search and masks
+    tracemalloc.start()
+    try:
+        run_attack(registry, "random-state", trials=1000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
 
 
 def test_wilson_interval_sanity():

@@ -29,6 +29,7 @@ from subspace_money.scheme import (
     mint_conjugate,
     mint_direct,
     random_corruption,
+    register_probability,
     registry_for_record,
     save_banknote,
     save_record,
@@ -461,6 +462,28 @@ def test_double_verify_product_paths_agree(worked_registry):
         assert p_pair == pytest.approx(p_joint, abs=1e-12)
 
 
+def test_register_probability_block_matches_states(worked_registry):
+    # A block of unnormalised real and imaginary parts gives each register's
+    # tr(P sigma), as the normalised DenseState does.
+    reg, record = worked_registry
+    masks = reg.session(record.serial).verifier_masks()
+    rng = np.random.default_rng(62)
+    parts = rng.standard_normal((5, 2, 64))
+    block = register_probability(parts, masks)
+    assert block.shape == (5,)
+    for (a, b), p in zip(parts, block):
+        amps = a + 1j * b
+        assert p == pytest.approx(
+            register_probability(DenseState(6, amps / np.linalg.norm(amps)), masks), abs=1e-12
+        )
+    with pytest.raises(ValueError, match="64 amplitudes"):
+        register_probability(parts[..., :32], masks)
+    with pytest.raises(ValueError, match="finite nonzero"):
+        register_probability(np.zeros((1, 2, 64)), masks)
+    with pytest.raises(ValueError, match="n=6"):
+        register_probability(DenseState.basis_state(4, 0), masks)
+
+
 def _random_pure(rng, n):
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return DenseState(n, amps / np.linalg.norm(amps))
@@ -554,6 +577,27 @@ def test_correct_fresh_note_unchanged(worked_registry):
     assert max_deviation(fixed.state, fresh.state) < ATOL_EXACT
     # Matching the zero error on both sides costs exactly two coset queries.
     assert session.ledger.counters["coset"] == 2
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_correct_mixed_note(n):
+    # A mixed note is corrected like its pure note: same diagnosis, same coset
+    # charges, and back to the fresh note's density matrix.
+    reg = OracleRegistry(n, 1, master_seed=700 + n)
+    record = reg.generate(random_bitvec(n, n))
+    fresh = mint_direct(reg, record.r)
+    target = MixedState.from_pure(fresh.state).matrix
+    errors = enumerate_errors(n, 1)
+    for e, ep in itertools.product(errors, errors):
+        bad = corrupt(fresh, e, ep)
+        pure_session = reg.session(record.serial)
+        correct(reg, bad, session=pure_session)
+        mixed = Banknote(record.serial, MixedState.from_pure(bad.state))
+        session = reg.session(record.serial)
+        fixed = correct(reg, mixed, session=session)
+        assert isinstance(fixed.state, MixedState)
+        assert np.abs(fixed.state.matrix - target).max() <= 1e-12
+        assert session.ledger.counters["coset"] == pure_session.ledger.counters["coset"]
 
 
 def test_correct_undecodable_raises(worked_registry):

@@ -1,6 +1,7 @@
 """Tests for the exact state layer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,45 @@ def test_apply_pauli_matches_coset_construction(worked_spec):
         via_pauli = apply_pauli(base, e, ep)
         via_label = coset_to_dense(CosetLabel(worked_spec, e, ep, 1))
         assert max_deviation(via_pauli, via_label) < ATOL_EXACT
+
+
+def test_apply_pauli_conjugates_a_density_matrix():
+    # X^e Z^e' rho (X^e Z^e')^dagger for rho = |psi><psi| is |X^e Z^e' psi><...|; the
+    # operator's sign drops out.
+    rng = np.random.default_rng(13)
+    amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    st = DenseState(5, amps / np.linalg.norm(amps))
+    for e, ep in ((bv("10110"), bv("01011")), (bv("11000"), bv("10000"))):
+        mixed = apply_pauli(MixedState.from_pure(st), e, ep)
+        expected = MixedState.from_pure(apply_pauli(st, e, ep))
+        assert isinstance(mixed, MixedState)
+        assert np.abs(mixed.matrix - expected.matrix).max() < ATOL_EXACT
+
+
+def test_internal_states_are_read_only_and_unshared():
+    mixed = MixedState.maximally_mixed(3)
+    assert not mixed.matrix.flags.writeable
+    assert not MixedState.from_pure(DenseState.basis_state(3, 5)).matrix.flags.writeable
+    amps = np.zeros(8, dtype=np.complex128)
+    amps[5] = 1.0
+    public = DenseState(3, amps)
+    amps[5] = 0.0
+    assert public.amplitude(5) == 1.0  # the public constructor copies
+
+
+def test_maximally_mixed_allocates_one_matrix():
+    tracemalloc.start()
+    try:
+        MixedState.maximally_mixed(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * 4**8
+
+
+def test_load_state_rejects_a_non_unit_dump():
+    with pytest.raises(ValueError, match="unit vector"):
+        load_state("00 1 0\n11 1 0\n")
 
 
 def test_apply_pauli_preserves_norm():
