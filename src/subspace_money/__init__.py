@@ -63,7 +63,7 @@ from .oracles import (
     CombinedOracle,
     MembershipPredicate,
     QueryLedger,
-    apply_phase_oracle,
+    VerifierFrame,
     subset_predicate,
     syndrome_predicate,
 )
@@ -89,7 +89,6 @@ from .scheme import (
     registry_for_record,
     save_banknote,
     save_record,
-    tolerated_projector,
     verification_matrix,
     verify,
 )
@@ -103,13 +102,11 @@ from .states import (
     coset_to_dense,
     dump_state,
     fidelity,
-    fidelity_with_span,
     hadamard_all,
     inner,
     load_state,
     max_deviation,
     subspace_state,
-    tolerated_coset_states,
 )
 
 __version__ = "0.1.0"

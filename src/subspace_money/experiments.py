@@ -148,11 +148,12 @@ class AttackStrategy:
 
 
 # A strategy(note, session, rng, trials) yields blocks of consecutive trials
-# as (pairs, uniforms, pick).  pairs yields (sigma1, sigma2) for
-# register_probability, each register a State or a real block with a leading
-# pair axis.  Trial t of the block holds pair pick[t] of the concatenated
-# pairs, or pair t when pick is None.  It is accepted when uniforms[t] falls
-# below the pair's acceptance probability.
+# as (pairs, uniforms, pick).  pairs yields register pairs in one of two
+# forms: a tuple (sigma1, sigma2) of States or of real blocks with the same
+# leading axes, or one real array of shape (..., 2, parts, 2^n) holding both
+# registers on axis -3, for register_probability.  Trial t of the block holds
+# pair pick[t] of the concatenated pairs, or pair t when pick is None.  It is
+# accepted when uniforms[t] falls below the pair's acceptance probability.
 
 # Live float64 entries in one block of attack registers: eight random-state
 # trials (four 2^n-entry normal vectors each) at n = 6, one trial from n = 9 on.
@@ -199,7 +200,7 @@ def _attack_random_state(note, session, rng, trials):
         for t, row in enumerate(parts):
             rng.standard_normal(out=row)
             uniforms[t] = rng.random()
-        yield [(parts[:, 0], parts[:, 1])], uniforms, None
+        yield [parts], uniforms, None
 
 
 _STRATEGIES = {
@@ -243,13 +244,14 @@ def run_attack(
     total oracle charges.
 
     Trials run in blocks through double_verify's kernel, register_probability,
-    with the session's masks taken once and charged as two passes per trial.
-    Each distinct register pair is evaluated once: passthrough-mixed has one,
-    measure-and-copy one per measured string, random-state one per trial,
-    in blocks of a fixed number of live float64 entries.  After the minting
-    draws, the stream is per trial: random-state's four normal vectors, or
-    measure-and-copy's measurement uniform, then the decision uniform; the
-    per-trial probabilities are summed in trial order.
+    with the session's verifier frame taken once and charged as two passes
+    per trial.  Each distinct register pair is evaluated once:
+    passthrough-mixed has one, measure-and-copy one per measured string,
+    random-state one per trial, both registers of a block of trials in one
+    call, in blocks of a fixed number of live float64 entries.  After the
+    minting draws, the stream is per trial: random-state's four normal
+    vectors, or measure-and-copy's measurement uniform, then the decision
+    uniform; the per-trial probabilities are summed in trial order.
     """
     if isinstance(strategy, str):
         strategy = AttackStrategy(strategy)
@@ -262,18 +264,13 @@ def run_attack(
     rng = as_generator(seed)
     note = mint_direct(registry, random_bitvec(registry.n, rng))
     session = registry.session(note.serial)
-    masks = session.verifier_masks(passes=2 * trials)
+    frame = session.verifier_frame(passes=2 * trials)
 
     successes = 0
     prob_sum = 0.0
     for pairs, uniforms, pick in attack(note, session, rng, trials):
-        probs = np.concatenate(
-            [
-                np.atleast_1d(register_probability(a, masks) * register_probability(b, masks))
-                for a, b in pairs
-            ]
-        )
-        probs = np.clip(probs, 0.0, 1.0)
+        probs = [np.atleast_1d(_pair_probability(p, frame)) for p in pairs]
+        probs = np.clip(np.concatenate(probs), 0.0, 1.0)
         if pick is not None:
             probs = probs[pick]
         successes += int(np.count_nonzero(uniforms < probs))
@@ -318,6 +315,13 @@ def run_attack(
         rows=(row,),
         seed=_seed_label(seed),
     )
+
+
+def _pair_probability(pair, frame):
+    """Both registers' acceptance probability, for a tuple pair or a stacked block."""
+    if isinstance(pair, np.ndarray):
+        return register_probability(pair, frame).prod(axis=-1)
+    return register_probability(pair[0], frame) * register_probability(pair[1], frame)
 
 
 def _seed_label(seed: Seed) -> int | None:

@@ -15,8 +15,10 @@ syndrome route enumerates the weight-<=q vectors itself.  They share only
 the syndrome array, so comparing their masks cross-validates the two
 derivations.
 
-A phase oracle flips the sign of basis states inside the predicate's set.
-Measuring membership in one coset code + e gives outcome "inside" with the
+The verifier reads the two predicates through one VerifierFrame, the
+accepted primal cosets listed string by string in code coordinates; the
+dual test acts inside each of them as one Walsh filter.  Measuring
+membership in one coset code + e gives outcome "inside" with the
 total probability of the strings whose syndrome is He, so one weighted
 histogram of the syndrome array gives the outcome probability of every
 coset test at once.
@@ -26,12 +28,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .codes import CodeSpec, build_syndrome_table, enumerate_errors
 from .gf2 import BitVec, Gf2Matrix, _span_table
-from .states import DenseState, MixedState, State
 
 SIDES = ("primal", "dual")
 ROUTES = ("subset", "syndrome", "coset")
@@ -159,13 +161,49 @@ def syndrome_predicate(spec: CodeSpec, side: str) -> MembershipPredicate:
     return MembershipPredicate(f"syndrome-{side}", spec, frozenset(good))
 
 
-def apply_phase_oracle(pred, st: State) -> State:
-    """Negate the amplitude of every basis state inside the predicate's set."""
-    mask = pred.support_mask()
-    signs = np.where(mask, -1.0, 1.0)
-    if isinstance(st, DenseState):
-        return DenseState(st.n, signs * st.amplitudes, check_norm=False)
-    return MixedState(st.n, signs[:, None] * st.matrix * signs[None, :], validate=False)
+class VerifierFrame(NamedTuple):
+    """Coordinates in which the verifier's projector P is block-diagonal.
+
+    Row v of index lists the accepted primal coset with syndrome v as
+    index[v, u] = leader(v) ^ c(u), where c(u) sums the dual predicate's
+    parity rows (a basis of the code) picked by the bits of u.  P keeps
+    these |S_p| cosets and acts inside each as the same 2^k-point Walsh
+    filter on u.  It passes frequency s when s, read as a syndrome under
+    those rows, is accepted by the dual predicate.  Row j of a syndrome is
+    bit j of s, so keep holds the dual's accepted syndrome values with their
+    k bits reversed.
+    """
+
+    n: int
+    index: np.ndarray  # (|S_p|, 2^k) basis-string indices
+    keep: np.ndarray  # accepted dual syndromes as Walsh frequencies of u
+
+    @classmethod
+    def from_predicates(
+        cls, primal: MembershipPredicate, dual: MembershipPredicate
+    ) -> "VerifierFrame":
+        """The frame of two predicates' accepted sets; reads no mask or syndrome array.
+
+        leader(v) puts syndrome row j on the pivot column of the primal
+        parity's RREF row j, the only row with a one there, so H leader(v) = v;
+        that identity is checked for every accepted v, and the dual parity's
+        rows are checked to be as many as a basis of the code needs.
+        """
+        parity = primal.parity
+        n, k = parity.cols, dual.parity.rows
+        syndromes = sorted(s.value for s in primal.accepted)
+        # Bit i of a syndrome value is row parity.rows-1-i, so the pivots run bottom-up.
+        pivots = [1 << (r.bit_length() - 1) for r in reversed(parity.row_values)]
+        leaders = [sum(p for i, p in enumerate(pivots) if v >> i & 1) for v in syndromes]
+        images = (parity.mul_vec(BitVec(n, x)).value for x in leaders)
+        if k + parity.rows != n or any(image != v for image, v in zip(images, syndromes)):
+            raise ValueError("the parity rows are not RREF bases of the dual and the code")
+        codewords = _span_table(dual.parity.row_values, n).astype(np.int64)
+        index = np.array(leaders, dtype=np.int64)[:, None] ^ codewords
+        keep = np.array(sorted(int(f"{s.value:0{k}b}"[::-1], 2) for s in dual.accepted))
+        index.setflags(write=False)
+        keep.setflags(write=False)
+        return cls(n, index, keep)
 
 
 class CombinedOracle:

@@ -13,8 +13,12 @@ Verification is the four-stage pipeline
     onto tolerated phase-flip cosets (now bit-flips of the dual), Hadamard
     back,
 
-whose composition is exactly the projector onto the span of all tolerated
-noisy variants of the banknote state.
+whose composition P is exactly the projector onto the span of all tolerated
+noisy variants of the banknote state.  The first stage keeps whole cosets of
+the code and the Hadamard-sandwiched second acts inside each coset, so P is
+computed in the coordinates of the session's VerifierFrame: on each of the
+|E_q| accepted bit-flip cosets, one 2^k-point Walsh filter that keeps the
+|E_q| accepted phase-flip frequencies, and zero everywhere else.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .gf2 import BasisMap, BitVec, Gf2Matrix, SubspaceBasis, random_bitvec
 from .oracles import (
     MembershipPredicate,
     QueryLedger,
-    apply_phase_oracle,
+    VerifierFrame,
     subset_predicate,
     syndrome_predicate,
 )
@@ -56,7 +60,6 @@ from .states import (
     fwht,
     load_state,
     subspace_state,
-    tolerated_coset_states,
 )
 
 BANKNOTE_FORMAT = "banknote-v1"
@@ -118,10 +121,10 @@ class DoubleVerifyOutcome(NamedTuple):
 class OracleSession:
     """Charge-counting access to one banknote's membership oracles.
 
-    This is the only surface attack code may touch: predicates, masks and
-    coset tests, never the code itself.  Every oracle use, handing out masks
-    included, charges the session's ledger; the ledger is a value, so
-    reading it at any point gives a consistent snapshot.
+    This is the only surface attack code may touch: predicates, the verifier
+    frame and coset tests, never the code itself.  Every oracle use, handing
+    out the frame included, charges the session's ledger; the ledger is a
+    value, so reading it at any point gives a consistent snapshot.
     """
 
     def __init__(self, registry: "OracleRegistry", serial: BitVec, approach: str = "subset"):
@@ -133,6 +136,7 @@ class OracleSession:
         self._spec = spec
         self._primal = make(spec, "primal")
         self._dual = make(spec, "dual")
+        self._frame = None
         self.serial = serial
         self.approach = approach
         self.ledger = QueryLedger.fresh(error_count(spec.n, spec.q))
@@ -149,11 +153,6 @@ class OracleSession:
         pred = self._primal if side == "primal" else self._dual
         self.charge(side)
         return pred(x)
-
-    def phase(self, side: str, st: State) -> State:
-        pred = self._primal if side == "primal" else self._dual
-        self.charge(side)
-        return apply_phase_oracle(pred, st)
 
     def find_coset(self, side: str, weights: np.ndarray) -> BitVec | None:
         """The first tolerated error e whose coset side-code + e holds all but 1e-9 of weights.
@@ -172,11 +171,13 @@ class OracleSession:
         self.charge("coset", tests)
         return errors[tests - 1] if hits.size else None
 
-    def verifier_masks(self, passes: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """The primal and dual masks of the verifier, charged as passes queries to each side."""
+    def verifier_frame(self, passes: int = 1) -> VerifierFrame:
+        """The verifier's coset frame, built once, charged as passes queries to each side."""
         self.charge("primal", passes)
         self.charge("dual", passes)
-        return self._primal.support_mask(), self._dual.support_mask()
+        if self._frame is None:
+            self._frame = VerifierFrame.from_predicates(self._primal, self._dual)
+        return self._frame
 
 
 class OracleRegistry:
@@ -426,37 +427,43 @@ def _as_state(note_state: Union[DenseState, CosetLabel, MixedState]) -> State:
 
 
 def apply_verifier(state: State, primal_pred, dual_pred) -> tuple[float, State | None]:
-    """Run verify's mask-and-FWHT pipeline with the predicates' masks on a dense or mixed state.
+    """Run verify's coset-frame kernel on the predicates' accepted sets, dense or mixed state.
 
     Returns the exact acceptance probability (for a pure state the product
     of the two stage probabilities; rounding above one is clipped) and the
     accepted-branch post-state in the computational basis; None when the
     probability is zero.
     """
-    return _pipeline(state, (primal_pred.support_mask(), dual_pred.support_mask()))
+    return _pipeline(state, VerifierFrame.from_predicates(primal_pred, dual_pred))
 
 
-def _pipeline(state: State, masks: tuple[np.ndarray, np.ndarray]) -> tuple[float, State | None]:
-    """P = H M_dual H M_primal on one register: acceptance probability and post-state."""
-    dim = 1 << state.n
+def _pipeline(state: State, frame: VerifierFrame) -> tuple[float, State | None]:
+    """P on one register: acceptance probability and post-state.
+
+    A pure state is normalised on its accepted cosets before the transform,
+    so the second stage's probability is a unit vector's kept energy / 2^k.
+    """
+    index, keep = frame.index, frame.keep
+    size = index.shape[1]
     if isinstance(state, DenseState):
-        kept = state.amplitudes * masks[0]
-        prob1 = float((np.abs(kept) ** 2).sum())
+        cosets = state.amplitudes[index]
+        prob1 = float(np.vdot(cosets, cosets).real)
         if prob1 == 0.0:
             return 0.0, None
-        half = _masked_transform(kept / np.sqrt(prob1), masks) / math.sqrt(dim)
-        prob2 = float((np.abs(half) ** 2).sum())
+        spectrum = fwht(cosets / math.sqrt(prob1))
+        kept = np.zeros_like(spectrum)
+        kept[:, keep] = spectrum[:, keep]
+        prob2 = float(np.vdot(kept, kept).real) / size
         if prob2 == 0.0:
             return 0.0, None
-        post = fwht(half / np.sqrt(prob2)) / math.sqrt(dim)
+        post = np.zeros_like(state.amplitudes)
+        post[index] = fwht(kept) / (size * math.sqrt(prob2))
         return min(prob1 * prob2, 1.0), DenseState._own(state.n, post)
-    # A rho A^T for A = M_dual H' M_primal, H' = sqrt(dim) H the unnormalised transform.
-    sandwich = _masked_transform(_masked_transform(state.matrix, masks).T, masks).T
-    prob = float(np.trace(sandwich).real) / dim
+    sandwich = _project(_project(state.matrix, frame).T, frame).T
+    prob = float(np.trace(sandwich).real)
     if prob <= 0.0:
         return 0.0, None
-    post = fwht(fwht(sandwich).T).T / (dim * dim * prob)
-    return min(prob, 1.0), MixedState._own(state.n, post)
+    return min(prob, 1.0), MixedState._own(state.n, sandwich / prob)
 
 
 def verify(
@@ -467,17 +474,20 @@ def verify(
     rng: Seed | None = None,
     session: OracleSession | None = None,
 ) -> VerifyOutcome:
-    """Ver: reject unknown serials, then run the pipeline on the session's charged masks.
+    """Ver: reject unknown serials, then apply P in the session's charged frame.
 
-    The outcome carries both the exact acceptance probability and one
-    sampled decision; the post-state is the accepted branch whenever it
-    exists, regardless of how the sample came out.
+    Only the |E_q| accepted bit-flip cosets of the note are read, 2^k
+    amplitudes each, and each goes through one 2^k-point Walsh filter and
+    back; the post-state is scattered into a fresh 2^n vector.  The outcome
+    carries both the exact acceptance probability and one sampled decision;
+    the post-state is the accepted branch whenever it exists, regardless of
+    how the sample came out.
     """
     if not registry.serial_check(note.serial):
         return VerifyOutcome(False, 0.0, None, reason="unknown serial")
     if session is None:
         session = registry.session(note.serial, approach)
-    prob, post = _pipeline(_as_state(note.state), session.verifier_masks())
+    prob, post = _pipeline(_as_state(note.state), session.verifier_frame())
     accepted = _sample(registry, rng, prob)
     return VerifyOutcome(accepted, prob, post)
 
@@ -498,105 +508,115 @@ def double_verify(
     """Ver2: verify two (possibly entangled) registers under one serial number.
 
     The acceptance probability is tr((P (x) P) rho) for the verifier's projector
-    P = H M_dual H M_primal onto the tolerated span, run through the session's
-    masks and the FWHT one register axis at a time.  The joint state is a 2n-qubit
+    P = H M_dual H M_primal onto the tolerated span, computed in the session's
+    frame one register axis at a time.  The joint state is a 2n-qubit
     DenseState or MixedState, or a pair (sigma1, sigma2) meaning sigma1 (x) sigma2,
     whose probability is the product of register_probability over the two.
     """
     n = registry.record_for_serial(serial).spec.n  # raises UnknownSerialError
     if session is None:
         session = registry.session(serial)
-    masks = session.verifier_masks(passes=2)
+    frame = session.verifier_frame(passes=2)
     dim = 1 << n
 
     if isinstance(joint, tuple):
         sigma1, sigma2 = joint
-        prob = register_probability(sigma1, masks) * register_probability(sigma2, masks)
+        prob = register_probability(sigma1, frame) * register_probability(sigma2, frame)
     elif not isinstance(joint, (DenseState, MixedState)):
         raise TypeError(f"unsupported joint state type {type(joint).__name__}")
     elif joint.n != 2 * n:
         raise ValueError(f"joint state must act on 2n={2 * n} qubits")
     elif isinstance(joint, DenseState):
-        grid = _masked_transform(joint.amplitudes.reshape(dim, dim), masks)
-        grid = _masked_transform(grid.T, masks)
-        prob = float(np.vdot(grid, grid).real) / (dim * dim)
+        # Register two's kept coefficients, then register one's.
+        coeffs = _kept_coefficients(joint.amplitudes.reshape(dim, dim), frame)
+        coeffs = _kept_coefficients(np.moveaxis(coeffs, 0, -1), frame)
+        prob = float(np.vdot(coeffs, coeffs).real) / frame.index.shape[1] ** 2
     else:
         # rho[x1, y1, x2, y2]: reduce register two, then the Hermitian rest as above.
         rho = joint.matrix.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3)
-        reduced = _trace_with_projector(rho, masks)
-        prob = float(_trace_with_projector(reduced.real, masks))
+        reduced = _trace_with_frame(rho, frame)
+        prob = float(_trace_with_frame(reduced.real, frame))
 
     prob = min(max(prob, 0.0), 1.0)
     return DoubleVerifyOutcome(prob, _sample(registry, rng, prob))
 
 
 def register_probability(
-    sigma: Union[State, np.ndarray], masks: tuple[np.ndarray, np.ndarray]
+    sigma: Union[State, np.ndarray], frame: VerifierFrame
 ) -> Union[float, np.ndarray]:
     """tr(P sigma) for one n-qubit register, or for every register of a block.
 
     sigma is a DenseState, a MixedState, or a block of pure registers: a real
     array of shape (..., parts, 2^n) whose parts are each register's real and
     imaginary amplitudes (one part for a real register), not necessarily
-    normalised.  P is real, so |M_d H M_p (a + ib)|^2 is the sum of the parts'
-    |M_d H M_p a|^2, and a block's probabilities, of shape (...), are those sums
-    divided by the registers' squared norms.
+    normalised.  P is real, so <a + ib|P|a + ib> is the sum of the parts'
+    <a|P|a>, the kept Walsh energy of their accepted cosets over 2^k, and a
+    block's probabilities, of shape (...), are those sums divided by the
+    registers' squared norms.
     """
-    dim = masks[0].size
+    n = frame.n
     if isinstance(sigma, (DenseState, MixedState)):
-        if sigma.n != dim.bit_length() - 1:
-            raise ValueError(f"register must act on n={dim.bit_length() - 1} qubits")
-    elif sigma.shape[-1] != dim:
-        raise ValueError(f"registers of the block must have {dim} amplitudes")
+        if sigma.n != n:
+            raise ValueError(f"register must act on n={n} qubits")
+    elif sigma.shape[-1] != 1 << n:
+        raise ValueError(f"registers of the block must have {1 << n} amplitudes")
     if isinstance(sigma, MixedState):
         # P is real symmetric, so the antisymmetric imaginary part of sigma adds nothing.
-        return float(_trace_with_projector(sigma.matrix.real, masks))
+        return float(_trace_with_frame(sigma.matrix.real, frame))
     amps = sigma.amplitudes if isinstance(sigma, DenseState) else sigma
-    out = _masked_transform(amps, masks)
-    weight = np.vecdot(out, out).real
+    coeffs = _kept_coefficients(amps, frame)
+    weight = np.vecdot(coeffs, coeffs).real
+    size = frame.index.shape[1]
     if isinstance(sigma, DenseState):
-        return float(weight) / dim
+        return float(weight) / size
     norm = np.vecdot(amps, amps).sum(axis=-1)
     if not np.all(np.isfinite(norm) & (norm > 0.0)):
         raise ValueError("a register of the block is not a finite nonzero vector")
-    return weight.sum(axis=-1) / norm / dim
+    return weight.sum(axis=-1) / norm / size
 
 
-def _masked_transform(amps: np.ndarray, masks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """M_dual fwht(M_primal amps) on the last axis, whose |.|^2 / 2^n is <amps|P|amps>."""
-    primal, dual = masks
-    return fwht(amps * primal) * dual
+def _kept_coefficients(amps: np.ndarray, frame: VerifierFrame) -> np.ndarray:
+    """The kept Walsh coefficients of amps' accepted cosets, shape (..., |S_p| |keep|).
 
-
-def _trace_with_projector(mat: np.ndarray, masks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """tr(P mat) over the last two axes, from XOR-diagonal sums and one Walsh transform.
-
-    tr(P mat) sums the diagonal of H M_primal mat H / 2^n over the dual mask, and
-    that diagonal is fwht(s) for s_z = sum of mat[x, x ^ z] over primal-mask rows x.
+    Their squared norm over 2^k is <amps|P|amps> along the last axis.
     """
-    primal, dual = masks
-    dtype = np.min_scalar_type(primal.size - 1)
-    rows = np.flatnonzero(primal).astype(dtype)[:, None]
-    sums = mat[..., rows, rows ^ np.arange(primal.size, dtype=dtype)].sum(axis=-2)
-    return fwht(sums)[..., dual].sum(axis=-1) / primal.size
+    kept = fwht(amps[..., frame.index])[..., frame.keep]
+    return kept.reshape(*kept.shape[:-2], -1)
+
+
+def _project(amps: np.ndarray, frame: VerifierFrame) -> np.ndarray:
+    """P applied along the last axis: the Walsh filter on each accepted coset, zero elsewhere."""
+    index, keep = frame.index, frame.keep
+    spectrum = fwht(amps[..., index])
+    kept = np.zeros_like(spectrum)
+    kept[..., keep] = spectrum[..., keep]
+    out = np.zeros_like(amps)
+    out[..., index] = fwht(kept) / index.shape[1]
+    return out
+
+
+def _trace_with_frame(mat: np.ndarray, frame: VerifierFrame) -> np.ndarray:
+    """tr(P mat) over the last two axes, from XOR-diagonal sums and one 2^k-point transform.
+
+    On each accepted coset, P[u, t] = (1/2^k) sum over kept s of (-1)^(s.(u^t)), so
+    tr(P mat) is (1/2^k) times the kept entries of fwht(sums), where sums[w] adds
+    mat[index[v, t], index[v, t ^ w]] over every accepted coset v and every t.
+    """
+    index = frame.index
+    u = np.arange(index.shape[1])
+    sums = mat[..., index[:, :, None], index[:, u[:, None] ^ u]].sum(axis=(-3, -2))
+    return fwht(sums)[..., frame.keep].sum(axis=-1) / index.shape[1]
 
 
 def verification_matrix(spec: CodeSpec, approach: str = "subset") -> np.ndarray:
-    """The verification pipeline's kernel applied to the identity: its dense real matrix.
+    """The verifier's projector P as a dense real matrix: its own kernel applied to the identity.
 
     For an applicable code this equals the projector onto the span of all
     tolerated coset states.
     """
     make = subset_predicate if approach == "subset" else syndrome_predicate
-    masks = tuple(make(spec, side).support_mask() for side in ("primal", "dual"))
-    dim = 1 << spec.n
-    return fwht(_masked_transform(np.eye(dim), masks)) / dim
-
-
-def tolerated_projector(spec: CodeSpec) -> np.ndarray:
-    """Sum of |c><c| over all tolerated coset states."""
-    mat = np.stack([s.amplitudes for s in tolerated_coset_states(spec)])
-    return mat.T @ mat.conj()
+    frame = VerifierFrame.from_predicates(make(spec, "primal"), make(spec, "dual"))
+    return _project(np.eye(1 << spec.n), frame)
 
 
 # -- correction -------------------------------------------------------------------

@@ -9,10 +9,9 @@ acceptance-style quantity ignores them, as any projective measurement must.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -242,37 +241,29 @@ def apply_pauli(st: State, e: BitVec, e_prime: BitVec) -> State:
     return MixedState._own(st.n, out)
 
 
-@functools.lru_cache(maxsize=None)
-def _sylvester(size: int, dtype: np.dtype) -> np.ndarray:
-    """The read-only size x size +-1 Sylvester-Hadamard matrix in the given dtype."""
-    h = np.ones((1, 1), dtype=dtype)
-    while len(h) < size:
-        h = np.block([[h, h], [h, -h]])
-    h.setflags(write=False)
-    return h
-
-
 def fwht(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis, keeping the dtype.
 
-    The lowest min(n, 6) index bits go through one Sylvester-matrix product,
-    each higher bit through an in-place butterfly with a reused buffer.
+    Radix-2 butterflies, lowest index bit first, so every output entry adds
+    its terms in butterfly order.  They run in place on a copy with the
+    transformed axis leading, where a stage of span h is three whole-array
+    operations on contiguous runs of h times the other axes' size, however
+    short the transformed axis is.
     """
-    size = a.shape[-1]
-    if size <= 64:
-        return a @ _sylvester(size, a.dtype)
-    out = (a.reshape(-1, 64) @ _sylvester(64, a.dtype)).reshape(-1, size)
-    half = np.empty(out.size // 2, dtype=out.dtype)
-    h = 64
+    size, lead = a.shape[-1], a.ndim - 1
+    out = a.transpose(lead, *range(lead)).copy()
+    flat = out.reshape(size, -1)
+    half = np.empty((size // 2, flat.shape[1]), dtype=out.dtype)
+    h = 1
     while h < size:
-        pairs = out.reshape(out.shape[0], -1, 2, h)
-        top, bottom = pairs[:, :, 0, :], pairs[:, :, 1, :]
+        pairs = flat.reshape(-1, 2, h, flat.shape[1])
+        top, bottom = pairs[:, 0], pairs[:, 1]
         diff = half.reshape(top.shape)
         np.subtract(top, bottom, out=diff)
         top += bottom
         bottom[...] = diff
         h *= 2
-    return out.reshape(a.shape)
+    return out.transpose(*range(1, lead + 1), 0)
 
 
 def hadamard_all(st: State) -> State:
@@ -343,52 +334,6 @@ def fidelity(a: State, b: State) -> float:
     middle = root @ b.matrix @ root
     eigs = _clip_spectrum(np.linalg.eigvalsh(middle))
     return float(np.sqrt(eigs).sum())
-
-
-def _basis_matrix(basis_states: Sequence[DenseState]) -> np.ndarray:
-    if not basis_states:
-        raise ValueError("need at least one basis state")
-    n = basis_states[0].n
-    if any(s.n != n for s in basis_states):
-        raise ValueError("basis states act on different qubit counts")
-    mat = np.stack([s.amplitudes for s in basis_states])
-    gram = mat.conj() @ mat.T
-    if not np.allclose(gram, np.eye(len(basis_states)), atol=ATOL_INVARIANT):
-        raise ValueError("basis states are not orthonormal")
-    return mat
-
-
-def fidelity_with_span(st: State, basis_states: Sequence[DenseState]) -> float:
-    """Fidelity of the state with the span of the given orthonormal states.
-
-    Equals the largest overlap achievable with any unit vector of the span:
-    sqrt(sum_i |<b_i|psi>|^2) for pure input, sqrt(sum_i <b_i|rho|b_i>) for
-    mixed input.
-    """
-    mat = _basis_matrix(basis_states)
-    if isinstance(st, DenseState):
-        coeffs = mat.conj() @ st.amplitudes
-        return float(np.sqrt((np.abs(coeffs) ** 2).sum()))
-    overlap = np.real(((mat.conj() @ st.matrix) * mat).sum())
-    return float(np.sqrt(max(overlap, 0.0)))
-
-
-def tolerated_coset_states(
-    spec: "CodeSpec", max_qubits: int = DEFAULT_PURE_QUBITS
-) -> list[DenseState]:
-    """All tolerated noisy variants of the code's subspace state.
-
-    Ordered with the bit-flip error as the major index and the phase-flip
-    error as the minor one, both in lexicographic error order.  For an
-    applicable code these states are pairwise orthonormal and span the
-    acceptance subspace of the verifier.
-    """
-    from .codes import enumerate_errors
-
-    errors = enumerate_errors(spec.n, spec.q)
-    return [
-        coset_state(spec.code, e, ep, max_qubits=max_qubits) for e in errors for ep in errors
-    ]
 
 
 def dump_state(st: DenseState) -> str:

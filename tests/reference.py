@@ -1,0 +1,122 @@
+"""Reference constructions the tests check the package against.
+
+None of these runs on a library path.  They compute the same quantities as
+the package by slower, more literal routes: the tolerated coset states one
+by one, the phase oracle as a sign flip over a 2^n mask, and the verifier
+as the four-stage pipeline M_dual, FWHT, M_primal on full 2^n masks.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from subspace_money.codes import CodeSpec, enumerate_errors
+from subspace_money.states import (
+    ATOL_INVARIANT,
+    DEFAULT_PURE_QUBITS,
+    DenseState,
+    MixedState,
+    State,
+    coset_state,
+    fwht,
+)
+
+
+def tolerated_coset_states(
+    spec: CodeSpec, max_qubits: int = DEFAULT_PURE_QUBITS
+) -> list[DenseState]:
+    """All tolerated noisy variants of the code's subspace state.
+
+    Ordered with the bit-flip error as the major index and the phase-flip
+    error as the minor one, both in lexicographic error order.  For an
+    applicable code these states are pairwise orthonormal and span the
+    acceptance subspace of the verifier.
+    """
+    errors = enumerate_errors(spec.n, spec.q)
+    return [
+        coset_state(spec.code, e, ep, max_qubits=max_qubits) for e in errors for ep in errors
+    ]
+
+
+def tolerated_projector(spec: CodeSpec) -> np.ndarray:
+    """Sum of |c><c| over all tolerated coset states."""
+    mat = np.stack([s.amplitudes for s in tolerated_coset_states(spec)])
+    return mat.T @ mat.conj()
+
+
+def _basis_matrix(basis_states: Sequence[DenseState]) -> np.ndarray:
+    if not basis_states:
+        raise ValueError("need at least one basis state")
+    n = basis_states[0].n
+    if any(s.n != n for s in basis_states):
+        raise ValueError("basis states act on different qubit counts")
+    mat = np.stack([s.amplitudes for s in basis_states])
+    gram = mat.conj() @ mat.T
+    if not np.allclose(gram, np.eye(len(basis_states)), atol=ATOL_INVARIANT):
+        raise ValueError("basis states are not orthonormal")
+    return mat
+
+
+def fidelity_with_span(st: State, basis_states: Sequence[DenseState]) -> float:
+    """Fidelity of the state with the span of the given orthonormal states.
+
+    Equals the largest overlap achievable with any unit vector of the span:
+    sqrt(sum_i |<b_i|psi>|^2) for pure input, sqrt(sum_i <b_i|rho|b_i>) for
+    mixed input.
+    """
+    mat = _basis_matrix(basis_states)
+    if isinstance(st, DenseState):
+        coeffs = mat.conj() @ st.amplitudes
+        return float(np.sqrt((np.abs(coeffs) ** 2).sum()))
+    overlap = np.real(((mat.conj() @ st.matrix) * mat).sum())
+    return float(np.sqrt(max(overlap, 0.0)))
+
+
+def apply_phase_oracle(pred, st: State) -> State:
+    """Negate the amplitude of every basis state inside the predicate's set."""
+    mask = pred.support_mask()
+    signs = np.where(mask, -1.0, 1.0)
+    if isinstance(st, DenseState):
+        return DenseState(st.n, signs * st.amplitudes, check_norm=False)
+    return MixedState(st.n, signs[:, None] * st.matrix * signs[None, :], validate=False)
+
+
+def session_phase(session, side: str, st: State) -> State:
+    """The session's phase oracle for one side, charged as one query to it."""
+    pred = session._primal if side == "primal" else session._dual
+    session.charge(side)
+    return apply_phase_oracle(pred, st)
+
+
+def masked_transform(amps: np.ndarray, primal, dual) -> np.ndarray:
+    """M_dual fwht(M_primal amps) on the last axis, whose |.|^2 / 2^n is <amps|P|amps>."""
+    return fwht(amps * primal.support_mask()) * dual.support_mask()
+
+
+def masked_projection(amps: np.ndarray, primal, dual) -> np.ndarray:
+    """P amps on the last axis as H M_dual H M_primal, with H the normalised transform."""
+    return fwht(masked_transform(amps, primal, dual)) / amps.shape[-1]
+
+
+def masked_pipeline(state: State, primal, dual) -> tuple[float, State | None]:
+    """Acceptance probability and post-state of one register, stage by stage on 2^n masks."""
+    dim = 1 << state.n
+    if isinstance(state, DenseState):
+        kept = state.amplitudes * primal.support_mask()
+        prob1 = float((np.abs(kept) ** 2).sum())
+        if prob1 == 0.0:
+            return 0.0, None
+        half = masked_transform(kept / np.sqrt(prob1), primal, dual) / math.sqrt(dim)
+        prob2 = float((np.abs(half) ** 2).sum())
+        if prob2 == 0.0:
+            return 0.0, None
+        post = fwht(half / np.sqrt(prob2)) / math.sqrt(dim)
+        return min(prob1 * prob2, 1.0), DenseState(state.n, post, check_norm=False)
+    sandwich = masked_projection(masked_projection(state.matrix, primal, dual).T, primal, dual).T
+    prob = float(np.trace(sandwich).real)
+    if prob <= 0.0:
+        return 0.0, None
+    return min(prob, 1.0), MixedState(state.n, sandwich / prob, validate=False)

@@ -45,7 +45,6 @@ from subspace_money.scheme import (
     corrupt,
     mint_conjugate,
     mint_direct,
-    tolerated_projector,
     verification_matrix,
 )
 from subspace_money.states import (
@@ -56,6 +55,7 @@ from subspace_money.states import (
 )
 
 from conftest import WORKED_CODEWORDS, WORKED_GENERATORS, WORKED_PARITY_ROWS
+from reference import tolerated_projector
 
 
 @contextlib.contextmanager

@@ -241,6 +241,33 @@ def test_span_walks_match_gray_walk_reference(k, n, seed):
         assert table.tolist() == values
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), rows=st.integers(0, 14), seed=st.integers(0, 2**32 - 1))
+def test_rref_is_canonical_and_the_dual_involutive(n, rows, seed):
+    # The verifier's coset leaders sit on RREF pivot columns, so the form
+    # must be reduced, canonical for the row space, and dual-consistent.
+    rng = np.random.default_rng(seed)
+    vecs = [int(v) for v in rng.integers(0, 1 << n, size=rows)]
+    s = SubspaceBasis(n, vecs)
+    canon = s.basis.row_values
+    leads = [r.bit_length() for r in canon]
+    assert all(r for r in canon) and leads == sorted(set(leads), reverse=True)
+    for lead in leads:
+        assert [(r >> (lead - 1)) & 1 for r in canon].count(1) == 1
+    assert rref(s.basis) == (s.basis, s.dim)
+    # Any other spanning set of the same space, here the rows shuffled plus
+    # random sums of them, gives the same rows.
+    picks = rng.integers(0, 2, size=(3, rows))
+    packed = np.array(vecs, dtype=np.int64)
+    sums = [int(np.bitwise_xor.reduce(packed[p == 1], initial=0)) for p in picks]
+    other = SubspaceBasis(n, [vecs[i] for i in rng.permutation(rows)] + sums)
+    assert other == s and other.basis.row_values == canon
+    dual = s.dual()
+    assert s.dim + dual.dim == n
+    assert dual.dual() == s
+    assert all((a & b).bit_count() % 2 == 0 for a in canon for b in dual.basis.row_values)
+
+
 @pytest.mark.parametrize("n", [40, 70])
 def test_min_distance_finds_a_word_only_in_the_last_block(n):
     # Rows e_j + t_j: a word's weight is |S| + wt(sum of the tails over S).

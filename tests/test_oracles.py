@@ -1,16 +1,18 @@
 """Tests for membership predicates, phase oracles, coset weights and query accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subspace_money.codes import enumerate_errors, error_count, search_applicable_code
-from subspace_money.gf2 import BitVec
+from subspace_money.codes import certify, enumerate_errors, error_count, search_applicable_code
+from subspace_money.gf2 import BitVec, Gf2Matrix
 from subspace_money.oracles import (
     CombinedOracle,
     QueryLedger,
-    apply_phase_oracle,
+    VerifierFrame,
     subset_predicate,
     syndrome_predicate,
 )
@@ -21,6 +23,8 @@ from subspace_money.states import (
     max_deviation,
     subspace_state,
 )
+
+from reference import apply_phase_oracle
 
 
 def bv(s):
@@ -303,3 +307,23 @@ def test_syndrome_array_masks_match_per_string_reference(n, seed):
         # The coset masks partition the subset mask.
         assert union.max() == 1
         assert np.array_equal(union.astype(bool), subset.support_mask())
+
+
+def test_verifier_frame_needs_the_canonical_parity_rows(worked_spec):
+    # Rows spanning the right space in another form would misplace the coset
+    # leaders or repeat codewords, so certification refuses them and the
+    # frame checks them.
+    r0, r1, r2 = worked_spec.parity_primal.row_values
+    unreduced = dataclasses.replace(worked_spec, parity_primal=Gf2Matrix(3, 6, [r0 ^ r1, r1, r2]))
+    rows = worked_spec.parity_dual.row_values
+    redundant = dataclasses.replace(worked_spec, parity_dual=Gf2Matrix(4, 6, rows + (rows[0],)))
+    for spec, side in ((unreduced, "parity_primal"), (redundant, "parity_dual")):
+        assert [c.name for c in certify(spec).checks if not c.passed] == [side]
+        with pytest.raises(ValueError, match="not RREF bases"):
+            VerifierFrame.from_predicates(
+                syndrome_predicate(spec, "primal"), syndrome_predicate(spec, "dual")
+            )
+    frame = VerifierFrame.from_predicates(
+        syndrome_predicate(worked_spec, "primal"), syndrome_predicate(worked_spec, "dual")
+    )
+    assert frame.index.shape == (7, 8) and sorted(frame.keep) == list(frame.keep)

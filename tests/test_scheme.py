@@ -10,13 +10,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subspace_money import oracles
-from subspace_money.codes import enumerate_errors
-from subspace_money.errors import UndecodableError, UnknownSerialError
-from subspace_money.gf2 import BitVec, SubspaceBasis, random_bitvec
+from subspace_money.codes import CodeSpec, enumerate_errors
+from subspace_money.errors import SyndromeCollisionError, UndecodableError, UnknownSerialError
+from subspace_money.experiments import ATTACK_KINDS, run_attack
+from subspace_money.gf2 import BitVec, SubspaceBasis, random_bitvec, random_subspace
+from subspace_money.oracles import VerifierFrame, subset_predicate, syndrome_predicate
 from subspace_money.scheme import (
     Banknote,
     MintRecord,
     OracleRegistry,
+    apply_verifier,
     conjugate_coding_state,
     conjugate_coset_parameters,
     corrupt,
@@ -33,7 +36,6 @@ from subspace_money.scheme import (
     registry_for_record,
     save_banknote,
     save_record,
-    tolerated_projector,
     verification_matrix,
     verify,
 )
@@ -51,6 +53,14 @@ from subspace_money.states import (
 )
 
 from conftest import WORKED_CODEWORDS
+from reference import (
+    masked_pipeline,
+    masked_projection,
+    masked_transform,
+    session_phase,
+    tolerated_coset_states,
+    tolerated_projector,
+)
 
 
 def bv(s):
@@ -209,7 +219,7 @@ def test_session_phase_oracle_charges(worked_registry):
     reg, record = worked_registry
     session = reg.session(record.serial)
     st = subspace_state(record.spec.code)
-    flipped = session.phase("primal", st)
+    flipped = session_phase(session, "primal", st)
     assert np.array_equal(flipped.amplitudes, -st.amplitudes)
     assert session.ledger.counters["primal"] == 1
 
@@ -318,8 +328,6 @@ def test_undecodable_corruption_rejected(worked_registry):
 def test_verify_probability_matches_span_overlap(worked_registry, worked_spec):
     # The pipeline probability equals the summed squared overlaps with the
     # 49 tolerated coset states.
-    from subspace_money.states import tolerated_coset_states
-
     reg, record = worked_registry
     basis = tolerated_coset_states(worked_spec)
     rng = np.random.default_rng(3)
@@ -369,12 +377,12 @@ def test_verifier_charges_per_pass(registry):
     session = registry.session(note.serial)
     verify(registry, note, session=session, rng=0)
     assert session.ledger.counters == {"primal": 1, "dual": 1, "combined": 0, "coset": 0}
-    session.verifier_masks()
+    session.verifier_frame()
     assert session.ledger.counters["primal"] == session.ledger.counters["dual"] == 2
-    primal, dual = session.verifier_masks(passes=2)
+    frame = session.verifier_frame(passes=2)
     assert session.ledger.counters["primal"] == session.ledger.counters["dual"] == 4
     assert session.ledger.combined_equivalent == 7 * 8
-    assert primal.shape == dual.shape == (64,)
+    assert frame.index.shape == (7, 8) and frame.keep.shape == (7,)
 
 
 def test_verify_coset_label_banknote(worked_registry, worked_spec):
@@ -466,22 +474,22 @@ def test_register_probability_block_matches_states(worked_registry):
     # A block of unnormalised real and imaginary parts gives each register's
     # tr(P sigma), as the normalised DenseState does.
     reg, record = worked_registry
-    masks = reg.session(record.serial).verifier_masks()
+    frame = reg.session(record.serial).verifier_frame()
     rng = np.random.default_rng(62)
     parts = rng.standard_normal((5, 2, 64))
-    block = register_probability(parts, masks)
+    block = register_probability(parts, frame)
     assert block.shape == (5,)
     for (a, b), p in zip(parts, block):
         amps = a + 1j * b
         assert p == pytest.approx(
-            register_probability(DenseState(6, amps / np.linalg.norm(amps)), masks), abs=1e-12
+            register_probability(DenseState(6, amps / np.linalg.norm(amps)), frame), abs=1e-12
         )
     with pytest.raises(ValueError, match="64 amplitudes"):
-        register_probability(parts[..., :32], masks)
+        register_probability(parts[..., :32], frame)
     with pytest.raises(ValueError, match="finite nonzero"):
-        register_probability(np.zeros((1, 2, 64)), masks)
+        register_probability(np.zeros((1, 2, 64)), frame)
     with pytest.raises(ValueError, match="n=6"):
-        register_probability(DenseState.basis_state(4, 0), masks)
+        register_probability(DenseState.basis_state(4, 0), frame)
 
 
 def _random_pure(rng, n):
@@ -553,6 +561,123 @@ def test_double_verify_n16_stays_within_state_budget():
         tracemalloc.stop()
     assert prob == pytest.approx(1.0, abs=1e-9)
     assert peak < 16 * 2**20
+
+
+def _predicate_pairs(spec):
+    """(route, primal, dual) for the syndrome route, and for the subset route where it builds."""
+    pairs = [("syndrome", syndrome_predicate(spec, "primal"), syndrome_predicate(spec, "dual"))]
+    try:
+        pairs.append(("subset", subset_predicate(spec, "primal"), subset_predicate(spec, "dual")))
+    except SyndromeCollisionError:
+        pass  # two tolerated errors share a syndrome: the code is not applicable for q
+    return pairs
+
+
+def _block_reference(parts, primal, dual):
+    """Each register's tr(P sigma) from its unnormalised real and imaginary parts."""
+    out = masked_transform(parts, primal, dual)
+    weight = (out**2).sum(axis=(-2, -1)) / parts.shape[-1]
+    return weight / (parts**2).sum(axis=(-2, -1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), data=st.data())
+def test_coset_frame_kernel_matches_masked_reference(n, data):
+    # Random codes of any dimension and tolerance, applicable or not, against
+    # the four-stage pipeline on 2^n masks.
+    k = data.draw(st.integers(1, n - 1), label="k")
+    q = data.draw(st.sampled_from([0, 1, 2]), label="q")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    spec = CodeSpec.build(random_subspace(n, k, seed), q)
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    for route, primal, dual in _predicate_pairs(spec):
+        frame = VerifierFrame.from_predicates(primal, dual)
+        assert frame.index.shape == (len(primal.accepted), 1 << k)
+        assert len(frame.keep) == len(dual.accepted)
+        inside = np.flatnonzero(primal.support_mask())
+        assert np.array_equal(np.sort(frame.index, axis=None), inside)
+
+        a, b = _random_pure(rng, n).amplitudes, _random_pure(rng, n).amplitudes
+        w = rng.uniform(0.1, 0.9)
+        states = [
+            DenseState(n, a),
+            DenseState.basis_state(n, int(rng.integers(dim))),
+            MixedState(n, w * np.outer(a, a.conj()) + (1 - w) * np.outer(b, b.conj())),
+        ]
+        for state in states:
+            prob, post = apply_verifier(state, primal, dual)
+            ref_prob, ref_post = masked_pipeline(state, primal, dual)
+            assert abs(prob - ref_prob) < 1e-12, route
+            assert (post is None) == (ref_post is None)
+            if post is not None:
+                got = post.amplitudes if isinstance(post, DenseState) else post.matrix
+                want = ref_post.amplitudes if isinstance(post, DenseState) else ref_post.matrix
+                assert np.abs(got - want).max() < 1e-10
+            assert abs(register_probability(state, frame) - ref_prob) < 1e-12
+
+        parts = rng.standard_normal((3, 2, 2, dim))
+        pairs = register_probability(parts, frame)
+        assert pairs.shape == (3, 2)
+        assert np.abs(pairs - _block_reference(parts, primal, dual)).max() < 1e-12
+        real = register_probability(parts[:, 0, :1], frame)
+        assert np.abs(real - _block_reference(parts[:, 0, :1], primal, dual)).max() < 1e-12
+
+        # Ver2 on joint states, through a registry holding this code.
+        reg = OracleRegistry(n, q, master_seed=seed)
+        record = MintRecord(BitVec.zeros(n), random_bitvec(3 * n, rng), spec, "direct")
+        reg.install_record(record, require_applicable=False)
+        session = reg.session(record.serial, route)
+        joint = _random_pure(rng, 2 * n)
+        grid = joint.amplitudes.reshape(dim, dim)
+        image = masked_projection(masked_projection(grid, primal, dual).T, primal, dual).T
+        prob, _ = double_verify(reg, record.serial, joint, rng=0, session=session)
+        assert abs(prob - np.vdot(grid, image).real) < 1e-12
+        prob, _ = double_verify(reg, record.serial, (states[0], states[2]), rng=0, session=session)
+        assert abs(prob - masked_pipeline(states[0], primal, dual)[0]
+                   * masked_pipeline(states[2], primal, dual)[0]) < 1e-12
+        if n <= 4:
+            proj = masked_projection(np.eye(dim), primal, dual)
+            c, d = _random_pure(rng, 2 * n).amplitudes, _random_pure(rng, 2 * n).amplitudes
+            rho = MixedState(2 * n, w * np.outer(c, c.conj()) + (1 - w) * np.outer(d, d.conj()))
+            prob, _ = double_verify(reg, record.serial, rho, rng=0, session=session)
+            assert abs(prob - np.trace(np.kron(proj, proj) @ rho.matrix).real) < 1e-12
+        assert session.ledger.counters["primal"] == session.ledger.counters["dual"] == 2 * (
+            3 if n <= 4 else 2
+        )
+
+
+def test_verifier_reads_no_mask_or_syndrome_array(monkeypatch, registry):
+    def refuse(self):
+        raise AssertionError("the verifier read a 2^n array of a predicate")
+
+    note = mint_direct(registry, BitVec.zeros(6))
+    monkeypatch.setattr(oracles.MembershipPredicate, "support_mask", refuse)
+    monkeypatch.setattr(oracles.MembershipPredicate, "syndromes", refuse)
+    assert verify(registry, note, rng=0).accept_probability == 1.0
+    bad = corrupt(note, bv("110000"), BitVec.zeros(6))
+    assert verify(registry, bad, approach="syndrome", rng=0).accept_probability <= 1.0
+    mixed = MixedState.maximally_mixed(6)
+    prob, _ = double_verify(registry, note.serial, (note.state, mixed), rng=0)
+    assert prob == pytest.approx(49 / 64, abs=1e-12)
+    joint = DenseState(12, np.kron(note.state.amplitudes, note.state.amplitudes))
+    prob, _ = double_verify(registry, note.serial, joint, rng=0)
+    assert prob == pytest.approx(1.0, abs=1e-12)
+    for kind in ATTACK_KINDS:
+        run_attack(registry, kind, 20, seed=1)
+
+
+def test_verify_n18_allocates_only_the_post_state():
+    reg = OracleRegistry(18, 1, master_seed=1818)
+    note = mint_direct(reg, BitVec.zeros(18))
+    tracemalloc.start()
+    try:
+        outcome = verify(reg, note, rng=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.accept_probability == 1.0
+    assert peak < 1.5 * note.state.amplitudes.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -22,17 +22,16 @@ from subspace_money.states import (
     coset_to_dense,
     dump_state,
     fidelity,
-    fidelity_with_span,
     fwht,
     hadamard_all,
     inner,
     load_state,
     max_deviation,
     subspace_state,
-    tolerated_coset_states,
 )
 
 from conftest import WORKED_CODEWORDS
+from reference import fidelity_with_span, tolerated_coset_states
 
 
 def bv(s):
@@ -241,6 +240,24 @@ def test_fwht_matches_sylvester_matrix():
                 assert out.shape == x.shape
                 assert np.allclose(out, x @ sylvester, atol=1e-9)
                 assert np.allclose(fwht(out), (1 << n) * x, atol=1e-9)
+
+
+def test_fwht_adds_in_butterfly_order():
+    # The verifier's exact ones depend on this order: equal bit for bit to
+    # the textbook radix-2 loop, lowest index bit first, on every row.
+    rng = np.random.default_rng(45)
+    for n in range(9):
+        for shape in ((1 << n,), (2, 3, 1 << n)):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            ref = x.copy()
+            h = 1
+            while h < 1 << n:
+                for i in range(1 << n):
+                    if not i & h:
+                        a, b = ref[..., i].copy(), ref[..., i | h].copy()
+                        ref[..., i], ref[..., i | h] = a + b, a - b
+                h *= 2
+            assert np.array_equal(fwht(x), ref)
 
 
 def test_hadamard_on_mixed_state():
