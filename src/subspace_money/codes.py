@@ -8,6 +8,7 @@ with a single codeword; that codeword is the banknote state.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -15,8 +16,19 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from .errors import BudgetExceededError, CodeSearchError, SyndromeCollisionError
-from .gf2 import DEFAULT_ENUM_BUDGET, BitVec, Gf2Matrix, SubspaceBasis, random_subspace
+from .gf2 import (
+    DEFAULT_ENUM_BUDGET,
+    BitVec,
+    Gf2Matrix,
+    SubspaceBasis,
+    _bit_block,
+    _independent_rows,
+    _pack,
+    _unpack,
+)
 from .rng import Seed, as_generator
 
 DEFAULT_MAX_ATTEMPTS = 10_000
@@ -129,6 +141,15 @@ def search_applicable_code(
 ) -> CodeSpec:
     """Rejection-sample uniformly random n/2-dim subspaces until one is applicable.
 
+    A code corrects q errors, d >= 2q+1, exactly when the errors of weight
+    <= q have distinct syndromes, so that is what each candidate is tested
+    for.  A candidate is k = n/2 random rows G, drawn as ``random_subspace``
+    draws them; rank-deficient draws are redrawn and not counted as
+    attempts.  The dual ker G is tested on G's columns as drawn.  Only a
+    candidate that passes is brought to RREF and dualized, and its code is
+    tested on the dual basis' columns.  The exact distances recorded in the
+    spec are walked for the accepted code only.
+
     Raises CodeSearchError before the first attempt when no applicable code
     can exist: C and its dual are both [n, n/2] codes, so each must meet the
     Singleton bound (2q+1 <= n/2 + 1) and the sphere-packing bound
@@ -157,21 +178,20 @@ def search_applicable_code(
         raise BudgetExceededError(f"2^{k} codewords exceed budget {budget}")
     rng = as_generator(seed)
     for _ in range(max_attempts):
-        code = random_subspace(n, k, rng)
-        d_p = code.min_distance(budget)
-        if d_p < need:
+        rows = _independent_rows(n, k, rng)
+        if not _syndromes_distinct(Gf2Matrix(k, n, rows), q):
             continue
+        code = SubspaceBasis(n, rows)
         dual = code.dual()
-        d_d = dual.min_distance(budget)
-        if d_d < need:
+        if not _syndromes_distinct(dual.basis, q):
             continue
         return CodeSpec(
             n=n,
             q=q,
             code=code,
             dual_code=dual,
-            d_primal=d_p,
-            d_dual=d_d,
+            d_primal=code.min_distance(budget),
+            d_dual=dual.min_distance(budget),
             parity_primal=dual.basis,
             parity_dual=code.basis,
         )
@@ -287,6 +307,42 @@ def enumerate_errors(n: int, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> Error
     return ErrorSet(n, q, tuple(BitVec(n, v) for v in values))
 
 
+@functools.lru_cache(maxsize=8)
+def _error_positions(n: int, q: int) -> np.ndarray:
+    """Support of every error of weight <= q, one column each, in ``enumerate_errors`` order.
+
+    Errors lighter than q are padded with n, the index of the zero column
+    that ``_error_syndromes`` appends.
+    """
+    bits = _bit_block([e.value for e in enumerate_errors(n, q)], n)
+    coordinates = np.where(bits, np.arange(n), n)
+    positions = np.sort(coordinates, axis=1)[:, : min(q, n)].T.copy()
+    positions.setflags(write=False)
+    return positions
+
+
+def _error_syndromes(parity: Gf2Matrix, q: int) -> np.ndarray:
+    """H e for every error e of weight <= q, in ``enumerate_errors`` order, packed.
+
+    H e is the XOR of the columns of H on the support of e: one gather over
+    H's columns (and a zero column for padding), then one XOR reduction.
+    Syndromes come in ``gf2._pack``'s layout for parity.rows bits.
+    """
+    if not parity.rows:
+        raise ValueError("matrix has no rows")
+    columns = _pack(parity.transpose().row_values + (0,), parity.rows)
+    return np.bitwise_xor.reduce(columns[_error_positions(parity.cols, q)], axis=0)
+
+
+def _syndromes_distinct(parity: Gf2Matrix, q: int) -> bool:
+    """Whether the errors of weight <= q have distinct syndromes: ker H has d >= 2q+1."""
+    syndromes = _error_syndromes(parity, q)
+    if syndromes.ndim > 1:
+        return len(np.unique(syndromes, axis=0)) == len(syndromes)
+    ordered = np.sort(syndromes)
+    return bool((ordered[1:] != ordered[:-1]).all())
+
+
 def count_error_pairs(n: int, q: int) -> int:
     """Size of the tolerated (bit-flip, phase-flip) pair set, exactly."""
     return error_count(n, q) ** 2
@@ -317,10 +373,17 @@ class SyndromeTable:
 def build_syndrome_table(
     parity: Gf2Matrix, q: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> SyndromeTable:
-    n = parity.cols
+    """Map the syndrome H e of every error e of weight <= q back to e.
+
+    ker H has d >= 2q+1 exactly when these syndromes are distinct.  They come
+    from one gather over H's columns (``_error_syndromes``); the first error,
+    in ``enumerate_errors`` order, whose syndrome repeats an earlier one
+    raises SyndromeCollisionError naming both.
+    """
+    errors = enumerate_errors(parity.cols, q, budget)
     entries: dict[BitVec, BitVec] = {}
-    for e in enumerate_errors(n, q, budget):
-        s = parity.mul_vec(e)
+    for e, value in zip(errors, _unpack(_error_syndromes(parity, q))):
+        s = BitVec(parity.rows, value)
         if s in entries:
             raise SyndromeCollisionError(
                 f"errors {entries[s]} and {e} share syndrome {s}; "

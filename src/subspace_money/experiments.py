@@ -24,9 +24,9 @@ from .codes import (
     soundness_tradeoff,
 )
 from .gf2 import BitVec, random_bitvec
-from .oracles import subset_predicate
+from .oracles import VerifierFrame, subset_predicate
 from .rng import Seed, as_generator
-from .scheme import OracleRegistry, apply_verifier, mint_direct, register_probability
+from .scheme import OracleRegistry, apply_frame, mint_direct, register_probability
 from .states import MixedState, coset_state
 
 WILSON_Z95 = 1.959963984540054
@@ -95,19 +95,20 @@ def completeness_sweep(spec: CodeSpec, *, probe_undecodable: bool = False) -> Ex
     probe_undecodable an extra row applies a weight-(q+1) bit-flip pattern
     whose syndrome is not in the table; its probability is zero.
     """
-    primal = subset_predicate(spec, "primal")
-    dual = subset_predicate(spec, "dual")
+    frame = VerifierFrame.from_predicates(
+        subset_predicate(spec, "primal"), subset_predicate(spec, "dual")
+    )
     errors = enumerate_errors(spec.n, spec.q)
     rows = []
     for e in errors:
         for ep in errors:
             state = coset_state(spec.code, e, ep)
-            prob, _ = apply_verifier(state, primal, dual)
+            prob, _ = apply_frame(state, frame)
             rows.append((str(e), str(ep), prob))
     if probe_undecodable:
         probe = _undecodable_probe(spec)
         state = coset_state(spec.code, probe, BitVec.zeros(spec.n))
-        prob, _ = apply_verifier(state, primal, dual)
+        prob, _ = apply_frame(state, frame)
         rows.append((str(probe), "0" * spec.n, prob))
     return ExperimentReport(
         name="completeness",

@@ -30,22 +30,35 @@ _BLOCK_ROWS = 10
 _LIMB_MASK = (1 << 64) - 1
 
 
+def _pack(values: Sequence[int], width: int) -> np.ndarray:
+    """width-bit ints as an array in the smallest unsigned dtype that holds width bits.
+
+    Wider than 64 bits, each value is a row of uint64 limbs along a trailing
+    axis, most significant limb first.
+    """
+    if width <= 64:
+        return np.array(values, dtype=np.min_scalar_type((1 << width) - 1))
+    limbs = -(-width // 64)
+    return np.array(
+        [[(v >> (64 * j)) & _LIMB_MASK for j in reversed(range(limbs))] for v in values],
+        dtype=np.uint64,
+    ).reshape(len(values), limbs)
+
+
+def _unpack(packed: np.ndarray) -> list[int]:
+    """The ints of a ``_pack`` layout, one per entry along the first axis."""
+    if packed.ndim == 1:
+        return packed.tolist()
+    return [int.from_bytes(row.astype(">u8").tobytes(), "big") for row in packed]
+
+
 def _span_table(rows: Sequence[int], width: int) -> np.ndarray:
     """Every XOR of a subset of width-bit rows: entry i sums the rows picked by the bits of i.
 
     Built by doubling, entries [2^j, 2^(j+1)) being entries [0, 2^j) XOR row
-    j, in the smallest unsigned dtype that holds width bits.  Wider than 64
-    bits, each entry is a row of uint64 limbs along a trailing axis, most
-    significant limb first.
+    j, in the ``_pack`` layout.
     """
-    if width <= 64:
-        packed = np.array(rows, dtype=np.min_scalar_type((1 << width) - 1))
-    else:
-        limbs = -(-width // 64)
-        packed = np.array(
-            [[(r >> (64 * j)) & _LIMB_MASK for j in reversed(range(limbs))] for r in rows],
-            dtype=np.uint64,
-        ).reshape(len(rows), limbs)
+    packed = _pack(rows, width)
     table = np.zeros((1 << len(rows),) + packed.shape[1:], dtype=packed.dtype)
     for j in range(len(rows)):
         np.bitwise_xor(table[: 1 << j], packed[j], out=table[1 << j : 2 << j])
@@ -58,15 +71,60 @@ def _weights(words: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return counts if counts.ndim == 1 else counts.sum(axis=1)
 
 
+def _bit_rows(block: np.ndarray) -> list[int]:
+    """The rows of a 2-D array of 0/1 bits as ints, leftmost bit most significant."""
+    count, width = block.shape
+    packed = np.packbits(block, axis=1)
+    # One int holds the packed block; row i is its i-th step-bit field from the top.
+    step = 8 * packed.shape[1]
+    whole = int.from_bytes(packed.tobytes(), "big") >> (step - width)
+    mask = (1 << width) - 1
+    return [(whole >> (step * (count - 1 - i))) & mask for i in range(count)]
+
+
+def _bit_block(values: Sequence[int], width: int) -> np.ndarray:
+    """width-bit ints as the rows of a uint8 array of their bits, the inverse of ``_bit_rows``."""
+    nbytes = -(-width // 8)
+    raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "big") for v in values), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(values), nbytes), axis=1)[:, 8 * nbytes - width :]
+
+
 def _random_rows(n: int, count: int, rng: np.random.Generator) -> list[int]:
     """count uniformly random n-bit values, drawn as one count x n block of bits.
 
     The block holds the same bits, and leaves the generator in the same
     state, as count separate n-bit draws.
     """
-    packed = np.packbits(rng.integers(0, 2, size=(count, n)), axis=1)
-    pad = 8 * packed.shape[1] - n
-    return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
+    return _bit_rows(rng.integers(0, 2, size=(count, n)))
+
+
+def _independent_rows(n: int, count: int, rng: np.random.Generator) -> list[int]:
+    """count linearly independent n-bit rows: ``_random_rows`` blocks, redrawn until independent.
+
+    Each row is reduced against the rows before it, kept by leading bit; a
+    row that reduces to zero makes the block rank-deficient.
+    """
+    while True:
+        rows = _random_rows(n, count, rng)
+        if len(_echelon(rows)) == count:
+            return rows
+
+
+def _echelon(values: Iterable[int]) -> dict[int, int]:
+    """An echelon basis of the values' span, each row keyed by its bit length.
+
+    Each value is reduced by the rows kept so far, highest leading bit first,
+    and kept if anything is left, so no two rows share a leading bit.
+    """
+    lead: dict[int, int] = {}
+    for r in values:
+        while r:
+            top = r.bit_length()
+            if top not in lead:
+                lead[top] = r
+                break
+            r ^= lead[top]
+    return lead
 
 
 class BitVec:
@@ -186,11 +244,10 @@ class Gf2Matrix:
     def __init__(self, rows: int, cols: int, row_values: Sequence[int]):
         if rows < 0 or cols < 1:
             raise ValueError("bad matrix shape")
-        vals = tuple(int(v) for v in row_values)
+        vals = tuple(map(int, row_values))
         if len(vals) != rows:
             raise ValueError("row count mismatch")
-        limit = 1 << cols
-        if any(not 0 <= v < limit for v in vals):
+        if vals and (min(vals) < 0 or max(vals) >> cols):
             raise ValueError("row value out of range for column count")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -235,13 +292,8 @@ class Gf2Matrix:
         return BitVec.from_bits([self.entry(i, j) for i in range(self.rows)])
 
     def transpose(self) -> "Gf2Matrix":
-        vals = []
-        for j in range(self.cols):
-            v = 0
-            for i in range(self.rows):
-                v = (v << 1) | self.entry(i, j)
-            vals.append(v)
-        return Gf2Matrix(self.cols, self.rows, vals)
+        columns = _bit_rows(_bit_block(self.row_values, self.cols).T)
+        return Gf2Matrix(self.cols, self.rows, columns)
 
     def mul_vec(self, v: BitVec) -> BitVec:
         """Matrix-vector product; result coordinate i is row_i . v."""
@@ -318,24 +370,18 @@ def rref(m: Gf2Matrix) -> tuple[Gf2Matrix, int]:
     representative of it: pivots strictly left to right, each pivot the only
     one in its column.
     """
-    n = m.cols
-    work = list(m.row_values)
-    r = 0
-    for c in range(n):
-        bit = 1 << (n - 1 - c)
-        pivot = next((i for i in range(r, len(work)) if work[i] & bit), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and work[i] & bit:
-                work[i] ^= work[r]
-        r += 1
-        if r == len(work):
-            break
-    # Rows below the last pivot are zero after full elimination.
-    nonzero = [w for w in work if w]
-    return Gf2Matrix(len(nonzero), n, nonzero), len(nonzero)
+    lead = _echelon(m.row_values)
+    tops = sorted(lead, reverse=True)
+    rows = [lead[t] for t in tops]
+    # Back-substitution from the bottom: the rows below row i are already
+    # reduced, so each clears its own pivot bit from row i and touches no other.
+    for i in reversed(range(len(rows))):
+        r = rows[i]
+        for j in range(i + 1, len(rows)):
+            if r >> (tops[j] - 1) & 1:
+                r ^= rows[j]
+        rows[i] = r
+    return Gf2Matrix(len(rows), m.cols, rows), len(rows)
 
 
 class SubspaceBasis:
@@ -407,12 +453,7 @@ class SubspaceBasis:
 
     def vectors(self, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[BitVec]:
         """All 2^dim elements of the subspace, in the order of ``vector_values``."""
-        table = self.vector_values(budget)
-        if table.ndim == 1:
-            values = table.tolist()
-        else:
-            values = [int.from_bytes(row.astype(">u8").tobytes(), "big") for row in table]
-        for v in values:
+        for v in _unpack(self.vector_values(budget)):
             yield BitVec(self.n, v)
 
     def vector_values(self, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
@@ -428,21 +469,22 @@ class SubspaceBasis:
         return _span_table(self.basis.row_values, self.n)
 
     def dual(self) -> "SubspaceBasis":
-        """Orthogonal complement under the GF(2) dot product."""
-        n, k = self.n, self.dim
-        if k == 0:
-            return SubspaceBasis.full(n)
-        pivots = [n - rv.bit_length() for rv in self.basis.row_values]
-        pivot_set = set(pivots)
-        free = [c for c in range(n) if c not in pivot_set]
-        rows = []
-        for f in free:
-            w = 1 << (n - 1 - f)
-            for i, p in enumerate(pivots):
-                if (self.basis.row_values[i] >> (n - 1 - f)) & 1:
-                    w |= 1 << (n - 1 - p)
-            rows.append(w)
-        return SubspaceBasis(n, rows)
+        """Orthogonal complement under the GF(2) dot product.
+
+        Read with its pivot columns first, the RREF basis is [I | A], and
+        [A^T | I] spans its complement: one row per free column f, with a
+        one at f and row i's bit f at row i's pivot.
+        """
+        n, values = self.n, self.basis.row_values
+        bits = _bit_block(values, n)
+        pivots = [n - v.bit_length() for v in values]
+        is_free = np.ones(n, dtype=bool)
+        is_free[pivots] = False
+        free = np.flatnonzero(is_free)
+        rows = np.zeros((len(free), n), dtype=np.uint8)
+        rows[np.arange(len(free)), free] = 1
+        rows[:, pivots] = bits[:, free].T
+        return SubspaceBasis(n, _bit_rows(rows))
 
     def min_distance(self, budget: int = DEFAULT_ENUM_BUDGET) -> int:
         """Minimum Hamming weight over the nonzero span, by exhaustive walk.
@@ -566,20 +608,16 @@ class BasisMap:
 def random_subspace(n: int, dim: int, seed: Seed) -> SubspaceBasis:
     """Uniformly random dim-dimensional subspace of F_2^n.
 
-    Samples dim random rows, as one dim x n block of bits, and rejects on rank
-    deficiency; conditioned on full rank, the row space is uniform over all
-    dim-dimensional subspaces.  The block draws the same bits as dim calls
-    to ``random_bitvec`` on the same generator.
+    Samples dim random rows, as one dim x n block of bits, and redraws the
+    block on rank deficiency; conditioned on full rank, the row space is
+    uniform over all dim-dimensional subspaces.  The block draws the same
+    bits as dim calls to ``random_bitvec`` on the same generator.
     """
     if not 0 <= dim <= n:
         raise ValueError(f"dim {dim} out of range for n={n}")
     if dim == 0:
         return SubspaceBasis.zero(n)
-    rng = as_generator(seed)
-    while True:
-        s = SubspaceBasis(n, _random_rows(n, dim, rng))
-        if s.dim == dim:
-            return s
+    return SubspaceBasis(n, _independent_rows(n, dim, as_generator(seed)))
 
 
 def random_basis_map(n: int, seed: Seed) -> BasisMap:

@@ -434,11 +434,11 @@ def apply_verifier(state: State, primal_pred, dual_pred) -> tuple[float, State |
     accepted-branch post-state in the computational basis; None when the
     probability is zero.
     """
-    return _pipeline(state, VerifierFrame.from_predicates(primal_pred, dual_pred))
+    return apply_frame(state, VerifierFrame.from_predicates(primal_pred, dual_pred))
 
 
-def _pipeline(state: State, frame: VerifierFrame) -> tuple[float, State | None]:
-    """P on one register: acceptance probability and post-state.
+def apply_frame(state: State, frame: VerifierFrame) -> tuple[float, State | None]:
+    """P on one register, in a prebuilt frame: acceptance probability and post-state.
 
     A pure state is normalised on its accepted cosets before the transform,
     so the second stage's probability is a unit vector's kept energy / 2^k.
@@ -487,7 +487,7 @@ def verify(
         return VerifyOutcome(False, 0.0, None, reason="unknown serial")
     if session is None:
         session = registry.session(note.serial, approach)
-    prob, post = _pipeline(_as_state(note.state), session.verifier_frame())
+    prob, post = apply_frame(_as_state(note.state), session.verifier_frame())
     accepted = _sample(registry, rng, prob)
     return VerifyOutcome(accepted, prob, post)
 

@@ -2,8 +2,10 @@
 
 None of these runs on a library path.  They compute the same quantities as
 the package by slower, more literal routes: the tolerated coset states one
-by one, the phase oracle as a sign flip over a 2^n mask, and the verifier
-as the four-stage pipeline M_dual, FWHT, M_primal on full 2^n masks.
+by one, the phase oracle as a sign flip over a 2^n mask, the verifier as
+the four-stage pipeline M_dual, FWHT, M_primal on full 2^n masks, code
+search by exhaustive minimum distances, syndrome tables one matrix-vector
+product per error, and RREF column by column.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from subspace_money.codes import CodeSpec, enumerate_errors
+from subspace_money.errors import CodeSearchError, SyndromeCollisionError
+from subspace_money.gf2 import BitVec, Gf2Matrix, SubspaceBasis, random_bitvec
+from subspace_money.rng import Seed, as_generator
 from subspace_money.states import (
     ATOL_INVARIANT,
     DEFAULT_PURE_QUBITS,
@@ -120,3 +125,68 @@ def masked_pipeline(state: State, primal, dual) -> tuple[float, State | None]:
     if prob <= 0.0:
         return 0.0, None
     return min(prob, 1.0), MixedState(state.n, sandwich / prob, validate=False)
+
+
+def search_by_distances(n: int, q: int, seed: Seed, max_attempts: int) -> CodeSpec:
+    """Code search that walks both minimum distances of every candidate.
+
+    A candidate is n/2 rows drawn one ``random_bitvec`` at a time and brought
+    to RREF; a rank-deficient draw is redrawn without counting an attempt.
+    It is accepted when min_distance of the code, then of its dual, is at
+    least 2q+1.  The Singleton and sphere-packing pre-checks are left out.
+    """
+    k, need = n // 2, 2 * q + 1
+    rng = as_generator(seed)
+    for _ in range(max_attempts):
+        while True:
+            code = SubspaceBasis(n, [random_bitvec(n, rng) for _ in range(k)])
+            if code.dim == k:
+                break
+        d_p = code.min_distance()
+        if d_p < need:
+            continue
+        dual = code.dual()
+        d_d = dual.min_distance()
+        if d_d < need:
+            continue
+        return CodeSpec(n, q, code, dual, d_p, d_d, dual.basis, code.basis)
+    raise CodeSearchError(f"no applicable code found for n={n}, q={q} in {max_attempts} attempts")
+
+
+def syndrome_table_entries(parity: Gf2Matrix, q: int) -> dict[BitVec, BitVec]:
+    """Syndrome -> error for every error of weight <= q, one ``mul_vec`` per error.
+
+    Raises SyndromeCollisionError, worded as ``build_syndrome_table`` words
+    it, at the first error whose syndrome an earlier error already has.
+    """
+    entries: dict[BitVec, BitVec] = {}
+    for e in enumerate_errors(parity.cols, q):
+        s = parity.mul_vec(e)
+        if s in entries:
+            raise SyndromeCollisionError(
+                f"errors {entries[s]} and {e} share syndrome {s}; "
+                f"the code does not have d >= {2 * q + 1}"
+            )
+        entries[s] = e
+    return entries
+
+
+def rref_by_columns(m: Gf2Matrix) -> tuple[Gf2Matrix, int]:
+    """RREF with zero rows dropped, and the rank: one pivot search per column, left to right."""
+    n = m.cols
+    work = list(m.row_values)
+    r = 0
+    for c in range(n):
+        bit = 1 << (n - 1 - c)
+        pivot = next((i for i in range(r, len(work)) if work[i] & bit), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(len(work)):
+            if i != r and work[i] & bit:
+                work[i] ^= work[r]
+        r += 1
+        if r == len(work):
+            break
+    nonzero = [w for w in work if w]
+    return Gf2Matrix(len(nonzero), n, nonzero), len(nonzero)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -23,6 +24,35 @@ def test_gencode_writes_certified_code(tmp_path, capsys):
     from subspace_money.codes import certify, load_code
 
     assert certify(load_code(out)).passed
+
+
+# SHA-256 of the file written by `gencode --seed s --n N --q 2`, taken with
+# the search that walked both minimum distances of every candidate: the
+# syndrome test must accept the same codes from the same draws.
+GENCODE_Q2_DIGESTS = {
+    (1, 24): "1973f2a6eec489e1ba5660e452f9447c1fe967216130a7cffe2dff551246bf85",
+    (1, 28): "57ebc99a4341525406ff1adddff1f554f0d79f5b2d9b853bee209cb8b98495aa",
+    (1, 30): "0735358f11ff674d659e74f2dfe6b2ab3a5b16c6a9776751695fa330125ecc52",
+    (2, 24): "e29a8105ef6cd5979a7b846f38b1599fdd0c510fe3088a0a5f93040dcd8d463c",
+    (2, 28): "486756e6ca375540c51577ef07118053039dd37824a4813f3b17746a96c2ba20",
+    (2, 30): "e813126e4fc0491db0a1ce94e3c4e28d251ea109b932bea3b4a745c3972f9933",
+    (3, 24): "3ab4f917076ef33a240211a174d7e4cdd80a055955e8d5a95b4875b2a7a4953d",
+    (3, 28): "c4aa21fcb524ff6b7aea2ff2b1462218c94a79c892f0c7cb25377ea1a9556045",
+    (3, 30): "fde0cc9e29fc14aec31c921632f629be848c773f299b0a75ba6906c4bf15ff5f",
+    (4, 24): "e765063d5b6984d3d9aa8fb264f6f1e496523fe860ae7ff3d71d7e84242dc641",
+    (4, 28): "09616353a535e727dd28fd3bf11dc2be2dd96a11059bea163cf5797077795ba4",
+    (4, 30): "6b319500db9d8922d9a709f386eed563ab7b21548deed74ec94b25ddfae34517",
+    (5, 24): "1040c6a5e4a375731f08cc2d262681ed9ea823bd1b51aef011d136fc02bb2aa6",
+    (5, 28): "2251c45efcad757e6b1e89997c74bdb32f2f323bfcb654416b2a8822d5b08a54",
+    (5, 30): "29520cae80eb0f7033dcdc578886233d0584270a71b05fa59c811c1f0d38e2a2",
+}
+
+
+@pytest.mark.parametrize("seed, n", sorted(GENCODE_Q2_DIGESTS))
+def test_gencode_q2_files_are_pinned(tmp_path, capsys, seed, n):
+    out = tmp_path / "code.json"
+    assert run_cli("--seed", seed, "--out", out, "gencode", "--n", n, "--q", 2) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENCODE_Q2_DIGESTS[seed, n]
 
 
 def test_gencode_infeasible_is_domain_error(tmp_path, capsys):

@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_money.codes import (
     CodeSpec,
+    _error_syndromes,
+    _syndromes_distinct,
     build_syndrome_table,
     certify,
     count_error_pairs,
@@ -23,9 +27,17 @@ from subspace_money.codes import (
     stabilizer_generators,
 )
 from subspace_money.errors import BudgetExceededError, CodeSearchError, SyndromeCollisionError
-from subspace_money.gf2 import BitVec, Gf2Matrix, SubspaceBasis
+from subspace_money.gf2 import (
+    BitVec,
+    Gf2Matrix,
+    SubspaceBasis,
+    _unpack,
+    random_bitvec,
+    random_subspace,
+)
 
 from conftest import WORKED_PARITY_ROWS
+from reference import search_by_distances, syndrome_table_entries
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +79,7 @@ def test_search_impossible_parameters_fail_before_sampling(monkeypatch, n, q, bo
     def refuse(*args, **kwargs):
         raise AssertionError("searched although no applicable code exists")
 
-    monkeypatch.setattr(codes, "random_subspace", refuse)
+    monkeypatch.setattr(codes, "_independent_rows", refuse)
     with pytest.raises(CodeSearchError, match=bound):
         search_applicable_code(n, q, seed=3)
 
@@ -77,6 +89,52 @@ def test_search_validates_input():
         search_applicable_code(7, 1, seed=0)
     with pytest.raises(BudgetExceededError):
         search_applicable_code(40, 1, seed=0, budget=1 << 10)
+
+
+# (n, q) pairs that pass the Singleton and sphere-packing pre-checks.
+SEARCHABLE = [
+    (n, q)
+    for n in range(4, 17, 2)
+    for q in (0, 1, 2)
+    if 2 * q + 1 <= n // 2 + 1 and error_count(n, q) <= 1 << (n // 2)
+]
+
+
+def _outcome(search, n, q, rng, attempts):
+    try:
+        return dumps_code(search(n, q, rng, max_attempts=attempts))
+    except CodeSearchError:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from(SEARCHABLE),
+    seed=st.integers(0, 2**32 - 1),
+    attempts=st.integers(1, 5),
+)
+def test_search_matches_exhaustive_distance_reference(case, seed, attempts):
+    # Same draws, same accepted code, same file; a shared generator ends in
+    # the same state.
+    n, q = case
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _outcome(search_applicable_code, n, q, fast, attempts)
+    want = _outcome(search_by_distances, n, q, slow, attempts)
+    assert got == want
+    assert fast.bit_generator.state == slow.bit_generator.state
+    assert fast.random() == slow.random()
+
+
+def test_search_does_not_count_rank_deficient_draws():
+    # At n = 4 two random rows are dependent with probability 46/256, and
+    # q = 0 accepts every full-rank draw: one attempt must always suffice.
+    deficient = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        deficient += SubspaceBasis(4, [random_bitvec(4, rng), random_bitvec(4, rng)]).dim < 2
+        spec = search_applicable_code(4, 0, seed, max_attempts=1)
+        assert dumps_code(spec) == dumps_code(search_by_distances(4, 0, seed, 1))
+    assert deficient > 5
 
 
 def test_certify_worked_code(worked_spec):
@@ -185,6 +243,54 @@ def test_syndrome_table_collision_detected():
     # any parity matrix of a distance-2 code; take the repetition-style rows.
     parity = Gf2Matrix.from_strings(["1100"])
     with pytest.raises(SyndromeCollisionError):
+        build_syndrome_table(parity, q=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 12), data=st.data())
+def test_error_syndromes_distinct_exactly_when_distance_allows(n, data):
+    k = data.draw(st.integers(1, n - 1), label="k")
+    q = data.draw(st.integers(0, 2), label="q")
+    code = random_subspace(n, k, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    dual = code.dual()
+    errors = enumerate_errors(n, q)
+    # ker(dual basis) is the code, ker(code basis) the dual.
+    for kernel, parity in ((code, dual.basis), (dual, code.basis)):
+        syndromes = _unpack(_error_syndromes(parity, q))
+        assert syndromes == [parity.mul_vec(e).value for e in errors]
+        assert _syndromes_distinct(parity, q) == (kernel.min_distance() >= 2 * q + 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 10), data=st.data())
+def test_syndrome_table_matches_per_error_reference(n, data):
+    # Any parity matrix, colliding or not: the same entries in the same
+    # order, or the same error naming the same first colliding pair.
+    m = data.draw(st.integers(1, n), label="rows")
+    q = data.draw(st.integers(0, 2), label="q")
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m))
+    parity = Gf2Matrix(m, n, rows)
+    try:
+        want = list(syndrome_table_entries(parity, q).items())
+    except SyndromeCollisionError as err:
+        with pytest.raises(SyndromeCollisionError) as got:
+            build_syndrome_table(parity, q)
+        assert str(got.value) == str(err)
+    else:
+        assert list(build_syndrome_table(parity, q).entries.items()) == want
+
+
+def test_syndrome_table_wider_than_one_limb():
+    # 70 parity rows: the syndromes are packed as two uint64 limbs each.
+    code = random_subspace(140, 70, 8)
+    table = build_syndrome_table(code.basis, q=1)
+    assert list(table.entries.items()) == list(syndrome_table_entries(code.basis, 1).items())
+
+
+def test_syndrome_table_collision_names_first_pair():
+    # Columns 10, 10, 01, 01: errors 0001 and 0010 come right after 0000.
+    parity = Gf2Matrix.from_strings(["1100", "0011"])
+    with pytest.raises(SyndromeCollisionError, match="errors 0001 and 0010 share syndrome 01;"):
         build_syndrome_table(parity, q=1)
 
 

@@ -56,6 +56,22 @@ def test_completeness_rows_are_exactly_one():
             assert all(row[2] == 1.0 for row in report.rows), (n, seed)
 
 
+def test_completeness_sweep_builds_one_verifier_frame(monkeypatch, worked_spec):
+    from subspace_money.oracles import VerifierFrame
+
+    build = VerifierFrame.from_predicates
+    calls = []
+
+    def counted(cls, primal, dual):
+        calls.append((primal.kind, dual.kind))
+        return build(primal, dual)
+
+    monkeypatch.setattr(VerifierFrame, "from_predicates", classmethod(counted))
+    report = completeness_sweep(worked_spec, probe_undecodable=True)
+    assert len(report.rows) == 50
+    assert calls == [("subset-primal", "subset-dual")]
+
+
 def test_completeness_sweep_undecodable_probe(worked_spec):
     report = completeness_sweep(worked_spec, probe_undecodable=True)
     assert len(report.rows) == 50

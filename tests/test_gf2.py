@@ -18,6 +18,8 @@ from subspace_money.gf2 import (
     rref,
 )
 
+from reference import rref_by_columns
+
 
 def all_vectors(n):
     return [BitVec(n, v) for v in range(1 << n)]
@@ -266,6 +268,17 @@ def test_rref_is_canonical_and_the_dual_involutive(n, rows, seed):
     assert s.dim + dual.dim == n
     assert dual.dual() == s
     assert all((a & b).bit_count() % 2 == 0 for a in canon for b in dual.basis.row_values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 70), data=st.data())
+def test_rref_and_transpose_match_column_references(n, data):
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12), label="rows")
+    m = Gf2Matrix(len(rows), n, rows)
+    assert rref(m) == rref_by_columns(m)
+    if rows:
+        columns = [[m.entry(i, j) for i in range(m.rows)] for j in range(n)]
+        assert m.transpose() == Gf2Matrix(n, m.rows, [BitVec.from_bits(c).value for c in columns])
 
 
 @pytest.mark.parametrize("n", [40, 70])
