@@ -363,9 +363,6 @@ class SyndromeTable:
     def decode(self, syndrome: BitVec) -> BitVec | None:
         return self.entries.get(syndrome)
 
-    def syndromes(self) -> frozenset[BitVec]:
-        return frozenset(self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 

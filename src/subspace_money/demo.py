@@ -100,7 +100,7 @@ def run(out_dir: Path | None = None, seed: int | None = 0, as_json: bool = False
     columns = {h_c.column(j) for j in range(6)}
     check(
         "syndrome_table",
-        len(table) == 7 and table.syndromes() == columns | {BitVec.from_string("000")},
+        len(table) == 7 and set(table.entries) == columns | {BitVec.from_string("000")},
         "zero plus the six parity columns",
     )
     check(

@@ -24,7 +24,7 @@ from .codes import (
     soundness_tradeoff,
 )
 from .gf2 import BitVec, random_bitvec
-from .oracles import VerifierFrame, subset_predicate
+from .oracles import VerifierFrame, predicate_pair
 from .rng import Seed, as_generator
 from .scheme import OracleRegistry, apply_frame, mint_direct, register_probability
 from .states import MixedState, coset_state
@@ -95,9 +95,7 @@ def completeness_sweep(spec: CodeSpec, *, probe_undecodable: bool = False) -> Ex
     probe_undecodable an extra row applies a weight-(q+1) bit-flip pattern
     whose syndrome is not in the table; its probability is zero.
     """
-    frame = VerifierFrame.from_predicates(
-        subset_predicate(spec, "primal"), subset_predicate(spec, "dual")
-    )
+    frame = VerifierFrame.from_predicates(*predicate_pair(spec))
     errors = enumerate_errors(spec.n, spec.q)
     rows = []
     for e in errors:

@@ -5,23 +5,21 @@ and every predicate asks one question, whether the syndrome Hx of a string
 x under one side's parity check H lies in an accepted set.  x is within q
 bit flips of the code (or its dual) exactly when Hx is the syndrome of an
 error of weight <= q, and x lies in the single coset code + e exactly when
-Hx = He.  So a predicate is a side plus an accepted-syndrome set, and its
-mask over all 2^n strings is a lookup into one vectorized syndrome array
-per (code, side), which coset predicates derived from it share.
+Hx = He.  So a predicate is a side plus an accepted-syndrome set.
 
 The subset and syndrome predicates derive their accepted sets in separate
 code: the subset route takes the keys of a decoding SyndromeTable, the
-syndrome route enumerates the weight-<=q vectors itself.  They share only
-the syndrome array, so comparing their masks cross-validates the two
-derivations.
+syndrome route enumerates the weight-<=q vectors itself, so comparing their
+masks cross-validates the two derivations.
 
+One coset frame is the only array view of a predicate: the coset with
+syndrome v is listed string by string as leader(v) ^ c(u) over the
+side-code's codewords c(u).  A predicate's 2^n mask scatters its own cosets.
 The verifier reads the two predicates through one VerifierFrame, the
-accepted primal cosets listed string by string in code coordinates; the
-dual test acts inside each of them as one Walsh filter.  Measuring
-membership in one coset code + e gives outcome "inside" with the
-total probability of the strings whose syndrome is He, so one weighted
-histogram of the syndrome array gives the outcome probability of every
-coset test at once.
+accepted primal cosets in these coordinates, inside each of which the dual
+test acts as one Walsh filter.  The same frame locates every coset test of
+the corrector: a bit-flip coset C + e is one of its rows, a phase-flip
+coset one Walsh frequency of its rows.
 """
 
 from __future__ import annotations
@@ -45,16 +43,9 @@ def _parity_for(spec: CodeSpec, side: str) -> Gf2Matrix:
     return spec.parity_primal if side == "primal" else spec.parity_dual
 
 
-def syndrome_array(parity: Gf2Matrix) -> np.ndarray:
-    """H x for every x in F_2^n at once, indexed by the packed value of x.
-
-    H x is the sum of the columns of H picked by the bits of x, and bit p of
-    x is coordinate n-1-p, so this is the span table of H's columns in
-    reverse order, in the smallest unsigned dtype that holds a syndrome.
-    """
-    syn = _span_table(parity.transpose().row_values[::-1], parity.rows)
-    syn.setflags(write=False)
-    return syn
+def _frequency(syndrome: int, k: int) -> int:
+    """A k-bit dual syndrome as a Walsh frequency of u: syndrome row j is bit j of u."""
+    return int(f"{syndrome:0{k}b}"[::-1], 2)
 
 
 class MembershipPredicate:
@@ -66,7 +57,7 @@ class MembershipPredicate:
     of one error).
     """
 
-    __slots__ = ("kind", "spec", "accepted", "_syndromes", "_mask")
+    __slots__ = ("kind", "spec", "accepted", "_mask")
 
     def __init__(self, kind: str, spec: CodeSpec, accepted: frozenset[BitVec]):
         route, _, side = kind.partition("-")
@@ -75,7 +66,6 @@ class MembershipPredicate:
         self.kind = kind
         self.spec = spec
         self.accepted = accepted
-        self._syndromes = None
         self._mask = None
 
     @property
@@ -95,56 +85,52 @@ class MembershipPredicate:
             raise ValueError(f"length mismatch: {x.n} vs {self.spec.n}")
         return self.parity.mul_vec(x) in self.accepted
 
-    def syndromes(self) -> np.ndarray:
-        """The side's syndrome array, computed on first use and shared by cosets."""
-        if self._syndromes is None:
-            self._syndromes = syndrome_array(self.parity)
-        return self._syndromes
-
     def support_mask(self) -> np.ndarray:
-        """Boolean mask over all 2^n inputs, cached after first use."""
+        """The predicate's cosets scattered into a 2^n boolean mask, cached after first use."""
         if self._mask is None:
-            syn = self.syndromes()
-            if len(self.accepted) == 1:
-                (only,) = self.accepted
-                mask = syn == only.value
-            else:
-                good = np.zeros(1 << self.parity.rows, dtype=bool)
-                good[[s.value for s in self.accepted]] = True
-                mask = good[syn]
+            mask = np.zeros(1 << self.n, dtype=bool)
+            mask[self._cosets()] = True
             mask.setflags(write=False)
             self._mask = mask
         return self._mask
 
-    def coset_weights(self, weights: np.ndarray) -> np.ndarray:
-        """The total of weights[x] over each coset of the side's code, indexed by syndrome.
+    def _cosets(self) -> np.ndarray:
+        """The accepted strings, one coset per row, ascending by syndrome v.
 
-        With weights[x] the probability of basis string x, entry He is the
-        probability that a test of the coset side-code + e comes out inside.
+        Row v is leader(v) ^ c(u), c(u) summing the other side's parity rows
+        (a basis of the side-code) picked by the bits of u.  leader(v) puts
+        syndrome row j on the pivot column of the RREF parity row j, so
+        H leader(v) = v, which is checked, as is the count of basis rows.
         """
-        rows = self.parity.rows
-        return np.bincount(self.syndromes(), weights=weights, minlength=1 << rows)
+        parity, n = self.parity, self.n
+        basis = _parity_for(self.spec, "dual" if self.side == "primal" else "primal")
+        values = sorted(s.value for s in self.accepted)
+        # Bit i of a syndrome value is row parity.rows-1-i, so the pivots run bottom-up.
+        pivots = [1 << (r.bit_length() - 1) for r in reversed(parity.row_values)]
+        leaders = [sum(p for i, p in enumerate(pivots) if v >> i & 1) for v in values]
+        images = (parity.mul_vec(BitVec(n, x)).value for x in leaders)
+        if basis.rows + parity.rows != n or any(image != v for image, v in zip(images, values)):
+            raise ValueError("the parity rows are not RREF bases of the dual and the code")
+        codewords = _span_table(basis.row_values, n).astype(np.int64)
+        return np.array(leaders, dtype=np.int64)[:, None] ^ codewords
 
     def coset(self, error: BitVec) -> "MembershipPredicate":
         """Membership in the single coset side-code + error (accepted set {H error}).
 
         One such oracle exists per tolerated error vector; testing them in
-        sequence identifies which error occurred.  The result reads this
-        predicate's syndrome array instead of computing its own.
+        sequence identifies which error occurred.
         """
         if error.n != self.spec.n:
             raise ValueError("error vector length differs from the code length")
-        pred = MembershipPredicate(
+        return MembershipPredicate(
             f"coset-{self.side}", self.spec, frozenset({self.parity.mul_vec(error)})
         )
-        pred._syndromes = self.syndromes()
-        return pred
 
 
 def subset_predicate(spec: CodeSpec, side: str) -> MembershipPredicate:
     """Membership in the union of cosets side-code + e over tolerated e."""
     table = build_syndrome_table(_parity_for(spec, side), spec.q)
-    return MembershipPredicate(f"subset-{side}", spec, table.syndromes())
+    return MembershipPredicate(f"subset-{side}", spec, frozenset(table.entries))
 
 
 def syndrome_predicate(spec: CodeSpec, side: str) -> MembershipPredicate:
@@ -161,49 +147,56 @@ def syndrome_predicate(spec: CodeSpec, side: str) -> MembershipPredicate:
     return MembershipPredicate(f"syndrome-{side}", spec, frozenset(good))
 
 
+def predicate_pair(
+    spec: CodeSpec, approach: str = "subset"
+) -> tuple[MembershipPredicate, MembershipPredicate]:
+    """The primal and dual predicates of one approach, "subset" or "syndrome"."""
+    make = {"subset": subset_predicate, "syndrome": syndrome_predicate}.get(approach)
+    if make is None:
+        raise ValueError(f"unknown approach {approach!r}")
+    return make(spec, "primal"), make(spec, "dual")
+
+
 class VerifierFrame(NamedTuple):
     """Coordinates in which the verifier's projector P is block-diagonal.
 
-    Row v of index lists the accepted primal coset with syndrome v as
-    index[v, u] = leader(v) ^ c(u), where c(u) sums the dual predicate's
-    parity rows (a basis of the code) picked by the bits of u.  P keeps
-    these |S_p| cosets and acts inside each as the same 2^k-point Walsh
-    filter on u.  It passes frequency s when s, read as a syndrome under
-    those rows, is accepted by the dual predicate.  Row j of a syndrome is
-    bit j of s, so keep holds the dual's accepted syndrome values with their
-    k bits reversed.
+    Row r of index lists the accepted primal coset with syndrome rows[r] as
+    index[r, u] = leader ^ c(u), where c(u) sums the dual predicate's parity
+    rows (a basis of the code) picked by the bits of u.  P keeps these |S_p|
+    cosets and acts inside each as the same 2^k-point Walsh filter on u.  It
+    passes frequency s when s, read as a syndrome under those rows, is
+    accepted by the dual predicate.  Row j of a syndrome is bit j of s, so
+    keep holds the dual's accepted syndrome values with their k bits reversed.
     """
 
     n: int
     index: np.ndarray  # (|S_p|, 2^k) basis-string indices
     keep: np.ndarray  # accepted dual syndromes as Walsh frequencies of u
+    rows: np.ndarray  # the accepted primal syndrome of each row, ascending
 
     @classmethod
     def from_predicates(
         cls, primal: MembershipPredicate, dual: MembershipPredicate
     ) -> "VerifierFrame":
-        """The frame of two predicates' accepted sets; reads no mask or syndrome array.
+        """The frame of two predicates of one code's sides; reads no mask."""
+        k = dual.parity.rows
+        index = primal._cosets()
+        keep = np.array(sorted(_frequency(s.value, k) for s in dual.accepted), dtype=np.int64)
+        rows = np.array(sorted(s.value for s in primal.accepted), dtype=np.int64)
+        for array in (index, keep, rows):
+            array.setflags(write=False)
+        return cls(primal.n, index, keep, rows)
 
-        leader(v) puts syndrome row j on the pivot column of the primal
-        parity's RREF row j, the only row with a one there, so H leader(v) = v;
-        that identity is checked for every accepted v, and the dual parity's
-        rows are checked to be as many as a basis of the code needs.
+    def locate(self, side: str, syndromes: np.ndarray) -> np.ndarray:
+        """Where the cosets side-code + e of the accepted syndromes H e sit in the frame.
+
+        A bit-flip coset C + e is the row of its syndrome; a phase-flip coset
+        is the Walsh frequency of u that reads as its syndrome.
         """
-        parity = primal.parity
-        n, k = parity.cols, dual.parity.rows
-        syndromes = sorted(s.value for s in primal.accepted)
-        # Bit i of a syndrome value is row parity.rows-1-i, so the pivots run bottom-up.
-        pivots = [1 << (r.bit_length() - 1) for r in reversed(parity.row_values)]
-        leaders = [sum(p for i, p in enumerate(pivots) if v >> i & 1) for v in syndromes]
-        images = (parity.mul_vec(BitVec(n, x)).value for x in leaders)
-        if k + parity.rows != n or any(image != v for image, v in zip(images, syndromes)):
-            raise ValueError("the parity rows are not RREF bases of the dual and the code")
-        codewords = _span_table(dual.parity.row_values, n).astype(np.int64)
-        index = np.array(leaders, dtype=np.int64)[:, None] ^ codewords
-        keep = np.array(sorted(int(f"{s.value:0{k}b}"[::-1], 2) for s in dual.accepted))
-        index.setflags(write=False)
-        keep.setflags(write=False)
-        return cls(n, index, keep)
+        if side == "primal":
+            return np.searchsorted(self.rows, syndromes)
+        k = self.index.shape[1].bit_length() - 1
+        return np.array([_frequency(int(s), k) for s in syndromes], dtype=np.int64)
 
 
 class CombinedOracle:

@@ -33,6 +33,7 @@ import numpy as np
 
 from .codes import (
     CodeSpec,
+    _error_syndromes,
     certify,
     enumerate_errors,
     error_count,
@@ -40,12 +41,14 @@ from .codes import (
 )
 from .errors import SerialCollisionError, UndecodableError, UnknownSerialError
 from .gf2 import BasisMap, BitVec, Gf2Matrix, SubspaceBasis, random_bitvec
+from .gf2 import _independent_rows, _random_rows
 from .oracles import (
     MembershipPredicate,
     QueryLedger,
     VerifierFrame,
+    _parity_for,
+    predicate_pair,
     subset_predicate,
-    syndrome_predicate,
 )
 from .rng import Seed, as_generator, derive_sequence
 from .states import (
@@ -128,14 +131,9 @@ class OracleSession:
     """
 
     def __init__(self, registry: "OracleRegistry", serial: BitVec, approach: str = "subset"):
-        if approach not in ("subset", "syndrome"):
-            raise ValueError(f"unknown approach {approach!r}")
-        record = registry.record_for_serial(serial)
-        spec = record.spec
-        make = subset_predicate if approach == "subset" else syndrome_predicate
+        spec = registry.record_for_serial(serial).spec
         self._spec = spec
-        self._primal = make(spec, "primal")
-        self._dual = make(spec, "dual")
+        self._primal, self._dual = predicate_pair(spec, approach)
         self._frame = None
         self.serial = serial
         self.approach = approach
@@ -157,22 +155,23 @@ class OracleSession:
     def find_coset(self, side: str, weights: np.ndarray) -> BitVec | None:
         """The first tolerated error e whose coset side-code + e holds all but 1e-9 of weights.
 
-        weights[x] is the probability of basis string x.  The errors are tested
-        in lexicographic order, each test up to and including the match
-        charged as one coset query; None, with every test charged, when no
-        coset matches.
+        weights are in the session's frame (see frame_weights), which locates
+        each error's coset.  The errors are tested in lexicographic order, each
+        test up to and including the match charged as one coset query; None,
+        with every test charged, when no coset matches.
         """
-        pred = self._primal if side == "primal" else self._dual
-        errors = enumerate_errors(self.n, self._spec.q)
-        syn = pred.syndromes()
-        inside = pred.coset_weights(weights)[syn[[e.value for e in errors]]]
+        syndromes = _error_syndromes(_parity_for(self._spec, side), self._spec.q)
+        inside = weights[self.verifier_frame(passes=0).locate(side, syndromes)]
         hits = np.flatnonzero(inside > 1.0 - 1e-9)
-        tests = int(hits[0]) + 1 if hits.size else len(errors)
+        tests = int(hits[0]) + 1 if hits.size else len(inside)
         self.charge("coset", tests)
-        return errors[tests - 1] if hits.size else None
+        return enumerate_errors(self.n, self._spec.q)[tests - 1] if hits.size else None
 
     def verifier_frame(self, passes: int = 1) -> VerifierFrame:
-        """The verifier's coset frame, built once, charged as passes queries to each side."""
+        """The verifier's coset frame, built once, charged as passes queries to each side.
+
+        Coset tests read it with passes=0 to locate their cosets.
+        """
         self.charge("primal", passes)
         self.charge("dual", passes)
         if self._frame is None:
@@ -289,13 +288,6 @@ class OracleRegistry:
         return self._testers[z, side](x)
 
 
-def _random_full_rank(rng: np.random.Generator, rows: int, n: int) -> list[BitVec]:
-    while True:
-        cand = [random_bitvec(n, rng) for _ in range(rows)]
-        if SubspaceBasis(n, cand).dim == rows:
-            return cand
-
-
 def _conjugate_parts(spec: CodeSpec, rng: np.random.Generator) -> tuple[BitVec, BasisMap]:
     """Draw theta (weight n/2) and a basis whose theta-columns span the code."""
     n, k = spec.n, spec.n // 2
@@ -303,21 +295,16 @@ def _conjugate_parts(spec: CodeSpec, rng: np.random.Generator) -> tuple[BitVec, 
     theta = BitVec.from_support(n, positions)
     # A uniformly random basis of the code: an invertible combination of its
     # RREF rows.
-    mix = Gf2Matrix.from_rows(_random_full_rank(rng, k, k))
+    mix = Gf2Matrix(k, k, _independent_rows(k, k, rng))
     inside = list(mix @ spec.code.basis)
     # Complete with random outside columns until the whole matrix is invertible.
     while True:
-        outside = [random_bitvec(n, rng) for _ in range(n - k)]
-        columns: list[BitVec] = []
-        it_in = iter(inside)
-        it_out = iter(outside)
-        for i in range(n):
-            columns.append(next(it_in) if theta.bit(i) else next(it_out))
+        it_in, it_out = iter(inside), iter(_random_rows(n, n - k, rng))
+        columns = [next(it_in) if theta.bit(i) else BitVec(n, next(it_out)) for i in range(n)]
         try:
-            bmap = BasisMap.from_columns(columns)
+            return theta, BasisMap.from_columns(columns)
         except ValueError:
             continue
-        return theta, bmap
 
 
 # -- minting -------------------------------------------------------------------
@@ -596,16 +583,22 @@ def _project(amps: np.ndarray, frame: VerifierFrame) -> np.ndarray:
 
 
 def _trace_with_frame(mat: np.ndarray, frame: VerifierFrame) -> np.ndarray:
-    """tr(P mat) over the last two axes, from XOR-diagonal sums and one 2^k-point transform.
+    """tr(P mat) over the last two axes: the kept entries of _frequency_weights."""
+    return _frequency_weights(mat, frame)[..., frame.keep].sum(axis=-1)
 
-    On each accepted coset, P[u, t] = (1/2^k) sum over kept s of (-1)^(s.(u^t)), so
-    tr(P mat) is (1/2^k) times the kept entries of fwht(sums), where sums[w] adds
-    mat[index[v, t], index[v, t ^ w]] over every accepted coset v and every t.
+
+def _frequency_weights(mat: np.ndarray, frame: VerifierFrame) -> np.ndarray:
+    """<s|H mat H|s> summed over the accepted cosets, for every Walsh frequency s of u.
+
+    On each accepted coset the projector onto frequency s has entries
+    (1/2^k) (-1)^(s.(u^t)), so the weights are fwht(sums) / 2^k, where
+    sums[w] adds mat[index[v, t], index[v, t ^ w]] over every accepted coset
+    v and every t.
     """
     index = frame.index
     u = np.arange(index.shape[1])
     sums = mat[..., index[:, :, None], index[:, u[:, None] ^ u]].sum(axis=(-3, -2))
-    return fwht(sums)[..., frame.keep].sum(axis=-1) / index.shape[1]
+    return fwht(sums) / index.shape[1]
 
 
 def verification_matrix(spec: CodeSpec, approach: str = "subset") -> np.ndarray:
@@ -614,8 +607,7 @@ def verification_matrix(spec: CodeSpec, approach: str = "subset") -> np.ndarray:
     For an applicable code this equals the projector onto the span of all
     tolerated coset states.
     """
-    make = subset_predicate if approach == "subset" else syndrome_predicate
-    frame = VerifierFrame.from_predicates(make(spec, "primal"), make(spec, "dual"))
+    frame = VerifierFrame.from_predicates(*predicate_pair(spec, approach))
     return _project(np.eye(1 << spec.n), frame)
 
 
@@ -630,26 +622,18 @@ def diagnose(
 ) -> tuple[BitVec, BitVec]:
     """Identify the Pauli error on a tolerated coset state by syndrome decoding.
 
-    The bit-flip cosets are tested on the computational-basis probabilities,
-    the phase-flip cosets on the Hadamard-basis ones (the diagonal of H rho H
-    for a mixed note); each side's coset probabilities come from one
-    histogram over its syndrome array, and the session charges one coset
-    query per error tested in lexicographic order.  Raises UndecodableError
-    when no coset holds all but 1e-9 of the probability.
+    Both sides are read in the session's verifier frame (see frame_weights),
+    not charged as a primal or dual query; the session charges one coset
+    query per error tested in lexicographic order.  The phase-flip weights
+    cover only the accepted bit-flip cosets, so they differ from the note's
+    full Hadamard-basis marginal by at most its weight outside them, below
+    1e-9 once the bit-flip test has matched.  Raises UndecodableError when no
+    coset holds all but 1e-9 of the probability.
     """
     registry.record_for_serial(note.serial)  # raises UnknownSerialError
     if session is None:
         session = registry.session(note.serial)
-    state = _as_state(note.state)
-    dim = 1 << state.n
-    if isinstance(state, DenseState):
-        bit_flip = np.abs(state.amplitudes) ** 2
-        phase_flip = np.abs(fwht(state.amplitudes)) ** 2 / dim
-    else:
-        # The imaginary part of a Hermitian rho adds nothing to the diagonal of H rho H.
-        rho = state.matrix.real
-        bit_flip = np.diagonal(rho)
-        phase_flip = np.diagonal(fwht(fwht(rho).T)) / dim
+    bit_flip, phase_flip = frame_weights(_as_state(note.state), session.verifier_frame(passes=0))
     e = session.find_coset("primal", bit_flip)
     if e is None:
         raise UndecodableError("state lies in no tolerated bit-flip coset")
@@ -657,6 +641,22 @@ def diagnose(
     if ep is None:
         raise UndecodableError("state lies in no tolerated phase-flip coset")
     return e, ep
+
+
+def frame_weights(state: State, frame: VerifierFrame) -> tuple[np.ndarray, np.ndarray]:
+    """The state's probability on each accepted bit-flip coset (frame row) and phase-flip frequency.
+
+    A frequency s of u counts the Hadamard-basis weight within the accepted
+    cosets only: |fwht(amps[index])|^2 summed over rows / 2^k.
+    """
+    index = frame.index
+    if isinstance(state, DenseState):
+        cosets = state.amplitudes[index]
+        spectrum = (np.abs(fwht(cosets)) ** 2).sum(axis=0) / index.shape[1]
+        return (np.abs(cosets) ** 2).sum(axis=1), spectrum
+    # The imaginary part of a Hermitian rho adds nothing to either diagonal.
+    rho = state.matrix.real
+    return np.diagonal(rho)[index].sum(axis=1), _frequency_weights(rho, frame)
 
 
 def correct(

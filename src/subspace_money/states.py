@@ -337,10 +337,13 @@ def fidelity(a: State, b: State) -> float:
 
 
 def dump_state(st: DenseState) -> str:
-    """One line per nonzero amplitude: '<bitstring> <re> <im>', in index order."""
+    """One line per nonzero amplitude: '<bitstring> <re> <im>', in index order.
+
+    Adding 0.0 writes a -0 part as 0, so equal states give equal files.
+    """
     support = np.flatnonzero(st.amplitudes)
     lines = [
-        f"{i:0{st.n}b} {amp.real:.17g} {amp.imag:.17g}"
+        f"{i:0{st.n}b} {amp.real + 0.0:.17g} {amp.imag + 0.0:.17g}"
         for i, amp in zip(support.tolist(), st.amplitudes[support].tolist())
     ]
     return "\n".join(lines) + "\n"

@@ -2,8 +2,9 @@
 
 None of these runs on a library path.  They compute the same quantities as
 the package by slower, more literal routes: the tolerated coset states one
-by one, the phase oracle as a sign flip over a 2^n mask, the verifier as
-the four-stage pipeline M_dual, FWHT, M_primal on full 2^n masks, code
+by one, predicate masks as a lookup of H x over all 2^n strings, the phase
+oracle as a sign flip over a 2^n mask, the verifier as the four-stage
+pipeline M_dual, FWHT, M_primal on full 2^n masks, code
 search by exhaustive minimum distances, syndrome tables one matrix-vector
 product per error, and RREF column by column.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from subspace_money.codes import CodeSpec, enumerate_errors
 from subspace_money.errors import CodeSearchError, SyndromeCollisionError
-from subspace_money.gf2 import BitVec, Gf2Matrix, SubspaceBasis, random_bitvec
+from subspace_money.gf2 import BitVec, Gf2Matrix, SubspaceBasis, _span_table, random_bitvec
 from subspace_money.rng import Seed, as_generator
 from subspace_money.states import (
     ATOL_INVARIANT,
@@ -78,6 +79,23 @@ def fidelity_with_span(st: State, basis_states: Sequence[DenseState]) -> float:
         return float(np.sqrt((np.abs(coeffs) ** 2).sum()))
     overlap = np.real(((mat.conj() @ st.matrix) * mat).sum())
     return float(np.sqrt(max(overlap, 0.0)))
+
+
+def syndrome_array(parity: Gf2Matrix) -> np.ndarray:
+    """H x for every x in F_2^n at once, indexed by the packed value of x.
+
+    H x is the sum of the columns of H picked by the bits of x, and bit p of
+    x is coordinate n-1-p, so this is the span table of H's columns in
+    reverse order.
+    """
+    return _span_table(parity.transpose().row_values[::-1], parity.rows)
+
+
+def syndrome_mask(pred) -> np.ndarray:
+    """The predicate's mask over all 2^n strings: its accepted set looked up at H x."""
+    good = np.zeros(1 << pred.parity.rows, dtype=bool)
+    good[[s.value for s in pred.accepted]] = True
+    return good[syndrome_array(pred.parity)]
 
 
 def apply_phase_oracle(pred, st: State) -> State:

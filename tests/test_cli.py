@@ -146,6 +146,33 @@ def test_undecodable_correct_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# SHA-256 of the bank key written by `mint --seed 13 --n 10 --q 1 --route
+# conjugate`: theta, the code's mixing matrix and the outside basis columns
+# are all drawn from the record's basis stream.
+CONJUGATE_BANK_KEY_DIGEST = "051612eee087ca037241e612dcce6a0a3423e2ccaffa74f50e25d3b2a657e1e4"
+
+
+def test_mint_conjugate_bank_key_is_pinned(tmp_path, capsys):
+    note = tmp_path / "note.json"
+    rc = run_cli("--seed", 13, "--out", note, "mint", "--n", 10, "--q", 1, "--route", "conjugate")
+    assert rc == 0
+    digest = hashlib.sha256(note.with_suffix(".bank.json").read_bytes()).hexdigest()
+    assert digest == CONJUGATE_BANK_KEY_DIGEST
+
+
+@pytest.mark.parametrize("n", [6, 14])
+def test_corrected_note_file_equals_the_fresh_one(tmp_path, capsys, n):
+    # Correction restores the amplitudes exactly, and the file writes no -0
+    # parts, so mint -> corrupt (X and Z) -> correct gives back the same bytes.
+    note, bad, fixed = tmp_path / "note.json", tmp_path / "bad.json", tmp_path / "fixed.json"
+    assert run_cli("--seed", 20, "--out", note, "mint", "--n", n, "--q", 1) == 0
+    e, ez = "1" + "0" * (n - 1), "0" * (n - 1) + "1"
+    assert run_cli("--seed", 0, "--out", bad, "corrupt", note, "--e", e, "--ez", ez) == 0
+    bank = note.with_suffix(".bank.json")
+    assert run_cli("--seed", 0, "--out", fixed, "correct", bad, "--bank", bank) == 0
+    assert fixed.read_bytes() == note.read_bytes()
+
+
 def test_attack_writes_csv(tmp_path, capsys):
     out = tmp_path / "attack.csv"
     rc = run_cli(

@@ -1,4 +1,4 @@
-"""Tests for membership predicates, phase oracles, coset weights and query accounting."""
+"""Tests for membership predicates, phase oracles, coset frames and query accounting."""
 
 import dataclasses
 
@@ -7,15 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subspace_money.codes import certify, enumerate_errors, error_count, search_applicable_code
-from subspace_money.gf2 import BitVec, Gf2Matrix
+from subspace_money.codes import (
+    CodeSpec,
+    certify,
+    enumerate_errors,
+    error_count,
+    search_applicable_code,
+)
+from subspace_money.errors import SyndromeCollisionError
+from subspace_money.gf2 import BitVec, Gf2Matrix, random_subspace
 from subspace_money.oracles import (
+    SIDES,
     CombinedOracle,
     QueryLedger,
     VerifierFrame,
+    predicate_pair,
     subset_predicate,
     syndrome_predicate,
 )
+from subspace_money.scheme import frame_weights
 from subspace_money.states import (
     ATOL_EXACT,
     DenseState,
@@ -24,7 +34,7 @@ from subspace_money.states import (
     subspace_state,
 )
 
-from reference import apply_phase_oracle
+from reference import apply_phase_oracle, syndrome_mask
 
 
 def bv(s):
@@ -128,44 +138,48 @@ def test_phase_oracle_padding_tag_is_identity(worked_spec):
     assert max_deviation(st, out) == 0
 
 
-def subset_probability(pred, weights):
-    """Probability of the predicate's set, summed from its per-coset histogram."""
-    return float(pred.coset_weights(weights)[[s.value for s in pred.accepted]].sum())
+def subset_frame(spec):
+    return VerifierFrame.from_predicates(*predicate_pair(spec))
+
+
+def subset_probability(spec, state):
+    """Probability of the primal subset, summed from the frame's per-coset row weights."""
+    return float(frame_weights(state, subset_frame(spec))[0].sum())
 
 
 def test_coset_weights_match_direct_masking(worked_spec):
     pred = subset_predicate(worked_spec, "primal")
+    frame = subset_frame(worked_spec)
     rng = np.random.default_rng(7)
     amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    probs = DenseState(6, amps / np.linalg.norm(amps)).probabilities()
-    weights = pred.coset_weights(probs)
-    assert weights.shape == (8,)
+    state = DenseState(6, amps / np.linalg.norm(amps))
+    probs = state.probabilities()
+    weights, _ = frame_weights(state, frame)
+    assert weights.shape == (7,)
     for e in enumerate_errors(6, 1):
         direct = probs[pred.coset(e).support_mask()].sum()
-        assert weights[pred.parity.mul_vec(e).value] == pytest.approx(direct, abs=1e-15)
+        (row,) = frame.locate("primal", [pred.parity.mul_vec(e).value])
+        assert weights[row] == pytest.approx(direct, abs=1e-15)
     prob_in = float(probs[pred.support_mask()].sum())
-    assert subset_probability(pred, probs) == pytest.approx(prob_in, abs=1e-15)
+    assert subset_probability(worked_spec, state) == pytest.approx(prob_in, abs=1e-15)
 
 
 def test_coset_weights_of_code_and_outside_states(worked_spec):
-    pred = subset_predicate(worked_spec, "primal")
     inside_state = subspace_state(worked_spec.code)
-    assert subset_probability(pred, inside_state.probabilities()) == pytest.approx(1.0, abs=1e-12)
+    assert subset_probability(worked_spec, inside_state) == pytest.approx(1.0, abs=1e-12)
 
     outside_state = DenseState.basis_state(6, bv("000111"))
-    assert subset_probability(pred, outside_state.probabilities()) == 0.0
+    assert subset_probability(worked_spec, outside_state) == 0.0
 
 
 def test_project_uniform_superposition(worked_spec):
-    pred = subset_predicate(worked_spec, "primal")
-    prob = subset_probability(pred, DenseState.uniform(6).probabilities())
+    prob = subset_probability(worked_spec, DenseState.uniform(6))
     assert prob == pytest.approx(56 / 64, abs=1e-12)
 
 
 def test_project_mixed_state(worked_spec):
-    pred = subset_predicate(worked_spec, "primal")
-    diagonal = np.diagonal(MixedState.maximally_mixed(6).matrix).real
-    assert subset_probability(pred, diagonal) == pytest.approx(56 / 64, abs=1e-12)
+    prob = subset_probability(worked_spec, MixedState.maximally_mixed(6))
+    assert prob == pytest.approx(56 / 64, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +301,16 @@ def test_randomized_agreement_large_n():
 
 
 @settings(max_examples=8, deadline=None)
-@given(n=st.sampled_from([6, 8, 10, 12]), seed=st.integers(0, 2**32 - 1))
-def test_syndrome_array_masks_match_per_string_reference(n, seed):
+@given(n=st.sampled_from([6, 8, 10, 12]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_syndrome_array_masks_match_per_string_reference(n, seed, data):
     spec = search_applicable_code(n, 1, seed=seed)
     oracle = CombinedOracle(spec)
     xs = [BitVec(n, v) for v in range(1 << n)]
-    for side in ("primal", "dual"):
+    for side in SIDES:
         subset = subset_predicate(spec, side)
         for pred in (subset, syndrome_predicate(spec, side)):
             assert np.array_equal(pred.support_mask(), [pred(x) for x in xs])
+            assert np.array_equal(pred.support_mask(), syndrome_mask(pred))
         code = spec.code if side == "primal" else spec.dual_code
         union = np.zeros(1 << n, dtype=int)
         for e in oracle.errors:
@@ -307,6 +322,22 @@ def test_syndrome_array_masks_match_per_string_reference(n, seed):
         # The coset masks partition the subset mask.
         assert union.max() == 1
         assert np.array_equal(union.astype(bool), subset.support_mask())
+
+    # Codes of any dimension and tolerance, applicable or not, on both routes
+    # and every coset predicate, against the lookup of H x over all strings.
+    m = data.draw(st.integers(2, n), label="length")
+    k = data.draw(st.integers(1, m - 1), label="k")
+    q = data.draw(st.sampled_from([0, 1, 2]), label="q")
+    spec = CodeSpec.build(random_subspace(m, k, seed), q)
+    for side in SIDES:
+        preds = [syndrome_predicate(spec, side)]
+        try:
+            preds.append(subset_predicate(spec, side))
+        except SyndromeCollisionError:
+            pass  # two tolerated errors share a syndrome on this side
+        preds += [preds[0].coset(e) for e in enumerate_errors(m, q)]
+        for pred in preds:
+            assert np.array_equal(pred.support_mask(), syndrome_mask(pred)), pred.kind
 
 
 def test_verifier_frame_needs_the_canonical_parity_rows(worked_spec):

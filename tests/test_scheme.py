@@ -14,7 +14,12 @@ from subspace_money.codes import CodeSpec, enumerate_errors
 from subspace_money.errors import SyndromeCollisionError, UndecodableError, UnknownSerialError
 from subspace_money.experiments import ATTACK_KINDS, run_attack
 from subspace_money.gf2 import BitVec, SubspaceBasis, random_bitvec, random_subspace
-from subspace_money.oracles import VerifierFrame, subset_predicate, syndrome_predicate
+from subspace_money.oracles import (
+    VerifierFrame,
+    predicate_pair,
+    subset_predicate,
+    syndrome_predicate,
+)
 from subspace_money.scheme import (
     Banknote,
     MintRecord,
@@ -27,6 +32,7 @@ from subspace_money.scheme import (
     diagnose,
     double_verify,
     dumps_banknote,
+    frame_weights,
     load_banknote,
     load_record,
     mint_conjugate,
@@ -58,6 +64,7 @@ from reference import (
     masked_projection,
     masked_transform,
     session_phase,
+    syndrome_array,
     tolerated_coset_states,
     tolerated_projector,
 )
@@ -402,6 +409,22 @@ def test_verification_matrix_is_tolerated_projector(worked_spec):
     assert rank == 49
 
 
+def test_unknown_approach_is_refused(worked_registry, worked_spec):
+    reg, record = worked_registry
+    with pytest.raises(ValueError, match="unknown approach 'bogus'"):
+        verification_matrix(worked_spec, approach="bogus")
+    with pytest.raises(ValueError, match="unknown approach 'bogus'"):
+        reg.session(record.serial, approach="bogus")
+
+
+def test_find_coset_refuses_unknown_side(worked_registry):
+    reg, record = worked_registry
+    session = reg.session(record.serial)
+    with pytest.raises(ValueError, match="side must be one of"):
+        session.find_coset("bogus", np.ones(8))
+    assert session.ledger.counters == {"primal": 0, "dual": 0, "combined": 0, "coset": 0}
+
+
 # ---------------------------------------------------------------------------
 # double verification
 
@@ -653,10 +676,16 @@ def test_verifier_reads_no_mask_or_syndrome_array(monkeypatch, registry):
 
     note = mint_direct(registry, BitVec.zeros(6))
     monkeypatch.setattr(oracles.MembershipPredicate, "support_mask", refuse)
-    monkeypatch.setattr(oracles.MembershipPredicate, "syndromes", refuse)
     assert verify(registry, note, rng=0).accept_probability == 1.0
     bad = corrupt(note, bv("110000"), BitVec.zeros(6))
     assert verify(registry, bad, approach="syndrome", rng=0).accept_probability <= 1.0
+    e, ep = bv("010000"), bv("000100")
+    pure = corrupt(note, e, ep)
+    mixed_note = Banknote(note.serial, MixedState.from_pure(pure.state))
+    assert diagnose(registry, pure) == diagnose(registry, mixed_note) == (e, ep)
+    assert max_deviation(correct(registry, pure).state, note.state) < ATOL_EXACT
+    fresh = MixedState.from_pure(note.state).matrix
+    assert np.abs(correct(registry, mixed_note).state.matrix - fresh).max() <= 1e-12
     mixed = MixedState.maximally_mixed(6)
     prob, _ = double_verify(registry, note.serial, (note.state, mixed), rng=0)
     assert prob == pytest.approx(49 / 64, abs=1e-12)
@@ -665,6 +694,22 @@ def test_verifier_reads_no_mask_or_syndrome_array(monkeypatch, registry):
     assert prob == pytest.approx(1.0, abs=1e-12)
     for kind in ATTACK_KINDS:
         run_attack(registry, kind, 20, seed=1)
+
+
+def test_diagnose_n18_allocates_no_dense_array():
+    # Both sides are read on the accepted cosets, so diagnose allocates
+    # nothing of the note's size: no 2^n probabilities and no 2^n transform.
+    reg = OracleRegistry(18, 1, master_seed=1818)
+    errors = enumerate_errors(18, 1)
+    note = corrupt(mint_direct(reg, BitVec.zeros(18)), errors[-1], errors[-1])
+    tracemalloc.start()
+    try:
+        found = diagnose(reg, note)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == (errors[-1], errors[-1])
+    assert peak < note.state.amplitudes.nbytes / 4
 
 
 def test_verify_n18_allocates_only_the_post_state():
@@ -759,7 +804,7 @@ def reference_coset_index(spec, side, weights):
     Sums weights over one syn == H e mask per error, one coset at a time.
     """
     parity = spec.parity_primal if side == "primal" else spec.parity_dual
-    syn = oracles.syndrome_array(parity)
+    syn = syndrome_array(parity)
     for i, e in enumerate(enumerate_errors(spec.n, spec.q)):
         if weights[syn == parity.mul_vec(e).value].sum() > 1.0 - 1e-9:
             return i
@@ -821,8 +866,11 @@ def test_diagnose_matches_per_coset_reference(n, seed, kind, data):
     assert reference_coset_index(spec, "dual", phase_flip) == j
     session = reg.session(record.serial)
     assert diagnose(reg, note, session=session) == (errors[i], errors[j])
-    assert session.ledger.counters["coset"] == (i + 1) + (j + 1)
-    for side, weights, index in (("primal", bit_flip, i), ("dual", phase_flip, j)):
+    assert session.ledger.counters == {"primal": 0, "dual": 0, "combined": 0, "coset": i + j + 2}
+    # The same tests in frame coordinates: bit-flip rows, phase-flip frequencies.
+    frame = VerifierFrame.from_predicates(*predicate_pair(spec))
+    state = coset_to_dense(note.state) if kind == "label" else note.state
+    for side, weights, index in zip(("primal", "dual"), frame_weights(state, frame), (i, j)):
         session = reg.session(record.serial)
         assert session.find_coset(side, weights) == errors[index]
         assert session.ledger.counters["coset"] == index + 1
