@@ -74,7 +74,6 @@ from .scheme import (
     OracleRegistry,
     OracleSession,
     VerifyOutcome,
-    apply_verifier,
     conjugate_coding_state,
     conjugate_coset_parameters,
     correct,

@@ -138,12 +138,8 @@ def main(argv=None) -> int:
         args.seed = int(np.random.SeedSequence().entropy % (1 << 62))
         print(f"seed: {args.seed} (drawn; pass --seed {args.seed} to reproduce)")
     try:
-        handler = _HANDLERS[args.command]
-        return handler(args)
-    except DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        return _HANDLERS[args.command](args)
+    except (*DOMAIN_ERRORS, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -179,16 +175,9 @@ def _cmd_gencode(args) -> int:
     return 0
 
 
-def _registry_from_args(args) -> OracleRegistry:
-    return OracleRegistry(args.n, args.q, master_seed=args.seed, route=args.route)
-
-
 def _cmd_mint(args) -> int:
-    registry = _registry_from_args(args)
-    if args.r is not None:
-        r = BitVec.from_string(args.r)
-    else:
-        r = random_bitvec(args.n, args.seed)
+    registry = OracleRegistry(args.n, args.q, master_seed=args.seed, route=args.route)
+    r = random_bitvec(args.n, args.seed) if args.r is None else BitVec.from_string(args.r)
     if args.code is not None:
         if args.route == "conjugate":
             raise ValueError("--code supports only the direct route")

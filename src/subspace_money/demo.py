@@ -13,7 +13,7 @@ import json
 import math
 from pathlib import Path
 
-from .codes import CodeSpec, build_syndrome_table, certify
+from .codes import CodeSpec, build_syndrome_table, certify, save_code
 from .errors import UndecodableError
 from .experiments import completeness_sweep
 from .gf2 import BitVec, Gf2Matrix, SubspaceBasis, random_bitvec
@@ -166,8 +166,6 @@ def run(out_dir: Path | None = None, seed: int | None = 0, as_json: bool = False
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         sweep.save(out_dir)
-        from .codes import save_code
-
         save_code(spec, out_dir / "worked-code.json")
     if failed and not as_json:
         print(f"FAILED: {', '.join(failed)}")

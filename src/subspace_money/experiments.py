@@ -7,6 +7,7 @@ stable column order, so reruns are byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,6 +17,7 @@ import numpy as np
 
 from .codes import (
     CodeSpec,
+    build_syndrome_table,
     count_error_pairs,
     enumerate_errors,
     error_count,
@@ -26,7 +28,7 @@ from .codes import (
 from .gf2 import BitVec, random_bitvec
 from .oracles import VerifierFrame, predicate_pair
 from .rng import Seed, as_generator
-from .scheme import OracleRegistry, apply_frame, mint_direct, register_probability
+from .scheme import OracleRegistry, kept_spectrum, mint_direct, register_probability
 from .states import MixedState, coset_state
 
 WILSON_Z95 = 1.959963984540054
@@ -101,12 +103,12 @@ def completeness_sweep(spec: CodeSpec, *, probe_undecodable: bool = False) -> Ex
     for e in errors:
         for ep in errors:
             state = coset_state(spec.code, e, ep)
-            prob, _ = apply_frame(state, frame)
+            prob, _ = kept_spectrum(state, frame)
             rows.append((str(e), str(ep), prob))
     if probe_undecodable:
         probe = _undecodable_probe(spec)
         state = coset_state(spec.code, probe, BitVec.zeros(spec.n))
-        prob, _ = apply_frame(state, frame)
+        prob, _ = kept_spectrum(state, frame)
         rows.append((str(probe), "0" * spec.n, prob))
     return ExperimentReport(
         name="completeness",
@@ -118,10 +120,6 @@ def completeness_sweep(spec: CodeSpec, *, probe_undecodable: bool = False) -> Ex
 
 def _undecodable_probe(spec: CodeSpec) -> BitVec:
     """A weight-(q+1) bit-flip pattern whose syndrome decodes to nothing."""
-    import itertools
-
-    from .codes import build_syndrome_table
-
     table = build_syndrome_table(spec.parity_primal, spec.q)
     for positions in itertools.combinations(range(spec.n), spec.q + 1):
         e = BitVec.from_support(spec.n, positions)

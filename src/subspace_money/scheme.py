@@ -26,8 +26,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .errors import SerialCollisionError, UndecodableError, UnknownSerialError
 from .gf2 import BasisMap, BitVec, Gf2Matrix, SubspaceBasis, random_bitvec
 from .gf2 import _independent_rows, _random_rows
 from .oracles import (
+    SIDES,
     MembershipPredicate,
     QueryLedger,
     VerifierFrame,
@@ -109,11 +111,24 @@ class MintRecord:
                 raise ValueError("theta-selected basis columns do not span the code")
 
 
-class VerifyOutcome(NamedTuple):
-    accepted: bool
-    accept_probability: float
-    post_state: State | None
-    reason: str | None = None
+class VerifyOutcome:
+    """Ver's sampled decision, exact acceptance probability, accepted branch and rejection reason.
+
+    Unpacks as (accepted, accept_probability, post_state, reason).
+    """
+
+    def __init__(self, accepted: bool, accept_probability: float,
+                 build: Callable[[], State] | None = None, reason: str | None = None):
+        self.accepted, self.accept_probability, self.reason = accepted, accept_probability, reason
+        self._build = build
+
+    @cached_property
+    def post_state(self) -> State | None:
+        """The accepted branch, built on first read by apply_frame's builder; None at probability 0."""
+        return None if self._build is None else self._build()
+
+    def __iter__(self):
+        return iter((self.accepted, self.accept_probability, self.post_state, self.reason))
 
 
 class DoubleVerifyOutcome(NamedTuple):
@@ -148,6 +163,8 @@ class OracleSession:
         self.ledger = self.ledger.charge(name, count)
 
     def member(self, side: str, x: BitVec) -> bool:
+        if side not in SIDES:
+            raise ValueError(f"side must be one of {SIDES}, got {side!r}")
         pred = self._primal if side == "primal" else self._dual
         self.charge(side)
         return pred(x)
@@ -250,9 +267,6 @@ class OracleRegistry:
                 raise ValueError(f"record's code fails certification ({failed})")
         if record.serial in self.serial_index and self.serial_index[record.serial] != record.r:
             raise SerialCollisionError(f"serial {record.serial} already issued")
-        self._install(record)
-
-    def _install(self, record: MintRecord) -> None:
         self.records[record.r] = record
         self.serial_index[record.serial] = record.r
 
@@ -413,44 +427,48 @@ def _as_state(note_state: Union[DenseState, CosetLabel, MixedState]) -> State:
     return note_state
 
 
-def apply_verifier(state: State, primal_pred, dual_pred) -> tuple[float, State | None]:
-    """Run verify's coset-frame kernel on the predicates' accepted sets, dense or mixed state.
+def apply_frame(state: State, frame: VerifierFrame) -> tuple[float, Callable[[], State] | None]:
+    """P on one register, in a prebuilt frame: the acceptance probability and a post-state builder.
 
-    Returns the exact acceptance probability (for a pure state the product
-    of the two stage probabilities; rounding above one is clipped) and the
-    accepted-branch post-state in the computational basis; None when the
-    probability is zero.
+    A pure state runs only kept_spectrum here, and its builder makes the 2^n
+    post-state; a mixed state's is made here.  The builder is None at probability zero.
     """
-    return apply_frame(state, VerifierFrame.from_predicates(primal_pred, dual_pred))
-
-
-def apply_frame(state: State, frame: VerifierFrame) -> tuple[float, State | None]:
-    """P on one register, in a prebuilt frame: acceptance probability and post-state.
-
-    A pure state is normalised on its accepted cosets before the transform,
-    so the second stage's probability is a unit vector's kept energy / 2^k.
-    """
-    index, keep = frame.index, frame.keep
-    size = index.shape[1]
     if isinstance(state, DenseState):
-        cosets = state.amplitudes[index]
-        prob1 = float(np.vdot(cosets, cosets).real)
-        if prob1 == 0.0:
-            return 0.0, None
-        spectrum = fwht(cosets / math.sqrt(prob1))
-        kept = np.zeros_like(spectrum)
-        kept[:, keep] = spectrum[:, keep]
-        prob2 = float(np.vdot(kept, kept).real) / size
-        if prob2 == 0.0:
-            return 0.0, None
-        post = np.zeros_like(state.amplitudes)
-        post[index] = fwht(kept) / (size * math.sqrt(prob2))
-        return min(prob1 * prob2, 1.0), DenseState._own(state.n, post)
+        prob, kept = kept_spectrum(state, frame)
+        return prob, None if kept is None else partial(_post_state, state.n, kept, frame)
     sandwich = _project(_project(state.matrix, frame).T, frame).T
     prob = float(np.trace(sandwich).real)
     if prob <= 0.0:
         return 0.0, None
-    return min(prob, 1.0), MixedState._own(state.n, sandwich / prob)
+    return min(prob, 1.0), partial(MixedState._own, state.n, sandwich / prob)
+
+
+def kept_spectrum(state: DenseState, frame: VerifierFrame) -> tuple[float, np.ndarray | None]:
+    """Ver's probability kernel: the acceptance probability and the kept (|S_p|, 2^k) spectrum.
+
+    The accepted cosets are normalised before the transform, so the second
+    stage's probability is a unit vector's kept energy / 2^k; the product is
+    clipped at one.  The spectrum is None when the probability is zero.
+    """
+    cosets = state.amplitudes[frame.index]
+    prob1 = float(np.vdot(cosets, cosets).real)
+    if prob1 == 0.0:
+        return 0.0, None
+    spectrum = fwht(cosets / math.sqrt(prob1))
+    kept = np.zeros_like(spectrum)
+    kept[:, frame.keep] = spectrum[:, frame.keep]
+    prob2 = float(np.vdot(kept, kept).real) / frame.index.shape[1]
+    if prob2 == 0.0:
+        return 0.0, None
+    return min(prob1 * prob2, 1.0), kept
+
+
+def _post_state(n: int, kept: np.ndarray, frame: VerifierFrame) -> DenseState:
+    """The normalised accepted branch of a kept spectrum, in a fresh 2^n vector."""
+    size = frame.index.shape[1]
+    post = np.zeros(1 << n, dtype=kept.dtype)
+    post[frame.index] = fwht(kept) / (size * math.sqrt(float(np.vdot(kept, kept).real) / size))
+    return DenseState._own(n, post)
 
 
 def verify(
@@ -464,19 +482,17 @@ def verify(
     """Ver: reject unknown serials, then apply P in the session's charged frame.
 
     Only the |E_q| accepted bit-flip cosets of the note are read, 2^k
-    amplitudes each, and each goes through one 2^k-point Walsh filter and
-    back; the post-state is scattered into a fresh 2^n vector.  The outcome
-    carries both the exact acceptance probability and one sampled decision;
-    the post-state is the accepted branch whenever it exists, regardless of
-    how the sample came out.
+    amplitudes each, and each goes through one 2^k-point Walsh filter; the
+    post-state is built on first read.  The outcome carries both the exact
+    acceptance probability and one sampled decision; the post-state is the
+    accepted branch whenever it exists, regardless of how the sample came out.
     """
     if not registry.serial_check(note.serial):
         return VerifyOutcome(False, 0.0, None, reason="unknown serial")
     if session is None:
         session = registry.session(note.serial, approach)
-    prob, post = apply_frame(_as_state(note.state), session.verifier_frame())
-    accepted = _sample(registry, rng, prob)
-    return VerifyOutcome(accepted, prob, post)
+    prob, build = apply_frame(_as_state(note.state), session.verifier_frame())
+    return VerifyOutcome(_sample(registry, rng, prob), prob, build)
 
 
 def _sample(registry: OracleRegistry, rng: Seed | None, prob: float) -> bool:

@@ -4,9 +4,10 @@ None of these runs on a library path.  They compute the same quantities as
 the package by slower, more literal routes: the tolerated coset states one
 by one, predicate masks as a lookup of H x over all 2^n strings, the phase
 oracle as a sign flip over a 2^n mask, the verifier as the four-stage
-pipeline M_dual, FWHT, M_primal on full 2^n masks, code
-search by exhaustive minimum distances, syndrome tables one matrix-vector
-product per error, and RREF column by column.
+pipeline M_dual, FWHT, M_primal on full 2^n masks, or in its coset frame
+with the post-state built at once, code search by exhaustive minimum
+distances, syndrome tables one matrix-vector product per error, and RREF
+column by column.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import numpy as np
 from subspace_money.codes import CodeSpec, enumerate_errors
 from subspace_money.errors import CodeSearchError, SyndromeCollisionError
 from subspace_money.gf2 import BitVec, Gf2Matrix, SubspaceBasis, _span_table, random_bitvec
+from subspace_money.oracles import VerifierFrame
 from subspace_money.rng import Seed, as_generator
+from subspace_money.scheme import _project, apply_frame
 from subspace_money.states import (
     ATOL_INVARIANT,
     DEFAULT_PURE_QUBITS,
@@ -139,6 +142,37 @@ def masked_pipeline(state: State, primal, dual) -> tuple[float, State | None]:
         post = fwht(half / np.sqrt(prob2)) / math.sqrt(dim)
         return min(prob1 * prob2, 1.0), DenseState(state.n, post, check_norm=False)
     sandwich = masked_projection(masked_projection(state.matrix, primal, dual).T, primal, dual).T
+    prob = float(np.trace(sandwich).real)
+    if prob <= 0.0:
+        return 0.0, None
+    return min(prob, 1.0), MixedState(state.n, sandwich / prob, validate=False)
+
+
+def apply_verifier(state: State, primal, dual) -> tuple[float, State | None]:
+    """verify's kernel in the predicates' frame: acceptance probability and post-state, built now."""
+    prob, build = apply_frame(state, VerifierFrame.from_predicates(primal, dual))
+    return prob, None if build is None else build()
+
+
+def eager_frame_pipeline(state: State, frame: VerifierFrame) -> tuple[float, State | None]:
+    """apply_frame as it was before the post-state was built on read, post-state made eagerly."""
+    index, keep = frame.index, frame.keep
+    size = index.shape[1]
+    if isinstance(state, DenseState):
+        cosets = state.amplitudes[index]
+        prob1 = float(np.vdot(cosets, cosets).real)
+        if prob1 == 0.0:
+            return 0.0, None
+        spectrum = fwht(cosets / math.sqrt(prob1))
+        kept = np.zeros_like(spectrum)
+        kept[:, keep] = spectrum[:, keep]
+        prob2 = float(np.vdot(kept, kept).real) / size
+        if prob2 == 0.0:
+            return 0.0, None
+        post = np.zeros_like(state.amplitudes)
+        post[index] = fwht(kept) / (size * math.sqrt(prob2))
+        return min(prob1 * prob2, 1.0), DenseState(state.n, post, check_norm=False)
+    sandwich = _project(_project(state.matrix, frame).T, frame).T
     prob = float(np.trace(sandwich).real)
     if prob <= 0.0:
         return 0.0, None

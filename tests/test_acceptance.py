@@ -38,7 +38,6 @@ from subspace_money.oracles import subset_predicate, syndrome_predicate
 from subspace_money.scheme import (
     MintRecord,
     OracleRegistry,
-    apply_verifier,
     conjugate_coding_state,
     conjugate_coset_parameters,
     correct,
@@ -55,7 +54,7 @@ from subspace_money.states import (
 )
 
 from conftest import WORKED_CODEWORDS, WORKED_GENERATORS, WORKED_PARITY_ROWS
-from reference import tolerated_projector
+from reference import apply_verifier, tolerated_projector
 
 
 @contextlib.contextmanager

@@ -24,7 +24,6 @@ from subspace_money.scheme import (
     Banknote,
     MintRecord,
     OracleRegistry,
-    apply_verifier,
     conjugate_coding_state,
     conjugate_coset_parameters,
     corrupt,
@@ -60,6 +59,8 @@ from subspace_money.states import (
 
 from conftest import WORKED_CODEWORDS
 from reference import (
+    apply_verifier,
+    eager_frame_pipeline,
     masked_pipeline,
     masked_projection,
     masked_transform,
@@ -425,6 +426,16 @@ def test_find_coset_refuses_unknown_side(worked_registry):
     assert session.ledger.counters == {"primal": 0, "dual": 0, "combined": 0, "coset": 0}
 
 
+@pytest.mark.parametrize("side", ["coset", "combined", "bogus"])
+def test_member_refuses_unknown_side(worked_registry, side):
+    # Ledger names that are not sides are refused before anything is charged.
+    reg, record = worked_registry
+    session = reg.session(record.serial)
+    with pytest.raises(ValueError, match="side must be one of"):
+        session.member(side, BitVec.zeros(6))
+    assert session.ledger.counters == {"primal": 0, "dual": 0, "combined": 0, "coset": 0}
+
+
 # ---------------------------------------------------------------------------
 # double verification
 
@@ -718,11 +729,63 @@ def test_verify_n18_allocates_only_the_post_state():
     tracemalloc.start()
     try:
         outcome = verify(reg, note, rng=0)
+        post = outcome.post_state
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert outcome.accept_probability == 1.0
+    assert max_deviation(post, note.state) < 1e-9
     assert peak < 1.5 * note.state.amplitudes.nbytes
+
+
+def test_verify_n18_builds_no_dense_array_until_the_post_state_is_read():
+    # The probability needs only the accepted cosets' spectrum, |S_p| 2^k
+    # numbers; the 2^n post-state is not built when nothing reads it.
+    reg = OracleRegistry(18, 1, master_seed=1818)
+    note = mint_direct(reg, BitVec.zeros(18))
+    tracemalloc.start()
+    try:
+        outcome = verify(reg, note, rng=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.accept_probability == 1.0
+    assert peak < note.state.amplitudes.nbytes / 4
+
+
+def test_post_state_is_built_once_and_unpacks(worked_registry):
+    reg, record = worked_registry
+    note = corrupt(mint_direct(reg, record.r), bv("001000"), bv("000010"))
+    outcome = verify(reg, note, rng=0)
+    post = outcome.post_state
+    assert outcome.post_state is post
+    accepted, prob, unpacked, reason = outcome
+    assert (accepted, prob, unpacked, reason) == (True, outcome.accept_probability, post, None)
+    assert max_deviation(post, note.state) < 1e-9
+
+
+def test_lazy_post_state_matches_eager_pipeline_bitwise(worked_registry):
+    # Dense notes on and off the tolerated span, and a mixed note: the same
+    # probability and the same post-state bytes as building it at once.
+    reg, record = worked_registry
+    rng = np.random.default_rng(77)
+    fresh = mint_direct(reg, record.r)
+    a, b = _random_pure(rng, 6), _random_pure(rng, 6)
+    w = rng.uniform(0.1, 0.9)
+    rho = w * np.outer(a.amplitudes, a.amplitudes.conj())
+    rho += (1 - w) * np.outer(b.amplitudes, b.amplitudes.conj())
+    states = [corrupt(fresh, bv("010000"), bv("000001")).state, a, MixedState(6, rho)]
+    session = reg.session(record.serial)
+    frame = session.verifier_frame(passes=0)
+    for state in states:
+        outcome = verify(reg, Banknote(record.serial, state), rng=0, session=session)
+        prob, post = eager_frame_pipeline(state, frame)
+        assert outcome.accept_probability == prob
+        got = outcome.post_state
+        if isinstance(state, DenseState):
+            assert got.amplitudes.tobytes() == post.amplitudes.tobytes()
+        else:
+            assert got.matrix.tobytes() == post.matrix.tobytes()
 
 
 # ---------------------------------------------------------------------------
