@@ -18,9 +18,8 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import BudgetExceededError, CodeSearchError, SyndromeCollisionError
+from .errors import CodeSearchError, SyndromeCollisionError, reserve
 from .gf2 import (
-    DEFAULT_ENUM_BUDGET,
     BitVec,
     Gf2Matrix,
     SubspaceBasis,
@@ -56,7 +55,7 @@ class CodeSpec:
     parity_dual: Gf2Matrix
 
     @classmethod
-    def build(cls, code: SubspaceBasis, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> "CodeSpec":
+    def build(cls, code: SubspaceBasis, q: int) -> "CodeSpec":
         """Derive duals, parities and distances for any subspace.
 
         Deliberately permissive: specs violating the applicability bounds can
@@ -70,8 +69,8 @@ class CodeSpec:
             q=q,
             code=code,
             dual_code=dual,
-            d_primal=_distance_or_inf(code, budget),
-            d_dual=_distance_or_inf(dual, budget),
+            d_primal=_distance_or_inf(code),
+            d_dual=_distance_or_inf(dual),
             parity_primal=dual.basis,
             parity_dual=code.basis,
         )
@@ -116,8 +115,8 @@ class CodeSpec:
         )
 
 
-def _distance_or_inf(s: SubspaceBasis, budget: int):
-    return s.min_distance(budget) if s.dim > 0 else math.inf
+def _distance_or_inf(s: SubspaceBasis):
+    return s.min_distance() if s.dim > 0 else math.inf
 
 
 def save_code(spec: CodeSpec, path: str | Path) -> None:
@@ -133,11 +132,7 @@ def dumps_code(spec: CodeSpec) -> str:
 
 
 def search_applicable_code(
-    n: int,
-    q: int,
-    seed: Seed,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    n: int, q: int, seed: Seed, max_attempts: int = DEFAULT_MAX_ATTEMPTS
 ) -> CodeSpec:
     """Rejection-sample uniformly random n/2-dim subspaces until one is applicable.
 
@@ -174,8 +169,7 @@ def search_applicable_code(
             f"no [{n}, {k}] code corrects {q} errors: the sphere-packing bound needs "
             f"|E_q| = {ball} <= 2^(n/2) = {1 << k}"
         )
-    if 1 << k > budget:
-        raise BudgetExceededError(f"2^{k} codewords exceed budget {budget}")
+    reserve((1 << k,), np.uint64)  # the accepted code's distance walk
     rng = as_generator(seed)
     for _ in range(max_attempts):
         rows = _independent_rows(n, k, rng)
@@ -190,8 +184,8 @@ def search_applicable_code(
             q=q,
             code=code,
             dual_code=dual,
-            d_primal=code.min_distance(budget),
-            d_dual=dual.min_distance(budget),
+            d_primal=code.min_distance(),
+            d_dual=dual.min_distance(),
             parity_primal=dual.basis,
             parity_dual=code.basis,
         )
@@ -224,7 +218,7 @@ class CertificationReport:
         return "\n".join(lines + [f"=> {verdict} (d_primal={self.d_primal}, d_dual={self.d_dual})"])
 
 
-def certify(spec: CodeSpec, budget: int = DEFAULT_ENUM_BUDGET) -> CertificationReport:
+def certify(spec: CodeSpec) -> CertificationReport:
     """Recompute every invariant of the spec from scratch and report pass/fail.
 
     A passing report means the spec is an applicable CSS code for its q.
@@ -249,8 +243,8 @@ def certify(spec: CodeSpec, budget: int = DEFAULT_ENUM_BUDGET) -> CertificationR
     pd_ok = spec.parity_dual == spec.code.basis
     checks.append(CertCheck("parity_dual", pd_ok, "rows are the code's RREF basis"))
 
-    d_p = _distance_or_inf(spec.code, budget)
-    d_d = _distance_or_inf(recomputed_dual, budget)
+    d_p = _distance_or_inf(spec.code)
+    d_d = _distance_or_inf(recomputed_dual)
     checks.append(
         CertCheck("distance_primal", d_p >= need, f"d={d_p}, need >= {need} for q={spec.q}")
     )
@@ -295,10 +289,8 @@ def error_count(n: int, q: int) -> int:
     return sum(math.comb(n, j) for j in range(min(q, n) + 1))
 
 
-def enumerate_errors(n: int, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> ErrorSet:
-    count = error_count(n, q)
-    if count > budget:
-        raise BudgetExceededError(f"{count} error vectors exceed budget {budget}")
+def enumerate_errors(n: int, q: int) -> ErrorSet:
+    reserve((error_count(n, q),), np.int64)
     values = []
     for j in range(min(q, n) + 1):
         for positions in itertools.combinations(range(n), j):
@@ -367,9 +359,7 @@ class SyndromeTable:
         return len(self.entries)
 
 
-def build_syndrome_table(
-    parity: Gf2Matrix, q: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> SyndromeTable:
+def build_syndrome_table(parity: Gf2Matrix, q: int) -> SyndromeTable:
     """Map the syndrome H e of every error e of weight <= q back to e.
 
     ker H has d >= 2q+1 exactly when these syndromes are distinct.  They come
@@ -377,7 +367,7 @@ def build_syndrome_table(
     in ``enumerate_errors`` order, whose syndrome repeats an earlier one
     raises SyndromeCollisionError naming both.
     """
-    errors = enumerate_errors(parity.cols, q, budget)
+    errors = enumerate_errors(parity.cols, q)
     entries: dict[BitVec, BitVec] = {}
     for e, value in zip(errors, _unpack(_error_syndromes(parity, q))):
         s = BitVec(parity.rows, value)

@@ -17,11 +17,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import reserve
 from .rng import Seed, as_generator
-
-# Exhaustive span enumeration refuses to walk more elements than this.
-DEFAULT_ENUM_BUDGET = 1 << 26
 
 # min_distance tabulates the span of this many basis rows once and weighs the
 # rest of the span one table-sized block at a time.  Larger blocks raise the
@@ -451,21 +448,19 @@ class SubspaceBasis:
 
     __contains__ = member
 
-    def vectors(self, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[BitVec]:
+    def vectors(self) -> Iterator[BitVec]:
         """All 2^dim elements of the subspace, in the order of ``vector_values``."""
-        for v in _unpack(self.vector_values(budget)):
+        for v in _unpack(self.vector_values()):
             yield BitVec(self.n, v)
 
-    def vector_values(self, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+    def vector_values(self) -> np.ndarray:
         """All 2^dim packed elements of the subspace, in binary-counting order.
 
         Entry i is the sum of the RREF basis rows picked by the bits of i (bit
         j picks row j), in the smallest unsigned dtype that holds n bits; for
         n > 64 each entry is a row of uint64 limbs, most significant first.
         """
-        k = self.dim
-        if 1 << k > budget:
-            raise BudgetExceededError(f"2^{k} span elements exceed budget {budget}")
+        reserve((1 << self.dim,), np.uint64)
         return _span_table(self.basis.row_values, self.n)
 
     def dual(self) -> "SubspaceBasis":
@@ -486,7 +481,7 @@ class SubspaceBasis:
         rows[:, pivots] = bits[:, free].T
         return SubspaceBasis(n, _bit_rows(rows))
 
-    def min_distance(self, budget: int = DEFAULT_ENUM_BUDGET) -> int:
+    def min_distance(self) -> int:
         """Minimum Hamming weight over the nonzero span, by exhaustive walk.
 
         Every codeword is an entry of the span table of the first 10 RREF
@@ -497,8 +492,7 @@ class SubspaceBasis:
         k = self.dim
         if k == 0:
             raise ValueError("minimum distance undefined for the zero subspace")
-        if 1 << k > budget:
-            raise BudgetExceededError(f"2^{k} codewords exceed budget {budget}")
+        reserve((1 << k,), np.uint64)
         rows = self.basis.row_values
         low = _span_table(rows[:_BLOCK_ROWS], self.n)
         offsets = _span_table(rows[_BLOCK_ROWS:], self.n)

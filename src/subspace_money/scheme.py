@@ -40,7 +40,7 @@ from .codes import (
     error_count,
     search_applicable_code,
 )
-from .errors import SerialCollisionError, UndecodableError, UnknownSerialError
+from .errors import SerialCollisionError, UndecodableError, UnknownSerialError, reserve
 from .gf2 import BasisMap, BitVec, Gf2Matrix, SubspaceBasis, random_bitvec
 from .gf2 import _independent_rows, _random_rows
 from .oracles import (
@@ -199,24 +199,13 @@ class OracleSession:
 class OracleRegistry:
     """The bank: lazy keyed generation of mint records and their public oracles."""
 
-    def __init__(
-        self,
-        n: int,
-        q: int,
-        master_seed: int,
-        *,
-        route: str = "direct",
-        max_attempts: int = 10_000,
-        serial_retries: int = DEFAULT_SERIAL_RETRIES,
-    ):
+    def __init__(self, n: int, q: int, master_seed: int, *, route: str = "direct"):
         if route not in ("direct", "conjugate"):
             raise ValueError(f"unknown route {route!r}")
         self.n = n
         self.q = q
         self.master_seed = int(master_seed)
         self.route = route
-        self.max_attempts = max_attempts
-        self.serial_retries = serial_retries
         self.records: dict[BitVec, MintRecord] = {}
         self.serial_index: dict[BitVec, BitVec] = {}
         self._testers: dict[tuple[BitVec, str], MembershipPredicate] = {}
@@ -237,13 +226,13 @@ class OracleRegistry:
         record = self.records.get(r)
         if record is not None:
             return record
-        for nonce in range(self.serial_retries):
+        for nonce in range(DEFAULT_SERIAL_RETRIES):
             seq = derive_sequence(self.master_seed, r.value, nonce)
             serial_seq, code_seq, basis_seq = seq.spawn(3)
             serial = random_bitvec(3 * self.n, as_generator(serial_seq))
             if serial in self.serial_index:
                 continue
-            code = spec or search_applicable_code(self.n, self.q, code_seq, self.max_attempts)
+            code = spec or search_applicable_code(self.n, self.q, code_seq)
             theta = basis_map = None
             if self.route == "conjugate":
                 theta, basis_map = _conjugate_parts(code, as_generator(basis_seq))
@@ -251,7 +240,7 @@ class OracleRegistry:
             self.install_record(record, require_applicable=spec is not None)
             return record
         raise SerialCollisionError(
-            f"could not find a fresh serial for r={r} in {self.serial_retries} tries"
+            f"could not find a fresh serial for r={r} in {DEFAULT_SERIAL_RETRIES} tries"
         )
 
     def install_record(self, record: MintRecord, *, require_applicable: bool = True) -> None:
@@ -325,7 +314,8 @@ def _conjugate_parts(spec: CodeSpec, rng: np.random.Generator) -> tuple[BitVec, 
 
 
 def mint_direct(registry: OracleRegistry, r: BitVec) -> Banknote:
-    """Mint by preparing the code's subspace state directly."""
+    """Mint by preparing the code's subspace state directly, refusing an over-budget n first."""
+    reserve((1 << registry.n,))
     record = registry.generate(r)
     return Banknote(record.serial, subspace_state(record.spec.code))
 
@@ -339,8 +329,10 @@ def mint_conjugate(
     H|x_i> where theta_i = 1; the record's basis map then permutes the
     computational basis.  Scheme-conformant minting requires x = 0, which
     lands exactly on the code's subspace state; any other x is only allowed
-    in test mode and produces a coset state of the code.
+    in test mode and produces a coset state of the code.  An over-budget n is
+    refused before the record is generated.
     """
+    reserve((1 << registry.n,))
     record = registry.generate(r)
     if record.route != "conjugate":
         raise ValueError("record was generated for the direct route")
@@ -360,6 +352,7 @@ def conjugate_coding_state(x: BitVec, theta: BitVec) -> DenseState:
     """The product state with qubit i in basis theta_i showing value x_i."""
     if x.n != theta.n:
         raise ValueError("x and theta lengths differ")
+    reserve((1 << x.n,))
     amps = np.array([1.0], dtype=np.complex128)
     h = 1.0 / math.sqrt(2.0)
     for i in range(x.n):
@@ -466,6 +459,7 @@ def kept_spectrum(state: DenseState, frame: VerifierFrame) -> tuple[float, np.nd
 def _post_state(n: int, kept: np.ndarray, frame: VerifierFrame) -> DenseState:
     """The normalised accepted branch of a kept spectrum, in a fresh 2^n vector."""
     size = frame.index.shape[1]
+    reserve((1 << n,))
     post = np.zeros(1 << n, dtype=kept.dtype)
     post[frame.index] = fwht(kept) / (size * math.sqrt(float(np.vdot(kept, kept).real) / size))
     return DenseState._own(n, post)
@@ -536,6 +530,8 @@ def double_verify(
         prob = float(np.vdot(coeffs, coeffs).real) / frame.index.shape[1] ** 2
     else:
         # rho[x1, y1, x2, y2]: reduce register two, then the Hermitian rest as above.
+        # Reducing register two gathers (dim, dim, |S_p|, 2^k, 2^k) entries.
+        reserve((dim, dim, *frame.index.shape, frame.index.shape[1]))
         rho = joint.matrix.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3)
         reduced = _trace_with_frame(rho, frame)
         prob = float(_trace_with_frame(reduced.real, frame))
@@ -623,6 +619,7 @@ def verification_matrix(spec: CodeSpec, approach: str = "subset") -> np.ndarray:
     For an applicable code this equals the projector onto the span of all
     tolerated coset states.
     """
+    reserve((1 << spec.n, 1 << spec.n), np.float64)
     frame = VerifierFrame.from_predicates(*predicate_pair(spec, approach))
     return _project(np.eye(1 << spec.n), frame)
 

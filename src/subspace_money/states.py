@@ -15,23 +15,14 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import reserve
 from .gf2 import BasisMap, BitVec, SubspaceBasis
 
 if TYPE_CHECKING:
     from .codes import CodeSpec
 
-# Dense allocation limits; callers may pass larger explicit budgets.
-DEFAULT_PURE_QUBITS = 20
-DEFAULT_MIXED_QUBITS = 14
-
 ATOL_INVARIANT = 1e-9  # normalization, orthonormality, density checks
 ATOL_EXACT = 1e-12  # self-consistency of exact constructions
-
-
-def _check_pure_budget(n: int, max_qubits: int) -> None:
-    if n > max_qubits:
-        raise BudgetExceededError(f"{n} qubits exceed the dense budget of {max_qubits}")
 
 
 def _check_unit_norm(amps: np.ndarray) -> None:
@@ -47,6 +38,7 @@ class DenseState:
     __slots__ = ("n", "amplitudes")
 
     def __init__(self, n: int, amplitudes, *, check_norm: bool = True):
+        reserve((1 << n,))
         arr = np.asarray(amplitudes, dtype=np.complex128)
         if arr.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} amplitudes for n={n}, got shape {arr.shape}")
@@ -71,12 +63,14 @@ class DenseState:
     @classmethod
     def basis_state(cls, n: int, b: BitVec | int) -> "DenseState":
         idx = b.value if isinstance(b, BitVec) else int(b)
+        reserve((1 << n,))
         amps = np.zeros(1 << n, dtype=np.complex128)
         amps[idx] = 1.0
         return cls(n, amps)
 
     @classmethod
     def uniform(cls, n: int) -> "DenseState":
+        reserve((1 << n,))
         amps = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
         return cls(n, amps)
 
@@ -104,8 +98,9 @@ class MixedState:
     __slots__ = ("n", "matrix")
 
     def __init__(self, n: int, matrix, *, validate: bool = True):
-        mat = np.asarray(matrix, dtype=np.complex128)
         dim = 1 << n
+        reserve((dim, dim))
+        mat = np.asarray(matrix, dtype=np.complex128)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix for n={n}")
         if validate:
@@ -134,10 +129,9 @@ class MixedState:
         raise AttributeError("MixedState is immutable")
 
     @classmethod
-    def maximally_mixed(cls, n: int, max_qubits: int = DEFAULT_MIXED_QUBITS) -> "MixedState":
-        if n > max_qubits:
-            raise BudgetExceededError(f"{n} qubits exceed the density budget of {max_qubits}")
+    def maximally_mixed(cls, n: int) -> "MixedState":
         dim = 1 << n
+        reserve((dim, dim))
         mat = np.eye(dim, dtype=np.complex128)
         mat /= dim
         return cls._own(n, mat)
@@ -145,6 +139,7 @@ class MixedState:
     @classmethod
     def from_pure(cls, st: DenseState) -> "MixedState":
         a = st.amplitudes
+        reserve((a.size, a.size))
         return cls._own(st.n, np.outer(a, a.conj()))
 
     def __repr__(self) -> str:
@@ -187,28 +182,20 @@ class CosetLabel:
         return replace(self, e=self.e ^ e, e_prime=self.e_prime ^ e_prime, sign=sign)
 
 
-def subspace_state(
-    s: SubspaceBasis, max_qubits: int = DEFAULT_PURE_QUBITS
-) -> DenseState:
+def subspace_state(s: SubspaceBasis) -> DenseState:
     """Uniform superposition over all vectors of the subspace."""
-    _check_pure_budget(s.n, max_qubits)
+    reserve((1 << s.n,))
     values = s.vector_values()
     amps = np.zeros(1 << s.n, dtype=np.complex128)
     amps[values] = 1.0 / math.sqrt(len(values))
     return DenseState._own(s.n, amps)
 
 
-def coset_state(
-    s: SubspaceBasis,
-    e: BitVec,
-    e_prime: BitVec,
-    sign: int = 1,
-    max_qubits: int = DEFAULT_PURE_QUBITS,
-) -> DenseState:
+def coset_state(s: SubspaceBasis, e: BitVec, e_prime: BitVec, sign: int = 1) -> DenseState:
     """sign * X^e Z^e' applied to the subspace state: amplitudes sign*(-1)^(v.e') on v+e."""
     if e.n != s.n or e_prime.n != s.n:
         raise ValueError("error vector length differs from the ambient dimension")
-    _check_pure_budget(s.n, max_qubits)
+    reserve((1 << s.n,))
     values = s.vector_values()
     parity = (np.bitwise_count(values & e_prime.value) & 1).astype(np.float64)
     amps = np.zeros(1 << s.n, dtype=np.complex128)
@@ -216,8 +203,8 @@ def coset_state(
     return DenseState._own(s.n, amps)
 
 
-def coset_to_dense(label: CosetLabel, max_qubits: int = DEFAULT_PURE_QUBITS) -> DenseState:
-    return coset_state(label.spec.code, label.e, label.e_prime, label.sign, max_qubits)
+def coset_to_dense(label: CosetLabel) -> DenseState:
+    return coset_state(label.spec.code, label.e, label.e_prime, label.sign)
 
 
 def apply_pauli(st: State, e: BitVec, e_prime: BitVec) -> State:
@@ -229,7 +216,9 @@ def apply_pauli(st: State, e: BitVec, e_prime: BitVec) -> State:
     """
     if e.n != st.n or e_prime.n != st.n:
         raise ValueError("error vector length differs from the state size")
-    idx = np.arange(1 << st.n, dtype=np.int64)
+    dim = 1 << st.n
+    reserve((dim,) if isinstance(st, DenseState) else (dim, dim))
+    idx = np.arange(dim, dtype=np.int64)
     source = idx ^ np.int64(e.value)
     parity = np.bitwise_count(source & np.int64(e_prime.value)) & 1
     signs = 1.0 - 2.0 * parity
@@ -273,6 +262,7 @@ def hadamard_all(st: State) -> State:
     """
     if isinstance(st, DenseState):
         return DenseState._own(st.n, fwht(st.amplitudes) / math.sqrt(1 << st.n))
+    reserve(st.matrix.shape)
     return MixedState._own(st.n, fwht(fwht(st.matrix).T).T / float(1 << st.n))
 
 
@@ -280,6 +270,7 @@ def apply_basis_permutation(st: DenseState, b: BasisMap) -> DenseState:
     """The basis-permutation unitary of an invertible GF(2) map: |x> to |Bx>."""
     if b.n != st.n:
         raise ValueError("map dimension differs from the state size")
+    reserve((1 << st.n,))
     idx = np.arange(1 << st.n, dtype=np.int64)
     images = np.zeros(1 << st.n, dtype=np.int64)
     for i in range(st.n):
@@ -368,6 +359,7 @@ def load_state(text: str) -> DenseState:
         raise ValueError("empty state dump")
     if len(set(indices)) != len(indices):
         raise ValueError("repeated bit string in state dump")
+    reserve((1 << n,))
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[indices] = values
     _check_unit_norm(amps)

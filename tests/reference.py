@@ -25,7 +25,6 @@ from subspace_money.rng import Seed, as_generator
 from subspace_money.scheme import _project, apply_frame
 from subspace_money.states import (
     ATOL_INVARIANT,
-    DEFAULT_PURE_QUBITS,
     DenseState,
     MixedState,
     State,
@@ -34,9 +33,7 @@ from subspace_money.states import (
 )
 
 
-def tolerated_coset_states(
-    spec: CodeSpec, max_qubits: int = DEFAULT_PURE_QUBITS
-) -> list[DenseState]:
+def tolerated_coset_states(spec: CodeSpec) -> list[DenseState]:
     """All tolerated noisy variants of the code's subspace state.
 
     Ordered with the bit-flip error as the major index and the phase-flip
@@ -45,9 +42,7 @@ def tolerated_coset_states(
     acceptance subspace of the verifier.
     """
     errors = enumerate_errors(spec.n, spec.q)
-    return [
-        coset_state(spec.code, e, ep, max_qubits=max_qubits) for e in errors for ep in errors
-    ]
+    return [coset_state(spec.code, e, ep) for e in errors for ep in errors]
 
 
 def tolerated_projector(spec: CodeSpec) -> np.ndarray:

@@ -1,0 +1,189 @@
+"""The one allocation budget: every dense array is charged before it is allocated.
+
+Each test lowers ``errors.BUDGET_BYTES`` with monkeypatch, so none allocates
+more than a few MiB whatever the default budget is.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from subspace_money import codes, errors, scheme
+from subspace_money.cli import main
+from subspace_money.codes import enumerate_errors, search_applicable_code
+from subspace_money.errors import BudgetExceededError
+from subspace_money.gf2 import BitVec, SubspaceBasis, random_basis_map, random_subspace
+from subspace_money.scheme import (
+    OracleRegistry,
+    conjugate_coding_state,
+    double_verify,
+    mint_direct,
+    verification_matrix,
+    verify,
+)
+from subspace_money.states import (
+    DenseState,
+    MixedState,
+    apply_basis_permutation,
+    apply_pauli,
+    coset_state,
+    dump_state,
+    hadamard_all,
+    load_state,
+    subspace_state,
+)
+
+PURE, MIXED = 12, 6  # 64 KiB each: a 2^12 vector, a 2^6 x 2^6 density matrix
+PURE_BYTES = 16 << PURE
+MIXED_BYTES = 16 << (2 * MIXED)
+SPAN_BYTES = 8 << 12  # a walk of 2^12 uint64 words
+
+
+def _code(n=PURE):
+    return random_subspace(n, n // 2, seed=n)
+
+
+def _pure(n=PURE):
+    return subspace_state(_code(n))
+
+
+def _mixed():
+    return MixedState.from_pure(_pure(MIXED))
+
+
+def _verified():
+    reg = OracleRegistry(PURE, 1, master_seed=12)
+    return (verify(reg, mint_direct(reg, BitVec.zeros(PURE)), rng=0),)
+
+
+def _mixed_joint():
+    reg = OracleRegistry(4, 0, master_seed=4)
+    note = mint_direct(reg, BitVec.zeros(4))
+    rho = MixedState.from_pure(note.state).matrix
+    return reg, note.serial, MixedState(8, np.kron(rho, rho), validate=False)
+
+
+# (entry point, inputs built under the default budget, the call on them, and
+# the bytes of the largest array the call charges).
+ENTRY_POINTS = [
+    ("subspace_state", lambda: (_code(),), subspace_state, PURE_BYTES),
+    (
+        "coset_state",
+        lambda: (_code(), BitVec(PURE, 5), BitVec(PURE, 9), -1),
+        coset_state,
+        PURE_BYTES,
+    ),
+    ("load_state", lambda: (dump_state(_pure()),), load_state, PURE_BYTES),
+    (
+        "apply_pauli_pure",
+        lambda: (_pure(), BitVec(PURE, 3), BitVec(PURE, 6)),
+        apply_pauli,
+        PURE_BYTES,
+    ),
+    (
+        "apply_pauli_mixed",
+        lambda: (_mixed(), BitVec(MIXED, 3), BitVec(MIXED, 6)),
+        apply_pauli,
+        MIXED_BYTES,
+    ),
+    (
+        "apply_basis_permutation",
+        lambda: (_pure(), random_basis_map(PURE, seed=1)),
+        apply_basis_permutation,
+        PURE_BYTES,
+    ),
+    ("MixedState.from_pure", lambda: (_pure(MIXED),), MixedState.from_pure, MIXED_BYTES),
+    ("MixedState.maximally_mixed", lambda: (MIXED,), MixedState.maximally_mixed, MIXED_BYTES),
+    ("hadamard_all_mixed", lambda: (_mixed(),), hadamard_all, MIXED_BYTES),
+    ("DenseState.basis_state", lambda: (PURE, 7), DenseState.basis_state, PURE_BYTES),
+    ("DenseState.uniform", lambda: (PURE,), DenseState.uniform, PURE_BYTES),
+    ("DenseState", lambda: (PURE, _pure().amplitudes), DenseState, PURE_BYTES),
+    ("MixedState", lambda: (MIXED, _mixed().matrix), MixedState, MIXED_BYTES),
+    (
+        "conjugate_coding_state",
+        lambda: (BitVec(PURE, 0b101), BitVec(PURE, 0b111111)),
+        conjugate_coding_state,
+        PURE_BYTES,
+    ),
+    ("VerifyOutcome.post_state", _verified, lambda outcome: outcome.post_state, PURE_BYTES),
+    (
+        "verification_matrix",
+        lambda: (search_applicable_code(6, 1, seed=6),),
+        verification_matrix,
+        8 << 12,  # 2^6 x 2^6 float64
+    ),
+    (
+        "double_verify_mixed_joint",
+        _mixed_joint,
+        lambda *args: double_verify(*args, rng=0),
+        16 << 12,  # (2^4)^2 blocks x 1 accepted coset x (2^2)^2 entry pairs
+    ),
+    ("min_distance", lambda: (SubspaceBasis.full(12),), SubspaceBasis.min_distance, SPAN_BYTES),
+    ("vector_values", lambda: (SubspaceBasis.full(12),), SubspaceBasis.vector_values, SPAN_BYTES),
+    ("search_applicable_code", lambda: (24, 1, 24), search_applicable_code, SPAN_BYTES),
+    ("enumerate_errors", lambda: (40, 3), enumerate_errors, 8 * 10701),
+]
+
+
+@pytest.mark.parametrize(
+    "setup, call, nbytes", [case[1:] for case in ENTRY_POINTS], ids=[c[0] for c in ENTRY_POINTS]
+)
+def test_entry_point_refuses_before_it_allocates(setup, call, nbytes, monkeypatch):
+    args = setup()
+    monkeypatch.setattr(errors, "BUDGET_BYTES", nbytes - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as refused:
+            call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == f"{nbytes} bytes exceed the budget of {nbytes - 1} bytes"
+    assert peak < nbytes - 1
+    monkeypatch.setattr(errors, "BUDGET_BYTES", nbytes)
+    call(*args)
+
+
+def test_search_refuses_before_the_first_candidate(monkeypatch):
+    # Without the up-front refusal the accepted code's walk would raise the same error later.
+    def refuse(*args):
+        raise AssertionError("drew a candidate whose distance walk cannot fit")
+
+    monkeypatch.setattr(codes, "_independent_rows", refuse)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", SPAN_BYTES - 1)
+    with pytest.raises(BudgetExceededError):
+        search_applicable_code(24, 1, seed=24)
+
+
+@pytest.mark.parametrize("route", ["direct", "conjugate"])
+def test_mint_refuses_before_the_code_search(tmp_path, capsys, monkeypatch, route):
+    searches = []
+    search = scheme.search_applicable_code
+    monkeypatch.setattr(
+        scheme, "search_applicable_code", lambda *a: searches.append(a) or search(*a)
+    )
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 16 << 12)
+    note = tmp_path / "note.json"
+    mint = ["--seed", "5", "--out", str(note), "mint", "--q", "1", "--route", route]
+    assert main([*mint, "--n", "14"]) == 1
+    assert "error: 262144 bytes exceed the budget of 65536 bytes" in capsys.readouterr().err
+    assert not note.exists() and not note.with_suffix(".bank.json").exists()
+    assert searches == []
+    # The same mint within the budget searches once and writes both files.
+    assert main([*mint, "--n", "12"]) == 0
+    assert len(searches) == 1
+    assert note.exists() and note.with_suffix(".bank.json").exists()
+
+
+def test_load_state_bounds_outside_input(tmp_path, capsys, monkeypatch):
+    note, bank = tmp_path / "note.json", tmp_path / "note.bank.json"
+    assert main(["--seed", "3", "--out", str(note), "mint", "--n", "12", "--q", "1"]) == 0
+    dump = json.loads(note.read_text())["state"]["dump"]
+    monkeypatch.setattr(errors, "BUDGET_BYTES", (16 << 12) - 1)
+    with pytest.raises(BudgetExceededError):
+        load_state(dump)
+    capsys.readouterr()
+    assert main(["--seed", "0", "verify", str(note), "--bank", str(bank)]) == 1
+    assert "error: 65536 bytes exceed the budget" in capsys.readouterr().err

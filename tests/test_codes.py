@@ -26,6 +26,7 @@ from subspace_money.codes import (
     soundness_tradeoff,
     stabilizer_generators,
 )
+from subspace_money import errors
 from subspace_money.errors import BudgetExceededError, CodeSearchError, SyndromeCollisionError
 from subspace_money.gf2 import (
     BitVec,
@@ -84,11 +85,12 @@ def test_search_impossible_parameters_fail_before_sampling(monkeypatch, n, q, bo
         search_applicable_code(n, q, seed=3)
 
 
-def test_search_validates_input():
+def test_search_validates_input(monkeypatch):
     with pytest.raises(ValueError):
         search_applicable_code(7, 1, seed=0)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 8 << 10)  # 2^10 uint64 words
     with pytest.raises(BudgetExceededError):
-        search_applicable_code(40, 1, seed=0, budget=1 << 10)
+        search_applicable_code(40, 1, seed=0)
 
 
 # (n, q) pairs that pass the Singleton and sphere-packing pre-checks.
@@ -197,9 +199,10 @@ def test_enumerate_errors_sorted_and_unique():
     assert len(es) == error_count(7, 3)
 
 
-def test_enumerate_errors_budget():
+def test_enumerate_errors_budget(monkeypatch):
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 8 * 100)  # 100 int64 words
     with pytest.raises(BudgetExceededError):
-        enumerate_errors(30, 5, budget=100)
+        enumerate_errors(30, 5)
 
 
 def test_count_error_pairs():

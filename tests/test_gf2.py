@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subspace_money import errors
 from subspace_money.errors import BudgetExceededError
 from subspace_money.gf2 import (
     BasisMap,
@@ -182,14 +183,15 @@ def test_dual_dimension_and_orthogonality():
         assert d.dual() == s
 
 
-def test_min_distance_examples(worked_code):
+def test_min_distance_examples(worked_code, monkeypatch):
     assert worked_code.min_distance() == 3
     assert SubspaceBasis.full(5).min_distance() == 1
     assert SubspaceBasis.from_strings(["111000", "000111"]).min_distance() == 3
     with pytest.raises(ValueError):
         SubspaceBasis.zero(4).min_distance()
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 8 * 4)  # 4 uint64 words
     with pytest.raises(BudgetExceededError):
-        SubspaceBasis.full(6).min_distance(budget=4)
+        SubspaceBasis.full(6).min_distance()
 
 
 def test_min_distance_against_pairwise_oracle():
@@ -296,11 +298,12 @@ def test_min_distance_finds_a_word_only_in_the_last_block(n):
     assert s.min_distance() == 2
 
 
-def test_span_budget_checked_before_tabulating():
+def test_span_budget_checked_before_tabulating(monkeypatch):
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 8 << 11)  # 2^11 uint64 words
     with pytest.raises(BudgetExceededError):
-        SubspaceBasis.full(12).min_distance(budget=1 << 11)
+        SubspaceBasis.full(12).min_distance()
     with pytest.raises(BudgetExceededError):
-        SubspaceBasis.full(12).vector_values(budget=1 << 11)
+        SubspaceBasis.full(12).vector_values()
 
 
 # ---------------------------------------------------------------------------

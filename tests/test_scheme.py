@@ -9,9 +9,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from subspace_money import oracles
+from subspace_money import oracles, scheme
 from subspace_money.codes import CodeSpec, enumerate_errors
-from subspace_money.errors import SyndromeCollisionError, UndecodableError, UnknownSerialError
+from subspace_money.errors import (
+    SerialCollisionError,
+    SyndromeCollisionError,
+    UndecodableError,
+    UnknownSerialError,
+)
 from subspace_money.experiments import ATTACK_KINDS, run_attack
 from subspace_money.gf2 import BitVec, SubspaceBasis, random_bitvec, random_subspace
 from subspace_money.oracles import (
@@ -122,6 +127,18 @@ def test_serial_uniqueness_under_collision_pressure():
         reg.generate(random_bitvec(4, value))
     serials = [rec.serial for rec in reg.records.values()]
     assert len(serials) == len(set(serials))
+
+
+def test_serial_collision_on_every_nonce_raises(monkeypatch):
+    # Every derivation draws the same serial, so a second r collides on all 64 nonces.
+    serial = random_bitvec(18, 0)
+    monkeypatch.setattr(scheme, "random_bitvec", lambda n, rng: serial)
+    reg = OracleRegistry(6, 1, master_seed=5)
+    first = reg.generate(bv("000001"))
+    with pytest.raises(SerialCollisionError, match="in 64 tries"):
+        reg.generate(bv("000010"))
+    assert reg.records == {first.r: first}
+    assert reg.record_for_serial(serial) is first
 
 
 def test_serial_uniqueness_ten_thousand_records():

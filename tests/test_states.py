@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subspace_money.codes import search_applicable_code
+from subspace_money import errors
 from subspace_money.errors import BudgetExceededError
 from subspace_money.gf2 import BitVec, SubspaceBasis, random_basis_map, random_bitvec
 from subspace_money.states import (
@@ -63,9 +64,10 @@ def test_subspace_state_zero_space():
     assert len(st.support()) == 1
 
 
-def test_subspace_state_budget():
+def test_subspace_state_budget(monkeypatch):
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 16 << 6)  # a 6-qubit state
     with pytest.raises(BudgetExceededError):
-        subspace_state(SubspaceBasis.zero(8), max_qubits=6)
+        subspace_state(SubspaceBasis.zero(8))
 
 
 def test_coset_state_trivial_label(worked_spec):
