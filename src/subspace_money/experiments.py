@@ -29,7 +29,7 @@ from .gf2 import BitVec, random_bitvec
 from .oracles import VerifierFrame, predicate_pair
 from .rng import Seed, as_generator
 from .scheme import OracleRegistry, kept_spectrum, mint_direct, register_probability
-from .states import MixedState, coset_state
+from .states import MixedState, _coset_state
 
 WILSON_Z95 = 1.959963984540054
 
@@ -99,16 +99,15 @@ def completeness_sweep(spec: CodeSpec, *, probe_undecodable: bool = False) -> Ex
     """
     frame = VerifierFrame.from_predicates(*predicate_pair(spec))
     errors = enumerate_errors(spec.n, spec.q)
+    values = spec.code.vector_values()
     rows = []
     for e in errors:
         for ep in errors:
-            state = coset_state(spec.code, e, ep)
-            prob, _ = kept_spectrum(state, frame)
+            prob, _ = kept_spectrum(_coset_state(spec.n, values, e, ep), frame)
             rows.append((str(e), str(ep), prob))
     if probe_undecodable:
         probe = _undecodable_probe(spec)
-        state = coset_state(spec.code, probe, BitVec.zeros(spec.n))
-        prob, _ = kept_spectrum(state, frame)
+        prob, _ = kept_spectrum(_coset_state(spec.n, values, probe, BitVec.zeros(spec.n)), frame)
         rows.append((str(probe), "0" * spec.n, prob))
     return ExperimentReport(
         name="completeness",

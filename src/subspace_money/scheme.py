@@ -45,12 +45,10 @@ from .gf2 import BasisMap, BitVec, Gf2Matrix, SubspaceBasis, random_bitvec
 from .gf2 import _independent_rows, _random_rows
 from .oracles import (
     SIDES,
-    MembershipPredicate,
     QueryLedger,
     VerifierFrame,
     _parity_for,
     predicate_pair,
-    subset_predicate,
 )
 from .rng import Seed, as_generator, derive_sequence
 from .states import (
@@ -208,7 +206,6 @@ class OracleRegistry:
         self.route = route
         self.records: dict[BitVec, MintRecord] = {}
         self.serial_index: dict[BitVec, BitVec] = {}
-        self._testers: dict[tuple[BitVec, str], MembershipPredicate] = {}
         # Stream for sampled accept/reject decisions when callers pass no rng.
         self._decision_rng = as_generator(derive_sequence(self.master_seed, 0xDEC1DE))
 
@@ -276,20 +273,6 @@ class OracleRegistry:
     def session(self, serial: BitVec, approach: str = "subset") -> OracleSession:
         return OracleSession(self, serial, approach)
 
-    def tester(self, side: str, z: BitVec, x: BitVec) -> bool:
-        """The subset tester for serial z as a classical query.
-
-        For an invalid serial the tester does nothing, which for a phase
-        oracle means no sign flip: the predicate reads False.
-        """
-        if side not in ("primal", "dual"):
-            raise ValueError(f"side must be primal or dual, got {side!r}")
-        if not self.serial_check(z):
-            return False
-        if (z, side) not in self._testers:
-            self._testers[z, side] = subset_predicate(self.record_for_serial(z).spec, side)
-        return self._testers[z, side](x)
-
 
 def _conjugate_parts(spec: CodeSpec, rng: np.random.Generator) -> tuple[BitVec, BasisMap]:
     """Draw theta (weight n/2) and a basis whose theta-columns span the code."""
@@ -353,17 +336,19 @@ def conjugate_coding_state(x: BitVec, theta: BitVec) -> DenseState:
     if x.n != theta.n:
         raise ValueError("x and theta lengths differ")
     reserve((1 << x.n,))
-    amps = np.array([1.0], dtype=np.complex128)
+    amps = np.ones(1, dtype=np.complex128)
     h = 1.0 / math.sqrt(2.0)
     for i in range(x.n):
         if theta.bit(i):
-            local = np.array([h, -h if x.bit(i) else h], dtype=np.complex128)
+            local = (h, -h if x.bit(i) else h)
         else:
-            local = np.array(
-                [0.0, 1.0] if x.bit(i) else [1.0, 0.0], dtype=np.complex128
-            )
-        amps = np.kron(amps, local)
-    return DenseState(x.n, amps, check_norm=False)
+            local = (0.0, 1.0) if x.bit(i) else (1.0, 0.0)
+        # np.kron(amps, local) column by column, which needs no temporary beyond the result.
+        grown = np.empty((amps.size, 2), dtype=np.complex128)
+        for bit, factor in enumerate(local):
+            np.multiply(amps, factor, out=grown[:, bit])
+        amps = grown.reshape(-1)
+    return DenseState._own(x.n, amps)
 
 
 def conjugate_coset_parameters(
@@ -441,19 +426,42 @@ def kept_spectrum(state: DenseState, frame: VerifierFrame) -> tuple[float, np.nd
 
     The accepted cosets are normalised before the transform, so the second
     stage's probability is a unit vector's kept energy / 2^k; the product is
-    clipped at one.  The spectrum is None when the probability is zero.
+    clipped at one.  Only the occupied cosets are normalised and transformed
+    (see _coset_spectrum), so a pure note costs one gather of the accepted
+    cosets plus one 2^k transform per coset it occupies: one for a tolerated
+    coset state.  The spectrum is None when the probability is zero.
     """
     cosets = state.amplitudes[frame.index]
     prob1 = float(np.vdot(cosets, cosets).real)
     if prob1 == 0.0:
         return 0.0, None
-    spectrum = fwht(cosets / math.sqrt(prob1))
-    kept = np.zeros_like(spectrum)
-    kept[:, frame.keep] = spectrum[:, frame.keep]
+    kept = _coset_spectrum(cosets, math.sqrt(prob1), frame.keep)
     prob2 = float(np.vdot(kept, kept).real) / frame.index.shape[1]
     if prob2 == 0.0:
         return 0.0, None
     return min(prob1 * prob2, 1.0), kept
+
+
+def _coset_spectrum(
+    cosets: np.ndarray, scale: float | None = None, keep: np.ndarray | None = None
+) -> np.ndarray:
+    """fwht(cosets / scale), zero outside the frequencies keep, transforming occupied rows only.
+
+    A row holding no amplitude transforms to exact zeros, which the result
+    already holds there, so only the rows with a nonzero entry are divided
+    and transformed.
+    """
+    out = np.zeros_like(cosets)
+    occupied = np.flatnonzero(cosets.any(axis=1))
+    if occupied.size:
+        rows = cosets[occupied]
+        if scale is not None:
+            rows /= scale
+        if keep is None:
+            out[occupied] = fwht(rows)
+        else:
+            out[occupied[:, None], keep] = fwht(rows)[:, keep]
+    return out
 
 
 def _post_state(n: int, kept: np.ndarray, frame: VerifierFrame) -> DenseState:
@@ -461,7 +469,8 @@ def _post_state(n: int, kept: np.ndarray, frame: VerifierFrame) -> DenseState:
     size = frame.index.shape[1]
     reserve((1 << n,))
     post = np.zeros(1 << n, dtype=kept.dtype)
-    post[frame.index] = fwht(kept) / (size * math.sqrt(float(np.vdot(kept, kept).real) / size))
+    norm = size * math.sqrt(float(np.vdot(kept, kept).real) / size)
+    post[frame.index] = _coset_spectrum(kept) / norm
     return DenseState._own(n, post)
 
 
@@ -476,8 +485,10 @@ def verify(
     """Ver: reject unknown serials, then apply P in the session's charged frame.
 
     Only the |E_q| accepted bit-flip cosets of the note are read, 2^k
-    amplitudes each, and each goes through one 2^k-point Walsh filter; the
-    post-state is built on first read.  The outcome carries both the exact
+    amplitudes each, and each one the note occupies goes through one 2^k-point
+    Walsh filter: a pure note costs one gather plus one 2^k transform per
+    occupied coset, one for a tolerated X^e Z^e' note.  The post-state is
+    built on first read.  The outcome carries both the exact
     acceptance probability and one sampled decision; the post-state is the
     accepted branch whenever it exists, regardless of how the sample came out.
     """
@@ -551,7 +562,8 @@ def register_probability(
     normalised.  P is real, so <a + ib|P|a + ib> is the sum of the parts'
     <a|P|a>, the kept Walsh energy of their accepted cosets over 2^k, and a
     block's probabilities, of shape (...), are those sums divided by the
-    registers' squared norms.
+    registers' squared norms.  A DenseState costs one gather plus one 2^k
+    transform per occupied coset; a block transforms every accepted coset.
     """
     n = frame.n
     if isinstance(sigma, (DenseState, MixedState)):
@@ -562,13 +574,13 @@ def register_probability(
     if isinstance(sigma, MixedState):
         # P is real symmetric, so the antisymmetric imaginary part of sigma adds nothing.
         return float(_trace_with_frame(sigma.matrix.real, frame))
-    amps = sigma.amplitudes if isinstance(sigma, DenseState) else sigma
-    coeffs = _kept_coefficients(amps, frame)
-    weight = np.vecdot(coeffs, coeffs).real
     size = frame.index.shape[1]
     if isinstance(sigma, DenseState):
-        return float(weight) / size
-    norm = np.vecdot(amps, amps).sum(axis=-1)
+        coeffs = _coset_spectrum(sigma.amplitudes[frame.index])[:, frame.keep].reshape(-1)
+        return float(np.vecdot(coeffs, coeffs).real) / size
+    coeffs = _kept_coefficients(sigma, frame)
+    weight = np.vecdot(coeffs, coeffs).real
+    norm = np.vecdot(sigma, sigma).sum(axis=-1)
     if not np.all(np.isfinite(norm) & (norm > 0.0)):
         raise ValueError("a register of the block is not a finite nonzero vector")
     return weight.sum(axis=-1) / norm / size
@@ -660,12 +672,15 @@ def frame_weights(state: State, frame: VerifierFrame) -> tuple[np.ndarray, np.nd
     """The state's probability on each accepted bit-flip coset (frame row) and phase-flip frequency.
 
     A frequency s of u counts the Hadamard-basis weight within the accepted
-    cosets only: |fwht(amps[index])|^2 summed over rows / 2^k.
+    cosets only: |fwht(amps[index])|^2 summed over rows / 2^k.  A pure state
+    costs one gather plus one 2^k transform per occupied coset.
     """
     index = frame.index
     if isinstance(state, DenseState):
         cosets = state.amplitudes[index]
-        spectrum = (np.abs(fwht(cosets)) ** 2).sum(axis=0) / index.shape[1]
+        # order="F" lays each frequency's rows side by side, as fwht's output is,
+        # so the sum over rows adds them in the order of the all-rows transform.
+        spectrum = (np.abs(_coset_spectrum(cosets), order="F") ** 2).sum(axis=0) / index.shape[1]
         return (np.abs(cosets) ** 2).sum(axis=1), spectrum
     # The imaginary part of a Hermitian rho adds nothing to either diagonal.
     rho = state.matrix.real

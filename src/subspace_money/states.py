@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from .errors import reserve
-from .gf2 import BasisMap, BitVec, SubspaceBasis
+from .gf2 import BasisMap, BitVec, SubspaceBasis, _span_table
 
 if TYPE_CHECKING:
     from .codes import CodeSpec
@@ -66,13 +66,15 @@ class DenseState:
         reserve((1 << n,))
         amps = np.zeros(1 << n, dtype=np.complex128)
         amps[idx] = 1.0
-        return cls(n, amps)
+        _check_unit_norm(amps)
+        return cls._own(n, amps)
 
     @classmethod
     def uniform(cls, n: int) -> "DenseState":
         reserve((1 << n,))
         amps = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
-        return cls(n, amps)
+        _check_unit_norm(amps)
+        return cls._own(n, amps)
 
     def amplitude(self, b: BitVec | int) -> complex:
         idx = b.value if isinstance(b, BitVec) else int(b)
@@ -195,12 +197,18 @@ def coset_state(s: SubspaceBasis, e: BitVec, e_prime: BitVec, sign: int = 1) -> 
     """sign * X^e Z^e' applied to the subspace state: amplitudes sign*(-1)^(v.e') on v+e."""
     if e.n != s.n or e_prime.n != s.n:
         raise ValueError("error vector length differs from the ambient dimension")
-    reserve((1 << s.n,))
-    values = s.vector_values()
+    return _coset_state(s.n, s.vector_values(), e, e_prime, sign)
+
+
+def _coset_state(
+    n: int, values: np.ndarray, e: BitVec, e_prime: BitVec, sign: int = 1
+) -> DenseState:
+    """coset_state from the subspace's vector_values, computed once by callers that build many."""
+    reserve((1 << n,))
     parity = (np.bitwise_count(values & e_prime.value) & 1).astype(np.float64)
-    amps = np.zeros(1 << s.n, dtype=np.complex128)
+    amps = np.zeros(1 << n, dtype=np.complex128)
     amps[values ^ e.value] = sign * (1.0 - 2.0 * parity) / math.sqrt(len(values))
-    return DenseState._own(s.n, amps)
+    return DenseState._own(n, amps)
 
 
 def coset_to_dense(label: CosetLabel) -> DenseState:
@@ -271,14 +279,11 @@ def apply_basis_permutation(st: DenseState, b: BasisMap) -> DenseState:
     if b.n != st.n:
         raise ValueError("map dimension differs from the state size")
     reserve((1 << st.n,))
-    idx = np.arange(1 << st.n, dtype=np.int64)
-    images = np.zeros(1 << st.n, dtype=np.int64)
-    for i in range(st.n):
-        bit = (idx >> (st.n - 1 - i)) & 1
-        images ^= bit * np.int64(b.column(i).value)
+    # Bit j of x is coordinate n-1-j, so Bx sums the columns picked by x's bits in reverse order.
+    images = _span_table([b.column(st.n - 1 - j).value for j in range(st.n)], st.n)
     out = np.empty_like(st.amplitudes)
     out[images] = st.amplitudes
-    return DenseState(st.n, out, check_norm=False)
+    return DenseState._own(st.n, out)
 
 
 def inner(a: DenseState, b: DenseState) -> complex:

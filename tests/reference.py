@@ -5,7 +5,8 @@ the package by slower, more literal routes: the tolerated coset states one
 by one, predicate masks as a lookup of H x over all 2^n strings, the phase
 oracle as a sign flip over a 2^n mask, the verifier as the four-stage
 pipeline M_dual, FWHT, M_primal on full 2^n masks, or in its coset frame
-with the post-state built at once, code search by exhaustive minimum
+with every accepted coset transformed and the post-state built at once, the
+subset testers as a classical query surface, code search by exhaustive minimum
 distances, syndrome tables one matrix-vector product per error, and RREF
 column by column.
 """
@@ -20,7 +21,7 @@ import numpy as np
 from subspace_money.codes import CodeSpec, enumerate_errors
 from subspace_money.errors import CodeSearchError, SyndromeCollisionError
 from subspace_money.gf2 import BitVec, Gf2Matrix, SubspaceBasis, _span_table, random_bitvec
-from subspace_money.oracles import VerifierFrame
+from subspace_money.oracles import VerifierFrame, subset_predicate
 from subspace_money.rng import Seed, as_generator
 from subspace_money.scheme import _project, apply_frame
 from subspace_money.states import (
@@ -149,29 +150,79 @@ def apply_verifier(state: State, primal, dual) -> tuple[float, State | None]:
     return prob, None if build is None else build()
 
 
+def all_rows_kept_spectrum(
+    state: DenseState, frame: VerifierFrame
+) -> tuple[float, np.ndarray | None]:
+    """kept_spectrum with every accepted coset normalised and transformed, occupied or not."""
+    cosets = state.amplitudes[frame.index]
+    prob1 = float(np.vdot(cosets, cosets).real)
+    if prob1 == 0.0:
+        return 0.0, None
+    spectrum = fwht(cosets / math.sqrt(prob1))
+    kept = np.zeros_like(spectrum)
+    kept[:, frame.keep] = spectrum[:, frame.keep]
+    prob2 = float(np.vdot(kept, kept).real) / frame.index.shape[1]
+    if prob2 == 0.0:
+        return 0.0, None
+    return min(prob1 * prob2, 1.0), kept
+
+
+def all_rows_post_state(n: int, kept: np.ndarray, frame: VerifierFrame) -> DenseState:
+    """The accepted branch of a kept spectrum, transforming every row of it."""
+    size = frame.index.shape[1]
+    post = np.zeros(1 << n, dtype=kept.dtype)
+    post[frame.index] = fwht(kept) / (size * math.sqrt(float(np.vdot(kept, kept).real) / size))
+    return DenseState(n, post, check_norm=False)
+
+
+def all_rows_frame_weights(
+    state: DenseState, frame: VerifierFrame
+) -> tuple[np.ndarray, np.ndarray]:
+    """frame_weights of a pure state, transforming every accepted coset."""
+    cosets = state.amplitudes[frame.index]
+    spectrum = (np.abs(fwht(cosets)) ** 2).sum(axis=0) / frame.index.shape[1]
+    return (np.abs(cosets) ** 2).sum(axis=1), spectrum
+
+
+def all_rows_register_probability(state: DenseState, frame: VerifierFrame) -> float:
+    """register_probability of a pure state, transforming every accepted coset."""
+    coeffs = fwht(state.amplitudes[frame.index])[:, frame.keep].reshape(-1)
+    return float(np.vecdot(coeffs, coeffs).real) / frame.index.shape[1]
+
+
 def eager_frame_pipeline(state: State, frame: VerifierFrame) -> tuple[float, State | None]:
     """apply_frame as it was before the post-state was built on read, post-state made eagerly."""
-    index, keep = frame.index, frame.keep
-    size = index.shape[1]
     if isinstance(state, DenseState):
-        cosets = state.amplitudes[index]
-        prob1 = float(np.vdot(cosets, cosets).real)
-        if prob1 == 0.0:
-            return 0.0, None
-        spectrum = fwht(cosets / math.sqrt(prob1))
-        kept = np.zeros_like(spectrum)
-        kept[:, keep] = spectrum[:, keep]
-        prob2 = float(np.vdot(kept, kept).real) / size
-        if prob2 == 0.0:
-            return 0.0, None
-        post = np.zeros_like(state.amplitudes)
-        post[index] = fwht(kept) / (size * math.sqrt(prob2))
-        return min(prob1 * prob2, 1.0), DenseState(state.n, post, check_norm=False)
+        prob, kept = all_rows_kept_spectrum(state, frame)
+        return prob, None if kept is None else all_rows_post_state(state.n, kept, frame)
     sandwich = _project(_project(state.matrix, frame).T, frame).T
     prob = float(np.trace(sandwich).real)
     if prob <= 0.0:
         return 0.0, None
     return min(prob, 1.0), MixedState(state.n, sandwich / prob, validate=False)
+
+
+class SubsetTesters:
+    """A bank's subset testers as classical queries, one predicate per (serial, side), built once."""
+
+    def __init__(self, registry):
+        self.registry = registry
+        self._predicates = {}
+
+    def __call__(self, side: str, z: BitVec, x: BitVec) -> bool:
+        """The subset tester for serial z.
+
+        For an invalid serial the tester does nothing, which for a phase
+        oracle means no sign flip: the predicate reads False.
+        """
+        if side not in ("primal", "dual"):
+            raise ValueError(f"side must be primal or dual, got {side!r}")
+        if not self.registry.serial_check(z):
+            return False
+        if (z, side) not in self._predicates:
+            spec = self.registry.record_for_serial(z).spec
+            self._predicates[z, side] = subset_predicate(spec, side)
+        return self._predicates[z, side](x)
 
 
 def search_by_distances(n: int, q: int, seed: Seed, max_attempts: int) -> CodeSpec:

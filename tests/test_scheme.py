@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subspace_money import oracles, scheme
-from subspace_money.codes import CodeSpec, enumerate_errors
+from subspace_money.codes import CodeSpec, enumerate_errors, error_count, search_applicable_code
 from subspace_money.errors import (
     SerialCollisionError,
     SyndromeCollisionError,
@@ -29,6 +29,7 @@ from subspace_money.scheme import (
     Banknote,
     MintRecord,
     OracleRegistry,
+    apply_frame,
     conjugate_coding_state,
     conjugate_coset_parameters,
     corrupt,
@@ -37,6 +38,7 @@ from subspace_money.scheme import (
     double_verify,
     dumps_banknote,
     frame_weights,
+    kept_spectrum,
     load_banknote,
     load_record,
     mint_conjugate,
@@ -54,6 +56,8 @@ from subspace_money.states import (
     CosetLabel,
     DenseState,
     MixedState,
+    apply_basis_permutation,
+    apply_pauli,
     coset_state,
     coset_to_dense,
     hadamard_all,
@@ -64,6 +68,10 @@ from subspace_money.states import (
 
 from conftest import WORKED_CODEWORDS
 from reference import (
+    SubsetTesters,
+    all_rows_frame_weights,
+    all_rows_kept_spectrum,
+    all_rows_register_probability,
     apply_verifier,
     eager_frame_pipeline,
     masked_pipeline,
@@ -213,11 +221,12 @@ def test_mint_record_validates_theta_weight(worked_spec):
 def test_tester_oracle_surface(registry):
     rec = registry.generate(bv("011000"))
     member = rec.spec.code.basis_rows()[0]
-    assert registry.tester("primal", rec.serial, member)
+    tester = SubsetTesters(registry)
+    assert tester("primal", rec.serial, member)
     # An invalid serial makes the tester do nothing: the predicate reads False.
-    assert not registry.tester("primal", BitVec.zeros(18), member)
+    assert not tester("primal", BitVec.zeros(18), member)
     with pytest.raises(ValueError):
-        registry.tester("sideways", rec.serial, member)
+        tester("sideways", rec.serial, member)
 
 
 def test_tester_builds_one_syndrome_table_per_side(registry, monkeypatch):
@@ -232,10 +241,11 @@ def test_tester_builds_one_syndrome_table_per_side(registry, monkeypatch):
 
     monkeypatch.setattr(oracles, "build_syndrome_table", counting)
     rng = np.random.default_rng(170)
+    tester = SubsetTesters(registry)
     for i in range(100):
         side = oracles.SIDES[i % 2]
         x = random_bitvec(6, rng)
-        assert registry.tester(side, rec.serial, x) == reference[side](x)
+        assert tester(side, rec.serial, x) == reference[side](x)
     sides = (rec.spec.parity_primal, rec.spec.parity_dual)
     assert sorted(h.row_values for h in built) == sorted(h.row_values for h in sides)
 
@@ -803,6 +813,142 @@ def test_lazy_post_state_matches_eager_pipeline_bitwise(worked_registry):
             assert got.amplitudes.tobytes() == post.amplitudes.tobytes()
         else:
             assert got.matrix.tobytes() == post.matrix.tobytes()
+
+
+# Every (n, q) with n in 4..12 and q <= 2 that the sphere-packing bound
+# allows: it rules out q = 2 at all these n, and q = 1 at n = 4.
+OCCUPIED_PAIRS = [
+    (n, q) for n in range(4, 13, 2) for q in range(3) if error_count(n, q) <= 1 << (n // 2)
+]
+STATE_KINDS = ["coset", "pauli", "negated", "superposition", "haar", "outside"]
+
+
+def _kernel_state(kind, spec, frame, rng):
+    """A pure state of one kind: tolerated coset states, their combinations, or none of them."""
+    n, errors = spec.n, enumerate_errors(spec.n, spec.q)
+
+    def tolerated():
+        return errors[rng.integers(len(errors))], errors[rng.integers(len(errors))]
+
+    if kind == "coset":
+        return coset_state(spec.code, *tolerated(), sign=int(rng.choice([1, -1])))
+    if kind in ("pauli", "negated"):
+        bad = apply_pauli(subspace_state(spec.code), *tolerated())
+        # correct() negates a Pauli-corrupted note like this: every zero becomes -0.
+        return bad if kind == "pauli" else DenseState._own(n, -bad.amplitudes)
+    if kind == "superposition":
+        amps = sum(
+            complex(*rng.normal(size=2)) * coset_state(spec.code, *tolerated()).amplitudes
+            for _ in range(rng.integers(2, 4))
+        )
+        return DenseState(n, amps / np.linalg.norm(amps))
+    if kind == "haar":
+        return _random_pure(rng, n)
+    outside = np.setdiff1d(np.arange(1 << n), frame.index)
+    assume(outside.size)  # a perfect code leaves no string outside the accepted cosets
+    return coset_state(spec.code, BitVec(n, int(rng.choice(outside))), tolerated()[1])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pair=st.sampled_from(OCCUPIED_PAIRS),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(STATE_KINDS),
+)
+def test_occupied_coset_kernels_match_all_rows_reference_bitwise(pair, seed, kind):
+    spec = search_applicable_code(*pair, seed)
+    frame = VerifierFrame.from_predicates(*predicate_pair(spec))
+    state = _kernel_state(kind, spec, frame, np.random.default_rng(seed))
+
+    prob, kept = kept_spectrum(state, frame)
+    ref_prob, ref_kept = all_rows_kept_spectrum(state, frame)
+    assert _bits(prob) == _bits(ref_prob)
+    assert (kept is None) == (ref_kept is None) == (kind == "outside")
+    if kept is not None:
+        # Equal entry for entry; adding 0.0 forgets the sign of zero, since a
+        # row with no amplitude holds +0.0 where the transform of a row of
+        # -0.0 entries (a negated note) gives -0.0 at frequency 0.
+        assert (kept + 0.0).tobytes() == (ref_kept + 0.0).tobytes()
+    prob, build = apply_frame(state, frame)
+    ref_prob, ref_post = eager_frame_pipeline(state, frame)
+    assert _bits(prob) == _bits(ref_prob)
+    assert (build is None) == (ref_post is None)
+    if build is not None:
+        assert build().amplitudes.tobytes() == ref_post.amplitudes.tobytes()
+    for got, ref in zip(frame_weights(state, frame), all_rows_frame_weights(state, frame)):
+        assert got.tobytes() == ref.tobytes()
+    assert _bits(register_probability(state, frame)) == _bits(
+        all_rows_register_probability(state, frame)
+    )
+
+
+def test_pauli_corrupted_note_costs_one_coset_transform(monkeypatch):
+    # A tolerated X^e Z^e' note occupies one accepted bit-flip coset, so
+    # verify and diagnose each run the 2^k-point transform on one row.
+    n = 16
+    reg = OracleRegistry(n, 1, master_seed=1616)
+    note = mint_direct(reg, BitVec.zeros(n))
+    session = reg.session(note.serial)
+    errors, none = enumerate_errors(n, 1), BitVec.zeros(n)
+    shapes = []
+    transform = scheme.fwht
+    monkeypatch.setattr(scheme, "fwht", lambda a: shapes.append(a.shape) or transform(a))
+    for e, ep in [(errors[3], none), (none, errors[9]), (errors[16], errors[1])]:
+        bad = corrupt(note, e, ep)
+        shapes.clear()
+        assert verify(reg, bad, session=session, rng=0).accept_probability == 1.0
+        assert shapes == [(1, 1 << (n // 2))]
+        shapes.clear()
+        assert diagnose(reg, bad, session=session) == (e, ep)
+        assert shapes == [(1, 1 << (n // 2))]
+
+
+@pytest.fixture(scope="module")
+def conjugate_bank():
+    reg = OracleRegistry(16, 1, master_seed=1616, route="conjugate")
+    r = BitVec(16, 0b1011)
+    return reg, r, reg.generate(r)
+
+
+# (constructor, its inputs from the conjugate bank, the call, and the bound on
+# its tracemalloc peak in units of the 16 * 2^16 bytes of one n = 16 note).
+WORKING_SETS = [
+    (
+        "apply_basis_permutation",
+        lambda reg, r, rec: (conjugate_coding_state(BitVec.zeros(16), rec.theta), rec.basis_map),
+        apply_basis_permutation,
+        2.5,
+    ),
+    ("mint_conjugate", lambda reg, r, rec: (reg, r), mint_conjugate, 3.5),
+    (
+        "conjugate_coding_state",
+        lambda reg, r, rec: (BitVec.zeros(16), rec.theta),
+        conjugate_coding_state,
+        1.6,
+    ),
+    ("DenseState.uniform", lambda reg, r, rec: (16,), DenseState.uniform, 1.1),
+    ("DenseState.basis_state", lambda reg, r, rec: (16, 5), DenseState.basis_state, 1.1),
+]
+
+
+@pytest.mark.parametrize(
+    "setup, call, bound", [case[1:] for case in WORKING_SETS], ids=[c[0] for c in WORKING_SETS]
+)
+def test_dense_constructor_working_set(conjugate_bank, setup, call, bound):
+    args = setup(*conjugate_bank)
+    tracemalloc.start()
+    try:
+        built = call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    state = built.state if isinstance(built, Banknote) else built
+    assert abs(state.norm() - 1.0) < ATOL_EXACT
+    assert peak <= bound * (16 << 16)
 
 
 # ---------------------------------------------------------------------------
