@@ -101,7 +101,6 @@ from .states import (
     coset_to_dense,
     dump_state,
     fidelity,
-    hadamard_all,
     inner,
     load_state,
     max_deviation,

@@ -24,13 +24,15 @@ from .gf2 import (
     Gf2Matrix,
     SubspaceBasis,
     _bit_block,
-    _independent_rows,
+    _bit_rows,
+    _echelon,
     _pack,
     _unpack,
 )
 from .rng import Seed, as_generator
 
 DEFAULT_MAX_ATTEMPTS = 10_000
+_BATCH_BITS = 512  # code search draws about this many candidate bits per generator call
 CODESPEC_FORMAT = "codespec-v1"
 
 
@@ -138,12 +140,16 @@ def search_applicable_code(
 
     A code corrects q errors, d >= 2q+1, exactly when the errors of weight
     <= q have distinct syndromes, so that is what each candidate is tested
-    for.  A candidate is k = n/2 random rows G, drawn as ``random_subspace``
-    draws them; rank-deficient draws are redrawn and not counted as
-    attempts.  The dual ker G is tested on G's columns as drawn.  Only a
-    candidate that passes is brought to RREF and dualized, and its code is
-    tested on the dual basis' columns.  The exact distances recorded in the
-    spec are walked for the accepted code only.
+    for.  A candidate is k = n/2 random rows G; rank-deficient draws are
+    skipped and not counted as attempts.  Candidates come in batches of
+    max(1, 512 // (k n)), one ``rng.integers`` call of (batch, k, n) bits,
+    and the dual ker G of a whole batch is tested at once on the columns as
+    drawn.  In draw order, each full-rank candidate that passes is brought
+    to RREF and dualized, and its code is tested on the dual basis' columns;
+    the first to pass is accepted.  A batch holds the same bits as that
+    many (k, n) draws, so the accepted code is the one-at-a-time search's,
+    and a Generator passed as ``seed`` is left in the state that search
+    would leave it in.  Only the accepted code's distances are walked.
 
     Raises CodeSearchError before the first attempt when no applicable code
     can exist: C and its dual are both [n, n/2] codes, so each must meet the
@@ -171,24 +177,31 @@ def search_applicable_code(
         )
     reserve((1 << k,), np.uint64)  # the accepted code's distance walk
     rng = as_generator(seed)
-    for _ in range(max_attempts):
-        rows = _independent_rows(n, k, rng)
-        if not _syndromes_distinct(Gf2Matrix(k, n, rows), q):
-            continue
-        code = SubspaceBasis(n, rows)
-        dual = code.dual()
-        if not _syndromes_distinct(dual.basis, q):
-            continue
-        return CodeSpec(
-            n=n,
-            q=q,
-            code=code,
-            dual_code=dual,
-            d_primal=code.min_distance(),
-            d_dual=dual.min_distance(),
-            parity_primal=dual.basis,
-            parity_dual=code.basis,
-        )
+    batch = max(1, _BATCH_BITS // (k * n))
+    attempts = 0
+    while attempts < max_attempts:
+        state = rng.bit_generator.state
+        # No more candidates than attempts left, so the last batch ends on the last attempt.
+        bits = rng.integers(0, 2, size=(min(batch, max_attempts - attempts), k, n))
+        passed = _block_syndromes_distinct(bits, q).tolist()
+        values = _bit_rows(bits.reshape(-1, n))
+        for i, primal_ok in enumerate(passed):
+            rows = values[i * k : (i + 1) * k]
+            if len(_echelon(rows)) < k:
+                continue
+            attempts += 1
+            if not primal_ok:
+                continue
+            code = SubspaceBasis(n, rows)
+            dual = code.dual()
+            if not _syndromes_distinct(dual.basis, q):
+                continue
+            if i + 1 < len(passed):
+                # Leave the generator as if only the draws up to this one were made.
+                rng.bit_generator.state = state
+                rng.integers(0, 2, size=(i + 1, k, n))
+            d_primal, d_dual = code.min_distance(), dual.min_distance()
+            return CodeSpec(n, q, code, dual, d_primal, d_dual, dual.basis, code.basis)
     raise CodeSearchError(
         f"no applicable code found for n={n}, q={q} in {max_attempts} attempts "
         f"(gv_margin={gv_margin(n, q):+.4f}; positive means one exists asymptotically)"
@@ -328,11 +341,22 @@ def _error_syndromes(parity: Gf2Matrix, q: int) -> np.ndarray:
 
 def _syndromes_distinct(parity: Gf2Matrix, q: int) -> bool:
     """Whether the errors of weight <= q have distinct syndromes: ker H has d >= 2q+1."""
-    syndromes = _error_syndromes(parity, q)
-    if syndromes.ndim > 1:
-        return len(np.unique(syndromes, axis=0)) == len(syndromes)
-    ordered = np.sort(syndromes)
-    return bool((ordered[1:] != ordered[:-1]).all())
+    return bool(_block_syndromes_distinct(_bit_block(parity.row_values, parity.cols)[None], q)[0])
+
+
+def _block_syndromes_distinct(bits: np.ndarray, q: int) -> np.ndarray:
+    """``_syndromes_distinct`` for each (k, n) block of 0/1 bits as H, k < 64.
+
+    The columns are packed into the smallest unsigned dtype that holds k
+    bits, a zero column appended for padding: one gather and one XOR
+    reduction give every syndrome, one sort along the last axis the repeats.
+    """
+    count, k, n = bits.shape
+    columns = np.zeros((count, n + 1), dtype=np.min_scalar_type((1 << k) - 1))
+    columns[:, :n] = (1 << np.arange(k - 1, -1, -1)) @ bits
+    syndromes = np.bitwise_xor.reduce(columns[:, _error_positions(n, q)], axis=1)
+    syndromes.sort(axis=1)
+    return (syndromes[:, 1:] != syndromes[:, :-1]).all(axis=1)
 
 
 def count_error_pairs(n: int, q: int) -> int:

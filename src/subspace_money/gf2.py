@@ -435,19 +435,6 @@ class SubspaceBasis:
     def basis_rows(self) -> list[BitVec]:
         return list(self.basis)
 
-    def member(self, v: BitVec) -> bool:
-        """Elimination of v against the RREF basis; True iff it reduces to zero."""
-        if v.n != self.n:
-            raise ValueError(f"length mismatch: {v.n} vs ambient {self.n}")
-        x = v.value
-        for rv in self.basis.row_values:
-            lead = 1 << (rv.bit_length() - 1)
-            if x & lead:
-                x ^= rv
-        return x == 0
-
-    __contains__ = member
-
     def vectors(self) -> Iterator[BitVec]:
         """All 2^dim elements of the subspace, in the order of ``vector_values``."""
         for v in _unpack(self.vector_values()):
@@ -503,14 +490,6 @@ class SubspaceBasis:
             np.bitwise_xor(low, offset, out=buf)
             best = min(best, _weights(buf, counts).min())
         return int(best)
-
-    def intersection_dim(self, other: "SubspaceBasis") -> int:
-        if self.n != other.n:
-            raise ValueError("ambient dimensions differ")
-        stacked = Gf2Matrix(
-            self.dim + other.dim, self.n, self.basis.row_values + other.basis.row_values
-        )
-        return self.dim + other.dim - stacked.rank()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SubspaceBasis) and self.n == other.n and self.basis == other.basis

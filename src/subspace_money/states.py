@@ -218,24 +218,33 @@ def coset_to_dense(label: CosetLabel) -> DenseState:
 def apply_pauli(st: State, e: BitVec, e_prime: BitVec) -> State:
     """X^e Z^e' as an operator product on kets: phase from the pre-shift index.
 
-    New amplitude at b+e is (-1)^(b.e') times the old amplitude at b.  A density
-    matrix is conjugated: entry (x+e, y+e) is (-1)^(x.e' + y.e') rho[x, y], so the
-    global sign of the operator drops out.
+    New amplitude at b+e is (-1)^(b.e') times the old amplitude at b.  On a
+    pure state, X^e reverses the axes of e's coordinates in the (2,)*n view
+    of the amplitudes, and the signs are an int8 outer product over e''s
+    coordinates, so the result is the only 2^n array built.  A density
+    matrix is conjugated: entry (x+e, y+e) is (-1)^(x.e' + y.e') rho[x, y], so
+    the global sign of the operator drops out.
     """
     if e.n != st.n or e_prime.n != st.n:
         raise ValueError("error vector length differs from the state size")
-    dim = 1 << st.n
-    reserve((dim,) if isinstance(st, DenseState) else (dim, dim))
-    idx = np.arange(dim, dtype=np.int64)
-    source = idx ^ np.int64(e.value)
-    parity = np.bitwise_count(source & np.int64(e_prime.value)) & 1
-    signs = 1.0 - 2.0 * parity
+    n, dim = st.n, 1 << st.n
     if isinstance(st, DenseState):
-        return DenseState._own(st.n, signs * st.amplitudes[source])
+        reserve((dim,))
+        view = st.amplitudes.reshape((2,) * n)
+        shifted = view[tuple(slice(None, None, -1 if e.bit(i) else 1) for i in range(n))]
+        signs, shape = np.ones((), dtype=np.int8), [1] * n
+        for i in e_prime.support():
+            signs = np.multiply.outer(signs, np.array([-1, 1] if e.bit(i) else [1, -1], np.int8))
+            shape[i] = 2
+        # +1 multiplies too: a complex product by 1 can change the sign of a zero part.
+        return DenseState._own(n, np.multiply(signs.reshape(shape), shifted).reshape(dim))
+    reserve((dim, dim))
+    source = np.arange(dim, dtype=np.int64) ^ np.int64(e.value)
+    signs = 1.0 - 2.0 * (np.bitwise_count(source & np.int64(e_prime.value)) & 1)
     out = st.matrix[np.ix_(source, source)]
     out *= signs[:, None]
     out *= signs
-    return MixedState._own(st.n, out)
+    return MixedState._own(n, out)
 
 
 def fwht(a: np.ndarray) -> np.ndarray:
@@ -261,17 +270,6 @@ def fwht(a: np.ndarray) -> np.ndarray:
         bottom[...] = diff
         h *= 2
     return out.transpose(*range(1, lead + 1), 0)
-
-
-def hadamard_all(st: State) -> State:
-    """Hadamard on every qubit; an involution.
-
-    For a density matrix the transform conjugates both sides.
-    """
-    if isinstance(st, DenseState):
-        return DenseState._own(st.n, fwht(st.amplitudes) / math.sqrt(1 << st.n))
-    reserve(st.matrix.shape)
-    return MixedState._own(st.n, fwht(fwht(st.matrix).T).T / float(1 << st.n))
 
 
 def apply_basis_permutation(st: DenseState, b: BasisMap) -> DenseState:

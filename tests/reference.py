@@ -7,8 +7,10 @@ oracle as a sign flip over a 2^n mask, the verifier as the four-stage
 pipeline M_dual, FWHT, M_primal on full 2^n masks, or in its coset frame
 with every accepted coset transformed and the post-state built at once, the
 subset testers as a classical query surface, code search by exhaustive minimum
-distances, syndrome tables one matrix-vector product per error, and RREF
-column by column.
+distances, syndrome tables one matrix-vector product per error, RREF column
+by column, and a Pauli as one gather of every source index.  The Hadamard
+on every qubit, subspace membership and intersection dimension have no
+library caller and live here too.
 """
 
 from __future__ import annotations
@@ -32,6 +34,42 @@ from subspace_money.states import (
     coset_state,
     fwht,
 )
+
+
+def hadamard_all(st: State) -> State:
+    """Hadamard on every qubit; an involution.
+
+    For a density matrix the transform conjugates both sides.
+    """
+    if isinstance(st, DenseState):
+        return DenseState._own(st.n, fwht(st.amplitudes) / math.sqrt(1 << st.n))
+    return MixedState._own(st.n, fwht(fwht(st.matrix).T).T / float(1 << st.n))
+
+
+def member(space: SubspaceBasis, v: BitVec) -> bool:
+    """Elimination of v against the RREF basis; True iff it reduces to zero."""
+    if v.n != space.n:
+        raise ValueError(f"length mismatch: {v.n} vs ambient {space.n}")
+    x = v.value
+    for rv in space.basis.row_values:
+        if x & (1 << (rv.bit_length() - 1)):
+            x ^= rv
+    return x == 0
+
+
+def intersection_dim(a: SubspaceBasis, b: SubspaceBasis) -> int:
+    """dim(a ∩ b) = dim a + dim b - dim(a + b), the sum's dimension being the stacked rank."""
+    if a.n != b.n:
+        raise ValueError("ambient dimensions differ")
+    stacked = Gf2Matrix(a.dim + b.dim, a.n, a.basis.row_values + b.basis.row_values)
+    return a.dim + b.dim - stacked.rank()
+
+
+def apply_pauli_by_gather(st: DenseState, e: BitVec, e_prime: BitVec) -> DenseState:
+    """X^e Z^e' on a pure state as one gather of every source index and a float sign array."""
+    source = np.arange(1 << st.n, dtype=np.int64) ^ e.value
+    signs = 1.0 - 2.0 * (np.bitwise_count(source & e_prime.value) & 1)
+    return DenseState._own(st.n, signs * st.amplitudes[source])
 
 
 def tolerated_coset_states(spec: CodeSpec) -> list[DenseState]:

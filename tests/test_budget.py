@@ -30,7 +30,6 @@ from subspace_money.states import (
     apply_pauli,
     coset_state,
     dump_state,
-    hadamard_all,
     load_state,
     subspace_state,
 )
@@ -96,7 +95,6 @@ ENTRY_POINTS = [
     ),
     ("MixedState.from_pure", lambda: (_pure(MIXED),), MixedState.from_pure, MIXED_BYTES),
     ("MixedState.maximally_mixed", lambda: (MIXED,), MixedState.maximally_mixed, MIXED_BYTES),
-    ("hadamard_all_mixed", lambda: (_mixed(),), hadamard_all, MIXED_BYTES),
     ("DenseState.basis_state", lambda: (PURE, 7), DenseState.basis_state, PURE_BYTES),
     ("DenseState.uniform", lambda: (PURE,), DenseState.uniform, PURE_BYTES),
     ("DenseState", lambda: (PURE, _pure().amplitudes), DenseState, PURE_BYTES),
@@ -151,7 +149,7 @@ def test_search_refuses_before_the_first_candidate(monkeypatch):
     def refuse(*args):
         raise AssertionError("drew a candidate whose distance walk cannot fit")
 
-    monkeypatch.setattr(codes, "_independent_rows", refuse)
+    monkeypatch.setattr(codes, "as_generator", refuse)
     monkeypatch.setattr(errors, "BUDGET_BYTES", SPAN_BYTES - 1)
     with pytest.raises(BudgetExceededError):
         search_applicable_code(24, 1, seed=24)

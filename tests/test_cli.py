@@ -55,6 +55,46 @@ def test_gencode_q2_files_are_pinned(tmp_path, capsys, seed, n):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GENCODE_Q2_DIGESTS[seed, n]
 
 
+# SHA-256 of the file written by `gencode --seed s --n N --q 1`, taken with
+# the search that drew one candidate per generator call; batched draws must
+# accept the same codes.
+GENCODE_Q1_DIGESTS = {
+    (1, 6): "c336d5ea333505a4514fd0c84a1b5eea92aae5448ae94f4d2d8aea0dc6bfbc8f",
+    (1, 8): "9386268f3bcab68b7e47719c9e5cb3aa240b7e94617fe08b8bc3295a6a4f8316",
+    (1, 10): "4e599b6546543a261434ac4b551304d8efc14d18bb302e9b52c188f8430a1347",
+    (2, 6): "3df37f11882ceaffd67600018f886ef6572fe8d442cefe8e91c6fb6033ad0d26",
+    (2, 8): "4948cb3735bdc7d743e956db5a9c6e34b3d745635537662a2d23daee35494be2",
+    (2, 10): "11470baff5ebf5326820dc383e5ca002551aed72aac7703711017fb9b8f34f0a",
+    (3, 6): "aa076649ba323c6bbdeb9f17c097316b1e2e7a1bb0311d60369ff735c835dcfe",
+    (3, 8): "28a992d9931b7eff81cc10b261fa83835b69ec0ecabeb2adbf203cbdbff46cf6",
+    (3, 10): "5f366014b36e7119dddd124c20c850918061d0fffb775f7ab050af64e2a327b2",
+}
+
+
+@pytest.mark.parametrize("seed, n", sorted(GENCODE_Q1_DIGESTS))
+def test_gencode_q1_files_are_pinned(tmp_path, capsys, seed, n):
+    out = tmp_path / "code.json"
+    assert run_cli("--seed", seed, "--out", out, "gencode", "--n", n, "--q", 1) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENCODE_Q1_DIGESTS[seed, n]
+
+
+# SHA-256 of the CSV written by `attack --seed 3 --trials 2000 --n 6 --q 1`,
+# taken with the search that drew one candidate per generator call.
+ATTACK_CSV_DIGESTS = {
+    "passthrough-mixed": "ec86534f66c0180046821fb5382b94eda6b5f0a22313f43f69e274548ca8fcd8",
+    "measure-and-copy": "efe186193d4f375709dc4fae083f6bb307d0aad3fa2c56949ea74270fd00dc40",
+    "random-state": "bd9840453c6f6c9ad26bd7dccdda3d32447569fb1dc1f03fdf681e42a7f584a4",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(ATTACK_CSV_DIGESTS))
+def test_attack_csvs_are_pinned(tmp_path, capsys, strategy):
+    out = tmp_path / "attack.csv"
+    argv = ["--seed", 3, "--out", out, "attack", "--trials", 2000, "--n", 6, "--q", 1]
+    assert run_cli(*argv, "--strategy", strategy) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ATTACK_CSV_DIGESTS[strategy]
+
+
 def test_gencode_infeasible_is_domain_error(tmp_path, capsys):
     out = tmp_path / "code.json"
     rc = run_cli("--seed", 3, "--out", out, "gencode", "--n", 6, "--q", 2, "--max-attempts", 500)

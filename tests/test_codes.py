@@ -77,10 +77,11 @@ def test_search_infeasible_parameters_raise():
 def test_search_impossible_parameters_fail_before_sampling(monkeypatch, n, q, bound):
     import subspace_money.codes as codes
 
+    # Every candidate is drawn from the generator the search builds from its seed.
     def refuse(*args, **kwargs):
         raise AssertionError("searched although no applicable code exists")
 
-    monkeypatch.setattr(codes, "_independent_rows", refuse)
+    monkeypatch.setattr(codes, "as_generator", refuse)
     with pytest.raises(CodeSearchError, match=bound):
         search_applicable_code(n, q, seed=3)
 
@@ -113,18 +114,52 @@ def _outcome(search, n, q, rng, attempts):
 @given(
     case=st.sampled_from(SEARCHABLE),
     seed=st.integers(0, 2**32 - 1),
-    attempts=st.integers(1, 5),
+    attempts=st.integers(1, 150),
+    warmup=st.integers(0, 3),
 )
-def test_search_matches_exhaustive_distance_reference(case, seed, attempts):
-    # Same draws, same accepted code, same file; a shared generator ends in
-    # the same state.
+def test_search_matches_exhaustive_distance_reference(case, seed, attempts, warmup):
+    # Same draws, same accepted code, same file; a shared generator, already
+    # drawn from, ends in the same state.  Up to 150 attempts span several
+    # batches of candidates at small n.
     n, q = case
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast.random(warmup)
+    slow.random(warmup)
     got = _outcome(search_applicable_code, n, q, fast, attempts)
     want = _outcome(search_by_distances, n, q, slow, attempts)
     assert got == want
     assert fast.bit_generator.state == slow.bit_generator.state
     assert fast.random() == slow.random()
+
+
+@pytest.mark.parametrize("n, q, batch", [(6, 1, 28), (8, 1, 16)])
+def test_search_matches_reference_past_the_first_batch_and_at_exhaustion(n, q, batch):
+    # max_attempts off every batch boundary (batch = 512 // (n/2 * n)
+    # candidates), for seeds that find a code past the first batch and seeds
+    # that run out of attempts.
+    outcomes = {"later batch": 0, "exhausted": 0}
+    for seed in range(12):
+        for attempts in (batch + 3, 2 * batch + 5, 150):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _outcome(search_applicable_code, n, q, fast, attempts)
+            want = _outcome(search_by_distances, n, q, slow, attempts)
+            assert got == want
+            assert fast.bit_generator.state == slow.bit_generator.state
+            if got is None:
+                outcomes["exhausted"] += 1
+            elif slow.bit_generator.state not in _states_within(seed, n, batch):
+                outcomes["later batch"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def _states_within(seed, n, count):
+    """Generator states after each of the first count candidate draws from a fresh seed."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(count):
+        rng.integers(0, 2, size=(n // 2, n))
+        states.append(rng.bit_generator.state)
+    return states
 
 
 def test_search_does_not_count_rank_deficient_draws():

@@ -60,7 +60,6 @@ from subspace_money.states import (
     apply_pauli,
     coset_state,
     coset_to_dense,
-    hadamard_all,
     inner,
     max_deviation,
     subspace_state,
@@ -74,6 +73,7 @@ from reference import (
     all_rows_register_probability,
     apply_verifier,
     eager_frame_pipeline,
+    hadamard_all,
     masked_pipeline,
     masked_projection,
     masked_transform,

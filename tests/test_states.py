@@ -24,7 +24,6 @@ from subspace_money.states import (
     dump_state,
     fidelity,
     fwht,
-    hadamard_all,
     inner,
     load_state,
     max_deviation,
@@ -32,7 +31,13 @@ from subspace_money.states import (
 )
 
 from conftest import WORKED_CODEWORDS
-from reference import fidelity_with_span, tolerated_coset_states
+from reference import (
+    apply_pauli_by_gather,
+    fidelity_with_span,
+    hadamard_all,
+    intersection_dim,
+    tolerated_coset_states,
+)
 
 
 def bv(s):
@@ -151,6 +156,35 @@ def test_apply_pauli_conjugates_a_density_matrix():
         expected = MixedState.from_pure(apply_pauli(st, e, ep))
         assert isinstance(mixed, MixedState)
         assert np.abs(mixed.matrix - expected.matrix).max() < ATOL_EXACT
+
+
+# Parts that make a complex product by +1 or -1 change the sign of a zero.
+SIGNED_PARTS = [0.0, -0.0, 0.5, -0.5, 0.25, -1e-300]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9), data=st.data())
+def test_apply_pauli_matches_gather_reference_bitwise(n, data):
+    parts = st.lists(st.sampled_from(SIGNED_PARTS), min_size=1 << n, max_size=1 << n)
+    amps = np.empty(1 << n, dtype=np.complex128)
+    amps.real, amps.imag = data.draw(parts, label="real"), data.draw(parts, label="imag")
+    st_in = DenseState._own(n, amps)
+    e = BitVec(n, data.draw(st.integers(0, (1 << n) - 1), label="e"))
+    ep = BitVec(n, data.draw(st.integers(0, (1 << n) - 1), label="e'"))
+    got = apply_pauli(st_in, e, ep).amplitudes
+    assert got.tobytes() == apply_pauli_by_gather(st_in, e, ep).amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("e, ep", [(0, 0), (0x8001, 0x0FF0), ((1 << 16) - 1, (1 << 16) - 1)])
+def test_apply_pauli_allocates_only_the_result(e, ep):
+    note = DenseState.uniform(16)
+    tracemalloc.start()
+    try:
+        apply_pauli(note, BitVec(16, e), BitVec(16, ep))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * note.amplitudes.nbytes
 
 
 def test_internal_states_are_read_only_and_unshared():
@@ -309,7 +343,7 @@ def test_inner_half_for_overlapping_codes(worked_spec):
     c = worked_spec.code
     while True:
         other = search_applicable_code(6, 1, seed=rng)
-        if other.code != c and c.intersection_dim(other.code) == 2:
+        if other.code != c and intersection_dim(c, other.code) == 2:
             break
     val = inner(subspace_state(c), subspace_state(other.code))
     assert val == pytest.approx(0.5, abs=1e-12)
