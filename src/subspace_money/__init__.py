@@ -59,14 +59,7 @@ from .gf2 import (
     random_subspace,
     rref,
 )
-from .oracles import (
-    CombinedOracle,
-    MembershipPredicate,
-    QueryLedger,
-    VerifierFrame,
-    subset_predicate,
-    syndrome_predicate,
-)
+from .oracles import QueryLedger, VerifierFrame
 from .scheme import (
     Banknote,
     DoubleVerifyOutcome,

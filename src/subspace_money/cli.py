@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a banknote file against a bank key file")
     p.add_argument("note", type=Path)
     p.add_argument("--bank", type=Path, required=True)
-    p.add_argument("--approach", choices=("subset", "syndrome"), default="subset")
 
     p = sub.add_parser("correct", help="identify and undo the note's Pauli error")
     p.add_argument("note", type=Path)
@@ -223,7 +222,7 @@ def _cmd_corrupt(args) -> int:
 def _cmd_verify(args) -> int:
     registry = registry_for_record(load_record(args.bank))
     note = load_banknote(args.note, registry)
-    outcome = verify(registry, note, approach=args.approach, rng=args.seed)
+    outcome = verify(registry, note, rng=args.seed)
     summary = {
         "serial": str(note.serial),
         "accept_probability": outcome.accept_probability,

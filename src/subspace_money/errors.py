@@ -47,4 +47,4 @@ class UnknownSerialError(KeyError):
 
 
 class UndecodableError(RuntimeError):
-    """No per-coset predicate matched; the state is outside every tolerated coset."""
+    """No tolerated coset holds the state: on some side, no side-code + e with |e| <= q does."""

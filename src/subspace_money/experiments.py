@@ -26,7 +26,7 @@ from .codes import (
     soundness_tradeoff,
 )
 from .gf2 import BitVec, random_bitvec
-from .oracles import VerifierFrame, predicate_pair
+from .oracles import VerifierFrame
 from .rng import Seed, as_generator
 from .scheme import OracleRegistry, kept_spectrum, mint_direct, register_probability
 from .states import MixedState, _coset_state
@@ -97,7 +97,7 @@ def completeness_sweep(spec: CodeSpec, *, probe_undecodable: bool = False) -> Ex
     probe_undecodable an extra row applies a weight-(q+1) bit-flip pattern
     whose syndrome is not in the table; its probability is zero.
     """
-    frame = VerifierFrame.from_predicates(*predicate_pair(spec))
+    frame = VerifierFrame.of(spec)
     errors = enumerate_errors(spec.n, spec.q)
     values = spec.code.vector_values()
     rows = []

@@ -43,13 +43,7 @@ from .codes import (
 from .errors import SerialCollisionError, UndecodableError, UnknownSerialError, reserve
 from .gf2 import BasisMap, BitVec, Gf2Matrix, SubspaceBasis, random_bitvec
 from .gf2 import _independent_rows, _random_rows
-from .oracles import (
-    SIDES,
-    QueryLedger,
-    VerifierFrame,
-    _parity_for,
-    predicate_pair,
-)
+from .oracles import QueryLedger, VerifierFrame, _parity_for
 from .rng import Seed, as_generator, derive_sequence
 from .states import (
     CosetLabel,
@@ -60,7 +54,6 @@ from .states import (
     apply_pauli,
     coset_to_dense,
     dump_state,
-    fwht,
     load_state,
     subspace_state,
 )
@@ -137,19 +130,17 @@ class DoubleVerifyOutcome(NamedTuple):
 class OracleSession:
     """Charge-counting access to one banknote's membership oracles.
 
-    This is the only surface attack code may touch: predicates, the verifier
-    frame and coset tests, never the code itself.  Every oracle use, handing
-    out the frame included, charges the session's ledger; the ledger is a
-    value, so reading it at any point gives a consistent snapshot.
+    This is the only surface attack code may touch: membership queries, the
+    verifier frame and coset tests, never the code itself.  Every oracle use,
+    handing out the frame included, charges the session's ledger; the ledger
+    is a value, so reading it at any point gives a consistent snapshot.
     """
 
-    def __init__(self, registry: "OracleRegistry", serial: BitVec, approach: str = "subset"):
+    def __init__(self, registry: "OracleRegistry", serial: BitVec):
         spec = registry.record_for_serial(serial).spec
         self._spec = spec
-        self._primal, self._dual = predicate_pair(spec, approach)
         self._frame = None
         self.serial = serial
-        self.approach = approach
         self.ledger = QueryLedger.fresh(error_count(spec.n, spec.q))
 
     @property
@@ -161,11 +152,16 @@ class OracleSession:
         self.ledger = self.ledger.charge(name, count)
 
     def member(self, side: str, x: BitVec) -> bool:
-        if side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-        pred = self._primal if side == "primal" else self._dual
+        """Whether H x is an accepted syndrome on side, charged as one query once x is valid."""
+        parity = _parity_for(self._spec, side)
+        if x.n != self.n:
+            raise ValueError(f"length mismatch: {x.n} vs {self.n}")
         self.charge(side)
-        return pred(x)
+        frame = self.verifier_frame(passes=0)
+        syndrome = [parity.mul_vec(x).value]
+        if side == "primal":
+            return bool(np.isin(syndrome, frame.rows)[0])
+        return bool(np.isin(frame.locate("dual", syndrome), frame.keep)[0])
 
     def find_coset(self, side: str, weights: np.ndarray) -> BitVec | None:
         """The first tolerated error e whose coset side-code + e holds all but 1e-9 of weights.
@@ -190,7 +186,7 @@ class OracleSession:
         self.charge("primal", passes)
         self.charge("dual", passes)
         if self._frame is None:
-            self._frame = VerifierFrame.from_predicates(self._primal, self._dual)
+            self._frame = VerifierFrame.of(self._spec)
         return self._frame
 
 
@@ -270,8 +266,8 @@ class OracleRegistry:
             raise UnknownSerialError(str(z))
         return self.records[r]
 
-    def session(self, serial: BitVec, approach: str = "subset") -> OracleSession:
-        return OracleSession(self, serial, approach)
+    def session(self, serial: BitVec) -> OracleSession:
+        return OracleSession(self, serial)
 
 
 def _conjugate_parts(spec: CodeSpec, rng: np.random.Generator) -> tuple[BitVec, BasisMap]:
@@ -414,7 +410,7 @@ def apply_frame(state: State, frame: VerifierFrame) -> tuple[float, Callable[[],
     if isinstance(state, DenseState):
         prob, kept = kept_spectrum(state, frame)
         return prob, None if kept is None else partial(_post_state, state.n, kept, frame)
-    sandwich = _project(_project(state.matrix, frame).T, frame).T
+    sandwich = frame.project(frame.project(state.matrix).T).T
     prob = float(np.trace(sandwich).real)
     if prob <= 0.0:
         return 0.0, None
@@ -427,7 +423,7 @@ def kept_spectrum(state: DenseState, frame: VerifierFrame) -> tuple[float, np.nd
     The accepted cosets are normalised before the transform, so the second
     stage's probability is a unit vector's kept energy / 2^k; the product is
     clipped at one.  Only the occupied cosets are normalised and transformed
-    (see _coset_spectrum), so a pure note costs one gather of the accepted
+    (see VerifierFrame.spectrum), so a pure note costs one gather of the accepted
     cosets plus one 2^k transform per coset it occupies: one for a tolerated
     coset state.  The spectrum is None when the probability is zero.
     """
@@ -435,50 +431,25 @@ def kept_spectrum(state: DenseState, frame: VerifierFrame) -> tuple[float, np.nd
     prob1 = float(np.vdot(cosets, cosets).real)
     if prob1 == 0.0:
         return 0.0, None
-    kept = _coset_spectrum(cosets, math.sqrt(prob1), frame.keep)
+    kept = frame.spectrum(cosets, math.sqrt(prob1), kept=True)
     prob2 = float(np.vdot(kept, kept).real) / frame.index.shape[1]
     if prob2 == 0.0:
         return 0.0, None
     return min(prob1 * prob2, 1.0), kept
 
 
-def _coset_spectrum(
-    cosets: np.ndarray, scale: float | None = None, keep: np.ndarray | None = None
-) -> np.ndarray:
-    """fwht(cosets / scale), zero outside the frequencies keep, transforming occupied rows only.
-
-    A row holding no amplitude transforms to exact zeros, which the result
-    already holds there, so only the rows with a nonzero entry are divided
-    and transformed.
-    """
-    out = np.zeros_like(cosets)
-    occupied = np.flatnonzero(cosets.any(axis=1))
-    if occupied.size:
-        rows = cosets[occupied]
-        if scale is not None:
-            rows /= scale
-        if keep is None:
-            out[occupied] = fwht(rows)
-        else:
-            out[occupied[:, None], keep] = fwht(rows)[:, keep]
-    return out
-
-
 def _post_state(n: int, kept: np.ndarray, frame: VerifierFrame) -> DenseState:
     """The normalised accepted branch of a kept spectrum, in a fresh 2^n vector."""
     size = frame.index.shape[1]
     reserve((1 << n,))
-    post = np.zeros(1 << n, dtype=kept.dtype)
     norm = size * math.sqrt(float(np.vdot(kept, kept).real) / size)
-    post[frame.index] = _coset_spectrum(kept) / norm
-    return DenseState._own(n, post)
+    return DenseState._own(n, frame.scatter(frame.spectrum(kept) / norm))
 
 
 def verify(
     registry: OracleRegistry,
     note: Banknote,
     *,
-    approach: str = "subset",
     rng: Seed | None = None,
     session: OracleSession | None = None,
 ) -> VerifyOutcome:
@@ -495,7 +466,7 @@ def verify(
     if not registry.serial_check(note.serial):
         return VerifyOutcome(False, 0.0, None, reason="unknown serial")
     if session is None:
-        session = registry.session(note.serial, approach)
+        session = registry.session(note.serial)
     prob, build = apply_frame(_as_state(note.state), session.verifier_frame())
     return VerifyOutcome(_sample(registry, rng, prob), prob, build)
 
@@ -536,16 +507,16 @@ def double_verify(
         raise ValueError(f"joint state must act on 2n={2 * n} qubits")
     elif isinstance(joint, DenseState):
         # Register two's kept coefficients, then register one's.
-        coeffs = _kept_coefficients(joint.amplitudes.reshape(dim, dim), frame)
-        coeffs = _kept_coefficients(np.moveaxis(coeffs, 0, -1), frame)
+        coeffs = frame.kept_coefficients(joint.amplitudes.reshape(dim, dim))
+        coeffs = frame.kept_coefficients(np.moveaxis(coeffs, 0, -1))
         prob = float(np.vdot(coeffs, coeffs).real) / frame.index.shape[1] ** 2
     else:
         # rho[x1, y1, x2, y2]: reduce register two, then the Hermitian rest as above.
         # Reducing register two gathers (dim, dim, |S_p|, 2^k, 2^k) entries.
         reserve((dim, dim, *frame.index.shape, frame.index.shape[1]))
         rho = joint.matrix.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3)
-        reduced = _trace_with_frame(rho, frame)
-        prob = float(_trace_with_frame(reduced.real, frame))
+        reduced = frame.frequency_weights(rho, kept=True)
+        prob = float(frame.frequency_weights(reduced.real, kept=True))
 
     prob = min(max(prob, 0.0), 1.0)
     return DoubleVerifyOutcome(prob, _sample(registry, rng, prob))
@@ -573,12 +544,12 @@ def register_probability(
         raise ValueError(f"registers of the block must have {1 << n} amplitudes")
     if isinstance(sigma, MixedState):
         # P is real symmetric, so the antisymmetric imaginary part of sigma adds nothing.
-        return float(_trace_with_frame(sigma.matrix.real, frame))
+        return float(frame.frequency_weights(sigma.matrix.real, kept=True))
     size = frame.index.shape[1]
     if isinstance(sigma, DenseState):
-        coeffs = _coset_spectrum(sigma.amplitudes[frame.index])[:, frame.keep].reshape(-1)
+        coeffs = frame.spectrum(sigma.amplitudes[frame.index])[:, frame.keep].reshape(-1)
         return float(np.vecdot(coeffs, coeffs).real) / size
-    coeffs = _kept_coefficients(sigma, frame)
+    coeffs = frame.kept_coefficients(sigma)
     weight = np.vecdot(coeffs, coeffs).real
     norm = np.vecdot(sigma, sigma).sum(axis=-1)
     if not np.all(np.isfinite(norm) & (norm > 0.0)):
@@ -586,54 +557,14 @@ def register_probability(
     return weight.sum(axis=-1) / norm / size
 
 
-def _kept_coefficients(amps: np.ndarray, frame: VerifierFrame) -> np.ndarray:
-    """The kept Walsh coefficients of amps' accepted cosets, shape (..., |S_p| |keep|).
-
-    Their squared norm over 2^k is <amps|P|amps> along the last axis.
-    """
-    kept = fwht(amps[..., frame.index])[..., frame.keep]
-    return kept.reshape(*kept.shape[:-2], -1)
-
-
-def _project(amps: np.ndarray, frame: VerifierFrame) -> np.ndarray:
-    """P applied along the last axis: the Walsh filter on each accepted coset, zero elsewhere."""
-    index, keep = frame.index, frame.keep
-    spectrum = fwht(amps[..., index])
-    kept = np.zeros_like(spectrum)
-    kept[..., keep] = spectrum[..., keep]
-    out = np.zeros_like(amps)
-    out[..., index] = fwht(kept) / index.shape[1]
-    return out
-
-
-def _trace_with_frame(mat: np.ndarray, frame: VerifierFrame) -> np.ndarray:
-    """tr(P mat) over the last two axes: the kept entries of _frequency_weights."""
-    return _frequency_weights(mat, frame)[..., frame.keep].sum(axis=-1)
-
-
-def _frequency_weights(mat: np.ndarray, frame: VerifierFrame) -> np.ndarray:
-    """<s|H mat H|s> summed over the accepted cosets, for every Walsh frequency s of u.
-
-    On each accepted coset the projector onto frequency s has entries
-    (1/2^k) (-1)^(s.(u^t)), so the weights are fwht(sums) / 2^k, where
-    sums[w] adds mat[index[v, t], index[v, t ^ w]] over every accepted coset
-    v and every t.
-    """
-    index = frame.index
-    u = np.arange(index.shape[1])
-    sums = mat[..., index[:, :, None], index[:, u[:, None] ^ u]].sum(axis=(-3, -2))
-    return fwht(sums) / index.shape[1]
-
-
-def verification_matrix(spec: CodeSpec, approach: str = "subset") -> np.ndarray:
+def verification_matrix(spec: CodeSpec) -> np.ndarray:
     """The verifier's projector P as a dense real matrix: its own kernel applied to the identity.
 
     For an applicable code this equals the projector onto the span of all
     tolerated coset states.
     """
     reserve((1 << spec.n, 1 << spec.n), np.float64)
-    frame = VerifierFrame.from_predicates(*predicate_pair(spec, approach))
-    return _project(np.eye(1 << spec.n), frame)
+    return VerifierFrame.of(spec).project(np.eye(1 << spec.n))
 
 
 # -- correction -------------------------------------------------------------------
@@ -680,11 +611,11 @@ def frame_weights(state: State, frame: VerifierFrame) -> tuple[np.ndarray, np.nd
         cosets = state.amplitudes[index]
         # order="F" lays each frequency's rows side by side, as fwht's output is,
         # so the sum over rows adds them in the order of the all-rows transform.
-        spectrum = (np.abs(_coset_spectrum(cosets), order="F") ** 2).sum(axis=0) / index.shape[1]
+        spectrum = (np.abs(frame.spectrum(cosets), order="F") ** 2).sum(axis=0) / index.shape[1]
         return (np.abs(cosets) ** 2).sum(axis=1), spectrum
     # The imaginary part of a Hermitian rho adds nothing to either diagonal.
     rho = state.matrix.real
-    return np.diagonal(rho)[index].sum(axis=1), _frequency_weights(rho, frame)
+    return np.diagonal(rho)[index].sum(axis=1), frame.frequency_weights(rho)
 
 
 def correct(

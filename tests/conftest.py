@@ -6,8 +6,11 @@ the golden constants (parity rows, the 8 codewords, both distances equal to
 """
 
 import pytest
+from hypothesis import reject
+from hypothesis import strategies as st
 
-from subspace_money.codes import CodeSpec
+from subspace_money.codes import CodeSpec, search_applicable_code
+from subspace_money.errors import CodeSearchError
 from subspace_money.gf2 import SubspaceBasis
 
 # Columns of the generator matrix, read top to bottom.
@@ -41,3 +44,18 @@ def worked_code() -> SubspaceBasis:
 @pytest.fixture(scope="session")
 def worked_spec(worked_code) -> CodeSpec:
     return CodeSpec.build(worked_code, q=1)
+
+
+@st.composite
+def certified_codes(draw) -> CodeSpec:
+    """search_applicable_code(n, q, seed) for even n in 4..10 and q in {0, 1, 2}.
+
+    Pairs that the Singleton or sphere-packing bound refuses are skipped.
+    """
+    n = draw(st.sampled_from([4, 6, 8, 10]), label="n")
+    q = draw(st.sampled_from([0, 1, 2]), label="q")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    try:
+        return search_applicable_code(n, q, seed)
+    except CodeSearchError:
+        reject()

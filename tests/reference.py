@@ -2,30 +2,37 @@
 
 None of these runs on a library path.  They compute the same quantities as
 the package by slower, more literal routes: the tolerated coset states one
-by one, predicate masks as a lookup of H x over all 2^n strings, the phase
-oracle as a sign flip over a 2^n mask, the verifier as the four-stage
-pipeline M_dual, FWHT, M_primal on full 2^n masks, or in its coset frame
-with every accepted coset transformed and the post-state built at once, the
-subset testers as a classical query surface, code search by exhaustive minimum
-distances, syndrome tables one matrix-vector product per error, RREF column
-by column, and a Pauli as one gather of every source index.  The Hadamard
-on every qubit, subspace membership and intersection dimension have no
-library caller and live here too.
+by one; membership predicates, a side plus an accepted-syndrome set derived
+in two separate ways (the keys of a decoding SyndromeTable, or an
+enumeration of the weight-<=q errors here), each with a per-string test, a
+2^n mask scattered from its cosets and per-coset predicates; the verifier
+frame built from two such predicates, with its dual frequencies reversed
+through a bit string; predicate masks as a lookup of H x over all 2^n
+strings; the tag-packed combined oracle; the phase oracle as a sign flip
+over a 2^n mask; the verifier as the four-stage pipeline M_dual, FWHT,
+M_primal on full 2^n masks, or in its coset frame with every accepted coset
+transformed and the post-state built at once; the subset testers as a
+classical query surface; code search by exhaustive minimum distances,
+syndrome tables one matrix-vector product per error, RREF column by column,
+and a Pauli as one gather of every source index.  The Hadamard on every
+qubit, subspace membership and intersection dimension have no library
+caller and live here too.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
 import numpy as np
 
-from subspace_money.codes import CodeSpec, enumerate_errors
+from subspace_money.codes import CodeSpec, build_syndrome_table, enumerate_errors
 from subspace_money.errors import CodeSearchError, SyndromeCollisionError
 from subspace_money.gf2 import BitVec, Gf2Matrix, SubspaceBasis, _span_table, random_bitvec
-from subspace_money.oracles import VerifierFrame, subset_predicate
+from subspace_money.oracles import SIDES, VerifierFrame, _parity_for
 from subspace_money.rng import Seed, as_generator
-from subspace_money.scheme import _project, apply_frame
+from subspace_money.scheme import apply_frame
 from subspace_money.states import (
     ATOL_INVARIANT,
     DenseState,
@@ -34,6 +41,185 @@ from subspace_money.states import (
     coset_state,
     fwht,
 )
+
+
+ROUTES = ("subset", "syndrome", "coset")
+
+
+def _frequency(syndrome: int, k: int) -> int:
+    """A k-bit dual syndrome as a Walsh frequency of u: syndrome row j is bit j of u."""
+    return int(f"{syndrome:0{k}b}"[::-1], 2)
+
+
+class MembershipPredicate:
+    """Membership in {x : H x in accepted} for one side's parity check H.
+
+    kind is "<route>-<side>": the side picks the code (primal) or its dual,
+    the route names how the accepted set was derived (subset: syndrome-table
+    keys; syndrome: weight-limited enumeration; coset: the single syndrome
+    of one error).
+    """
+
+    __slots__ = ("kind", "spec", "accepted", "_mask")
+
+    def __init__(self, kind: str, spec: CodeSpec, accepted: frozenset[BitVec]):
+        route, _, side = kind.partition("-")
+        if route not in ROUTES or side not in SIDES:
+            raise ValueError(f"unknown predicate kind {kind!r}")
+        self.kind = kind
+        self.spec = spec
+        self.accepted = accepted
+        self._mask = None
+
+    @property
+    def n(self) -> int:
+        return self.spec.n
+
+    @property
+    def side(self) -> str:
+        return self.kind.split("-")[1]
+
+    @property
+    def parity(self) -> Gf2Matrix:
+        return _parity_for(self.spec, self.side)
+
+    def __call__(self, x: BitVec) -> bool:
+        if x.n != self.spec.n:
+            raise ValueError(f"length mismatch: {x.n} vs {self.spec.n}")
+        return self.parity.mul_vec(x) in self.accepted
+
+    def support_mask(self) -> np.ndarray:
+        """The predicate's cosets scattered into a 2^n boolean mask, cached after first use."""
+        if self._mask is None:
+            mask = np.zeros(1 << self.n, dtype=bool)
+            mask[self._cosets()] = True
+            mask.setflags(write=False)
+            self._mask = mask
+        return self._mask
+
+    def _cosets(self) -> np.ndarray:
+        """The accepted strings, one coset per row, ascending by syndrome v.
+
+        Row v is leader(v) ^ c(u), c(u) summing the other side's parity rows
+        (a basis of the side-code) picked by the bits of u.  leader(v) puts
+        syndrome row j on the pivot column of the RREF parity row j, so
+        H leader(v) = v, which is checked, as is the count of basis rows.
+        """
+        parity, n = self.parity, self.n
+        basis = _parity_for(self.spec, "dual" if self.side == "primal" else "primal")
+        values = sorted(s.value for s in self.accepted)
+        # Bit i of a syndrome value is row parity.rows-1-i, so the pivots run bottom-up.
+        pivots = [1 << (r.bit_length() - 1) for r in reversed(parity.row_values)]
+        leaders = [sum(p for i, p in enumerate(pivots) if v >> i & 1) for v in values]
+        images = (parity.mul_vec(BitVec(n, x)).value for x in leaders)
+        if basis.rows + parity.rows != n or any(image != v for image, v in zip(images, values)):
+            raise ValueError("the parity rows are not RREF bases of the dual and the code")
+        codewords = _span_table(basis.row_values, n).astype(np.int64)
+        return np.array(leaders, dtype=np.int64)[:, None] ^ codewords
+
+    def coset(self, error: BitVec) -> "MembershipPredicate":
+        """Membership in the single coset side-code + error (accepted set {H error}).
+
+        One such oracle exists per tolerated error vector; testing them in
+        sequence identifies which error occurred.
+        """
+        if error.n != self.spec.n:
+            raise ValueError("error vector length differs from the code length")
+        return MembershipPredicate(
+            f"coset-{self.side}", self.spec, frozenset({self.parity.mul_vec(error)})
+        )
+
+
+def subset_predicate(spec: CodeSpec, side: str) -> MembershipPredicate:
+    """Membership in the union of cosets side-code + e over tolerated e."""
+    table = build_syndrome_table(_parity_for(spec, side), spec.q)
+    return MembershipPredicate(f"subset-{side}", spec, frozenset(table.entries))
+
+
+def syndrome_predicate(spec: CodeSpec, side: str) -> MembershipPredicate:
+    """The same set, with the accepted syndromes enumerated here directly.
+
+    The key set comes from weight-limited vectors, not from a SyndromeTable,
+    so the two predicate families derive their sets in separate code.
+    """
+    parity = _parity_for(spec, side)
+    good = set()
+    for j in range(min(spec.q, spec.n) + 1):
+        for positions in itertools.combinations(range(spec.n), j):
+            good.add(parity.mul_vec(BitVec.from_support(spec.n, positions)))
+    return MembershipPredicate(f"syndrome-{side}", spec, frozenset(good))
+
+
+def predicate_pair(
+    spec: CodeSpec, approach: str = "subset"
+) -> tuple[MembershipPredicate, MembershipPredicate]:
+    """The primal and dual predicates of one approach, "subset" or "syndrome"."""
+    make = {"subset": subset_predicate, "syndrome": syndrome_predicate}.get(approach)
+    if make is None:
+        raise ValueError(f"unknown approach {approach!r}")
+    return make(spec, "primal"), make(spec, "dual")
+
+
+def predicate_frame(primal: MembershipPredicate, dual: MembershipPredicate) -> VerifierFrame:
+    """VerifierFrame.of from two predicates of one code's sides; reads no mask."""
+    k = dual.parity.rows
+    index = primal._cosets()
+    keep = np.array(sorted(_frequency(s.value, k) for s in dual.accepted), dtype=np.int64)
+    rows = np.array(sorted(s.value for s in primal.accepted), dtype=np.int64)
+    for array in (index, keep, rows):
+        array.setflags(write=False)
+    return VerifierFrame(primal.n, index, keep, rows)
+
+
+class CombinedOracle:
+    """All per-coset membership predicates packed behind one tag-extended oracle.
+
+    The tag is the leftmost k bits of a (k+n)-bit query.  Even tag values
+    address primal cosets, odd ones dual cosets, with the error index in the
+    remaining high bits, matching the layout (00, C+e) u (01, C~+e') u
+    (10, C+t) u (11, C~+t').  k = 1 + ceil(log2 |E_X|); when |E_X| is not a
+    power of two the leftover tags are constant-false padding.
+    """
+
+    __slots__ = ("spec", "k", "tag_map", "errors")
+
+    def __init__(self, spec: CodeSpec):
+        errors = enumerate_errors(spec.n, spec.q)
+        m = len(errors)
+        self.spec = spec
+        self.errors = errors
+        self.k = 1 + (m - 1).bit_length()
+        tag_map: dict[int, tuple[str, BitVec]] = {}
+        for i, e in enumerate(errors):
+            tag_map[2 * i] = ("primal", e)
+            tag_map[2 * i + 1] = ("dual", e)
+        self.tag_map = tag_map
+
+    @property
+    def n(self) -> int:
+        return self.spec.n + self.k
+
+    def tag_for(self, side: str, e: BitVec) -> BitVec:
+        """The tag addressing the coset side-code + e."""
+        if side not in SIDES:
+            raise ValueError(f"side must be one of {SIDES}")
+        value = 2 * self.errors.index(e) + (0 if side == "primal" else 1)
+        return BitVec(self.k, value)
+
+    def member(self, tagged_x: BitVec) -> bool:
+        if tagged_x.n != self.k + self.spec.n:
+            raise ValueError(
+                f"length mismatch: expected {self.k}+{self.spec.n} bits, got {tagged_x.n}"
+            )
+        tag, x = tagged_x.split(self.k)
+        entry = self.tag_map.get(tag.value)
+        if entry is None:
+            return False  # padding tag
+        side, e = entry
+        parity = _parity_for(self.spec, side)
+        return parity.mul_vec(x) == parity.mul_vec(e)
+
+    __call__ = member
 
 
 def hadamard_all(st: State) -> State:
@@ -144,9 +330,9 @@ def apply_phase_oracle(pred, st: State) -> State:
     return MixedState(st.n, signs[:, None] * st.matrix * signs[None, :], validate=False)
 
 
-def session_phase(session, side: str, st: State) -> State:
+def session_phase(registry, session, side: str, st: State) -> State:
     """The session's phase oracle for one side, charged as one query to it."""
-    pred = session._primal if side == "primal" else session._dual
+    pred = subset_predicate(registry.record_for_serial(session.serial).spec, side)
     session.charge(side)
     return apply_phase_oracle(pred, st)
 
@@ -184,7 +370,7 @@ def masked_pipeline(state: State, primal, dual) -> tuple[float, State | None]:
 
 def apply_verifier(state: State, primal, dual) -> tuple[float, State | None]:
     """verify's kernel in the predicates' frame: acceptance probability and post-state, built now."""
-    prob, build = apply_frame(state, VerifierFrame.from_predicates(primal, dual))
+    prob, build = apply_frame(state, predicate_frame(primal, dual))
     return prob, None if build is None else build()
 
 
@@ -233,7 +419,7 @@ def eager_frame_pipeline(state: State, frame: VerifierFrame) -> tuple[float, Sta
     if isinstance(state, DenseState):
         prob, kept = all_rows_kept_spectrum(state, frame)
         return prob, None if kept is None else all_rows_post_state(state.n, kept, frame)
-    sandwich = _project(_project(state.matrix, frame).T, frame).T
+    sandwich = frame.project(frame.project(state.matrix).T).T
     prob = float(np.trace(sandwich).real)
     if prob <= 0.0:
         return 0.0, None

@@ -34,7 +34,6 @@ from subspace_money.gf2 import (
     random_bitvec,
     random_isometry,
 )
-from subspace_money.oracles import subset_predicate, syndrome_predicate
 from subspace_money.scheme import (
     MintRecord,
     OracleRegistry,
@@ -54,7 +53,7 @@ from subspace_money.states import (
 )
 
 from conftest import WORKED_CODEWORDS, WORKED_GENERATORS, WORKED_PARITY_ROWS
-from reference import apply_verifier, tolerated_projector
+from reference import apply_verifier, subset_predicate, syndrome_predicate, tolerated_projector
 
 
 @contextlib.contextmanager

@@ -352,6 +352,9 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli("gencode", "--n", 6)  # missing --q
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "note.json", "--bank", "note.bank.json", "--approach", "subset")
+    assert exc.value.code == 2
 
 
 def test_reused_parser_matches_fresh_parsers(tmp_path, monkeypatch, capsys):

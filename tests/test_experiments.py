@@ -59,17 +59,17 @@ def test_completeness_rows_are_exactly_one():
 def test_completeness_sweep_builds_one_verifier_frame(monkeypatch, worked_spec):
     from subspace_money.oracles import VerifierFrame
 
-    build = VerifierFrame.from_predicates
+    build = VerifierFrame.of
     calls = []
 
-    def counted(cls, primal, dual):
-        calls.append((primal.kind, dual.kind))
-        return build(primal, dual)
+    def counted(cls, spec):
+        calls.append(spec)
+        return build(spec)
 
-    monkeypatch.setattr(VerifierFrame, "from_predicates", classmethod(counted))
+    monkeypatch.setattr(VerifierFrame, "of", classmethod(counted))
     report = completeness_sweep(worked_spec, probe_undecodable=True)
     assert len(report.rows) == 50
-    assert calls == [("subset-primal", "subset-dual")]
+    assert calls == [worked_spec]
 
 
 def test_completeness_sweep_undecodable_probe(worked_spec):

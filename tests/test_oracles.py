@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from subspace_money.codes import (
     CodeSpec,
+    _error_syndromes,
     certify,
     enumerate_errors,
     error_count,
@@ -16,15 +17,7 @@ from subspace_money.codes import (
 )
 from subspace_money.errors import SyndromeCollisionError
 from subspace_money.gf2 import BitVec, Gf2Matrix, random_subspace
-from subspace_money.oracles import (
-    SIDES,
-    CombinedOracle,
-    QueryLedger,
-    VerifierFrame,
-    predicate_pair,
-    subset_predicate,
-    syndrome_predicate,
-)
+from subspace_money.oracles import SIDES, QueryLedger, VerifierFrame
 from subspace_money.scheme import frame_weights
 from subspace_money.states import (
     ATOL_EXACT,
@@ -34,7 +27,18 @@ from subspace_money.states import (
     subspace_state,
 )
 
-from reference import apply_phase_oracle, member, syndrome_mask
+from conftest import certified_codes
+from reference import (
+    CombinedOracle,
+    _frequency,
+    apply_phase_oracle,
+    member,
+    predicate_frame,
+    predicate_pair,
+    subset_predicate,
+    syndrome_mask,
+    syndrome_predicate,
+)
 
 
 def bv(s):
@@ -138,18 +142,14 @@ def test_phase_oracle_padding_tag_is_identity(worked_spec):
     assert max_deviation(st, out) == 0
 
 
-def subset_frame(spec):
-    return VerifierFrame.from_predicates(*predicate_pair(spec))
-
-
 def subset_probability(spec, state):
     """Probability of the primal subset, summed from the frame's per-coset row weights."""
-    return float(frame_weights(state, subset_frame(spec))[0].sum())
+    return float(frame_weights(state, VerifierFrame.of(spec))[0].sum())
 
 
 def test_coset_weights_match_direct_masking(worked_spec):
     pred = subset_predicate(worked_spec, "primal")
-    frame = subset_frame(worked_spec)
+    frame = VerifierFrame.of(worked_spec)
     rng = np.random.default_rng(7)
     amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     state = DenseState(6, amps / np.linalg.norm(amps))
@@ -351,10 +351,35 @@ def test_verifier_frame_needs_the_canonical_parity_rows(worked_spec):
     for spec, side in ((unreduced, "parity_primal"), (redundant, "parity_dual")):
         assert [c.name for c in certify(spec).checks if not c.passed] == [side]
         with pytest.raises(ValueError, match="not RREF bases"):
-            VerifierFrame.from_predicates(
-                syndrome_predicate(spec, "primal"), syndrome_predicate(spec, "dual")
-            )
-    frame = VerifierFrame.from_predicates(
-        syndrome_predicate(worked_spec, "primal"), syndrome_predicate(worked_spec, "dual")
-    )
+            VerifierFrame.of(spec)
+    frame = VerifierFrame.of(worked_spec)
     assert frame.index.shape == (7, 8) and sorted(frame.keep) == list(frame.keep)
+
+
+def _assert_same_frame(got, want):
+    assert got.n == want.n
+    for a, b in zip(got[1:], want[1:]):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert not a.flags.writeable
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=certified_codes(), data=st.data())
+def test_frame_of_matches_predicate_frames(spec, data):
+    # Certified codes against the frames of both predicate routes.
+    frame = VerifierFrame.of(spec)
+    for approach in ("subset", "syndrome"):
+        _assert_same_frame(frame, predicate_frame(*predicate_pair(spec, approach)))
+    k = spec.parity_dual.rows
+    for syndromes in (np.arange(1 << k), _error_syndromes(spec.parity_dual, spec.q)):
+        want = [_frequency(int(s), k) for s in syndromes]
+        assert frame.locate("dual", syndromes).tolist() == want
+
+    # Codes of any dimension and tolerance, applicable or not, against the
+    # syndrome route, the one that builds for every code.
+    n = data.draw(st.integers(2, 8), label="length")
+    dim = data.draw(st.integers(1, n - 1), label="k")
+    q = data.draw(st.sampled_from([0, 1, 2]), label="q")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    spec = CodeSpec.build(random_subspace(n, dim, seed), q)
+    _assert_same_frame(VerifierFrame.of(spec), predicate_frame(*predicate_pair(spec, "syndrome")))

@@ -19,12 +19,7 @@ from subspace_money.errors import (
 )
 from subspace_money.experiments import ATTACK_KINDS, run_attack
 from subspace_money.gf2 import BitVec, SubspaceBasis, random_bitvec, random_subspace
-from subspace_money.oracles import (
-    VerifierFrame,
-    predicate_pair,
-    subset_predicate,
-    syndrome_predicate,
-)
+from subspace_money.oracles import VerifierFrame
 from subspace_money.scheme import (
     Banknote,
     MintRecord,
@@ -65,6 +60,7 @@ from subspace_money.states import (
     subspace_state,
 )
 
+import reference
 from conftest import WORKED_CODEWORDS
 from reference import (
     SubsetTesters,
@@ -77,8 +73,11 @@ from reference import (
     masked_pipeline,
     masked_projection,
     masked_transform,
+    predicate_frame,
     session_phase,
+    subset_predicate,
     syndrome_array,
+    syndrome_predicate,
     tolerated_coset_states,
     tolerated_projector,
 )
@@ -231,21 +230,21 @@ def test_tester_oracle_surface(registry):
 
 def test_tester_builds_one_syndrome_table_per_side(registry, monkeypatch):
     rec = registry.generate(bv("011000"))
-    reference = {side: oracles.subset_predicate(rec.spec, side) for side in oracles.SIDES}
+    predicates = {side: subset_predicate(rec.spec, side) for side in oracles.SIDES}
     built = []
-    real = oracles.build_syndrome_table
+    real = reference.build_syndrome_table
 
     def counting(parity, q):
         built.append(parity)
         return real(parity, q)
 
-    monkeypatch.setattr(oracles, "build_syndrome_table", counting)
+    monkeypatch.setattr(reference, "build_syndrome_table", counting)
     rng = np.random.default_rng(170)
     tester = SubsetTesters(registry)
     for i in range(100):
         side = oracles.SIDES[i % 2]
         x = random_bitvec(6, rng)
-        assert tester(side, rec.serial, x) == reference[side](x)
+        assert tester(side, rec.serial, x) == predicates[side](x)
     sides = (rec.spec.parity_primal, rec.spec.parity_dual)
     assert sorted(h.row_values for h in built) == sorted(h.row_values for h in sides)
 
@@ -254,7 +253,7 @@ def test_session_phase_oracle_charges(worked_registry):
     reg, record = worked_registry
     session = reg.session(record.serial)
     st = subspace_state(record.spec.code)
-    flipped = session_phase(session, "primal", st)
+    flipped = session_phase(reg, session, "primal", st)
     assert np.array_equal(flipped.amplitudes, -st.amplitudes)
     assert session.ledger.counters["primal"] == 1
 
@@ -381,17 +380,6 @@ def test_verify_maximally_mixed(worked_registry):
     assert outcome.accept_probability == pytest.approx(49 / 64, abs=1e-9)
 
 
-def test_verify_syndrome_approach_agrees(worked_registry):
-    reg, record = worked_registry
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        note = Banknote(record.serial, DenseState(6, amps / np.linalg.norm(amps)))
-        p_subset = verify(reg, note, approach="subset", rng=0).accept_probability
-        p_syndrome = verify(reg, note, approach="syndrome", rng=0).accept_probability
-        assert p_subset == pytest.approx(p_syndrome, abs=1e-12)
-
-
 def test_verify_charges_ledger(worked_registry):
     reg, record = worked_registry
     session = reg.session(record.serial)
@@ -437,14 +425,6 @@ def test_verification_matrix_is_tolerated_projector(worked_spec):
     assert rank == 49
 
 
-def test_unknown_approach_is_refused(worked_registry, worked_spec):
-    reg, record = worked_registry
-    with pytest.raises(ValueError, match="unknown approach 'bogus'"):
-        verification_matrix(worked_spec, approach="bogus")
-    with pytest.raises(ValueError, match="unknown approach 'bogus'"):
-        reg.session(record.serial, approach="bogus")
-
-
 def test_find_coset_refuses_unknown_side(worked_registry):
     reg, record = worked_registry
     session = reg.session(record.serial)
@@ -460,6 +440,11 @@ def test_member_refuses_unknown_side(worked_registry, side):
     session = reg.session(record.serial)
     with pytest.raises(ValueError, match="side must be one of"):
         session.member(side, BitVec.zeros(6))
+    assert session.ledger.counters == {"primal": 0, "dual": 0, "combined": 0, "coset": 0}
+    # So is a string of the wrong length, on either side.
+    for known in ("primal", "dual"):
+        with pytest.raises(ValueError, match="length mismatch: 4 vs 6"):
+            session.member(known, BitVec.zeros(4))
     assert session.ledger.counters == {"primal": 0, "dual": 0, "combined": 0, "coset": 0}
 
 
@@ -653,7 +638,7 @@ def test_coset_frame_kernel_matches_masked_reference(n, data):
     rng = np.random.default_rng(seed)
     dim = 1 << n
     for route, primal, dual in _predicate_pairs(spec):
-        frame = VerifierFrame.from_predicates(primal, dual)
+        frame = predicate_frame(primal, dual)
         assert frame.index.shape == (len(primal.accepted), 1 << k)
         assert len(frame.keep) == len(dual.accepted)
         inside = np.flatnonzero(primal.support_mask())
@@ -688,7 +673,7 @@ def test_coset_frame_kernel_matches_masked_reference(n, data):
         reg = OracleRegistry(n, q, master_seed=seed)
         record = MintRecord(BitVec.zeros(n), random_bitvec(3 * n, rng), spec, "direct")
         reg.install_record(record, require_applicable=False)
-        session = reg.session(record.serial, route)
+        session = reg.session(record.serial)
         joint = _random_pure(rng, 2 * n)
         grid = joint.amplitudes.reshape(dim, dim)
         image = masked_projection(masked_projection(grid, primal, dual).T, primal, dual).T
@@ -709,14 +694,15 @@ def test_coset_frame_kernel_matches_masked_reference(n, data):
 
 
 def test_verifier_reads_no_mask_or_syndrome_array(monkeypatch, registry):
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("the verifier read a 2^n array of a predicate")
 
     note = mint_direct(registry, BitVec.zeros(6))
-    monkeypatch.setattr(oracles.MembershipPredicate, "support_mask", refuse)
+    monkeypatch.setattr(reference.MembershipPredicate, "support_mask", refuse)
+    monkeypatch.setattr(reference, "syndrome_array", refuse)
     assert verify(registry, note, rng=0).accept_probability == 1.0
     bad = corrupt(note, bv("110000"), BitVec.zeros(6))
-    assert verify(registry, bad, approach="syndrome", rng=0).accept_probability <= 1.0
+    assert verify(registry, bad, rng=0).accept_probability <= 1.0
     e, ep = bv("010000"), bv("000100")
     pure = corrupt(note, e, ep)
     mixed_note = Banknote(note.serial, MixedState.from_pure(pure.state))
@@ -861,7 +847,7 @@ def _bits(x):
 )
 def test_occupied_coset_kernels_match_all_rows_reference_bitwise(pair, seed, kind):
     spec = search_applicable_code(*pair, seed)
-    frame = VerifierFrame.from_predicates(*predicate_pair(spec))
+    frame = VerifierFrame.of(spec)
     state = _kernel_state(kind, spec, frame, np.random.default_rng(seed))
 
     prob, kept = kept_spectrum(state, frame)
@@ -895,8 +881,8 @@ def test_pauli_corrupted_note_costs_one_coset_transform(monkeypatch):
     session = reg.session(note.serial)
     errors, none = enumerate_errors(n, 1), BitVec.zeros(n)
     shapes = []
-    transform = scheme.fwht
-    monkeypatch.setattr(scheme, "fwht", lambda a: shapes.append(a.shape) or transform(a))
+    transform = oracles.fwht
+    monkeypatch.setattr(oracles, "fwht", lambda a: shapes.append(a.shape) or transform(a))
     for e, ep in [(errors[3], none), (none, errors[9]), (errors[16], errors[1])]:
         bad = corrupt(note, e, ep)
         shapes.clear()
@@ -1094,7 +1080,7 @@ def test_diagnose_matches_per_coset_reference(n, seed, kind, data):
     assert diagnose(reg, note, session=session) == (errors[i], errors[j])
     assert session.ledger.counters == {"primal": 0, "dual": 0, "combined": 0, "coset": i + j + 2}
     # The same tests in frame coordinates: bit-flip rows, phase-flip frequencies.
-    frame = VerifierFrame.from_predicates(*predicate_pair(spec))
+    frame = VerifierFrame.of(spec)
     state = coset_to_dense(note.state) if kind == "label" else note.state
     for side, weights, index in zip(("primal", "dual"), frame_weights(state, frame), (i, j)):
         session = reg.session(record.serial)
@@ -1166,8 +1152,6 @@ def test_registry_for_record_round_trip(tmp_path):
 def test_isometry_covariance(worked_registry, worked_spec):
     from subspace_money.codes import CodeSpec, certify
     from subspace_money.gf2 import random_isometry
-    from subspace_money.oracles import subset_predicate
-
     rng = np.random.default_rng(55)
     reg, record = worked_registry
     for _ in range(5):
