@@ -10,7 +10,6 @@ soundness bound formulas.
 from .codes import (
     CertificationReport,
     CodeSpec,
-    ErrorSet,
     StabilizerSet,
     SyndromeTable,
     binary_entropy,

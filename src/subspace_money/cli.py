@@ -4,7 +4,8 @@ Subcommands: gencode, mint, corrupt, verify, correct, attack, bounds, demo.
 Every run is reproducible from its full flag set; when no --seed is given
 one is drawn and printed so the run can be replayed.  Exit codes: 0 success,
 1 domain failures (no code found, unknown serial, undecodable note, an
-allocation refused as over the budget), 2 usage errors.
+allocation refused as over the budget, a malformed or wrongly sized input
+file), 2 usage errors.
 """
 
 from __future__ import annotations

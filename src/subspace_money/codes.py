@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -101,20 +101,29 @@ class CodeSpec:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "CodeSpec":
-        if data.get("format") != CODESPEC_FORMAT:
-            raise ValueError(f"unsupported code file format: {data.get('format')!r}")
-        n = int(data["n"])
+    def from_json_dict(cls, data: dict) -> "CodeSpec":
+        fmt = _json_field(data, "format")
+        if fmt != CODESPEC_FORMAT:
+            raise ValueError(f"unsupported code file format: {fmt!r}")
+        n = _json_field(data, "n", int)
+        d_primal, d_dual = (_json_field(data, k, (int, type(None))) for k in ("d_primal", "d_dual"))
         return cls(
             n=n,
-            q=int(data["q"]),
-            code=SubspaceBasis(n, data["code_rows"]),
-            dual_code=SubspaceBasis(n, data["dual_rows"]),
-            d_primal=math.inf if data["d_primal"] is None else int(data["d_primal"]),
-            d_dual=math.inf if data["d_dual"] is None else int(data["d_dual"]),
-            parity_primal=Gf2Matrix.from_strings(data["parity_primal"]),
-            parity_dual=Gf2Matrix.from_strings(data["parity_dual"]),
+            q=_json_field(data, "q", int),
+            code=SubspaceBasis(n, _json_field(data, "code_rows", list)),
+            dual_code=SubspaceBasis(n, _json_field(data, "dual_rows", list)),
+            d_primal=math.inf if d_primal is None else d_primal,
+            d_dual=math.inf if d_dual is None else d_dual,
+            parity_primal=Gf2Matrix.from_strings(_json_field(data, "parity_primal", list)),
+            parity_dual=Gf2Matrix.from_strings(_json_field(data, "parity_dual", list)),
         )
+
+
+def _json_field(data, key: str, kind: type | tuple[type, ...] = str):
+    """data[key] of a parsed JSON object; ValueError naming the field when it is absent or not a kind."""
+    if not (isinstance(data, dict) and key in data and isinstance(data[key], kind)):
+        raise ValueError(f"field {key!r} is missing or malformed")
+    return data[key]
 
 
 def _distance_or_inf(s: SubspaceBasis):
@@ -274,27 +283,6 @@ def certify(spec: CodeSpec) -> CertificationReport:
     return CertificationReport(tuple(checks), d_p, d_d)
 
 
-@dataclass(frozen=True)
-class ErrorSet:
-    """All error vectors of weight at most q on n coordinates, lexicographically sorted."""
-
-    n: int
-    q: int
-    vectors: tuple[BitVec, ...]
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __iter__(self) -> Iterator[BitVec]:
-        return iter(self.vectors)
-
-    def __getitem__(self, i: int) -> BitVec:
-        return self.vectors[i]
-
-    def index(self, e: BitVec) -> int:
-        return self.vectors.index(e)
-
-
 def error_count(n: int, q: int) -> int:
     """Number of vectors of weight <= q on n coordinates (exact)."""
     if n < 1 or q < 0:
@@ -302,14 +290,15 @@ def error_count(n: int, q: int) -> int:
     return sum(math.comb(n, j) for j in range(min(q, n) + 1))
 
 
-def enumerate_errors(n: int, q: int) -> ErrorSet:
+def enumerate_errors(n: int, q: int) -> tuple[BitVec, ...]:
+    """All error vectors of weight at most q on n coordinates, lexicographically sorted."""
     reserve((error_count(n, q),), np.int64)
     values = []
     for j in range(min(q, n) + 1):
         for positions in itertools.combinations(range(n), j):
             values.append(BitVec.from_support(n, positions).value)
     values.sort()
-    return ErrorSet(n, q, tuple(BitVec(n, v) for v in values))
+    return tuple(BitVec(n, v) for v in values)
 
 
 @functools.lru_cache(maxsize=8)

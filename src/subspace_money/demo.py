@@ -66,8 +66,7 @@ def run(out_dir: Path | None = None, seed: int | None = 0, as_json: bool = False
         results.append((name, bool(ok), detail))
 
     # -- the code itself ------------------------------------------------------
-    code = SubspaceBasis.from_strings(GENERATOR_COLUMNS)
-    spec = CodeSpec.build(code, q=TOLERANCE_Q)
+    spec = worked_spec()
     check("distance_primal", spec.d_primal == DISTANCE, f"d(C) = {spec.d_primal}")
     check("distance_dual", spec.d_dual == DISTANCE, f"d(C dual) = {spec.d_dual}")
     check("certified", certify(spec).passed, "full recomputation")
@@ -88,7 +87,7 @@ def run(out_dir: Path | None = None, seed: int | None = 0, as_json: bool = False
     )
 
     # -- the codeword state ----------------------------------------------------
-    state = subspace_state(code)
+    state = subspace_state(spec.code)
     support = {str(b) for b in state.support()}
     check("codeword_support", support == set(CODEWORDS), f"{len(support)} strings")
     amp = 1.0 / math.sqrt(8.0)

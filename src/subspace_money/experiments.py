@@ -7,7 +7,6 @@ stable column order, so reruns are byte-identical.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +16,6 @@ import numpy as np
 
 from .codes import (
     CodeSpec,
-    build_syndrome_table,
     count_error_pairs,
     enumerate_errors,
     error_count,
@@ -25,7 +23,7 @@ from .codes import (
     soundness_log2,
     soundness_tradeoff,
 )
-from .gf2 import BitVec, random_bitvec
+from .gf2 import random_bitvec
 from .oracles import VerifierFrame
 from .rng import Seed, as_generator
 from .scheme import OracleRegistry, kept_spectrum, mint_direct, register_probability
@@ -73,12 +71,13 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z95) -> tuple[float, float]:
-    """Wilson score interval; well-behaved at rates near 0 and 1."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval; well-behaved at rates near 0 and 1."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes out of range")
+    z = WILSON_Z95
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -90,12 +89,10 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z95) -> tuple
 # completeness
 
 
-def completeness_sweep(spec: CodeSpec, *, probe_undecodable: bool = False) -> ExperimentReport:
+def completeness_sweep(spec: CodeSpec) -> ExperimentReport:
     """Exact acceptance probability of every tolerated corruption of the code state.
 
-    For a certified code all rows report probability one.  With
-    probe_undecodable an extra row applies a weight-(q+1) bit-flip pattern
-    whose syndrome is not in the table; its probability is zero.
+    For a certified code all rows report probability one.
     """
     frame = VerifierFrame.of(spec)
     errors = enumerate_errors(spec.n, spec.q)
@@ -105,26 +102,12 @@ def completeness_sweep(spec: CodeSpec, *, probe_undecodable: bool = False) -> Ex
         for ep in errors:
             prob, _ = kept_spectrum(_coset_state(spec.n, values, e, ep), frame)
             rows.append((str(e), str(ep), prob))
-    if probe_undecodable:
-        probe = _undecodable_probe(spec)
-        prob, _ = kept_spectrum(_coset_state(spec.n, values, probe, BitVec.zeros(spec.n)), frame)
-        rows.append((str(probe), "0" * spec.n, prob))
     return ExperimentReport(
         name="completeness",
         parameters={"n": spec.n, "q": spec.q},
         columns=("bit_flip", "phase_flip", "accept_probability"),
         rows=tuple(rows),
     )
-
-
-def _undecodable_probe(spec: CodeSpec) -> BitVec:
-    """A weight-(q+1) bit-flip pattern whose syndrome decodes to nothing."""
-    table = build_syndrome_table(spec.parity_primal, spec.q)
-    for positions in itertools.combinations(range(spec.n), spec.q + 1):
-        e = BitVec.from_support(spec.n, positions)
-        if table.decode(spec.parity_primal.mul_vec(e)) is None:
-            return e
-    raise ValueError("every weight-(q+1) error is decodable; the code is perfect for q")
 
 
 # ---------------------------------------------------------------------------
@@ -272,43 +255,28 @@ def run_attack(
         successes += int(np.count_nonzero(uniforms < probs))
         prob_sum = float(np.add.accumulate(np.concatenate(([prob_sum], probs)))[-1])
 
-    empirical = successes / trials
     low, high = wilson_interval(successes, trials)
     analytic = analytic_attack_rate(strategy.kind, registry.n, registry.q)
-    row = (
-        strategy.kind,
-        registry.n,
-        registry.q,
-        trials,
-        successes,
-        empirical,
-        low,
-        high,
-        math.nan if analytic is None else analytic,
-        prob_sum / trials,
-        session.ledger.counters["primal"],
-        session.ledger.counters["dual"],
-        session.ledger.combined_equivalent,
-    )
+    row = {
+        "strategy": strategy.kind,
+        "n": registry.n,
+        "q": registry.q,
+        "trials": trials,
+        "successes": successes,
+        "empirical_rate": successes / trials,
+        "wilson_low": low,
+        "wilson_high": high,
+        "analytic_rate": math.nan if analytic is None else analytic,
+        "mean_probability": prob_sum / trials,
+        "queries_primal": session.ledger.counters["primal"],
+        "queries_dual": session.ledger.counters["dual"],
+        "combined_equivalent": session.ledger.combined_equivalent,
+    }
     return ExperimentReport(
         name=f"attack-{strategy.kind}",
         parameters={"n": registry.n, "q": registry.q, "trials": trials},
-        columns=(
-            "strategy",
-            "n",
-            "q",
-            "trials",
-            "successes",
-            "empirical_rate",
-            "wilson_low",
-            "wilson_high",
-            "analytic_rate",
-            "mean_probability",
-            "queries_primal",
-            "queries_dual",
-            "combined_equivalent",
-        ),
-        rows=(row,),
+        columns=tuple(row),
+        rows=(tuple(row.values()),),
         seed=_seed_label(seed),
     )
 
@@ -375,9 +343,9 @@ def soundness_table(
     )
 
 
-def smallest_sound_n(q: int, n_max: int = 200, eps: float | None = None) -> int | None:
-    """Smallest even n whose soundness bound drops below one, by scanning."""
-    for n in range(2, n_max + 1, 2):
+def smallest_sound_n(q: int, eps: float | None = None) -> int | None:
+    """Smallest even n up to 200 whose soundness bound drops below one, by scanning."""
+    for n in range(2, 201, 2):
         if soundness_tradeoff(n, q, eps) < 1.0:
             return n
     return None

@@ -143,7 +143,7 @@ class BitVec:
     @classmethod
     def from_string(cls, text: str) -> "BitVec":
         """Parse an ASCII '0'/'1' string, leftmost character = coordinate 1."""
-        if not text or any(c not in "01" for c in text):
+        if not isinstance(text, str) or not text or text.strip("01"):
             raise ValueError(f"not a bit string: {text!r}")
         return cls(len(text), int(text, 2))
 
@@ -326,21 +326,12 @@ class Gf2Matrix:
         if self.rows != self.cols:
             raise ValueError("only square matrices can be inverted")
         n = self.cols
-        # Work on [A | I] rows packed into 2n-bit ints.
-        work = [(rv << n) | (1 << (n - 1 - i)) for i, rv in enumerate(self.row_values)]
-        r = 0
-        for c in range(n):
-            bit = 1 << (2 * n - 1 - c)
-            pivot = next((i for i in range(r, n) if work[i] & bit), None)
-            if pivot is None:
-                raise ValueError("matrix is not invertible over GF(2)")
-            work[r], work[pivot] = work[pivot], work[r]
-            for i in range(n):
-                if i != r and work[i] & bit:
-                    work[i] ^= work[r]
-            r += 1
-        mask = (1 << n) - 1
-        return Gf2Matrix(n, n, [w & mask for w in work])
+        # The RREF of [A | I] is [I | A^-1] exactly when A is invertible.
+        joined = [(rv << n) | (1 << (n - 1 - i)) for i, rv in enumerate(self.row_values)]
+        reduced = rref(Gf2Matrix(n, 2 * n, joined))[0].row_values
+        if [r >> n for r in reduced] != [1 << (n - 1 - i) for i in range(n)]:
+            raise ValueError("matrix is not invertible over GF(2)")
+        return Gf2Matrix(n, n, [r & ((1 << n) - 1) for r in reduced])
 
     def to_strings(self) -> list[str]:
         return [str(self.row(i)) for i in range(self.rows)]

@@ -35,6 +35,7 @@ import numpy as np
 from .codes import (
     CodeSpec,
     _error_syndromes,
+    _json_field,
     certify,
     enumerate_errors,
     error_count,
@@ -70,6 +71,11 @@ class Banknote:
 
     serial: BitVec
     state: Union[DenseState, MixedState, CosetLabel]
+
+    def __post_init__(self):
+        acts_on = self.state.spec.n if isinstance(self.state, CosetLabel) else self.state.n
+        if acts_on != self.n:
+            raise ValueError(f"the note's state acts on {acts_on} qubits, its serial on n={self.n}")
 
     @property
     def n(self) -> int:
@@ -655,24 +661,21 @@ def banknote_to_json_dict(note: Banknote) -> dict:
 
 
 def banknote_from_json_dict(data: dict, registry: OracleRegistry | None = None) -> Banknote:
-    if data.get("format") != BANKNOTE_FORMAT:
-        raise ValueError(f"unsupported banknote format: {data.get('format')!r}")
-    serial = BitVec.from_string(data["serial"])
-    state = data["state"]
-    if state["kind"] == "dense":
-        return Banknote(serial, load_state(state["dump"]))
-    if state["kind"] == "coset":
+    fmt = _json_field(data, "format")
+    if fmt != BANKNOTE_FORMAT:
+        raise ValueError(f"unsupported banknote format: {fmt!r}")
+    serial = BitVec.from_string(_json_field(data, "serial"))
+    state = _json_field(data, "state", dict)
+    kind = _json_field(state, "kind")
+    if kind == "dense":
+        return Banknote(serial, load_state(_json_field(state, "dump")))
+    if kind == "coset":
         if registry is None:
             raise ValueError("coset banknotes need a registry to resolve the code")
         spec = registry.record_for_serial(serial).spec
-        label = CosetLabel(
-            spec,
-            BitVec.from_string(state["e"]),
-            BitVec.from_string(state["e_prime"]),
-            int(state["sign"]),
-        )
-        return Banknote(serial, label)
-    raise ValueError(f"unknown state kind {state.get('kind')!r}")
+        e, e_prime = (BitVec.from_string(_json_field(state, k)) for k in ("e", "e_prime"))
+        return Banknote(serial, CosetLabel(spec, e, e_prime, _json_field(state, "sign", int)))
+    raise ValueError(f"unknown state kind {kind!r}")
 
 
 def dumps_banknote(note: Banknote) -> str:
@@ -702,20 +705,21 @@ def record_to_json_dict(record: MintRecord) -> dict:
 
 
 def record_from_json_dict(data: dict) -> MintRecord:
-    if data.get("format") != BANKKEY_FORMAT:
-        raise ValueError(f"unsupported bank key format: {data.get('format')!r}")
-    spec = CodeSpec.from_json_dict(data["spec"])
+    fmt = _json_field(data, "format")
+    if fmt != BANKKEY_FORMAT:
+        raise ValueError(f"unsupported bank key format: {fmt!r}")
+    spec = CodeSpec.from_json_dict(_json_field(data, "spec", dict))
+    route = _json_field(data, "route")
     theta = basis_map = None
-    if data["route"] == "conjugate":
-        theta = BitVec.from_string(data["theta"])
-        basis_map = BasisMap.from_columns(
-            [BitVec.from_string(c) for c in data["basis_columns"]]
-        )
+    if route == "conjugate":
+        theta = BitVec.from_string(_json_field(data, "theta"))
+        columns = _json_field(data, "basis_columns", list)
+        basis_map = BasisMap.from_columns([BitVec.from_string(c) for c in columns])
     return MintRecord(
-        r=BitVec.from_string(data["r"]),
-        serial=BitVec.from_string(data["serial"]),
+        r=BitVec.from_string(_json_field(data, "r")),
+        serial=BitVec.from_string(_json_field(data, "serial")),
         spec=spec,
-        route=data["route"],
+        route=route,
         theta=theta,
         basis_map=basis_map,
     )
@@ -733,10 +737,8 @@ def load_record(path: str | Path) -> MintRecord:
     return record_from_json_dict(json.loads(Path(path).read_text()))
 
 
-def registry_for_record(record: MintRecord, master_seed: int = 0) -> OracleRegistry:
-    """A verification-side registry reconstituted from one bank key file."""
-    registry = OracleRegistry(
-        record.spec.n, record.spec.q, master_seed, route=record.route
-    )
+def registry_for_record(record: MintRecord) -> OracleRegistry:
+    """A verification-side registry reconstituted from one bank key file, master seed 0."""
+    registry = OracleRegistry(record.spec.n, record.spec.q, 0, route=record.route)
     registry.install_record(record)
     return registry

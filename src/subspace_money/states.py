@@ -37,13 +37,12 @@ class DenseState:
 
     __slots__ = ("n", "amplitudes")
 
-    def __init__(self, n: int, amplitudes, *, check_norm: bool = True):
+    def __init__(self, n: int, amplitudes):
         reserve((1 << n,))
         arr = np.asarray(amplitudes, dtype=np.complex128)
         if arr.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} amplitudes for n={n}, got shape {arr.shape}")
-        if check_norm:
-            _check_unit_norm(arr)
+        _check_unit_norm(arr)
         self._adopt(n, arr.copy())
 
     @classmethod
@@ -86,9 +85,8 @@ class DenseState:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def support(self, atol: float = 0.0) -> list[BitVec]:
-        idx = np.flatnonzero(np.abs(self.amplitudes) > atol)
-        return [BitVec(self.n, int(i)) for i in idx]
+    def support(self) -> list[BitVec]:
+        return [BitVec(self.n, int(i)) for i in np.flatnonzero(self.amplitudes)]
 
     def __repr__(self) -> str:
         return f"DenseState(n={self.n}, support={len(self.support())})"
@@ -99,21 +97,20 @@ class MixedState:
 
     __slots__ = ("n", "matrix")
 
-    def __init__(self, n: int, matrix, *, validate: bool = True):
+    def __init__(self, n: int, matrix):
         dim = 1 << n
         reserve((dim, dim))
         mat = np.asarray(matrix, dtype=np.complex128)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix for n={n}")
-        if validate:
-            if not np.allclose(mat, mat.conj().T, atol=ATOL_INVARIANT):
-                raise ValueError("density matrix is not Hermitian")
-            tr = complex(np.trace(mat))
-            if abs(tr - 1.0) > ATOL_INVARIANT:
-                raise ValueError(f"density matrix has trace {tr}")
-            eigs = np.linalg.eigvalsh(mat)
-            if eigs.min() < -ATOL_INVARIANT:
-                raise ValueError(f"density matrix has a negative eigenvalue {eigs.min()}")
+        if not np.allclose(mat, mat.conj().T, atol=ATOL_INVARIANT):
+            raise ValueError("density matrix is not Hermitian")
+        tr = complex(np.trace(mat))
+        if abs(tr - 1.0) > ATOL_INVARIANT:
+            raise ValueError(f"density matrix has trace {tr}")
+        eigs = np.linalg.eigvalsh(mat)
+        if eigs.min() < -ATOL_INVARIANT:
+            raise ValueError(f"density matrix has a negative eigenvalue {eigs.min()}")
         self._adopt(n, mat.copy())
 
     @classmethod

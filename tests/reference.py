@@ -326,8 +326,8 @@ def apply_phase_oracle(pred, st: State) -> State:
     mask = pred.support_mask()
     signs = np.where(mask, -1.0, 1.0)
     if isinstance(st, DenseState):
-        return DenseState(st.n, signs * st.amplitudes, check_norm=False)
-    return MixedState(st.n, signs[:, None] * st.matrix * signs[None, :], validate=False)
+        return DenseState._own(st.n, signs * st.amplitudes)
+    return MixedState._own(st.n, signs[:, None] * st.matrix * signs[None, :])
 
 
 def session_phase(registry, session, side: str, st: State) -> State:
@@ -360,12 +360,12 @@ def masked_pipeline(state: State, primal, dual) -> tuple[float, State | None]:
         if prob2 == 0.0:
             return 0.0, None
         post = fwht(half / np.sqrt(prob2)) / math.sqrt(dim)
-        return min(prob1 * prob2, 1.0), DenseState(state.n, post, check_norm=False)
+        return min(prob1 * prob2, 1.0), DenseState._own(state.n, post)
     sandwich = masked_projection(masked_projection(state.matrix, primal, dual).T, primal, dual).T
     prob = float(np.trace(sandwich).real)
     if prob <= 0.0:
         return 0.0, None
-    return min(prob, 1.0), MixedState(state.n, sandwich / prob, validate=False)
+    return min(prob, 1.0), MixedState._own(state.n, sandwich / prob)
 
 
 def apply_verifier(state: State, primal, dual) -> tuple[float, State | None]:
@@ -396,7 +396,7 @@ def all_rows_post_state(n: int, kept: np.ndarray, frame: VerifierFrame) -> Dense
     size = frame.index.shape[1]
     post = np.zeros(1 << n, dtype=kept.dtype)
     post[frame.index] = fwht(kept) / (size * math.sqrt(float(np.vdot(kept, kept).real) / size))
-    return DenseState(n, post, check_norm=False)
+    return DenseState._own(n, post)
 
 
 def all_rows_frame_weights(
@@ -423,7 +423,7 @@ def eager_frame_pipeline(state: State, frame: VerifierFrame) -> tuple[float, Sta
     prob = float(np.trace(sandwich).real)
     if prob <= 0.0:
         return 0.0, None
-    return min(prob, 1.0), MixedState(state.n, sandwich / prob, validate=False)
+    return min(prob, 1.0), MixedState._own(state.n, sandwich / prob)
 
 
 class SubsetTesters:

@@ -61,7 +61,7 @@ def _mixed_joint():
     reg = OracleRegistry(4, 0, master_seed=4)
     note = mint_direct(reg, BitVec.zeros(4))
     rho = MixedState.from_pure(note.state).matrix
-    return reg, note.serial, MixedState(8, np.kron(rho, rho), validate=False)
+    return reg, note.serial, MixedState._own(8, np.kron(rho, rho))
 
 
 # (entry point, inputs built under the default budget, the call on them, and

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import subspace_money
 from subspace_money import cli
 from subspace_money.cli import main
 from subspace_money.scheme import load_banknote, load_record
@@ -184,6 +188,63 @@ def test_undecodable_correct_exit_code(tmp_path, capsys):
     rc = run_cli("--seed", 1, "correct", note, "--bank", bank)
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_wrongly_sized_dump(tmp_path, capsys):
+    from subspace_money.states import DenseState, dump_state
+
+    note = tmp_path / "note.json"
+    run_cli("--seed", 43, "--out", note, "mint", "--n", 6, "--q", 1)
+    data = json.loads(note.read_text())
+    data["state"]["dump"] = dump_state(DenseState.uniform(8))
+    note.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = run_cli("--seed", 1, "verify", note, "--bank", note.with_suffix(".bank.json"))
+    assert rc == 1
+    streams = capsys.readouterr()
+    assert "accept probability" not in streams.out
+    assert "error: the note's state acts on 8 qubits" in streams.err
+
+
+def without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+# Each rewrites one file that mint or gencode wrote: (which file, damaged JSON).
+MALFORMED_FILES = {
+    "note-without-state-kind": ("note", lambda d: {**d, "state": without(d["state"], "kind")}),
+    "note-without-serial": ("note", lambda d: without(d, "serial")),
+    "note-with-int-serial": ("note", lambda d: {**d, "serial": int(d["serial"], 2)}),
+    "note-not-an-object": ("note", lambda d: [d]),
+    "bank-key-without-route": ("bank", lambda d: without(d, "route")),
+    "code-without-dual-rows": ("code", lambda d: without(d, "dual_rows")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_files_are_refused_without_a_traceback(tmp_path, case):
+    which, damage = MALFORMED_FILES[case]
+    note, code = tmp_path / "note.json", tmp_path / "code.json"
+    bank = note.with_suffix(".bank.json")
+    run_cli("--seed", 41, "--out", code, "gencode", "--n", 6, "--q", 1)
+    run_cli("--seed", 41, "--out", note, "mint", "--n", 6, "--q", 1)
+    path = {"note": note, "bank": bank, "code": code}[which]
+    path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+    out = tmp_path / "out.json"
+    if which == "code":
+        argv = ["mint", "--n", "6", "--q", "1", "--code", str(code)]
+    else:
+        argv = ["correct", str(note), "--bank", str(bank)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "subspace_money.cli", "--seed", "1", "--out", str(out), *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(subspace_money.__file__).parents[1])},
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert not out.exists() and not out.with_suffix(".bank.json").exists()
 
 
 # SHA-256 of the bank key written by `mint --seed 13 --n 10 --q 1 --route

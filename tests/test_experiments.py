@@ -67,16 +67,9 @@ def test_completeness_sweep_builds_one_verifier_frame(monkeypatch, worked_spec):
         return build(spec)
 
     monkeypatch.setattr(VerifierFrame, "of", classmethod(counted))
-    report = completeness_sweep(worked_spec, probe_undecodable=True)
-    assert len(report.rows) == 50
+    report = completeness_sweep(worked_spec)
+    assert len(report.rows) == 49
     assert calls == [worked_spec]
-
-
-def test_completeness_sweep_undecodable_probe(worked_spec):
-    report = completeness_sweep(worked_spec, probe_undecodable=True)
-    assert len(report.rows) == 50
-    extra = report.rows[-1]
-    assert extra[2] == 0.0
 
 
 # ---------------------------------------------------------------------------

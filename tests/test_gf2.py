@@ -12,6 +12,7 @@ from subspace_money.gf2 import (
     BitVec,
     Gf2Matrix,
     SubspaceBasis,
+    _echelon,
     random_basis_map,
     random_bitvec,
     random_isometry,
@@ -127,6 +128,20 @@ def test_matrix_inverse():
     assert (m @ inv) == Gf2Matrix.identity(3)
     with pytest.raises(ValueError):
         Gf2Matrix.from_strings(["11", "11"]).inverse()
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_inverse_exactly_when_full_rank(n, seed):
+    rows = [int(v) for v in np.random.default_rng(seed).integers(0, 1 << n, size=n)]
+    m = Gf2Matrix(n, n, rows)
+    if len(_echelon(rows)) < n:
+        with pytest.raises(ValueError, match="not invertible"):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert m @ inv == Gf2Matrix.identity(n)
+    assert inv @ m == Gf2Matrix.identity(n)
 
 
 # ---------------------------------------------------------------------------

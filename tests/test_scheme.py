@@ -415,6 +415,22 @@ def test_verify_coset_label_banknote(worked_registry, worked_spec):
     assert outcome.accept_probability == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("qubits", [8, 4])
+@pytest.mark.parametrize("check", [verify, diagnose, correct])
+def test_wrongly_sized_notes_are_refused(worked_registry, check, qubits):
+    # Banknote refuses the state when it is built, so no entry point can be handed it.
+    reg, record = worked_registry
+    with pytest.raises(ValueError, match=f"acts on {qubits} qubits, its serial on n=6"):
+        check(reg, Banknote(record.serial, DenseState.uniform(qubits)))
+
+
+def test_coset_label_note_needs_a_code_of_the_serial_size(worked_registry):
+    _, record = worked_registry
+    small = search_applicable_code(4, 0, 1)
+    with pytest.raises(ValueError, match="acts on 4 qubits"):
+        Banknote(record.serial, CosetLabel(small, BitVec.zeros(4), BitVec.zeros(4)))
+
+
 def test_verification_matrix_is_tolerated_projector(worked_spec):
     v = verification_matrix(worked_spec)
     proj = tolerated_projector(worked_spec)
@@ -490,7 +506,7 @@ def test_double_verify_mixed_joint_state(worked_registry, worked_spec):
     fresh = subspace_state(worked_spec.code)
     rho1 = MixedState.from_pure(fresh).matrix
     rho2 = MixedState.maximally_mixed(6).matrix
-    joint = MixedState(12, np.kron(rho1, rho2), validate=False)
+    joint = MixedState._own(12, np.kron(rho1, rho2))
     prob, _ = double_verify(reg, record.serial, joint, rng=0)
     assert prob == pytest.approx(49 / 64, abs=1e-9)
 

@@ -422,8 +422,8 @@ def test_fidelity_triangle_inequality():
             return (1 - lam) * np.outer(vec, vec.conj()) + lam * junk
 
         psi, phi = random_pure(), random_pure()
-        rho = MixedState(n, noisy_density(psi), validate=False)
-        sigma = MixedState(n, noisy_density(phi), validate=False)
+        rho = MixedState._own(n, noisy_density(psi))
+        sigma = MixedState._own(n, noisy_density(phi))
         assert np.vdot(psi, rho.matrix @ psi).real >= 1 - eps - 1e-12
         bound = abs(np.vdot(psi, phi)) + 2 * eps**0.25
         assert fidelity(rho, sigma) <= bound + 1e-9
