@@ -110,8 +110,8 @@ class CodeSpec:
         return cls(
             n=n,
             q=_json_field(data, "q", int),
-            code=SubspaceBasis(n, _json_field(data, "code_rows", list)),
-            dual_code=SubspaceBasis(n, _json_field(data, "dual_rows", list)),
+            code=SubspaceBasis(n, _json_rows(data, "code_rows", n)),
+            dual_code=SubspaceBasis(n, _json_rows(data, "dual_rows", n)),
             d_primal=math.inf if d_primal is None else d_primal,
             d_dual=math.inf if d_dual is None else d_dual,
             parity_primal=Gf2Matrix.from_strings(_json_field(data, "parity_primal", list)),
@@ -124,6 +124,14 @@ def _json_field(data, key: str, kind: type | tuple[type, ...] = str):
     if not (isinstance(data, dict) and key in data and isinstance(data[key], kind)):
         raise ValueError(f"field {key!r} is missing or malformed")
     return data[key]
+
+
+def _json_rows(data, key: str, n: int) -> list[str]:
+    """data[key] as a list of n-digit bit strings; ValueError naming the field otherwise."""
+    rows = _json_field(data, key, list)
+    if not all(isinstance(r, str) and len(r) == n and not r.strip("01") for r in rows):
+        raise ValueError(f"field {key!r} holds a row that is not {n} binary digits")
+    return rows
 
 
 def _distance_or_inf(s: SubspaceBasis):

@@ -13,6 +13,7 @@ subspace equality a plain bit-grid comparison.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -124,21 +125,18 @@ def _echelon(values: Iterable[int]) -> dict[int, int]:
     return lead
 
 
+@dataclass(frozen=True, slots=True)
 class BitVec:
     """Immutable vector over GF(2) of fixed length n, packed into one int."""
 
-    __slots__ = ("n", "value")
+    n: int
+    value: int = 0
 
-    def __init__(self, n: int, value: int = 0):
-        if n < 1:
+    def __post_init__(self):
+        if self.n < 1:
             raise ValueError("BitVec length must be >= 1")
-        if not 0 <= value < (1 << n):
-            raise ValueError(f"value {value} out of range for {n} bits")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("BitVec is immutable")
+        if not 0 <= self.value < (1 << self.n):
+            raise ValueError(f"value {self.value} out of range for {self.n} bits")
 
     @classmethod
     def from_string(cls, text: str) -> "BitVec":
@@ -215,12 +213,6 @@ class BitVec:
     def __len__(self) -> int:
         return self.n
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BitVec) and self.n == other.n and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.value))
-
     def __str__(self) -> str:
         return format(self.value, f"0{self.n}b")
 
@@ -233,25 +225,23 @@ def random_bitvec(n: int, seed: Seed) -> BitVec:
     return BitVec(n, _random_rows(n, 1, as_generator(seed))[0])
 
 
+@dataclass(frozen=True, slots=True)
 class Gf2Matrix:
-    """Immutable matrix over GF(2), stored as packed row ints."""
+    """Immutable matrix over GF(2), its rows packed ints held in a tuple."""
 
-    __slots__ = ("rows", "cols", "row_values")
+    rows: int
+    cols: int
+    row_values: tuple[int, ...]
 
-    def __init__(self, rows: int, cols: int, row_values: Sequence[int]):
-        if rows < 0 or cols < 1:
+    def __post_init__(self):
+        if self.rows < 0 or self.cols < 1:
             raise ValueError("bad matrix shape")
-        vals = tuple(map(int, row_values))
-        if len(vals) != rows:
+        vals = tuple(map(int, self.row_values))
+        if len(vals) != self.rows:
             raise ValueError("row count mismatch")
-        if vals and (min(vals) < 0 or max(vals) >> cols):
+        if vals and (min(vals) < 0 or max(vals) >> self.cols):
             raise ValueError("row value out of range for column count")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "row_values", vals)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("Gf2Matrix is immutable")
 
     @classmethod
     def from_strings(cls, lines: Sequence[str]) -> "Gf2Matrix":
@@ -336,17 +326,6 @@ class Gf2Matrix:
     def to_strings(self) -> list[str]:
         return [str(self.row(i)) for i in range(self.rows)]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Gf2Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.row_values == other.row_values
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.row_values))
-
     def __repr__(self) -> str:
         return f"Gf2Matrix({self.to_strings()!r})"
 
@@ -372,6 +351,7 @@ def rref(m: Gf2Matrix) -> tuple[Gf2Matrix, int]:
     return Gf2Matrix(len(rows), m.cols, rows), len(rows)
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class SubspaceBasis:
     """A linear subspace of F_2^n held as its canonical RREF basis.
 
@@ -379,7 +359,8 @@ class SubspaceBasis:
     subspace, because the RREF representative is unique.
     """
 
-    __slots__ = ("n", "basis")
+    n: int
+    basis: Gf2Matrix
 
     def __init__(self, n: int, rows: Iterable[BitVec | str | int] = ()):
         vecs = []
@@ -401,9 +382,6 @@ class SubspaceBasis:
             canon = Gf2Matrix(0, n, [])
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", canon)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("SubspaceBasis is immutable")
 
     @classmethod
     def zero(cls, n: int) -> "SubspaceBasis":
@@ -482,16 +460,11 @@ class SubspaceBasis:
             best = min(best, _weights(buf, counts).min())
         return int(best)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SubspaceBasis) and self.n == other.n and self.basis == other.basis
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.basis))
-
     def __repr__(self) -> str:
         return f"SubspaceBasis({self.n}, {self.basis.to_strings()!r})"
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class BasisMap:
     """An invertible linear map of F_2^n given by its images of the standard basis.
 
@@ -501,7 +474,9 @@ class BasisMap:
     basis kets is the unitary used for conjugate-coding mints.
     """
 
-    __slots__ = ("n", "matrix", "inverse_matrix")
+    n: int
+    matrix: Gf2Matrix
+    inverse_matrix: Gf2Matrix
 
     def __init__(self, matrix: Gf2Matrix):
         if matrix.rows != matrix.cols:
@@ -510,9 +485,6 @@ class BasisMap:
         object.__setattr__(self, "n", matrix.cols)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "inverse_matrix", inv)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("BasisMap is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "BasisMap":
@@ -558,12 +530,6 @@ class BasisMap:
 
     def is_permutation(self) -> bool:
         return all(self.column(i).weight == 1 for i in range(self.n))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BasisMap) and self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
 
     def __repr__(self) -> str:
         return f"BasisMap({self.matrix.to_strings()!r})"

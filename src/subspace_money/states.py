@@ -32,10 +32,12 @@ def _check_unit_norm(amps: np.ndarray) -> None:
         raise ValueError(f"state is not a finite unit vector: |psi| = {norm}")
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class DenseState:
-    """A pure n-qubit state as 2^n complex amplitudes."""
+    """Immutable pure n-qubit state as 2^n read-only complex amplitudes."""
 
-    __slots__ = ("n", "amplitudes")
+    n: int
+    amplitudes: np.ndarray
 
     def __init__(self, n: int, amplitudes):
         reserve((1 << n,))
@@ -55,9 +57,6 @@ class DenseState:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "amplitudes", amplitudes)
         return self
-
-    def __setattr__(self, name, val):
-        raise AttributeError("DenseState is immutable")
 
     @classmethod
     def basis_state(cls, n: int, b: BitVec | int) -> "DenseState":
@@ -92,10 +91,12 @@ class DenseState:
         return f"DenseState(n={self.n}, support={len(self.support())})"
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class MixedState:
-    """A density matrix on n qubits, validated Hermitian, PSD, trace one."""
+    """Immutable density matrix on n qubits, validated Hermitian, PSD, trace one."""
 
-    __slots__ = ("n", "matrix")
+    n: int
+    matrix: np.ndarray
 
     def __init__(self, n: int, matrix):
         dim = 1 << n
@@ -123,9 +124,6 @@ class MixedState:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrix", matrix)
         return self
-
-    def __setattr__(self, name, val):
-        raise AttributeError("MixedState is immutable")
 
     @classmethod
     def maximally_mixed(cls, n: int) -> "MixedState":
@@ -183,11 +181,7 @@ class CosetLabel:
 
 def subspace_state(s: SubspaceBasis) -> DenseState:
     """Uniform superposition over all vectors of the subspace."""
-    reserve((1 << s.n,))
-    values = s.vector_values()
-    amps = np.zeros(1 << s.n, dtype=np.complex128)
-    amps[values] = 1.0 / math.sqrt(len(values))
-    return DenseState._own(s.n, amps)
+    return coset_state(s, BitVec.zeros(s.n), BitVec.zeros(s.n))
 
 
 def coset_state(s: SubspaceBasis, e: BitVec, e_prime: BitVec, sign: int = 1) -> DenseState:

@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_money.codes import (
     CodeSpec,
@@ -35,6 +37,7 @@ from subspace_money.gf2 import (
     random_isometry,
 )
 from subspace_money.scheme import (
+    Banknote,
     MintRecord,
     OracleRegistry,
     conjugate_coding_state,
@@ -44,15 +47,17 @@ from subspace_money.scheme import (
     mint_conjugate,
     mint_direct,
     verification_matrix,
+    verify,
 )
 from subspace_money.states import (
+    DenseState,
     apply_basis_permutation,
     coset_state,
     max_deviation,
     subspace_state,
 )
 
-from conftest import WORKED_CODEWORDS, WORKED_GENERATORS, WORKED_PARITY_ROWS
+from conftest import WORKED_CODEWORDS, WORKED_GENERATORS, WORKED_PARITY_ROWS, certified_codes
 from reference import apply_verifier, subset_predicate, syndrome_predicate, tolerated_projector
 
 
@@ -285,11 +290,58 @@ def test_criterion_12_isometry_covariance(worked_spec):
             # Also on states outside the tolerated span.
             amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
             psi_amps = amps / np.linalg.norm(amps)
-            from subspace_money.states import DenseState
-
             psi = DenseState(6, psi_amps)
             p_base, _ = apply_verifier(psi, base_primal, base_dual)
             p_mapped, _ = apply_verifier(
                 apply_basis_permutation(psi, f), mapped_primal, mapped_dual
             )
             assert abs(p_base - p_mapped) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Criteria 03, 10 and 12 again, over random certified codes (even n in 4..10).
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=certified_codes())
+def test_criterion_03_projector_identity_on_certified_codes(spec):
+    v = verification_matrix(spec)
+    assert np.abs(v - tolerated_projector(spec)).max() < 1e-10
+    assert round(np.trace(v)) == error_count(spec.n, spec.q) ** 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=certified_codes(), route=st.sampled_from(["direct", "conjugate"]), master_seed=SEEDS)
+def test_criterion_10_correction_round_trip_on_certified_codes(spec, route, master_seed):
+    registry = OracleRegistry(spec.n, spec.q, master_seed, route=route)
+    r = BitVec.zeros(spec.n)
+    registry.generate(r, spec)
+    fresh = (mint_direct if route == "direct" else mint_conjugate)(registry, r)
+    tolerance = 0.0 if route == "direct" else 1e-12
+    errors = enumerate_errors(spec.n, spec.q)
+    for e, ep in itertools.product(errors, repeat=2):
+        fixed = correct(registry, corrupt(fresh, e, ep))
+        assert max_deviation(fixed.state, fresh.state) <= tolerance
+
+
+def _accept_probability(spec: CodeSpec, state: DenseState) -> float:
+    registry = OracleRegistry(spec.n, spec.q, 0)
+    record = registry.generate(BitVec.zeros(spec.n), spec)
+    return verify(registry, Banknote(record.serial, state), rng=0).accept_probability
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=certified_codes(), isometry_seed=SEEDS, state_seed=SEEDS)
+def test_criterion_12_isometry_covariance_on_certified_codes(spec, isometry_seed, state_seed):
+    f = random_isometry(spec.n, isometry_seed)
+    mapped_spec = CodeSpec.build(f.map_subspace(spec.code), spec.q)
+    assert certify(mapped_spec).passed
+    rng = np.random.default_rng(state_seed)
+    errors = enumerate_errors(spec.n, spec.q)
+    e, ep = (errors[int(rng.integers(len(errors)))] for _ in range(2))
+    amps = rng.standard_normal(1 << spec.n) + 1j * rng.standard_normal(1 << spec.n)
+    for state in (coset_state(spec.code, e, ep), DenseState(spec.n, amps / np.linalg.norm(amps))):
+        p_mapped = _accept_probability(mapped_spec, apply_basis_permutation(state, f))
+        assert abs(_accept_probability(spec, state) - p_mapped) <= 1e-10

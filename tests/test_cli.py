@@ -218,6 +218,14 @@ MALFORMED_FILES = {
     "note-not-an-object": ("note", lambda d: [d]),
     "bank-key-without-route": ("bank", lambda d: without(d, "route")),
     "code-without-dual-rows": ("code", lambda d: without(d, "dual_rows")),
+    "code-with-object-row": ("code", lambda d: {**d, "code_rows": [{}, *d["code_rows"][1:]]}),
+    "bank-key-with-int-row": (
+        "bank",
+        lambda d: {
+            **d,
+            "spec": {**d["spec"], "code_rows": [int(r, 2) for r in d["spec"]["code_rows"]]},
+        },
+    ),
 }
 
 

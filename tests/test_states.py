@@ -1,5 +1,6 @@
 """Tests for the exact state layer."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 from subspace_money.codes import search_applicable_code
 from subspace_money import errors
 from subspace_money.errors import BudgetExceededError
-from subspace_money.gf2 import BitVec, SubspaceBasis, random_basis_map, random_bitvec
+from subspace_money.gf2 import (
+    BasisMap,
+    BitVec,
+    Gf2Matrix,
+    SubspaceBasis,
+    random_basis_map,
+    random_bitvec,
+)
 from subspace_money.states import (
     ATOL_EXACT,
     CosetLabel,
@@ -498,3 +506,45 @@ def test_load_state_rejects_repeated_bit_strings():
 def test_load_state_rejects_malformed_bit_strings(text):
     with pytest.raises(ValueError, match="binary digits"):
         load_state(text)
+
+
+# ---------------------------------------------------------------------------
+# value semantics
+
+# Two makers per type: the gf2 values are built two different ways that give
+# the same value, the states twice from the same amplitudes.
+VALUE_MAKERS = {
+    "BitVec": (lambda: BitVec(3, 1), lambda: bv("001")),
+    "Gf2Matrix": (lambda: Gf2Matrix(2, 3, [5, 3]), lambda: Gf2Matrix.from_strings(["101", "011"])),
+    "SubspaceBasis": (
+        lambda: SubspaceBasis.from_strings(["110", "011"]),
+        lambda: SubspaceBasis.from_strings(["101", "011"]),
+    ),
+    "BasisMap": (
+        lambda: BasisMap.from_permutation([2, 0, 1]),
+        lambda: BasisMap.from_columns([bv("001"), bv("100"), bv("010")]),
+    ),
+    "DenseState": (lambda: DenseState.uniform(2), lambda: DenseState(2, [0.5] * 4)),
+    "MixedState": (
+        lambda: MixedState.maximally_mixed(2),
+        lambda: MixedState(2, np.eye(4) / 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("makers", VALUE_MAKERS.values(), ids=list(VALUE_MAKERS))
+def test_values_are_frozen_and_states_compare_by_identity(makers):
+    a, b = (make() for make in makers)
+    for field in dataclasses.fields(a):
+        with pytest.raises(AttributeError):
+            setattr(a, field.name, getattr(b, field.name))
+    # A name that is no field: before Python 3.12, a frozen slots dataclass
+    # raises TypeError here instead of AttributeError.
+    with pytest.raises((AttributeError, TypeError)):
+        a.extra = 1
+    assert not hasattr(a, "__dict__") and not hasattr(b, "__dict__")
+    if isinstance(a, (DenseState, MixedState)):
+        assert a == a and a != b
+    else:
+        assert a == b and hash(a) == hash(b)
+        assert a != 1  # the int of a BitVec's bits is not the BitVec
