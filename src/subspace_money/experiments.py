@@ -23,6 +23,7 @@ from .codes import (
     soundness_log2,
     soundness_tradeoff,
 )
+from .errors import reserve
 from .gf2 import random_bitvec
 from .oracles import VerifierFrame
 from .rng import Seed, as_generator
@@ -132,11 +133,17 @@ class AttackStrategy:
 # leading axes, or one real array of shape (..., 2, parts, 2^n) holding both
 # registers on axis -3, for register_probability.  Trial t of the block holds
 # pair pick[t] of the concatenated pairs, or pair t when pick is None.  It is
-# accepted when uniforms[t] falls below the pair's acceptance probability.
+# accepted when uniforms[t] falls below the pair's acceptance probability.  A
+# block's arrays may be refilled for the next block, so they are read before
+# the next one is asked for.
 
-# Live float64 entries in one block of attack registers: eight random-state
-# trials (four 2^n-entry normal vectors each) at n = 6, one trial from n = 9 on.
-_BLOCK_ENTRIES = 2048
+# Live float64 entries in one block of attack registers: sixteen random-state
+# trials (four 2^n-entry normal vectors each) at n = 6, one trial from n = 10
+# on.  Beside the block, its kernel holds the gathered cosets and their kept
+# Walsh rows, under twice the block, because walsh_butterflies keeps numpy's
+# operand buffers out.  So random-state at n = 6 peaks below passthrough-mixed,
+# whose 2^n x 2^n density matrix sets the attack's peak.
+_BLOCK_ENTRIES = 4096
 
 
 def _attack_passthrough_mixed(note, session, rng, trials):
@@ -162,6 +169,7 @@ def _basis_copies(strings: np.ndarray, n: int):
     rows = max(1, _BLOCK_ENTRIES >> n)
     for start in range(0, len(strings), rows):
         chunk = strings[start : start + rows]
+        reserve((len(chunk), 1, 1 << n), np.float64)
         copies = np.zeros((len(chunk), 1, 1 << n))
         copies[np.arange(len(chunk)), 0, chunk] = 1.0
         yield copies, copies
@@ -170,16 +178,18 @@ def _basis_copies(strings: np.ndarray, n: int):
 def _attack_random_state(note, session, rng, trials):
     """Two independent Haar-ish random pure registers; ignores the note."""
     dim = 1 << session.n
-    per_block = max(1, _BLOCK_ENTRIES // (4 * dim))
-    for start in range(0, trials, per_block):
+    shape = (min(trials, max(1, _BLOCK_ENTRIES // (4 * dim))), 2, 2, dim)
+    reserve(shape, np.float64)
+    # One block, refilled in place: the caller is done with a block when it asks for the next.
+    block, uniforms = np.empty(shape), np.empty(shape[0])
+    for start in range(0, trials, shape[0]):
         # parts[t, register, real or imaginary]: a trial draws its four normal
         # vectors in that order, then its decision uniform.
-        parts = np.empty((min(per_block, trials - start), 2, 2, dim))
-        uniforms = np.empty(len(parts))
+        parts = block[: trials - start]
         for t, row in enumerate(parts):
             rng.standard_normal(out=row)
             uniforms[t] = rng.random()
-        yield [parts], uniforms, None
+        yield [parts], uniforms[: len(parts)], None
 
 
 _STRATEGIES = {
@@ -227,10 +237,15 @@ def run_attack(
     per trial.  Each distinct register pair is evaluated once:
     passthrough-mixed has one, measure-and-copy one per measured string,
     random-state one per trial, both registers of a block of trials in one
-    call, in blocks of a fixed number of live float64 entries.  After the
+    call.  A block holds at most _BLOCK_ENTRIES float64 entries, or one trial
+    or string, and is reserved against the allocation budget before it is
+    allocated.  random-state refills one real (trials, 2, 2, 2^n) block of
+    registers' real and imaginary parts in place, which the kernel gathers
+    into VerifierFrame.kept_coefficients' transform-leading layout.  After the
     minting draws, the stream is per trial: random-state's four normal
     vectors, or measure-and-copy's measurement uniform, then the decision
-    uniform; the per-trial probabilities are summed in trial order.
+    uniform; the per-trial probabilities are summed in trial order, so the
+    report does not depend on the block size.
     """
     if isinstance(strategy, str):
         strategy = AttackStrategy(strategy)
@@ -249,7 +264,8 @@ def run_attack(
     prob_sum = 0.0
     for pairs, uniforms, pick in attack(note, session, rng, trials):
         probs = [np.atleast_1d(_pair_probability(p, frame)) for p in pairs]
-        probs = np.clip(np.concatenate(probs), 0.0, 1.0)
+        # The method, not np.clip, whose wrapper holds memory that only a full gc collection frees.
+        probs = np.concatenate(probs).clip(0.0, 1.0)
         if pick is not None:
             probs = probs[pick]
         successes += int(np.count_nonzero(uniforms < probs))

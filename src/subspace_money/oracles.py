@@ -26,7 +26,7 @@ import numpy as np
 
 from .codes import CodeSpec, _error_syndromes
 from .gf2 import Gf2Matrix, _span_table
-from .states import fwht
+from .states import fwht, walsh_butterflies
 
 SIDES = ("primal", "dual")
 
@@ -133,10 +133,22 @@ class VerifierFrame(NamedTuple):
     def kept_coefficients(self, amps: np.ndarray) -> np.ndarray:
         """The kept Walsh coefficients of amps' accepted cosets, shape (..., |S_p| |keep|).
 
-        Their squared norm over 2^k is <amps|P|amps> along the last axis.
+        Their squared norm over 2^k is <amps|P|amps> along the last axis.  The
+        cosets are gathered straight into the transform-leading layout
+        (2^k, |S_p|, ...), one C-contiguous array that walsh_butterflies
+        transforms in place; its keep rows then take one transposed copy, so
+        each vector's coefficients are contiguous, coset by coset, and a
+        vecdot over them adds in the same order as over fwht's output.  Beside
+        amps, the working set is the gather and the transform's half-size
+        scratch, then the gather and its keep rows, then those rows and their
+        copy.
         """
-        kept = fwht(amps[..., self.index])[..., self.keep]
-        return kept.reshape(*kept.shape[:-2], -1)
+        lead = amps.ndim - 1
+        # With one entry per string the gather takes index.T's layout, not C order.
+        cosets = np.ascontiguousarray(amps.transpose(lead, *range(lead))[self.index.T])
+        walsh_butterflies(cosets)
+        cosets = cosets[self.keep]
+        return cosets.transpose(*range(2, lead + 2), 1, 0).reshape(*amps.shape[:-1], -1)
 
     def frequency_weights(self, mat: np.ndarray, kept: bool = False) -> np.ndarray:
         """<s|H mat H|s> over the last two axes, for every Walsh frequency s of u.

@@ -241,26 +241,62 @@ def apply_pauli(st: State, e: BitVec, e_prime: BitVec) -> State:
 def fwht(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis, keeping the dtype.
 
-    Radix-2 butterflies, lowest index bit first, so every output entry adds
-    its terms in butterfly order.  They run in place on a copy with the
-    transformed axis leading, where a stage of span h is three whole-array
-    operations on contiguous runs of h times the other axes' size, however
-    short the transformed axis is.
+    walsh_butterflies runs in place on a copy with the transformed axis
+    leading, so every output entry adds its terms in butterfly order and
+    every stage works on contiguous runs of rows, however short the
+    transformed axis is.
     """
-    size, lead = a.shape[-1], a.ndim - 1
+    lead = a.ndim - 1
     out = a.transpose(lead, *range(lead)).copy()
-    flat = out.reshape(size, -1)
-    half = np.empty((size // 2, flat.shape[1]), dtype=out.dtype)
+    walsh_butterflies(out)
+    return out.transpose(*range(1, lead + 1), 0)
+
+
+def walsh_butterflies(a: np.ndarray) -> None:
+    """The unnormalized Walsh-Hadamard transform in place along axis 0 of a C-contiguous array.
+
+    Radix-2 butterflies, lowest index bit first, so every output entry adds
+    its terms in butterfly order.  Rows are the array's slices along axis 0.
+    A stage of span h pairs runs of h rows, each contiguous, and is three
+    operations: top - bottom into a scratch buffer, top += bottom, bottom =
+    scratch.  When a stage has more than two pairs of runs shorter than half
+    of getbufsize() entries, numpy copies each strided operand into a buffer
+    of its own, up to getbufsize() entries: 1.5 times the stage's rows in
+    all.  So a stage of four pairs with runs of at least _SLAB_RUN entries,
+    as in a block of attack registers, runs as two slabs of two pairs, which
+    numpy iterates in place.  Shorter runs and stages of more pairs stay
+    whole: there numpy's cost per call would outweigh the buffers.
+    """
+    if not a.flags.c_contiguous:
+        raise ValueError("walsh_butterflies transforms a C-contiguous array in place")
+    size = a.shape[0]
+    width = a.size // size
+    scratch = np.empty((size // 2) * width, dtype=a.dtype)
     h = 1
     while h < size:
-        pairs = flat.reshape(-1, 2, h, flat.shape[1])
-        top, bottom = pairs[:, 0], pairs[:, 1]
-        diff = half.reshape(top.shape)
-        np.subtract(top, bottom, out=diff)
-        top += bottom
-        bottom[...] = diff
+        groups, run = size // (2 * h), h * width
+        pairs = a.reshape(groups, 2, run)
+        diff = scratch.reshape(groups, run)
+        if groups == 4 and run >= _SLAB_RUN:
+            _butterflies(pairs[:2], diff[:2])
+            _butterflies(pairs[2:], diff[2:])
+        else:
+            _butterflies(pairs, diff)
         h *= 2
-    return out.transpose(*range(1, lead + 1), 0)
+
+
+# A stage of four pairs runs as two slabs when its runs hold at least this
+# many entries, numpy's default buffer size over 32; below that, the extra
+# calls cost more than numpy's buffers.
+_SLAB_RUN = np.getbufsize() // 32
+
+
+def _butterflies(pairs: np.ndarray, diff: np.ndarray) -> None:
+    """(top, bottom) to (top + bottom, top - bottom) for each pair of runs, by way of diff."""
+    top, bottom = pairs[:, 0], pairs[:, 1]
+    np.subtract(top, bottom, out=diff)
+    top += bottom
+    bottom[...] = diff
 
 
 def apply_basis_permutation(st: DenseState, b: BasisMap) -> DenseState:
@@ -324,11 +360,14 @@ def fidelity(a: State, b: State) -> float:
 def dump_state(st: DenseState) -> str:
     """One line per nonzero amplitude: '<bitstring> <re> <im>', in index order.
 
-    Adding 0.0 writes a -0 part as 0, so equal states give equal files.
+    Adding 0.0 writes a -0 part as 0, so equal states give equal files.  The
+    scan is != 0 then np.flatnonzero, over twice as fast as np.flatnonzero
+    on complex values, for a mask of one byte per amplitude.
     """
-    support = np.flatnonzero(st.amplitudes)
+    support = np.flatnonzero(st.amplitudes != 0)
+    bits = f"0{st.n}b"
     lines = [
-        f"{i:0{st.n}b} {amp.real + 0.0:.17g} {amp.imag + 0.0:.17g}"
+        "%s %.17g %.17g" % (format(i, bits), amp.real + 0.0, amp.imag + 0.0)
         for i, amp in zip(support.tolist(), st.amplitudes[support].tolist())
     ]
     return "\n".join(lines) + "\n"

@@ -46,14 +46,19 @@ def worked_spec(worked_code) -> CodeSpec:
     return CodeSpec.build(worked_code, q=1)
 
 
+# The (n, q) pairs with even n in 4..10 that the sphere-packing bound
+# |E_q| <= 2^(n/2) admits: q = 1 fails at n = 4 (5 > 4), and q = 2 fails up
+# to n = 10 (37 > 16 at n = 8, 56 > 32 at n = 10).
+CERTIFIED_PAIRS = ((4, 0), (6, 0), (8, 0), (10, 0), (6, 1), (8, 1), (10, 1))
+
+
 @st.composite
 def certified_codes(draw) -> CodeSpec:
-    """search_applicable_code(n, q, seed) for even n in 4..10 and q in {0, 1, 2}.
+    """search_applicable_code(n, q, seed) for the admissible pairs in CERTIFIED_PAIRS.
 
-    Pairs that the Singleton or sphere-packing bound refuses are skipped.
+    A search that runs out of attempts is rejected.
     """
-    n = draw(st.sampled_from([4, 6, 8, 10]), label="n")
-    q = draw(st.sampled_from([0, 1, 2]), label="q")
+    n, q = draw(st.sampled_from(CERTIFIED_PAIRS), label="(n, q)")
     seed = draw(st.integers(0, 2**32 - 1), label="seed")
     try:
         return search_applicable_code(n, q, seed)

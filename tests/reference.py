@@ -414,6 +414,12 @@ def all_rows_register_probability(state: DenseState, frame: VerifierFrame) -> fl
     return float(np.vecdot(coeffs, coeffs).real) / frame.index.shape[1]
 
 
+def all_rows_kept_coefficients(amps: np.ndarray, frame: VerifierFrame) -> np.ndarray:
+    """kept_coefficients by fwht of amps' gathered cosets, the transformed axis last."""
+    kept = fwht(amps[..., frame.index])[..., frame.keep]
+    return kept.reshape(*kept.shape[:-2], -1)
+
+
 def eager_frame_pipeline(state: State, frame: VerifierFrame) -> tuple[float, State | None]:
     """apply_frame as it was before the post-state was built on read, post-state made eagerly."""
     if isinstance(state, DenseState):
@@ -512,3 +518,13 @@ def rref_by_columns(m: Gf2Matrix) -> tuple[Gf2Matrix, int]:
             break
     nonzero = [w for w in work if w]
     return Gf2Matrix(len(nonzero), n, nonzero), len(nonzero)
+
+
+def dump_state_by_fstrings(st: DenseState) -> str:
+    """dump_state as one f-string per nonzero amplitude of np.flatnonzero's scan."""
+    support = np.flatnonzero(st.amplitudes)
+    lines = [
+        f"{i:0{st.n}b} {amp.real + 0.0:.17g} {amp.imag + 0.0:.17g}"
+        for i, amp in zip(support.tolist(), st.amplitudes[support].tolist())
+    ]
+    return "\n".join(lines) + "\n"

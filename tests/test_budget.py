@@ -14,6 +14,7 @@ from subspace_money import codes, errors, scheme
 from subspace_money.cli import main
 from subspace_money.codes import enumerate_errors, search_applicable_code
 from subspace_money.errors import BudgetExceededError
+from subspace_money.experiments import run_attack
 from subspace_money.gf2 import BitVec, SubspaceBasis, random_basis_map, random_subspace
 from subspace_money.scheme import (
     OracleRegistry,
@@ -185,3 +186,20 @@ def test_load_state_bounds_outside_input(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["--seed", "0", "verify", str(note), "--bank", str(bank)]) == 1
     assert "error: 65536 bytes exceed the budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy, trials", [("random-state", 3), ("measure-and-copy", 50)])
+def test_attack_blocks_are_charged_to_the_budget(tmp_path, capsys, monkeypatch, strategy, trials):
+    # One n = 10 note fits; a block of four 2^10-entry float64 vectors (one
+    # random-state trial, or four measured strings) is twice its bytes.
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 16 << 10)
+    refusal = "32768 bytes exceed the budget of 16384 bytes"
+    with pytest.raises(BudgetExceededError, match=refusal):
+        run_attack(OracleRegistry(10, 1, master_seed=1), strategy, trials, 1)
+    out = tmp_path / "attack.csv"
+    argv = ["--seed", "1", "--out", str(out), "attack", "--strategy", strategy]
+    assert main([*argv, "--n", "10", "--q", "1", "--trials", str(trials)]) == 1
+    assert f"error: {refusal}" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 32 << 10)
+    assert main([*argv, "--n", "10", "--q", "1", "--trials", str(trials)]) == 0

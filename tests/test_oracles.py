@@ -31,6 +31,7 @@ from conftest import certified_codes
 from reference import (
     CombinedOracle,
     _frequency,
+    all_rows_kept_coefficients,
     apply_phase_oracle,
     member,
     predicate_frame,
@@ -383,3 +384,27 @@ def test_frame_of_matches_predicate_frames(spec, data):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     spec = CodeSpec.build(random_subspace(n, dim, seed), q)
     _assert_same_frame(VerifierFrame.of(spec), predicate_frame(*predicate_pair(spec, "syndrome")))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spec=certified_codes(),
+    registers=st.sampled_from([1, 7, 16, 33]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kept_coefficients_match_fwht_of_the_gathered_cosets(spec, registers, seed):
+    # Bit for bit: the same butterflies, and each vector's coefficients in the same order.
+    frame = VerifierFrame.of(spec)
+    rng = np.random.default_rng(seed)
+    dim = 1 << spec.n
+    pairs = rng.standard_normal((dim, registers)) + 1j * rng.standard_normal((dim, registers))
+    blocks = [
+        rng.standard_normal((registers, dim)),
+        rng.standard_normal((registers, 1, dim)),  # one entry per string: a non-C gather
+        rng.standard_normal((registers, 2, 2, dim)),  # a random-state attack block
+        np.moveaxis(pairs, 0, -1),  # non-contiguous, as double_verify's second register
+    ]
+    for amps in blocks:
+        got, want = frame.kept_coefficients(amps), all_rows_kept_coefficients(amps, frame)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert got.flags.c_contiguous

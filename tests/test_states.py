@@ -41,6 +41,7 @@ from subspace_money.states import (
 from conftest import WORKED_CODEWORDS
 from reference import (
     apply_pauli_by_gather,
+    dump_state_by_fstrings,
     fidelity_with_span,
     hadamard_all,
     intersection_dim,
@@ -471,15 +472,16 @@ def test_state_dump_round_trip_random_sparse(n, data):
         st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=64, unique=True)
     )
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    k = len(support)
-    # Some entries are purely real or purely imaginary; the first never vanishes.
-    re = rng.standard_normal(k) * rng.integers(0, 2, k)
-    im = rng.standard_normal(k) * rng.integers(0, 2, k)
-    re[0] = 1.0
+    # Each part is a normal draw or a zero signed like one, so some entries are
+    # purely real or purely imaginary, with -0 parts, and some are -0 - 0j; the
+    # first never vanishes.
+    parts = rng.standard_normal((2, len(support))) * rng.integers(0, 2, (2, len(support)))
+    parts[0, 0] = 1.0
     amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[support] = re + 1j * im
+    amps.real[support], amps.imag[support] = parts
     state = DenseState(n, amps / np.linalg.norm(amps))
     text = dump_state(state)
+    assert text == dump_state_by_fstrings(state)
     assert len(text.splitlines()) == np.count_nonzero(amps)
     back = load_state(text)
     assert np.array_equal(back.amplitudes, state.amplitudes)
