@@ -36,7 +36,6 @@ from .errors import (
 )
 from .experiments import (
     ATTACK_KINDS,
-    AttackStrategy,
     ExperimentReport,
     amplification_cost,
     analytic_attack_rate,
@@ -84,13 +83,11 @@ from .scheme import (
     verify,
 )
 from .states import (
-    CosetLabel,
     DenseState,
     MixedState,
     apply_basis_permutation,
     apply_pauli,
     coset_state,
-    coset_to_dense,
     dump_state,
     fidelity,
     inner,

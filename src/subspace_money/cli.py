@@ -222,7 +222,7 @@ def _cmd_corrupt(args) -> int:
 
 def _cmd_verify(args) -> int:
     registry = registry_for_record(load_record(args.bank))
-    note = load_banknote(args.note, registry)
+    note = load_banknote(args.note)
     outcome = verify(registry, note, rng=args.seed)
     summary = {
         "serial": str(note.serial),
@@ -244,7 +244,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_correct(args) -> int:
     registry = registry_for_record(load_record(args.bank))
-    note = load_banknote(args.note, registry)
+    note = load_banknote(args.note)
     session = registry.session(note.serial)
     fixed = correct(registry, note, session=session)
     out = args.out or args.note

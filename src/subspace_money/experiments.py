@@ -8,7 +8,7 @@ stable column order, so reruns are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -115,27 +115,16 @@ def completeness_sweep(spec: CodeSpec) -> ExperimentReport:
 # attacks
 
 
-@dataclass(frozen=True)
-class AttackStrategy:
-    """A named counterfeiting baseline plus free-form parameters.
-
-    Strategies only see the banknote and a charge-counting oracle session,
-    never the code itself.
-    """
-
-    kind: str
-    parameters: Mapping[str, Any] = field(default_factory=dict)
-
-
-# A strategy(note, session, rng, trials) yields blocks of consecutive trials
-# as (pairs, uniforms, pick).  pairs yields register pairs in one of two
-# forms: a tuple (sigma1, sigma2) of States or of real blocks with the same
-# leading axes, or one real array of shape (..., 2, parts, 2^n) holding both
-# registers on axis -3, for register_probability.  Trial t of the block holds
-# pair pick[t] of the concatenated pairs, or pair t when pick is None.  It is
-# accepted when uniforms[t] falls below the pair's acceptance probability.  A
-# block's arrays may be refilled for the next block, so they are read before
-# the next one is asked for.
+# A strategy(note, session, rng, trials) sees only the banknote and a
+# charge-counting oracle session, never the code itself.  It yields blocks of
+# consecutive trials as (pairs, uniforms, pick).  pairs yields register pairs
+# in one of two forms: a tuple (sigma1, sigma2) of States or of real blocks
+# with the same leading axes, or one real array of shape (..., 2, parts, 2^n)
+# holding both registers on axis -3, for register_probability.  Trial t of
+# the block holds pair pick[t] of the concatenated pairs, or pair t when pick
+# is None.  It is accepted when uniforms[t] falls below the pair's acceptance
+# probability.  A block's arrays may be refilled for the next block, so they
+# are read before the next one is asked for.
 
 # Live float64 entries in one block of attack registers: sixteen random-state
 # trials (four 2^n-entry normal vectors each) at n = 6, one trial from n = 10
@@ -222,7 +211,7 @@ def analytic_attack_rate(kind: str, n: int, q: int) -> float | None:
 
 def run_attack(
     registry: OracleRegistry,
-    strategy: AttackStrategy | str,
+    strategy: str,
     trials: int,
     seed: Seed,
 ) -> ExperimentReport:
@@ -247,11 +236,9 @@ def run_attack(
     uniform; the per-trial probabilities are summed in trial order, so the
     report does not depend on the block size.
     """
-    if isinstance(strategy, str):
-        strategy = AttackStrategy(strategy)
-    attack = _STRATEGIES.get(strategy.kind)
+    attack = _STRATEGIES.get(strategy)
     if attack is None:
-        raise ValueError(f"unknown strategy {strategy.kind!r}; known: {sorted(_STRATEGIES)}")
+        raise ValueError(f"unknown strategy {strategy!r}; known: {sorted(_STRATEGIES)}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
@@ -264,7 +251,8 @@ def run_attack(
     prob_sum = 0.0
     for pairs, uniforms, pick in attack(note, session, rng, trials):
         probs = [np.atleast_1d(_pair_probability(p, frame)) for p in pairs]
-        # The method, not np.clip, whose wrapper holds memory that only a full gc collection frees.
+        # The method, not np.clip, whose wrapper leaves its keyword dicts in the interpreter's
+        # free lists, traced-heap memory that only a full gc collection releases.
         probs = np.concatenate(probs).clip(0.0, 1.0)
         if pick is not None:
             probs = probs[pick]
@@ -272,9 +260,9 @@ def run_attack(
         prob_sum = float(np.add.accumulate(np.concatenate(([prob_sum], probs)))[-1])
 
     low, high = wilson_interval(successes, trials)
-    analytic = analytic_attack_rate(strategy.kind, registry.n, registry.q)
+    analytic = analytic_attack_rate(strategy, registry.n, registry.q)
     row = {
-        "strategy": strategy.kind,
+        "strategy": strategy,
         "n": registry.n,
         "q": registry.q,
         "trials": trials,
@@ -289,7 +277,7 @@ def run_attack(
         "combined_equivalent": session.ledger.combined_equivalent,
     }
     return ExperimentReport(
-        name=f"attack-{strategy.kind}",
+        name=f"attack-{strategy}",
         parameters={"n": registry.n, "q": registry.q, "trials": trials},
         columns=tuple(row),
         rows=(tuple(row.values()),),

@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import CodeSpec, _error_syndromes
+from .errors import reserve
 from .gf2 import Gf2Matrix, _span_table
 from .states import fwht, walsh_butterflies
 
@@ -69,6 +70,8 @@ class VerifierFrame(NamedTuple):
 
         leader(v) puts syndrome row j on the pivot column of the RREF parity
         row j, so H leader(v) = v, which is checked, as is the count of basis rows.
+        The (|S_p|, 2^k) index is charged to the allocation budget before the
+        code's span is walked.
         """
         parity, basis = spec.parity_primal, spec.parity_dual
         rows = np.unique(_error_syndromes(parity, spec.q)).astype(np.int64)
@@ -81,6 +84,7 @@ class VerifierFrame(NamedTuple):
         images = (np.bitwise_count(leaders[:, None] & bottom_up) & 1) @ (1 << bits)
         if basis.rows + parity.rows != spec.n or np.any(images != rows):
             raise ValueError("the parity rows are not RREF bases of the dual and the code")
+        reserve((rows.size, 1 << basis.rows), np.int64)
         index = leaders[:, None] ^ _span_table(basis.row_values, spec.n).astype(np.int64)
         for array in (index, keep, rows):
             array.setflags(write=False)
@@ -191,9 +195,6 @@ class QueryLedger:
     def counters(self) -> dict[str, int]:
         return dict(zip(ORACLE_NAMES, self.counts))
 
-    def count(self, name: str) -> int:
-        return self.counts[self._index(name)]
-
     @staticmethod
     def _index(name: str) -> int:
         try:
@@ -208,12 +209,6 @@ class QueryLedger:
         counts = list(self.counts)
         counts[i] += count
         return QueryLedger(self.conversion_factor, tuple(counts))
-
-    def merge(self, other: "QueryLedger") -> "QueryLedger":
-        if other.conversion_factor != self.conversion_factor:
-            raise ValueError("cannot merge ledgers with different conversion factors")
-        counts = tuple(a + b for a, b in zip(self.counts, other.counts))
-        return QueryLedger(self.conversion_factor, counts)
 
     @property
     def combined_equivalent(self) -> int:

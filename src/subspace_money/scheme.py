@@ -47,13 +47,11 @@ from .gf2 import _independent_rows, _random_rows
 from .oracles import QueryLedger, VerifierFrame, _parity_for
 from .rng import Seed, as_generator, derive_sequence
 from .states import (
-    CosetLabel,
     DenseState,
     MixedState,
     State,
     apply_basis_permutation,
     apply_pauli,
-    coset_to_dense,
     dump_state,
     load_state,
     subspace_state,
@@ -70,12 +68,13 @@ class Banknote:
     """A serial number and the money state a wallet holds for it."""
 
     serial: BitVec
-    state: Union[DenseState, MixedState, CosetLabel]
+    state: State
 
     def __post_init__(self):
-        acts_on = self.state.spec.n if isinstance(self.state, CosetLabel) else self.state.n
-        if acts_on != self.n:
-            raise ValueError(f"the note's state acts on {acts_on} qubits, its serial on n={self.n}")
+        if self.state.n != self.n:
+            raise ValueError(
+                f"the note's state acts on {self.state.n} qubits, its serial on n={self.n}"
+            )
 
     @property
     def n(self) -> int:
@@ -158,12 +157,15 @@ class OracleSession:
         self.ledger = self.ledger.charge(name, count)
 
     def member(self, side: str, x: BitVec) -> bool:
-        """Whether H x is an accepted syndrome on side, charged as one query once x is valid."""
+        """Whether H x is an accepted syndrome on side, charged as one query once x is valid.
+
+        The frame is built before the charge, so a query the budget refuses charges nothing.
+        """
         parity = _parity_for(self._spec, side)
         if x.n != self.n:
             raise ValueError(f"length mismatch: {x.n} vs {self.n}")
-        self.charge(side)
         frame = self.verifier_frame(passes=0)
+        self.charge(side)
         syndrome = [parity.mul_vec(x).value]
         if side == "primal":
             return bool(np.isin(syndrome, frame.rows)[0])
@@ -187,12 +189,13 @@ class OracleSession:
     def verifier_frame(self, passes: int = 1) -> VerifierFrame:
         """The verifier's coset frame, built once, charged as passes queries to each side.
 
-        Coset tests read it with passes=0 to locate their cosets.
+        Coset tests read it with passes=0 to locate their cosets.  A frame
+        refused by the allocation budget charges nothing.
         """
-        self.charge("primal", passes)
-        self.charge("dual", passes)
         if self._frame is None:
             self._frame = VerifierFrame.of(self._spec)
+        self.charge("primal", passes)
+        self.charge("dual", passes)
         return self._frame
 
 
@@ -383,8 +386,6 @@ def conjugate_coset_parameters(
 
 def corrupt(note: Banknote, e: BitVec, e_prime: BitVec) -> Banknote:
     """Apply the Pauli noise X^e Z^e' to the note's state, any weights allowed."""
-    if isinstance(note.state, CosetLabel):
-        return Banknote(note.serial, note.state.compose_pauli(e, e_prime))
     return Banknote(note.serial, apply_pauli(note.state, e, e_prime))
 
 
@@ -399,12 +400,6 @@ def random_corruption(n: int, weight: int, seed: Seed) -> tuple[BitVec, BitVec]:
 
 
 # -- verification -----------------------------------------------------------------
-
-
-def _as_state(note_state: Union[DenseState, CosetLabel, MixedState]) -> State:
-    if isinstance(note_state, CosetLabel):
-        return coset_to_dense(note_state)
-    return note_state
 
 
 def apply_frame(state: State, frame: VerifierFrame) -> tuple[float, Callable[[], State] | None]:
@@ -473,7 +468,7 @@ def verify(
         return VerifyOutcome(False, 0.0, None, reason="unknown serial")
     if session is None:
         session = registry.session(note.serial)
-    prob, build = apply_frame(_as_state(note.state), session.verifier_frame())
+    prob, build = apply_frame(note.state, session.verifier_frame())
     return VerifyOutcome(_sample(registry, rng, prob), prob, build)
 
 
@@ -514,7 +509,7 @@ def double_verify(
     elif isinstance(joint, DenseState):
         # Register two's kept coefficients, then register one's.
         coeffs = frame.kept_coefficients(joint.amplitudes.reshape(dim, dim))
-        coeffs = frame.kept_coefficients(np.moveaxis(coeffs, 0, -1))
+        coeffs = frame.kept_coefficients(coeffs.T)
         prob = float(np.vdot(coeffs, coeffs).real) / frame.index.shape[1] ** 2
     else:
         # rho[x1, y1, x2, y2]: reduce register two, then the Hermitian rest as above.
@@ -595,7 +590,7 @@ def diagnose(
     registry.record_for_serial(note.serial)  # raises UnknownSerialError
     if session is None:
         session = registry.session(note.serial)
-    bit_flip, phase_flip = frame_weights(_as_state(note.state), session.verifier_frame(passes=0))
+    bit_flip, phase_flip = frame_weights(note.state, session.verifier_frame(passes=0))
     e = session.find_coset("primal", bit_flip)
     if e is None:
         raise UndecodableError("state lies in no tolerated bit-flip coset")
@@ -638,7 +633,7 @@ def correct(
     by the inverse, where the sign drops out.
     """
     e, ep = diagnose(registry, note, session=session)
-    fixed = apply_pauli(_as_state(note.state), e, ep)
+    fixed = apply_pauli(note.state, e, ep)
     if e.dot(ep) and isinstance(fixed, DenseState):
         fixed = DenseState._own(fixed.n, -fixed.amplitudes)
     return Banknote(note.serial, fixed)
@@ -648,34 +643,22 @@ def correct(
 
 
 def banknote_to_json_dict(note: Banknote) -> dict:
-    if isinstance(note.state, CosetLabel):
-        state = {
-            "kind": "coset",
-            "e": str(note.state.e),
-            "e_prime": str(note.state.e_prime),
-            "sign": note.state.sign,
-        }
-    else:
-        state = {"kind": "dense", "dump": dump_state(note.state)}
+    if not isinstance(note.state, DenseState):
+        raise ValueError("only pure notes have a file form; a mixed note cannot be saved")
+    state = {"kind": "dense", "dump": dump_state(note.state)}
     return {"format": BANKNOTE_FORMAT, "serial": str(note.serial), "state": state}
 
 
-def banknote_from_json_dict(data: dict, registry: OracleRegistry | None = None) -> Banknote:
+def banknote_from_json_dict(data: dict) -> Banknote:
     fmt = _json_field(data, "format")
     if fmt != BANKNOTE_FORMAT:
         raise ValueError(f"unsupported banknote format: {fmt!r}")
     serial = BitVec.from_string(_json_field(data, "serial"))
     state = _json_field(data, "state", dict)
     kind = _json_field(state, "kind")
-    if kind == "dense":
-        return Banknote(serial, load_state(_json_field(state, "dump")))
-    if kind == "coset":
-        if registry is None:
-            raise ValueError("coset banknotes need a registry to resolve the code")
-        spec = registry.record_for_serial(serial).spec
-        e, e_prime = (BitVec.from_string(_json_field(state, k)) for k in ("e", "e_prime"))
-        return Banknote(serial, CosetLabel(spec, e, e_prime, _json_field(state, "sign", int)))
-    raise ValueError(f"unknown state kind {kind!r}")
+    if kind != "dense":
+        raise ValueError(f"unknown state kind {kind!r}")
+    return Banknote(serial, load_state(_json_field(state, "dump")))
 
 
 def dumps_banknote(note: Banknote) -> str:
@@ -686,8 +669,8 @@ def save_banknote(note: Banknote, path: str | Path) -> None:
     Path(path).write_text(dumps_banknote(note))
 
 
-def load_banknote(path: str | Path, registry: OracleRegistry | None = None) -> Banknote:
-    return banknote_from_json_dict(json.loads(Path(path).read_text()), registry)
+def load_banknote(path: str | Path) -> Banknote:
+    return banknote_from_json_dict(json.loads(Path(path).read_text()))
 
 
 def record_to_json_dict(record: MintRecord) -> dict:

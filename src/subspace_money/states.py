@@ -1,4 +1,4 @@
-"""Exact quantum states: dense amplitude vectors, symbolic coset labels, fidelities.
+"""Exact quantum states: dense amplitude vectors, density matrices, fidelities.
 
 Basis-state indexing follows the package bit convention: the ket labelled by
 the bit string ``b`` sits at amplitude index ``int(b, 2)``, so a ``BitVec``'s
@@ -10,16 +10,13 @@ acceptance-style quantity ignores them, as any projective measurement must.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
 from .errors import reserve
 from .gf2 import BasisMap, BitVec, SubspaceBasis, _span_table
-
-if TYPE_CHECKING:
-    from .codes import CodeSpec
 
 ATOL_INVARIANT = 1e-9  # normalization, orthonormality, density checks
 ATOL_EXACT = 1e-12  # self-consistency of exact constructions
@@ -146,39 +143,6 @@ class MixedState:
 State = Union[DenseState, MixedState]
 
 
-@dataclass(frozen=True)
-class CosetLabel:
-    """Symbolic X^e Z^e' action on a code's subspace state, with exact global sign.
-
-    O(n)-sized and exact; ``is_tolerated`` says whether both error weights
-    stay within the code's tolerance q.  Arbitrary weights are legal (a
-    wallet can hold an over-corrupted note), they just will not verify.
-    """
-
-    spec: "CodeSpec"
-    e: BitVec
-    e_prime: BitVec
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self.e.n != self.spec.n or self.e_prime.n != self.spec.n:
-            raise ValueError("error vector length differs from the code length")
-
-    @property
-    def is_tolerated(self) -> bool:
-        return self.e.weight <= self.spec.q and self.e_prime.weight <= self.spec.q
-
-    def compose_pauli(self, e: BitVec, e_prime: BitVec) -> "CosetLabel":
-        """Label of X^e Z^e' applied on top of this state.
-
-        Moving the new Z block past the old X block costs (-1)^(e'.e_old).
-        """
-        sign = self.sign * (-1 if e_prime.dot(self.e) else 1)
-        return replace(self, e=self.e ^ e, e_prime=self.e_prime ^ e_prime, sign=sign)
-
-
 def subspace_state(s: SubspaceBasis) -> DenseState:
     """Uniform superposition over all vectors of the subspace."""
     return coset_state(s, BitVec.zeros(s.n), BitVec.zeros(s.n))
@@ -200,10 +164,6 @@ def _coset_state(
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[values ^ e.value] = sign * (1.0 - 2.0 * parity) / math.sqrt(len(values))
     return DenseState._own(n, amps)
-
-
-def coset_to_dense(label: CosetLabel) -> DenseState:
-    return coset_state(label.spec.code, label.e, label.e_prime, label.sign)
 
 
 def apply_pauli(st: State, e: BitVec, e_prime: BitVec) -> State:
@@ -327,7 +287,9 @@ def max_deviation(a: DenseState, b: DenseState) -> float:
 
 def _clip_spectrum(eigs: np.ndarray) -> np.ndarray:
     """Zero out negative and numerically-spurious eigenvalues before sqrt."""
-    out = np.clip(eigs, 0.0, None)
+    # The method, not np.clip, whose wrapper leaves its keyword dicts in the interpreter's
+    # free lists, traced-heap memory that only a full gc collection releases.
+    out = eigs.clip(0.0, None)
     floor = float(out.max(initial=0.0)) * 1e-13
     out[out < floor] = 0.0
     return out

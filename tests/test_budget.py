@@ -188,6 +188,19 @@ def test_load_state_bounds_outside_input(tmp_path, capsys, monkeypatch):
     assert "error: 65536 bytes exceed the budget" in capsys.readouterr().err
 
 
+def test_member_refuses_its_frame_before_charging(monkeypatch):
+    # At n = 14, q = 1 the frame's index is 15 accepted cosets of 2^7 strings, int64.
+    reg = OracleRegistry(14, 1, master_seed=14)
+    session = reg.session(reg.generate(BitVec.zeros(14)).serial)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 4096)
+    with pytest.raises(BudgetExceededError, match="15360 bytes exceed the budget of 4096 bytes"):
+        session.member("primal", BitVec(14, 3))
+    assert session.ledger.counters == {"primal": 0, "dual": 0, "combined": 0, "coset": 0}
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 15360)
+    session.member("primal", BitVec(14, 3))
+    assert session.ledger.counters["primal"] == 1
+
+
 @pytest.mark.parametrize("strategy, trials", [("random-state", 3), ("measure-and-copy", 50)])
 def test_attack_blocks_are_charged_to_the_budget(tmp_path, capsys, monkeypatch, strategy, trials):
     # One n = 10 note fits; a block of four 2^10-entry float64 vectors (one

@@ -8,11 +8,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import subspace_money
 from subspace_money import cli
 from subspace_money.cli import main
+from subspace_money.codes import enumerate_errors, save_code
 from subspace_money.scheme import load_banknote, load_record
+
+from conftest import certified_codes
 
 
 def run_cli(*argv):
@@ -216,6 +221,11 @@ MALFORMED_FILES = {
     "note-without-serial": ("note", lambda d: without(d, "serial")),
     "note-with-int-serial": ("note", lambda d: {**d, "serial": int(d["serial"], 2)}),
     "note-not-an-object": ("note", lambda d: [d]),
+    # A symbolic coset label is no state kind: a note file holds a state dump.
+    "note-with-coset-kind": (
+        "note",
+        lambda d: {**d, "state": {"kind": "coset", "e": "0" * 6, "e_prime": "0" * 6, "sign": 1}},
+    ),
     "bank-key-without-route": ("bank", lambda d: without(d, "route")),
     "code-without-dual-rows": ("code", lambda d: without(d, "dual_rows")),
     "code-with-object-row": ("code", lambda d: {**d, "code_rows": [{}, *d["code_rows"][1:]]}),
@@ -278,6 +288,30 @@ def test_corrected_note_file_equals_the_fresh_one(tmp_path, capsys, n):
     e, ez = "1" + "0" * (n - 1), "0" * (n - 1) + "1"
     assert run_cli("--seed", 0, "--out", bad, "corrupt", note, "--e", e, "--ez", ez) == 0
     bank = note.with_suffix(".bank.json")
+    assert run_cli("--seed", 0, "--out", fixed, "correct", bad, "--bank", bank) == 0
+    assert fixed.read_bytes() == note.read_bytes()
+
+
+@settings(
+    max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(spec=certified_codes(), data=st.data())
+def test_mint_corrupt_verify_correct_round_trip(tmp_path_factory, capsys, spec, data):
+    # Any tolerated X^e Z^e' verifies with probability one, and correction
+    # writes back the fresh note's bytes.
+    tmp = tmp_path_factory.mktemp("round-trip")
+    code, note, bad, fixed = (tmp / f"{name}.json" for name in ("code", "note", "bad", "fixed"))
+    bank = note.with_suffix(".bank.json")
+    save_code(spec, code)
+    n, q = spec.n, spec.q
+    mint = ["--seed", 3, "--out", note, "mint", "--n", n, "--q", q, "--code", code]
+    assert run_cli(*mint) == 0
+    errors = enumerate_errors(n, q)
+    e, ez = (data.draw(st.sampled_from(errors), label=label) for label in ("e", "e_prime"))
+    assert run_cli("--seed", 0, "--out", bad, "corrupt", note, "--e", e, "--ez", ez) == 0
+    capsys.readouterr()
+    assert run_cli("--seed", 0, "--format", "json", "verify", bad, "--bank", bank) == 0
+    assert json.loads(capsys.readouterr().out)["accept_probability"] == pytest.approx(1, abs=1e-9)
     assert run_cli("--seed", 0, "--out", fixed, "correct", bad, "--bank", bank) == 0
     assert fixed.read_bytes() == note.read_bytes()
 

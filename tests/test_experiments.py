@@ -13,7 +13,6 @@ from subspace_money import experiments
 from subspace_money.codes import search_applicable_code
 from subspace_money.experiments import (
     ATTACK_KINDS,
-    AttackStrategy,
     amplification_cost,
     completeness_sweep,
     gv_table,
@@ -87,7 +86,7 @@ def test_passthrough_attack_matches_analytic(registry):
 
 
 def test_measure_and_copy_attack_matches_analytic(registry):
-    report = run_attack(registry, AttackStrategy("measure-and-copy"), trials=2000, seed=6)
+    report = run_attack(registry, "measure-and-copy", trials=2000, seed=6)
     row = dict(zip(report.columns, report.rows[0]))
     assert row["analytic_rate"] == pytest.approx((7 / 8) ** 2)
     assert row["mean_probability"] == pytest.approx((7 / 8) ** 2, abs=1e-9)

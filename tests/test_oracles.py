@@ -255,6 +255,10 @@ def test_ledger_charges(worked_spec):
     ledger = ledger.charge("coset", 2)
     assert ledger.combined_equivalent == 19
     assert ledger.counters == {"primal": 1, "dual": 1, "combined": 3, "coset": 2}
+    with pytest.raises(ValueError):
+        ledger.charge("nope")
+    with pytest.raises(ValueError):
+        ledger.charge("primal", -1)
 
 
 def test_ledger_is_a_value():
@@ -262,19 +266,6 @@ def test_ledger_is_a_value():
     b = a.charge("primal")
     assert a.combined_equivalent == 0
     assert b.combined_equivalent == 7
-
-
-def test_ledger_merge_and_errors():
-    a = QueryLedger.fresh(7).charge("primal", 2)
-    b = QueryLedger.fresh(7).charge("coset", 5)
-    merged = a.merge(b)
-    assert merged.counters == {"primal": 2, "dual": 0, "combined": 0, "coset": 5}
-    with pytest.raises(ValueError):
-        a.merge(QueryLedger.fresh(3))
-    with pytest.raises(ValueError):
-        a.charge("nope")
-    with pytest.raises(ValueError):
-        a.charge("primal", -1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Tests for minting, the registry and its oracles, verification and correction."""
 
+import gc
 import itertools
 import math
 import tracemalloc
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,13 +51,12 @@ from subspace_money.scheme import (
 )
 from subspace_money.states import (
     ATOL_EXACT,
-    CosetLabel,
     DenseState,
     MixedState,
     apply_basis_permutation,
     apply_pauli,
     coset_state,
-    coset_to_dense,
+    fidelity,
     inner,
     max_deviation,
     subspace_state,
@@ -410,8 +412,8 @@ def test_verifier_charges_per_pass(registry):
 
 def test_verify_coset_label_banknote(worked_registry, worked_spec):
     reg, record = worked_registry
-    label = CosetLabel(worked_spec, bv("010000"), bv("000010"))
-    outcome = verify(reg, Banknote(record.serial, label), rng=0)
+    state = coset_state(worked_spec.code, bv("010000"), bv("000010"))
+    outcome = verify(reg, Banknote(record.serial, state), rng=0)
     assert outcome.accept_probability == pytest.approx(1.0, abs=1e-9)
 
 
@@ -428,7 +430,7 @@ def test_coset_label_note_needs_a_code_of_the_serial_size(worked_registry):
     _, record = worked_registry
     small = search_applicable_code(4, 0, 1)
     with pytest.raises(ValueError, match="acts on 4 qubits"):
-        Banknote(record.serial, CosetLabel(small, BitVec.zeros(4), BitVec.zeros(4)))
+        Banknote(record.serial, coset_state(small.code, BitVec.zeros(4), BitVec.zeros(4)))
 
 
 def test_verification_matrix_is_tolerated_projector(worked_spec):
@@ -623,6 +625,41 @@ def test_double_verify_n16_stays_within_state_budget():
         tracemalloc.stop()
     assert prob == pytest.approx(1.0, abs=1e-9)
     assert peak < 16 * 2**20
+
+
+def _held_bytes(call, calls=500):
+    """Traced bytes still held after calls repetitions, from emptied free lists.
+
+    A full collection empties the interpreter's free lists, and gc stays off
+    so that none empties them midway.  What a call strands in them then shows
+    as held bytes until they fill: np.moveaxis's wrapper strands a 48-byte
+    tuple per call, np.clip's a keyword dict.
+    """
+    call()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(calls):
+            call()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_repeated_double_verify_and_fidelity_hold_no_memory(worked_registry, worked_spec):
+    reg, record = worked_registry
+    fresh = subspace_state(worked_spec.code).amplitudes
+    joint = DenseState(12, np.kron(fresh, fresh))
+    session = reg.session(record.serial)
+    verify_twice = partial(double_verify, reg, record.serial, joint, rng=0, session=session)
+    assert _held_bytes(verify_twice) < 16 << 10
+    rng = np.random.default_rng(6)
+    a, b = (MixedState.from_pure(_random_pure(rng, 6)) for _ in range(2))
+    mixed = MixedState(6, (a.matrix + b.matrix) / 2)
+    assert _held_bytes(lambda: fidelity(mixed, a)) < 4 << 10
 
 
 def _predicate_pairs(spec):
@@ -1041,8 +1078,6 @@ def reference_coset_index(spec, side, weights):
 
 def reference_weights(state):
     """Probabilities of the computational and the Hadamard basis states."""
-    if isinstance(state, CosetLabel):
-        state = coset_to_dense(state)
     rotated = hadamard_all(state)
     if isinstance(state, DenseState):
         return state.probabilities(), rotated.probabilities()
@@ -1068,7 +1103,7 @@ def undecodable_probe(spec, side):
 @given(
     n=st.sampled_from([6, 8, 10, 12]),
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["dense", "label", "mixed"]),
+    kind=st.sampled_from(["dense", "mixed"]),
     data=st.data(),
 )
 def test_diagnose_matches_per_coset_reference(n, seed, kind, data):
@@ -1082,11 +1117,10 @@ def test_diagnose_matches_per_coset_reference(n, seed, kind, data):
     sign = data.draw(st.sampled_from([1, -1]), label="sign")
 
     def as_kind(dense):
-        return Banknote(record.serial, dense if kind != "mixed" else MixedState.from_pure(dense))
+        return Banknote(record.serial, dense if kind == "dense" else MixedState.from_pure(dense))
 
     def note_for(e, ep):
-        label = CosetLabel(spec, e, ep, sign)
-        return Banknote(record.serial, label) if kind == "label" else as_kind(coset_to_dense(label))
+        return as_kind(coset_state(spec.code, e, ep, sign))
 
     note = note_for(errors[i], errors[j])
     bit_flip, phase_flip = reference_weights(note.state)
@@ -1097,8 +1131,7 @@ def test_diagnose_matches_per_coset_reference(n, seed, kind, data):
     assert session.ledger.counters == {"primal": 0, "dual": 0, "combined": 0, "coset": i + j + 2}
     # The same tests in frame coordinates: bit-flip rows, phase-flip frequencies.
     frame = VerifierFrame.of(spec)
-    state = coset_to_dense(note.state) if kind == "label" else note.state
-    for side, weights, index in zip(("primal", "dual"), frame_weights(state, frame), (i, j)):
+    for side, weights, index in zip(("primal", "dual"), frame_weights(note.state, frame), (i, j)):
         session = reg.session(record.serial)
         assert session.find_coset(side, weights) == errors[index]
         assert session.ledger.counters["coset"] == index + 1
@@ -1138,16 +1171,12 @@ def test_banknote_json_round_trip_dense(tmp_path, registry):
     assert dumps_banknote(loaded) == path.read_text()
 
 
-def test_banknote_json_round_trip_coset(tmp_path, worked_registry, worked_spec):
-    reg, record = worked_registry
-    label = CosetLabel(worked_spec, bv("100000"), bv("000001"), -1)
-    note = Banknote(record.serial, label)
+def test_mixed_note_has_no_file_form(tmp_path, registry):
+    note = mint_direct(registry, bv("011011"))
     path = tmp_path / "note.json"
-    save_banknote(note, path)
-    with pytest.raises(ValueError):
-        load_banknote(path)  # needs the registry for the code
-    loaded = load_banknote(path, reg)
-    assert loaded.state == label
+    with pytest.raises(ValueError, match="only pure notes have a file form"):
+        save_banknote(Banknote(note.serial, MixedState.from_pure(note.state)), path)
+    assert not path.exists()
 
 
 def test_registry_for_record_round_trip(tmp_path):
@@ -1159,6 +1188,14 @@ def test_registry_for_record_round_trip(tmp_path):
     verifier_side = registry_for_record(load_record(tmp_path / "bank.json"))
     outcome = verify(verifier_side, note, rng=0)
     assert outcome.accept_probability == pytest.approx(1.0, abs=1e-9)
+
+
+def test_readme_library_example_prints_one_and_zero(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library in five lines", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(example, {})
+    assert capsys.readouterr().out.split() == ["1.0", "0.0"]
 
 
 # ---------------------------------------------------------------------------

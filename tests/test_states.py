@@ -22,13 +22,11 @@ from subspace_money.gf2 import (
 )
 from subspace_money.states import (
     ATOL_EXACT,
-    CosetLabel,
     DenseState,
     MixedState,
     apply_basis_permutation,
     apply_pauli,
     coset_state,
-    coset_to_dense,
     dump_state,
     fidelity,
     fwht,
@@ -85,9 +83,9 @@ def test_subspace_state_budget(monkeypatch):
 
 
 def test_coset_state_trivial_label(worked_spec):
-    label = CosetLabel(worked_spec, BitVec.zeros(6), BitVec.zeros(6))
-    assert label.is_tolerated
-    assert max_deviation(coset_to_dense(label), subspace_state(worked_spec.code)) == 0
+    zero = BitVec.zeros(6)
+    trivial = coset_state(worked_spec.code, zero, zero)
+    assert max_deviation(trivial, subspace_state(worked_spec.code)) == 0
 
 
 def test_coset_state_x_shift(worked_spec):
@@ -104,17 +102,6 @@ def test_coset_state_z_phases(worked_spec):
         v = bv(w)
         expected = (-1) ** v.dot(ep) / math.sqrt(8)
         assert st.amplitude(v) == pytest.approx(expected, abs=1e-15)
-
-
-def test_coset_label_compose(worked_spec):
-    rng = np.random.default_rng(8)
-    label = CosetLabel(worked_spec, BitVec.zeros(6), BitVec.zeros(6))
-    dense = coset_to_dense(label)
-    for _ in range(6):
-        e, ep = random_bitvec(6, rng), random_bitvec(6, rng)
-        label = label.compose_pauli(e, ep)
-        dense = apply_pauli(dense, e, ep)
-        assert max_deviation(coset_to_dense(label), dense) < ATOL_EXACT
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +137,8 @@ def test_apply_pauli_matches_coset_construction(worked_spec):
     for _ in range(20):
         e, ep = random_bitvec(6, rng), random_bitvec(6, rng)
         via_pauli = apply_pauli(base, e, ep)
-        via_label = coset_to_dense(CosetLabel(worked_spec, e, ep, 1))
-        assert max_deviation(via_pauli, via_label) < ATOL_EXACT
+        via_coset = coset_state(worked_spec.code, e, ep, 1)
+        assert max_deviation(via_pauli, via_coset) < ATOL_EXACT
 
 
 def test_apply_pauli_conjugates_a_density_matrix():
