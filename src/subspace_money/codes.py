@@ -77,16 +77,6 @@ class CodeSpec:
             parity_dual=code.basis,
         )
 
-    @property
-    def is_applicable(self) -> bool:
-        need = 2 * self.q + 1
-        return (
-            self.n % 2 == 0
-            and self.code.dim == self.n // 2
-            and self.d_primal >= need
-            and self.d_dual >= need
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "format": CODESPEC_FORMAT,
@@ -416,12 +406,6 @@ class StabilizerSet:
     @property
     def generator_count(self) -> int:
         return self.x_type_rows.rows + self.z_type_rows.rows
-
-    def check_matrix(self) -> Gf2Matrix:
-        n = self.x_type_rows.cols
-        rows = [v << n for v in self.x_type_rows.row_values]
-        rows += list(self.z_type_rows.row_values)
-        return Gf2Matrix(len(rows), 2 * n, rows)
 
     def pauli_strings(self) -> list[str]:
         out = []

@@ -222,7 +222,7 @@ def run_attack(
     total oracle charges.
 
     Trials run in blocks through double_verify's kernel, register_probability,
-    with the session's verifier frame taken once and charged as two passes
+    with the record's verifier frame taken once and charged as two passes
     per trial.  Each distinct register pair is evaluated once:
     passthrough-mixed has one, measure-and-copy one per measured string,
     random-state one per trial, both registers of a block of trials in one

@@ -513,9 +513,6 @@ class BasisMap:
         """Image of x: the sum of columns u_i over the set bits of x."""
         return self.matrix.mul_vec(x)
 
-    def apply_inverse(self, y: BitVec) -> BitVec:
-        return self.inverse_matrix.mul_vec(y)
-
     def map_subspace(self, s: SubspaceBasis) -> SubspaceBasis:
         return SubspaceBasis(self.n, [self.apply(r) for r in s.basis_rows()])
 

@@ -14,7 +14,8 @@ c(u), and holds the accepted dual syndromes as Walsh frequencies of u.  In
 these coordinates the verifier's projector is one Walsh filter on each
 accepted coset, which the frame's kernels compute.  The same frame locates
 every coset test of the corrector: a bit-flip coset C + e is one of its
-rows, a phase-flip coset one Walsh frequency of its rows.
+rows, a phase-flip coset one Walsh frequency of its rows, and the frame
+lists that position for each tolerated error on each side.
 """
 
 from __future__ import annotations
@@ -32,10 +33,14 @@ from .states import fwht, walsh_butterflies
 SIDES = ("primal", "dual")
 
 
-def _parity_for(spec: CodeSpec, side: str) -> Gf2Matrix:
+def _side_index(side: str) -> int:
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    return spec.parity_primal if side == "primal" else spec.parity_dual
+    return SIDES.index(side)
+
+
+def _parity_for(spec: CodeSpec, side: str) -> Gf2Matrix:
+    return (spec.parity_primal, spec.parity_dual)[_side_index(side)]
 
 
 def _reverse_bits(values, k: int) -> np.ndarray:
@@ -57,12 +62,17 @@ class VerifierFrame(NamedTuple):
     passes frequency s when s, read as a syndrome under those rows, is
     accepted on the dual side.  Row j of a syndrome is bit j of s, so keep
     holds the dual's accepted syndrome values with their k bits reversed.
+    Row i of error_cosets holds, for side SIDES[i], where the coset side-code
+    + e of each tolerated error e sits, in ``enumerate_errors`` order: a
+    bit-flip coset C + e is the row of its syndrome, a phase-flip coset the
+    Walsh frequency of u that reads as its syndrome.
     """
 
     n: int
     index: np.ndarray  # (|S_p|, 2^k) basis-string indices
     keep: np.ndarray  # accepted dual syndromes as Walsh frequencies of u, ascending
     rows: np.ndarray  # the accepted primal syndrome of each row, ascending
+    error_cosets: np.ndarray  # (2, |E_q|) frame position of each tolerated error's coset
 
     @classmethod
     def of(cls, spec: CodeSpec) -> "VerifierFrame":
@@ -74,8 +84,10 @@ class VerifierFrame(NamedTuple):
         code's span is walked.
         """
         parity, basis = spec.parity_primal, spec.parity_dual
-        rows = np.unique(_error_syndromes(parity, spec.q)).astype(np.int64)
-        keep = np.sort(_reverse_bits(np.unique(_error_syndromes(basis, spec.q)), basis.rows))
+        syndromes = _error_syndromes(parity, spec.q)
+        rows = np.unique(syndromes).astype(np.int64)
+        frequencies = _reverse_bits(_error_syndromes(basis, spec.q), basis.rows)
+        keep = np.unique(frequencies)
         # Bit i of a syndrome value is row parity.rows-1-i, so the pivots run bottom-up.
         bottom_up = np.array(parity.row_values[::-1], dtype=np.int64)
         pivots = np.array([1 << (r.bit_length() - 1) for r in bottom_up.tolist()], dtype=np.int64)
@@ -86,19 +98,17 @@ class VerifierFrame(NamedTuple):
             raise ValueError("the parity rows are not RREF bases of the dual and the code")
         reserve((rows.size, 1 << basis.rows), np.int64)
         index = leaders[:, None] ^ _span_table(basis.row_values, spec.n).astype(np.int64)
-        for array in (index, keep, rows):
+        error_cosets = np.stack([np.searchsorted(rows, syndromes), frequencies])
+        for array in (index, keep, rows, error_cosets):
             array.setflags(write=False)
-        return cls(spec.n, index, keep, rows)
+        return cls(spec.n, index, keep, rows, error_cosets)
 
-    def locate(self, side: str, syndromes) -> np.ndarray:
-        """Where the cosets side-code + e of the accepted syndromes H e sit in the frame.
-
-        A bit-flip coset C + e is the row of its syndrome; a phase-flip coset
-        is the Walsh frequency of u that reads as its syndrome.
-        """
+    def accepts(self, side: str, syndrome: int) -> bool:
+        """Whether side accepts a syndrome: a row's syndrome, or a kept frequency once reversed."""
         if side == "primal":
-            return np.searchsorted(self.rows, syndromes)
-        return _reverse_bits(syndromes, self.index.shape[1].bit_length() - 1)
+            return bool(np.isin(syndrome, self.rows))
+        k = self.index.shape[1].bit_length() - 1
+        return bool(np.isin(_reverse_bits([syndrome], k), self.keep)[0])
 
     def spectrum(
         self, cosets: np.ndarray, scale: float | None = None, kept: bool = False

@@ -3,9 +3,10 @@
 The bank side is an OracleRegistry: a keyed deterministic map from bank
 randomness r to a mint record (an applicable code, a distinct 3n-bit serial
 and, on the conjugate route, a basis map plus the basis-choice string).
+Each record owns its code's VerifierFrame, built on first use and kept.
 Everyone else interacts with a record only through its oracles: the serial
-checker and the primal/dual membership testers, reached via a
-charge-counting OracleSession.
+checker and the primal/dual membership testers, reached via an
+OracleSession that charges its ledger for each use of the record's frame.
 
 Verification is the four-stage pipeline
 
@@ -16,7 +17,7 @@ Verification is the four-stage pipeline
 whose composition P is exactly the projector onto the span of all tolerated
 noisy variants of the banknote state.  The first stage keeps whole cosets of
 the code and the Hadamard-sandwiched second acts inside each coset, so P is
-computed in the coordinates of the session's VerifierFrame: on each of the
+computed in the coordinates of the record's VerifierFrame: on each of the
 |E_q| accepted bit-flip cosets, one 2^k-point Walsh filter that keeps the
 |E_q| accepted phase-flip frequencies, and zero everywhere else.
 """
@@ -34,17 +35,16 @@ import numpy as np
 
 from .codes import (
     CodeSpec,
-    _error_syndromes,
+    _error_positions,
     _json_field,
     certify,
-    enumerate_errors,
     error_count,
     search_applicable_code,
 )
 from .errors import SerialCollisionError, UndecodableError, UnknownSerialError, reserve
 from .gf2 import BasisMap, BitVec, Gf2Matrix, SubspaceBasis, random_bitvec
 from .gf2 import _independent_rows, _random_rows
-from .oracles import QueryLedger, VerifierFrame, _parity_for
+from .oracles import QueryLedger, VerifierFrame, _parity_for, _side_index
 from .rng import Seed, as_generator, derive_sequence
 from .states import (
     DenseState,
@@ -106,6 +106,11 @@ class MintRecord:
             if SubspaceBasis(self.spec.n, selected) != self.spec.code:
                 raise ValueError("theta-selected basis columns do not span the code")
 
+    @cached_property
+    def frame(self) -> VerifierFrame:
+        """The code's verifier frame, built on first use and kept; one the budget refuses is not."""
+        return VerifierFrame.of(self.spec)
+
 
 class VerifyOutcome:
     """Ver's sampled decision, exact acceptance probability, accepted branch and rejection reason.
@@ -133,24 +138,22 @@ class DoubleVerifyOutcome(NamedTuple):
 
 
 class OracleSession:
-    """Charge-counting access to one banknote's membership oracles.
+    """A ledger of charged queries to one banknote's membership oracles.
 
     This is the only surface attack code may touch: membership queries, the
-    verifier frame and coset tests, never the code itself.  Every oracle use,
-    handing out the frame included, charges the session's ledger; the ledger
-    is a value, so reading it at any point gives a consistent snapshot.
+    verifier frame and coset tests, never the code itself.  Each use reads the
+    record's one frame and charges the ledger; the ledger is a value, so
+    reading it at any point gives a consistent snapshot.
     """
 
     def __init__(self, registry: "OracleRegistry", serial: BitVec):
-        spec = registry.record_for_serial(serial).spec
-        self._spec = spec
-        self._frame = None
+        self._record = registry.record_for_serial(serial)
         self.serial = serial
-        self.ledger = QueryLedger.fresh(error_count(spec.n, spec.q))
+        self.ledger = QueryLedger.fresh(error_count(self.n, self._record.spec.q))
 
     @property
     def n(self) -> int:
-        return self._spec.n
+        return self._record.spec.n
 
     def charge(self, name: str, count: int = 1) -> None:
         """Record count queries to the named oracle (see QueryLedger)."""
@@ -161,46 +164,48 @@ class OracleSession:
 
         The frame is built before the charge, so a query the budget refuses charges nothing.
         """
-        parity = _parity_for(self._spec, side)
+        parity = _parity_for(self._record.spec, side)
         if x.n != self.n:
             raise ValueError(f"length mismatch: {x.n} vs {self.n}")
         frame = self.verifier_frame(passes=0)
         self.charge(side)
-        syndrome = [parity.mul_vec(x).value]
-        if side == "primal":
-            return bool(np.isin(syndrome, frame.rows)[0])
-        return bool(np.isin(frame.locate("dual", syndrome), frame.keep)[0])
+        return frame.accepts(side, parity.mul_vec(x).value)
 
     def find_coset(self, side: str, weights: np.ndarray) -> BitVec | None:
         """The first tolerated error e whose coset side-code + e holds all but 1e-9 of weights.
 
-        weights are in the session's frame (see frame_weights), which locates
-        each error's coset.  The errors are tested in lexicographic order, each
-        test up to and including the match charged as one coset query; None,
-        with every test charged, when no coset matches.
+        weights are in the record's frame (see frame_weights), whose error_cosets
+        row says where each error's coset sits, so the tests are one gather.  The
+        errors are tested in lexicographic order, each test up to and including
+        the match charged as one coset query; None, with every test charged,
+        when no coset matches.
         """
-        syndromes = _error_syndromes(_parity_for(self._spec, side), self._spec.q)
-        inside = weights[self.verifier_frame(passes=0).locate(side, syndromes)]
-        hits = np.flatnonzero(inside > 1.0 - 1e-9)
-        tests = int(hits[0]) + 1 if hits.size else len(inside)
-        self.charge("coset", tests)
-        return enumerate_errors(self.n, self._spec.q)[tests - 1] if hits.size else None
+        cosets = self.verifier_frame(passes=0).error_cosets[_side_index(side)]
+        hits = np.flatnonzero(weights[cosets] > 1.0 - 1e-9)
+        self.charge("coset", int(hits[0]) + 1 if hits.size else cosets.size)
+        if not hits.size:
+            return None
+        support = _error_positions(self.n, self._record.spec.q)[:, hits[0]]
+        return BitVec.from_support(self.n, support[support < self.n].tolist())
 
     def verifier_frame(self, passes: int = 1) -> VerifierFrame:
-        """The verifier's coset frame, built once, charged as passes queries to each side.
+        """The record's coset frame, charged as passes queries to each side.
 
         Coset tests read it with passes=0 to locate their cosets.  A frame
-        refused by the allocation budget charges nothing.
+        refused by the allocation budget is not kept and charges nothing.
         """
-        if self._frame is None:
-            self._frame = VerifierFrame.of(self._spec)
+        frame = self._record.frame
         self.charge("primal", passes)
         self.charge("dual", passes)
-        return self._frame
+        return frame
 
 
 class OracleRegistry:
-    """The bank: lazy keyed generation of mint records and their public oracles."""
+    """The bank: lazy keyed generation of mint records and their public oracles.
+
+    A record, and its verifier frame once a session has used it, lives as long
+    as the registry: at n = 20, q = 1 the frame's index is 21 x 1024 int64, about 172 KB.
+    """
 
     def __init__(self, n: int, q: int, master_seed: int, *, route: str = "direct"):
         if route not in ("direct", "conjugate"):
@@ -454,7 +459,7 @@ def verify(
     rng: Seed | None = None,
     session: OracleSession | None = None,
 ) -> VerifyOutcome:
-    """Ver: reject unknown serials, then apply P in the session's charged frame.
+    """Ver: reject unknown serials, then apply P in the record's frame, charged to the session.
 
     Only the |E_q| accepted bit-flip cosets of the note are read, 2^k
     amplitudes each, and each one the note occupies goes through one 2^k-point
@@ -488,7 +493,7 @@ def double_verify(
     """Ver2: verify two (possibly entangled) registers under one serial number.
 
     The acceptance probability is tr((P (x) P) rho) for the verifier's projector
-    P = H M_dual H M_primal onto the tolerated span, computed in the session's
+    P = H M_dual H M_primal onto the tolerated span, computed in the record's
     frame one register axis at a time.  The joint state is a 2n-qubit
     DenseState or MixedState, or a pair (sigma1, sigma2) meaning sigma1 (x) sigma2,
     whose probability is the product of register_probability over the two.
@@ -579,7 +584,7 @@ def diagnose(
 ) -> tuple[BitVec, BitVec]:
     """Identify the Pauli error on a tolerated coset state by syndrome decoding.
 
-    Both sides are read in the session's verifier frame (see frame_weights),
+    Both sides are read in the record's verifier frame (see frame_weights),
     not charged as a primal or dual query; the session charges one coset
     query per error tested in lexicographic order.  The phase-flip weights
     cover only the accepted bit-flip cosets, so they differ from the note's

@@ -166,9 +166,19 @@ def predicate_frame(primal: MembershipPredicate, dual: MembershipPredicate) -> V
     index = primal._cosets()
     keep = np.array(sorted(_frequency(s.value, k) for s in dual.accepted), dtype=np.int64)
     rows = np.array(sorted(s.value for s in primal.accepted), dtype=np.int64)
-    for array in (index, keep, rows):
+    # Each error's bit-flip coset is the row holding it, its phase-flip coset
+    # the frequency of its dual syndrome.
+    errors = enumerate_errors(primal.n, primal.spec.q)
+    error_cosets = np.array(
+        [
+            [int(np.flatnonzero((index == e.value).any(axis=1))[0]) for e in errors],
+            [_frequency(dual.parity.mul_vec(e).value, k) for e in errors],
+        ],
+        dtype=np.int64,
+    )
+    for array in (index, keep, rows, error_cosets):
         array.setflags(write=False)
-    return VerifierFrame(primal.n, index, keep, rows)
+    return VerifierFrame(primal.n, index, keep, rows, error_cosets)
 
 
 class CombinedOracle:

@@ -44,6 +44,7 @@ from subspace_money.scheme import (
     conjugate_coset_parameters,
     correct,
     corrupt,
+    diagnose,
     mint_conjugate,
     mint_direct,
     verification_matrix,
@@ -324,6 +325,45 @@ def test_criterion_10_correction_round_trip_on_certified_codes(spec, route, mast
     for e, ep in itertools.product(errors, repeat=2):
         fixed = correct(registry, corrupt(fresh, e, ep))
         assert max_deviation(fixed.state, fresh.state) <= tolerance
+
+
+def _registry_with(spec: CodeSpec) -> tuple[OracleRegistry, Banknote]:
+    registry = OracleRegistry(spec.n, spec.q, 0)
+    registry.generate(BitVec.zeros(spec.n), spec)
+    return registry, mint_direct(registry, BitVec.zeros(spec.n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=certified_codes(), data=st.data())
+def test_criterion_11_query_accounting_on_certified_codes(spec, data):
+    registry, fresh = _registry_with(spec)
+    session = registry.session(fresh.serial)
+    rng = np.random.default_rng(data.draw(SEEDS, label="seed"))
+    primal_queries = data.draw(st.integers(0, 12), label="primal queries")
+    dual_queries = data.draw(st.integers(0, 12), label="dual queries")
+    for side, count in (("primal", primal_queries), ("dual", dual_queries)):
+        predicate = syndrome_predicate(spec, side)
+        for _ in range(count):
+            x = random_bitvec(spec.n, rng)
+            assert session.member(side, x) == (predicate.parity.mul_vec(x) in predicate.accepted)
+    counters = {"primal": primal_queries, "dual": dual_queries, "combined": 0, "coset": 0}
+    assert session.ledger.counters == counters
+    factor = error_count(spec.n, spec.q)
+    assert session.ledger.combined_equivalent == factor * (primal_queries + dual_queries)
+
+    # A note X^e Z^e' costs one coset query per error tested in lexicographic
+    # order, and a session-less call, on a registry that has built no frame
+    # yet, gives the same diagnosis and the same probability bit for bit.
+    errors = enumerate_errors(spec.n, spec.q)
+    i, j = (data.draw(st.integers(0, len(errors) - 1), label=name) for name in ("e", "e'"))
+    note = corrupt(fresh, errors[i], errors[j])
+    session = registry.session(note.serial)
+    assert diagnose(registry, note, session=session) == (errors[i], errors[j])
+    assert session.ledger.counters == {"primal": 0, "dual": 0, "combined": 0, "coset": i + j + 2}
+    prob = verify(registry, note, rng=0, session=session).accept_probability
+    alone, _ = _registry_with(spec)
+    assert diagnose(alone, note) == (errors[i], errors[j])
+    assert verify(alone, note, rng=0).accept_probability.hex() == prob.hex()
 
 
 def _accept_probability(spec: CodeSpec, state: DenseState) -> float:

@@ -16,6 +16,7 @@ from subspace_money.codes import enumerate_errors, search_applicable_code
 from subspace_money.errors import BudgetExceededError
 from subspace_money.experiments import run_attack
 from subspace_money.gf2 import BitVec, SubspaceBasis, random_basis_map, random_subspace
+from subspace_money.oracles import VerifierFrame
 from subspace_money.scheme import (
     OracleRegistry,
     conjugate_coding_state,
@@ -190,15 +191,32 @@ def test_load_state_bounds_outside_input(tmp_path, capsys, monkeypatch):
 
 def test_member_refuses_its_frame_before_charging(monkeypatch):
     # At n = 14, q = 1 the frame's index is 15 accepted cosets of 2^7 strings, int64.
+    build = VerifierFrame.of
+    built = []
+
+    def counted(cls, spec):
+        frame = build(spec)
+        built.append(frame)
+        return frame
+
+    monkeypatch.setattr(VerifierFrame, "of", classmethod(counted))
     reg = OracleRegistry(14, 1, master_seed=14)
-    session = reg.session(reg.generate(BitVec.zeros(14)).serial)
+    serial = reg.generate(BitVec.zeros(14)).serial
+    session = reg.session(serial)
     monkeypatch.setattr(errors, "BUDGET_BYTES", 4096)
     with pytest.raises(BudgetExceededError, match="15360 bytes exceed the budget of 4096 bytes"):
         session.member("primal", BitVec(14, 3))
     assert session.ledger.counters == {"primal": 0, "dual": 0, "combined": 0, "coset": 0}
+    assert built == []
+    # The refused frame was not kept: a new session on the record builds it
+    # under the raised budget, and both sessions then share it.
     monkeypatch.setattr(errors, "BUDGET_BYTES", 15360)
+    fresh = reg.session(serial)
+    fresh.member("primal", BitVec(14, 3))
+    assert fresh.ledger.counters == {"primal": 1, "dual": 0, "combined": 0, "coset": 0}
     session.member("primal", BitVec(14, 3))
     assert session.ledger.counters["primal"] == 1
+    assert len(built) == 1 and session.verifier_frame(passes=0) is built[0]
 
 
 @pytest.mark.parametrize("strategy, trials", [("random-state", 3), ("measure-and-copy", 50)])

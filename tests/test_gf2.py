@@ -359,8 +359,6 @@ def test_apply_basis_map_is_bijection():
         b = random_basis_map(n, rng)
         images = {b.apply(v).value for v in all_vectors(n)}
         assert len(images) == 1 << n
-        for v in all_vectors(n)[:64]:
-            assert b.apply_inverse(b.apply(v)) == v
 
 
 def test_basis_map_rejects_singular():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from subspace_money.codes import (
     CodeSpec,
-    _error_syndromes,
     certify,
     enumerate_errors,
     error_count,
@@ -17,7 +16,7 @@ from subspace_money.codes import (
 )
 from subspace_money.errors import SyndromeCollisionError
 from subspace_money.gf2 import BitVec, Gf2Matrix, random_subspace
-from subspace_money.oracles import SIDES, QueryLedger, VerifierFrame
+from subspace_money.oracles import SIDES, QueryLedger, VerifierFrame, _reverse_bits
 from subspace_money.scheme import frame_weights
 from subspace_money.states import (
     ATOL_EXACT,
@@ -157,9 +156,8 @@ def test_coset_weights_match_direct_masking(worked_spec):
     probs = state.probabilities()
     weights, _ = frame_weights(state, frame)
     assert weights.shape == (7,)
-    for e in enumerate_errors(6, 1):
+    for e, row in zip(enumerate_errors(6, 1), frame.error_cosets[0]):
         direct = probs[pred.coset(e).support_mask()].sum()
-        (row,) = frame.locate("primal", [pred.parity.mul_vec(e).value])
         assert weights[row] == pytest.approx(direct, abs=1e-15)
     prob_in = float(probs[pred.support_mask()].sum())
     assert subset_probability(worked_spec, state) == pytest.approx(prob_in, abs=1e-15)
@@ -363,9 +361,11 @@ def test_frame_of_matches_predicate_frames(spec, data):
     for approach in ("subset", "syndrome"):
         _assert_same_frame(frame, predicate_frame(*predicate_pair(spec, approach)))
     k = spec.parity_dual.rows
-    for syndromes in (np.arange(1 << k), _error_syndromes(spec.parity_dual, spec.q)):
-        want = [_frequency(int(s), k) for s in syndromes]
-        assert frame.locate("dual", syndromes).tolist() == want
+    assert _reverse_bits(np.arange(1 << k), k).tolist() == [_frequency(s, k) for s in range(1 << k)]
+    for side, predicate in zip(SIDES, predicate_pair(spec, "syndrome")):
+        syndromes = range(1 << predicate.parity.rows)
+        want = [BitVec(predicate.parity.rows, s) in predicate.accepted for s in syndromes]
+        assert [frame.accepts(side, s) for s in syndromes] == want
 
     # Codes of any dimension and tolerance, applicable or not, against the
     # syndrome route, the one that builds for every code.

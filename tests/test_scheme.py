@@ -410,6 +410,27 @@ def test_verifier_charges_per_pass(registry):
     assert frame.index.shape == (7, 8) and frame.keep.shape == (7,)
 
 
+def test_each_record_builds_one_verifier_frame(monkeypatch, registry):
+    build = VerifierFrame.of
+    calls = []
+
+    def counted(cls, spec):
+        calls.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(VerifierFrame, "of", classmethod(counted))
+    notes = [mint_direct(registry, BitVec(6, r)) for r in (0, 1)]
+    for note in notes:
+        verify(registry, note, rng=0)
+        assert diagnose(registry, note) == (BitVec.zeros(6), BitVec.zeros(6))
+        double_verify(registry, note.serial, (note.state, note.state), rng=0)
+        verify(registry, note, rng=0, session=registry.session(note.serial))
+        session = registry.session(note.serial)
+        assert session.member("primal", BitVec.zeros(6))
+        assert session.ledger.counters == {"primal": 1, "dual": 0, "combined": 0, "coset": 0}
+    assert calls == [registry.record_for_serial(note.serial).spec for note in notes]
+
+
 def test_verify_coset_label_banknote(worked_registry, worked_spec):
     reg, record = worked_registry
     state = coset_state(worked_spec.code, bv("010000"), bv("000010"))
