@@ -51,9 +51,7 @@ from .gf2 import (
     BitVec,
     Gf2Matrix,
     SubspaceBasis,
-    random_basis_map,
     random_bitvec,
-    random_isometry,
     random_subspace,
     rref,
 )
@@ -66,7 +64,6 @@ from .scheme import (
     OracleSession,
     VerifyOutcome,
     conjugate_coding_state,
-    conjugate_coset_parameters,
     correct,
     corrupt,
     diagnose,
@@ -79,7 +76,6 @@ from .scheme import (
     registry_for_record,
     save_banknote,
     save_record,
-    verification_matrix,
     verify,
 )
 from .states import (

@@ -174,8 +174,6 @@ class BitVec:
             raise IndexError(i)
         return (self.value >> (self.n - 1 - i)) & 1
 
-    __getitem__ = bit
-
     @property
     def weight(self) -> int:
         return self.value.bit_count()
@@ -188,16 +186,6 @@ class BitVec:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.bit(i))
 
-    def concat(self, other: "BitVec") -> "BitVec":
-        return BitVec(self.n + other.n, (self.value << other.n) | other.value)
-
-    def split(self, k: int) -> tuple["BitVec", "BitVec"]:
-        """Split into the leftmost k coordinates and the rest."""
-        if not 0 < k < self.n:
-            raise ValueError(f"cannot split {self.n} bits at {k}")
-        rest = self.n - k
-        return BitVec(k, self.value >> rest), BitVec(rest, self.value & ((1 << rest) - 1))
-
     def _check_len(self, other: "BitVec") -> None:
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
@@ -205,13 +193,6 @@ class BitVec:
     def __xor__(self, other: "BitVec") -> "BitVec":
         self._check_len(other)
         return BitVec(self.n, self.value ^ other.value)
-
-    def __and__(self, other: "BitVec") -> "BitVec":
-        self._check_len(other)
-        return BitVec(self.n, self.value & other.value)
-
-    def __len__(self) -> int:
-        return self.n
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.n}b")
@@ -258,10 +239,6 @@ class Gf2Matrix:
         return cls(len(vecs), cols, [v.value for v in vecs])
 
     @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        return cls(n, n, [1 << (n - 1 - i) for i in range(n)])
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Gf2Matrix":
         return cls(rows, cols, [0] * rows)
 
@@ -304,9 +281,6 @@ class Gf2Matrix:
                 v = (v << 1) | ((rv & cv).bit_count() & 1)
             vals.append(v)
         return Gf2Matrix(self.rows, other.cols, vals)
-
-    def rank(self) -> int:
-        return rref(self)[1]
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.row_values)
@@ -388,10 +362,6 @@ class SubspaceBasis:
         return cls(n)
 
     @classmethod
-    def full(cls, n: int) -> "SubspaceBasis":
-        return cls(n, list(Gf2Matrix.identity(n)))
-
-    @classmethod
     def from_strings(cls, lines: Sequence[str]) -> "SubspaceBasis":
         if not lines:
             raise ValueError("cannot infer ambient dimension from no rows")
@@ -400,9 +370,6 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def basis_rows(self) -> list[BitVec]:
-        return list(self.basis)
 
     def vectors(self) -> Iterator[BitVec]:
         """All 2^dim elements of the subspace, in the order of ``vector_values``."""
@@ -487,46 +454,14 @@ class BasisMap:
         object.__setattr__(self, "inverse_matrix", inv)
 
     @classmethod
-    def identity(cls, n: int) -> "BasisMap":
-        return cls(Gf2Matrix.identity(n))
-
-    @classmethod
     def from_columns(cls, cols: Sequence[BitVec]) -> "BasisMap":
         return cls(Gf2Matrix.from_rows(cols).transpose())
-
-    @classmethod
-    def from_permutation(cls, perm: Sequence[int]) -> "BasisMap":
-        """Map sending coordinate i to coordinate perm[i]."""
-        n = len(perm)
-        if sorted(perm) != list(range(n)):
-            raise ValueError("not a permutation")
-        cols = [BitVec.from_support(n, [perm[i]]) for i in range(n)]
-        return cls.from_columns(cols)
 
     def column(self, i: int) -> BitVec:
         return self.matrix.column(i)
 
     def columns(self) -> list[BitVec]:
         return [self.column(i) for i in range(self.n)]
-
-    def apply(self, x: BitVec) -> BitVec:
-        """Image of x: the sum of columns u_i over the set bits of x."""
-        return self.matrix.mul_vec(x)
-
-    def map_subspace(self, s: SubspaceBasis) -> SubspaceBasis:
-        return SubspaceBasis(self.n, [self.apply(r) for r in s.basis_rows()])
-
-    def dual_basis(self) -> Gf2Matrix:
-        """Rows u^1..u^n with u^i . u_j = delta_ij, verified exhaustively."""
-        rows = self.inverse_matrix
-        for i in range(self.n):
-            for j in range(self.n):
-                if rows.row(i).dot(self.column(j)) != (1 if i == j else 0):
-                    raise AssertionError("dual basis failed the delta check")
-        return rows
-
-    def is_permutation(self) -> bool:
-        return all(self.column(i).weight == 1 for i in range(self.n))
 
     def __repr__(self) -> str:
         return f"BasisMap({self.matrix.to_strings()!r})"
@@ -546,26 +481,3 @@ def random_subspace(n: int, dim: int, seed: Seed) -> SubspaceBasis:
         return SubspaceBasis.zero(n)
     return SubspaceBasis(n, _independent_rows(n, dim, as_generator(seed)))
 
-
-def random_basis_map(n: int, seed: Seed) -> BasisMap:
-    """Uniformly random invertible linear map of F_2^n (rejection on singularity)."""
-    rng = as_generator(seed)
-    while True:
-        m = Gf2Matrix(n, n, _random_rows(n, n, rng))
-        try:
-            return BasisMap(m)
-        except ValueError:
-            continue
-
-
-def random_isometry(n: int, seed: Seed) -> BasisMap:
-    """Random invertible linear isometry of the Hamming metric.
-
-    Over GF(2) these are exactly the coordinate permutations, so the result
-    is a permutation matrix and application preserves Hamming weight.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = as_generator(seed)
-    perm = [int(p) for p in rng.permutation(n)]
-    return BasisMap.from_permutation(perm)

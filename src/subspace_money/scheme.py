@@ -71,14 +71,15 @@ class Banknote:
     state: State
 
     def __post_init__(self):
-        if self.state.n != self.n:
+        if self.serial.n != 3 * self.state.n:
             raise ValueError(
-                f"the note's state acts on {self.state.n} qubits, its serial on n={self.n}"
+                f"the note's state acts on {self.state.n} qubits, so its serial needs "
+                f"3n={3 * self.state.n} bits, not {self.serial.n}"
             )
 
     @property
     def n(self) -> int:
-        return self.serial.n // 3
+        return self.state.n
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,10 @@ class MintRecord:
         if self.route == "conjugate":
             if self.theta is None or self.basis_map is None:
                 raise ValueError("conjugate records need theta and a basis map")
+            if self.theta.n != self.spec.n:
+                raise ValueError(f"theta has {self.theta.n} bits, not n={self.spec.n}")
+            if self.basis_map.n != self.spec.n:
+                raise ValueError(f"basis_map acts on {self.basis_map.n} bits, not n={self.spec.n}")
             if self.theta.weight != self.spec.n // 2:
                 raise ValueError("theta must have weight n/2")
             selected = [self.basis_map.column(i) for i in self.theta.support()]
@@ -361,31 +366,6 @@ def conjugate_coding_state(x: BitVec, theta: BitVec) -> DenseState:
     return DenseState._own(x.n, amps)
 
 
-def conjugate_coset_parameters(
-    basis_map: BasisMap, theta: BitVec, x: BitVec
-) -> tuple[BitVec, BitVec]:
-    """The (t, t') for which the permuted conjugate-coding state is X^t Z^t' |A>.
-
-    Here A is the span of the basis columns at Hadamard positions; t sums
-    basis columns over computational positions, t' sums dual-basis rows over
-    Hadamard positions.
-    """
-    n = basis_map.n
-    if theta.n != n or x.n != n:
-        raise ValueError("theta and x must match the basis-map dimension")
-    dual_rows = basis_map.dual_basis()
-    t = BitVec.zeros(n)
-    t_prime = BitVec.zeros(n)
-    for i in range(n):
-        if not x.bit(i):
-            continue
-        if theta.bit(i):
-            t_prime = t_prime ^ dual_rows.row(i)
-        else:
-            t = t ^ basis_map.column(i)
-    return t, t_prime
-
-
 # -- corruption ------------------------------------------------------------------
 
 
@@ -561,16 +541,6 @@ def register_probability(
     if not np.all(np.isfinite(norm) & (norm > 0.0)):
         raise ValueError("a register of the block is not a finite nonzero vector")
     return weight.sum(axis=-1) / norm / size
-
-
-def verification_matrix(spec: CodeSpec) -> np.ndarray:
-    """The verifier's projector P as a dense real matrix: its own kernel applied to the identity.
-
-    For an applicable code this equals the projector onto the span of all
-    tolerated coset states.
-    """
-    reserve((1 << spec.n, 1 << spec.n), np.float64)
-    return VerifierFrame.of(spec).project(np.eye(1 << spec.n))
 
 
 # -- correction -------------------------------------------------------------------

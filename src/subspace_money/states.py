@@ -55,28 +55,9 @@ class DenseState:
         object.__setattr__(self, "amplitudes", amplitudes)
         return self
 
-    @classmethod
-    def basis_state(cls, n: int, b: BitVec | int) -> "DenseState":
-        idx = b.value if isinstance(b, BitVec) else int(b)
-        reserve((1 << n,))
-        amps = np.zeros(1 << n, dtype=np.complex128)
-        amps[idx] = 1.0
-        _check_unit_norm(amps)
-        return cls._own(n, amps)
-
-    @classmethod
-    def uniform(cls, n: int) -> "DenseState":
-        reserve((1 << n,))
-        amps = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
-        _check_unit_norm(amps)
-        return cls._own(n, amps)
-
     def amplitude(self, b: BitVec | int) -> complex:
         idx = b.value if isinstance(b, BitVec) else int(b)
         return complex(self.amplitudes[idx])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -129,12 +110,6 @@ class MixedState:
         mat = np.eye(dim, dtype=np.complex128)
         mat /= dim
         return cls._own(n, mat)
-
-    @classmethod
-    def from_pure(cls, st: DenseState) -> "MixedState":
-        a = st.amplitudes
-        reserve((a.size, a.size))
-        return cls._own(st.n, np.outer(a, a.conj()))
 
     def __repr__(self) -> str:
         return f"MixedState(n={self.n})"

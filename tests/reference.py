@@ -16,7 +16,12 @@ classical query surface; code search by exhaustive minimum distances,
 syndrome tables one matrix-vector product per error, RREF column by column,
 and a Pauli as one gather of every source index.  The Hadamard on every
 qubit, subspace membership and intersection dimension have no library
-caller and live here too.
+caller and live here too, as do the references the acceptance criteria
+compare against: the verifier's projector as a dense matrix, random
+invertible maps and coordinate-permutation isometries, and the coset
+parameters of a permuted conjugate-coding state.  The small constructors
+at the end (identity matrix, whole space, basis and uniform states, the
+density matrix of a pure state) are test conveniences.
 """
 
 from __future__ import annotations
@@ -28,8 +33,17 @@ from typing import Sequence
 import numpy as np
 
 from subspace_money.codes import CodeSpec, build_syndrome_table, enumerate_errors
-from subspace_money.errors import CodeSearchError, SyndromeCollisionError
-from subspace_money.gf2 import BitVec, Gf2Matrix, SubspaceBasis, _span_table, random_bitvec
+from subspace_money.errors import CodeSearchError, SyndromeCollisionError, reserve
+from subspace_money.gf2 import (
+    BasisMap,
+    BitVec,
+    Gf2Matrix,
+    SubspaceBasis,
+    _random_rows,
+    _span_table,
+    random_bitvec,
+    rref,
+)
 from subspace_money.oracles import SIDES, VerifierFrame, _parity_for
 from subspace_money.rng import Seed, as_generator
 from subspace_money.scheme import apply_frame
@@ -221,8 +235,9 @@ class CombinedOracle:
             raise ValueError(
                 f"length mismatch: expected {self.k}+{self.spec.n} bits, got {tagged_x.n}"
             )
-        tag, x = tagged_x.split(self.k)
-        entry = self.tag_map.get(tag.value)
+        n = self.spec.n
+        tag, x = tagged_x.value >> n, BitVec(n, tagged_x.value & ((1 << n) - 1))
+        entry = self.tag_map.get(tag)
         if entry is None:
             return False  # padding tag
         side, e = entry
@@ -258,7 +273,7 @@ def intersection_dim(a: SubspaceBasis, b: SubspaceBasis) -> int:
     if a.n != b.n:
         raise ValueError("ambient dimensions differ")
     stacked = Gf2Matrix(a.dim + b.dim, a.n, a.basis.row_values + b.basis.row_values)
-    return a.dim + b.dim - stacked.rank()
+    return a.dim + b.dim - rref(stacked)[1]
 
 
 def apply_pauli_by_gather(st: DenseState, e: BitVec, e_prime: BitVec) -> DenseState:
@@ -538,3 +553,99 @@ def dump_state_by_fstrings(st: DenseState) -> str:
         for i, amp in zip(support.tolist(), st.amplitudes[support].tolist())
     ]
     return "\n".join(lines) + "\n"
+
+
+def verification_matrix(spec: CodeSpec) -> np.ndarray:
+    """The verifier's projector P as a dense real matrix: its own kernel applied to the identity.
+
+    For an applicable code this equals the projector onto the span of all
+    tolerated coset states.
+    """
+    reserve((1 << spec.n, 1 << spec.n), np.float64)
+    return VerifierFrame.of(spec).project(np.eye(1 << spec.n))
+
+
+def random_basis_map(n: int, seed: Seed) -> BasisMap:
+    """Uniformly random invertible linear map of F_2^n (rejection on singularity)."""
+    rng = as_generator(seed)
+    while True:
+        m = Gf2Matrix(n, n, _random_rows(n, n, rng))
+        try:
+            return BasisMap(m)
+        except ValueError:
+            continue
+
+
+def random_isometry(n: int, seed: Seed) -> BasisMap:
+    """Random invertible linear isometry of the Hamming metric.
+
+    Over GF(2) these are exactly the coordinate permutations, so the result
+    is a permutation matrix, sending coordinate i to perm[i], and application
+    preserves Hamming weight.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    perm = [int(p) for p in as_generator(seed).permutation(n)]
+    return BasisMap.from_columns([BitVec.from_support(n, [perm[i]]) for i in range(n)])
+
+
+def map_subspace(f: BasisMap, s: SubspaceBasis) -> SubspaceBasis:
+    """The image of s under f, spanned by the images of its basis rows."""
+    return SubspaceBasis(f.n, [f.matrix.mul_vec(r) for r in s.basis])
+
+
+def conjugate_coset_parameters(
+    basis_map: BasisMap, theta: BitVec, x: BitVec
+) -> tuple[BitVec, BitVec]:
+    """The (t, t') for which the permuted conjugate-coding state is X^t Z^t' |A>.
+
+    Here A is the span of the basis columns at Hadamard positions; t sums
+    basis columns over computational positions, t' sums dual-basis rows over
+    Hadamard positions.  The dual basis, rows u^1..u^n with u^i . u_j =
+    delta_ij, is the inverse matrix's rows, verified exhaustively.
+    """
+    n = basis_map.n
+    if theta.n != n or x.n != n:
+        raise ValueError("theta and x must match the basis-map dimension")
+    dual_rows = basis_map.inverse_matrix
+    for i in range(n):
+        for j in range(n):
+            if dual_rows.row(i).dot(basis_map.column(j)) != (1 if i == j else 0):
+                raise AssertionError("dual basis failed the delta check")
+    t = BitVec.zeros(n)
+    t_prime = BitVec.zeros(n)
+    for i in range(n):
+        if not x.bit(i):
+            continue
+        if theta.bit(i):
+            t_prime = t_prime ^ dual_rows.row(i)
+        else:
+            t = t ^ basis_map.column(i)
+    return t, t_prime
+
+
+def identity_matrix(n: int) -> Gf2Matrix:
+    return Gf2Matrix(n, n, [1 << (n - 1 - i) for i in range(n)])
+
+
+def full_space(n: int) -> SubspaceBasis:
+    """F_2^n itself."""
+    return SubspaceBasis(n, [1 << i for i in range(n)])
+
+
+def basis_state(n: int, b: BitVec | int) -> DenseState:
+    """The computational basis ket |b>."""
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[b.value if isinstance(b, BitVec) else int(b)] = 1.0
+    return DenseState(n, amps)
+
+
+def uniform_state(n: int) -> DenseState:
+    """The uniform superposition over all 2^n strings."""
+    return DenseState(n, np.full(1 << n, 1.0 / math.sqrt(1 << n)))
+
+
+def density_matrix(st: DenseState) -> MixedState:
+    """|psi><psi| of a pure state."""
+    a = st.amplitudes
+    return MixedState._own(st.n, np.outer(a, a.conj()))

@@ -27,27 +27,23 @@ from subspace_money.codes import (
     soundness_tradeoff,
 )
 from subspace_money.errors import UndecodableError
-from subspace_money.experiments import completeness_sweep, run_attack
+from subspace_money.experiments import analytic_attack_rate, completeness_sweep, run_attack
 from subspace_money.gf2 import (
     BitVec,
     Gf2Matrix,
     SubspaceBasis,
-    random_basis_map,
     random_bitvec,
-    random_isometry,
 )
 from subspace_money.scheme import (
     Banknote,
     MintRecord,
     OracleRegistry,
     conjugate_coding_state,
-    conjugate_coset_parameters,
     correct,
     corrupt,
     diagnose,
     mint_conjugate,
     mint_direct,
-    verification_matrix,
     verify,
 )
 from subspace_money.states import (
@@ -59,7 +55,17 @@ from subspace_money.states import (
 )
 
 from conftest import WORKED_CODEWORDS, WORKED_GENERATORS, WORKED_PARITY_ROWS, certified_codes
-from reference import apply_verifier, subset_predicate, syndrome_predicate, tolerated_projector
+from reference import (
+    apply_verifier,
+    conjugate_coset_parameters,
+    map_subspace,
+    random_basis_map,
+    random_isometry,
+    subset_predicate,
+    syndrome_predicate,
+    tolerated_projector,
+    verification_matrix,
+)
 
 
 @contextlib.contextmanager
@@ -273,7 +279,7 @@ def test_criterion_12_isometry_covariance(worked_spec):
         errors = enumerate_errors(6, 1)
         for _ in range(20):
             f = random_isometry(6, rng)
-            mapped_spec = CodeSpec.build(f.map_subspace(worked_spec.code), q=1)
+            mapped_spec = CodeSpec.build(map_subspace(f, worked_spec.code), q=1)
             assert certify(mapped_spec).passed
 
             mapped_primal = subset_predicate(mapped_spec, "primal")
@@ -311,6 +317,40 @@ def test_criterion_03_projector_identity_on_certified_codes(spec):
     v = verification_matrix(spec)
     assert np.abs(v - tolerated_projector(spec)).max() < 1e-10
     assert round(np.trace(v)) == error_count(spec.n, spec.q) ** 2
+
+
+def _bernstein_tolerance(trials: int, variance: float) -> float:
+    """Bernstein bound: a correct mean of trials values in [0, 1] misses by more w.p. < 1e-6."""
+    if variance == 0.0:
+        return 1e-9
+    log_term = math.log(2 / 1e-6)
+    lin = 2 * log_term / 3
+    return (lin + math.sqrt(lin * lin + 8 * trials * log_term * variance)) / (2 * trials)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=certified_codes(), seed=SEEDS)
+def test_criterion_09_attack_baselines_on_certified_codes(spec, seed):
+    n, q = spec.n, spec.q
+    registry = OracleRegistry(n, q, master_seed=0)
+    # run_attack mints the note for the first n-bit draw of its seed's stream.
+    registry.generate(random_bitvec(n, seed), spec)
+
+    def mean_probability(kind: str, trials: int) -> float:
+        report = run_attack(registry, kind, trials=trials, seed=seed)
+        return dict(zip(report.columns, report.rows[0]))["mean_probability"]
+
+    for kind in ("passthrough-mixed", "measure-and-copy"):
+        assert abs(mean_probability(kind, 200) - analytic_attack_rate(kind, n, q)) <= 1e-9
+    # A Haar-random register's overlap with the rank-|E_q|^2 projector is
+    # Beta(r, 2^n - r); a trial's probability is the product of two of them.
+    rank, dim = error_count(n, q) ** 2, 1 << n
+    mean1 = rank / dim
+    second1 = mean1 * (rank + 1) / (dim + 1)
+    tolerance = _bernstein_tolerance(400, second1**2 - mean1**4)
+    rate = analytic_attack_rate("random-state", n, q)
+    assert abs(mean_probability("random-state", 400) - rate) <= tolerance
+    assert [record.spec for record in registry.records.values()] == [spec]
 
 
 @settings(max_examples=30, deadline=None)
@@ -376,7 +416,7 @@ def _accept_probability(spec: CodeSpec, state: DenseState) -> float:
 @given(spec=certified_codes(), isometry_seed=SEEDS, state_seed=SEEDS)
 def test_criterion_12_isometry_covariance_on_certified_codes(spec, isometry_seed, state_seed):
     f = random_isometry(spec.n, isometry_seed)
-    mapped_spec = CodeSpec.build(f.map_subspace(spec.code), spec.q)
+    mapped_spec = CodeSpec.build(map_subspace(f, spec.code), spec.q)
     assert certify(mapped_spec).passed
     rng = np.random.default_rng(state_seed)
     errors = enumerate_errors(spec.n, spec.q)

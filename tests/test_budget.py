@@ -15,14 +15,13 @@ from subspace_money.cli import main
 from subspace_money.codes import enumerate_errors, search_applicable_code
 from subspace_money.errors import BudgetExceededError
 from subspace_money.experiments import run_attack
-from subspace_money.gf2 import BitVec, SubspaceBasis, random_basis_map, random_subspace
+from subspace_money.gf2 import BitVec, SubspaceBasis, random_subspace
 from subspace_money.oracles import VerifierFrame
 from subspace_money.scheme import (
     OracleRegistry,
     conjugate_coding_state,
     double_verify,
     mint_direct,
-    verification_matrix,
     verify,
 )
 from subspace_money.states import (
@@ -35,6 +34,8 @@ from subspace_money.states import (
     load_state,
     subspace_state,
 )
+
+from reference import density_matrix, full_space, random_basis_map, verification_matrix
 
 PURE, MIXED = 12, 6  # 64 KiB each: a 2^12 vector, a 2^6 x 2^6 density matrix
 PURE_BYTES = 16 << PURE
@@ -51,7 +52,7 @@ def _pure(n=PURE):
 
 
 def _mixed():
-    return MixedState.from_pure(_pure(MIXED))
+    return density_matrix(_pure(MIXED))
 
 
 def _verified():
@@ -62,7 +63,7 @@ def _verified():
 def _mixed_joint():
     reg = OracleRegistry(4, 0, master_seed=4)
     note = mint_direct(reg, BitVec.zeros(4))
-    rho = MixedState.from_pure(note.state).matrix
+    rho = density_matrix(note.state).matrix
     return reg, note.serial, MixedState._own(8, np.kron(rho, rho))
 
 
@@ -95,10 +96,7 @@ ENTRY_POINTS = [
         apply_basis_permutation,
         PURE_BYTES,
     ),
-    ("MixedState.from_pure", lambda: (_pure(MIXED),), MixedState.from_pure, MIXED_BYTES),
     ("MixedState.maximally_mixed", lambda: (MIXED,), MixedState.maximally_mixed, MIXED_BYTES),
-    ("DenseState.basis_state", lambda: (PURE, 7), DenseState.basis_state, PURE_BYTES),
-    ("DenseState.uniform", lambda: (PURE,), DenseState.uniform, PURE_BYTES),
     ("DenseState", lambda: (PURE, _pure().amplitudes), DenseState, PURE_BYTES),
     ("MixedState", lambda: (MIXED, _mixed().matrix), MixedState, MIXED_BYTES),
     (
@@ -120,8 +118,8 @@ ENTRY_POINTS = [
         lambda *args: double_verify(*args, rng=0),
         16 << 12,  # (2^4)^2 blocks x 1 accepted coset x (2^2)^2 entry pairs
     ),
-    ("min_distance", lambda: (SubspaceBasis.full(12),), SubspaceBasis.min_distance, SPAN_BYTES),
-    ("vector_values", lambda: (SubspaceBasis.full(12),), SubspaceBasis.vector_values, SPAN_BYTES),
+    ("min_distance", lambda: (full_space(12),), SubspaceBasis.min_distance, SPAN_BYTES),
+    ("vector_values", lambda: (full_space(12),), SubspaceBasis.vector_values, SPAN_BYTES),
     ("search_applicable_code", lambda: (24, 1, 24), search_applicable_code, SPAN_BYTES),
     ("enumerate_errors", lambda: (40, 3), enumerate_errors, 8 * 10701),
 ]

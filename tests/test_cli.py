@@ -18,6 +18,7 @@ from subspace_money.codes import enumerate_errors, save_code
 from subspace_money.scheme import load_banknote, load_record
 
 from conftest import certified_codes
+from reference import uniform_state
 
 
 def run_cli(*argv):
@@ -196,12 +197,12 @@ def test_undecodable_correct_exit_code(tmp_path, capsys):
 
 
 def test_verify_refuses_a_wrongly_sized_dump(tmp_path, capsys):
-    from subspace_money.states import DenseState, dump_state
+    from subspace_money.states import dump_state
 
     note = tmp_path / "note.json"
     run_cli("--seed", 43, "--out", note, "mint", "--n", 6, "--q", 1)
     data = json.loads(note.read_text())
-    data["state"]["dump"] = dump_state(DenseState.uniform(8))
+    data["state"]["dump"] = dump_state(uniform_state(8))
     note.write_text(json.dumps(data))
     capsys.readouterr()
     rc = run_cli("--seed", 1, "verify", note, "--bank", note.with_suffix(".bank.json"))
@@ -209,6 +210,31 @@ def test_verify_refuses_a_wrongly_sized_dump(tmp_path, capsys):
     streams = capsys.readouterr()
     assert "accept probability" not in streams.out
     assert "error: the note's state acts on 8 qubits" in streams.err
+
+
+def test_corrupt_refuses_a_note_whose_serial_is_not_3n_bits(tmp_path, capsys):
+    # A 19-bit serial floors to n = 6, as 18 bits do; corrupt must not write a note verify refuses.
+    note, out = tmp_path / "note.json", tmp_path / "bad.json"
+    run_cli("--seed", 43, "--out", note, "mint", "--n", 6, "--q", 1)
+    data = json.loads(note.read_text())
+    note.write_text(json.dumps({**data, "serial": data["serial"] + "0"}))
+    capsys.readouterr()
+    assert run_cli("--seed", 0, "--out", out, "corrupt", note, "--e", "100000") == 1
+    assert "so its serial needs 3n=18 bits, not 19" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_refuses_a_conjugate_bank_key_with_a_long_theta(tmp_path, capsys):
+    note = tmp_path / "note.json"
+    bank = note.with_suffix(".bank.json")
+    run_cli("--seed", 44, "--out", note, "mint", "--n", 6, "--q", 1, "--route", "conjugate")
+    data = json.loads(bank.read_text())
+    bank.write_text(json.dumps({**data, "theta": data["theta"] + "0"}))
+    capsys.readouterr()
+    assert run_cli("--seed", 0, "verify", note, "--bank", bank) == 1
+    streams = capsys.readouterr()
+    assert "accept probability" not in streams.out
+    assert "error: theta has 7 bits, not n=6" in streams.err
 
 
 def without(data, key):
@@ -293,18 +319,21 @@ def test_corrected_note_file_equals_the_fresh_one(tmp_path, capsys, n):
 
 
 @settings(
-    max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(spec=certified_codes(), data=st.data())
-def test_mint_corrupt_verify_correct_round_trip(tmp_path_factory, capsys, spec, data):
+@given(spec=certified_codes(), route=st.sampled_from(["direct", "conjugate"]), data=st.data())
+def test_mint_corrupt_verify_correct_round_trip(tmp_path_factory, capsys, spec, route, data):
     # Any tolerated X^e Z^e' verifies with probability one, and correction
-    # writes back the fresh note's bytes.
+    # writes back the fresh note's bytes.  The conjugate route refuses --code,
+    # so it mints by its own search at the spec's (n, q).
     tmp = tmp_path_factory.mktemp("round-trip")
     code, note, bad, fixed = (tmp / f"{name}.json" for name in ("code", "note", "bad", "fixed"))
     bank = note.with_suffix(".bank.json")
-    save_code(spec, code)
     n, q = spec.n, spec.q
-    mint = ["--seed", 3, "--out", note, "mint", "--n", n, "--q", q, "--code", code]
+    mint = ["--seed", 3, "--out", note, "mint", "--n", n, "--q", q, "--route", route]
+    if route == "direct":
+        save_code(spec, code)
+        mint += ["--code", code]
     assert run_cli(*mint) == 0
     errors = enumerate_errors(n, q)
     e, ez = (data.draw(st.sampled_from(errors), label=label) for label in ("e", "e_prime"))

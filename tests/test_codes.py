@@ -38,7 +38,7 @@ from subspace_money.gf2 import (
 )
 
 from conftest import WORKED_PARITY_ROWS
-from reference import search_by_distances, syndrome_table_entries
+from reference import full_space, search_by_distances, syndrome_table_entries
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def test_certify_worked_code(worked_spec):
 
 
 def test_certify_full_space_fails():
-    bad = CodeSpec.build(SubspaceBasis.full(6), q=1)
+    bad = CodeSpec.build(full_space(6), q=1)
     report = certify(bad)
     assert not report.passed
     assert report.d_primal == 1

@@ -25,6 +25,8 @@ from subspace_money.gf2 import random_bitvec
 from subspace_money.scheme import OracleRegistry, double_verify, mint_direct
 from subspace_money.states import DenseState, MixedState
 
+from reference import basis_state
+
 
 @pytest.fixture()
 def registry():
@@ -162,7 +164,7 @@ def reference_attack(registry, kind, trials, seed):
             joint = (note.state, MixedState.maximally_mixed(n))
         elif kind == "measure-and-copy":
             probs = note.state.probabilities()
-            copy = DenseState.basis_state(n, int(rng.choice(len(probs), p=probs)))
+            copy = basis_state(n, int(rng.choice(len(probs), p=probs)))
             joint = (copy, copy)
         else:
             joint = (haar(), haar())

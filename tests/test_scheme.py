@@ -29,7 +29,6 @@ from subspace_money.scheme import (
     OracleRegistry,
     apply_frame,
     conjugate_coding_state,
-    conjugate_coset_parameters,
     corrupt,
     correct,
     diagnose,
@@ -46,7 +45,6 @@ from subspace_money.scheme import (
     registry_for_record,
     save_banknote,
     save_record,
-    verification_matrix,
     verify,
 )
 from subspace_money.states import (
@@ -70,18 +68,27 @@ from reference import (
     all_rows_kept_spectrum,
     all_rows_register_probability,
     apply_verifier,
+    basis_state,
+    conjugate_coset_parameters,
+    density_matrix,
     eager_frame_pipeline,
+    full_space,
     hadamard_all,
+    identity_matrix,
+    map_subspace,
     masked_pipeline,
     masked_projection,
     masked_transform,
     predicate_frame,
+    random_isometry,
     session_phase,
     subset_predicate,
     syndrome_array,
     syndrome_predicate,
     tolerated_coset_states,
     tolerated_projector,
+    uniform_state,
+    verification_matrix,
 )
 
 
@@ -172,7 +179,7 @@ def test_serial_check(registry):
 def test_install_record_rejects_uncertified(registry, worked_spec):
     from subspace_money.codes import CodeSpec
 
-    bad_spec = CodeSpec.build(SubspaceBasis.full(6), q=1)
+    bad_spec = CodeSpec.build(full_space(6), q=1)
     record = MintRecord(bv("000000"), BitVec.zeros(18), bad_spec, "direct")
     with pytest.raises(ValueError):
         registry.install_record(record)
@@ -215,13 +222,27 @@ def test_mint_record_validates_theta_weight(worked_spec):
             worked_spec,
             "conjugate",
             theta=bv("111111"),  # weight n, not n/2
-            basis_map=BasisMap.identity(6),
+            basis_map=BasisMap(identity_matrix(6)),
         )
+
+
+def test_record_refuses_theta_and_basis_map_of_the_wrong_length():
+    from subspace_money.scheme import record_from_json_dict, record_to_json_dict
+
+    reg = OracleRegistry(6, 1, master_seed=5, route="conjugate")
+    data = record_to_json_dict(reg.generate(bv("010101")))
+    assert record_from_json_dict(data) == reg.generate(bv("010101"))
+    with pytest.raises(ValueError, match="theta has 7 bits, not n=6"):
+        record_from_json_dict({**data, "theta": data["theta"] + "0"})
+    # Each column grown by a zero, plus a seventh unit column: an invertible 7 x 7 map.
+    columns = [c + "0" for c in data["basis_columns"]] + ["0000001"]
+    with pytest.raises(ValueError, match="basis_map acts on 7 bits, not n=6"):
+        record_from_json_dict({**data, "basis_columns": columns})
 
 
 def test_tester_oracle_surface(registry):
     rec = registry.generate(bv("011000"))
-    member = rec.spec.code.basis_rows()[0]
+    member = rec.spec.code.basis.row(0)
     tester = SubsetTesters(registry)
     assert tester("primal", rec.serial, member)
     # An invalid serial makes the tester do nothing: the predicate reads False.
@@ -334,7 +355,7 @@ def test_fresh_note_verifies_with_probability_one(registry):
 
 
 def test_unknown_serial_rejected(registry):
-    note = Banknote(BitVec.zeros(18), DenseState.basis_state(6, 0))
+    note = Banknote(BitVec.zeros(18), basis_state(6, 0))
     outcome = verify(registry, note)
     assert not outcome.accepted
     assert outcome.accept_probability == 0.0
@@ -443,8 +464,17 @@ def test_verify_coset_label_banknote(worked_registry, worked_spec):
 def test_wrongly_sized_notes_are_refused(worked_registry, check, qubits):
     # Banknote refuses the state when it is built, so no entry point can be handed it.
     reg, record = worked_registry
-    with pytest.raises(ValueError, match=f"acts on {qubits} qubits, its serial on n=6"):
-        check(reg, Banknote(record.serial, DenseState.uniform(qubits)))
+    needs = f"acts on {qubits} qubits, so its serial needs 3n={3 * qubits} bits, not 18"
+    with pytest.raises(ValueError, match=needs):
+        check(reg, Banknote(record.serial, uniform_state(qubits)))
+
+
+@pytest.mark.parametrize("bits", [17, 19, 20])
+def test_a_note_serial_must_have_3n_bits(worked_spec, bits):
+    # 19 and 20 bits floor to n = 6, as 18 does; the error names both lengths.
+    needs = f"acts on 6 qubits, so its serial needs 3n=18 bits, not {bits}"
+    with pytest.raises(ValueError, match=needs):
+        Banknote(BitVec.zeros(bits), subspace_state(worked_spec.code))
 
 
 def test_coset_label_note_needs_a_code_of_the_serial_size(worked_registry):
@@ -509,7 +539,7 @@ def test_double_verify_mixed_second_register(worked_registry, worked_spec):
 def test_double_verify_classical_copy(worked_registry, worked_spec):
     reg, record = worked_registry
     for w in WORKED_CODEWORDS:
-        v = DenseState.basis_state(6, bv(w))
+        v = basis_state(6, bv(w))
         prob, _ = double_verify(reg, record.serial, (v, v), rng=0)
         assert prob == pytest.approx((7 / 8) ** 2, abs=1e-9)
 
@@ -527,7 +557,7 @@ def test_double_verify_entangled_dense_state(worked_registry, worked_spec):
 def test_double_verify_mixed_joint_state(worked_registry, worked_spec):
     reg, record = worked_registry
     fresh = subspace_state(worked_spec.code)
-    rho1 = MixedState.from_pure(fresh).matrix
+    rho1 = density_matrix(fresh).matrix
     rho2 = MixedState.maximally_mixed(6).matrix
     joint = MixedState._own(12, np.kron(rho1, rho2))
     prob, _ = double_verify(reg, record.serial, joint, rng=0)
@@ -536,7 +566,7 @@ def test_double_verify_mixed_joint_state(worked_registry, worked_spec):
 
 def test_double_verify_unknown_serial(registry):
     with pytest.raises(UnknownSerialError):
-        double_verify(registry, BitVec.zeros(18), (DenseState.basis_state(6, 0),) * 2)
+        double_verify(registry, BitVec.zeros(18), (basis_state(6, 0),) * 2)
 
 
 def test_double_verify_product_paths_agree(worked_registry):
@@ -574,7 +604,7 @@ def test_register_probability_block_matches_states(worked_registry):
     with pytest.raises(ValueError, match="finite nonzero"):
         register_probability(np.zeros((1, 2, 64)), frame)
     with pytest.raises(ValueError, match="n=6"):
-        register_probability(DenseState.basis_state(4, 0), frame)
+        register_probability(basis_state(4, 0), frame)
 
 
 def _random_pure(rng, n):
@@ -678,7 +708,7 @@ def test_repeated_double_verify_and_fidelity_hold_no_memory(worked_registry, wor
     verify_twice = partial(double_verify, reg, record.serial, joint, rng=0, session=session)
     assert _held_bytes(verify_twice) < 16 << 10
     rng = np.random.default_rng(6)
-    a, b = (MixedState.from_pure(_random_pure(rng, 6)) for _ in range(2))
+    a, b = (density_matrix(_random_pure(rng, 6)) for _ in range(2))
     mixed = MixedState(6, (a.matrix + b.matrix) / 2)
     assert _held_bytes(lambda: fidelity(mixed, a)) < 4 << 10
 
@@ -722,7 +752,7 @@ def test_coset_frame_kernel_matches_masked_reference(n, data):
         w = rng.uniform(0.1, 0.9)
         states = [
             DenseState(n, a),
-            DenseState.basis_state(n, int(rng.integers(dim))),
+            basis_state(n, int(rng.integers(dim))),
             MixedState(n, w * np.outer(a, a.conj()) + (1 - w) * np.outer(b, b.conj())),
         ]
         for state in states:
@@ -779,10 +809,10 @@ def test_verifier_reads_no_mask_or_syndrome_array(monkeypatch, registry):
     assert verify(registry, bad, rng=0).accept_probability <= 1.0
     e, ep = bv("010000"), bv("000100")
     pure = corrupt(note, e, ep)
-    mixed_note = Banknote(note.serial, MixedState.from_pure(pure.state))
+    mixed_note = Banknote(note.serial, density_matrix(pure.state))
     assert diagnose(registry, pure) == diagnose(registry, mixed_note) == (e, ep)
     assert max_deviation(correct(registry, pure).state, note.state) < ATOL_EXACT
-    fresh = MixedState.from_pure(note.state).matrix
+    fresh = density_matrix(note.state).matrix
     assert np.abs(correct(registry, mixed_note).state.matrix - fresh).max() <= 1e-12
     mixed = MixedState.maximally_mixed(6)
     prob, _ = double_verify(registry, note.serial, (note.state, mixed), rng=0)
@@ -990,8 +1020,6 @@ WORKING_SETS = [
         conjugate_coding_state,
         1.6,
     ),
-    ("DenseState.uniform", lambda reg, r, rec: (16,), DenseState.uniform, 1.1),
-    ("DenseState.basis_state", lambda reg, r, rec: (16, 5), DenseState.basis_state, 1.1),
 ]
 
 
@@ -1007,7 +1035,7 @@ def test_dense_constructor_working_set(conjugate_bank, setup, call, bound):
     finally:
         tracemalloc.stop()
     state = built.state if isinstance(built, Banknote) else built
-    assert abs(state.norm() - 1.0) < ATOL_EXACT
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < ATOL_EXACT
     assert peak <= bound * (16 << 16)
 
 
@@ -1042,13 +1070,13 @@ def test_correct_mixed_note(n):
     reg = OracleRegistry(n, 1, master_seed=700 + n)
     record = reg.generate(random_bitvec(n, n))
     fresh = mint_direct(reg, record.r)
-    target = MixedState.from_pure(fresh.state).matrix
+    target = density_matrix(fresh.state).matrix
     errors = enumerate_errors(n, 1)
     for e, ep in itertools.product(errors, errors):
         bad = corrupt(fresh, e, ep)
         pure_session = reg.session(record.serial)
         correct(reg, bad, session=pure_session)
-        mixed = Banknote(record.serial, MixedState.from_pure(bad.state))
+        mixed = Banknote(record.serial, density_matrix(bad.state))
         session = reg.session(record.serial)
         fixed = correct(reg, mixed, session=session)
         assert isinstance(fixed.state, MixedState)
@@ -1138,7 +1166,7 @@ def test_diagnose_matches_per_coset_reference(n, seed, kind, data):
     sign = data.draw(st.sampled_from([1, -1]), label="sign")
 
     def as_kind(dense):
-        return Banknote(record.serial, dense if kind == "dense" else MixedState.from_pure(dense))
+        return Banknote(record.serial, dense if kind == "dense" else density_matrix(dense))
 
     def note_for(e, ep):
         return as_kind(coset_state(spec.code, e, ep, sign))
@@ -1196,7 +1224,7 @@ def test_mixed_note_has_no_file_form(tmp_path, registry):
     note = mint_direct(registry, bv("011011"))
     path = tmp_path / "note.json"
     with pytest.raises(ValueError, match="only pure notes have a file form"):
-        save_banknote(Banknote(note.serial, MixedState.from_pure(note.state)), path)
+        save_banknote(Banknote(note.serial, density_matrix(note.state)), path)
     assert not path.exists()
 
 
@@ -1225,16 +1253,15 @@ def test_readme_library_example_prints_one_and_zero(capsys):
 
 def test_isometry_covariance(worked_registry, worked_spec):
     from subspace_money.codes import CodeSpec, certify
-    from subspace_money.gf2 import random_isometry
     rng = np.random.default_rng(55)
     reg, record = worked_registry
     for _ in range(5):
         f = random_isometry(6, rng)
-        mapped_spec = CodeSpec.build(f.map_subspace(worked_spec.code), q=1)
+        mapped_spec = CodeSpec.build(map_subspace(f, worked_spec.code), q=1)
         assert certify(mapped_spec).passed
 
         pred = subset_predicate(worked_spec, "primal")
         mapped_pred = subset_predicate(mapped_spec, "primal")
         for v in range(64):
             x = BitVec(6, v)
-            assert pred(x) == mapped_pred(f.apply(x))
+            assert pred(x) == mapped_pred(f.matrix.mul_vec(x))
