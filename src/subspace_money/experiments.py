@@ -27,8 +27,8 @@ from .errors import reserve
 from .gf2 import random_bitvec
 from .oracles import VerifierFrame
 from .rng import Seed, as_generator
-from .scheme import OracleRegistry, kept_spectrum, mint_direct, register_probability
-from .states import MixedState, _coset_state
+from .scheme import OracleRegistry, _kept_spectrum, mint_direct, register_probability
+from .states import MixedState, _coset_amplitudes
 
 WILSON_Z95 = 1.959963984540054
 
@@ -97,11 +97,15 @@ def completeness_sweep(spec: CodeSpec) -> ExperimentReport:
     """
     frame = VerifierFrame.of(spec)
     errors = enumerate_errors(spec.n, spec.q)
-    values = spec.code.vector_values()
     rows = []
-    for e in errors:
+    # The coset state of (e, e') lies in the frame row of C + e, whose strings are
+    # e + v over the codewords v, so each row's block is built, not gathered.
+    for e, row in zip(errors, frame.error_cosets[0].tolist()):
+        codewords = frame.index[row] ^ e.value
         for ep in errors:
-            prob, _ = kept_spectrum(_coset_state(spec.n, values, e, ep), frame)
+            cosets = np.zeros(frame.index.shape, dtype=np.complex128)
+            cosets[row] = _coset_amplitudes(codewords, ep)
+            prob, _ = _kept_spectrum(cosets, frame)
             rows.append((str(e), str(ep), prob))
     return ExperimentReport(
         name="completeness",

@@ -113,23 +113,36 @@ class VerifierFrame(NamedTuple):
     def spectrum(
         self, cosets: np.ndarray, scale: float | None = None, kept: bool = False
     ) -> np.ndarray:
-        """fwht(cosets / scale), zero outside keep if kept, transforming occupied rows only.
+        """In place: gathered cosets become fwht(cosets / scale), zero outside keep if kept.
 
-        A row holding no amplitude transforms to exact zeros, which the result
-        already holds there, so only the rows with a nonzero entry are divided
-        and transformed.
+        cosets is a C-ordered (|S_p|, 2^k) complex block in the frame's layout.
+        A row holding no amplitude transforms to exact zeros, so only the rows
+        with a nonzero entry are divided and transformed, as one copy that fwht
+        takes; the other rows become +0.0.  Returns cosets, the one gathered
+        block a pure-note kernel holds: beside it, the working set is the
+        occupied rows, their transform and its half-size scratch, a small
+        share of a block for a note that occupies one coset.
         """
-        out = np.zeros_like(cosets)
-        occupied = np.flatnonzero(cosets.any(axis=1))
-        if occupied.size:
-            block = cosets[occupied]
-            if scale is not None:
-                block /= scale
-            if kept:
-                out[occupied[:, None], self.keep] = fwht(block)[:, self.keep]
-            else:
-                out[occupied] = fwht(block)
-        return out
+        # The float64 view tests both parts, with no complex-to-bool temporary.
+        occupied = np.flatnonzero(cosets.view(np.float64).any(axis=1))
+        if not occupied.size:
+            cosets.fill(0)
+            return cosets
+        every = occupied.size == cosets.shape[0]
+        # fwht copies its input, so a block of every row is divided where it lies.
+        block = cosets if every else cosets[occupied]
+        if scale is not None:
+            block /= scale
+        transformed = fwht(block)
+        if kept:
+            cosets.fill(0)
+            cosets[occupied[:, None], self.keep] = transformed[:, self.keep]
+        elif every:
+            cosets[...] = transformed
+        else:
+            cosets.fill(0)
+            cosets[occupied] = transformed
+        return cosets
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """A fresh array with values (..., |S_p|, 2^k) at their strings on a last axis of 2^n."""

@@ -56,6 +56,7 @@ from .states import (
     load_state,
     subspace_state,
 )
+from .states import _signed_pauli
 
 BANKNOTE_FORMAT = "banknote-v1"
 BANKKEY_FORMAT = "bankkey-v1"
@@ -411,12 +412,18 @@ def kept_spectrum(state: DenseState, frame: VerifierFrame) -> tuple[float, np.nd
     clipped at one.  Only the occupied cosets are normalised and transformed
     (see VerifierFrame.spectrum), so a pure note costs one gather of the accepted
     cosets plus one 2^k transform per coset it occupies: one for a tolerated
-    coset state.  The spectrum is None when the probability is zero.
+    coset state.  The kept spectrum is written back into that gathered block,
+    so the kernel holds one block; it is None when the probability is zero.
     """
-    cosets = state.amplitudes[frame.index]
+    return _kept_spectrum(state.amplitudes[frame.index], frame)
+
+
+def _kept_spectrum(cosets: np.ndarray, frame: VerifierFrame) -> tuple[float, np.ndarray | None]:
+    """kept_spectrum of a note's gathered accepted cosets, which become its kept spectrum."""
     prob1 = float(np.vdot(cosets, cosets).real)
     if prob1 == 0.0:
         return 0.0, None
+    # Zero-filled and C-ordered, so the vdot adds in the same order for every note.
     kept = frame.spectrum(cosets, math.sqrt(prob1), kept=True)
     prob2 = float(np.vdot(kept, kept).real) / frame.index.shape[1]
     if prob2 == 0.0:
@@ -425,11 +432,17 @@ def kept_spectrum(state: DenseState, frame: VerifierFrame) -> tuple[float, np.nd
 
 
 def _post_state(n: int, kept: np.ndarray, frame: VerifierFrame) -> DenseState:
-    """The normalised accepted branch of a kept spectrum, in a fresh 2^n vector."""
+    """The normalised accepted branch of a kept spectrum, in a fresh 2^n vector.
+
+    The spectrum is transformed in a copy, so the builder can run again, and
+    the copy is the one block held beside kept and the result.
+    """
     size = frame.index.shape[1]
     reserve((1 << n,))
     norm = size * math.sqrt(float(np.vdot(kept, kept).real) / size)
-    return DenseState._own(n, frame.scatter(frame.spectrum(kept) / norm))
+    branch = frame.spectrum(kept.copy())
+    branch /= norm
+    return DenseState._own(n, frame.scatter(branch))
 
 
 def verify(
@@ -444,10 +457,12 @@ def verify(
     Only the |E_q| accepted bit-flip cosets of the note are read, 2^k
     amplitudes each, and each one the note occupies goes through one 2^k-point
     Walsh filter: a pure note costs one gather plus one 2^k transform per
-    occupied coset, one for a tolerated X^e Z^e' note.  The post-state is
-    built on first read.  The outcome carries both the exact
-    acceptance probability and one sampled decision; the post-state is the
-    accepted branch whenever it exists, regardless of how the sample came out.
+    occupied coset, one for a tolerated X^e Z^e' note, and the gathered block
+    is the one it holds, its kept spectrum written back in place (see
+    kept_spectrum).  The post-state is built on first read.  The outcome
+    carries both the exact acceptance probability and one sampled decision;
+    the post-state is the accepted branch whenever it exists, regardless of
+    how the sample came out.
     """
     if not registry.serial_check(note.serial):
         return VerifyOutcome(False, 0.0, None, reason="unknown serial")
@@ -520,7 +535,8 @@ def register_probability(
     <a|P|a>, the kept Walsh energy of their accepted cosets over 2^k, and a
     block's probabilities, of shape (...), are those sums divided by the
     registers' squared norms.  A DenseState costs one gather plus one 2^k
-    transform per occupied coset; a block transforms every accepted coset.
+    transform per occupied coset, transformed in the gathered block, the one
+    block it holds; a block of registers transforms every accepted coset.
     """
     n = frame.n
     if isinstance(sigma, (DenseState, MixedState)):
@@ -533,6 +549,7 @@ def register_probability(
         return float(frame.frequency_weights(sigma.matrix.real, kept=True))
     size = frame.index.shape[1]
     if isinstance(sigma, DenseState):
+        # The kept columns of every row, so the vecdot adds in the same order for every note.
         coeffs = frame.spectrum(sigma.amplitudes[frame.index])[:, frame.keep].reshape(-1)
         return float(np.vecdot(coeffs, coeffs).real) / size
     coeffs = frame.kept_coefficients(sigma)
@@ -580,15 +597,22 @@ def frame_weights(state: State, frame: VerifierFrame) -> tuple[np.ndarray, np.nd
 
     A frequency s of u counts the Hadamard-basis weight within the accepted
     cosets only: |fwht(amps[index])|^2 summed over rows / 2^k.  A pure state
-    costs one gather plus one 2^k transform per occupied coset.
+    costs one gather plus one 2^k transform per occupied coset, transformed in
+    the gathered block; beside it, the kernel holds one half-size real array.
     """
     index = frame.index
     if isinstance(state, DenseState):
         cosets = state.amplitudes[index]
-        # order="F" lays each frequency's rows side by side, as fwht's output is,
-        # so the sum over rows adds them in the order of the all-rows transform.
-        spectrum = (np.abs(frame.spectrum(cosets), order="F") ** 2).sum(axis=0) / index.shape[1]
-        return (np.abs(cosets) ** 2).sum(axis=1), spectrum
+        rows = np.abs(cosets)
+        rows = np.square(rows, out=rows).sum(axis=1)
+        # F order lays each frequency's rows side by side, as fwht's output is, so
+        # the sum over rows adds them in the order of the all-rows transform.  Row
+        # by row, the transposing abs takes none of numpy's operand buffers.
+        spectrum = frame.spectrum(cosets)
+        energy = np.empty(index.shape, order="F")
+        for row, target in zip(spectrum, energy):
+            np.abs(row, out=target)
+        return rows, np.square(energy, out=energy).sum(axis=0) / index.shape[1]
     # The imaginary part of a Hermitian rho adds nothing to either diagonal.
     rho = state.matrix.real
     return np.diagonal(rho)[index].sum(axis=1), frame.frequency_weights(rho)
@@ -602,16 +626,14 @@ def correct(
 ) -> Banknote:
     """Identify and invert the note's Pauli error, restoring the fresh codeword.
 
-    The inverse of X^e Z^e' is applied with its commutation sign, so for a
-    state that was exactly a signed coset state the result equals the fresh
-    subspace state exactly, not just up to phase.  A mixed note is conjugated
-    by the inverse, where the sign drops out.
+    The inverse of X^e Z^e' is applied with its commutation sign, folded into
+    the Pauli's own sign tensor, so for a state that was exactly a signed coset
+    state the result equals the fresh subspace state exactly, not just up to
+    phase, in one 2^n pass.  A mixed note is conjugated by the inverse, where
+    the sign drops out.
     """
     e, ep = diagnose(registry, note, session=session)
-    fixed = apply_pauli(note.state, e, ep)
-    if e.dot(ep) and isinstance(fixed, DenseState):
-        fixed = DenseState._own(fixed.n, -fixed.amplitudes)
-    return Banknote(note.serial, fixed)
+    return Banknote(note.serial, _signed_pauli(note.state, e, ep, -1 if e.dot(ep) else 1))
 
 
 # -- file formats -----------------------------------------------------------------

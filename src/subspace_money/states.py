@@ -127,18 +127,21 @@ def coset_state(s: SubspaceBasis, e: BitVec, e_prime: BitVec, sign: int = 1) -> 
     """sign * X^e Z^e' applied to the subspace state: amplitudes sign*(-1)^(v.e') on v+e."""
     if e.n != s.n or e_prime.n != s.n:
         raise ValueError("error vector length differs from the ambient dimension")
-    return _coset_state(s.n, s.vector_values(), e, e_prime, sign)
+    values = s.vector_values()
+    reserve((1 << s.n,))
+    amps = np.zeros(1 << s.n, dtype=np.complex128)
+    amps[values ^ e.value] = _coset_amplitudes(values, e_prime, sign)
+    return DenseState._own(s.n, amps)
 
 
-def _coset_state(
-    n: int, values: np.ndarray, e: BitVec, e_prime: BitVec, sign: int = 1
-) -> DenseState:
-    """coset_state from the subspace's vector_values, computed once by callers that build many."""
-    reserve((1 << n,))
-    parity = (np.bitwise_count(values & e_prime.value) & 1).astype(np.float64)
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[values ^ e.value] = sign * (1.0 - 2.0 * parity) / math.sqrt(len(values))
-    return DenseState._own(n, amps)
+def _coset_amplitudes(codewords: np.ndarray, e_prime: BitVec, sign: int = 1) -> np.ndarray:
+    """sign (-1)^(v.e') / sqrt(|C|) for each codeword v of a code C listed in full, in its order.
+
+    The coset state's amplitude at v + e, so a caller that lists C in another
+    order, a frame row for one, gets the same bits at each string.
+    """
+    parity = (np.bitwise_count(codewords & e_prime.value) & 1).astype(np.float64)
+    return sign * (1.0 - 2.0 * parity) / math.sqrt(len(codewords))
 
 
 def apply_pauli(st: State, e: BitVec, e_prime: BitVec) -> State:
@@ -151,6 +154,15 @@ def apply_pauli(st: State, e: BitVec, e_prime: BitVec) -> State:
     matrix is conjugated: entry (x+e, y+e) is (-1)^(x.e' + y.e') rho[x, y], so
     the global sign of the operator drops out.
     """
+    return _signed_pauli(st, e, e_prime, 1)
+
+
+def _signed_pauli(st: State, e: BitVec, e_prime: BitVec, sign: int) -> State:
+    """sign X^e Z^e', sign +1 or -1, with the sign in the int8 tensor of apply_pauli.
+
+    So a negated pure result costs no second 2^n pass; a density matrix
+    drops the sign, as conjugation does.
+    """
     if e.n != st.n or e_prime.n != st.n:
         raise ValueError("error vector length differs from the state size")
     n, dim = st.n, 1 << st.n
@@ -158,7 +170,7 @@ def apply_pauli(st: State, e: BitVec, e_prime: BitVec) -> State:
         reserve((dim,))
         view = st.amplitudes.reshape((2,) * n)
         shifted = view[tuple(slice(None, None, -1 if e.bit(i) else 1) for i in range(n))]
-        signs, shape = np.ones((), dtype=np.int8), [1] * n
+        signs, shape = np.full((), sign, dtype=np.int8), [1] * n
         for i in e_prime.support():
             signs = np.multiply.outer(signs, np.array([-1, 1] if e.bit(i) else [1, -1], np.int8))
             shape[i] = 2
@@ -311,14 +323,19 @@ def dump_state(st: DenseState) -> str:
 
 
 def load_state(text: str) -> DenseState:
-    """Parse dump_state's text, refusing malformed or repeated bit strings."""
+    """Parse dump_state's text, refusing a line not of 3 fields and malformed or repeated bits."""
     indices, values = [], []
     n = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
+    for number, line in enumerate(text.splitlines(), 1):
+        fields = line.split()
+        if not fields:
             continue
-        bits, re_s, im_s = line.split()
+        if len(fields) != 3:
+            raise ValueError(
+                f"line {number} of the state dump has {len(fields)} field(s); "
+                "expected '<bits> <re> <im>'"
+            )
+        bits, re_s, im_s = fields
         if n is None:
             n = len(bits)
         if len(bits) != n or bits.strip("01"):

@@ -22,6 +22,7 @@ from subspace_money.states import (
     ATOL_EXACT,
     DenseState,
     MixedState,
+    fwht,
     max_deviation,
     subspace_state,
 )
@@ -405,3 +406,25 @@ def test_kept_coefficients_match_fwht_of_the_gathered_cosets(spec, registers, se
         got, want = frame.kept_coefficients(amps), all_rows_kept_coefficients(amps, frame)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
         assert got.flags.c_contiguous
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=certified_codes(), seed=st.integers(0, 2**32 - 1), empty=st.sampled_from([0, 1, 3]))
+def test_spectrum_works_in_the_callers_block(spec, seed, empty):
+    # In place, bit for bit the all-rows transform; a row of zeros, negative
+    # ones included, comes out +0.0 as the transform of its occupied peers.
+    frame = VerifierFrame.of(spec)
+    rng = np.random.default_rng(seed)
+    shape = frame.index.shape
+    cosets = rng.standard_normal((shape[0], 2 * shape[1])).view(np.complex128)
+    cleared = rng.permutation(shape[0])[: min(empty, shape[0])]
+    cosets[cleared] = -0.0
+    scale = float(rng.uniform(0.5, 2.0))
+    full = fwht(cosets / scale)
+    full[cleared] = 0.0
+    kept = np.zeros_like(full)
+    kept[:, frame.keep] = full[:, frame.keep]
+    for keep_only, want in ((False, full), (True, kept)):
+        block = cosets.copy()
+        assert frame.spectrum(block, scale, kept=keep_only) is block
+        assert block.tobytes() == want.tobytes()

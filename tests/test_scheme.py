@@ -870,6 +870,76 @@ def test_verify_n18_builds_no_dense_array_until_the_post_state_is_read():
     assert peak < note.state.amplitudes.nbytes / 4
 
 
+@pytest.fixture(scope="module")
+def tolerated_n20():
+    """A tolerated X^e Z^e' note at n = 20, q = 1, its session and its built frame."""
+    reg = OracleRegistry(20, 1, master_seed=2020)
+    errors = enumerate_errors(20, 1)
+    note = corrupt(mint_direct(reg, BitVec.zeros(20)), errors[3], errors[5])
+    session = reg.session(note.serial)
+    return reg, note, session, session.verifier_frame(passes=0)
+
+
+# Each pure-note kernel gathers the note's accepted cosets once and works in
+# that block: (|S_p|, 2^k) = 21 x 1024 complex, 344 KB at n = 20, q = 1.  The
+# bound is its tracemalloc peak beyond the note, in blocks.  When the
+# spectrum filled a zero twin of the gather, this note read verify 2.20,
+# register_probability 2.20 and diagnose 2.89 blocks (757, 756 and 993 KB).
+KERNEL_PEAKS = [
+    ("verify", lambda reg, note, session, frame: verify(reg, note, session=session, rng=0), 1.3),
+    ("register_probability", lambda reg, note, session, frame: register_probability(
+        note.state, frame), 1.3),
+    ("diagnose", lambda reg, note, session, frame: diagnose(reg, note, session=session), 1.8),
+]
+
+
+@pytest.mark.parametrize(
+    "call, bound", [case[1:] for case in KERNEL_PEAKS], ids=[case[0] for case in KERNEL_PEAKS]
+)
+def test_pure_note_kernel_holds_one_gathered_block(tolerated_n20, call, bound):
+    frame = tolerated_n20[3]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call(*tolerated_n20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * frame.index.size * 16
+
+
+def test_correct_with_a_commutation_sign_builds_one_dense_vector():
+    # e.e' = 1: the -1 rides in apply_pauli's sign tensor, with no second 2^n pass.
+    reg = OracleRegistry(16, 1, master_seed=1616)
+    fresh = mint_direct(reg, BitVec.zeros(16))
+    e = enumerate_errors(16, 1)[4]
+    bad = corrupt(fresh, e, e)
+    session = reg.session(bad.serial)
+    session.verifier_frame(passes=0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fixed = correct(reg, bad, session=session)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(fixed.state.amplitudes, fresh.state.amplitudes)
+    assert peak < 1.5 * fresh.state.amplitudes.nbytes
+
+
+def test_post_state_builder_gives_the_same_bytes_twice(worked_registry):
+    # The builder transforms a copy of the kept spectrum, so a second call
+    # reads it unchanged: a note in one accepted coset and one in all of them.
+    reg, record = worked_registry
+    frame = reg.session(record.serial).verifier_frame(passes=0)
+    fresh = mint_direct(reg, record.r)
+    for state in (corrupt(fresh, bv("000100"), bv("100000")).state,
+                  _random_pure(np.random.default_rng(31), 6)):
+        _, build = apply_frame(state, frame)
+        first = build().amplitudes.tobytes()
+        assert build().amplitudes.tobytes() == first
+
+
 def test_post_state_is_built_once_and_unpacks(worked_registry):
     reg, record = worked_registry
     note = corrupt(mint_direct(reg, record.r), bv("001000"), bv("000010"))
@@ -924,7 +994,7 @@ def _kernel_state(kind, spec, frame, rng):
         return coset_state(spec.code, *tolerated(), sign=int(rng.choice([1, -1])))
     if kind in ("pauli", "negated"):
         bad = apply_pauli(subspace_state(spec.code), *tolerated())
-        # correct() negates a Pauli-corrupted note like this: every zero becomes -0.
+        # A negated Pauli-corrupted note: every zero becomes -0.
         return bad if kind == "pauli" else DenseState._own(n, -bad.amplitudes)
     if kind == "superposition":
         amps = sum(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,7 @@ from subspace_money.states import (
     load_state,
     max_deviation,
     subspace_state,
+    _signed_pauli,
 )
 
 from conftest import WORKED_CODEWORDS
@@ -172,6 +174,30 @@ def test_apply_pauli_matches_gather_reference_bitwise(n, data):
     ep = BitVec(n, data.draw(st.integers(0, (1 << n) - 1), label="e'"))
     got = apply_pauli(st_in, e, ep).amplitudes
     assert got.tobytes() == apply_pauli_by_gather(st_in, e, ep).amplitudes.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9), data=st.data())
+def test_negated_pauli_dumps_as_the_negated_result(n, data):
+    # The -1 rides in the int8 sign tensor: equal to negating apply_pauli's
+    # result, and every nonzero part has the same bits, so the dumps agree.
+    parts = st.lists(st.sampled_from(SIGNED_PARTS), min_size=1 << n, max_size=1 << n)
+    amps = np.empty(1 << n, dtype=np.complex128)
+    amps.real, amps.imag = data.draw(parts, label="real"), data.draw(parts, label="imag")
+    st_in = DenseState._own(n, amps)
+    e = BitVec(n, data.draw(st.integers(0, (1 << n) - 1), label="e"))
+    ep = BitVec(n, data.draw(st.integers(0, (1 << n) - 1), label="e'"))
+    got = _signed_pauli(st_in, e, ep, -1)
+    negated = DenseState._own(n, -apply_pauli(st_in, e, ep).amplitudes)
+    assert np.array_equal(got.amplitudes, negated.amplitudes)
+    assert dump_state(got) == dump_state(negated)
+
+
+def test_negated_pauli_on_a_density_matrix_drops_the_sign():
+    rho = density_matrix(DenseState(3, np.full(8, 8**-0.5)))
+    e, ep = bv("110"), bv("100")
+    negated = _signed_pauli(rho, e, ep, -1)
+    assert negated.matrix.tobytes() == apply_pauli(rho, e, ep).matrix.tobytes()
 
 
 @pytest.mark.parametrize("e, ep", [(0, 0), (0x8001, 0x0FF0), ((1 << 16) - 1, (1 << 16) - 1)])
@@ -497,6 +523,22 @@ def test_load_state_rejects_repeated_bit_strings():
 @pytest.mark.parametrize("text", ["00 1 0\n1 0 0\n", "-1 1 0\n", "0_1 1 0\n"])
 def test_load_state_rejects_malformed_bit_strings(text):
     with pytest.raises(ValueError, match="binary digits"):
+        load_state(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("00 1\n", "line 1 of the state dump has 2 field(s); expected '<bits> <re> <im>'"),
+        ("00 1 0\n\n01 0 0 0\n", "line 3 of the state dump has 4 field(s)"),
+        ("  \n10\n", "line 2 of the state dump has 1 field(s)"),
+        # The first bad line is refused, for the first thing wrong with it.
+        ("00 1 0\n0x 0 0\n01 0\n", "'0x' is not 2 binary digits"),
+        ("00 1 0\n0x 0\n", "line 2 of the state dump has 2 field(s)"),
+    ],
+)
+def test_load_state_names_a_line_without_three_fields(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_state(text)
 
 
