@@ -56,7 +56,6 @@ from .states import (
     load_state,
     subspace_state,
 )
-from .states import _signed_pauli
 
 BANKNOTE_FORMAT = "banknote-v1"
 BANKKEY_FORMAT = "bankkey-v1"
@@ -626,14 +625,15 @@ def correct(
 ) -> Banknote:
     """Identify and invert the note's Pauli error, restoring the fresh codeword.
 
-    The inverse of X^e Z^e' is applied with its commutation sign, folded into
-    the Pauli's own sign tensor, so for a state that was exactly a signed coset
-    state the result equals the fresh subspace state exactly, not just up to
-    phase, in one 2^n pass.  A mixed note is conjugated by the inverse, where
-    the sign drops out.
+    The inverse of X^e Z^e' is applied with its commutation sign through
+    apply_pauli's `sign`, which folds it into the blocks' +-1 factors, so each
+    amplitude takes one product and for a state that was exactly a signed
+    coset state the result equals the fresh subspace state exactly, not just
+    up to phase, in one 2^n pass.  A mixed note is conjugated by the inverse,
+    where the sign drops out.
     """
     e, ep = diagnose(registry, note, session=session)
-    return Banknote(note.serial, _signed_pauli(note.state, e, ep, -1 if e.dot(ep) else 1))
+    return Banknote(note.serial, apply_pauli(note.state, e, ep, sign=-1 if e.dot(ep) else 1))
 
 
 # -- file formats -----------------------------------------------------------------

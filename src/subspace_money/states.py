@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Union
 
 import numpy as np
@@ -66,7 +67,7 @@ class DenseState:
         return [BitVec(self.n, int(i)) for i in np.flatnonzero(self.amplitudes)]
 
     def __repr__(self) -> str:
-        return f"DenseState(n={self.n}, support={len(self.support())})"
+        return f"DenseState(n={self.n}, support={np.count_nonzero(self.amplitudes)})"
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False)
@@ -144,38 +145,47 @@ def _coset_amplitudes(codewords: np.ndarray, e_prime: BitVec, sign: int = 1) -> 
     return sign * (1.0 - 2.0 * parity) / math.sqrt(len(codewords))
 
 
-def apply_pauli(st: State, e: BitVec, e_prime: BitVec) -> State:
-    """X^e Z^e' as an operator product on kets: phase from the pre-shift index.
+def apply_pauli(st: State, e: BitVec, e_prime: BitVec, sign: int = 1) -> State:
+    """sign X^e Z^e' as an operator product on kets, sign +1 or -1: phase from the pre-shift index.
 
-    New amplitude at b+e is (-1)^(b.e') times the old amplitude at b.  On a
-    pure state, X^e reverses the axes of e's coordinates in the (2,)*n view
-    of the amplitudes, and the signs are an int8 outer product over e''s
-    coordinates, so the result is the only 2^n array built.  A density
-    matrix is conjugated: entry (x+e, y+e) is (-1)^(x.e' + y.e') rho[x, y], so
-    the global sign of the operator drops out.
-    """
-    return _signed_pauli(st, e, e_prime, 1)
-
-
-def _signed_pauli(st: State, e: BitVec, e_prime: BitVec, sign: int) -> State:
-    """sign X^e Z^e', sign +1 or -1, with the sign in the int8 tensor of apply_pauli.
-
-    So a negated pure result costs no second 2^n pass; a density matrix
-    drops the sign, as conjugation does.
+    New amplitude at p is sign (-1)^(e.e') (-1)^(p.e') times the old one at
+    p+e.  On a pure state the result is the only 2^n array: each row block
+    (a sixteenth of the note, at most 2^_BLOCK_BITS amplitudes, so it stays
+    in cache and bounds numpy's buffers) is one np.multiply of a +-1 factor
+    of the block's shape, chosen in float and cast to complex once, with the
+    source row read through a view with one axis per run of coordinates that
+    e flips alike, reversed where it flips them.  A row's sign from above the
+    block is a scalar, so odd rows run after the factor's real part is
+    negated.  +1 multiplies too: a complex product by 1 can change the sign
+    of a zero part.  A density matrix is conjugated: entry (x+e, y+e) is
+    (-1)^(x.e' + y.e') rho[x, y], so the sign drops out.
     """
     if e.n != st.n or e_prime.n != st.n:
         raise ValueError("error vector length differs from the state size")
+    if sign not in (1, -1):
+        raise ValueError(f"a Pauli's sign is +1 or -1, not {sign!r}")
     n, dim = st.n, 1 << st.n
     if isinstance(st, DenseState):
         reserve((dim,))
-        view = st.amplitudes.reshape((2,) * n)
-        shifted = view[tuple(slice(None, None, -1 if e.bit(i) else 1) for i in range(n))]
-        signs, shape = np.full((), sign, dtype=np.int8), [1] * n
-        for i in e_prime.support():
-            signs = np.multiply.outer(signs, np.array([-1, 1] if e.bit(i) else [1, -1], np.int8))
-            shape[i] = 2
-        # +1 multiplies too: a complex product by 1 can change the sign of a zero part.
-        return DenseState._own(n, np.multiply(signs.reshape(shape), shifted).reshape(dim))
+        low = max(min(n - 4, _BLOCK_BITS), 1)
+        bits = (e.value >> j & 1 for j in reversed(range(low)))
+        runs = [(flip, 1 << len(list(run))) for flip, run in groupby(bits)]
+        shape = [size for _, size in runs]
+        sources = st.amplitudes.reshape(-1, *shape)[
+            (slice(None), *(slice(None, None, -1 if flip else 1) for flip, _ in runs))
+        ]
+        sign = -sign if e.dot(e_prime) else sign
+        factor = _sign_factor(e_prime.value & ((1 << low) - 1), shape, sign)
+        out = np.empty(dim, dtype=np.complex128)
+        rows = out.reshape(-1, *shape)
+        e_top, ep_top, negated = e.value >> low, e_prime.value >> low, 0
+        for odd, r in sorted(((r & ep_top).bit_count() & 1, r) for r in range(len(rows))):
+            if odd != negated:
+                # The real parts only: -(-1+0j) would be 1-0j.
+                factor.real *= -1
+                negated = odd
+            np.multiply(factor, sources[r ^ e_top], out=rows[r])
+        return DenseState._own(n, out)
     reserve((dim, dim))
     source = np.arange(dim, dtype=np.int64) ^ np.int64(e.value)
     signs = 1.0 - 2.0 * (np.bitwise_count(source & np.int64(e_prime.value)) & 1)
@@ -183,6 +193,22 @@ def _signed_pauli(st: State, e: BitVec, e_prime: BitVec, sign: int) -> State:
     out *= signs[:, None]
     out *= signs
     return MixedState._own(n, out)
+
+
+# apply_pauli's row blocks hold at most 2^this many amplitudes (256 KiB).
+_BLOCK_BITS = 14
+
+
+def _sign_factor(bits: int, shape: list[int], sign: int) -> np.ndarray:
+    """sign (-1)^(p.bits) at each index p of a C-ordered `shape` block, complex; 0-d if bits is 0.
+
+    The signs are chosen in float and cast once: a float cast to complex has
+    a +0 imaginary part, where negating a complex -1 would give -0.
+    """
+    if not bits:
+        return np.array(sign, dtype=np.complex128)
+    odd = np.bitwise_count(np.arange(math.prod(shape)) & bits) & 1
+    return np.where(odd, -float(sign), float(sign)).astype(np.complex128).reshape(shape)
 
 
 def fwht(a: np.ndarray) -> np.ndarray:
@@ -323,7 +349,12 @@ def dump_state(st: DenseState) -> str:
 
 
 def load_state(text: str) -> DenseState:
-    """Parse dump_state's text, refusing a line not of 3 fields and malformed or repeated bits."""
+    """Parse dump_state's text, refusing a line not of 3 fields and malformed or repeated bits.
+
+    Each line is checked in order, field count, bit string, then numeric parts, and
+    the first bad line is named; repeats, the budget and the norm come after the
+    last line.
+    """
     indices, values = [], []
     n = None
     for number, line in enumerate(text.splitlines(), 1):
@@ -341,7 +372,13 @@ def load_state(text: str) -> DenseState:
         if len(bits) != n or bits.strip("01"):
             raise ValueError(f"bit string {bits!r} is not {n} binary digits")
         indices.append(int(bits, 2))
-        values.append(complex(float(re_s), float(im_s)))
+        try:
+            values.append(complex(float(re_s), float(im_s)))
+        except ValueError:
+            raise ValueError(
+                f"line {number} of the state dump has an amplitude that is not a number: "
+                f"{re_s!r} {im_s!r}"
+            ) from None
     if n is None:
         raise ValueError("empty state dump")
     if len(set(indices)) != len(indices):

@@ -909,7 +909,7 @@ def test_pure_note_kernel_holds_one_gathered_block(tolerated_n20, call, bound):
 
 
 def test_correct_with_a_commutation_sign_builds_one_dense_vector():
-    # e.e' = 1: the -1 rides in apply_pauli's sign tensor, with no second 2^n pass.
+    # e.e' = 1: the -1 rides in apply_pauli's +-1 factors, with no second 2^n pass.
     reg = OracleRegistry(16, 1, master_seed=1616)
     fresh = mint_direct(reg, BitVec.zeros(16))
     e = enumerate_errors(16, 1)[4]

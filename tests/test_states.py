@@ -34,7 +34,6 @@ from subspace_money.states import (
     load_state,
     max_deviation,
     subspace_state,
-    _signed_pauli,
 )
 
 from conftest import WORKED_CODEWORDS
@@ -179,7 +178,7 @@ def test_apply_pauli_matches_gather_reference_bitwise(n, data):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 9), data=st.data())
 def test_negated_pauli_dumps_as_the_negated_result(n, data):
-    # The -1 rides in the int8 sign tensor: equal to negating apply_pauli's
+    # The -1 rides in apply_pauli's +-1 factors: equal to negating its
     # result, and every nonzero part has the same bits, so the dumps agree.
     parts = st.lists(st.sampled_from(SIGNED_PARTS), min_size=1 << n, max_size=1 << n)
     amps = np.empty(1 << n, dtype=np.complex128)
@@ -187,7 +186,7 @@ def test_negated_pauli_dumps_as_the_negated_result(n, data):
     st_in = DenseState._own(n, amps)
     e = BitVec(n, data.draw(st.integers(0, (1 << n) - 1), label="e"))
     ep = BitVec(n, data.draw(st.integers(0, (1 << n) - 1), label="e'"))
-    got = _signed_pauli(st_in, e, ep, -1)
+    got = apply_pauli(st_in, e, ep, sign=-1)
     negated = DenseState._own(n, -apply_pauli(st_in, e, ep).amplitudes)
     assert np.array_equal(got.amplitudes, negated.amplitudes)
     assert dump_state(got) == dump_state(negated)
@@ -196,20 +195,43 @@ def test_negated_pauli_dumps_as_the_negated_result(n, data):
 def test_negated_pauli_on_a_density_matrix_drops_the_sign():
     rho = density_matrix(DenseState(3, np.full(8, 8**-0.5)))
     e, ep = bv("110"), bv("100")
-    negated = _signed_pauli(rho, e, ep, -1)
+    negated = apply_pauli(rho, e, ep, sign=-1)
     assert negated.matrix.tobytes() == apply_pauli(rho, e, ep).matrix.tobytes()
 
 
-@pytest.mark.parametrize("e, ep", [(0, 0), (0x8001, 0x0FF0), ((1 << 16) - 1, (1 << 16) - 1)])
-def test_apply_pauli_allocates_only_the_result(e, ep):
-    note = uniform_state(16)
+@pytest.mark.parametrize("sign", [0, 2, -2, 1j])
+def test_apply_pauli_refuses_a_sign_other_than_plus_or_minus_one(sign):
+    with pytest.raises(ValueError, match="sign is \\+1 or -1"):
+        apply_pauli(uniform_state(2), bv("10"), bv("01"), sign=sign)
+
+
+def _pauli_allocation_cases():
+    cases = [
+        pytest.param(16, e, ep, 1, id=f"{e}-{ep}")
+        for e, ep in [(0, 0), (0x8001, 0x0FF0), ((1 << 16) - 1, (1 << 16) - 1)]
+    ]
+    # The lifecycle's corruptions at n = 14: each tolerated bit flip with the
+    # phase flip at the mirrored position, then all ones, also negated.
+    errors = [0] + [1 << j for j in range(14)]
+    for e, ep in zip(errors, reversed(errors)):
+        cases.append(pytest.param(14, e, ep, 1, id=f"n14-{e}-{ep}"))
+    full = (1 << 14) - 1
+    cases.append(pytest.param(14, full, full, 1, id=f"n14-{full}-{full}"))
+    cases.append(pytest.param(14, full, full, -1, id=f"n14-{full}-{full}-negated"))
+    cases.append(pytest.param(14, 1 << 6, 1 << 7, -1, id="n14-64-128-negated"))
+    return cases
+
+
+@pytest.mark.parametrize("n, e, ep, sign", _pauli_allocation_cases())
+def test_apply_pauli_allocates_only_the_result(n, e, ep, sign):
+    note = uniform_state(n)
     tracemalloc.start()
     try:
-        apply_pauli(note, BitVec(16, e), BitVec(16, ep))
+        apply_pauli(note, BitVec(n, e), BitVec(n, ep), sign=sign)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * note.amplitudes.nbytes
+    assert peak < 1.2 * note.amplitudes.nbytes
 
 
 def test_internal_states_are_read_only_and_unshared():
@@ -231,6 +253,18 @@ def test_maximally_mixed_allocates_one_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 16 * 4**8
+
+
+def test_dense_state_repr_counts_the_support_without_listing_it(monkeypatch):
+    amps = np.zeros(8, dtype=np.complex128)
+    amps[[1, 4, 6]] = [0.6, 0.0 + 0.64j, -0.48]
+    state = DenseState(3, amps)
+
+    def refuse(self):
+        raise AssertionError("repr listed the support")
+
+    monkeypatch.setattr(DenseState, "support", refuse)
+    assert repr(state) == "DenseState(n=3, support=3)"
 
 
 def test_load_state_rejects_a_non_unit_dump():
@@ -538,6 +572,21 @@ def test_load_state_rejects_malformed_bit_strings(text):
     ],
 )
 def test_load_state_names_a_line_without_three_fields(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_state(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("00 1 0\n01 x 0\n", "line 2 of the state dump has an amplitude that is not a number: 'x' '0'"),
+        ("00 1 0j\n", "line 1 of the state dump has an amplitude that is not a number"),
+        # The bit string is checked before the parts, and a line before any repeat.
+        ("00 1 0\n0x y 0\n", "'0x' is not 2 binary digits"),
+        ("00 0.6 0\n00 0.8 0\n01 - 0\n", "line 3 of the state dump has an amplitude"),
+    ],
+)
+def test_load_state_names_a_line_whose_amplitude_is_not_a_number(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         load_state(text)
 
