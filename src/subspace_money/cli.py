@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", type=Path, default=None, help="output file (or directory for demo)"
     )
     parser.add_argument(
-        "--format", choices=("json", "csv", "text"), default="text", help="summary format on stdout"
+        "--format", choices=("json", "text"), default="text", help="summary format on stdout"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -83,10 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=str, default=None, help="bank randomness bits (length n)")
     p.add_argument("--route", choices=("direct", "conjugate"), default="direct")
-    p.add_argument(
-        "--x", type=str, default=None, help="conjugate-coding payload bits (test mode only)"
-    )
-    p.add_argument("--test-mode", action="store_true")
     p.add_argument(
         "--bank-out", type=Path, default=None, help="bank key file (default: <out>.bank.json)"
     )
@@ -147,10 +143,6 @@ def main(argv=None) -> int:
 def _emit(args, summary: dict, text_line: str) -> None:
     if args.format == "json":
         print(json.dumps(summary, sort_keys=True))
-    elif args.format == "csv":
-        keys = sorted(summary)
-        print(",".join(keys))
-        print(",".join(str(summary[k]) for k in keys))
     else:
         print(text_line)
 
@@ -182,11 +174,7 @@ def _cmd_mint(args) -> int:
         if args.route == "conjugate":
             raise ValueError("--code supports only the direct route")
         registry.generate(r, load_code(args.code))
-    if args.route == "conjugate":
-        x = None if args.x is None else BitVec.from_string(args.x)
-        note = mint_conjugate(registry, r, x, test_mode=args.test_mode)
-    else:
-        note = mint_direct(registry, r)
+    note = (mint_conjugate if args.route == "conjugate" else mint_direct)(registry, r)
     out = args.out or Path("note.json")
     save_banknote(note, out)
     bank_out = args.bank_out or out.with_suffix(".bank.json")

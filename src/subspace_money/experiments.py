@@ -27,8 +27,8 @@ from .errors import reserve
 from .gf2 import random_bitvec
 from .oracles import VerifierFrame
 from .rng import Seed, as_generator
-from .scheme import OracleRegistry, _kept_spectrum, mint_direct, register_probability
-from .states import MixedState, _coset_amplitudes
+from .scheme import OracleRegistry, mint_direct
+from .states import MixedState
 
 WILSON_Z95 = 1.959963984540054
 
@@ -93,25 +93,19 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 def completeness_sweep(spec: CodeSpec) -> ExperimentReport:
     """Exact acceptance probability of every tolerated corruption of the code state.
 
-    For a certified code all rows report probability one.
+    For a certified code all rows report probability one.  Each state is
+    built as its one row of the code's verifier frame (see
+    VerifierFrame.coset_probability), not as a 2^n vector.
     """
     frame = VerifierFrame.of(spec)
     errors = enumerate_errors(spec.n, spec.q)
-    rows = []
-    # The coset state of (e, e') lies in the frame row of C + e, whose strings are
-    # e + v over the codewords v, so each row's block is built, not gathered.
-    for e, row in zip(errors, frame.error_cosets[0].tolist()):
-        codewords = frame.index[row] ^ e.value
-        for ep in errors:
-            cosets = np.zeros(frame.index.shape, dtype=np.complex128)
-            cosets[row] = _coset_amplitudes(codewords, ep)
-            prob, _ = _kept_spectrum(cosets, frame)
-            rows.append((str(e), str(ep), prob))
     return ExperimentReport(
         name="completeness",
         parameters={"n": spec.n, "q": spec.q},
         columns=("bit_flip", "phase_flip", "accept_probability"),
-        rows=tuple(rows),
+        rows=tuple(
+            (str(e), str(ep), frame.coset_probability(e, ep)) for e in errors for ep in errors
+        ),
     )
 
 
@@ -122,13 +116,13 @@ def completeness_sweep(spec: CodeSpec) -> ExperimentReport:
 # A strategy(note, session, rng, trials) sees only the banknote and a
 # charge-counting oracle session, never the code itself.  It yields blocks of
 # consecutive trials as (pairs, uniforms, pick).  pairs yields register pairs
-# in one of two forms: a tuple (sigma1, sigma2) of States or of real blocks
-# with the same leading axes, or one real array of shape (..., 2, parts, 2^n)
-# holding both registers on axis -3, for register_probability.  Trial t of
-# the block holds pair pick[t] of the concatenated pairs, or pair t when pick
-# is None.  It is accepted when uniforms[t] falls below the pair's acceptance
-# probability.  A block's arrays may be refilled for the next block, so they
-# are read before the next one is asked for.
+# in one of two forms that VerifierFrame.pair_probability takes: a tuple
+# (sigma1, sigma2) of States or of real blocks with the same leading axes, or
+# one real array of shape (..., 2, parts, 2^n) holding both registers on axis
+# -3.  Trial t of the block holds pair pick[t] of the concatenated pairs, or
+# pair t when pick is None.  It is accepted when uniforms[t] falls below the
+# pair's acceptance probability.  A block's arrays may be refilled for the
+# next block, so they are read before the next one is asked for.
 
 # Live float64 entries in one block of attack registers: sixteen random-state
 # trials (four 2^n-entry normal vectors each) at n = 6, one trial from n = 10
@@ -225,20 +219,19 @@ def run_attack(
     where available, the mean exact per-trial probability, and the session's
     total oracle charges.
 
-    Trials run in blocks through double_verify's kernel, register_probability,
-    with the record's verifier frame taken once and charged as two passes
-    per trial.  Each distinct register pair is evaluated once:
-    passthrough-mixed has one, measure-and-copy one per measured string,
-    random-state one per trial, both registers of a block of trials in one
-    call.  A block holds at most _BLOCK_ENTRIES float64 entries, or one trial
+    Trials run in blocks through double_verify's kernel,
+    VerifierFrame.pair_probability, with the record's verifier frame taken
+    once and charged as two passes per trial.  Each distinct register pair
+    is evaluated once: passthrough-mixed has one, measure-and-copy one per
+    measured string, random-state one per trial, both registers of a block
+    of trials in one call.  A block holds at most _BLOCK_ENTRIES float64 entries, or one trial
     or string, and is reserved against the allocation budget before it is
-    allocated.  random-state refills one real (trials, 2, 2, 2^n) block of
-    registers' real and imaginary parts in place, which the kernel gathers
-    into VerifierFrame.kept_coefficients' transform-leading layout.  After the
-    minting draws, the stream is per trial: random-state's four normal
-    vectors, or measure-and-copy's measurement uniform, then the decision
-    uniform; the per-trial probabilities are summed in trial order, so the
-    report does not depend on the block size.
+    allocated; random-state refills one real (trials, 2, 2, 2^n) block of
+    registers' real and imaginary parts in place.  After the minting draws,
+    the stream is per trial: random-state's four normal vectors, or
+    measure-and-copy's measurement uniform, then the decision uniform; the
+    per-trial probabilities are summed in trial order, so the report does
+    not depend on the block size.
     """
     attack = _STRATEGIES.get(strategy)
     if attack is None:
@@ -254,7 +247,7 @@ def run_attack(
     successes = 0
     prob_sum = 0.0
     for pairs, uniforms, pick in attack(note, session, rng, trials):
-        probs = [np.atleast_1d(_pair_probability(p, frame)) for p in pairs]
+        probs = [np.atleast_1d(frame.pair_probability(p)) for p in pairs]
         # The method, not np.clip, whose wrapper leaves its keyword dicts in the interpreter's
         # free lists, traced-heap memory that only a full gc collection releases.
         probs = np.concatenate(probs).clip(0.0, 1.0)
@@ -287,13 +280,6 @@ def run_attack(
         rows=(tuple(row.values()),),
         seed=_seed_label(seed),
     )
-
-
-def _pair_probability(pair, frame):
-    """Both registers' acceptance probability, for a tuple pair or a stacked block."""
-    if isinstance(pair, np.ndarray):
-        return register_probability(pair, frame).prod(axis=-1)
-    return register_probability(pair[0], frame) * register_probability(pair[1], frame)
 
 
 def _seed_label(seed: Seed) -> int | None:

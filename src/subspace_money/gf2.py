@@ -443,15 +443,13 @@ class BasisMap:
 
     n: int
     matrix: Gf2Matrix
-    inverse_matrix: Gf2Matrix
 
     def __init__(self, matrix: Gf2Matrix):
         if matrix.rows != matrix.cols:
             raise ValueError("basis map must be square")
-        inv = matrix.inverse()  # raises ValueError when singular
+        matrix.inverse()  # raises ValueError when singular
         object.__setattr__(self, "n", matrix.cols)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "inverse_matrix", inv)
 
     @classmethod
     def from_columns(cls, cols: Sequence[BitVec]) -> "BasisMap":

@@ -11,24 +11,28 @@ A VerifierFrame holds both sets, each a sorted read-only array, and is the
 only array view of them.  It lists the accepted primal cosets string by
 string, the coset with syndrome v as leader(v) ^ c(u) over the codewords
 c(u), and holds the accepted dual syndromes as Walsh frequencies of u.  In
-these coordinates the verifier's projector is one Walsh filter on each
-accepted coset, which the frame's kernels compute.  The same frame locates
-every coset test of the corrector: a bit-flip coset C + e is one of its
-rows, a phase-flip coset one Walsh frequency of its rows, and the frame
-lists that position for each tolerated error on each side.
+these coordinates the verifier's projector P is one Walsh filter on each
+accepted coset, and the frame is P: it answers membership queries, Ver's
+probability and post-state, Ver2's product probability and the corrector's
+coset weights.  The same frame locates every coset test of the corrector:
+a bit-flip coset C + e is one of its rows, a phase-flip coset one Walsh
+frequency of its rows, and the frame lists that position for each
+tolerated error on each side.  No other module reads its arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .codes import CodeSpec, _error_syndromes
+from .codes import CodeSpec, _error_positions, _error_syndromes
 from .errors import reserve
-from .gf2 import Gf2Matrix, _span_table
-from .states import fwht, walsh_butterflies
+from .gf2 import BitVec, _span_table
+from .states import DenseState, MixedState, State, _coset_amplitudes, fwht, walsh_butterflies
 
 SIDES = ("primal", "dual")
 
@@ -37,10 +41,6 @@ def _side_index(side: str) -> int:
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     return SIDES.index(side)
-
-
-def _parity_for(spec: CodeSpec, side: str) -> Gf2Matrix:
-    return (spec.parity_primal, spec.parity_dual)[_side_index(side)]
 
 
 def _reverse_bits(values, k: int) -> np.ndarray:
@@ -53,7 +53,7 @@ def _reverse_bits(values, k: int) -> np.ndarray:
 
 
 class VerifierFrame(NamedTuple):
-    """Coordinates in which the verifier's projector P is block-diagonal.
+    """Ver's projector P: the coordinates in which it is block-diagonal, and its kernels.
 
     Row r of index lists the accepted primal coset with syndrome rows[r] as
     index[r, u] = leader ^ c(u), where c(u) sums the dual side's parity rows
@@ -68,7 +68,7 @@ class VerifierFrame(NamedTuple):
     Walsh frequency of u that reads as its syndrome.
     """
 
-    n: int
+    spec: CodeSpec
     index: np.ndarray  # (|S_p|, 2^k) basis-string indices
     keep: np.ndarray  # accepted dual syndromes as Walsh frequencies of u, ascending
     rows: np.ndarray  # the accepted primal syndrome of each row, ascending
@@ -101,16 +101,203 @@ class VerifierFrame(NamedTuple):
         error_cosets = np.stack([np.searchsorted(rows, syndromes), frequencies])
         for array in (index, keep, rows, error_cosets):
             array.setflags(write=False)
-        return cls(spec.n, index, keep, rows, error_cosets)
+        return cls(spec, index, keep, rows, error_cosets)
 
-    def accepts(self, side: str, syndrome: int) -> bool:
-        """Whether side accepts a syndrome: a row's syndrome, or a kept frequency once reversed."""
+    @property
+    def n(self) -> int:
+        return self.spec.n
+
+    # -- membership and coset tests ---------------------------------------------
+
+    def member(self, side: str, x: BitVec) -> bool:
+        """Whether H x is accepted on side: a row's syndrome, or a kept frequency once reversed."""
+        syndrome = self._syndrome(side, x)
         if side == "primal":
             return bool(np.isin(syndrome, self.rows))
-        k = self.index.shape[1].bit_length() - 1
-        return bool(np.isin(_reverse_bits([syndrome], k), self.keep)[0])
+        return bool(np.isin(_reverse_bits([syndrome], self.spec.parity_dual.rows), self.keep)[0])
 
-    def spectrum(
+    def _syndrome(self, side: str, x: BitVec) -> int:
+        parity = (self.spec.parity_primal, self.spec.parity_dual)[_side_index(side)]
+        if x.n != self.n:
+            raise ValueError(f"length mismatch: {x.n} vs {self.n}")
+        return parity.mul_vec(x).value
+
+    def locate(self, side: str, weights: np.ndarray) -> tuple[int, BitVec | None]:
+        """Find the first tolerated e whose side-code + e holds all but 1e-9 of weights.
+
+        weights are in the frame's coordinates (see weights), and error_cosets
+        says where each error's coset sits, so the tests are one gather.
+        Returns how many errors, in lexicographic order, were tested up to and
+        including the match, and the match; every error and None when no
+        coset matches.
+        """
+        cosets = self.error_cosets[_side_index(side)]
+        hits = np.flatnonzero(weights[cosets] > 1.0 - 1e-9)
+        if not hits.size:
+            return cosets.size, None
+        support = _error_positions(self.n, self.spec.q)[:, hits[0]]
+        return int(hits[0]) + 1, BitVec.from_support(self.n, support[support < self.n].tolist())
+
+    # -- Ver on one register ---------------------------------------------------------
+
+    def apply(self, state: State) -> tuple[float, Callable[[], State] | None]:
+        """P on one register: the acceptance probability and a post-state builder.
+
+        A pure state runs only the probability kernel here (see _kept_spectrum),
+        and its builder makes the 2^n post-state; a mixed state's is made here.
+        The builder is None at probability zero.
+        """
+        if isinstance(state, DenseState):
+            prob, kept = self._kept_spectrum(state.amplitudes[self.index])
+            return prob, None if kept is None else partial(self._post_state, kept)
+        sandwich = self._project(self._project(state.matrix).T).T
+        prob = float(np.trace(sandwich).real)
+        if prob <= 0.0:
+            return 0.0, None
+        return min(prob, 1.0), partial(MixedState._own, state.n, sandwich / prob)
+
+    def coset_probability(self, e: BitVec, e_prime: BitVec) -> float:
+        """Ver's acceptance probability of the tolerated coset state X^e Z^e' |C>.
+
+        Its strings e + v over the codewords v are the frame row of C + e, so
+        that row's amplitudes are built in closed form, in an otherwise zero
+        block, and no 2^n vector is made or gathered.
+        """
+        syndrome = self._syndrome("primal", e)
+        row = int(np.searchsorted(self.rows, syndrome))
+        if e_prime.n != self.n or row == self.rows.size or self.rows[row] != syndrome:
+            raise ValueError(f"X^{e} Z^{e_prime} is not a tolerated error on n={self.n} qubits")
+        cosets = np.zeros(self.index.shape, dtype=np.complex128)
+        cosets[row] = _coset_amplitudes(self.index[row] ^ e.value, e_prime)
+        return self._kept_spectrum(cosets)[0]
+
+    def probability(self, sigma: Union[State, np.ndarray]) -> Union[float, np.ndarray]:
+        """tr(P sigma) for one n-qubit register, or for every register of a block.
+
+        sigma is a DenseState, a MixedState, or a block of pure registers: a real
+        array of shape (..., parts, 2^n) whose parts are each register's real and
+        imaginary amplitudes (one part for a real register), not necessarily
+        normalised.  P is real, so <a + ib|P|a + ib> is the sum of the parts'
+        <a|P|a>, the kept Walsh energy of their accepted cosets over 2^k, and a
+        block's probabilities, of shape (...), are those sums divided by the
+        registers' squared norms.  A DenseState costs one gather plus one 2^k
+        transform per occupied coset, transformed in the gathered block, the one
+        block it holds; a block of registers transforms every accepted coset.
+        """
+        n = self.n
+        if isinstance(sigma, (DenseState, MixedState)):
+            if sigma.n != n:
+                raise ValueError(f"register must act on n={n} qubits")
+        elif sigma.shape[-1] != 1 << n:
+            raise ValueError(f"registers of the block must have {1 << n} amplitudes")
+        if isinstance(sigma, MixedState):
+            # P is real symmetric, so the antisymmetric imaginary part of sigma adds nothing.
+            return float(self._frequency_weights(sigma.matrix.real, kept=True))
+        size = self.index.shape[1]
+        if isinstance(sigma, DenseState):
+            # The kept columns of every row, so the vecdot adds in the same order for every note.
+            coeffs = self._spectrum(sigma.amplitudes[self.index])[:, self.keep].reshape(-1)
+            return float(np.vecdot(coeffs, coeffs).real) / size
+        coeffs = self._kept_coefficients(sigma)
+        weight = np.vecdot(coeffs, coeffs).real
+        norm = np.vecdot(sigma, sigma).sum(axis=-1)
+        if not np.all(np.isfinite(norm) & (norm > 0.0)):
+            raise ValueError("a register of the block is not a finite nonzero vector")
+        return weight.sum(axis=-1) / norm / size
+
+    def pair_probability(self, joint) -> Union[float, np.ndarray]:
+        """Ver2's kernel: tr((P (x) P) rho) for two registers under one serial number.
+
+        joint is a pair (sigma1, sigma2) meaning sigma1 (x) sigma2, each a
+        register or a block of them for probability; a real block of shape
+        (..., 2, parts, 2^n) holding both registers on axis -3; or a 2n-qubit
+        DenseState or MixedState, computed one register axis at a time.  A
+        pair's or a block's probability is the product of its registers'.
+        """
+        if isinstance(joint, tuple):
+            sigma1, sigma2 = joint
+            return self.probability(sigma1) * self.probability(sigma2)
+        if isinstance(joint, np.ndarray):
+            return self.probability(joint).prod(axis=-1)
+        if not isinstance(joint, (DenseState, MixedState)):
+            raise TypeError(f"unsupported joint state type {type(joint).__name__}")
+        if joint.n != 2 * self.n:
+            raise ValueError(f"joint state must act on 2n={2 * self.n} qubits")
+        dim = 1 << self.n
+        if isinstance(joint, DenseState):
+            # Register two's kept coefficients, then register one's.
+            coeffs = self._kept_coefficients(joint.amplitudes.reshape(dim, dim))
+            coeffs = self._kept_coefficients(coeffs.T)
+            return float(np.vdot(coeffs, coeffs).real) / self.index.shape[1] ** 2
+        # rho[x1, y1, x2, y2]: reduce register two, then the Hermitian rest as above.
+        # Reducing register two gathers (dim, dim, |S_p|, 2^k, 2^k) entries.
+        reserve((dim, dim, *self.index.shape, self.index.shape[1]))
+        rho = joint.matrix.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3)
+        reduced = self._frequency_weights(rho, kept=True)
+        return float(self._frequency_weights(reduced.real, kept=True))
+
+    def weights(self, state: State) -> tuple[np.ndarray, np.ndarray]:
+        """The state's probability on each accepted bit-flip coset (row) and phase-flip frequency.
+
+        A frequency s of u counts the Hadamard-basis weight within the accepted
+        cosets only: |fwht(amps[index])|^2 summed over rows / 2^k.  A pure state
+        costs one gather plus one 2^k transform per occupied coset, transformed in
+        the gathered block; beside it, the kernel holds one half-size real array.
+        """
+        index = self.index
+        if isinstance(state, DenseState):
+            cosets = state.amplitudes[index]
+            rows = np.abs(cosets)
+            rows = np.square(rows, out=rows).sum(axis=1)
+            # F order lays each frequency's rows side by side, as fwht's output is, so
+            # the sum over rows adds them in the order of the all-rows transform.  Row
+            # by row, the transposing abs takes none of numpy's operand buffers.
+            spectrum = self._spectrum(cosets)
+            energy = np.empty(index.shape, order="F")
+            for row, target in zip(spectrum, energy):
+                np.abs(row, out=target)
+            return rows, np.square(energy, out=energy).sum(axis=0) / index.shape[1]
+        # The imaginary part of a Hermitian rho adds nothing to either diagonal.
+        rho = state.matrix.real
+        return np.diagonal(rho)[index].sum(axis=1), self._frequency_weights(rho)
+
+    # -- kernels -----------------------------------------------------------------------
+
+    def _kept_spectrum(self, cosets: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """Ver's probability kernel on gathered accepted cosets, which become the kept spectrum.
+
+        The accepted cosets are normalised before the transform, so the second
+        stage's probability is a unit vector's kept energy / 2^k; the product is
+        clipped at one.  Only the occupied cosets are normalised and transformed
+        (see _spectrum), so a pure note costs one gather of the accepted cosets
+        plus one 2^k transform per coset it occupies: one for a tolerated coset
+        state.  The kept spectrum is written back into that gathered block, so
+        the kernel holds one block; it is None when the probability is zero.
+        """
+        prob1 = float(np.vdot(cosets, cosets).real)
+        if prob1 == 0.0:
+            return 0.0, None
+        # Zero-filled and C-ordered, so the vdot adds in the same order for every note.
+        kept = self._spectrum(cosets, math.sqrt(prob1), kept=True)
+        prob2 = float(np.vdot(kept, kept).real) / self.index.shape[1]
+        if prob2 == 0.0:
+            return 0.0, None
+        return min(prob1 * prob2, 1.0), kept
+
+    def _post_state(self, kept: np.ndarray) -> DenseState:
+        """The normalised accepted branch of a kept spectrum, in a fresh 2^n vector.
+
+        The spectrum is transformed in a copy, so the builder can run again, and
+        the copy is the one block held beside kept and the result.
+        """
+        size = self.index.shape[1]
+        reserve((1 << self.n,))
+        norm = size * math.sqrt(float(np.vdot(kept, kept).real) / size)
+        branch = self._spectrum(kept.copy())
+        branch /= norm
+        return DenseState._own(self.n, self._scatter(branch))
+
+    def _spectrum(
         self, cosets: np.ndarray, scale: float | None = None, kept: bool = False
     ) -> np.ndarray:
         """In place: gathered cosets become fwht(cosets / scale), zero outside keep if kept.
@@ -144,20 +331,20 @@ class VerifierFrame(NamedTuple):
             cosets[occupied] = transformed
         return cosets
 
-    def scatter(self, values: np.ndarray) -> np.ndarray:
+    def _scatter(self, values: np.ndarray) -> np.ndarray:
         """A fresh array with values (..., |S_p|, 2^k) at their strings on a last axis of 2^n."""
         out = np.zeros((*values.shape[:-2], 1 << self.n), dtype=values.dtype)
         out[..., self.index] = values
         return out
 
-    def project(self, amps: np.ndarray) -> np.ndarray:
+    def _project(self, amps: np.ndarray) -> np.ndarray:
         """P along the last axis: the Walsh filter on each accepted coset, zero elsewhere."""
         spectrum = fwht(amps[..., self.index])
         kept = np.zeros_like(spectrum)
         kept[..., self.keep] = spectrum[..., self.keep]
-        return self.scatter(fwht(kept) / self.index.shape[1])
+        return self._scatter(fwht(kept) / self.index.shape[1])
 
-    def kept_coefficients(self, amps: np.ndarray) -> np.ndarray:
+    def _kept_coefficients(self, amps: np.ndarray) -> np.ndarray:
         """The kept Walsh coefficients of amps' accepted cosets, shape (..., |S_p| |keep|).
 
         Their squared norm over 2^k is <amps|P|amps> along the last axis.  The
@@ -177,7 +364,7 @@ class VerifierFrame(NamedTuple):
         cosets = cosets[self.keep]
         return cosets.transpose(*range(2, lead + 2), 1, 0).reshape(*amps.shape[:-1], -1)
 
-    def frequency_weights(self, mat: np.ndarray, kept: bool = False) -> np.ndarray:
+    def _frequency_weights(self, mat: np.ndarray, kept: bool = False) -> np.ndarray:
         """<s|H mat H|s> over the last two axes, for every Walsh frequency s of u.
 
         Summed over the accepted cosets: on each, the projector onto frequency

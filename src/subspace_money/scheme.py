@@ -15,11 +15,8 @@ Verification is the four-stage pipeline
     back,
 
 whose composition P is exactly the projector onto the span of all tolerated
-noisy variants of the banknote state.  The first stage keeps whole cosets of
-the code and the Hadamard-sandwiched second acts inside each coset, so P is
-computed in the coordinates of the record's VerifierFrame: on each of the
-|E_q| accepted bit-flip cosets, one 2^k-point Walsh filter that keeps the
-|E_q| accepted phase-flip frequencies, and zero everywhere else.
+noisy variants of the banknote state.  The record's VerifierFrame computes
+P; this module validates, charges, clips and samples around it.
 """
 
 from __future__ import annotations
@@ -27,24 +24,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .codes import (
-    CodeSpec,
-    _error_positions,
-    _json_field,
-    certify,
-    error_count,
-    search_applicable_code,
-)
+from .codes import CodeSpec, _json_field, certify, error_count, search_applicable_code
 from .errors import SerialCollisionError, UndecodableError, UnknownSerialError, reserve
 from .gf2 import BasisMap, BitVec, Gf2Matrix, SubspaceBasis, random_bitvec
 from .gf2 import _independent_rows, _random_rows
-from .oracles import QueryLedger, VerifierFrame, _parity_for, _side_index
+from .oracles import QueryLedger, VerifierFrame
 from .rng import Seed, as_generator, derive_sequence
 from .states import (
     DenseState,
@@ -130,7 +120,7 @@ class VerifyOutcome:
 
     @cached_property
     def post_state(self) -> State | None:
-        """The accepted branch, built on first read by apply_frame's builder; None at probability 0."""
+        """The accepted branch, built on first read by VerifierFrame.apply's builder; None at 0."""
         return None if self._build is None else self._build()
 
     def __iter__(self):
@@ -169,29 +159,18 @@ class OracleSession:
 
         The frame is built before the charge, so a query the budget refuses charges nothing.
         """
-        parity = _parity_for(self._record.spec, side)
-        if x.n != self.n:
-            raise ValueError(f"length mismatch: {x.n} vs {self.n}")
-        frame = self.verifier_frame(passes=0)
+        accepted = self.verifier_frame(passes=0).member(side, x)
         self.charge(side)
-        return frame.accepts(side, parity.mul_vec(x).value)
+        return accepted
 
     def find_coset(self, side: str, weights: np.ndarray) -> BitVec | None:
-        """The first tolerated error e whose coset side-code + e holds all but 1e-9 of weights.
+        """The first tolerated error whose coset holds all but 1e-9 of weights, or None.
 
-        weights are in the record's frame (see frame_weights), whose error_cosets
-        row says where each error's coset sits, so the tests are one gather.  The
-        errors are tested in lexicographic order, each test up to and including
-        the match charged as one coset query; None, with every test charged,
-        when no coset matches.
+        See VerifierFrame.locate; each test it ran is charged as one coset query.
         """
-        cosets = self.verifier_frame(passes=0).error_cosets[_side_index(side)]
-        hits = np.flatnonzero(weights[cosets] > 1.0 - 1e-9)
-        self.charge("coset", int(hits[0]) + 1 if hits.size else cosets.size)
-        if not hits.size:
-            return None
-        support = _error_positions(self.n, self._record.spec.q)[:, hits[0]]
-        return BitVec.from_support(self.n, support[support < self.n].tolist())
+        tests, error = self.verifier_frame(passes=0).locate(side, weights)
+        self.charge("coset", tests)
+        return error
 
     def verifier_frame(self, passes: int = 1) -> VerifierFrame:
         """The record's coset frame, charged as passes queries to each side.
@@ -231,8 +210,11 @@ class OracleRegistry:
 
         Serial distinctness is enforced actively: on a collision with an
         already-issued serial the whole derivation is redone with the next
-        nonce.  A given spec replaces the code search and must pass certification.
+        nonce.  A given spec replaces the code search, must have the registry's
+        (n, q) and must pass certification.
         """
+        if spec is not None:
+            self._check_parameters(spec)
         if r.n != self.n:
             raise ValueError(f"r must have length n={self.n}")
         record = self.records.get(r)
@@ -258,9 +240,11 @@ class OracleRegistry:
     def install_record(self, record: MintRecord, *, require_applicable: bool = True) -> None:
         """Register an externally-built record (worked examples, bank key files).
 
-        Raises ValueError naming every failed ``certify`` check, unless
-        require_applicable is False.
+        Raises ValueError for a code of other (n, q) than the registry's, and
+        one naming every failed ``certify`` check, unless require_applicable
+        is False.
         """
+        self._check_parameters(record.spec)
         if require_applicable:
             report = certify(record.spec)
             if not report.passed:
@@ -270,6 +254,13 @@ class OracleRegistry:
             raise SerialCollisionError(f"serial {record.serial} already issued")
         self.records[record.r] = record
         self.serial_index[record.serial] = record.r
+
+    def _check_parameters(self, spec: CodeSpec) -> None:
+        if (spec.n, spec.q) != (self.n, self.q):
+            raise ValueError(
+                f"the code has (n, q) = ({spec.n}, {spec.q}), "
+                f"but this registry mints (n, q) = ({self.n}, {self.q})"
+            )
 
     # -- public oracles -------------------------------------------------------
 
@@ -318,32 +309,20 @@ def mint_direct(registry: OracleRegistry, r: BitVec) -> Banknote:
     return Banknote(record.serial, subspace_state(record.spec.code))
 
 
-def mint_conjugate(
-    registry: OracleRegistry, r: BitVec, x: BitVec | None = None, *, test_mode: bool = False
-) -> Banknote:
+def mint_conjugate(registry: OracleRegistry, r: BitVec) -> Banknote:
     """Mint by preparing conjugate coding qubits and permuting basis states.
 
-    Qubit i is |x_i> in the computational basis where theta_i = 0 and
-    H|x_i> where theta_i = 1; the record's basis map then permutes the
-    computational basis.  Scheme-conformant minting requires x = 0, which
-    lands exactly on the code's subspace state; any other x is only allowed
-    in test mode and produces a coset state of the code.  An over-budget n is
-    refused before the record is generated.
+    Qubit i is |0> where theta_i = 0 and H|0> where theta_i = 1; the
+    record's basis map then permutes the computational basis, which lands
+    exactly on the code's subspace state.  An over-budget n is refused
+    before the record is generated.
     """
     reserve((1 << registry.n,))
     record = registry.generate(r)
     if record.route != "conjugate":
         raise ValueError("record was generated for the direct route")
-    n = record.spec.n
-    if x is None:
-        x = BitVec.zeros(n)
-    if x.n != n:
-        raise ValueError(f"x must have length {n}")
-    if x.value != 0 and not test_mode:
-        raise ValueError("x != 0 is only allowed in test mode; banknotes need x = 0")
-    state = conjugate_coding_state(x, record.theta)
-    state = apply_basis_permutation(state, record.basis_map)
-    return Banknote(record.serial, state)
+    state = conjugate_coding_state(BitVec.zeros(record.spec.n), record.theta)
+    return Banknote(record.serial, apply_basis_permutation(state, record.basis_map))
 
 
 def conjugate_coding_state(x: BitVec, theta: BitVec) -> DenseState:
@@ -387,63 +366,6 @@ def random_corruption(n: int, weight: int, seed: Seed) -> tuple[BitVec, BitVec]:
 # -- verification -----------------------------------------------------------------
 
 
-def apply_frame(state: State, frame: VerifierFrame) -> tuple[float, Callable[[], State] | None]:
-    """P on one register, in a prebuilt frame: the acceptance probability and a post-state builder.
-
-    A pure state runs only kept_spectrum here, and its builder makes the 2^n
-    post-state; a mixed state's is made here.  The builder is None at probability zero.
-    """
-    if isinstance(state, DenseState):
-        prob, kept = kept_spectrum(state, frame)
-        return prob, None if kept is None else partial(_post_state, state.n, kept, frame)
-    sandwich = frame.project(frame.project(state.matrix).T).T
-    prob = float(np.trace(sandwich).real)
-    if prob <= 0.0:
-        return 0.0, None
-    return min(prob, 1.0), partial(MixedState._own, state.n, sandwich / prob)
-
-
-def kept_spectrum(state: DenseState, frame: VerifierFrame) -> tuple[float, np.ndarray | None]:
-    """Ver's probability kernel: the acceptance probability and the kept (|S_p|, 2^k) spectrum.
-
-    The accepted cosets are normalised before the transform, so the second
-    stage's probability is a unit vector's kept energy / 2^k; the product is
-    clipped at one.  Only the occupied cosets are normalised and transformed
-    (see VerifierFrame.spectrum), so a pure note costs one gather of the accepted
-    cosets plus one 2^k transform per coset it occupies: one for a tolerated
-    coset state.  The kept spectrum is written back into that gathered block,
-    so the kernel holds one block; it is None when the probability is zero.
-    """
-    return _kept_spectrum(state.amplitudes[frame.index], frame)
-
-
-def _kept_spectrum(cosets: np.ndarray, frame: VerifierFrame) -> tuple[float, np.ndarray | None]:
-    """kept_spectrum of a note's gathered accepted cosets, which become its kept spectrum."""
-    prob1 = float(np.vdot(cosets, cosets).real)
-    if prob1 == 0.0:
-        return 0.0, None
-    # Zero-filled and C-ordered, so the vdot adds in the same order for every note.
-    kept = frame.spectrum(cosets, math.sqrt(prob1), kept=True)
-    prob2 = float(np.vdot(kept, kept).real) / frame.index.shape[1]
-    if prob2 == 0.0:
-        return 0.0, None
-    return min(prob1 * prob2, 1.0), kept
-
-
-def _post_state(n: int, kept: np.ndarray, frame: VerifierFrame) -> DenseState:
-    """The normalised accepted branch of a kept spectrum, in a fresh 2^n vector.
-
-    The spectrum is transformed in a copy, so the builder can run again, and
-    the copy is the one block held beside kept and the result.
-    """
-    size = frame.index.shape[1]
-    reserve((1 << n,))
-    norm = size * math.sqrt(float(np.vdot(kept, kept).real) / size)
-    branch = frame.spectrum(kept.copy())
-    branch /= norm
-    return DenseState._own(n, frame.scatter(branch))
-
-
 def verify(
     registry: OracleRegistry,
     note: Banknote,
@@ -458,7 +380,7 @@ def verify(
     Walsh filter: a pure note costs one gather plus one 2^k transform per
     occupied coset, one for a tolerated X^e Z^e' note, and the gathered block
     is the one it holds, its kept spectrum written back in place (see
-    kept_spectrum).  The post-state is built on first read.  The outcome
+    VerifierFrame.apply).  The post-state is built on first read.  The outcome
     carries both the exact acceptance probability and one sampled decision;
     the post-state is the accepted branch whenever it exists, regardless of
     how the sample came out.
@@ -467,7 +389,7 @@ def verify(
         return VerifyOutcome(False, 0.0, None, reason="unknown serial")
     if session is None:
         session = registry.session(note.serial)
-    prob, build = apply_frame(note.state, session.verifier_frame())
+    prob, build = session.verifier_frame().apply(note.state)
     return VerifyOutcome(_sample(registry, rng, prob), prob, build)
 
 
@@ -487,76 +409,18 @@ def double_verify(
     """Ver2: verify two (possibly entangled) registers under one serial number.
 
     The acceptance probability is tr((P (x) P) rho) for the verifier's projector
-    P = H M_dual H M_primal onto the tolerated span, computed in the record's
-    frame one register axis at a time.  The joint state is a 2n-qubit
-    DenseState or MixedState, or a pair (sigma1, sigma2) meaning sigma1 (x) sigma2,
-    whose probability is the product of register_probability over the two.
+    P = H M_dual H M_primal onto the tolerated span, computed by the record's
+    frame (see VerifierFrame.pair_probability) and clipped to [0, 1].  The
+    joint state is a 2n-qubit DenseState or MixedState, or a pair
+    (sigma1, sigma2) of n-qubit states meaning sigma1 (x) sigma2.
     """
-    n = registry.record_for_serial(serial).spec.n  # raises UnknownSerialError
+    registry.record_for_serial(serial)  # raises UnknownSerialError
     if session is None:
         session = registry.session(serial)
-    frame = session.verifier_frame(passes=2)
-    dim = 1 << n
-
-    if isinstance(joint, tuple):
-        sigma1, sigma2 = joint
-        prob = register_probability(sigma1, frame) * register_probability(sigma2, frame)
-    elif not isinstance(joint, (DenseState, MixedState)):
-        raise TypeError(f"unsupported joint state type {type(joint).__name__}")
-    elif joint.n != 2 * n:
-        raise ValueError(f"joint state must act on 2n={2 * n} qubits")
-    elif isinstance(joint, DenseState):
-        # Register two's kept coefficients, then register one's.
-        coeffs = frame.kept_coefficients(joint.amplitudes.reshape(dim, dim))
-        coeffs = frame.kept_coefficients(coeffs.T)
-        prob = float(np.vdot(coeffs, coeffs).real) / frame.index.shape[1] ** 2
-    else:
-        # rho[x1, y1, x2, y2]: reduce register two, then the Hermitian rest as above.
-        # Reducing register two gathers (dim, dim, |S_p|, 2^k, 2^k) entries.
-        reserve((dim, dim, *frame.index.shape, frame.index.shape[1]))
-        rho = joint.matrix.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3)
-        reduced = frame.frequency_weights(rho, kept=True)
-        prob = float(frame.frequency_weights(reduced.real, kept=True))
+    prob = float(session.verifier_frame(passes=2).pair_probability(joint))
 
     prob = min(max(prob, 0.0), 1.0)
     return DoubleVerifyOutcome(prob, _sample(registry, rng, prob))
-
-
-def register_probability(
-    sigma: Union[State, np.ndarray], frame: VerifierFrame
-) -> Union[float, np.ndarray]:
-    """tr(P sigma) for one n-qubit register, or for every register of a block.
-
-    sigma is a DenseState, a MixedState, or a block of pure registers: a real
-    array of shape (..., parts, 2^n) whose parts are each register's real and
-    imaginary amplitudes (one part for a real register), not necessarily
-    normalised.  P is real, so <a + ib|P|a + ib> is the sum of the parts'
-    <a|P|a>, the kept Walsh energy of their accepted cosets over 2^k, and a
-    block's probabilities, of shape (...), are those sums divided by the
-    registers' squared norms.  A DenseState costs one gather plus one 2^k
-    transform per occupied coset, transformed in the gathered block, the one
-    block it holds; a block of registers transforms every accepted coset.
-    """
-    n = frame.n
-    if isinstance(sigma, (DenseState, MixedState)):
-        if sigma.n != n:
-            raise ValueError(f"register must act on n={n} qubits")
-    elif sigma.shape[-1] != 1 << n:
-        raise ValueError(f"registers of the block must have {1 << n} amplitudes")
-    if isinstance(sigma, MixedState):
-        # P is real symmetric, so the antisymmetric imaginary part of sigma adds nothing.
-        return float(frame.frequency_weights(sigma.matrix.real, kept=True))
-    size = frame.index.shape[1]
-    if isinstance(sigma, DenseState):
-        # The kept columns of every row, so the vecdot adds in the same order for every note.
-        coeffs = frame.spectrum(sigma.amplitudes[frame.index])[:, frame.keep].reshape(-1)
-        return float(np.vecdot(coeffs, coeffs).real) / size
-    coeffs = frame.kept_coefficients(sigma)
-    weight = np.vecdot(coeffs, coeffs).real
-    norm = np.vecdot(sigma, sigma).sum(axis=-1)
-    if not np.all(np.isfinite(norm) & (norm > 0.0)):
-        raise ValueError("a register of the block is not a finite nonzero vector")
-    return weight.sum(axis=-1) / norm / size
 
 
 # -- correction -------------------------------------------------------------------
@@ -570,7 +434,7 @@ def diagnose(
 ) -> tuple[BitVec, BitVec]:
     """Identify the Pauli error on a tolerated coset state by syndrome decoding.
 
-    Both sides are read in the record's verifier frame (see frame_weights),
+    Both sides are read in the record's verifier frame (see VerifierFrame.weights),
     not charged as a primal or dual query; the session charges one coset
     query per error tested in lexicographic order.  The phase-flip weights
     cover only the accepted bit-flip cosets, so they differ from the note's
@@ -581,7 +445,7 @@ def diagnose(
     registry.record_for_serial(note.serial)  # raises UnknownSerialError
     if session is None:
         session = registry.session(note.serial)
-    bit_flip, phase_flip = frame_weights(note.state, session.verifier_frame(passes=0))
+    bit_flip, phase_flip = session.verifier_frame(passes=0).weights(note.state)
     e = session.find_coset("primal", bit_flip)
     if e is None:
         raise UndecodableError("state lies in no tolerated bit-flip coset")
@@ -589,32 +453,6 @@ def diagnose(
     if ep is None:
         raise UndecodableError("state lies in no tolerated phase-flip coset")
     return e, ep
-
-
-def frame_weights(state: State, frame: VerifierFrame) -> tuple[np.ndarray, np.ndarray]:
-    """The state's probability on each accepted bit-flip coset (frame row) and phase-flip frequency.
-
-    A frequency s of u counts the Hadamard-basis weight within the accepted
-    cosets only: |fwht(amps[index])|^2 summed over rows / 2^k.  A pure state
-    costs one gather plus one 2^k transform per occupied coset, transformed in
-    the gathered block; beside it, the kernel holds one half-size real array.
-    """
-    index = frame.index
-    if isinstance(state, DenseState):
-        cosets = state.amplitudes[index]
-        rows = np.abs(cosets)
-        rows = np.square(rows, out=rows).sum(axis=1)
-        # F order lays each frequency's rows side by side, as fwht's output is, so
-        # the sum over rows adds them in the order of the all-rows transform.  Row
-        # by row, the transposing abs takes none of numpy's operand buffers.
-        spectrum = frame.spectrum(cosets)
-        energy = np.empty(index.shape, order="F")
-        for row, target in zip(spectrum, energy):
-            np.abs(row, out=target)
-        return rows, np.square(energy, out=energy).sum(axis=0) / index.shape[1]
-    # The imaginary part of a Hermitian rho adds nothing to either diagonal.
-    rho = state.matrix.real
-    return np.diagonal(rho)[index].sum(axis=1), frame.frequency_weights(rho)
 
 
 def correct(

@@ -20,7 +20,6 @@ from .errors import reserve
 from .gf2 import BasisMap, BitVec, SubspaceBasis, _span_table
 
 ATOL_INVARIANT = 1e-9  # normalization, orthonormality, density checks
-ATOL_EXACT = 1e-12  # self-consistency of exact constructions
 
 
 def _check_unit_norm(amps: np.ndarray) -> None:

@@ -44,9 +44,8 @@ from subspace_money.gf2 import (
     random_bitvec,
     rref,
 )
-from subspace_money.oracles import SIDES, VerifierFrame, _parity_for
+from subspace_money.oracles import SIDES, VerifierFrame
 from subspace_money.rng import Seed, as_generator
-from subspace_money.scheme import apply_frame
 from subspace_money.states import (
     ATOL_INVARIANT,
     DenseState,
@@ -57,7 +56,14 @@ from subspace_money.states import (
 )
 
 
+ATOL_EXACT = 1e-12  # self-consistency of exact constructions
+
 ROUTES = ("subset", "syndrome", "coset")
+
+
+def _parity_for(spec: CodeSpec, side: str) -> Gf2Matrix:
+    """The parity check of one side: H of the code's primal or dual membership test."""
+    return (spec.parity_primal, spec.parity_dual)[SIDES.index(side)]
 
 
 def _frequency(syndrome: int, k: int) -> int:
@@ -192,7 +198,7 @@ def predicate_frame(primal: MembershipPredicate, dual: MembershipPredicate) -> V
     )
     for array in (index, keep, rows, error_cosets):
         array.setflags(write=False)
-    return VerifierFrame(primal.n, index, keep, rows, error_cosets)
+    return VerifierFrame(primal.spec, index, keep, rows, error_cosets)
 
 
 class CombinedOracle:
@@ -395,14 +401,14 @@ def masked_pipeline(state: State, primal, dual) -> tuple[float, State | None]:
 
 def apply_verifier(state: State, primal, dual) -> tuple[float, State | None]:
     """verify's kernel in the predicates' frame: acceptance probability and post-state, built now."""
-    prob, build = apply_frame(state, predicate_frame(primal, dual))
+    prob, build = predicate_frame(primal, dual).apply(state)
     return prob, None if build is None else build()
 
 
 def all_rows_kept_spectrum(
     state: DenseState, frame: VerifierFrame
 ) -> tuple[float, np.ndarray | None]:
-    """kept_spectrum with every accepted coset normalised and transformed, occupied or not."""
+    """VerifierFrame._kept_spectrum with every accepted coset normalised and transformed."""
     cosets = state.amplitudes[frame.index]
     prob1 = float(np.vdot(cosets, cosets).real)
     if prob1 == 0.0:
@@ -427,30 +433,30 @@ def all_rows_post_state(n: int, kept: np.ndarray, frame: VerifierFrame) -> Dense
 def all_rows_frame_weights(
     state: DenseState, frame: VerifierFrame
 ) -> tuple[np.ndarray, np.ndarray]:
-    """frame_weights of a pure state, transforming every accepted coset."""
+    """VerifierFrame.weights of a pure state, transforming every accepted coset."""
     cosets = state.amplitudes[frame.index]
     spectrum = (np.abs(fwht(cosets)) ** 2).sum(axis=0) / frame.index.shape[1]
     return (np.abs(cosets) ** 2).sum(axis=1), spectrum
 
 
 def all_rows_register_probability(state: DenseState, frame: VerifierFrame) -> float:
-    """register_probability of a pure state, transforming every accepted coset."""
+    """VerifierFrame.probability of a pure state, transforming every accepted coset."""
     coeffs = fwht(state.amplitudes[frame.index])[:, frame.keep].reshape(-1)
     return float(np.vecdot(coeffs, coeffs).real) / frame.index.shape[1]
 
 
 def all_rows_kept_coefficients(amps: np.ndarray, frame: VerifierFrame) -> np.ndarray:
-    """kept_coefficients by fwht of amps' gathered cosets, the transformed axis last."""
+    """VerifierFrame._kept_coefficients by fwht of amps' gathered cosets, transformed axis last."""
     kept = fwht(amps[..., frame.index])[..., frame.keep]
     return kept.reshape(*kept.shape[:-2], -1)
 
 
 def eager_frame_pipeline(state: State, frame: VerifierFrame) -> tuple[float, State | None]:
-    """apply_frame as it was before the post-state was built on read, post-state made eagerly."""
+    """VerifierFrame.apply as before the post-state was built on read: post-state made now."""
     if isinstance(state, DenseState):
         prob, kept = all_rows_kept_spectrum(state, frame)
         return prob, None if kept is None else all_rows_post_state(state.n, kept, frame)
-    sandwich = frame.project(frame.project(state.matrix).T).T
+    sandwich = frame._project(frame._project(state.matrix).T).T
     prob = float(np.trace(sandwich).real)
     if prob <= 0.0:
         return 0.0, None
@@ -562,7 +568,7 @@ def verification_matrix(spec: CodeSpec) -> np.ndarray:
     tolerated coset states.
     """
     reserve((1 << spec.n, 1 << spec.n), np.float64)
-    return VerifierFrame.of(spec).project(np.eye(1 << spec.n))
+    return VerifierFrame.of(spec)._project(np.eye(1 << spec.n))
 
 
 def random_basis_map(n: int, seed: Seed) -> BasisMap:
@@ -607,7 +613,7 @@ def conjugate_coset_parameters(
     n = basis_map.n
     if theta.n != n or x.n != n:
         raise ValueError("theta and x must match the basis-map dimension")
-    dual_rows = basis_map.inverse_matrix
+    dual_rows = basis_map.matrix.inverse()
     for i in range(n):
         for j in range(n):
             if dual_rows.row(i).dot(basis_map.column(j)) != (1 if i == j else 0):

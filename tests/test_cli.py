@@ -454,6 +454,20 @@ def test_mint_uncertified_code_names_the_failed_check(tmp_path, capsys):
     assert "require_applicable" not in err
 
 
+@pytest.mark.parametrize("n, q", [(8, 2), (6, 1)])
+def test_mint_refuses_a_code_file_of_other_parameters(tmp_path, capsys, n, q):
+    # An (8, 1) code file: under --q 2 the bank key would hold a q = 1 code.
+    code = tmp_path / "c8.json"
+    assert run_cli("--seed", 1, "--out", code, "gencode", "--n", 8, "--q", 1) == 0
+    capsys.readouterr()
+    note = tmp_path / "note.json"
+    rc = run_cli("--seed", 2, "--out", note, "mint", "--n", n, "--q", q, "--code", code)
+    assert rc == 1
+    want = f"the code has (n, q) = (8, 1), but this registry mints (n, q) = ({n}, {q})"
+    assert want in capsys.readouterr().err
+    assert not note.exists() and not note.with_suffix(".bank.json").exists()
+
+
 def test_mint_code_skips_code_search(tmp_path, capsys):
     from subspace_money.codes import CodeSpec, certify, save_code
     from subspace_money.gf2 import SubspaceBasis
@@ -484,9 +498,16 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli("gencode", "--n", 6)  # missing --q
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run_cli("verify", "note.json", "--bank", "note.bank.json", "--approach", "subset")
-    assert exc.value.code == 2
+    removed = [
+        ["verify", "note.json", "--bank", "note.bank.json", "--approach", "subset"],
+        ["--format", "csv", "gencode", "--n", 6, "--q", 1],
+        ["mint", "--n", 6, "--q", 1, "--route", "conjugate", "--x", "100000"],
+        ["mint", "--n", 6, "--q", 1, "--route", "conjugate", "--test-mode"],
+    ]
+    for argv in removed:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
 
 
 def test_reused_parser_matches_fresh_parsers(tmp_path, monkeypatch, capsys):

@@ -17,11 +17,10 @@ from subspace_money.codes import (
 from subspace_money.errors import SyndromeCollisionError
 from subspace_money.gf2 import BitVec, Gf2Matrix, random_subspace
 from subspace_money.oracles import SIDES, QueryLedger, VerifierFrame, _reverse_bits
-from subspace_money.scheme import frame_weights
 from subspace_money.states import (
-    ATOL_EXACT,
     DenseState,
     MixedState,
+    coset_state,
     fwht,
     max_deviation,
     subspace_state,
@@ -29,6 +28,7 @@ from subspace_money.states import (
 
 from conftest import certified_codes
 from reference import (
+    ATOL_EXACT,
     CombinedOracle,
     _frequency,
     all_rows_kept_coefficients,
@@ -151,7 +151,7 @@ def test_phase_oracle_padding_tag_is_identity(worked_spec):
 
 def subset_probability(spec, state):
     """Probability of the primal subset, summed from the frame's per-coset row weights."""
-    return float(frame_weights(state, VerifierFrame.of(spec))[0].sum())
+    return float(VerifierFrame.of(spec).weights(state)[0].sum())
 
 
 def test_coset_weights_match_direct_masking(worked_spec):
@@ -161,7 +161,7 @@ def test_coset_weights_match_direct_masking(worked_spec):
     amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     state = DenseState(6, amps / np.linalg.norm(amps))
     probs = state.probabilities()
-    weights, _ = frame_weights(state, frame)
+    weights, _ = frame.weights(state)
     assert weights.shape == (7,)
     for e, row in zip(enumerate_errors(6, 1), frame.error_cosets[0]):
         direct = probs[pred.coset(e).support_mask()].sum()
@@ -369,10 +369,9 @@ def test_frame_of_matches_predicate_frames(spec, data):
         _assert_same_frame(frame, predicate_frame(*predicate_pair(spec, approach)))
     k = spec.parity_dual.rows
     assert _reverse_bits(np.arange(1 << k), k).tolist() == [_frequency(s, k) for s in range(1 << k)]
+    strings = [BitVec(spec.n, x) for x in range(1 << spec.n)]
     for side, predicate in zip(SIDES, predicate_pair(spec, "syndrome")):
-        syndromes = range(1 << predicate.parity.rows)
-        want = [BitVec(predicate.parity.rows, s) in predicate.accepted for s in syndromes]
-        assert [frame.accepts(side, s) for s in syndromes] == want
+        assert [frame.member(side, x) for x in strings] == [predicate(x) for x in strings]
 
     # Codes of any dimension and tolerance, applicable or not, against the
     # syndrome route, the one that builds for every code.
@@ -382,6 +381,21 @@ def test_frame_of_matches_predicate_frames(spec, data):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     spec = CodeSpec.build(random_subspace(n, dim, seed), q)
     _assert_same_frame(VerifierFrame.of(spec), predicate_frame(*predicate_pair(spec, "syndrome")))
+
+
+def test_coset_probability_is_ver_of_the_coset_state_bitwise(worked_spec):
+    # The frame row built in closed form holds the bits a gather of the 2^n state reads.
+    frame = VerifierFrame.of(worked_spec)
+    errors = enumerate_errors(6, 1)
+    for e in errors:
+        for ep in errors:
+            prob, _ = frame.apply(coset_state(worked_spec.code, e, ep))
+            got = frame.coset_probability(e, ep)
+            assert np.float64(got).tobytes() == np.float64(prob).tobytes()
+    outside = next(BitVec(6, x) for x in range(64) if not frame.member("primal", BitVec(6, x)))
+    for e, ep in ((outside, errors[0]), (errors[0], BitVec.zeros(4))):
+        with pytest.raises(ValueError, match="is not a tolerated error on n=6 qubits"):
+            frame.coset_probability(e, ep)
 
 
 @settings(max_examples=30, deadline=None)
@@ -403,7 +417,7 @@ def test_kept_coefficients_match_fwht_of_the_gathered_cosets(spec, registers, se
         np.moveaxis(pairs, 0, -1),  # non-contiguous, as double_verify's second register
     ]
     for amps in blocks:
-        got, want = frame.kept_coefficients(amps), all_rows_kept_coefficients(amps, frame)
+        got, want = frame._kept_coefficients(amps), all_rows_kept_coefficients(amps, frame)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
         assert got.flags.c_contiguous
 
@@ -426,5 +440,5 @@ def test_spectrum_works_in_the_callers_block(spec, seed, empty):
     kept[:, frame.keep] = full[:, frame.keep]
     for keep_only, want in ((False, full), (True, kept)):
         block = cosets.copy()
-        assert frame.spectrum(block, scale, kept=keep_only) is block
+        assert frame._spectrum(block, scale, kept=keep_only) is block
         assert block.tobytes() == want.tobytes()

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import re
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -27,28 +28,23 @@ from subspace_money.scheme import (
     Banknote,
     MintRecord,
     OracleRegistry,
-    apply_frame,
     conjugate_coding_state,
     corrupt,
     correct,
     diagnose,
     double_verify,
     dumps_banknote,
-    frame_weights,
-    kept_spectrum,
     load_banknote,
     load_record,
     mint_conjugate,
     mint_direct,
     random_corruption,
-    register_probability,
     registry_for_record,
     save_banknote,
     save_record,
     verify,
 )
 from subspace_money.states import (
-    ATOL_EXACT,
     DenseState,
     MixedState,
     apply_basis_permutation,
@@ -63,6 +59,7 @@ from subspace_money.states import (
 import reference
 from conftest import WORKED_CODEWORDS
 from reference import (
+    ATOL_EXACT,
     SubsetTesters,
     all_rows_frame_weights,
     all_rows_kept_spectrum,
@@ -309,18 +306,25 @@ def test_conjugate_coding_state_matches_tensor_construction():
     assert np.allclose(st.amplitudes, expected, atol=1e-15)
 
 
+@pytest.mark.parametrize("n, q", [(6, 0), (6, 2), (8, 1)])
+def test_registry_refuses_a_code_of_other_parameters(worked_spec, n, q):
+    # Neither a given spec nor an installed record may change the registry's (n, q).
+    reg = OracleRegistry(n, q, master_seed=3)
+    want = re.escape(f"the code has (n, q) = (6, 1), but this registry mints (n, q) = ({n}, {q})")
+    with pytest.raises(ValueError, match=want):
+        reg.generate(BitVec.zeros(n), worked_spec)
+    record = MintRecord(BitVec.zeros(6), BitVec.zeros(18), worked_spec, "direct")
+    with pytest.raises(ValueError, match=want):
+        reg.install_record(record)
+    assert reg.records == {} and reg.serial_index == {}
+
+
 def test_mint_conjugate_x_zero_equals_direct():
     reg = OracleRegistry(6, 1, master_seed=31, route="conjugate")
     r = bv("011010")
     direct = mint_direct(reg, r)
     conjugate = mint_conjugate(reg, r)
     assert max_deviation(direct.state, conjugate.state) < ATOL_EXACT
-
-
-def test_mint_conjugate_rejects_nonzero_x_outside_test_mode():
-    reg = OracleRegistry(6, 1, master_seed=31, route="conjugate")
-    with pytest.raises(ValueError):
-        mint_conjugate(reg, bv("011010"), bv("100000"))
 
 
 def test_mint_conjugate_general_x_is_coset_state():
@@ -330,10 +334,10 @@ def test_mint_conjugate_general_x_is_coset_state():
     rng = np.random.default_rng(40)
     for _ in range(10):
         x = random_bitvec(6, rng)
-        note = mint_conjugate(reg, r, x, test_mode=True)
+        state = apply_basis_permutation(conjugate_coding_state(x, record.theta), record.basis_map)
         t, t_prime = conjugate_coset_parameters(record.basis_map, record.theta, x)
         expected = coset_state(record.spec.code, t, t_prime)
-        assert max_deviation(note.state, expected) < ATOL_EXACT
+        assert max_deviation(state, expected) < ATOL_EXACT
 
 
 def test_mint_conjugate_requires_conjugate_route(registry):
@@ -592,19 +596,19 @@ def test_register_probability_block_matches_states(worked_registry):
     frame = reg.session(record.serial).verifier_frame()
     rng = np.random.default_rng(62)
     parts = rng.standard_normal((5, 2, 64))
-    block = register_probability(parts, frame)
+    block = frame.probability(parts)
     assert block.shape == (5,)
     for (a, b), p in zip(parts, block):
         amps = a + 1j * b
         assert p == pytest.approx(
-            register_probability(DenseState(6, amps / np.linalg.norm(amps)), frame), abs=1e-12
+            frame.probability(DenseState(6, amps / np.linalg.norm(amps))), abs=1e-12
         )
     with pytest.raises(ValueError, match="64 amplitudes"):
-        register_probability(parts[..., :32], frame)
+        frame.probability(parts[..., :32])
     with pytest.raises(ValueError, match="finite nonzero"):
-        register_probability(np.zeros((1, 2, 64)), frame)
+        frame.probability(np.zeros((1, 2, 64)))
     with pytest.raises(ValueError, match="n=6"):
-        register_probability(basis_state(4, 0), frame)
+        frame.probability(basis_state(4, 0))
 
 
 def _random_pure(rng, n):
@@ -764,13 +768,13 @@ def test_coset_frame_kernel_matches_masked_reference(n, data):
                 got = post.amplitudes if isinstance(post, DenseState) else post.matrix
                 want = ref_post.amplitudes if isinstance(post, DenseState) else ref_post.matrix
                 assert np.abs(got - want).max() < 1e-10
-            assert abs(register_probability(state, frame) - ref_prob) < 1e-12
+            assert abs(frame.probability(state) - ref_prob) < 1e-12
 
         parts = rng.standard_normal((3, 2, 2, dim))
-        pairs = register_probability(parts, frame)
+        pairs = frame.probability(parts)
         assert pairs.shape == (3, 2)
         assert np.abs(pairs - _block_reference(parts, primal, dual)).max() < 1e-12
-        real = register_probability(parts[:, 0, :1], frame)
+        real = frame.probability(parts[:, 0, :1])
         assert np.abs(real - _block_reference(parts[:, 0, :1], primal, dual)).max() < 1e-12
 
         # Ver2 on joint states, through a registry holding this code.
@@ -887,8 +891,8 @@ def tolerated_n20():
 # register_probability 2.20 and diagnose 2.89 blocks (757, 756 and 993 KB).
 KERNEL_PEAKS = [
     ("verify", lambda reg, note, session, frame: verify(reg, note, session=session, rng=0), 1.3),
-    ("register_probability", lambda reg, note, session, frame: register_probability(
-        note.state, frame), 1.3),
+    ("register_probability", lambda reg, note, session, frame: frame.probability(
+        note.state), 1.3),
     ("diagnose", lambda reg, note, session, frame: diagnose(reg, note, session=session), 1.8),
 ]
 
@@ -935,7 +939,7 @@ def test_post_state_builder_gives_the_same_bytes_twice(worked_registry):
     fresh = mint_direct(reg, record.r)
     for state in (corrupt(fresh, bv("000100"), bv("100000")).state,
                   _random_pure(np.random.default_rng(31), 6)):
-        _, build = apply_frame(state, frame)
+        _, build = frame.apply(state)
         first = build().amplitudes.tobytes()
         assert build().amplitudes.tobytes() == first
 
@@ -1024,7 +1028,7 @@ def test_occupied_coset_kernels_match_all_rows_reference_bitwise(pair, seed, kin
     frame = VerifierFrame.of(spec)
     state = _kernel_state(kind, spec, frame, np.random.default_rng(seed))
 
-    prob, kept = kept_spectrum(state, frame)
+    prob, kept = frame._kept_spectrum(state.amplitudes[frame.index])
     ref_prob, ref_kept = all_rows_kept_spectrum(state, frame)
     assert _bits(prob) == _bits(ref_prob)
     assert (kept is None) == (ref_kept is None) == (kind == "outside")
@@ -1033,17 +1037,15 @@ def test_occupied_coset_kernels_match_all_rows_reference_bitwise(pair, seed, kin
         # row with no amplitude holds +0.0 where the transform of a row of
         # -0.0 entries (a negated note) gives -0.0 at frequency 0.
         assert (kept + 0.0).tobytes() == (ref_kept + 0.0).tobytes()
-    prob, build = apply_frame(state, frame)
+    prob, build = frame.apply(state)
     ref_prob, ref_post = eager_frame_pipeline(state, frame)
     assert _bits(prob) == _bits(ref_prob)
     assert (build is None) == (ref_post is None)
     if build is not None:
         assert build().amplitudes.tobytes() == ref_post.amplitudes.tobytes()
-    for got, ref in zip(frame_weights(state, frame), all_rows_frame_weights(state, frame)):
+    for got, ref in zip(frame.weights(state), all_rows_frame_weights(state, frame)):
         assert got.tobytes() == ref.tobytes()
-    assert _bits(register_probability(state, frame)) == _bits(
-        all_rows_register_probability(state, frame)
-    )
+    assert _bits(frame.probability(state)) == _bits(all_rows_register_probability(state, frame))
 
 
 def test_pauli_corrupted_note_costs_one_coset_transform(monkeypatch):
@@ -1250,7 +1252,7 @@ def test_diagnose_matches_per_coset_reference(n, seed, kind, data):
     assert session.ledger.counters == {"primal": 0, "dual": 0, "combined": 0, "coset": i + j + 2}
     # The same tests in frame coordinates: bit-flip rows, phase-flip frequencies.
     frame = VerifierFrame.of(spec)
-    for side, weights, index in zip(("primal", "dual"), frame_weights(note.state, frame), (i, j)):
+    for side, weights, index in zip(("primal", "dual"), frame.weights(note.state), (i, j)):
         session = reg.session(record.serial)
         assert session.find_coset(side, weights) == errors[index]
         assert session.ledger.counters["coset"] == index + 1

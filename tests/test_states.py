@@ -21,7 +21,6 @@ from subspace_money.gf2 import (
     random_bitvec,
 )
 from subspace_money.states import (
-    ATOL_EXACT,
     DenseState,
     MixedState,
     apply_basis_permutation,
@@ -38,6 +37,7 @@ from subspace_money.states import (
 
 from conftest import WORKED_CODEWORDS
 from reference import (
+    ATOL_EXACT,
     apply_pauli_by_gather,
     basis_state,
     density_matrix,

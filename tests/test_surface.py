@@ -61,3 +61,25 @@ def test_every_public_name_is_named_outside_the_tests():
         )
     ]
     assert not unused, "public names that only tests call: " + ", ".join(unused)
+
+
+# The verifier frame's arrays.  keep and error_cosets name nothing else in
+# the package; index and rows are also list and matrix attributes, so those
+# count when the object read is named as a frame.
+FRAME_ONLY = {"keep", "error_cosets"}
+FRAME_ALSO = {"index", "rows"}
+
+
+def test_only_oracles_reads_the_verifier_frame_arrays():
+    reads = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "oracles.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and (
+            node.attr in FRAME_ONLY
+            or node.attr in FRAME_ALSO and "frame" in ast.unparse(node.value).lower()
+        )
+    ]
+    assert not reads, "frame arrays read outside oracles.py: " + ", ".join(reads)
