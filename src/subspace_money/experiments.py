@@ -28,7 +28,6 @@ from .gf2 import random_bitvec
 from .oracles import VerifierFrame
 from .rng import Seed, as_generator
 from .scheme import OracleRegistry, mint_direct
-from .states import MixedState
 
 WILSON_Z95 = 1.959963984540054
 
@@ -117,26 +116,27 @@ def completeness_sweep(spec: CodeSpec) -> ExperimentReport:
 # charge-counting oracle session, never the code itself.  It yields blocks of
 # consecutive trials as (pairs, uniforms, pick).  pairs yields register pairs
 # in one of two forms that VerifierFrame.pair_probability takes: a tuple
-# (sigma1, sigma2) of States or of real blocks with the same leading axes, or
-# one real array of shape (..., 2, parts, 2^n) holding both registers on axis
-# -3.  Trial t of the block holds pair pick[t] of the concatenated pairs, or
-# pair t when pick is None.  It is accepted when uniforms[t] falls below the
-# pair's acceptance probability.  A block's arrays may be refilled for the
-# next block, so they are read before the next one is asked for.
+# (sigma1, sigma2) of registers that VerifierFrame.probability takes, or one
+# real array of shape (..., 2, parts, 2^n) holding both registers on axis -3.
+# A register with a closed form under P is described, not built: an integer
+# array of basis strings for classical registers, None for the maximally
+# mixed one.  Trial t of the block holds pair pick[t] of the concatenated
+# pairs, or pair t when pick is None.  It is accepted when uniforms[t] falls
+# below the pair's acceptance probability.  A block's arrays may be refilled
+# for the next block, so they are read before the next one is asked for.
 
-# Live float64 entries in one block of attack registers: sixteen random-state
-# trials (four 2^n-entry normal vectors each) at n = 6, one trial from n = 10
-# on.  Beside the block, its kernel holds the gathered cosets and their kept
-# Walsh rows, under twice the block, because walsh_butterflies keeps numpy's
-# operand buffers out.  So random-state at n = 6 peaks below passthrough-mixed,
-# whose 2^n x 2^n density matrix sets the attack's peak.
+# Live float64 entries in one block of random-state registers: sixteen trials
+# (four 2^n-entry normal vectors each) at n = 6, one trial from n = 10 on.
+# Beside the block, its kernel holds the gathered cosets and their kept Walsh
+# rows, under twice the block, because walsh_butterflies keeps numpy's operand
+# buffers out.  So random-state sets the attack's peak; the other strategies
+# hold the note and, for measure-and-copy, its CDF.
 _BLOCK_ENTRIES = 4096
 
 
 def _attack_passthrough_mixed(note, session, rng, trials):
     """Keep the real note in register one, attach a maximally mixed register."""
-    pair = (note.state, MixedState.maximally_mixed(session.n))
-    yield [pair], rng.random(trials), np.zeros(trials, dtype=np.intp)
+    yield [(note.state, None)], rng.random(trials), np.zeros(trials, dtype=np.intp)
 
 
 def _attack_measure_and_copy(note, session, rng, trials):
@@ -144,22 +144,11 @@ def _attack_measure_and_copy(note, session, rng, trials):
     # A trial draws the measurement, one uniform through the CDF as
     # Generator.choice(p=...) does, then the decision uniform.
     draws = rng.random((trials, 2))
-    cdf = note.state.probabilities().cumsum()
+    cdf = note.state.probabilities()
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     outcomes = cdf.searchsorted(draws[:, 0], side="right")
-    strings, pick = np.unique(outcomes, return_inverse=True)
-    yield _basis_copies(strings, session.n), draws[:, 1], pick
-
-
-def _basis_copies(strings: np.ndarray, n: int):
-    """(|v>, |v>) for each string v, as blocks of one-part real registers."""
-    rows = max(1, _BLOCK_ENTRIES >> n)
-    for start in range(0, len(strings), rows):
-        chunk = strings[start : start + rows]
-        reserve((len(chunk), 1, 1 << n), np.float64)
-        copies = np.zeros((len(chunk), 1, 1 << n))
-        copies[np.arange(len(chunk)), 0, chunk] = 1.0
-        yield copies, copies
+    yield [(outcomes, outcomes)], draws[:, 1], None
 
 
 def _attack_random_state(note, session, rng, trials):
@@ -221,17 +210,18 @@ def run_attack(
 
     Trials run in blocks through double_verify's kernel,
     VerifierFrame.pair_probability, with the record's verifier frame taken
-    once and charged as two passes per trial.  Each distinct register pair
-    is evaluated once: passthrough-mixed has one, measure-and-copy one per
-    measured string, random-state one per trial, both registers of a block
-    of trials in one call.  A block holds at most _BLOCK_ENTRIES float64 entries, or one trial
-    or string, and is reserved against the allocation budget before it is
-    allocated; random-state refills one real (trials, 2, 2, 2^n) block of
-    registers' real and imaginary parts in place.  After the minting draws,
-    the stream is per trial: random-state's four normal vectors, or
-    measure-and-copy's measurement uniform, then the decision uniform; the
-    per-trial probabilities are summed in trial order, so the report does
-    not depend on the block size.
+    once and charged as two passes per trial.  Only random-state builds
+    registers: it refills one real (trials, 2, 2, 2^n) block of their real
+    and imaginary parts in place, of at most _BLOCK_ENTRIES float64 entries
+    or one trial, reserved against the allocation budget before it is
+    allocated, and both registers of a block of trials go in one call.  The
+    other two take the frame's closed forms, so they hold only the note and,
+    for measure-and-copy, its CDF: passthrough-mixed evaluates its one pair
+    once, measure-and-copy the measured string of each trial.  After the
+    minting draws, the stream is per trial: random-state's four normal
+    vectors, or measure-and-copy's measurement uniform, then the decision
+    uniform; the per-trial probabilities are summed in trial order, so the
+    report does not depend on the block size.
     """
     attack = _STRATEGIES.get(strategy)
     if attack is None:

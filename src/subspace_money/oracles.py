@@ -160,21 +160,38 @@ class VerifierFrame(NamedTuple):
         """Ver's acceptance probability of the tolerated coset state X^e Z^e' |C>.
 
         Its strings e + v over the codewords v are the frame row of C + e, so
-        that row's amplitudes are built in closed form, in an otherwise zero
-        block, and no 2^n vector is made or gathered.
+        that row's amplitudes are built in closed form and the kernel runs on
+        that one row: no 2^n vector or (|S_p|, 2^k) block is made or gathered.
         """
         syndrome = self._syndrome("primal", e)
         row = int(np.searchsorted(self.rows, syndrome))
         if e_prime.n != self.n or row == self.rows.size or self.rows[row] != syndrome:
             raise ValueError(f"X^{e} Z^{e_prime} is not a tolerated error on n={self.n} qubits")
-        cosets = np.zeros(self.index.shape, dtype=np.complex128)
-        cosets[row] = _coset_amplitudes(self.index[row] ^ e.value, e_prime)
-        return self._kept_spectrum(cosets)[0]
+        amplitudes = _coset_amplitudes(self.index[row] ^ e.value, e_prime)
+        return self._kept_spectrum(amplitudes.astype(np.complex128)[None])[0]
 
-    def probability(self, sigma: Union[State, np.ndarray]) -> Union[float, np.ndarray]:
+    def mixed_probability(self) -> float:
+        """tr(P) / 2^n, Ver's probability of the maximally mixed register.
+
+        P is |S_p| copies of a 2^k-point Walsh filter of rank |keep|, so the
+        dyadic value is exact, as the 4^n kernel's sums of 2^-n are.
+        """
+        return self.rows.size * self.keep.size / (1 << self.n)
+
+    def basis_probabilities(self, strings: np.ndarray) -> np.ndarray:
+        """<v|P|v> for each basis string v: |keep| / 2^k in an accepted coset, else zero.
+
+        A one-hot coset transforms to 2^k coefficients of +-1, so the dyadic
+        values are those of the block kernel on one-hot registers.
+        """
+        if strings.size and not 0 <= strings.min() <= strings.max() < 1 << self.n:
+            raise ValueError(f"basis strings must lie in [0, {1 << self.n})")
+        return np.where(np.isin(strings, self.index), self.keep.size / self.index.shape[1], 0.0)
+
+    def probability(self, sigma: Union[State, np.ndarray, None]) -> Union[float, np.ndarray]:
         """tr(P sigma) for one n-qubit register, or for every register of a block.
 
-        sigma is a DenseState, a MixedState, or a block of pure registers: a real
+        sigma is a DenseState, a MixedState, or a block of pure registers: a float
         array of shape (..., parts, 2^n) whose parts are each register's real and
         imaginary amplitudes (one part for a real register), not necessarily
         normalised.  P is real, so <a + ib|P|a + ib> is the sum of the parts'
@@ -183,11 +200,18 @@ class VerifierFrame(NamedTuple):
         registers' squared norms.  A DenseState costs one gather plus one 2^k
         transform per occupied coset, transformed in the gathered block, the one
         block it holds; a block of registers transforms every accepted coset.
+        Two registers take closed forms and are never built: an integer array of
+        basis strings v, the classical registers |v> (basis_probabilities), and
+        None, the maximally mixed register (mixed_probability).
         """
         n = self.n
+        if sigma is None:
+            return self.mixed_probability()
         if isinstance(sigma, (DenseState, MixedState)):
             if sigma.n != n:
                 raise ValueError(f"register must act on n={n} qubits")
+        elif sigma.dtype.kind in "iu":
+            return self.basis_probabilities(sigma)
         elif sigma.shape[-1] != 1 << n:
             raise ValueError(f"registers of the block must have {1 << n} amplitudes")
         if isinstance(sigma, MixedState):

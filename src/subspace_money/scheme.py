@@ -211,7 +211,7 @@ class OracleRegistry:
         Serial distinctness is enforced actively: on a collision with an
         already-issued serial the whole derivation is redone with the next
         nonce.  A given spec replaces the code search, must have the registry's
-        (n, q) and must pass certification.
+        (n, q), must pass certification and, for a generated r, must be its code.
         """
         if spec is not None:
             self._check_parameters(spec)
@@ -219,6 +219,8 @@ class OracleRegistry:
             raise ValueError(f"r must have length n={self.n}")
         record = self.records.get(r)
         if record is not None:
+            if spec is not None and spec != record.spec:
+                raise ValueError(f"r={r} was already generated with another code")
             return record
         for nonce in range(DEFAULT_SERIAL_RETRIES):
             seq = derive_sequence(self.master_seed, r.value, nonce)

@@ -60,7 +60,10 @@ class DenseState:
         return complex(self.amplitudes[idx])
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        """|amplitude|^2 in one fresh 2^n float64 array, reserved against the budget first."""
+        reserve((1 << self.n,), np.float64)
+        probs = np.abs(self.amplitudes)
+        return np.square(probs, out=probs)
 
     def support(self) -> list[BitVec]:
         return [BitVec(self.n, int(i)) for i in np.flatnonzero(self.amplitudes)]

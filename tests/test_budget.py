@@ -98,6 +98,7 @@ ENTRY_POINTS = [
     ),
     ("MixedState.maximally_mixed", lambda: (MIXED,), MixedState.maximally_mixed, MIXED_BYTES),
     ("DenseState", lambda: (PURE, _pure().amplitudes), DenseState, PURE_BYTES),
+    ("DenseState.probabilities", lambda: (_pure(),), DenseState.probabilities, 8 << PURE),
     ("MixedState", lambda: (MIXED, _mixed().matrix), MixedState, MIXED_BYTES),
     (
         "conjugate_coding_state",
@@ -217,10 +218,10 @@ def test_member_refuses_its_frame_before_charging(monkeypatch):
     assert len(built) == 1 and session.verifier_frame(passes=0) is built[0]
 
 
-@pytest.mark.parametrize("strategy, trials", [("random-state", 3), ("measure-and-copy", 50)])
+@pytest.mark.parametrize("strategy, trials", [("random-state", 3)])
 def test_attack_blocks_are_charged_to_the_budget(tmp_path, capsys, monkeypatch, strategy, trials):
     # One n = 10 note fits; a block of four 2^10-entry float64 vectors (one
-    # random-state trial, or four measured strings) is twice its bytes.
+    # random-state trial) is twice its bytes.
     monkeypatch.setattr(errors, "BUDGET_BYTES", 16 << 10)
     refusal = "32768 bytes exceed the budget of 16384 bytes"
     with pytest.raises(BudgetExceededError, match=refusal):
@@ -232,3 +233,14 @@ def test_attack_blocks_are_charged_to_the_budget(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
     monkeypatch.setattr(errors, "BUDGET_BYTES", 32 << 10)
     assert main([*argv, "--n", "10", "--q", "1", "--trials", str(trials)]) == 0
+
+
+@pytest.mark.parametrize("strategy", ["passthrough-mixed", "measure-and-copy"])
+def test_closed_form_attacks_run_under_a_one_note_budget(tmp_path, monkeypatch, strategy):
+    # At n = 10 the note's 2^10 complex amplitudes fill the budget and
+    # measure-and-copy's CDF is half of it; neither attack builds a register.
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 16 << 10)
+    out = tmp_path / "attack.csv"
+    argv = ["--seed", "1", "--out", str(out), "attack", "--strategy", strategy]
+    assert main([*argv, "--n", "10", "--q", "1", "--trials", "50"]) == 0
+    assert out.read_text().startswith("strategy,")

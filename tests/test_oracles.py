@@ -1,6 +1,7 @@
 """Tests for membership predicates, phase oracles, coset frames and query accounting."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,6 +397,49 @@ def test_coset_probability_is_ver_of_the_coset_state_bitwise(worked_spec):
     for e, ep in ((outside, errors[0]), (errors[0], BitVec.zeros(4))):
         with pytest.raises(ValueError, match="is not a tolerated error on n=6 qubits"):
             frame.coset_probability(e, ep)
+
+
+def test_coset_probability_runs_on_one_frame_row():
+    # At n = 16 the (|S_p|, 2^k) complex block is 17 rows of 4 KiB; the kernel
+    # holds the row, its transform and their scratch, a few rows in all.
+    frame = VerifierFrame.of(search_applicable_code(16, 1, seed=0))
+    e, e_prime = BitVec(16, 1 << 3), BitVec(16, 1 << 9)
+    assert frame.coset_probability(e, e_prime) == 1.0
+    tracemalloc.start()
+    try:
+        frame.coset_probability(e, e_prime)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame.index.shape == (17, 256)
+    assert peak < 8 * 16 * frame.index.shape[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=certified_codes(), seed=st.integers(0, 2**32 - 1))
+def test_closed_forms_are_the_kernels_bitwise(spec, seed):
+    # tr(P) / 2^n is the 4^n kernel on a maximally mixed register, and <v|P|v>
+    # the block kernel on one-hot real registers, inside and outside the cosets.
+    frame = VerifierFrame.of(spec)
+    want = frame.probability(MixedState.maximally_mixed(spec.n))
+    assert np.float64(frame.mixed_probability()).tobytes() == np.float64(want).tobytes()
+    assert frame.probability(None) == want
+    rng = np.random.default_rng(seed)
+    dim = 1 << spec.n
+    outside = np.setdiff1d(np.arange(dim), frame.index)
+    assert outside.size
+    strings = np.concatenate(
+        [rng.choice(frame.index.reshape(-1), 5), rng.choice(outside, 5), rng.integers(0, dim, 6)]
+    )
+    one_hot = np.zeros((strings.size, 1, dim))
+    one_hot[np.arange(strings.size), 0, strings] = 1.0
+    want = frame.probability(one_hot)
+    for got in (frame.basis_probabilities(strings), frame.probability(strings)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert np.count_nonzero(want[:5]) == 5 and not np.any(want[5:10])
+    for bad in ([-1], [dim]):
+        with pytest.raises(ValueError, match=f"basis strings must lie in \\[0, {dim}\\)"):
+            frame.basis_probabilities(np.array(bad))
 
 
 @settings(max_examples=30, deadline=None)

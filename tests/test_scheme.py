@@ -121,6 +121,18 @@ def test_generate_is_deterministic_and_cached(registry):
     assert c.serial == a.serial and c.spec.code == a.spec.code
 
 
+def test_generate_refuses_another_spec_for_a_generated_r():
+    reg = OracleRegistry(8, 1, master_seed=0)
+    r = BitVec(8, 5)
+    record = reg.generate(r)
+    assert reg.generate(r, record.spec) is record
+    other = search_applicable_code(8, 1, 99)
+    assert other != record.spec
+    with pytest.raises(ValueError, match="already generated with another code"):
+        reg.generate(r, other)
+    assert reg.records[r] is record
+
+
 def test_distinct_r_distinct_serials(registry):
     rng = np.random.default_rng(1)
     serials = set()
