@@ -130,25 +130,43 @@ def completeness_sweep(spec: CodeSpec) -> ExperimentReport:
 # Beside the block, its kernel holds the gathered cosets and their kept Walsh
 # rows, under twice the block, because walsh_butterflies keeps numpy's operand
 # buffers out.  So random-state sets the attack's peak; the other strategies
-# hold the note and, for measure-and-copy, its CDF.
+# hold the note, for measure-and-copy its CDF, and a block of a quarter as
+# many trials (see _trial_blocks).
 _BLOCK_ENTRIES = 4096
+
+
+def _trial_blocks(trials):
+    """The sizes of consecutive blocks of trials, of at most _BLOCK_ENTRIES / 4 each.
+
+    The closed-form strategies draw and score one block at a time, so their
+    trial-sized arrays (a trial's two draws, its probability and its running
+    sum) stay under _BLOCK_ENTRIES float64 entries whatever the trial count.
+    Successive draws give the same doubles as one draw for every trial.
+    """
+    size = _BLOCK_ENTRIES // 4
+    for start in range(0, trials, size):
+        yield min(size, trials - start)
 
 
 def _attack_passthrough_mixed(note, session, rng, trials):
     """Keep the real note in register one, attach a maximally mixed register."""
-    yield [(note.state, None)], rng.random(trials), np.zeros(trials, dtype=np.intp)
+    pairs = [(note.state, None)]
+    for size in _trial_blocks(trials):
+        yield pairs, rng.random(size), np.zeros(size, dtype=np.intp)
 
 
 def _attack_measure_and_copy(note, session, rng, trials):
     """Measure the note in the computational basis and emit the string twice."""
-    # A trial draws the measurement, one uniform through the CDF as
-    # Generator.choice(p=...) does, then the decision uniform.
-    draws = rng.random((trials, 2))
     cdf = note.state.probabilities()
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
-    outcomes = cdf.searchsorted(draws[:, 0], side="right")
-    yield [(outcomes, outcomes)], draws[:, 1], None
+    for size in _trial_blocks(trials):
+        # A trial draws the measurement, one uniform through the CDF as
+        # Generator.choice(p=...) does, then the decision uniform.
+        draws = rng.random((size, 2))
+        outcomes = cdf.searchsorted(draws[:, 0], side="right")
+        yield [(outcomes, outcomes)], draws[:, 1], None
+        del draws, outcomes  # before the next block is drawn
 
 
 def _attack_random_state(note, session, rng, trials):
@@ -215,13 +233,14 @@ def run_attack(
     and imaginary parts in place, of at most _BLOCK_ENTRIES float64 entries
     or one trial, reserved against the allocation budget before it is
     allocated, and both registers of a block of trials go in one call.  The
-    other two take the frame's closed forms, so they hold only the note and,
-    for measure-and-copy, its CDF: passthrough-mixed evaluates its one pair
-    once, measure-and-copy the measured string of each trial.  After the
-    minting draws, the stream is per trial: random-state's four normal
-    vectors, or measure-and-copy's measurement uniform, then the decision
-    uniform; the per-trial probabilities are summed in trial order, so the
-    report does not depend on the block size.
+    other two take the frame's closed forms, so they hold only the note, for
+    measure-and-copy its CDF, and one block of at most _BLOCK_ENTRIES / 4
+    trials' draws and probabilities: passthrough-mixed evaluates its one
+    pair once a block, measure-and-copy the measured string of each trial.
+    After the minting draws, the stream is per trial: random-state's four
+    normal vectors, or measure-and-copy's measurement uniform, then the
+    decision uniform; the per-trial probabilities are summed in trial order,
+    so the report does not depend on the block size.
     """
     attack = _STRATEGIES.get(strategy)
     if attack is None:
@@ -245,6 +264,8 @@ def run_attack(
             probs = probs[pick]
         successes += int(np.count_nonzero(uniforms < probs))
         prob_sum = float(np.add.accumulate(np.concatenate(([prob_sum], probs)))[-1])
+        # The block goes before the next one is drawn.
+        del pairs, uniforms, pick, probs
 
     low, high = wilson_interval(successes, trials)
     analytic = analytic_attack_rate(strategy, registry.n, registry.q)

@@ -182,11 +182,14 @@ class VerifierFrame(NamedTuple):
         """<v|P|v> for each basis string v: |keep| / 2^k in an accepted coset, else zero.
 
         A one-hot coset transforms to 2^k coefficients of +-1, so the dyadic
-        values are those of the block kernel on one-hot registers.
+        values are those of the block kernel on one-hot registers.  Membership
+        is looked up in a table of at most 2^n bytes, so the working set does
+        not depend on how many strings there are.
         """
         if strings.size and not 0 <= strings.min() <= strings.max() < 1 << self.n:
             raise ValueError(f"basis strings must lie in [0, {1 << self.n})")
-        return np.where(np.isin(strings, self.index), self.keep.size / self.index.shape[1], 0.0)
+        accepted = np.isin(strings, self.index, kind="table")
+        return np.where(accepted, self.keep.size / self.index.shape[1], 0.0)
 
     def probability(self, sigma: Union[State, np.ndarray, None]) -> Union[float, np.ndarray]:
         """tr(P sigma) for one n-qubit register, or for every register of a block.
@@ -331,8 +334,8 @@ class VerifierFrame(NamedTuple):
         with a nonzero entry are divided and transformed, as one copy that fwht
         takes; the other rows become +0.0.  Returns cosets, the one gathered
         block a pure-note kernel holds: beside it, the working set is the
-        occupied rows, their transform and its half-size scratch, a small
-        share of a block for a note that occupies one coset.
+        occupied rows and fwht's two arrays of their size, a small share of
+        a block for a note that occupies one coset.
         """
         # The float64 view tests both parts, with no complex-to-bool temporary.
         occupied = np.flatnonzero(cosets.view(np.float64).any(axis=1))
@@ -340,7 +343,7 @@ class VerifierFrame(NamedTuple):
             cosets.fill(0)
             return cosets
         every = occupied.size == cosets.shape[0]
-        # fwht copies its input, so a block of every row is divided where it lies.
+        # fwht only reads its input, so a block of every row is divided where it lies.
         block = cosets if every else cosets[occupied]
         if scale is not None:
             block /= scale

@@ -216,22 +216,47 @@ def _sign_factor(bits: int, shape: list[int], sign: int) -> np.ndarray:
 def fwht(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis, keeping the dtype.
 
-    walsh_butterflies runs in place on a copy with the transformed axis
-    leading, so every output entry adds its terms in butterfly order and
-    every stage works on contiguous runs of rows, however short the
-    transformed axis is.
+    Constant geometry (Pease, J. ACM 15(2), 1968), lowest index bit first:
+    each stage writes the sums of the even and odd entries into the first
+    half of a ping-pong buffer and their differences into the second half,
+    so every output entry adds its terms in radix-2 butterfly order.  The
+    rows share one flat buffer: stage t leaves entry i of a row at (f, row,
+    i >> t) of a C-ordered (2^t, rows, size / 2^t) buffer, f the t frequency
+    bits done, so every operand is one run of one stride, which numpy reads
+    and writes where it lies, and each stage is two ufunc calls.  After the
+    last stage the transformed axis leads in memory, the layout the
+    verifier's reductions add over, and for one row that is its own order.
+    The input is read by the first stage, not copied; beside it the
+    transform holds two arrays of its size.
     """
-    lead = a.ndim - 1
-    out = a.transpose(lead, *range(lead)).copy()
-    walsh_butterflies(out)
-    return out.transpose(*range(1, lead + 1), 0)
+    size, batch = a.shape[-1], a.shape[:-1]
+    if size & (size - 1):
+        raise ValueError(f"fwht transforms a power-of-two length, not {size}")
+    pair = np.empty(a.size, dtype=a.dtype), np.empty(a.size, dtype=a.dtype)
+    src, flat = a, pair[0]
+    for stage in range(size.bit_length() - 1):
+        flat = pair[stage % 2]
+        halves = flat.reshape(2, *batch, size // 2)
+        np.add(src[..., 0::2], src[..., 1::2], out=halves[0])
+        np.subtract(src[..., 0::2], src[..., 1::2], out=halves[1])
+        src = flat.reshape(a.shape)
+    out = flat.reshape(size, *batch).transpose(*range(1, a.ndim), 0)
+    if size == 1:
+        out[...] = a
+    return out
 
 
 def walsh_butterflies(a: np.ndarray) -> None:
     """The unnormalized Walsh-Hadamard transform in place along axis 0 of a C-contiguous array.
 
+    It serves the register blocks of VerifierFrame._kept_coefficients, which
+    gather their cosets straight into this transform-leading layout, and
+    transforms them where they lie beside a half-size scratch: a ping-pong
+    pair, as fwht takes, would add a second block to the attack kernel's
+    working set, which sets the attack's peak, for no steady speed gain.
     Radix-2 butterflies, lowest index bit first, so every output entry adds
-    its terms in butterfly order.  Rows are the array's slices along axis 0.
+    its terms in butterfly order, as fwht's do.  Rows are the array's slices
+    along axis 0.
     A stage of span h pairs runs of h rows, each contiguous, and is three
     operations: top - bottom into a scratch buffer, top += bottom, bottom =
     scratch.  When a stage has more than two pairs of runs shorter than half

@@ -943,6 +943,38 @@ def test_correct_with_a_commutation_sign_builds_one_dense_vector():
     assert peak < 1.5 * fresh.state.amplitudes.nbytes
 
 
+def test_verifier_and_corrector_at_q2_on_a_pinned_22_qubit_code():
+    # The verifier frame's 254 accepted cosets of 2^11 strings each; each note
+    # is 64 MiB.  X and Z share one position, so correct pays a -1 sign.
+    spec = search_applicable_code(22, 2, 0)
+    assert (spec.d_primal, spec.d_dual) == (5, 5)
+    reg = OracleRegistry(22, 2, master_seed=22)
+    reg.generate(BitVec.zeros(22), spec)
+    fresh = mint_direct(reg, BitVec.zeros(22))
+    session = reg.session(fresh.serial)
+    frame = session.verifier_frame(passes=0)
+    assert frame.index.shape == (254, 1 << 11)
+    bad = corrupt(fresh, bv("0000100000000000100000"), bv("0000100000000000000010"))
+    assert verify(reg, bad, session=session).accept_probability == 1.0
+    fixed = correct(reg, bad, session=session).state.amplitudes
+    del bad
+    assert session.ledger.counters["coset"] == 318
+    # Every amplitude's bytes come back, but for the sign of a zero part: a +0
+    # times a -1 sign is -0.0, which dump_state writes as 0, as adding 0.0 does.
+    support = np.flatnonzero(fresh.state.amplitudes)
+    assert support.size == 1 << 11 and np.count_nonzero(fixed) == support.size
+    assert (fixed[support] + 0.0).tobytes() == (fresh.state.amplitudes[support] + 0.0).tobytes()
+    del fixed
+    # At d = 5 a weight-3 error can share a weight-2 error's syndrome, so the
+    # rejected error is drawn by syndrome, not by weight.
+    rng = np.random.default_rng(22)
+    over = random_bitvec(22, rng)
+    while frame.member("primal", over):
+        over = random_bitvec(22, rng)
+    outside = corrupt(fresh, over, BitVec.zeros(22))
+    assert verify(reg, outside, session=session).accept_probability == 0.0
+
+
 def test_post_state_builder_gives_the_same_bytes_twice(worked_registry):
     # The builder transforms a copy of the kept spectrum, so a second call
     # reads it unchanged: a note in one accepted coset and one in all of them.
