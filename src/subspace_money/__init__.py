@@ -80,13 +80,10 @@ from .scheme import (
 )
 from .states import (
     DenseState,
-    MixedState,
     apply_basis_permutation,
     apply_pauli,
     coset_state,
     dump_state,
-    fidelity,
-    inner,
     load_state,
     max_deviation,
     subspace_state,

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the one dense-allocation budget.
 
-Every array whose size grows as 2^n or 4^n, and every exhaustive span walk,
+Every array whose size grows as 2^n, and every exhaustive span walk,
 is charged against BUDGET_BYTES by ``reserve`` before it is allocated.  The
 budget lives here, next to its exception, because gf2 and states both need
 it and states imports gf2.
@@ -11,8 +11,7 @@ import math
 import numpy as np
 
 # The largest single array any operation may build: 256 MiB holds a pure
-# state up to 24 qubits, a density matrix up to 12 and a span walk of 2^25
-# words.
+# state up to 24 qubits and a span walk of 2^25 words.
 BUDGET_BYTES = 1 << 28
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .codes import CodeSpec, _error_positions, _error_syndromes
 from .errors import reserve
 from .gf2 import BitVec, _span_table
-from .states import DenseState, MixedState, State, _coset_amplitudes, fwht, walsh_butterflies
+from .states import DenseState, _coset_amplitudes, fwht, walsh_butterflies
 
 SIDES = ("primal", "dual")
 
@@ -140,21 +140,14 @@ class VerifierFrame(NamedTuple):
 
     # -- Ver on one register ---------------------------------------------------------
 
-    def apply(self, state: State) -> tuple[float, Callable[[], State] | None]:
+    def apply(self, state: DenseState) -> tuple[float, Callable[[], DenseState] | None]:
         """P on one register: the acceptance probability and a post-state builder.
 
-        A pure state runs only the probability kernel here (see _kept_spectrum),
-        and its builder makes the 2^n post-state; a mixed state's is made here.
-        The builder is None at probability zero.
+        Only the probability kernel runs here (see _kept_spectrum); the builder
+        makes the 2^n post-state, and is None at probability zero.
         """
-        if isinstance(state, DenseState):
-            prob, kept = self._kept_spectrum(state.amplitudes[self.index])
-            return prob, None if kept is None else partial(self._post_state, kept)
-        sandwich = self._project(self._project(state.matrix).T).T
-        prob = float(np.trace(sandwich).real)
-        if prob <= 0.0:
-            return 0.0, None
-        return min(prob, 1.0), partial(MixedState._own, state.n, sandwich / prob)
+        prob, kept = self._kept_spectrum(state.amplitudes[self.index])
+        return prob, None if kept is None else partial(self._post_state, kept)
 
     def coset_probability(self, e: BitVec, e_prime: BitVec) -> float:
         """Ver's acceptance probability of the tolerated coset state X^e Z^e' |C>.
@@ -173,8 +166,8 @@ class VerifierFrame(NamedTuple):
     def mixed_probability(self) -> float:
         """tr(P) / 2^n, Ver's probability of the maximally mixed register.
 
-        P is |S_p| copies of a 2^k-point Walsh filter of rank |keep|, so the
-        dyadic value is exact, as the 4^n kernel's sums of 2^-n are.
+        P is |S_p| copies of a 2^k-point Walsh filter of rank |keep|, so
+        tr(P) = |S_p| |keep| and the dyadic value is exact.
         """
         return self.rows.size * self.keep.size / (1 << self.n)
 
@@ -191,46 +184,38 @@ class VerifierFrame(NamedTuple):
         accepted = np.isin(strings, self.index, kind="table")
         return np.where(accepted, self.keep.size / self.index.shape[1], 0.0)
 
-    def probability(self, sigma: Union[State, np.ndarray, None]) -> Union[float, np.ndarray]:
+    def probability(self, sigma: Union[DenseState, np.ndarray, None]) -> Union[float, np.ndarray]:
         """tr(P sigma) for one n-qubit register, or for every register of a block.
 
-        sigma is a DenseState, a MixedState, or a block of pure registers: a float
-        array of shape (..., parts, 2^n) whose parts are each register's real and
-        imaginary amplitudes (one part for a real register), not necessarily
-        normalised.  P is real, so <a + ib|P|a + ib> is the sum of the parts'
-        <a|P|a>, the kept Walsh energy of their accepted cosets over 2^k, and a
-        block's probabilities, of shape (...), are those sums divided by the
-        registers' squared norms.  A DenseState costs one gather plus one 2^k
-        transform per occupied coset, transformed in the gathered block, the one
-        block it holds; a block of registers transforms every accepted coset.
-        Two registers take closed forms and are never built: an integer array of
-        basis strings v, the classical registers |v> (basis_probabilities), and
-        None, the maximally mixed register (mixed_probability).
+        sigma is a DenseState, scored by apply's kernel, so the two agree bit
+        for bit; or a block of pure registers: a float array of shape (...,
+        parts, 2^n) whose parts are each register's real and imaginary
+        amplitudes (one part for a real register), not necessarily normalised.
+        P is real, so <a + ib|P|a + ib> is the sum of the parts' <a|P|a>, the
+        kept Walsh energy of their accepted cosets over 2^k, and a block's
+        probabilities, of shape (...), are those sums divided by the
+        registers' squared norms; a block transforms every accepted coset.
+        Two registers take closed forms and are never built: an integer array
+        of basis strings v, the classical registers |v> (basis_probabilities),
+        and None, the maximally mixed register (mixed_probability).
         """
         n = self.n
         if sigma is None:
             return self.mixed_probability()
-        if isinstance(sigma, (DenseState, MixedState)):
+        if isinstance(sigma, DenseState):
             if sigma.n != n:
                 raise ValueError(f"register must act on n={n} qubits")
-        elif sigma.dtype.kind in "iu":
+            return self._kept_spectrum(sigma.amplitudes[self.index])[0]
+        if sigma.dtype.kind in "iu":
             return self.basis_probabilities(sigma)
-        elif sigma.shape[-1] != 1 << n:
+        if sigma.shape[-1] != 1 << n:
             raise ValueError(f"registers of the block must have {1 << n} amplitudes")
-        if isinstance(sigma, MixedState):
-            # P is real symmetric, so the antisymmetric imaginary part of sigma adds nothing.
-            return float(self._frequency_weights(sigma.matrix.real, kept=True))
-        size = self.index.shape[1]
-        if isinstance(sigma, DenseState):
-            # The kept columns of every row, so the vecdot adds in the same order for every note.
-            coeffs = self._spectrum(sigma.amplitudes[self.index])[:, self.keep].reshape(-1)
-            return float(np.vecdot(coeffs, coeffs).real) / size
         coeffs = self._kept_coefficients(sigma)
         weight = np.vecdot(coeffs, coeffs).real
         norm = np.vecdot(sigma, sigma).sum(axis=-1)
         if not np.all(np.isfinite(norm) & (norm > 0.0)):
             raise ValueError("a register of the block is not a finite nonzero vector")
-        return weight.sum(axis=-1) / norm / size
+        return weight.sum(axis=-1) / norm / self.index.shape[1]
 
     def pair_probability(self, joint) -> Union[float, np.ndarray]:
         """Ver2's kernel: tr((P (x) P) rho) for two registers under one serial number.
@@ -238,55 +223,44 @@ class VerifierFrame(NamedTuple):
         joint is a pair (sigma1, sigma2) meaning sigma1 (x) sigma2, each a
         register or a block of them for probability; a real block of shape
         (..., 2, parts, 2^n) holding both registers on axis -3; or a 2n-qubit
-        DenseState or MixedState, computed one register axis at a time.  A
-        pair's or a block's probability is the product of its registers'.
+        DenseState, computed one register axis at a time.  A pair's or a
+        block's probability is the product of its registers'.
         """
         if isinstance(joint, tuple):
             sigma1, sigma2 = joint
             return self.probability(sigma1) * self.probability(sigma2)
         if isinstance(joint, np.ndarray):
             return self.probability(joint).prod(axis=-1)
-        if not isinstance(joint, (DenseState, MixedState)):
+        if not isinstance(joint, DenseState):
             raise TypeError(f"unsupported joint state type {type(joint).__name__}")
         if joint.n != 2 * self.n:
             raise ValueError(f"joint state must act on 2n={2 * self.n} qubits")
         dim = 1 << self.n
-        if isinstance(joint, DenseState):
-            # Register two's kept coefficients, then register one's.
-            coeffs = self._kept_coefficients(joint.amplitudes.reshape(dim, dim))
-            coeffs = self._kept_coefficients(coeffs.T)
-            return float(np.vdot(coeffs, coeffs).real) / self.index.shape[1] ** 2
-        # rho[x1, y1, x2, y2]: reduce register two, then the Hermitian rest as above.
-        # Reducing register two gathers (dim, dim, |S_p|, 2^k, 2^k) entries.
-        reserve((dim, dim, *self.index.shape, self.index.shape[1]))
-        rho = joint.matrix.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3)
-        reduced = self._frequency_weights(rho, kept=True)
-        return float(self._frequency_weights(reduced.real, kept=True))
+        # Register two's kept coefficients, then register one's.
+        coeffs = self._kept_coefficients(joint.amplitudes.reshape(dim, dim))
+        coeffs = self._kept_coefficients(coeffs.T)
+        return float(np.vdot(coeffs, coeffs).real) / self.index.shape[1] ** 2
 
-    def weights(self, state: State) -> tuple[np.ndarray, np.ndarray]:
-        """The state's probability on each accepted bit-flip coset (row) and phase-flip frequency.
+    def weights(self, state: DenseState) -> tuple[np.ndarray, np.ndarray]:
+        """The note's probability on each accepted bit-flip coset (row) and phase-flip frequency.
 
         A frequency s of u counts the Hadamard-basis weight within the accepted
-        cosets only: |fwht(amps[index])|^2 summed over rows / 2^k.  A pure state
-        costs one gather plus one 2^k transform per occupied coset, transformed in
+        cosets only: |fwht(amps[index])|^2 summed over rows / 2^k.  It costs
+        one gather plus one 2^k transform per occupied coset, transformed in
         the gathered block; beside it, the kernel holds one half-size real array.
         """
         index = self.index
-        if isinstance(state, DenseState):
-            cosets = state.amplitudes[index]
-            rows = np.abs(cosets)
-            rows = np.square(rows, out=rows).sum(axis=1)
-            # F order lays each frequency's rows side by side, as fwht's output is, so
-            # the sum over rows adds them in the order of the all-rows transform.  Row
-            # by row, the transposing abs takes none of numpy's operand buffers.
-            spectrum = self._spectrum(cosets)
-            energy = np.empty(index.shape, order="F")
-            for row, target in zip(spectrum, energy):
-                np.abs(row, out=target)
-            return rows, np.square(energy, out=energy).sum(axis=0) / index.shape[1]
-        # The imaginary part of a Hermitian rho adds nothing to either diagonal.
-        rho = state.matrix.real
-        return np.diagonal(rho)[index].sum(axis=1), self._frequency_weights(rho)
+        cosets = state.amplitudes[index]
+        rows = np.abs(cosets)
+        rows = np.square(rows, out=rows).sum(axis=1)
+        # F order lays each frequency's rows side by side, as fwht's output is, so
+        # the sum over rows adds them in the order of the all-rows transform.  Row
+        # by row, the transposing abs takes none of numpy's operand buffers.
+        spectrum = self._spectrum(cosets)
+        energy = np.empty(index.shape, order="F")
+        for row, target in zip(spectrum, energy):
+            np.abs(row, out=target)
+        return rows, np.square(energy, out=energy).sum(axis=0) / index.shape[1]
 
     # -- kernels -----------------------------------------------------------------------
 
@@ -296,7 +270,7 @@ class VerifierFrame(NamedTuple):
         The accepted cosets are normalised before the transform, so the second
         stage's probability is a unit vector's kept energy / 2^k; the product is
         clipped at one.  Only the occupied cosets are normalised and transformed
-        (see _spectrum), so a pure note costs one gather of the accepted cosets
+        (see _spectrum), so a note costs one gather of the accepted cosets
         plus one 2^k transform per coset it occupies: one for a tolerated coset
         state.  The kept spectrum is written back into that gathered block, so
         the kernel holds one block; it is None when the probability is zero.
@@ -322,7 +296,9 @@ class VerifierFrame(NamedTuple):
         norm = size * math.sqrt(float(np.vdot(kept, kept).real) / size)
         branch = self._spectrum(kept.copy())
         branch /= norm
-        return DenseState._own(self.n, self._scatter(branch))
+        out = np.zeros(1 << self.n, dtype=branch.dtype)
+        out[self.index] = branch
+        return DenseState._own(self.n, out)
 
     def _spectrum(
         self, cosets: np.ndarray, scale: float | None = None, kept: bool = False
@@ -333,7 +309,7 @@ class VerifierFrame(NamedTuple):
         A row holding no amplitude transforms to exact zeros, so only the rows
         with a nonzero entry are divided and transformed, as one copy that fwht
         takes; the other rows become +0.0.  Returns cosets, the one gathered
-        block a pure-note kernel holds: beside it, the working set is the
+        block a note kernel holds: beside it, the working set is the
         occupied rows and fwht's two arrays of their size, a small share of
         a block for a note that occupies one coset.
         """
@@ -358,19 +334,6 @@ class VerifierFrame(NamedTuple):
             cosets[occupied] = transformed
         return cosets
 
-    def _scatter(self, values: np.ndarray) -> np.ndarray:
-        """A fresh array with values (..., |S_p|, 2^k) at their strings on a last axis of 2^n."""
-        out = np.zeros((*values.shape[:-2], 1 << self.n), dtype=values.dtype)
-        out[..., self.index] = values
-        return out
-
-    def _project(self, amps: np.ndarray) -> np.ndarray:
-        """P along the last axis: the Walsh filter on each accepted coset, zero elsewhere."""
-        spectrum = fwht(amps[..., self.index])
-        kept = np.zeros_like(spectrum)
-        kept[..., self.keep] = spectrum[..., self.keep]
-        return self._scatter(fwht(kept) / self.index.shape[1])
-
     def _kept_coefficients(self, amps: np.ndarray) -> np.ndarray:
         """The kept Walsh coefficients of amps' accepted cosets, shape (..., |S_p| |keep|).
 
@@ -390,21 +353,6 @@ class VerifierFrame(NamedTuple):
         walsh_butterflies(cosets)
         cosets = cosets[self.keep]
         return cosets.transpose(*range(2, lead + 2), 1, 0).reshape(*amps.shape[:-1], -1)
-
-    def _frequency_weights(self, mat: np.ndarray, kept: bool = False) -> np.ndarray:
-        """<s|H mat H|s> over the last two axes, for every Walsh frequency s of u.
-
-        Summed over the accepted cosets: on each, the projector onto frequency
-        s has entries (1/2^k) (-1)^(s.(u^t)), so the weights are fwht(sums) /
-        2^k, where sums[w] adds mat[index[v, t], index[v, t ^ w]] over every
-        accepted coset v and every t.  With kept, their sum over the kept
-        frequencies: tr(P mat).
-        """
-        index = self.index
-        u = np.arange(index.shape[1])
-        sums = mat[..., index[:, :, None], index[:, u[:, None] ^ u]].sum(axis=(-3, -2))
-        weights = fwht(sums) / index.shape[1]
-        return weights[..., self.keep].sum(axis=-1) if kept else weights
 
 
 ORACLE_NAMES = ("primal", "dual", "combined", "coset")

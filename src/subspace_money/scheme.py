@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .oracles import QueryLedger, VerifierFrame
 from .rng import Seed, as_generator, derive_sequence
 from .states import (
     DenseState,
-    MixedState,
-    State,
     apply_basis_permutation,
     apply_pauli,
     dump_state,
@@ -58,7 +56,7 @@ class Banknote:
     """A serial number and the money state a wallet holds for it."""
 
     serial: BitVec
-    state: State
+    state: DenseState
 
     def __post_init__(self):
         if self.serial.n != 3 * self.state.n:
@@ -114,12 +112,12 @@ class VerifyOutcome:
     """
 
     def __init__(self, accepted: bool, accept_probability: float,
-                 build: Callable[[], State] | None = None, reason: str | None = None):
+                 build: Callable[[], DenseState] | None = None, reason: str | None = None):
         self.accepted, self.accept_probability, self.reason = accepted, accept_probability, reason
         self._build = build
 
     @cached_property
-    def post_state(self) -> State | None:
+    def post_state(self) -> DenseState | None:
         """The accepted branch, built on first read by VerifierFrame.apply's builder; None at 0."""
         return None if self._build is None else self._build()
 
@@ -379,7 +377,7 @@ def verify(
 
     Only the |E_q| accepted bit-flip cosets of the note are read, 2^k
     amplitudes each, and each one the note occupies goes through one 2^k-point
-    Walsh filter: a pure note costs one gather plus one 2^k transform per
+    Walsh filter: a note costs one gather plus one 2^k transform per
     occupied coset, one for a tolerated X^e Z^e' note, and the gathered block
     is the one it holds, its kept spectrum written back in place (see
     VerifierFrame.apply).  The post-state is built on first read.  The outcome
@@ -403,7 +401,7 @@ def _sample(registry: OracleRegistry, rng: Seed | None, prob: float) -> bool:
 def double_verify(
     registry: OracleRegistry,
     serial: BitVec,
-    joint: Union[DenseState, MixedState, tuple],
+    joint: DenseState | tuple,
     *,
     rng: Seed | None = None,
     session: OracleSession | None = None,
@@ -413,8 +411,9 @@ def double_verify(
     The acceptance probability is tr((P (x) P) rho) for the verifier's projector
     P = H M_dual H M_primal onto the tolerated span, computed by the record's
     frame (see VerifierFrame.pair_probability) and clipped to [0, 1].  The
-    joint state is a 2n-qubit DenseState or MixedState, or a pair
-    (sigma1, sigma2) of n-qubit states meaning sigma1 (x) sigma2.
+    joint state is a 2n-qubit DenseState, or a pair (sigma1, sigma2) meaning
+    sigma1 (x) sigma2 of n-qubit registers as VerifierFrame.probability takes
+    them: a DenseState, or None for the maximally mixed register.
     """
     registry.record_for_serial(serial)  # raises UnknownSerialError
     if session is None:
@@ -469,8 +468,7 @@ def correct(
     apply_pauli's `sign`, which folds it into the blocks' +-1 factors, so each
     amplitude takes one product and for a state that was exactly a signed
     coset state the result equals the fresh subspace state exactly, not just
-    up to phase, in one 2^n pass.  A mixed note is conjugated by the inverse,
-    where the sign drops out.
+    up to phase, in one 2^n pass.
     """
     e, ep = diagnose(registry, note, session=session)
     return Banknote(note.serial, apply_pauli(note.state, e, ep, sign=-1 if e.dot(ep) else 1))
@@ -480,8 +478,6 @@ def correct(
 
 
 def banknote_to_json_dict(note: Banknote) -> dict:
-    if not isinstance(note.state, DenseState):
-        raise ValueError("only pure notes have a file form; a mixed note cannot be saved")
     state = {"kind": "dense", "dump": dump_state(note.state)}
     return {"format": BANKNOTE_FORMAT, "serial": str(note.serial), "state": state}
 

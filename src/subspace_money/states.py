@@ -1,10 +1,12 @@
-"""Exact quantum states: dense amplitude vectors, density matrices, fidelities.
+"""Exact pure quantum states: dense amplitude vectors, Pauli action, Walsh transforms, dumps.
 
 Basis-state indexing follows the package bit convention: the ket labelled by
 the bit string ``b`` sits at amplitude index ``int(b, 2)``, so a ``BitVec``'s
 ``value`` is directly the index of its computational basis state.  Global
 phases are tracked exactly where constructions produce them but every
 acceptance-style quantity ignores them, as any projective measurement must.
+A note is always pure; the registers that a counterfeiter could hold mixed,
+maximally mixed or measured, the verifier frame scores in closed form.
 """
 
 from __future__ import annotations
@@ -12,14 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Union
 
 import numpy as np
 
 from .errors import reserve
 from .gf2 import BasisMap, BitVec, SubspaceBasis, _span_table
 
-ATOL_INVARIANT = 1e-9  # normalization, orthonormality, density checks
+ATOL_INVARIANT = 1e-9  # normalization and orthonormality checks
 
 
 def _check_unit_norm(amps: np.ndarray) -> None:
@@ -72,55 +73,6 @@ class DenseState:
         return f"DenseState(n={self.n}, support={np.count_nonzero(self.amplitudes)})"
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
-class MixedState:
-    """Immutable density matrix on n qubits, validated Hermitian, PSD, trace one."""
-
-    n: int
-    matrix: np.ndarray
-
-    def __init__(self, n: int, matrix):
-        dim = 1 << n
-        reserve((dim, dim))
-        mat = np.asarray(matrix, dtype=np.complex128)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"expected a {dim}x{dim} matrix for n={n}")
-        if not np.allclose(mat, mat.conj().T, atol=ATOL_INVARIANT):
-            raise ValueError("density matrix is not Hermitian")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > ATOL_INVARIANT:
-            raise ValueError(f"density matrix has trace {tr}")
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs.min() < -ATOL_INVARIANT:
-            raise ValueError(f"density matrix has a negative eigenvalue {eigs.min()}")
-        self._adopt(n, mat.copy())
-
-    @classmethod
-    def _own(cls, n: int, matrix: np.ndarray) -> "MixedState":
-        """Take a freshly built complex128 matrix without copying or validating it."""
-        return object.__new__(cls)._adopt(n, matrix)
-
-    def _adopt(self, n: int, matrix: np.ndarray) -> "MixedState":
-        matrix.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "matrix", matrix)
-        return self
-
-    @classmethod
-    def maximally_mixed(cls, n: int) -> "MixedState":
-        dim = 1 << n
-        reserve((dim, dim))
-        mat = np.eye(dim, dtype=np.complex128)
-        mat /= dim
-        return cls._own(n, mat)
-
-    def __repr__(self) -> str:
-        return f"MixedState(n={self.n})"
-
-
-State = Union[DenseState, MixedState]
-
-
 def subspace_state(s: SubspaceBasis) -> DenseState:
     """Uniform superposition over all vectors of the subspace."""
     return coset_state(s, BitVec.zeros(s.n), BitVec.zeros(s.n))
@@ -147,54 +99,45 @@ def _coset_amplitudes(codewords: np.ndarray, e_prime: BitVec, sign: int = 1) -> 
     return sign * (1.0 - 2.0 * parity) / math.sqrt(len(codewords))
 
 
-def apply_pauli(st: State, e: BitVec, e_prime: BitVec, sign: int = 1) -> State:
+def apply_pauli(st: DenseState, e: BitVec, e_prime: BitVec, sign: int = 1) -> DenseState:
     """sign X^e Z^e' as an operator product on kets, sign +1 or -1: phase from the pre-shift index.
 
     New amplitude at p is sign (-1)^(e.e') (-1)^(p.e') times the old one at
-    p+e.  On a pure state the result is the only 2^n array: each row block
-    (a sixteenth of the note, at most 2^_BLOCK_BITS amplitudes, so it stays
-    in cache and bounds numpy's buffers) is one np.multiply of a +-1 factor
-    of the block's shape, chosen in float and cast to complex once, with the
-    source row read through a view with one axis per run of coordinates that
-    e flips alike, reversed where it flips them.  A row's sign from above the
+    p+e.  The result is the only 2^n array: each row block (a sixteenth of
+    the note, at most 2^_BLOCK_BITS amplitudes, so it stays in cache and
+    bounds numpy's buffers) is one np.multiply of a +-1 factor of the
+    block's shape, chosen in float and cast to complex once, with the source
+    row read through a view with one axis per run of coordinates that e
+    flips alike, reversed where it flips them.  A row's sign from above the
     block is a scalar, so odd rows run after the factor's real part is
     negated.  +1 multiplies too: a complex product by 1 can change the sign
-    of a zero part.  A density matrix is conjugated: entry (x+e, y+e) is
-    (-1)^(x.e' + y.e') rho[x, y], so the sign drops out.
+    of a zero part.
     """
     if e.n != st.n or e_prime.n != st.n:
         raise ValueError("error vector length differs from the state size")
     if sign not in (1, -1):
         raise ValueError(f"a Pauli's sign is +1 or -1, not {sign!r}")
     n, dim = st.n, 1 << st.n
-    if isinstance(st, DenseState):
-        reserve((dim,))
-        low = max(min(n - 4, _BLOCK_BITS), 1)
-        bits = (e.value >> j & 1 for j in reversed(range(low)))
-        runs = [(flip, 1 << len(list(run))) for flip, run in groupby(bits)]
-        shape = [size for _, size in runs]
-        sources = st.amplitudes.reshape(-1, *shape)[
-            (slice(None), *(slice(None, None, -1 if flip else 1) for flip, _ in runs))
-        ]
-        sign = -sign if e.dot(e_prime) else sign
-        factor = _sign_factor(e_prime.value & ((1 << low) - 1), shape, sign)
-        out = np.empty(dim, dtype=np.complex128)
-        rows = out.reshape(-1, *shape)
-        e_top, ep_top, negated = e.value >> low, e_prime.value >> low, 0
-        for odd, r in sorted(((r & ep_top).bit_count() & 1, r) for r in range(len(rows))):
-            if odd != negated:
-                # The real parts only: -(-1+0j) would be 1-0j.
-                factor.real *= -1
-                negated = odd
-            np.multiply(factor, sources[r ^ e_top], out=rows[r])
-        return DenseState._own(n, out)
-    reserve((dim, dim))
-    source = np.arange(dim, dtype=np.int64) ^ np.int64(e.value)
-    signs = 1.0 - 2.0 * (np.bitwise_count(source & np.int64(e_prime.value)) & 1)
-    out = st.matrix[np.ix_(source, source)]
-    out *= signs[:, None]
-    out *= signs
-    return MixedState._own(n, out)
+    reserve((dim,))
+    low = max(min(n - 4, _BLOCK_BITS), 1)
+    bits = (e.value >> j & 1 for j in reversed(range(low)))
+    runs = [(flip, 1 << len(list(run))) for flip, run in groupby(bits)]
+    shape = [size for _, size in runs]
+    sources = st.amplitudes.reshape(-1, *shape)[
+        (slice(None), *(slice(None, None, -1 if flip else 1) for flip, _ in runs))
+    ]
+    sign = -sign if e.dot(e_prime) else sign
+    factor = _sign_factor(e_prime.value & ((1 << low) - 1), shape, sign)
+    out = np.empty(dim, dtype=np.complex128)
+    rows = out.reshape(-1, *shape)
+    e_top, ep_top, negated = e.value >> low, e_prime.value >> low, 0
+    for odd, r in sorted(((r & ep_top).bit_count() & 1, r) for r in range(len(rows))):
+        if odd != negated:
+            # The real parts only: -(-1+0j) would be 1-0j.
+            factor.real *= -1
+            negated = odd
+        np.multiply(factor, sources[r ^ e_top], out=rows[r])
+    return DenseState._own(n, out)
 
 
 # apply_pauli's row blocks hold at most 2^this many amplitudes (256 KiB).
@@ -311,52 +254,11 @@ def apply_basis_permutation(st: DenseState, b: BasisMap) -> DenseState:
     return DenseState._own(st.n, out)
 
 
-def inner(a: DenseState, b: DenseState) -> complex:
-    """<a|b>, conjugating the first argument."""
-    if a.n != b.n:
-        raise ValueError("states act on different qubit counts")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def max_deviation(a: DenseState, b: DenseState) -> float:
     """Largest entrywise amplitude difference; exact state equality measure."""
     if a.n != b.n:
         raise ValueError("states act on different qubit counts")
     return float(np.abs(a.amplitudes - b.amplitudes).max())
-
-
-def _clip_spectrum(eigs: np.ndarray) -> np.ndarray:
-    """Zero out negative and numerically-spurious eigenvalues before sqrt."""
-    # The method, not np.clip, whose wrapper leaves its keyword dicts in the interpreter's
-    # free lists, traced-heap memory that only a full gc collection releases.
-    out = eigs.clip(0.0, None)
-    floor = float(out.max(initial=0.0)) * 1e-13
-    out[out < floor] = 0.0
-    return out
-
-
-def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
-    eigs, vecs = np.linalg.eigh(mat)
-    eigs = _clip_spectrum(eigs)
-    return (vecs * np.sqrt(eigs)) @ vecs.conj().T
-
-
-def fidelity(a: State, b: State) -> float:
-    """Uhlmann fidelity; reduces to |<a|b>| for two pure states."""
-    if a.n != b.n:
-        raise ValueError("states act on different qubit counts")
-    if isinstance(a, DenseState) and isinstance(b, DenseState):
-        return abs(inner(a, b))
-    if isinstance(a, DenseState):
-        a, b = b, a
-    if isinstance(b, DenseState):
-        v = b.amplitudes
-        val = float(np.real(np.vdot(v, a.matrix @ v)))
-        return math.sqrt(max(val, 0.0))
-    root = _sqrtm_psd(a.matrix)
-    middle = root @ b.matrix @ root
-    eigs = _clip_spectrum(np.linalg.eigvalsh(middle))
-    return float(np.sqrt(eigs).sum())
 
 
 def dump_state(st: DenseState) -> str:

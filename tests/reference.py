@@ -20,8 +20,8 @@ caller and live here too, as do the references the acceptance criteria
 compare against: the verifier's projector as a dense matrix, random
 invertible maps and coordinate-permutation isometries, and the coset
 parameters of a permuted conjugate-coding state.  The small constructors
-at the end (identity matrix, whole space, basis and uniform states, the
-density matrix of a pure state) are test conveniences.
+at the end (identity matrix, whole space, basis and uniform states) are
+test conveniences.
 """
 
 from __future__ import annotations
@@ -46,14 +46,7 @@ from subspace_money.gf2 import (
 )
 from subspace_money.oracles import SIDES, VerifierFrame
 from subspace_money.rng import Seed, as_generator
-from subspace_money.states import (
-    ATOL_INVARIANT,
-    DenseState,
-    MixedState,
-    State,
-    coset_state,
-    fwht,
-)
+from subspace_money.states import ATOL_INVARIANT, DenseState, coset_state, fwht
 
 
 ATOL_EXACT = 1e-12  # self-consistency of exact constructions
@@ -253,14 +246,9 @@ class CombinedOracle:
     __call__ = member
 
 
-def hadamard_all(st: State) -> State:
-    """Hadamard on every qubit; an involution.
-
-    For a density matrix the transform conjugates both sides.
-    """
-    if isinstance(st, DenseState):
-        return DenseState._own(st.n, fwht(st.amplitudes) / math.sqrt(1 << st.n))
-    return MixedState._own(st.n, fwht(fwht(st.matrix).T).T / float(1 << st.n))
+def hadamard_all(st: DenseState) -> DenseState:
+    """Hadamard on every qubit; an involution."""
+    return DenseState._own(st.n, fwht(st.amplitudes) / math.sqrt(1 << st.n))
 
 
 def member(space: SubspaceBasis, v: BitVec) -> bool:
@@ -320,19 +308,14 @@ def _basis_matrix(basis_states: Sequence[DenseState]) -> np.ndarray:
     return mat
 
 
-def fidelity_with_span(st: State, basis_states: Sequence[DenseState]) -> float:
+def fidelity_with_span(st: DenseState, basis_states: Sequence[DenseState]) -> float:
     """Fidelity of the state with the span of the given orthonormal states.
 
     Equals the largest overlap achievable with any unit vector of the span:
-    sqrt(sum_i |<b_i|psi>|^2) for pure input, sqrt(sum_i <b_i|rho|b_i>) for
-    mixed input.
+    sqrt(sum_i |<b_i|psi>|^2).
     """
-    mat = _basis_matrix(basis_states)
-    if isinstance(st, DenseState):
-        coeffs = mat.conj() @ st.amplitudes
-        return float(np.sqrt((np.abs(coeffs) ** 2).sum()))
-    overlap = np.real(((mat.conj() @ st.matrix) * mat).sum())
-    return float(np.sqrt(max(overlap, 0.0)))
+    coeffs = _basis_matrix(basis_states).conj() @ st.amplitudes
+    return float(np.sqrt((np.abs(coeffs) ** 2).sum()))
 
 
 def syndrome_array(parity: Gf2Matrix) -> np.ndarray:
@@ -352,16 +335,12 @@ def syndrome_mask(pred) -> np.ndarray:
     return good[syndrome_array(pred.parity)]
 
 
-def apply_phase_oracle(pred, st: State) -> State:
+def apply_phase_oracle(pred, st: DenseState) -> DenseState:
     """Negate the amplitude of every basis state inside the predicate's set."""
-    mask = pred.support_mask()
-    signs = np.where(mask, -1.0, 1.0)
-    if isinstance(st, DenseState):
-        return DenseState._own(st.n, signs * st.amplitudes)
-    return MixedState._own(st.n, signs[:, None] * st.matrix * signs[None, :])
+    return DenseState._own(st.n, np.where(pred.support_mask(), -1.0, 1.0) * st.amplitudes)
 
 
-def session_phase(registry, session, side: str, st: State) -> State:
+def session_phase(registry, session, side: str, st: DenseState) -> DenseState:
     """The session's phase oracle for one side, charged as one query to it."""
     pred = subset_predicate(registry.record_for_serial(session.serial).spec, side)
     session.charge(side)
@@ -378,28 +357,22 @@ def masked_projection(amps: np.ndarray, primal, dual) -> np.ndarray:
     return fwht(masked_transform(amps, primal, dual)) / amps.shape[-1]
 
 
-def masked_pipeline(state: State, primal, dual) -> tuple[float, State | None]:
+def masked_pipeline(state: DenseState, primal, dual) -> tuple[float, DenseState | None]:
     """Acceptance probability and post-state of one register, stage by stage on 2^n masks."""
     dim = 1 << state.n
-    if isinstance(state, DenseState):
-        kept = state.amplitudes * primal.support_mask()
-        prob1 = float((np.abs(kept) ** 2).sum())
-        if prob1 == 0.0:
-            return 0.0, None
-        half = masked_transform(kept / np.sqrt(prob1), primal, dual) / math.sqrt(dim)
-        prob2 = float((np.abs(half) ** 2).sum())
-        if prob2 == 0.0:
-            return 0.0, None
-        post = fwht(half / np.sqrt(prob2)) / math.sqrt(dim)
-        return min(prob1 * prob2, 1.0), DenseState._own(state.n, post)
-    sandwich = masked_projection(masked_projection(state.matrix, primal, dual).T, primal, dual).T
-    prob = float(np.trace(sandwich).real)
-    if prob <= 0.0:
+    kept = state.amplitudes * primal.support_mask()
+    prob1 = float((np.abs(kept) ** 2).sum())
+    if prob1 == 0.0:
         return 0.0, None
-    return min(prob, 1.0), MixedState._own(state.n, sandwich / prob)
+    half = masked_transform(kept / np.sqrt(prob1), primal, dual) / math.sqrt(dim)
+    prob2 = float((np.abs(half) ** 2).sum())
+    if prob2 == 0.0:
+        return 0.0, None
+    post = fwht(half / np.sqrt(prob2)) / math.sqrt(dim)
+    return min(prob1 * prob2, 1.0), DenseState._own(state.n, post)
 
 
-def apply_verifier(state: State, primal, dual) -> tuple[float, State | None]:
+def apply_verifier(state: DenseState, primal, dual) -> tuple[float, DenseState | None]:
     """verify's kernel in the predicates' frame: acceptance probability and post-state, built now."""
     prob, build = predicate_frame(primal, dual).apply(state)
     return prob, None if build is None else build()
@@ -439,28 +412,18 @@ def all_rows_frame_weights(
     return (np.abs(cosets) ** 2).sum(axis=1), spectrum
 
 
-def all_rows_register_probability(state: DenseState, frame: VerifierFrame) -> float:
-    """VerifierFrame.probability of a pure state, transforming every accepted coset."""
-    coeffs = fwht(state.amplitudes[frame.index])[:, frame.keep].reshape(-1)
-    return float(np.vecdot(coeffs, coeffs).real) / frame.index.shape[1]
-
-
 def all_rows_kept_coefficients(amps: np.ndarray, frame: VerifierFrame) -> np.ndarray:
     """VerifierFrame._kept_coefficients by fwht of amps' gathered cosets, transformed axis last."""
     kept = fwht(amps[..., frame.index])[..., frame.keep]
     return kept.reshape(*kept.shape[:-2], -1)
 
 
-def eager_frame_pipeline(state: State, frame: VerifierFrame) -> tuple[float, State | None]:
+def eager_frame_pipeline(
+    state: DenseState, frame: VerifierFrame
+) -> tuple[float, DenseState | None]:
     """VerifierFrame.apply as before the post-state was built on read: post-state made now."""
-    if isinstance(state, DenseState):
-        prob, kept = all_rows_kept_spectrum(state, frame)
-        return prob, None if kept is None else all_rows_post_state(state.n, kept, frame)
-    sandwich = frame._project(frame._project(state.matrix).T).T
-    prob = float(np.trace(sandwich).real)
-    if prob <= 0.0:
-        return 0.0, None
-    return min(prob, 1.0), MixedState._own(state.n, sandwich / prob)
+    prob, kept = all_rows_kept_spectrum(state, frame)
+    return prob, None if kept is None else all_rows_post_state(state.n, kept, frame)
 
 
 class SubsetTesters:
@@ -562,13 +525,16 @@ def dump_state_by_fstrings(st: DenseState) -> str:
 
 
 def verification_matrix(spec: CodeSpec) -> np.ndarray:
-    """The verifier's projector P as a dense real matrix: its own kernel applied to the identity.
+    """The verifier's projector P as a dense real matrix, from its own block kernel.
 
-    For an applicable code this equals the projector onto the span of all
-    tolerated coset states.
+    Row x of K holds the kept Walsh coefficients of the basis vector |x>, so
+    <x|P|y> = K[x] . K[y] / 2^k and P = K K^T / 2^k.  For an applicable code
+    this equals the projector onto the span of all tolerated coset states.
     """
     reserve((1 << spec.n, 1 << spec.n), np.float64)
-    return VerifierFrame.of(spec)._project(np.eye(1 << spec.n))
+    frame = VerifierFrame.of(spec)
+    kept = frame._kept_coefficients(np.eye(1 << spec.n))
+    return kept @ kept.T / frame.index.shape[1]
 
 
 def random_basis_map(n: int, seed: Seed) -> BasisMap:
@@ -649,9 +615,3 @@ def basis_state(n: int, b: BitVec | int) -> DenseState:
 def uniform_state(n: int) -> DenseState:
     """The uniform superposition over all 2^n strings."""
     return DenseState(n, np.full(1 << n, 1.0 / math.sqrt(1 << n)))
-
-
-def density_matrix(st: DenseState) -> MixedState:
-    """|psi><psi| of a pure state."""
-    a = st.amplitudes
-    return MixedState._own(st.n, np.outer(a, a.conj()))

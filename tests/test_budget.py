@@ -7,7 +7,6 @@ more than a few MiB whatever the default budget is.
 import json
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from subspace_money import codes, errors, scheme
@@ -17,16 +16,9 @@ from subspace_money.errors import BudgetExceededError
 from subspace_money.experiments import run_attack
 from subspace_money.gf2 import BitVec, SubspaceBasis, random_subspace
 from subspace_money.oracles import VerifierFrame
-from subspace_money.scheme import (
-    OracleRegistry,
-    conjugate_coding_state,
-    double_verify,
-    mint_direct,
-    verify,
-)
+from subspace_money.scheme import OracleRegistry, conjugate_coding_state, mint_direct, verify
 from subspace_money.states import (
     DenseState,
-    MixedState,
     apply_basis_permutation,
     apply_pauli,
     coset_state,
@@ -35,11 +27,10 @@ from subspace_money.states import (
     subspace_state,
 )
 
-from reference import density_matrix, full_space, random_basis_map, verification_matrix
+from reference import full_space, random_basis_map, verification_matrix
 
-PURE, MIXED = 12, 6  # 64 KiB each: a 2^12 vector, a 2^6 x 2^6 density matrix
+PURE = 12  # a 2^12 vector, 64 KiB
 PURE_BYTES = 16 << PURE
-MIXED_BYTES = 16 << (2 * MIXED)
 SPAN_BYTES = 8 << 12  # a walk of 2^12 uint64 words
 
 
@@ -51,20 +42,9 @@ def _pure(n=PURE):
     return subspace_state(_code(n))
 
 
-def _mixed():
-    return density_matrix(_pure(MIXED))
-
-
 def _verified():
     reg = OracleRegistry(PURE, 1, master_seed=12)
     return (verify(reg, mint_direct(reg, BitVec.zeros(PURE)), rng=0),)
-
-
-def _mixed_joint():
-    reg = OracleRegistry(4, 0, master_seed=4)
-    note = mint_direct(reg, BitVec.zeros(4))
-    rho = density_matrix(note.state).matrix
-    return reg, note.serial, MixedState._own(8, np.kron(rho, rho))
 
 
 # (entry point, inputs built under the default budget, the call on them, and
@@ -85,21 +65,13 @@ ENTRY_POINTS = [
         PURE_BYTES,
     ),
     (
-        "apply_pauli_mixed",
-        lambda: (_mixed(), BitVec(MIXED, 3), BitVec(MIXED, 6)),
-        apply_pauli,
-        MIXED_BYTES,
-    ),
-    (
         "apply_basis_permutation",
         lambda: (_pure(), random_basis_map(PURE, seed=1)),
         apply_basis_permutation,
         PURE_BYTES,
     ),
-    ("MixedState.maximally_mixed", lambda: (MIXED,), MixedState.maximally_mixed, MIXED_BYTES),
     ("DenseState", lambda: (PURE, _pure().amplitudes), DenseState, PURE_BYTES),
     ("DenseState.probabilities", lambda: (_pure(),), DenseState.probabilities, 8 << PURE),
-    ("MixedState", lambda: (MIXED, _mixed().matrix), MixedState, MIXED_BYTES),
     (
         "conjugate_coding_state",
         lambda: (BitVec(PURE, 0b101), BitVec(PURE, 0b111111)),
@@ -112,12 +84,6 @@ ENTRY_POINTS = [
         lambda: (search_applicable_code(6, 1, seed=6),),
         verification_matrix,
         8 << 12,  # 2^6 x 2^6 float64
-    ),
-    (
-        "double_verify_mixed_joint",
-        _mixed_joint,
-        lambda *args: double_verify(*args, rng=0),
-        16 << 12,  # (2^4)^2 blocks x 1 accepted coset x (2^2)^2 entry pairs
     ),
     ("min_distance", lambda: (full_space(12),), SubspaceBasis.min_distance, SPAN_BYTES),
     ("vector_values", lambda: (full_space(12),), SubspaceBasis.vector_values, SPAN_BYTES),

@@ -23,9 +23,9 @@ from subspace_money.experiments import (
 )
 from subspace_money.gf2 import random_bitvec
 from subspace_money.scheme import OracleRegistry, double_verify, mint_direct
-from subspace_money.states import DenseState, MixedState
+from subspace_money.states import DenseState
 
-from reference import basis_state
+from reference import basis_state, tolerated_projector
 
 
 @pytest.fixture()
@@ -163,27 +163,41 @@ def test_strategies_see_only_the_session_surface(registry):
 
 
 def reference_attack(registry, kind, trials, seed):
-    """The per-trial loop: one strategy call and one double_verify per trial."""
+    """The per-trial loop: one strategy call and one double_verify per trial.
+
+    A passthrough trial is scored from the tolerated projector instead: the
+    note's <psi|P|psi> times the maximally mixed register's tr(P) / 2^n,
+    drawn and charged as double_verify draws and charges.
+    """
     rng = np.random.default_rng(seed)
     note = mint_direct(registry, random_bitvec(registry.n, rng))
     session = registry.session(note.serial)
     n = registry.n
+    proj = tolerated_projector(registry.record_for_serial(note.serial).spec)
+    amps = note.state.amplitudes
+    passthrough = min(np.vdot(amps, proj @ amps).real * np.trace(proj).real / (1 << n), 1.0)
 
     def haar():
         amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         return DenseState(n, amps / np.linalg.norm(amps))
 
+    def ver2(joint):
+        if joint is None:
+            session.verifier_frame(passes=2)
+            return passthrough, rng.random() < passthrough
+        return double_verify(registry, note.serial, joint, rng=rng, session=session)
+
     successes, prob_sum = 0, 0.0
     for _ in range(trials):
         if kind == "passthrough-mixed":
-            joint = (note.state, MixedState.maximally_mixed(n))
+            joint = None
         elif kind == "measure-and-copy":
             probs = note.state.probabilities()
             copy = basis_state(n, int(rng.choice(len(probs), p=probs)))
             joint = (copy, copy)
         else:
             joint = (haar(), haar())
-        prob, sampled = double_verify(registry, note.serial, joint, rng=rng, session=session)
+        prob, sampled = ver2(joint)
         successes += int(sampled)
         prob_sum += prob
     return successes, prob_sum / trials, session.ledger

@@ -20,7 +20,7 @@ from subspace_money.gf2 import BitVec, Gf2Matrix, random_subspace
 from subspace_money.oracles import SIDES, QueryLedger, VerifierFrame, _reverse_bits
 from subspace_money.states import (
     DenseState,
-    MixedState,
+    apply_pauli,
     coset_state,
     fwht,
     max_deviation,
@@ -41,6 +41,7 @@ from reference import (
     subset_predicate,
     syndrome_mask,
     syndrome_predicate,
+    tolerated_projector,
     uniform_state,
 )
 
@@ -181,11 +182,6 @@ def test_coset_weights_of_code_and_outside_states(worked_spec):
 
 def test_project_uniform_superposition(worked_spec):
     prob = subset_probability(worked_spec, uniform_state(6))
-    assert prob == pytest.approx(56 / 64, abs=1e-12)
-
-
-def test_project_mixed_state(worked_spec):
-    prob = subset_probability(worked_spec, MixedState.maximally_mixed(6))
     assert prob == pytest.approx(56 / 64, abs=1e-12)
 
 
@@ -418,12 +414,13 @@ def test_coset_probability_runs_on_one_frame_row():
 @settings(max_examples=30, deadline=None)
 @given(spec=certified_codes(), seed=st.integers(0, 2**32 - 1))
 def test_closed_forms_are_the_kernels_bitwise(spec, seed):
-    # tr(P) / 2^n is the 4^n kernel on a maximally mixed register, and <v|P|v>
-    # the block kernel on one-hot real registers, inside and outside the cosets.
+    # tr(P) / 2^n and <v|P|v> are the trace and the diagonal of the tolerated
+    # projector, and <v|P|v> is bit for bit the block kernel on one-hot real
+    # registers, inside and outside the cosets.
     frame = VerifierFrame.of(spec)
-    want = frame.probability(MixedState.maximally_mixed(spec.n))
-    assert np.float64(frame.mixed_probability()).tobytes() == np.float64(want).tobytes()
-    assert frame.probability(None) == want
+    proj = tolerated_projector(spec)
+    assert frame.mixed_probability() == pytest.approx(np.trace(proj).real / len(proj), abs=1e-12)
+    assert frame.probability(None) == frame.mixed_probability()
     rng = np.random.default_rng(seed)
     dim = 1 << spec.n
     outside = np.setdiff1d(np.arange(dim), frame.index)
@@ -437,9 +434,37 @@ def test_closed_forms_are_the_kernels_bitwise(spec, seed):
     for got in (frame.basis_probabilities(strings), frame.probability(strings)):
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     assert np.count_nonzero(want[:5]) == 5 and not np.any(want[5:10])
+    assert np.abs(want - np.diagonal(proj).real[strings]).max() < 1e-12
     for bad in ([-1], [dim]):
         with pytest.raises(ValueError, match=f"basis strings must lie in \\[0, {dim}\\)"):
             frame.basis_probabilities(np.array(bad))
+
+
+def _pauli_error(rng, n, q, over):
+    """A uniform error pattern of weight at most q, or of weight above q if over."""
+    weight = int(rng.integers(q + 1, n + 1) if over else rng.integers(0, q + 1))
+    return BitVec.from_support(n, rng.choice(n, weight, replace=False).tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=certified_codes(),
+    seed=st.integers(0, 2**32 - 1),
+    over=st.tuples(st.booleans(), st.booleans()),
+)
+def test_register_probability_is_vers_probability_bitwise(spec, seed, over):
+    # probability runs Ver's kernel, so a note scores the same bits in Ver2
+    # as in Ver, whether its X and Z errors are tolerated or over-weight.
+    # Transforming the cosets unnormalised scored a fresh note 1 - 2^-53
+    # where k = n/2 is odd.
+    frame = VerifierFrame.of(spec)
+    rng = np.random.default_rng(seed)
+    e, ep = (_pauli_error(rng, spec.n, spec.q, side_over) for side_over in over)
+    note = apply_pauli(subspace_state(spec.code), e, ep)
+    got, want = frame.probability(note), frame.apply(note)[0]
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    if not any(over):
+        assert got == 1.0
 
 
 @settings(max_examples=30, deadline=None)

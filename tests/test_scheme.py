@@ -46,12 +46,9 @@ from subspace_money.scheme import (
 )
 from subspace_money.states import (
     DenseState,
-    MixedState,
     apply_basis_permutation,
     apply_pauli,
     coset_state,
-    fidelity,
-    inner,
     max_deviation,
     subspace_state,
 )
@@ -63,11 +60,9 @@ from reference import (
     SubsetTesters,
     all_rows_frame_weights,
     all_rows_kept_spectrum,
-    all_rows_register_probability,
     apply_verifier,
     basis_state,
     conjugate_coset_parameters,
-    density_matrix,
     eager_frame_pipeline,
     full_space,
     hadamard_all,
@@ -408,15 +403,16 @@ def test_verify_probability_matches_span_overlap(worked_registry, worked_spec):
         amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         psi = DenseState(6, amps / np.linalg.norm(amps))
         outcome = verify(reg, Banknote(record.serial, psi), rng=0)
-        direct = sum(abs(inner(b, psi)) ** 2 for b in basis)
+        direct = sum(abs(np.vdot(b.amplitudes, psi.amplitudes)) ** 2 for b in basis)
         assert outcome.accept_probability == pytest.approx(direct, abs=1e-9)
 
 
 def test_verify_maximally_mixed(worked_registry):
+    # Ver's probability of the maximally mixed register is tr(P) / 2^n, a
+    # closed form of the record's frame: no register is built.
     reg, record = worked_registry
-    note = Banknote(record.serial, MixedState.maximally_mixed(6))
-    outcome = verify(reg, note, rng=0)
-    assert outcome.accept_probability == pytest.approx(49 / 64, abs=1e-9)
+    frame = reg.session(record.serial).verifier_frame()
+    assert frame.probability(None) == 49 / 64
 
 
 def test_verify_charges_ledger(worked_registry):
@@ -548,8 +544,9 @@ def test_double_verify_product_of_tolerated_states(worked_registry, worked_spec)
 def test_double_verify_mixed_second_register(worked_registry, worked_spec):
     reg, record = worked_registry
     fresh = subspace_state(worked_spec.code)
-    prob, _ = double_verify(reg, record.serial, (fresh, MixedState.maximally_mixed(6)), rng=0)
-    assert prob == pytest.approx(49 / 64, abs=1e-9)
+    # None is the maximally mixed register, scored in closed form and never built.
+    prob, _ = double_verify(reg, record.serial, (fresh, None), rng=0)
+    assert prob == 49 / 64
 
 
 def test_double_verify_classical_copy(worked_registry, worked_spec):
@@ -568,16 +565,6 @@ def test_double_verify_entangled_dense_state(worked_registry, worked_spec):
     prob, sampled = double_verify(reg, record.serial, joint, rng=0)
     assert prob == pytest.approx(1.0, abs=1e-9)
     assert sampled
-
-
-def test_double_verify_mixed_joint_state(worked_registry, worked_spec):
-    reg, record = worked_registry
-    fresh = subspace_state(worked_spec.code)
-    rho1 = density_matrix(fresh).matrix
-    rho2 = MixedState.maximally_mixed(6).matrix
-    joint = MixedState._own(12, np.kron(rho1, rho2))
-    prob, _ = double_verify(reg, record.serial, joint, rng=0)
-    assert prob == pytest.approx(49 / 64, abs=1e-9)
 
 
 def test_double_verify_unknown_serial(registry):
@@ -637,19 +624,15 @@ def test_double_verify_matches_projector_reference(n, seed):
     rng = np.random.default_rng(seed)
 
     def expect(state):
-        if isinstance(state, DenseState):
-            return np.vdot(state.amplitudes, proj @ state.amplitudes).real
-        return np.trace(proj @ state.matrix).real
+        return np.vdot(state.amplitudes, proj @ state.amplitudes).real
 
     one, two = _random_pure(rng, n), _random_pure(rng, n)
     prob, _ = double_verify(reg, record.serial, (one, two), rng=0)
     assert abs(prob - expect(one) * expect(two)) < 1e-10
 
-    a, b = _random_pure(rng, n).amplitudes, _random_pure(rng, n).amplitudes
-    w = rng.uniform(0.1, 0.9)
-    rank2 = MixedState(n, w * np.outer(a, a.conj()) + (1 - w) * np.outer(b, b.conj()))
-    prob, _ = double_verify(reg, record.serial, (one, rank2), rng=0)
-    assert abs(prob - expect(one) * expect(rank2)) < 1e-10
+    # The maximally mixed second register scores tr(P) / 2^n.
+    prob, _ = double_verify(reg, record.serial, (one, None), rng=0)
+    assert abs(prob - expect(one) * np.trace(proj).real / (1 << n)) < 1e-10
 
     joint = _random_pure(rng, 2 * n)
     grid = joint.amplitudes.reshape(1 << n, 1 << n)
@@ -671,14 +654,6 @@ def test_verify_matches_projector_reference(n, seed):
     outcome = verify(reg, Banknote(record.serial, DenseState(n, psi)), rng=0)
     assert abs(outcome.accept_probability - np.vdot(psi, image).real) < 1e-10
     assert np.abs(outcome.post_state.amplitudes - image / np.linalg.norm(image)).max() < 1e-10
-
-    a, b = _random_pure(rng, n).amplitudes, _random_pure(rng, n).amplitudes
-    w = rng.uniform(0.1, 0.9)
-    rho = w * np.outer(a, a.conj()) + (1 - w) * np.outer(b, b.conj())
-    outcome = verify(reg, Banknote(record.serial, MixedState(n, rho)), rng=0)
-    prob = np.trace(proj @ rho).real
-    assert abs(outcome.accept_probability - prob) < 1e-10
-    assert np.abs(outcome.post_state.matrix - proj @ rho @ proj / prob).max() < 1e-10
 
 
 def test_double_verify_n16_stays_within_state_budget():
@@ -716,17 +691,13 @@ def _held_bytes(call, calls=500):
         gc.enable()
 
 
-def test_repeated_double_verify_and_fidelity_hold_no_memory(worked_registry, worked_spec):
+def test_repeated_double_verify_holds_no_memory(worked_registry, worked_spec):
     reg, record = worked_registry
     fresh = subspace_state(worked_spec.code).amplitudes
     joint = DenseState(12, np.kron(fresh, fresh))
     session = reg.session(record.serial)
     verify_twice = partial(double_verify, reg, record.serial, joint, rng=0, session=session)
     assert _held_bytes(verify_twice) < 16 << 10
-    rng = np.random.default_rng(6)
-    a, b = (density_matrix(_random_pure(rng, 6)) for _ in range(2))
-    mixed = MixedState(6, (a.matrix + b.matrix) / 2)
-    assert _held_bytes(lambda: fidelity(mixed, a)) < 4 << 10
 
 
 def _predicate_pairs(spec):
@@ -764,22 +735,14 @@ def test_coset_frame_kernel_matches_masked_reference(n, data):
         inside = np.flatnonzero(primal.support_mask())
         assert np.array_equal(np.sort(frame.index, axis=None), inside)
 
-        a, b = _random_pure(rng, n).amplitudes, _random_pure(rng, n).amplitudes
-        w = rng.uniform(0.1, 0.9)
-        states = [
-            DenseState(n, a),
-            basis_state(n, int(rng.integers(dim))),
-            MixedState(n, w * np.outer(a, a.conj()) + (1 - w) * np.outer(b, b.conj())),
-        ]
+        states = [_random_pure(rng, n), basis_state(n, int(rng.integers(dim)))]
         for state in states:
             prob, post = apply_verifier(state, primal, dual)
             ref_prob, ref_post = masked_pipeline(state, primal, dual)
             assert abs(prob - ref_prob) < 1e-12, route
             assert (post is None) == (ref_post is None)
             if post is not None:
-                got = post.amplitudes if isinstance(post, DenseState) else post.matrix
-                want = ref_post.amplitudes if isinstance(post, DenseState) else ref_post.matrix
-                assert np.abs(got - want).max() < 1e-10
+                assert np.abs(post.amplitudes - ref_post.amplitudes).max() < 1e-10
             assert abs(frame.probability(state) - ref_prob) < 1e-12
 
         parts = rng.standard_normal((3, 2, 2, dim))
@@ -799,18 +762,14 @@ def test_coset_frame_kernel_matches_masked_reference(n, data):
         image = masked_projection(masked_projection(grid, primal, dual).T, primal, dual).T
         prob, _ = double_verify(reg, record.serial, joint, rng=0, session=session)
         assert abs(prob - np.vdot(grid, image).real) < 1e-12
-        prob, _ = double_verify(reg, record.serial, (states[0], states[2]), rng=0, session=session)
+        prob, _ = double_verify(reg, record.serial, (states[0], states[1]), rng=0, session=session)
         assert abs(prob - masked_pipeline(states[0], primal, dual)[0]
-                   * masked_pipeline(states[2], primal, dual)[0]) < 1e-12
-        if n <= 4:
-            proj = masked_projection(np.eye(dim), primal, dual)
-            c, d = _random_pure(rng, 2 * n).amplitudes, _random_pure(rng, 2 * n).amplitudes
-            rho = MixedState(2 * n, w * np.outer(c, c.conj()) + (1 - w) * np.outer(d, d.conj()))
-            prob, _ = double_verify(reg, record.serial, rho, rng=0, session=session)
-            assert abs(prob - np.trace(np.kron(proj, proj) @ rho.matrix).real) < 1e-12
-        assert session.ledger.counters["primal"] == session.ledger.counters["dual"] == 2 * (
-            3 if n <= 4 else 2
-        )
+                   * masked_pipeline(states[1], primal, dual)[0]) < 1e-12
+        # The maximally mixed register's tr(P) / 2^n, against the masked pipeline's P.
+        trace = np.trace(masked_projection(np.eye(dim), primal, dual))
+        prob, _ = double_verify(reg, record.serial, (states[0], None), rng=0, session=session)
+        assert abs(prob - masked_pipeline(states[0], primal, dual)[0] * trace / dim) < 1e-12
+        assert session.ledger.counters["primal"] == session.ledger.counters["dual"] == 2 * 3
 
 
 def test_verifier_reads_no_mask_or_syndrome_array(monkeypatch, registry):
@@ -825,13 +784,9 @@ def test_verifier_reads_no_mask_or_syndrome_array(monkeypatch, registry):
     assert verify(registry, bad, rng=0).accept_probability <= 1.0
     e, ep = bv("010000"), bv("000100")
     pure = corrupt(note, e, ep)
-    mixed_note = Banknote(note.serial, density_matrix(pure.state))
-    assert diagnose(registry, pure) == diagnose(registry, mixed_note) == (e, ep)
+    assert diagnose(registry, pure) == (e, ep)
     assert max_deviation(correct(registry, pure).state, note.state) < ATOL_EXACT
-    fresh = density_matrix(note.state).matrix
-    assert np.abs(correct(registry, mixed_note).state.matrix - fresh).max() <= 1e-12
-    mixed = MixedState.maximally_mixed(6)
-    prob, _ = double_verify(registry, note.serial, (note.state, mixed), rng=0)
+    prob, _ = double_verify(registry, note.serial, (note.state, None), rng=0)
     assert prob == pytest.approx(49 / 64, abs=1e-12)
     joint = DenseState(12, np.kron(note.state.amplitudes, note.state.amplitudes))
     prob, _ = double_verify(registry, note.serial, joint, rng=0)
@@ -1000,27 +955,19 @@ def test_post_state_is_built_once_and_unpacks(worked_registry):
 
 
 def test_lazy_post_state_matches_eager_pipeline_bitwise(worked_registry):
-    # Dense notes on and off the tolerated span, and a mixed note: the same
-    # probability and the same post-state bytes as building it at once.
+    # Notes on and off the tolerated span: the same probability and the same
+    # post-state bytes as building it at once.
     reg, record = worked_registry
     rng = np.random.default_rng(77)
     fresh = mint_direct(reg, record.r)
-    a, b = _random_pure(rng, 6), _random_pure(rng, 6)
-    w = rng.uniform(0.1, 0.9)
-    rho = w * np.outer(a.amplitudes, a.amplitudes.conj())
-    rho += (1 - w) * np.outer(b.amplitudes, b.amplitudes.conj())
-    states = [corrupt(fresh, bv("010000"), bv("000001")).state, a, MixedState(6, rho)]
+    states = [corrupt(fresh, bv("010000"), bv("000001")).state, _random_pure(rng, 6)]
     session = reg.session(record.serial)
     frame = session.verifier_frame(passes=0)
     for state in states:
         outcome = verify(reg, Banknote(record.serial, state), rng=0, session=session)
         prob, post = eager_frame_pipeline(state, frame)
         assert outcome.accept_probability == prob
-        got = outcome.post_state
-        if isinstance(state, DenseState):
-            assert got.amplitudes.tobytes() == post.amplitudes.tobytes()
-        else:
-            assert got.matrix.tobytes() == post.matrix.tobytes()
+        assert outcome.post_state.amplitudes.tobytes() == post.amplitudes.tobytes()
 
 
 # Every (n, q) with n in 4..12 and q <= 2 that the sphere-packing bound
@@ -1075,6 +1022,8 @@ def test_occupied_coset_kernels_match_all_rows_reference_bitwise(pair, seed, kin
     prob, kept = frame._kept_spectrum(state.amplitudes[frame.index])
     ref_prob, ref_kept = all_rows_kept_spectrum(state, frame)
     assert _bits(prob) == _bits(ref_prob)
+    # One register's probability is Ver's, from the same kernel.
+    assert _bits(frame.probability(state)) == _bits(ref_prob)
     assert (kept is None) == (ref_kept is None) == (kind == "outside")
     if kept is not None:
         # Equal entry for entry; adding 0.0 forgets the sign of zero, since a
@@ -1089,7 +1038,6 @@ def test_occupied_coset_kernels_match_all_rows_reference_bitwise(pair, seed, kin
         assert build().amplitudes.tobytes() == ref_post.amplitudes.tobytes()
     for got, ref in zip(frame.weights(state), all_rows_frame_weights(state, frame)):
         assert got.tobytes() == ref.tobytes()
-    assert _bits(frame.probability(state)) == _bits(all_rows_register_probability(state, frame))
 
 
 def test_pauli_corrupted_note_costs_one_coset_transform(monkeypatch):
@@ -1179,27 +1127,6 @@ def test_correct_fresh_note_unchanged(worked_registry):
     assert session.ledger.counters["coset"] == 2
 
 
-@pytest.mark.parametrize("n", [6, 8])
-def test_correct_mixed_note(n):
-    # A mixed note is corrected like its pure note: same diagnosis, same coset
-    # charges, and back to the fresh note's density matrix.
-    reg = OracleRegistry(n, 1, master_seed=700 + n)
-    record = reg.generate(random_bitvec(n, n))
-    fresh = mint_direct(reg, record.r)
-    target = density_matrix(fresh.state).matrix
-    errors = enumerate_errors(n, 1)
-    for e, ep in itertools.product(errors, errors):
-        bad = corrupt(fresh, e, ep)
-        pure_session = reg.session(record.serial)
-        correct(reg, bad, session=pure_session)
-        mixed = Banknote(record.serial, density_matrix(bad.state))
-        session = reg.session(record.serial)
-        fixed = correct(reg, mixed, session=session)
-        assert isinstance(fixed.state, MixedState)
-        assert np.abs(fixed.state.matrix - target).max() <= 1e-12
-        assert session.ledger.counters["coset"] == pure_session.ledger.counters["coset"]
-
-
 def test_correct_undecodable_raises(worked_registry):
     reg, record = worked_registry
     bad = corrupt(mint_direct(reg, record.r), bv("000111"), BitVec.zeros(6))
@@ -1243,10 +1170,7 @@ def reference_coset_index(spec, side, weights):
 
 def reference_weights(state):
     """Probabilities of the computational and the Hadamard basis states."""
-    rotated = hadamard_all(state)
-    if isinstance(state, DenseState):
-        return state.probabilities(), rotated.probabilities()
-    return np.diagonal(state.matrix).real, np.diagonal(rotated.matrix).real
+    return state.probabilities(), hadamard_all(state).probabilities()
 
 
 def undecodable_probe(spec, side):
@@ -1263,16 +1187,9 @@ def undecodable_probe(spec, side):
 
 
 # No q = 2 code exists at n <= 12 (Singleton and sphere-packing bounds), so q is 1.
-# Mixed notes stop at n = 8: a 2^12 x 2^12 density matrix alone is 256 MiB.
 @settings(max_examples=30, deadline=None)
-@given(
-    n=st.sampled_from([6, 8, 10, 12]),
-    seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["dense", "mixed"]),
-    data=st.data(),
-)
-def test_diagnose_matches_per_coset_reference(n, seed, kind, data):
-    assume(kind != "mixed" or n <= 8)
+@given(n=st.sampled_from([6, 8, 10, 12]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_diagnose_matches_per_coset_reference(n, seed, data):
     reg = OracleRegistry(n, 1, master_seed=seed)
     record = reg.generate(random_bitvec(n, seed))
     spec = record.spec
@@ -1281,11 +1198,8 @@ def test_diagnose_matches_per_coset_reference(n, seed, kind, data):
     j = data.draw(st.integers(0, len(errors) - 1), label="phase-flip index")
     sign = data.draw(st.sampled_from([1, -1]), label="sign")
 
-    def as_kind(dense):
-        return Banknote(record.serial, dense if kind == "dense" else density_matrix(dense))
-
     def note_for(e, ep):
-        return as_kind(coset_state(spec.code, e, ep, sign))
+        return Banknote(record.serial, coset_state(spec.code, e, ep, sign))
 
     note = note_for(errors[i], errors[j])
     bit_flip, phase_flip = reference_weights(note.state)
@@ -1308,7 +1222,7 @@ def test_diagnose_matches_per_coset_reference(n, seed, kind, data):
         ("primal", note_for(undecodable_probe(spec, "primal"), zero)),
         ("dual", note_for(zero, undecodable_probe(spec, "dual"))),
         # An even split over two tolerated bit-flip cosets lies in neither.
-        ("primal", as_kind(DenseState(n, split / math.sqrt(2)))),
+        ("primal", Banknote(record.serial, DenseState(n, split / math.sqrt(2)))),
     ]
     for side, bad in probes:
         weights = reference_weights(bad.state)[0 if side == "primal" else 1]
@@ -1334,14 +1248,6 @@ def test_banknote_json_round_trip_dense(tmp_path, registry):
     assert loaded.serial == note.serial
     assert max_deviation(loaded.state, note.state) == 0
     assert dumps_banknote(loaded) == path.read_text()
-
-
-def test_mixed_note_has_no_file_form(tmp_path, registry):
-    note = mint_direct(registry, bv("011011"))
-    path = tmp_path / "note.json"
-    with pytest.raises(ValueError, match="only pure notes have a file form"):
-        save_banknote(Banknote(note.serial, density_matrix(note.state)), path)
-    assert not path.exists()
 
 
 def test_registry_for_record_round_trip(tmp_path):

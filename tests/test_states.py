@@ -22,14 +22,11 @@ from subspace_money.gf2 import (
 )
 from subspace_money.states import (
     DenseState,
-    MixedState,
     apply_basis_permutation,
     apply_pauli,
     coset_state,
     dump_state,
-    fidelity,
     fwht,
-    inner,
     load_state,
     max_deviation,
     subspace_state,
@@ -40,7 +37,6 @@ from reference import (
     ATOL_EXACT,
     apply_pauli_by_gather,
     basis_state,
-    density_matrix,
     dump_state_by_fstrings,
     fidelity_with_span,
     hadamard_all,
@@ -145,19 +141,6 @@ def test_apply_pauli_matches_coset_construction(worked_spec):
         assert max_deviation(via_pauli, via_coset) < ATOL_EXACT
 
 
-def test_apply_pauli_conjugates_a_density_matrix():
-    # X^e Z^e' rho (X^e Z^e')^dagger for rho = |psi><psi| is |X^e Z^e' psi><...|; the
-    # operator's sign drops out.
-    rng = np.random.default_rng(13)
-    amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    st = DenseState(5, amps / np.linalg.norm(amps))
-    for e, ep in ((bv("10110"), bv("01011")), (bv("11000"), bv("10000"))):
-        mixed = apply_pauli(density_matrix(st), e, ep)
-        expected = density_matrix(apply_pauli(st, e, ep))
-        assert isinstance(mixed, MixedState)
-        assert np.abs(mixed.matrix - expected.matrix).max() < ATOL_EXACT
-
-
 # Parts that make a complex product by +1 or -1 change the sign of a zero.
 SIGNED_PARTS = [0.0, -0.0, 0.5, -0.5, 0.25, -1e-300]
 
@@ -190,13 +173,6 @@ def test_negated_pauli_dumps_as_the_negated_result(n, data):
     negated = DenseState._own(n, -apply_pauli(st_in, e, ep).amplitudes)
     assert np.array_equal(got.amplitudes, negated.amplitudes)
     assert dump_state(got) == dump_state(negated)
-
-
-def test_negated_pauli_on_a_density_matrix_drops_the_sign():
-    rho = density_matrix(DenseState(3, np.full(8, 8**-0.5)))
-    e, ep = bv("110"), bv("100")
-    negated = apply_pauli(rho, e, ep, sign=-1)
-    assert negated.matrix.tobytes() == apply_pauli(rho, e, ep).matrix.tobytes()
 
 
 @pytest.mark.parametrize("sign", [0, 2, -2, 1j])
@@ -235,24 +211,13 @@ def test_apply_pauli_allocates_only_the_result(n, e, ep, sign):
 
 
 def test_internal_states_are_read_only_and_unshared():
-    mixed = MixedState.maximally_mixed(3)
-    assert not mixed.matrix.flags.writeable
-    assert not density_matrix(basis_state(3, 5)).matrix.flags.writeable
+    assert not subspace_state(SubspaceBasis.from_strings(["110"])).amplitudes.flags.writeable
     amps = np.zeros(8, dtype=np.complex128)
     amps[5] = 1.0
     public = DenseState(3, amps)
     amps[5] = 0.0
     assert public.amplitude(5) == 1.0  # the public constructor copies
-
-
-def test_maximally_mixed_allocates_one_matrix():
-    tracemalloc.start()
-    try:
-        MixedState.maximally_mixed(8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 16 * 4**8
+    assert not public.amplitudes.flags.writeable
 
 
 def test_dense_state_repr_counts_the_support_without_listing_it(monkeypatch):
@@ -393,15 +358,6 @@ def test_fwht_of_one_row_holds_two_rows_beside_its_input():
     assert peak <= 2.2 * out.nbytes
 
 
-def test_hadamard_on_mixed_state():
-    rho = density_matrix(basis_state(2, 0))
-    out = hadamard_all(rho)
-    assert np.allclose(out.matrix, 0.25)
-    # Maximally mixed is invariant.
-    mm = MixedState.maximally_mixed(3)
-    assert np.allclose(hadamard_all(mm).matrix, mm.matrix, atol=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # basis permutation unitary
 
@@ -425,12 +381,7 @@ def test_apply_basis_permutation_is_unitary():
 
 
 # ---------------------------------------------------------------------------
-# inner products and fidelities
-
-
-def test_inner_self_is_one(worked_code):
-    st = subspace_state(worked_code)
-    assert inner(st, st) == pytest.approx(1.0)
+# inner products and fidelities with a span
 
 
 def test_inner_half_for_overlapping_codes(worked_spec):
@@ -442,7 +393,7 @@ def test_inner_half_for_overlapping_codes(worked_spec):
         other = search_applicable_code(6, 1, seed=rng)
         if other.code != c and intersection_dim(c, other.code) == 2:
             break
-    val = inner(subspace_state(c), subspace_state(other.code))
+    val = np.vdot(subspace_state(c).amplitudes, subspace_state(other.code).amplitudes)
     assert val == pytest.approx(0.5, abs=1e-12)
 
 
@@ -461,8 +412,6 @@ def test_fidelity_with_span_basic(worked_spec):
     outside = basis_state(6, bv("000111"))
     # 000111 is not in any tolerated coset of the worked code.
     assert fidelity_with_span(outside, states) < 1e-12
-    mixed = MixedState.maximally_mixed(6)
-    assert fidelity_with_span(mixed, states) == pytest.approx(math.sqrt(49 / 64), abs=1e-12)
 
 
 def test_fidelity_with_span_rejects_non_orthonormal(worked_spec):
@@ -484,48 +433,6 @@ def test_fidelity_with_span_is_max_overlap(worked_spec):
         vec = sum(c * s.amplitudes for c, s in zip(coeffs, states))
         overlap = abs(np.vdot(vec, psi.amplitudes))
         assert overlap <= best + 1e-9
-
-
-def test_fidelity_pure_and_mixed_agree():
-    rng = np.random.default_rng(25)
-    amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    psi = DenseState(3, amps / np.linalg.norm(amps))
-    rho = density_matrix(psi)
-    assert fidelity(psi, rho) == pytest.approx(1.0, abs=1e-9)
-    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
-    phi = basis_state(3, 0)
-    assert fidelity(psi, phi) == pytest.approx(abs(inner(psi, phi)), abs=1e-9)
-
-
-def test_fidelity_triangle_inequality():
-    # With <psi|rho|psi> >= 1-eps and <phi|sigma|phi> >= 1-eps,
-    # F(rho, sigma) <= |<psi|phi>| + 2 eps^(1/4).
-    rng = np.random.default_rng(33)
-    checked = 0
-    for _ in range(1000):
-        n = int(rng.integers(1, 5))
-        dim = 1 << n
-        eps = float(rng.uniform(1e-6, 0.2))
-
-        def random_pure():
-            a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            return a / np.linalg.norm(a)
-
-        def noisy_density(vec):
-            a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            junk = np.outer(a, a.conj())
-            junk /= np.trace(junk).real
-            lam = eps * float(rng.uniform(0, 1))
-            return (1 - lam) * np.outer(vec, vec.conj()) + lam * junk
-
-        psi, phi = random_pure(), random_pure()
-        rho = MixedState._own(n, noisy_density(psi))
-        sigma = MixedState._own(n, noisy_density(phi))
-        assert np.vdot(psi, rho.matrix @ psi).real >= 1 - eps - 1e-12
-        bound = abs(np.vdot(psi, phi)) + 2 * eps**0.25
-        assert fidelity(rho, sigma) <= bound + 1e-9
-        checked += 1
-    assert checked == 1000
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +553,6 @@ VALUE_MAKERS = {
         lambda: BasisMap.from_columns([bv("001"), bv("100"), bv("010")]),
     ),
     "DenseState": (lambda: uniform_state(2), lambda: DenseState(2, [0.5] * 4)),
-    "MixedState": (
-        lambda: MixedState.maximally_mixed(2),
-        lambda: MixedState(2, np.eye(4) / 4),
-    ),
 }
 
 
@@ -664,7 +567,7 @@ def test_values_are_frozen_and_states_compare_by_identity(makers):
     with pytest.raises((AttributeError, TypeError)):
         a.extra = 1
     assert not hasattr(a, "__dict__") and not hasattr(b, "__dict__")
-    if isinstance(a, (DenseState, MixedState)):
+    if isinstance(a, DenseState):
         assert a == a and a != b
     else:
         assert a == b and hash(a) == hash(b)
