@@ -36,6 +36,9 @@ from .states import DenseState, _coset_amplitudes, fwht, walsh_butterflies
 
 SIDES = ("primal", "dual")
 
+# Amplitudes a pure-note kernel gathers at a time, in whole frame rows (at least one).
+_GATHER_CHUNK = 1 << 12
+
 
 def _side_index(side: str) -> int:
     if side not in SIDES:
@@ -143,11 +146,13 @@ class VerifierFrame(NamedTuple):
     def apply(self, state: DenseState) -> tuple[float, Callable[[], DenseState] | None]:
         """P on one register: the acceptance probability and a post-state builder.
 
-        Only the probability kernel runs here (see _kept_spectrum); the builder
-        makes the 2^n post-state, and is None at probability zero.
+        Only the probability kernel runs here, on the cosets the note occupies
+        (see _occupied and _kept_spectrum); the builder makes the 2^n
+        post-state, and is None at probability zero.
         """
-        prob, kept = self._kept_spectrum(state.amplitudes[self.index])
-        return prob, None if kept is None else partial(self._post_state, kept)
+        rows, cosets = self._occupied(state.amplitudes)
+        prob, kept = self._kept_spectrum(cosets)
+        return prob, None if kept is None else partial(self._post_state, rows, kept)
 
     def coset_probability(self, e: BitVec, e_prime: BitVec) -> float:
         """Ver's acceptance probability of the tolerated coset state X^e Z^e' |C>.
@@ -205,7 +210,7 @@ class VerifierFrame(NamedTuple):
         if isinstance(sigma, DenseState):
             if sigma.n != n:
                 raise ValueError(f"register must act on n={n} qubits")
-            return self._kept_spectrum(sigma.amplitudes[self.index])[0]
+            return self._kept_spectrum(self._occupied(sigma.amplitudes)[1])[0]
         if sigma.dtype.kind in "iu":
             return self.basis_probabilities(sigma)
         if sigma.shape[-1] != 1 << n:
@@ -246,34 +251,61 @@ class VerifierFrame(NamedTuple):
 
         A frequency s of u counts the Hadamard-basis weight within the accepted
         cosets only: |fwht(amps[index])|^2 summed over rows / 2^k.  It costs
-        one gather plus one 2^k transform per occupied coset, transformed in
-        the gathered block; beside it, the kernel holds one half-size real array.
+        the gather of the occupied cosets plus one 2^k transform per occupied
+        coset (see _occupied); beside them, the kernel holds one half-size
+        real array.
         """
         index = self.index
-        cosets = state.amplitudes[index]
-        rows = np.abs(cosets)
-        rows = np.square(rows, out=rows).sum(axis=1)
-        # F order lays each frequency's rows side by side, as fwht's output is, so
-        # the sum over rows adds them in the order of the all-rows transform.  Row
-        # by row, the transposing abs takes none of numpy's operand buffers.
-        spectrum = self._spectrum(cosets)
-        energy = np.empty(index.shape, order="F")
-        for row, target in zip(spectrum, energy):
-            np.abs(row, out=target)
-        return rows, np.square(energy, out=energy).sum(axis=0) / index.shape[1]
+        rows, cosets = self._occupied(state.amplitudes)
+        bit_flip = np.zeros(index.shape[0])
+        sums = np.abs(cosets)
+        bit_flip[rows] = np.square(sums, out=sums).sum(axis=1)
+        # Zero-filled, with the occupied rows' magnitudes written in.  F order lays
+        # each frequency's rows side by side, as fwht's output is, so the sum over
+        # rows adds them in the order of the all-rows transform.  Row by row, the
+        # transposing abs takes none of numpy's operand buffers.
+        energy = np.zeros(index.shape, order="F")
+        for row, spectrum in zip(rows, self._spectrum(cosets)):
+            np.abs(spectrum, out=energy[row])
+        return bit_flip, np.square(energy, out=energy).sum(axis=0) / index.shape[1]
 
     # -- kernels -----------------------------------------------------------------------
+
+    def _occupied(self, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The accepted cosets holding any amplitude: their rows, ascending, and their gather.
+
+        The frame's rows are gathered a few whole rows at a time, up to
+        _GATHER_CHUNK amplitudes, and a row counts as occupied when a part of
+        an entry is nonzero (-0.0 is not), so the working set is the occupied
+        cosets, a (rows, 2^k) complex stack in the frame's layout, plus one
+        chunk.  A tolerated X^e Z^e' note occupies one coset.
+        """
+        index = self.index
+        step = max(1, _GATHER_CHUNK // index.shape[1])
+        rows, cosets = [], []
+        for start in range(0, index.shape[0], step):
+            chunk = amplitudes[index[start : start + step]]
+            # The float64 view tests both parts, with no complex-to-bool temporary.
+            hits = np.flatnonzero(chunk.view(np.float64).any(axis=1))
+            if hits.size:
+                rows.append(hits + start)
+                cosets.append(chunk[hits])
+            del chunk  # so the next chunk is not gathered beside this one
+        if not rows:
+            return np.empty(0, dtype=np.intp), np.empty((0, index.shape[1]), np.complex128)
+        return np.concatenate(rows), np.concatenate(cosets)
 
     def _kept_spectrum(self, cosets: np.ndarray) -> tuple[float, np.ndarray | None]:
         """Ver's probability kernel on gathered accepted cosets, which become the kept spectrum.
 
         The accepted cosets are normalised before the transform, so the second
         stage's probability is a unit vector's kept energy / 2^k; the product is
-        clipped at one.  Only the occupied cosets are normalised and transformed
-        (see _spectrum), so a note costs one gather of the accepted cosets
-        plus one 2^k transform per coset it occupies: one for a tolerated coset
-        state.  The kept spectrum is written back into that gathered block, so
-        the kernel holds one block; it is None when the probability is zero.
+        clipped at one.  Callers pass the occupied cosets (see _occupied): a
+        coset holding no amplitude adds exact zeros to both stages, so a note
+        costs the gather of the cosets it occupies plus one 2^k transform for
+        each of them, one for a tolerated coset state.  The kept spectrum is
+        written back into the gathered cosets, so the kernel holds them and
+        the transform's arrays; it is None when the probability is zero.
         """
         prob1 = float(np.vdot(cosets, cosets).real)
         if prob1 == 0.0:
@@ -285,11 +317,12 @@ class VerifierFrame(NamedTuple):
             return 0.0, None
         return min(prob1 * prob2, 1.0), kept
 
-    def _post_state(self, kept: np.ndarray) -> DenseState:
-        """The normalised accepted branch of a kept spectrum, in a fresh 2^n vector.
+    def _post_state(self, rows: np.ndarray, kept: np.ndarray) -> DenseState:
+        """The normalised accepted branch of the kept spectrum of rows, in a fresh 2^n vector.
 
         The spectrum is transformed in a copy, so the builder can run again, and
-        the copy is the one block held beside kept and the result.
+        is scattered to its rows' strings; the other accepted cosets, which
+        held no amplitude, keep the result's zeros.
         """
         size = self.index.shape[1]
         reserve((1 << self.n,))
@@ -297,7 +330,7 @@ class VerifierFrame(NamedTuple):
         branch = self._spectrum(kept.copy())
         branch /= norm
         out = np.zeros(1 << self.n, dtype=branch.dtype)
-        out[self.index] = branch
+        out[self.index[rows]] = branch
         return DenseState._own(self.n, out)
 
     def _spectrum(
@@ -305,33 +338,20 @@ class VerifierFrame(NamedTuple):
     ) -> np.ndarray:
         """In place: gathered cosets become fwht(cosets / scale), zero outside keep if kept.
 
-        cosets is a C-ordered (|S_p|, 2^k) complex block in the frame's layout.
-        A row holding no amplitude transforms to exact zeros, so only the rows
-        with a nonzero entry are divided and transformed, as one copy that fwht
-        takes; the other rows become +0.0.  Returns cosets, the one gathered
-        block a note kernel holds: beside it, the working set is the
-        occupied rows and fwht's two arrays of their size, a small share of
-        a block for a note that occupies one coset.
+        cosets is a C-ordered (rows, 2^k) complex stack of frame rows, the
+        occupied ones for a note (see _occupied); a row of +0.0 entries
+        transforms to +0.0.  fwht only reads its input, so the stack is divided
+        where it lies.  Returns cosets; beside them the working set is fwht's
+        two arrays of their size.
         """
-        # The float64 view tests both parts, with no complex-to-bool temporary.
-        occupied = np.flatnonzero(cosets.view(np.float64).any(axis=1))
-        if not occupied.size:
-            cosets.fill(0)
-            return cosets
-        every = occupied.size == cosets.shape[0]
-        # fwht only reads its input, so a block of every row is divided where it lies.
-        block = cosets if every else cosets[occupied]
         if scale is not None:
-            block /= scale
-        transformed = fwht(block)
+            cosets /= scale
+        transformed = fwht(cosets)
         if kept:
             cosets.fill(0)
-            cosets[occupied[:, None], self.keep] = transformed[:, self.keep]
-        elif every:
-            cosets[...] = transformed
+            cosets[:, self.keep] = transformed[:, self.keep]
         else:
-            cosets.fill(0)
-            cosets[occupied] = transformed
+            cosets[...] = transformed
         return cosets
 
     def _kept_coefficients(self, amps: np.ndarray) -> np.ndarray:

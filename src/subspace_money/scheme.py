@@ -376,10 +376,11 @@ def verify(
     """Ver: reject unknown serials, then apply P in the record's frame, charged to the session.
 
     Only the |E_q| accepted bit-flip cosets of the note are read, 2^k
-    amplitudes each, and each one the note occupies goes through one 2^k-point
-    Walsh filter: a note costs one gather plus one 2^k transform per
-    occupied coset, one for a tolerated X^e Z^e' note, and the gathered block
-    is the one it holds, its kept spectrum written back in place (see
+    amplitudes each, a few cosets at a time, and each one the note occupies is
+    kept and goes through one 2^k-point Walsh filter: a note costs one gather
+    of the accepted cosets plus one 2^k transform per occupied coset, one for
+    a tolerated X^e Z^e' note, and holds only the cosets it occupies and one
+    chunk of the gather, its kept spectrum written back in place (see
     VerifierFrame.apply).  The post-state is built on first read.  The outcome
     carries both the exact acceptance probability and one sampled decision;
     the post-state is the accepted branch whenever it exists, regardless of

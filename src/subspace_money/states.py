@@ -282,7 +282,8 @@ def load_state(text: str) -> DenseState:
 
     Each line is checked in order, field count, bit string, then numeric parts, and
     the first bad line is named; repeats, the budget and the norm come after the
-    last line.
+    last line.  The norm is taken over the parsed amplitudes, before the 2^n
+    vector is made.
     """
     indices, values = [], []
     n = None
@@ -313,7 +314,8 @@ def load_state(text: str) -> DenseState:
     if len(set(indices)) != len(indices):
         raise ValueError("repeated bit string in state dump")
     reserve((1 << n,))
+    values = np.array(values, dtype=np.complex128)
+    _check_unit_norm(values)
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[indices] = values
-    _check_unit_norm(amps)
     return DenseState._own(n, amps)

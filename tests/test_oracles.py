@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subspace_money import oracles
 from subspace_money.codes import (
     CodeSpec,
     certify,
@@ -465,6 +466,48 @@ def test_register_probability_is_vers_probability_bitwise(spec, seed, over):
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
     if not any(over):
         assert got == 1.0
+
+
+def _note_outputs(frame, state):
+    """The bytes of Ver's probability, its post-state, probability and both weights arrays."""
+    prob, build = frame.apply(state)
+    post = b"" if build is None else build().amplitudes.tobytes()
+    weights = (w.tobytes() for w in frame.weights(state))
+    return np.float64(prob).tobytes(), post, np.float64(frame.probability(state)).tobytes(), *weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=certified_codes(),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["tolerated", "over", "superposition"]),
+)
+def test_gather_chunk_size_changes_no_bit(spec, seed, kind):
+    # The occupied cosets are gathered a chunk of rows at a time: one row, two
+    # rows and every row at once stack the same rows in the same order, so a
+    # row dropped at a chunk boundary or stacked out of order shows here.
+    frame = VerifierFrame.of(spec)
+    rng = np.random.default_rng(seed)
+    if kind == "superposition":
+        errors = enumerate_errors(spec.n, spec.q)
+        amps = sum(
+            complex(*rng.normal(size=2))
+            * coset_state(spec.code, *(errors[i] for i in rng.integers(len(errors), size=2)))
+            .amplitudes
+            for _ in range(rng.integers(2, 5))
+        )
+        state = DenseState(spec.n, amps / np.linalg.norm(amps))
+    else:
+        over = (kind == "over", bool(rng.integers(2)))
+        e, ep = (_pauli_error(rng, spec.n, spec.q, side_over) for side_over in over)
+        state = apply_pauli(subspace_state(spec.code), e, ep)
+    rows, size = frame.index.shape
+    runs = []
+    for chunk in (size, 2 * size, rows * size):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "_GATHER_CHUNK", chunk)
+            runs.append(_note_outputs(frame, state))
+    assert runs[0] == runs[1] == runs[2]
 
 
 @settings(max_examples=30, deadline=None)

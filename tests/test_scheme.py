@@ -851,23 +851,25 @@ def tolerated_n20():
     return reg, note, session, session.verifier_frame(passes=0)
 
 
-# Each pure-note kernel gathers the note's accepted cosets once and works in
-# that block: (|S_p|, 2^k) = 21 x 1024 complex, 344 KB at n = 20, q = 1.  The
-# bound is its tracemalloc peak beyond the note, in blocks.  When the
-# spectrum filled a zero twin of the gather, this note read verify 2.20,
-# register_probability 2.20 and diagnose 2.89 blocks (757, 756 and 993 KB).
+# Each pure-note kernel gathers the accepted cosets a few rows at a time and
+# keeps only those the note occupies: one row for this note, beside one gather
+# chunk of four rows.  The bound is its tracemalloc peak beyond the note, in
+# units of the (|S_p|, 2^k) = 21 x 1024 complex block of every accepted coset,
+# 344 KB at n = 20, q = 1; diagnose also keeps a half-block real array of
+# phase-flip energies.  A kernel that holds the whole block reads verify 1.15,
+# register_probability 1.15 and diagnose 1.55 blocks, so each bound fails it.
 KERNEL_PEAKS = [
-    ("verify", lambda reg, note, session, frame: verify(reg, note, session=session, rng=0), 1.3),
+    ("verify", lambda reg, note, session, frame: verify(reg, note, session=session, rng=0), 0.4),
     ("register_probability", lambda reg, note, session, frame: frame.probability(
-        note.state), 1.3),
-    ("diagnose", lambda reg, note, session, frame: diagnose(reg, note, session=session), 1.8),
+        note.state), 0.4),
+    ("diagnose", lambda reg, note, session, frame: diagnose(reg, note, session=session), 0.8),
 ]
 
 
 @pytest.mark.parametrize(
     "call, bound", [case[1:] for case in KERNEL_PEAKS], ids=[case[0] for case in KERNEL_PEAKS]
 )
-def test_pure_note_kernel_holds_one_gathered_block(tolerated_n20, call, bound):
+def test_pure_note_kernel_holds_its_occupied_cosets(tolerated_n20, call, bound):
     frame = tolerated_n20[3]
     gc.collect()
     tracemalloc.start()
@@ -910,6 +912,20 @@ def test_verifier_and_corrector_at_q2_on_a_pinned_22_qubit_code():
     frame = session.verifier_frame(passes=0)
     assert frame.index.shape == (254, 1 << 11)
     bad = corrupt(fresh, bv("0000100000000000100000"), bv("0000100000000000000010"))
+    # The note occupies one of the 254 cosets, so verify holds that row and a
+    # chunk of two rows, not the 8.3 MB block of every accepted coset; diagnose
+    # adds a half-block real array of phase-flip energies.  A second session
+    # shares the frame and keeps these calls off the ledger read below.
+    probe = reg.session(fresh.serial)
+    for call, bound_mb in ((verify, 0.5), (diagnose, 6.0)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            call(reg, bad, session=probe)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 2**20, call.__name__
     assert verify(reg, bad, session=session).accept_probability == 1.0
     fixed = correct(reg, bad, session=session).state.amplitudes
     del bad
@@ -1019,17 +1035,21 @@ def test_occupied_coset_kernels_match_all_rows_reference_bitwise(pair, seed, kin
     frame = VerifierFrame.of(spec)
     state = _kernel_state(kind, spec, frame, np.random.default_rng(seed))
 
-    prob, kept = frame._kept_spectrum(state.amplitudes[frame.index])
+    rows, cosets = frame._occupied(state.amplitudes)
+    prob, kept = frame._kept_spectrum(cosets)
     ref_prob, ref_kept = all_rows_kept_spectrum(state, frame)
     assert _bits(prob) == _bits(ref_prob)
     # One register's probability is Ver's, from the same kernel.
     assert _bits(frame.probability(state)) == _bits(ref_prob)
     assert (kept is None) == (ref_kept is None) == (kind == "outside")
     if kept is not None:
-        # Equal entry for entry; adding 0.0 forgets the sign of zero, since a
-        # row with no amplitude holds +0.0 where the transform of a row of
-        # -0.0 entries (a negated note) gives -0.0 at frequency 0.
-        assert (kept + 0.0).tobytes() == (ref_kept + 0.0).tobytes()
+        # Equal entry for entry once the occupied rows are put back among the
+        # rest; adding 0.0 forgets the sign of zero, since a row with no
+        # amplitude holds +0.0 where the transform of a row of -0.0 entries (a
+        # negated note) gives -0.0 at frequency 0.
+        every = np.zeros(frame.index.shape, dtype=kept.dtype)
+        every[rows] = kept
+        assert (every + 0.0).tobytes() == (ref_kept + 0.0).tobytes()
     prob, build = frame.apply(state)
     ref_prob, ref_post = eager_frame_pipeline(state, frame)
     assert _bits(prob) == _bits(ref_prob)
