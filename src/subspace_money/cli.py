@@ -4,8 +4,11 @@ Subcommands: gencode, mint, corrupt, verify, correct, attack, bounds, demo.
 Every run is reproducible from its full flag set; when no --seed is given
 one is drawn and printed so the run can be replayed.  Exit codes: 0 success,
 1 domain failures (no code found, unknown serial, undecodable note, an
-allocation refused as over the budget, a malformed or wrongly sized input
-file), 2 usage errors.
+allocation refused as over the budget, an input file that is missing,
+unreadable, malformed or wrongly sized, a file that cannot be written),
+2 usage errors.  corrupt and correct hold at most one note: they rewrite the
+note file's lines under the Pauli (states.pauli_dump), and only correct builds
+the note, for diagnose.
 """
 
 from __future__ import annotations
@@ -31,19 +34,22 @@ from .errors import (
 from .experiments import ATTACK_KINDS, gv_table, run_attack, soundness_table
 from .gf2 import BitVec, random_bitvec
 from .scheme import (
+    Banknote,
     OracleRegistry,
-    correct,
-    corrupt,
+    diagnose,
     load_banknote,
+    load_banknote_dump,
     load_record,
     mint_conjugate,
     mint_direct,
     random_corruption,
     registry_for_record,
     save_banknote,
+    save_banknote_dump,
     save_record,
     verify,
 )
+from .states import pauli_dump, scatter_dump
 
 DOMAIN_ERRORS = (
     BudgetExceededError,
@@ -135,7 +141,7 @@ def main(argv=None) -> int:
         print(f"seed: {args.seed} (drawn; pass --seed {args.seed} to reproduce)")
     try:
         return _HANDLERS[args.command](args)
-    except (*DOMAIN_ERRORS, ValueError) as exc:
+    except (*DOMAIN_ERRORS, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -188,8 +194,8 @@ def _cmd_mint(args) -> int:
 
 
 def _cmd_corrupt(args) -> int:
-    note = load_banknote(args.note)
-    n = note.n
+    serial, dump = load_banknote_dump(args.note)
+    n = dump[0]
     if args.rand_weight is not None:
         if args.e is not None or args.ez is not None:
             raise ValueError("--rand-weight excludes --e/--ez")
@@ -197,12 +203,13 @@ def _cmd_corrupt(args) -> int:
     else:
         e = BitVec.from_string(args.e) if args.e else BitVec.zeros(n)
         ep = BitVec.from_string(args.ez) if args.ez else BitVec.zeros(n)
-    bad = corrupt(note, e, ep)
+    # The note's support moves under X^e Z^e' without a 2^n vector: see pauli_dump.
+    text = pauli_dump(*dump, e, ep)
     out = args.out or args.note
-    save_banknote(bad, out)
+    save_banknote_dump(serial, text, out)
     _emit(
         args,
-        {"serial": str(bad.serial), "e": str(e), "e_prime": str(ep), "file": str(out)},
+        {"serial": str(serial), "e": str(e), "e_prime": str(ep), "file": str(out)},
         f"applied X^{e} Z^{ep}; wrote {out}",
     )
     return 0
@@ -232,15 +239,18 @@ def _cmd_verify(args) -> int:
 
 def _cmd_correct(args) -> int:
     registry = registry_for_record(load_record(args.bank))
-    note = load_banknote(args.note)
-    session = registry.session(note.serial)
-    fixed = correct(registry, note, session=session)
+    serial, dump = load_banknote_dump(args.note)
+    session = registry.session(serial)
+    # The note lives only while diagnose reads it; the fix is written from the parsed
+    # support, with the inverse's commutation sign, as correct applies it.
+    e, ep = diagnose(registry, Banknote(serial, scatter_dump(*dump)), session=session)
+    text = pauli_dump(*dump, e, ep, sign=-1 if e.dot(ep) else 1)
     out = args.out or args.note
-    save_banknote(fixed, out)
+    save_banknote_dump(serial, text, out)
     _emit(
         args,
         {
-            "serial": str(fixed.serial),
+            "serial": str(serial),
             "coset_queries": session.ledger.counters["coset"],
             "file": str(out),
         },

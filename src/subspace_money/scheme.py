@@ -42,6 +42,7 @@ from .states import (
     apply_pauli,
     dump_state,
     load_state,
+    parse_dump,
     subspace_state,
 )
 
@@ -59,15 +60,19 @@ class Banknote:
     state: DenseState
 
     def __post_init__(self):
-        if self.serial.n != 3 * self.state.n:
-            raise ValueError(
-                f"the note's state acts on {self.state.n} qubits, so its serial needs "
-                f"3n={3 * self.state.n} bits, not {self.serial.n}"
-            )
+        _check_serial_length(self.serial, self.state.n)
 
     @property
     def n(self) -> int:
         return self.state.n
+
+
+def _check_serial_length(serial: BitVec, n: int) -> None:
+    if serial.n != 3 * n:
+        raise ValueError(
+            f"the note's state acts on {n} qubits, so its serial needs "
+            f"3n={3 * n} bits, not {serial.n}"
+        )
 
 
 @dataclass(frozen=True)
@@ -478,12 +483,39 @@ def correct(
 # -- file formats -----------------------------------------------------------------
 
 
-def banknote_to_json_dict(note: Banknote) -> dict:
-    state = {"kind": "dense", "dump": dump_state(note.state)}
-    return {"format": BANKNOTE_FORMAT, "serial": str(note.serial), "state": state}
+def dumps_banknote(note: Banknote) -> str:
+    return _dumps_json(_banknote_json_dict(note.serial, dump_state(note.state)))
 
 
-def banknote_from_json_dict(data: dict) -> Banknote:
+def save_banknote(note: Banknote, path: str | Path) -> None:
+    Path(path).write_text(dumps_banknote(note))
+
+
+def save_banknote_dump(serial: BitVec, dump: str, path: str | Path) -> None:
+    """Write a note file from its serial and a dump_state text, as save_banknote writes a note."""
+    Path(path).write_text(_dumps_json(_banknote_json_dict(serial, dump)))
+
+
+def load_banknote(path: str | Path) -> Banknote:
+    serial, dump = _read_banknote(path)
+    return Banknote(serial, load_state(dump))
+
+
+def load_banknote_dump(path: str | Path) -> tuple[BitVec, tuple[int, np.ndarray, np.ndarray]]:
+    """A note file's serial and parse_dump of its state, refused as load_banknote refuses it.
+
+    No 2^n vector is built: scatter_dump makes the note, and pauli_dump
+    rewrites the dump under a Pauli from the parsed support alone.
+    """
+    serial, dump = _read_banknote(path)
+    parsed = parse_dump(dump)
+    _check_serial_length(serial, parsed[0])
+    return serial, parsed
+
+
+def _read_banknote(path: str | Path) -> tuple[BitVec, str]:
+    """The serial and state dump of a note file, its envelope checked."""
+    data = json.loads(Path(path).read_text())
     fmt = _json_field(data, "format")
     if fmt != BANKNOTE_FORMAT:
         raise ValueError(f"unsupported banknote format: {fmt!r}")
@@ -492,19 +524,16 @@ def banknote_from_json_dict(data: dict) -> Banknote:
     kind = _json_field(state, "kind")
     if kind != "dense":
         raise ValueError(f"unknown state kind {kind!r}")
-    return Banknote(serial, load_state(_json_field(state, "dump")))
+    return serial, _json_field(state, "dump")
 
 
-def dumps_banknote(note: Banknote) -> str:
-    return json.dumps(banknote_to_json_dict(note), indent=2, sort_keys=True) + "\n"
+def _banknote_json_dict(serial: BitVec, dump: str) -> dict:
+    state = {"kind": "dense", "dump": dump}
+    return {"format": BANKNOTE_FORMAT, "serial": str(serial), "state": state}
 
 
-def save_banknote(note: Banknote, path: str | Path) -> None:
-    Path(path).write_text(dumps_banknote(note))
-
-
-def load_banknote(path: str | Path) -> Banknote:
-    return banknote_from_json_dict(json.loads(Path(path).read_text()))
+def _dumps_json(data: dict) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def record_to_json_dict(record: MintRecord) -> dict:
@@ -543,7 +572,7 @@ def record_from_json_dict(data: dict) -> MintRecord:
 
 
 def dumps_record(record: MintRecord) -> str:
-    return json.dumps(record_to_json_dict(record), indent=2, sort_keys=True) + "\n"
+    return _dumps_json(record_to_json_dict(record))
 
 
 def save_record(record: MintRecord, path: str | Path) -> None:

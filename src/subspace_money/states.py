@@ -264,26 +264,40 @@ def max_deviation(a: DenseState, b: DenseState) -> float:
 def dump_state(st: DenseState) -> str:
     """One line per nonzero amplitude: '<bitstring> <re> <im>', in index order.
 
-    Adding 0.0 writes a -0 part as 0, so equal states give equal files.  The
-    scan is != 0 then np.flatnonzero, over twice as fast as np.flatnonzero
+    The scan is != 0 then np.flatnonzero, over twice as fast as np.flatnonzero
     on complex values, for a mask of one byte per amplitude.
     """
     support = np.flatnonzero(st.amplitudes != 0)
-    bits = f"0{st.n}b"
+    return _dump_lines(st.n, support, st.amplitudes[support])
+
+
+def _dump_lines(n: int, indices: np.ndarray, values: np.ndarray) -> str:
+    """dump_state's text of the nonzero values at their indices, which ascend.
+
+    Adding 0.0 writes a -0 part as 0, so equal states give equal files.
+    """
+    kept = values != 0
+    bits = f"0{n}b"
     lines = [
         "%s %.17g %.17g" % (format(i, bits), amp.real + 0.0, amp.imag + 0.0)
-        for i, amp in zip(support.tolist(), st.amplitudes[support].tolist())
+        for i, amp in zip(indices[kept].tolist(), values[kept].tolist())
     ]
     return "\n".join(lines) + "\n"
 
 
 def load_state(text: str) -> DenseState:
-    """Parse dump_state's text, refusing a line not of 3 fields and malformed or repeated bits.
+    """The note of a dump_state text: parse_dump, then scatter_dump."""
+    return scatter_dump(*parse_dump(text))
+
+
+def parse_dump(text: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, indices, values) of dump_state's text, in line order, refusing what no note dumps.
 
     Each line is checked in order, field count, bit string, then numeric parts, and
-    the first bad line is named; repeats, the budget and the norm come after the
-    last line.  The norm is taken over the parsed amplitudes, before the 2^n
-    vector is made.
+    the first bad line is named; repeated bit strings, the budget for the note's
+    2^n amplitudes and the norm come after the last line, so a dump parses only
+    if load_state would build it.  The norm is taken over the parsed values.
+    Indices are int64, values complex128; zero values are kept.
     """
     indices, values = [], []
     n = None
@@ -316,6 +330,35 @@ def load_state(text: str) -> DenseState:
     reserve((1 << n,))
     values = np.array(values, dtype=np.complex128)
     _check_unit_norm(values)
+    return n, np.array(indices, dtype=np.int64), values
+
+
+def scatter_dump(n: int, indices: np.ndarray, values: np.ndarray) -> DenseState:
+    """The note with parse_dump's values at their indices and zeros elsewhere."""
+    reserve((1 << n,))
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[indices] = values
     return DenseState._own(n, amps)
+
+
+def pauli_dump(
+    n: int, indices: np.ndarray, values: np.ndarray, e: BitVec, e_prime: BitVec, sign: int = 1
+) -> str:
+    """dump_state(apply_pauli(scatter_dump(n, indices, values), e, e_prime, sign)), byte for byte.
+
+    Only the listed amplitudes move: the one at s goes to s + e, times
+    sign (-1)^(s.e').  apply_pauli's extra (-1)^(e.e') cancels here, as its
+    phase is taken at the destination, (s + e).e' = s.e' + e.e'.  The
+    factor is chosen in float and cast to complex, as apply_pauli's is, so
+    every nonzero part keeps its bits and only a zero part's sign can differ,
+    which the dump does not write.
+    """
+    if e.n != n or e_prime.n != n:
+        raise ValueError("error vector length differs from the state size")
+    if sign not in (1, -1):
+        raise ValueError(f"a Pauli's sign is +1 or -1, not {sign!r}")
+    odd = np.bitwise_count(indices & e_prime.value) & 1
+    factor = np.where(odd, -float(sign), float(sign)).astype(np.complex128)
+    moved = indices ^ e.value
+    order = np.argsort(moved)
+    return _dump_lines(n, moved[order], (values * factor)[order])

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -276,13 +278,41 @@ def test_malformed_files_are_refused_without_a_traceback(tmp_path, case):
     run_cli("--seed", 41, "--out", note, "mint", "--n", 6, "--q", 1)
     path = {"note": note, "bank": bank, "code": code}[which]
     path.write_text(json.dumps(damage(json.loads(path.read_text()))))
-    out = tmp_path / "out.json"
     if which == "code":
-        argv = ["mint", "--n", "6", "--q", "1", "--code", str(code)]
+        argv = ["mint", "--n", "6", "--q", "1", "--code", code]
     else:
-        argv = ["correct", str(note), "--bank", str(bank)]
+        argv = ["correct", note, "--bank", bank]
+    _assert_refused_without_a_traceback(tmp_path, argv)
+
+
+# Each names an input file that cannot be read: (subcommand and its arguments, message).
+UNREADABLE_FILES = {
+    "missing-note": (["verify", "{tmp}/none.json", "--bank", "{bank}"], "No such file"),
+    "missing-bank-key": (["correct", "{note}", "--bank", "{tmp}/none.json"], "No such file"),
+    "missing-code": (
+        ["mint", "--n", "6", "--q", "1", "--code", "{tmp}/none.json"],
+        "No such file",
+    ),
+    "note-is-a-directory": (["corrupt", "{tmp}", "--e", "100000"], "Is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_FILES))
+def test_unreadable_files_are_refused_without_a_traceback(tmp_path, case):
+    argv, message = UNREADABLE_FILES[case]
+    note = tmp_path / "note.json"
+    run_cli("--seed", 41, "--out", note, "mint", "--n", 6, "--q", 1)
+    names = {"tmp": tmp_path, "note": note, "bank": note.with_suffix(".bank.json")}
+    stderr = _assert_refused_without_a_traceback(tmp_path, [a.format(**names) for a in argv])
+    assert message in stderr
+
+
+def _assert_refused_without_a_traceback(tmp_path, argv) -> str:
+    """Run the CLI in a fresh interpreter: exit 1, one error line, nothing written."""
+    out = tmp_path / "out.json"
     proc = subprocess.run(
-        [sys.executable, "-m", "subspace_money.cli", "--seed", "1", "--out", str(out), *argv],
+        [sys.executable, "-m", "subspace_money.cli", "--seed", "1", "--out", str(out)]
+        + [str(a) for a in argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(Path(subspace_money.__file__).parents[1])},
@@ -291,6 +321,7 @@ def test_malformed_files_are_refused_without_a_traceback(tmp_path, case):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert not out.exists() and not out.with_suffix(".bank.json").exists()
+    return proc.stderr
 
 
 # SHA-256 of the bank key written by `mint --seed 13 --n 10 --q 1 --route
@@ -318,6 +349,75 @@ def test_corrected_note_file_equals_the_fresh_one(tmp_path, capsys, n):
     bank = note.with_suffix(".bank.json")
     assert run_cli("--seed", 0, "--out", fixed, "correct", bad, "--bank", bank) == 0
     assert fixed.read_bytes() == note.read_bytes()
+
+
+def test_corrupt_refuses_an_error_pattern_of_another_length(tmp_path, capsys):
+    note, out = tmp_path / "note.json", tmp_path / "bad.json"
+    run_cli("--seed", 43, "--out", note, "mint", "--n", 6, "--q", 1)
+    capsys.readouterr()
+    for flag in ("--e", "--ez"):
+        assert run_cli("--seed", 0, "--out", out, "corrupt", note, flag, "1000000") == 1
+        assert "error: error vector length differs from the state size" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _lifecycle_steps(tmp_path, n):
+    """corrupt -> verify -> correct on a freshly minted n-qubit note, as CLI argument lists."""
+    note, bad, fixed = (tmp_path / f"{name}{n}.json" for name in ("note", "bad", "fixed"))
+    bank = note.with_suffix(".bank.json")
+    assert run_cli("--seed", 20, "--out", note, "mint", "--n", n, "--q", 1) == 0
+    e, ez = "1" + "0" * (n - 1), "0" * (n - 1) + "1"
+    return [
+        ("corrupt", ["--seed", 0, "--out", bad, "corrupt", note, "--e", e, "--ez", ez]),
+        ("verify", ["--seed", 0, "verify", bad, "--bank", bank]),
+        ("correct", ["--seed", 0, "--out", fixed, "correct", bad, "--bank", bank]),
+    ]
+
+
+def test_corrupt_and_correct_on_files_hold_at_most_one_note(tmp_path, capsys):
+    # corrupt rewrites the file's lines and builds no note; correct builds one
+    # for diagnose and writes the fix from the parsed lines.  Two notes, the
+    # note and its Pauli image, would read about 2.
+    for _, argv in _lifecycle_steps(tmp_path, 6):  # numpy's lazy imports, the parser
+        assert run_cli(*argv) == 0
+    n = 16
+    note_bytes = 16 << n
+    for step, argv in _lifecycle_steps(tmp_path, n):
+        if step == "verify":
+            continue
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * note_bytes, (step, peak / note_bytes)
+    assert (tmp_path / f"fixed{n}.json").read_bytes() == (tmp_path / f"note{n}.json").read_bytes()
+
+
+def test_cli_python_calls_grow_with_the_support_not_with_2_to_the_n(tmp_path, capsys):
+    # The cost target: work on a 2^n note is numpy work, never 2^n Python
+    # calls.  From n = 10 to 14 a tolerated note's lines grow 4 times and its
+    # amplitudes 16 times, so Python calls per amplitude would break the bound.
+    for _, argv in _lifecycle_steps(tmp_path, 6):  # numpy's lazy imports, the parser
+        assert run_cli(*argv) == 0
+    calls = {}
+    for n in (10, 14):
+        steps = _lifecycle_steps(tmp_path, n)
+        counts = Counter()
+
+        def count(frame, event, arg):
+            if event == "call":
+                counts[frame.f_code.co_name] += 1
+
+        sys.setprofile(count)
+        try:
+            codes = [run_cli(*argv) for _, argv in steps]
+        finally:
+            sys.setprofile(None)
+        assert codes == [0, 0, 0]
+        calls[n] = counts.total()
+    assert calls[14] <= 4 * calls[10], calls
 
 
 @settings(

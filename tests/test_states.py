@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subspace_money.codes import search_applicable_code
@@ -29,6 +29,8 @@ from subspace_money.states import (
     fwht,
     load_state,
     max_deviation,
+    parse_dump,
+    pauli_dump,
     subspace_state,
 )
 
@@ -175,10 +177,56 @@ def test_negated_pauli_dumps_as_the_negated_result(n, data):
     assert dump_state(got) == dump_state(negated)
 
 
+def _dense_pauli_dump(text, e, ep, sign):
+    return dump_state(apply_pauli(load_state(text), e, ep, sign=sign))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 9), data=st.data())
+def test_pauli_dump_equals_the_dense_reference_bytewise(n, data):
+    # A hand-edited dump: lines in any order, zero amplitudes of either sign
+    # listed, -0 parts written as -0.0.  Scaling to unit norm keeps each sign.
+    support = data.draw(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=min(1 << n, 40), unique=True),
+        label="support",
+    )
+    parts = st.lists(st.sampled_from(SIGNED_PARTS), min_size=len(support), max_size=len(support))
+    values = np.empty(len(support), dtype=np.complex128)
+    values.real, values.imag = data.draw(parts, label="real"), data.draw(parts, label="imag")
+    assume(np.abs(values).max() >= 0.25)
+    values /= np.linalg.norm(values)
+    text = "".join(
+        f"{i:0{n}b} {v.real!r} {v.imag!r}\n" for i, v in zip(support, values.tolist())
+    )
+    e = BitVec(n, data.draw(st.integers(0, (1 << n) - 1), label="e"))
+    ep = BitVec(n, data.draw(st.integers(0, (1 << n) - 1), label="e'"))
+    sign = data.draw(st.sampled_from([1, -1]), label="sign")
+    assert pauli_dump(*parse_dump(text), e, ep, sign) == _dense_pauli_dump(text, e, ep, sign)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Shuffled lines, a -0 part and a zero amplitude written both ways.
+        "110 0.5 -0.0\n000 -0.5 0\n011 0 0\n101 0.5 0\n010 -0.0 -0.0\n001 0 -0.5\n",
+        # Purely imaginary and tiny parts beside blank lines.
+        "\n111 -0.0 0.6\n\n100 0.8 -1e-300\n",
+    ],
+)
+def test_pauli_dump_of_a_hand_edited_dump_with_odd_commutation(text, sign):
+    e, ep = bv("101"), bv("100")  # e.e' = 1: apply_pauli's extra -1 must cancel
+    got = pauli_dump(*parse_dump(text), e, ep, sign)
+    assert got == _dense_pauli_dump(text, e, ep, sign)
+    assert "-0" not in got.split()
+
+
 @pytest.mark.parametrize("sign", [0, 2, -2, 1j])
 def test_apply_pauli_refuses_a_sign_other_than_plus_or_minus_one(sign):
     with pytest.raises(ValueError, match="sign is \\+1 or -1"):
         apply_pauli(uniform_state(2), bv("10"), bv("01"), sign=sign)
+    with pytest.raises(ValueError, match="sign is \\+1 or -1"):
+        pauli_dump(*parse_dump(dump_state(uniform_state(2))), bv("10"), bv("01"), sign=sign)
 
 
 def _pauli_allocation_cases():
