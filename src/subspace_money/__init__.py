@@ -84,7 +84,6 @@ from .states import (
     apply_pauli,
     coset_state,
     dump_state,
-    load_state,
     max_deviation,
     subspace_state,
 )

@@ -201,7 +201,7 @@ def search_applicable_code(
                 continue
             code = SubspaceBasis(n, rows)
             dual = code.dual()
-            if not _syndromes_distinct(dual.basis, q):
+            if not _block_syndromes_distinct(_bit_block(dual.basis.row_values, n)[None], q)[0]:
                 continue
             if i + 1 < len(passed):
                 # Leave the generator as if only the draws up to this one were made.
@@ -326,17 +326,13 @@ def _error_syndromes(parity: Gf2Matrix, q: int) -> np.ndarray:
     return np.bitwise_xor.reduce(columns[_error_positions(parity.cols, q)], axis=0)
 
 
-def _syndromes_distinct(parity: Gf2Matrix, q: int) -> bool:
-    """Whether the errors of weight <= q have distinct syndromes: ker H has d >= 2q+1."""
-    return bool(_block_syndromes_distinct(_bit_block(parity.row_values, parity.cols)[None], q)[0])
-
-
 def _block_syndromes_distinct(bits: np.ndarray, q: int) -> np.ndarray:
-    """``_syndromes_distinct`` for each (k, n) block of 0/1 bits as H, k < 64.
+    """Whether the errors of weight <= q have distinct syndromes, ker H of d >= 2q+1, per H.
 
-    The columns are packed into the smallest unsigned dtype that holds k
-    bits, a zero column appended for padding: one gather and one XOR
-    reduction give every syndrome, one sort along the last axis the repeats.
+    bits holds one (k, n) block of 0/1 bits for each H, k < 64.  The columns
+    are packed into the smallest unsigned dtype that holds k bits, a zero
+    column appended for padding: one gather and one XOR reduction give every
+    syndrome, one sort along the last axis the repeats.
     """
     count, k, n = bits.shape
     columns = np.zeros((count, n + 1), dtype=np.min_scalar_type((1 << k) - 1))

@@ -114,16 +114,16 @@ def completeness_sweep(spec: CodeSpec) -> ExperimentReport:
 
 # A strategy(note, session, rng, trials) sees only the banknote and a
 # charge-counting oracle session, never the code itself.  It yields blocks of
-# consecutive trials as (pairs, uniforms, pick).  pairs yields register pairs
-# in one of two forms that VerifierFrame.pair_probability takes: a tuple
-# (sigma1, sigma2) of registers that VerifierFrame.probability takes, or one
-# real array of shape (..., 2, parts, 2^n) holding both registers on axis -3.
-# A register with a closed form under P is described, not built: an integer
-# array of basis strings for classical registers, None for the maximally
-# mixed one.  Trial t of the block holds pair pick[t] of the concatenated
-# pairs, or pair t when pick is None.  It is accepted when uniforms[t] falls
-# below the pair's acceptance probability.  A block's arrays may be refilled
-# for the next block, so they are read before the next one is asked for.
+# consecutive trials as (pair, uniforms), pair in one of the two forms that
+# VerifierFrame.pair_probability takes: a tuple (sigma1, sigma2) of registers
+# that VerifierFrame.probability takes, or one real array of shape (trials,
+# 2, parts, 2^n) holding both registers on axis -3.  A register with a
+# closed form under P is described, not built: an integer array of basis
+# strings for classical registers, one per trial, None for the maximally
+# mixed one.  The pair's probability is one per trial of the block, or one
+# scalar for all of them, and trial t is accepted when uniforms[t] falls
+# below its probability.  A block's arrays may be refilled for the next
+# block, so they are read before the next one is asked for.
 
 # Live float64 entries in one block of random-state registers: sixteen trials
 # (four 2^n-entry normal vectors each) at n = 6, one trial from n = 10 on.
@@ -150,9 +150,9 @@ def _trial_blocks(trials):
 
 def _attack_passthrough_mixed(note, session, rng, trials):
     """Keep the real note in register one, attach a maximally mixed register."""
-    pairs = [(note.state, None)]
+    pair = (note.state, None)
     for size in _trial_blocks(trials):
-        yield pairs, rng.random(size), np.zeros(size, dtype=np.intp)
+        yield pair, rng.random(size)
 
 
 def _attack_measure_and_copy(note, session, rng, trials):
@@ -165,7 +165,7 @@ def _attack_measure_and_copy(note, session, rng, trials):
         # Generator.choice(p=...) does, then the decision uniform.
         draws = rng.random((size, 2))
         outcomes = cdf.searchsorted(draws[:, 0], side="right")
-        yield [(outcomes, outcomes)], draws[:, 1], None
+        yield (outcomes, outcomes), draws[:, 1]
         del draws, outcomes  # before the next block is drawn
 
 
@@ -183,7 +183,7 @@ def _attack_random_state(note, session, rng, trials):
         for t, row in enumerate(parts):
             rng.standard_normal(out=row)
             uniforms[t] = rng.random()
-        yield [parts], uniforms[: len(parts)], None
+        yield parts, uniforms[: len(parts)]
 
 
 _STRATEGIES = {
@@ -255,17 +255,15 @@ def run_attack(
 
     successes = 0
     prob_sum = 0.0
-    for pairs, uniforms, pick in attack(note, session, rng, trials):
-        probs = [np.atleast_1d(frame.pair_probability(p)) for p in pairs]
+    for pair, uniforms in attack(note, session, rng, trials):
         # The method, not np.clip, whose wrapper leaves its keyword dicts in the interpreter's
         # free lists, traced-heap memory that only a full gc collection releases.
-        probs = np.concatenate(probs).clip(0.0, 1.0)
-        if pick is not None:
-            probs = probs[pick]
+        probs = np.asarray(frame.pair_probability(pair)).clip(0.0, 1.0)
+        probs = np.broadcast_to(probs, uniforms.shape)
         successes += int(np.count_nonzero(uniforms < probs))
         prob_sum = float(np.add.accumulate(np.concatenate(([prob_sum], probs)))[-1])
         # The block goes before the next one is drawn.
-        del pairs, uniforms, pick, probs
+        del pair, uniforms, probs
 
     low, high = wilson_interval(successes, trials)
     analytic = analytic_attack_rate(strategy, registry.n, registry.q)

@@ -46,6 +46,12 @@ def _side_index(side: str) -> int:
     return SIDES.index(side)
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-d array, by a sort and a neighbour compare: np.unique imports numpy.ma."""
+    values = np.sort(values)
+    return values[np.append(True, values[1:] != values[:-1])]
+
+
 def _reverse_bits(values, k: int) -> np.ndarray:
     """k-bit dual syndromes as Walsh frequencies of u: syndrome row j is bit j of u.
 
@@ -88,9 +94,9 @@ class VerifierFrame(NamedTuple):
         """
         parity, basis = spec.parity_primal, spec.parity_dual
         syndromes = _error_syndromes(parity, spec.q)
-        rows = np.unique(syndromes).astype(np.int64)
+        rows = _sorted_distinct(syndromes.astype(np.int64))
         frequencies = _reverse_bits(_error_syndromes(basis, spec.q), basis.rows)
-        keep = np.unique(frequencies)
+        keep = _sorted_distinct(frequencies)
         # Bit i of a syndrome value is row parity.rows-1-i, so the pivots run bottom-up.
         bottom_up = np.array(parity.row_values[::-1], dtype=np.int64)
         pivots = np.array([1 << (r.bit_length() - 1) for r in bottom_up.tolist()], dtype=np.int64)
@@ -192,8 +198,8 @@ class VerifierFrame(NamedTuple):
     def probability(self, sigma: Union[DenseState, np.ndarray, None]) -> Union[float, np.ndarray]:
         """tr(P sigma) for one n-qubit register, or for every register of a block.
 
-        sigma is a DenseState, scored by apply's kernel, so the two agree bit
-        for bit; or a block of pure registers: a float array of shape (...,
+        sigma is a DenseState, whose probability is apply's; or a block of
+        pure registers: a float array of shape (...,
         parts, 2^n) whose parts are each register's real and imaginary
         amplitudes (one part for a real register), not necessarily normalised.
         P is real, so <a + ib|P|a + ib> is the sum of the parts' <a|P|a>, the
@@ -210,7 +216,7 @@ class VerifierFrame(NamedTuple):
         if isinstance(sigma, DenseState):
             if sigma.n != n:
                 raise ValueError(f"register must act on n={n} qubits")
-            return self._kept_spectrum(self._occupied(sigma.amplitudes)[1])[0]
+            return self.apply(sigma)[0]
         if sigma.dtype.kind in "iu":
             return self.basis_probabilities(sigma)
         if sigma.shape[-1] != 1 << n:
@@ -263,9 +269,9 @@ class VerifierFrame(NamedTuple):
         # Zero-filled, with the occupied rows' magnitudes written in.  F order lays
         # each frequency's rows side by side, as fwht's output is, so the sum over
         # rows adds them in the order of the all-rows transform.  Row by row, the
-        # transposing abs takes none of numpy's operand buffers.
+        # abs of fwht's strided rows takes none of numpy's operand buffers.
         energy = np.zeros(index.shape, order="F")
-        for row, spectrum in zip(rows, self._spectrum(cosets)):
+        for row, spectrum in zip(rows, fwht(cosets)):
             np.abs(spectrum, out=energy[row])
         return bit_flip, np.square(energy, out=energy).sum(axis=0) / index.shape[1]
 
@@ -298,61 +304,46 @@ class VerifierFrame(NamedTuple):
     def _kept_spectrum(self, cosets: np.ndarray) -> tuple[float, np.ndarray | None]:
         """Ver's probability kernel on gathered accepted cosets, which become the kept spectrum.
 
-        The accepted cosets are normalised before the transform, so the second
-        stage's probability is a unit vector's kept energy / 2^k; the product is
+        cosets is a C-ordered (rows, 2^k) complex stack of frame rows.  They are
+        normalised where they lie before the transform, so the second stage's
+        probability is a unit vector's kept energy / 2^k; the product is
         clipped at one.  Callers pass the occupied cosets (see _occupied): a
         coset holding no amplitude adds exact zeros to both stages, so a note
         costs the gather of the cosets it occupies plus one 2^k transform for
         each of them, one for a tolerated coset state.  The kept spectrum is
         written back into the gathered cosets, so the kernel holds them and
-        the transform's arrays; it is None when the probability is zero.
+        fwht's two arrays of their size; it is None when the probability is zero.
         """
         prob1 = float(np.vdot(cosets, cosets).real)
         if prob1 == 0.0:
             return 0.0, None
+        cosets /= math.sqrt(prob1)
+        spectrum = fwht(cosets)
         # Zero-filled and C-ordered, so the vdot adds in the same order for every note.
-        kept = self._spectrum(cosets, math.sqrt(prob1), kept=True)
-        prob2 = float(np.vdot(kept, kept).real) / self.index.shape[1]
+        cosets.fill(0)
+        cosets[:, self.keep] = spectrum[:, self.keep]
+        prob2 = float(np.vdot(cosets, cosets).real) / self.index.shape[1]
         if prob2 == 0.0:
             return 0.0, None
-        return min(prob1 * prob2, 1.0), kept
+        return min(prob1 * prob2, 1.0), cosets
 
     def _post_state(self, rows: np.ndarray, kept: np.ndarray) -> DenseState:
         """The normalised accepted branch of the kept spectrum of rows, in a fresh 2^n vector.
 
-        The spectrum is transformed in a copy, so the builder can run again, and
-        is scattered to its rows' strings; the other accepted cosets, which
-        held no amplitude, keep the result's zeros.
+        fwht only reads the spectrum, so the builder can run again.  The branch
+        is put in C order, as the gathered strings are, before it is scattered
+        to its rows' strings: from fwht's transposed layout the scatter would
+        take a numpy buffer beside the 2^n result.  The other accepted cosets,
+        which held no amplitude, keep the result's zeros.
         """
         size = self.index.shape[1]
         reserve((1 << self.n,))
         norm = size * math.sqrt(float(np.vdot(kept, kept).real) / size)
-        branch = self._spectrum(kept.copy())
+        branch = np.ascontiguousarray(fwht(kept))
         branch /= norm
         out = np.zeros(1 << self.n, dtype=branch.dtype)
         out[self.index[rows]] = branch
         return DenseState._own(self.n, out)
-
-    def _spectrum(
-        self, cosets: np.ndarray, scale: float | None = None, kept: bool = False
-    ) -> np.ndarray:
-        """In place: gathered cosets become fwht(cosets / scale), zero outside keep if kept.
-
-        cosets is a C-ordered (rows, 2^k) complex stack of frame rows, the
-        occupied ones for a note (see _occupied); a row of +0.0 entries
-        transforms to +0.0.  fwht only reads its input, so the stack is divided
-        where it lies.  Returns cosets; beside them the working set is fwht's
-        two arrays of their size.
-        """
-        if scale is not None:
-            cosets /= scale
-        transformed = fwht(cosets)
-        if kept:
-            cosets.fill(0)
-            cosets[:, self.keep] = transformed[:, self.keep]
-        else:
-            cosets[...] = transformed
-        return cosets
 
     def _kept_coefficients(self, amps: np.ndarray) -> np.ndarray:
         """The kept Walsh coefficients of amps' accepted cosets, shape (..., |S_p| |keep|).

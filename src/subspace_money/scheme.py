@@ -41,8 +41,8 @@ from .states import (
     apply_basis_permutation,
     apply_pauli,
     dump_state,
-    load_state,
     parse_dump,
+    scatter_dump,
     subspace_state,
 )
 
@@ -483,38 +483,28 @@ def correct(
 # -- file formats -----------------------------------------------------------------
 
 
-def dumps_banknote(note: Banknote) -> str:
-    return _dumps_json(_banknote_json_dict(note.serial, dump_state(note.state)))
-
-
 def save_banknote(note: Banknote, path: str | Path) -> None:
-    Path(path).write_text(dumps_banknote(note))
+    save_banknote_dump(note.serial, dump_state(note.state), path)
 
 
 def save_banknote_dump(serial: BitVec, dump: str, path: str | Path) -> None:
-    """Write a note file from its serial and a dump_state text, as save_banknote writes a note."""
-    Path(path).write_text(_dumps_json(_banknote_json_dict(serial, dump)))
+    """Write a note file from its serial and a dump_state text."""
+    state = {"kind": "dense", "dump": dump}
+    data = {"format": BANKNOTE_FORMAT, "serial": str(serial), "state": state}
+    Path(path).write_text(_dumps_json(data))
 
 
 def load_banknote(path: str | Path) -> Banknote:
-    serial, dump = _read_banknote(path)
-    return Banknote(serial, load_state(dump))
+    serial, dump = load_banknote_dump(path)
+    return Banknote(serial, scatter_dump(*dump))
 
 
 def load_banknote_dump(path: str | Path) -> tuple[BitVec, tuple[int, np.ndarray, np.ndarray]]:
-    """A note file's serial and parse_dump of its state, refused as load_banknote refuses it.
+    """A note file's serial and parse_dump of its state, its envelope and serial length checked.
 
     No 2^n vector is built: scatter_dump makes the note, and pauli_dump
     rewrites the dump under a Pauli from the parsed support alone.
     """
-    serial, dump = _read_banknote(path)
-    parsed = parse_dump(dump)
-    _check_serial_length(serial, parsed[0])
-    return serial, parsed
-
-
-def _read_banknote(path: str | Path) -> tuple[BitVec, str]:
-    """The serial and state dump of a note file, its envelope checked."""
     data = json.loads(Path(path).read_text())
     fmt = _json_field(data, "format")
     if fmt != BANKNOTE_FORMAT:
@@ -524,12 +514,9 @@ def _read_banknote(path: str | Path) -> tuple[BitVec, str]:
     kind = _json_field(state, "kind")
     if kind != "dense":
         raise ValueError(f"unknown state kind {kind!r}")
-    return serial, _json_field(state, "dump")
-
-
-def _banknote_json_dict(serial: BitVec, dump: str) -> dict:
-    state = {"kind": "dense", "dump": dump}
-    return {"format": BANKNOTE_FORMAT, "serial": str(serial), "state": state}
+    parsed = parse_dump(_json_field(state, "dump"))
+    _check_serial_length(serial, parsed[0])
+    return serial, parsed
 
 
 def _dumps_json(data: dict) -> str:

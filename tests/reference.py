@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
-
 import numpy as np
 
 from subspace_money.codes import CodeSpec, build_syndrome_table, enumerate_errors
@@ -46,7 +44,7 @@ from subspace_money.gf2 import (
 )
 from subspace_money.oracles import SIDES, VerifierFrame
 from subspace_money.rng import Seed, as_generator
-from subspace_money.states import ATOL_INVARIANT, DenseState, coset_state, fwht
+from subspace_money.states import DenseState, coset_state, fwht
 
 
 ATOL_EXACT = 1e-12  # self-consistency of exact constructions
@@ -295,29 +293,6 @@ def tolerated_projector(spec: CodeSpec) -> np.ndarray:
     return mat.T @ mat.conj()
 
 
-def _basis_matrix(basis_states: Sequence[DenseState]) -> np.ndarray:
-    if not basis_states:
-        raise ValueError("need at least one basis state")
-    n = basis_states[0].n
-    if any(s.n != n for s in basis_states):
-        raise ValueError("basis states act on different qubit counts")
-    mat = np.stack([s.amplitudes for s in basis_states])
-    gram = mat.conj() @ mat.T
-    if not np.allclose(gram, np.eye(len(basis_states)), atol=ATOL_INVARIANT):
-        raise ValueError("basis states are not orthonormal")
-    return mat
-
-
-def fidelity_with_span(st: DenseState, basis_states: Sequence[DenseState]) -> float:
-    """Fidelity of the state with the span of the given orthonormal states.
-
-    Equals the largest overlap achievable with any unit vector of the span:
-    sqrt(sum_i |<b_i|psi>|^2).
-    """
-    coeffs = _basis_matrix(basis_states).conj() @ st.amplitudes
-    return float(np.sqrt((np.abs(coeffs) ** 2).sum()))
-
-
 def syndrome_array(parity: Gf2Matrix) -> np.ndarray:
     """H x for every x in F_2^n at once, indexed by the packed value of x.
 
@@ -333,18 +308,6 @@ def syndrome_mask(pred) -> np.ndarray:
     good = np.zeros(1 << pred.parity.rows, dtype=bool)
     good[[s.value for s in pred.accepted]] = True
     return good[syndrome_array(pred.parity)]
-
-
-def apply_phase_oracle(pred, st: DenseState) -> DenseState:
-    """Negate the amplitude of every basis state inside the predicate's set."""
-    return DenseState._own(st.n, np.where(pred.support_mask(), -1.0, 1.0) * st.amplitudes)
-
-
-def session_phase(registry, session, side: str, st: DenseState) -> DenseState:
-    """The session's phase oracle for one side, charged as one query to it."""
-    pred = subset_predicate(registry.record_for_serial(session.serial).spec, side)
-    session.charge(side)
-    return apply_phase_oracle(pred, st)
 
 
 def masked_transform(amps: np.ndarray, primal, dual) -> np.ndarray:

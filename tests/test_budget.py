@@ -23,7 +23,8 @@ from subspace_money.states import (
     apply_pauli,
     coset_state,
     dump_state,
-    load_state,
+    parse_dump,
+    scatter_dump,
     subspace_state,
 )
 
@@ -53,11 +54,16 @@ ENTRY_POINTS = [
     ("subspace_state", lambda: (_code(),), subspace_state, PURE_BYTES),
     (
         "coset_state",
-        lambda: (_code(), BitVec(PURE, 5), BitVec(PURE, 9), -1),
+        lambda: (_code(), BitVec(PURE, 5), BitVec(PURE, 9)),
         coset_state,
         PURE_BYTES,
     ),
-    ("load_state", lambda: (dump_state(_pure()),), load_state, PURE_BYTES),
+    (
+        "load_state",
+        lambda: (dump_state(_pure()),),
+        lambda text: scatter_dump(*parse_dump(text)),
+        PURE_BYTES,
+    ),
     (
         "apply_pauli_pure",
         lambda: (_pure(), BitVec(PURE, 3), BitVec(PURE, 6)),
@@ -148,7 +154,7 @@ def test_load_state_bounds_outside_input(tmp_path, capsys, monkeypatch):
     dump = json.loads(note.read_text())["state"]["dump"]
     monkeypatch.setattr(errors, "BUDGET_BYTES", (16 << 12) - 1)
     with pytest.raises(BudgetExceededError):
-        load_state(dump)
+        scatter_dump(*parse_dump(dump))
     capsys.readouterr()
     assert main(["--seed", "0", "verify", str(note), "--bank", str(bank)]) == 1
     assert "error: 65536 bytes exceed the budget" in capsys.readouterr().err

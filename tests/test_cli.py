@@ -395,6 +395,31 @@ def test_corrupt_and_correct_on_files_hold_at_most_one_note(tmp_path, capsys):
     assert (tmp_path / f"fixed{n}.json").read_bytes() == (tmp_path / f"note{n}.json").read_bytes()
 
 
+# Runs the CLI on its arguments, then fails if the run imported numpy.ma.
+_NO_NUMPY_MA = """
+import sys
+from subspace_money.cli import main
+assert main(sys.argv[1:]) == 0
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_cold_verify_and_correct_do_not_import_numpy_ma(tmp_path, capsys):
+    # np.unique imports numpy.ma, about 14 ms of a cold run; the verifier frame
+    # dedupes its accepted syndromes without it.
+    steps = dict(_lifecycle_steps(tmp_path, 6))
+    assert run_cli(*steps["corrupt"]) == 0
+    for step in ("verify", "correct"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_NUMPY_MA, *map(str, steps[step])],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(subspace_money.__file__).parents[1])},
+            timeout=60,
+        )
+        assert proc.returncode == 0, (step, proc.stderr)
+
+
 def test_cli_python_calls_grow_with_the_support_not_with_2_to_the_n(tmp_path, capsys):
     # The cost target: work on a 2^n note is numpy work, never 2^n Python
     # calls.  From n = 10 to 14 a tolerated note's lines grow 4 times and its

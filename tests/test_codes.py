@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from subspace_money.codes import (
     CodeSpec,
+    _block_syndromes_distinct,
     _error_syndromes,
-    _syndromes_distinct,
     build_syndrome_table,
     certify,
     count_error_pairs,
@@ -32,6 +32,7 @@ from subspace_money.gf2 import (
     BitVec,
     Gf2Matrix,
     SubspaceBasis,
+    _bit_block,
     _unpack,
     random_bitvec,
     random_subspace,
@@ -296,7 +297,8 @@ def test_error_syndromes_distinct_exactly_when_distance_allows(n, data):
     for kernel, parity in ((code, dual.basis), (dual, code.basis)):
         syndromes = _unpack(_error_syndromes(parity, q))
         assert syndromes == [parity.mul_vec(e).value for e in errors]
-        assert _syndromes_distinct(parity, q) == (kernel.min_distance() >= 2 * q + 1)
+        distinct = _block_syndromes_distinct(_bit_block(parity.row_values, n)[None], q)[0]
+        assert distinct == (kernel.min_distance() >= 2 * q + 1)
 
 
 @settings(max_examples=80, deadline=None)

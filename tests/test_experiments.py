@@ -152,13 +152,11 @@ def test_strategies_see_only_the_session_surface(registry):
     rng = np.random.default_rng(0)
     for kind, fn in _STRATEGIES.items():
         blocks = list(fn(note, OpaqueSession(), rng, 11))
-        assert sum(len(uniforms) for _, uniforms, _ in blocks) == 11
-        for pairs, _, _ in blocks:
+        assert sum(len(uniforms) for _, uniforms in blocks) == 11
+        for pair, _ in blocks:
             # A pair is a 2-tuple of registers, or one array stacking both on axis -3.
-            assert all(
-                (isinstance(pair, tuple) and len(pair) == 2)
-                or (isinstance(pair, np.ndarray) and pair.shape[-3] == 2)
-                for pair in pairs
+            assert (isinstance(pair, tuple) and len(pair) == 2) or (
+                isinstance(pair, np.ndarray) and pair.shape[-3] == 2
             )
 
 

@@ -19,22 +19,13 @@ from subspace_money.codes import (
 from subspace_money.errors import SyndromeCollisionError
 from subspace_money.gf2 import BitVec, Gf2Matrix, random_subspace
 from subspace_money.oracles import SIDES, QueryLedger, VerifierFrame, _reverse_bits
-from subspace_money.states import (
-    DenseState,
-    apply_pauli,
-    coset_state,
-    fwht,
-    max_deviation,
-    subspace_state,
-)
+from subspace_money.states import DenseState, apply_pauli, coset_state, subspace_state
 
 from conftest import certified_codes
 from reference import (
-    ATOL_EXACT,
     CombinedOracle,
     _frequency,
     all_rows_kept_coefficients,
-    apply_phase_oracle,
     basis_state,
     member,
     predicate_frame,
@@ -109,47 +100,7 @@ def test_coset_predicates_partition_the_subset(worked_spec):
 
 
 # ---------------------------------------------------------------------------
-# phase oracle and coset weights
-
-
-def test_phase_oracle_involution(worked_spec):
-    pred = subset_predicate(worked_spec, "primal")
-    rng = np.random.default_rng(3)
-    amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    st = DenseState(6, amps / np.linalg.norm(amps))
-    once = apply_phase_oracle(pred, st)
-    assert abs(np.linalg.norm(once.amplitudes) - 1.0) < ATOL_EXACT
-    twice = apply_phase_oracle(pred, once)
-    assert max_deviation(st, twice) == 0
-
-
-def test_phase_oracle_global_minus_on_code_state(worked_spec):
-    pred = subset_predicate(worked_spec, "primal")
-    st = subspace_state(worked_spec.code)
-    flipped = apply_phase_oracle(pred, st)
-    assert np.array_equal(flipped.amplitudes, -st.amplitudes)
-
-
-def test_phase_oracle_padding_tag_is_identity(worked_spec):
-    oracle = CombinedOracle(worked_spec)
-    rng = np.random.default_rng(5)
-    amps = rng.standard_normal(1 << oracle.n) + 1j * rng.standard_normal(1 << oracle.n)
-    st = DenseState(oracle.n, amps / np.linalg.norm(amps))
-
-    class PaddingOnly:
-        n = oracle.n
-
-        def support_mask(self):
-            # Restrict the oracle to a padding tag: nothing matches.
-            mask = np.zeros(1 << self.n, dtype=bool)
-            for v in range(1 << self.n):
-                tagged = BitVec(self.n, v)
-                if v >> 6 == 15:  # 2|E_X| = 14, so tags 14 and 15 are padding
-                    mask[v] = oracle.member(tagged)
-            return mask
-
-    out = apply_phase_oracle(PaddingOnly(), st)
-    assert max_deviation(st, out) == 0
+# coset weights
 
 
 def subset_probability(spec, state):
@@ -532,25 +483,3 @@ def test_kept_coefficients_match_fwht_of_the_gathered_cosets(spec, registers, se
         got, want = frame._kept_coefficients(amps), all_rows_kept_coefficients(amps, frame)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
         assert got.flags.c_contiguous
-
-
-@settings(max_examples=30, deadline=None)
-@given(spec=certified_codes(), seed=st.integers(0, 2**32 - 1), empty=st.sampled_from([0, 1, 3]))
-def test_spectrum_works_in_the_callers_block(spec, seed, empty):
-    # In place, bit for bit the all-rows transform; a row of zeros, negative
-    # ones included, comes out +0.0 as the transform of its occupied peers.
-    frame = VerifierFrame.of(spec)
-    rng = np.random.default_rng(seed)
-    shape = frame.index.shape
-    cosets = rng.standard_normal((shape[0], 2 * shape[1])).view(np.complex128)
-    cleared = rng.permutation(shape[0])[: min(empty, shape[0])]
-    cosets[cleared] = -0.0
-    scale = float(rng.uniform(0.5, 2.0))
-    full = fwht(cosets / scale)
-    full[cleared] = 0.0
-    kept = np.zeros_like(full)
-    kept[:, frame.keep] = full[:, frame.keep]
-    for keep_only, want in ((False, full), (True, kept)):
-        block = cosets.copy()
-        assert frame._spectrum(block, scale, kept=keep_only) is block
-        assert block.tobytes() == want.tobytes()
