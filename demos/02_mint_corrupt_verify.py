@@ -63,8 +63,8 @@ session = registry.session(note.serial)
 fixed = correct(registry, damaged, session=session)
 print(f"corrupted with X^{e} Z^{ep}")
 print(f"recovered note deviation from fresh: {max_deviation(fixed.state, note.state):.2e}")
-print(f"coset oracle queries spent: {session.ledger.counters['coset']}"
-      f" (combined-equivalent {session.ledger.combined_equivalent})")
+print(f"coset oracle queries spent: {session.counters['coset']}"
+      f" (combined-equivalent {session.combined_equivalent})")
 
 print()
 print("== the undecodable case fails loudly ==")

@@ -55,7 +55,7 @@ from .gf2 import (
     random_subspace,
     rref,
 )
-from .oracles import QueryLedger, VerifierFrame
+from .oracles import VerifierFrame
 from .scheme import (
     Banknote,
     DoubleVerifyOutcome,

@@ -251,10 +251,10 @@ def _cmd_correct(args) -> int:
         args,
         {
             "serial": str(serial),
-            "coset_queries": session.ledger.counters["coset"],
+            "coset_queries": session.counters["coset"],
             "file": str(out),
         },
-        f"corrected; {session.ledger.counters['coset']} coset queries; wrote {out}",
+        f"corrected; {session.counters['coset']} coset queries; wrote {out}",
     )
     return 0
 

@@ -116,6 +116,11 @@ def _json_field(data, key: str, kind: type | tuple[type, ...] = str):
     return data[key]
 
 
+def _dumps_json(data: dict) -> str:
+    """A JSON file's text: two-space indents, sorted keys and a final newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def _json_rows(data, key: str, n: int) -> list[str]:
     """data[key] as a list of n-digit bit strings; ValueError naming the field otherwise."""
     rows = _json_field(data, key, list)
@@ -129,15 +134,11 @@ def _distance_or_inf(s: SubspaceBasis):
 
 
 def save_code(spec: CodeSpec, path: str | Path) -> None:
-    Path(path).write_text(dumps_code(spec))
+    Path(path).write_text(_dumps_json(spec.to_json_dict()))
 
 
 def load_code(path: str | Path) -> CodeSpec:
     return CodeSpec.from_json_dict(json.loads(Path(path).read_text()))
-
-
-def dumps_code(spec: CodeSpec) -> str:
-    return json.dumps(spec.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def search_applicable_code(

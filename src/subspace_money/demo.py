@@ -145,7 +145,7 @@ def run(out_dir: Path | None = None, seed: int | None = 0, as_json: bool = False
     check(
         "correction_round_trip",
         dev < 1e-12,
-        f"deviation {dev:.2e}, {session.ledger.counters['coset']} coset queries",
+        f"deviation {dev:.2e}, {session.counters['coset']} coset queries",
     )
 
     # -- report -------------------------------------------------------------------

@@ -278,9 +278,9 @@ def run_attack(
         "wilson_high": high,
         "analytic_rate": math.nan if analytic is None else analytic,
         "mean_probability": prob_sum / trials,
-        "queries_primal": session.ledger.counters["primal"],
-        "queries_dual": session.ledger.counters["dual"],
-        "combined_equivalent": session.ledger.combined_equivalent,
+        "queries_primal": session.counters["primal"],
+        "queries_dual": session.counters["dual"],
+        "combined_equivalent": session.combined_equivalent,
     }
     return ExperimentReport(
         name=f"attack-{strategy}",

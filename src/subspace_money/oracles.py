@@ -1,4 +1,4 @@
-"""Classical membership oracles, the verifier's coset frame, and query accounting.
+"""Classical membership oracles and the verifier's coset frame.
 
 Verification never touches a code directly: it asks membership oracles,
 and each asks one question, whether the syndrome Hx of a string x under one
@@ -23,7 +23,6 @@ tolerated error on each side.  No other module reads its arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Union
 
@@ -364,50 +363,4 @@ class VerifierFrame(NamedTuple):
         walsh_butterflies(cosets)
         cosets = cosets[self.keep]
         return cosets.transpose(*range(2, lead + 2), 1, 0).reshape(*amps.shape[:-1], -1)
-
-
-ORACLE_NAMES = ("primal", "dual", "combined", "coset")
-
-
-@dataclass(frozen=True)
-class QueryLedger:
-    """Immutable query counters with the combined-oracle conversion applied.
-
-    One subset query (primal or dual) costs conversion_factor = |E_X|
-    combined-oracle queries; direct combined queries and per-coset queries
-    cost one each.
-    """
-
-    conversion_factor: int
-    counts: tuple[int, int, int, int] = (0, 0, 0, 0)
-
-    @classmethod
-    def fresh(cls, conversion_factor: int) -> "QueryLedger":
-        if conversion_factor < 1:
-            raise ValueError("conversion factor must be >= 1")
-        return cls(conversion_factor)
-
-    @property
-    def counters(self) -> dict[str, int]:
-        return dict(zip(ORACLE_NAMES, self.counts))
-
-    @staticmethod
-    def _index(name: str) -> int:
-        try:
-            return ORACLE_NAMES.index(name)
-        except ValueError:
-            raise ValueError(f"unknown oracle name {name!r}; known: {ORACLE_NAMES}") from None
-
-    def charge(self, name: str, count: int = 1) -> "QueryLedger":
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        i = self._index(name)
-        counts = list(self.counts)
-        counts[i] += count
-        return QueryLedger(self.conversion_factor, tuple(counts))
-
-    @property
-    def combined_equivalent(self) -> int:
-        primal, dual, combined, coset = self.counts
-        return self.conversion_factor * (primal + dual) + combined + coset
 

@@ -6,7 +6,10 @@ and, on the conjugate route, a basis map plus the basis-choice string).
 Each record owns its code's VerifierFrame, built on first use and kept.
 Everyone else interacts with a record only through its oracles: the serial
 checker and the primal/dual membership testers, reached via an
-OracleSession that charges its ledger for each use of the record's frame.
+OracleSession, which counts the queries each use of the record's frame
+costs on three oracles: primal, dual and coset.  Every entry point takes a
+caller's session only when it holds the registry's record for the note's
+serial, and refuses a session for another record.
 
 Verification is the four-stage pipeline
 
@@ -30,11 +33,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .codes import CodeSpec, _json_field, certify, error_count, search_applicable_code
+from .codes import CodeSpec, _dumps_json, _json_field, certify, error_count, search_applicable_code
 from .errors import SerialCollisionError, UndecodableError, UnknownSerialError, reserve
 from .gf2 import BasisMap, BitVec, Gf2Matrix, SubspaceBasis, random_bitvec
 from .gf2 import _independent_rows, _random_rows
-from .oracles import QueryLedger, VerifierFrame
+from .oracles import SIDES, VerifierFrame
 from .rng import Seed, as_generator, derive_sequence
 from .states import (
     DenseState,
@@ -50,6 +53,8 @@ BANKNOTE_FORMAT = "banknote-v1"
 BANKKEY_FORMAT = "bankkey-v1"
 
 DEFAULT_SERIAL_RETRIES = 64
+
+ORACLE_NAMES = ("primal", "dual", "coset")
 
 
 @dataclass(frozen=True)
@@ -136,26 +141,41 @@ class DoubleVerifyOutcome(NamedTuple):
 
 
 class OracleSession:
-    """A ledger of charged queries to one banknote's membership oracles.
+    """The charged queries to one banknote's membership oracles.
 
     This is the only surface attack code may touch: membership queries, the
     verifier frame and coset tests, never the code itself.  Each use reads the
-    record's one frame and charges the ledger; the ledger is a value, so
-    reading it at any point gives a consistent snapshot.
+    record's one frame and is counted against one of ORACLE_NAMES; counters
+    is a fresh dict, so reading it at any point gives a snapshot.
     """
 
     def __init__(self, registry: "OracleRegistry", serial: BitVec):
         self._record = registry.record_for_serial(serial)
         self.serial = serial
-        self.ledger = QueryLedger.fresh(error_count(self.n, self._record.spec.q))
+        self._counts = dict.fromkeys(ORACLE_NAMES, 0)
 
     @property
     def n(self) -> int:
         return self._record.spec.n
 
     def charge(self, name: str, count: int = 1) -> None:
-        """Record count queries to the named oracle (see QueryLedger)."""
-        self.ledger = self.ledger.charge(name, count)
+        """Record count queries to the named oracle."""
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        if name not in self._counts:
+            raise ValueError(f"unknown oracle name {name!r}; known: {ORACLE_NAMES}")
+        self._counts[name] += count
+
+    @property
+    def counters(self) -> dict[str, int]:
+        return dict(self._counts)
+
+    @property
+    def combined_equivalent(self) -> int:
+        """In combined-oracle queries: |E_q| per primal or dual query, one per coset test."""
+        counts = self._counts
+        factor = error_count(self.n, self._record.spec.q)
+        return factor * (counts["primal"] + counts["dual"]) + counts["coset"]
 
     def member(self, side: str, x: BitVec) -> bool:
         """Whether H x is an accepted syndrome on side, charged as one query once x is valid.
@@ -165,15 +185,6 @@ class OracleSession:
         accepted = self.verifier_frame(passes=0).member(side, x)
         self.charge(side)
         return accepted
-
-    def find_coset(self, side: str, weights: np.ndarray) -> BitVec | None:
-        """The first tolerated error whose coset holds all but 1e-9 of weights, or None.
-
-        See VerifierFrame.locate; each test it ran is charged as one coset query.
-        """
-        tests, error = self.verifier_frame(passes=0).locate(side, weights)
-        self.charge("coset", tests)
-        return error
 
     def verifier_frame(self, passes: int = 1) -> VerifierFrame:
         """The record's coset frame, charged as passes queries to each side.
@@ -245,11 +256,13 @@ class OracleRegistry:
     def install_record(self, record: MintRecord, *, require_applicable: bool = True) -> None:
         """Register an externally-built record (worked examples, bank key files).
 
-        Raises ValueError for a code of other (n, q) than the registry's, and
-        one naming every failed ``certify`` check, unless require_applicable
-        is False.
+        Raises ValueError for a code of other (n, q) than the registry's, for
+        an r that holds another record, and one naming every failed
+        ``certify`` check, unless require_applicable is False.
         """
         self._check_parameters(record.spec)
+        if self.records.get(record.r, record) != record:
+            raise ValueError(f"r={record.r} was already installed with another record")
         if require_applicable:
             report = certify(record.spec)
             if not report.passed:
@@ -283,6 +296,18 @@ class OracleRegistry:
 
     def session(self, serial: BitVec) -> OracleSession:
         return OracleSession(self, serial)
+
+    def _session_for(self, serial: BitVec, session: OracleSession | None) -> OracleSession:
+        """session when it holds this registry's record for serial, else a fresh session.
+
+        A fresh session raises UnknownSerialError for a serial never issued;
+        a session for another record is refused.
+        """
+        if session is None:
+            return self.session(serial)
+        if session._record != self.record_for_serial(serial):
+            raise ValueError(f"a session for serial {session.serial} cannot check serial {serial}")
+        return session
 
 
 def _conjugate_parts(spec: CodeSpec, rng: np.random.Generator) -> tuple[BitVec, BasisMap]:
@@ -393,8 +418,7 @@ def verify(
     """
     if not registry.serial_check(note.serial):
         return VerifyOutcome(False, 0.0, None, reason="unknown serial")
-    if session is None:
-        session = registry.session(note.serial)
+    session = registry._session_for(note.serial, session)
     prob, build = session.verifier_frame().apply(note.state)
     return VerifyOutcome(_sample(registry, rng, prob), prob, build)
 
@@ -421,9 +445,7 @@ def double_verify(
     sigma1 (x) sigma2 of n-qubit registers as VerifierFrame.probability takes
     them: a DenseState, or None for the maximally mixed register.
     """
-    registry.record_for_serial(serial)  # raises UnknownSerialError
-    if session is None:
-        session = registry.session(serial)
+    session = registry._session_for(serial, session)
     prob = float(session.verifier_frame(passes=2).pair_probability(joint))
 
     prob = min(max(prob, 0.0), 1.0)
@@ -449,17 +471,16 @@ def diagnose(
     1e-9 once the bit-flip test has matched.  Raises UndecodableError when no
     coset holds all but 1e-9 of the probability.
     """
-    registry.record_for_serial(note.serial)  # raises UnknownSerialError
-    if session is None:
-        session = registry.session(note.serial)
-    bit_flip, phase_flip = session.verifier_frame(passes=0).weights(note.state)
-    e = session.find_coset("primal", bit_flip)
-    if e is None:
-        raise UndecodableError("state lies in no tolerated bit-flip coset")
-    ep = session.find_coset("dual", phase_flip)
-    if ep is None:
-        raise UndecodableError("state lies in no tolerated phase-flip coset")
-    return e, ep
+    session = registry._session_for(note.serial, session)
+    frame = session.verifier_frame(passes=0)
+    found = []
+    for side, weights, flip in zip(SIDES, frame.weights(note.state), ("bit-flip", "phase-flip")):
+        tests, error = frame.locate(side, weights)
+        session.charge("coset", tests)
+        if error is None:
+            raise UndecodableError(f"state lies in no tolerated {flip} coset")
+        found.append(error)
+    return tuple(found)
 
 
 def correct(
@@ -519,10 +540,6 @@ def load_banknote_dump(path: str | Path) -> tuple[BitVec, tuple[int, np.ndarray,
     return serial, parsed
 
 
-def _dumps_json(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
 def record_to_json_dict(record: MintRecord) -> dict:
     data = {
         "format": BANKKEY_FORMAT,
@@ -558,12 +575,8 @@ def record_from_json_dict(data: dict) -> MintRecord:
     )
 
 
-def dumps_record(record: MintRecord) -> str:
-    return _dumps_json(record_to_json_dict(record))
-
-
 def save_record(record: MintRecord, path: str | Path) -> None:
-    Path(path).write_text(dumps_record(record))
+    Path(path).write_text(_dumps_json(record_to_json_dict(record)))
 
 
 def load_record(path: str | Path) -> MintRecord:

@@ -265,10 +265,9 @@ def test_criterion_11_query_accounting():
                 session.member("primal", random_bitvec(6, rng))
             for _ in range(dual_queries):
                 session.member("dual", random_bitvec(6, rng))
-            ledger = session.ledger
-            assert ledger.combined_equivalent == factor * (primal_queries + dual_queries)
-            assert ledger.counters["primal"] == primal_queries
-            assert ledger.counters["dual"] == dual_queries
+            assert session.combined_equivalent == factor * (primal_queries + dual_queries)
+            assert session.counters["primal"] == primal_queries
+            assert session.counters["dual"] == dual_queries
 
 
 def test_criterion_12_isometry_covariance(worked_spec):
@@ -386,10 +385,10 @@ def test_criterion_11_query_accounting_on_certified_codes(spec, data):
         for _ in range(count):
             x = random_bitvec(spec.n, rng)
             assert session.member(side, x) == (predicate.parity.mul_vec(x) in predicate.accepted)
-    counters = {"primal": primal_queries, "dual": dual_queries, "combined": 0, "coset": 0}
-    assert session.ledger.counters == counters
+    counters = {"primal": primal_queries, "dual": dual_queries, "coset": 0}
+    assert session.counters == counters
     factor = error_count(spec.n, spec.q)
-    assert session.ledger.combined_equivalent == factor * (primal_queries + dual_queries)
+    assert session.combined_equivalent == factor * (primal_queries + dual_queries)
 
     # A note X^e Z^e' costs one coset query per error tested in lexicographic
     # order, and a session-less call, on a registry that has built no frame
@@ -399,7 +398,7 @@ def test_criterion_11_query_accounting_on_certified_codes(spec, data):
     note = corrupt(fresh, errors[i], errors[j])
     session = registry.session(note.serial)
     assert diagnose(registry, note, session=session) == (errors[i], errors[j])
-    assert session.ledger.counters == {"primal": 0, "dual": 0, "combined": 0, "coset": i + j + 2}
+    assert session.counters == {"primal": 0, "dual": 0, "coset": i + j + 2}
     prob = verify(registry, note, rng=0, session=session).accept_probability
     alone, _ = _registry_with(spec)
     assert diagnose(alone, note) == (errors[i], errors[j])

@@ -177,16 +177,16 @@ def test_member_refuses_its_frame_before_charging(monkeypatch):
     monkeypatch.setattr(errors, "BUDGET_BYTES", 4096)
     with pytest.raises(BudgetExceededError, match="15360 bytes exceed the budget of 4096 bytes"):
         session.member("primal", BitVec(14, 3))
-    assert session.ledger.counters == {"primal": 0, "dual": 0, "combined": 0, "coset": 0}
+    assert session.counters == {"primal": 0, "dual": 0, "coset": 0}
     assert built == []
     # The refused frame was not kept: a new session on the record builds it
     # under the raised budget, and both sessions then share it.
     monkeypatch.setattr(errors, "BUDGET_BYTES", 15360)
     fresh = reg.session(serial)
     fresh.member("primal", BitVec(14, 3))
-    assert fresh.ledger.counters == {"primal": 1, "dual": 0, "combined": 0, "coset": 0}
+    assert fresh.counters == {"primal": 1, "dual": 0, "coset": 0}
     session.member("primal", BitVec(14, 3))
-    assert session.ledger.counters["primal"] == 1
+    assert session.counters["primal"] == 1
     assert len(built) == 1 and session.verifier_frame(passes=0) is built[0]
 
 

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from subspace_money.codes import (
     CodeSpec,
     _block_syndromes_distinct,
+    _dumps_json,
     _error_syndromes,
     build_syndrome_table,
     certify,
     count_error_pairs,
-    dumps_code,
     enumerate_errors,
     error_count,
     gv_margin,
@@ -106,7 +106,7 @@ SEARCHABLE = [
 
 def _outcome(search, n, q, rng, attempts):
     try:
-        return dumps_code(search(n, q, rng, max_attempts=attempts))
+        return _dumps_json(search(n, q, rng, max_attempts=attempts).to_json_dict())
     except CodeSearchError:
         return None
 
@@ -171,7 +171,7 @@ def test_search_does_not_count_rank_deficient_draws():
         rng = np.random.default_rng(seed)
         deficient += SubspaceBasis(4, [random_bitvec(4, rng), random_bitvec(4, rng)]).dim < 2
         spec = search_applicable_code(4, 0, seed, max_attempts=1)
-        assert dumps_code(spec) == dumps_code(search_by_distances(4, 0, seed, 1))
+        assert spec.to_json_dict() == search_by_distances(4, 0, seed, 1).to_json_dict()
     assert deficient > 5
 
 
@@ -415,7 +415,7 @@ def test_code_json_round_trip(tmp_path, worked_spec):
     loaded = load_code(path)
     assert loaded == worked_spec
     # Byte-identical re-serialization.
-    assert dumps_code(loaded) == path.read_text()
+    assert _dumps_json(loaded.to_json_dict()) == path.read_text()
     data = json.loads(path.read_text())
     assert data["format"] == "codespec-v1"
     assert data["d_primal"] == 3

@@ -198,7 +198,7 @@ def reference_attack(registry, kind, trials, seed):
         prob, sampled = ver2(joint)
         successes += int(sampled)
         prob_sum += prob
-    return successes, prob_sum / trials, session.ledger
+    return successes, prob_sum / trials, session
 
 
 @settings(max_examples=12, deadline=None)
@@ -212,14 +212,14 @@ def test_blocked_attack_matches_per_trial_reference(n, kind, seed, trials):
     master_seed = seed % 997
     report = run_attack(OracleRegistry(n, 1, master_seed=master_seed), kind, trials, seed)
     row = dict(zip(report.columns, report.rows[0]))
-    successes, mean, ledger = reference_attack(
+    successes, mean, session = reference_attack(
         OracleRegistry(n, 1, master_seed=master_seed), kind, trials, seed
     )
     assert row["successes"] == successes
     assert row["mean_probability"] == pytest.approx(mean, abs=1e-12)
-    assert row["queries_primal"] == ledger.counters["primal"] == 2 * trials
-    assert row["queries_dual"] == ledger.counters["dual"] == 2 * trials
-    assert row["combined_equivalent"] == ledger.combined_equivalent
+    assert row["queries_primal"] == session.counters["primal"] == 2 * trials
+    assert row["queries_dual"] == session.counters["dual"] == 2 * trials
+    assert row["combined_equivalent"] == session.combined_equivalent
 
 
 @pytest.mark.parametrize("kind", ATTACK_KINDS)

@@ -1,4 +1,4 @@
-"""Tests for membership predicates, phase oracles, coset frames and query accounting."""
+"""Tests for membership predicates, phase oracles, coset frames and query counts."""
 
 import dataclasses
 import tracemalloc
@@ -18,7 +18,8 @@ from subspace_money.codes import (
 )
 from subspace_money.errors import SyndromeCollisionError
 from subspace_money.gf2 import BitVec, Gf2Matrix, random_subspace
-from subspace_money.oracles import SIDES, QueryLedger, VerifierFrame, _reverse_bits
+from subspace_money.oracles import SIDES, VerifierFrame, _reverse_bits
+from subspace_money.scheme import MintRecord, OracleRegistry
 from subspace_money.states import DenseState, apply_pauli, coset_state, subspace_state
 
 from conftest import certified_codes
@@ -194,32 +195,47 @@ def test_combined_oracle_total_matching_count(worked_spec):
 
 
 # ---------------------------------------------------------------------------
-# query ledger
+# query counts
+
+
+def _worked_session(spec):
+    """A fresh session on the worked code, installed as r = 0 of a (6, 1) registry."""
+    registry = OracleRegistry(6, 1, master_seed=0)
+    record = MintRecord(BitVec.zeros(6), BitVec.zeros(18), spec, "direct")
+    registry.install_record(record)
+    return registry.session(record.serial)
 
 
 def test_ledger_charges(worked_spec):
-    ledger = QueryLedger.fresh(error_count(6, 1))
-    assert ledger.combined_equivalent == 0
-    ledger = ledger.charge("primal")
-    assert ledger.combined_equivalent == 7
-    ledger = ledger.charge("dual")
-    assert ledger.combined_equivalent == 14
-    ledger = ledger.charge("combined", 3)
-    assert ledger.combined_equivalent == 17
-    ledger = ledger.charge("coset", 2)
-    assert ledger.combined_equivalent == 19
-    assert ledger.counters == {"primal": 1, "dual": 1, "combined": 3, "coset": 2}
-    with pytest.raises(ValueError):
-        ledger.charge("nope")
-    with pytest.raises(ValueError):
-        ledger.charge("primal", -1)
+    # A session counts three oracles; a primal or dual query is |E_1| = 7 combined ones.
+    assert error_count(6, 1) == 7
+    session = _worked_session(worked_spec)
+    assert session.combined_equivalent == 0
+    session.charge("primal")
+    assert session.combined_equivalent == 7
+    session.charge("dual")
+    assert session.combined_equivalent == 14
+    session.charge("coset", 2)
+    assert session.combined_equivalent == 16
+    assert session.counters == {"primal": 1, "dual": 1, "coset": 2}
+    # There is no combined oracle to charge; refusals charge nothing.
+    for name in ("nope", "combined"):
+        with pytest.raises(ValueError, match=f"unknown oracle name '{name}'"):
+            session.charge(name)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        session.charge("primal", -1)
+    assert session.counters == {"primal": 1, "dual": 1, "coset": 2}
 
 
-def test_ledger_is_a_value():
-    a = QueryLedger.fresh(7)
-    b = a.charge("primal")
-    assert a.combined_equivalent == 0
-    assert b.combined_equivalent == 7
+def test_ledger_is_a_value(worked_spec):
+    # counters is a snapshot: later charges do not reach it, and editing it charges nothing.
+    session = _worked_session(worked_spec)
+    before = session.counters
+    session.charge("primal")
+    before["dual"] = 5
+    assert before == {"primal": 0, "dual": 5, "coset": 0}
+    assert session.counters == {"primal": 1, "dual": 0, "coset": 0}
+    assert session.combined_equivalent == 7
 
 
 # ---------------------------------------------------------------------------
