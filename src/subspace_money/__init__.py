@@ -74,7 +74,6 @@ from .scheme import (
     mint_direct,
     random_corruption,
     registry_for_record,
-    save_banknote,
     save_record,
     verify,
 )

@@ -6,9 +6,10 @@ one is drawn and printed so the run can be replayed.  Exit codes: 0 success,
 1 domain failures (no code found, unknown serial, undecodable note, an
 allocation refused as over the budget, an input file that is missing,
 unreadable, malformed or wrongly sized, a file that cannot be written),
-2 usage errors.  corrupt and correct hold at most one note: they rewrite the
-note file's lines under the Pauli (states.pauli_dump), and only correct builds
-the note, for diagnose.
+2 usage errors.  No subcommand builds a 2^n note: mint writes its lines in
+closed form, verify and correct score a file's parsed lines in the verifier
+frame, corrupt and correct rewrite them under a Pauli, and a failed mint
+writes neither file.
 """
 
 from __future__ import annotations
@@ -34,22 +35,18 @@ from .errors import (
 from .experiments import ATTACK_KINDS, gv_table, run_attack, soundness_table
 from .gf2 import BitVec, random_bitvec
 from .scheme import (
-    Banknote,
     OracleRegistry,
     diagnose,
-    load_banknote,
     load_banknote_dump,
     load_record,
-    mint_conjugate,
-    mint_direct,
+    mint_dump,
     random_corruption,
     registry_for_record,
-    save_banknote,
     save_banknote_dump,
     save_record,
     verify,
 )
-from .states import pauli_dump, scatter_dump
+from .states import pauli_dump
 
 DOMAIN_ERRORS = (
     BudgetExceededError,
@@ -180,22 +177,26 @@ def _cmd_mint(args) -> int:
         if args.route == "conjugate":
             raise ValueError("--code supports only the direct route")
         registry.generate(r, load_code(args.code))
-    note = (mint_conjugate if args.route == "conjugate" else mint_direct)(registry, r)
+    record, text = mint_dump(registry, r)
     out = args.out or Path("note.json")
-    save_banknote(note, out)
+    save_banknote_dump(record.serial, text, out)
     bank_out = args.bank_out or out.with_suffix(".bank.json")
-    save_record(registry.generate(r), bank_out)
+    try:
+        save_record(record, bank_out)
+    except OSError:
+        out.unlink()  # a note with no bank key could never verify
+        raise
     _emit(
         args,
-        {"serial": str(note.serial), "note": str(out), "bank": str(bank_out), "r": str(r)},
-        f"minted serial {note.serial} (r={r}); note -> {out}, bank key -> {bank_out}",
+        {"serial": str(record.serial), "note": str(out), "bank": str(bank_out), "r": str(r)},
+        f"minted serial {record.serial} (r={r}); note -> {out}, bank key -> {bank_out}",
     )
     return 0
 
 
 def _cmd_corrupt(args) -> int:
-    serial, dump = load_banknote_dump(args.note)
-    n = dump[0]
+    note = load_banknote_dump(args.note)
+    n = note.n
     if args.rand_weight is not None:
         if args.e is not None or args.ez is not None:
             raise ValueError("--rand-weight excludes --e/--ez")
@@ -204,12 +205,12 @@ def _cmd_corrupt(args) -> int:
         e = BitVec.from_string(args.e) if args.e else BitVec.zeros(n)
         ep = BitVec.from_string(args.ez) if args.ez else BitVec.zeros(n)
     # The note's support moves under X^e Z^e' without a 2^n vector: see pauli_dump.
-    text = pauli_dump(*dump, e, ep)
+    text = pauli_dump(*note.state, e, ep)
     out = args.out or args.note
-    save_banknote_dump(serial, text, out)
+    save_banknote_dump(note.serial, text, out)
     _emit(
         args,
-        {"serial": str(serial), "e": str(e), "e_prime": str(ep), "file": str(out)},
+        {"serial": str(note.serial), "e": str(e), "e_prime": str(ep), "file": str(out)},
         f"applied X^{e} Z^{ep}; wrote {out}",
     )
     return 0
@@ -217,7 +218,7 @@ def _cmd_corrupt(args) -> int:
 
 def _cmd_verify(args) -> int:
     registry = registry_for_record(load_record(args.bank))
-    note = load_banknote(args.note)
+    note = load_banknote_dump(args.note)
     outcome = verify(registry, note, rng=args.seed)
     summary = {
         "serial": str(note.serial),
@@ -239,18 +240,18 @@ def _cmd_verify(args) -> int:
 
 def _cmd_correct(args) -> int:
     registry = registry_for_record(load_record(args.bank))
-    serial, dump = load_banknote_dump(args.note)
-    session = registry.session(serial)
-    # The note lives only while diagnose reads it; the fix is written from the parsed
-    # support, with the inverse's commutation sign, as correct applies it.
-    e, ep = diagnose(registry, Banknote(serial, scatter_dump(*dump)), session=session)
-    text = pauli_dump(*dump, e, ep, sign=-1 if e.dot(ep) else 1)
+    note = load_banknote_dump(args.note)
+    session = registry.session(note.serial)
+    # diagnose reads the parsed lines in the frame, and the fix rewrites them, with the
+    # inverse's commutation sign, as correct applies it.
+    e, ep = diagnose(registry, note, session=session)
+    text = pauli_dump(*note.state, e, ep, sign=-1 if e.dot(ep) else 1)
     out = args.out or args.note
-    save_banknote_dump(serial, text, out)
+    save_banknote_dump(note.serial, text, out)
     _emit(
         args,
         {
-            "serial": str(serial),
+            "serial": str(note.serial),
             "coset_queries": session.counters["coset"],
             "file": str(out),
         },

@@ -41,7 +41,7 @@ class SerialCollisionError(RuntimeError):
     """Serial derivation kept colliding after exhausting the retry nonce bound."""
 
 
-class UnknownSerialError(KeyError):
+class UnknownSerialError(LookupError):
     """The serial number was never issued by this registry."""
 
 

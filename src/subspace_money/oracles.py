@@ -51,6 +51,17 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     return values[np.append(True, values[1:] != values[:-1])]
 
 
+def _pivots(row_values) -> np.ndarray:
+    """The leading bit of each RREF row, its pivot column, as an int64 value."""
+    return np.array([1 << (r.bit_length() - 1) for r in row_values], dtype=np.int64)
+
+
+def _syndromes(spec: CodeSpec, strings: np.ndarray) -> np.ndarray:
+    """H x of each string x as a syndrome value, bit i from primal parity row rows-1-i."""
+    bottom_up = np.array(spec.parity_primal.row_values[::-1], dtype=np.int64)
+    return (np.bitwise_count(strings[:, None] & bottom_up) & 1) @ (1 << np.arange(bottom_up.size))
+
+
 def _reverse_bits(values, k: int) -> np.ndarray:
     """k-bit dual syndromes as Walsh frequencies of u: syndrome row j is bit j of u.
 
@@ -87,7 +98,8 @@ class VerifierFrame(NamedTuple):
         """The frame of a code: each side accepts the syndromes of the errors of weight <= q.
 
         leader(v) puts syndrome row j on the pivot column of the RREF parity
-        row j, so H leader(v) = v, which is checked, as is the count of basis rows.
+        row j, so H leader(v) = v, which is checked, as are the count of basis
+        rows and that each code row alone holds its pivot (see _place).
         The (|S_p|, 2^k) index is charged to the allocation budget before the
         code's span is walked.
         """
@@ -97,12 +109,14 @@ class VerifierFrame(NamedTuple):
         frequencies = _reverse_bits(_error_syndromes(basis, spec.q), basis.rows)
         keep = _sorted_distinct(frequencies)
         # Bit i of a syndrome value is row parity.rows-1-i, so the pivots run bottom-up.
-        bottom_up = np.array(parity.row_values[::-1], dtype=np.int64)
-        pivots = np.array([1 << (r.bit_length() - 1) for r in bottom_up.tolist()], dtype=np.int64)
-        bits = np.arange(parity.rows)
-        leaders = ((rows[:, None] >> bits) & 1) @ pivots
-        images = (np.bitwise_count(leaders[:, None] & bottom_up) & 1) @ (1 << bits)
-        if basis.rows + parity.rows != spec.n or np.any(images != rows):
+        pivots = _pivots(parity.row_values[::-1])
+        leaders = ((rows[:, None] >> np.arange(parity.rows)) & 1) @ pivots
+        # Each code pivot lies in its own row alone, so a codeword's pivot bits are its u.
+        code_pivots = _pivots(basis.row_values)
+        code_rows = np.array(basis.row_values, dtype=np.int64)
+        reduced = np.all((code_rows[:, None] & code_pivots) == np.diag(code_pivots))
+        images = _syndromes(spec, leaders)
+        if basis.rows + parity.rows != spec.n or np.any(images != rows) or not reduced:
             raise ValueError("the parity rows are not RREF bases of the dual and the code")
         reserve((rows.size, 1 << basis.rows), np.int64)
         index = leaders[:, None] ^ _span_table(basis.row_values, spec.n).astype(np.int64)
@@ -148,14 +162,14 @@ class VerifierFrame(NamedTuple):
 
     # -- Ver on one register ---------------------------------------------------------
 
-    def apply(self, state: DenseState) -> tuple[float, Callable[[], DenseState] | None]:
-        """P on one register: the acceptance probability and a post-state builder.
+    def apply(self, note) -> tuple[float, Callable[[], DenseState] | None]:
+        """P on one register, a DenseState or a note file's lines: probability, post-state builder.
 
         Only the probability kernel runs here, on the cosets the note occupies
         (see _occupied and _kept_spectrum); the builder makes the 2^n
         post-state, and is None at probability zero.
         """
-        rows, cosets = self._occupied(state.amplitudes)
+        rows, cosets = self._occupied(note)
         prob, kept = self._kept_spectrum(cosets)
         return prob, None if kept is None else partial(self._post_state, rows, kept)
 
@@ -251,17 +265,17 @@ class VerifierFrame(NamedTuple):
         coeffs = self._kept_coefficients(coeffs.T)
         return float(np.vdot(coeffs, coeffs).real) / self.index.shape[1] ** 2
 
-    def weights(self, state: DenseState) -> tuple[np.ndarray, np.ndarray]:
+    def weights(self, note) -> tuple[np.ndarray, np.ndarray]:
         """The note's probability on each accepted bit-flip coset (row) and phase-flip frequency.
 
-        A frequency s of u counts the Hadamard-basis weight within the accepted
+        note is a DenseState or a note file's parsed lines (see _occupied).  A
+        frequency s of u counts the Hadamard-basis weight within the accepted
         cosets only: |fwht(amps[index])|^2 summed over rows / 2^k.  It costs
-        the gather of the occupied cosets plus one 2^k transform per occupied
-        coset (see _occupied); beside them, the kernel holds one half-size
-        real array.
+        the occupied cosets plus one 2^k transform for each; beside them, the
+        kernel holds one half-size real array.
         """
         index = self.index
-        rows, cosets = self._occupied(state.amplitudes)
+        rows, cosets = self._occupied(note)
         bit_flip = np.zeros(index.shape[0])
         sums = np.abs(cosets)
         bit_flip[rows] = np.square(sums, out=sums).sum(axis=1)
@@ -276,16 +290,19 @@ class VerifierFrame(NamedTuple):
 
     # -- kernels -----------------------------------------------------------------------
 
-    def _occupied(self, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The accepted cosets holding any amplitude: their rows, ascending, and their gather.
+    def _occupied(self, note) -> tuple[np.ndarray, np.ndarray]:
+        """The accepted cosets holding any amplitude: their rows, ascending, and their entries.
 
-        The frame's rows are gathered a few whole rows at a time, up to
-        _GATHER_CHUNK amplitudes, and a row counts as occupied when a part of
-        an entry is nonzero (-0.0 is not), so the working set is the occupied
-        cosets, a (rows, 2^k) complex stack in the frame's layout, plus one
-        chunk.  A tolerated X^e Z^e' note occupies one coset.
+        A row counts as occupied when a part of an entry is nonzero (-0.0 is
+        not); the entries are a C-ordered (rows, 2^k) complex stack in the
+        frame's layout.  A DenseState's rows are gathered up to _GATHER_CHUNK
+        amplitudes at a time, so the working set is the occupied cosets plus
+        one chunk; a note file's lines, parse_dump's (n, indices, values), are
+        put in place (see _place).  A tolerated X^e Z^e' note occupies one coset.
         """
-        index = self.index
+        if not isinstance(note, DenseState):
+            return self._place(*note[1:])
+        amplitudes, index = note.amplitudes, self.index
         step = max(1, _GATHER_CHUNK // index.shape[1])
         rows, cosets = [], []
         for start in range(0, index.shape[0], step):
@@ -299,6 +316,29 @@ class VerifierFrame(NamedTuple):
         if not rows:
             return np.empty(0, dtype=np.intp), np.empty((0, index.shape[1]), np.complex128)
         return np.concatenate(rows), np.concatenate(cosets)
+
+    def _place(self, indices: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_occupied's rows and stack, bit for bit, from a note's distinct lines, in any order.
+
+        Line x lies in row r when H x is rows[r], found by a search and
+        checked; a line outside the accepted cosets is dropped, as the gather
+        never reads it.  Its column is u, the bits of x ^ leader(r) on the
+        code's pivot columns (index[r, 0] is leader(r)), so the working set is
+        the occupied cosets and a few integers per line.
+        """
+        syndromes = _syndromes(self.spec, indices)
+        at = np.minimum(np.searchsorted(self.rows, syndromes), self.rows.size - 1)
+        inside = self.rows[at] == syndromes
+        hit = np.zeros(self.rows.size, dtype=bool)
+        hit[at[inside & (values != 0)]] = True  # -0.0 is zero, as in the gather
+        placed = inside & hit[at]
+        at = at[placed]
+        codewords = indices[placed] ^ self.index[at, 0]
+        pivots = _pivots(self.spec.parity_dual.row_values)
+        u = ((codewords[:, None] & pivots) != 0) @ (1 << np.arange(pivots.size))
+        cosets = np.zeros((np.count_nonzero(hit), self.index.shape[1]), dtype=np.complex128)
+        cosets[(np.cumsum(hit) - 1)[at], u] = values[placed]
+        return np.flatnonzero(hit), cosets
 
     def _kept_spectrum(self, cosets: np.ndarray) -> tuple[float, np.ndarray | None]:
         """Ver's probability kernel on gathered accepted cosets, which become the kept spectrum.

@@ -41,9 +41,10 @@ from .oracles import SIDES, VerifierFrame
 from .rng import Seed, as_generator, derive_sequence
 from .states import (
     DenseState,
+    _coset_amplitudes,
+    _dump_lines,
     apply_basis_permutation,
     apply_pauli,
-    dump_state,
     parse_dump,
     scatter_dump,
     subspace_state,
@@ -59,25 +60,25 @@ ORACLE_NAMES = ("primal", "dual", "coset")
 
 @dataclass(frozen=True)
 class Banknote:
-    """A serial number and the money state a wallet holds for it."""
+    """A serial number and the money state a wallet holds for it.
+
+    The state is a DenseState, or a note file's lines, parse_dump's (n,
+    indices, values), which verify and diagnose read as they are.
+    """
 
     serial: BitVec
-    state: DenseState
+    state: DenseState | tuple[int, np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        _check_serial_length(self.serial, self.state.n)
+        if self.serial.n != 3 * self.n:
+            raise ValueError(
+                f"the note's state acts on {self.n} qubits, so its serial needs "
+                f"3n={3 * self.n} bits, not {self.serial.n}"
+            )
 
     @property
     def n(self) -> int:
-        return self.state.n
-
-
-def _check_serial_length(serial: BitVec, n: int) -> None:
-    if serial.n != 3 * n:
-        raise ValueError(
-            f"the note's state acts on {n} qubits, so its serial needs "
-            f"3n={3 * n} bits, not {serial.n}"
-        )
+        return self.state.n if isinstance(self.state, DenseState) else self.state[0]
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,7 @@ class OracleRegistry:
     def record_for_serial(self, z: BitVec) -> MintRecord:
         r = self.serial_index.get(z)
         if r is None:
-            raise UnknownSerialError(str(z))
+            raise UnknownSerialError(f"unknown serial {z}")
         return self.records[r]
 
     def session(self, serial: BitVec) -> OracleSession:
@@ -355,6 +356,25 @@ def mint_conjugate(registry: OracleRegistry, r: BitVec) -> Banknote:
     return Banknote(record.serial, apply_basis_permutation(state, record.basis_map))
 
 
+def mint_dump(registry: OracleRegistry, r: BitVec) -> tuple[MintRecord, str]:
+    """The record for r and the dump_state text of its fresh note, with no 2^n vector.
+
+    Either route mints the code's subspace state: its lines are the codewords,
+    ascending, each at subspace_state's 1/sqrt(2^k) or at conjugate_coding_state's
+    n/2 factors 1/sqrt(2), multiplied in turn, so the bytes are the dense note's.
+    An over-budget n is refused before the record is generated.
+    """
+    reserve((1 << registry.n,))
+    record = registry.generate(r)
+    codewords = np.sort(record.spec.code.vector_values())
+    if record.route == "direct":
+        amplitudes = _coset_amplitudes(codewords, BitVec.zeros(registry.n))
+    else:
+        h = 1.0 / math.sqrt(2.0)
+        amplitudes = np.full(codewords.size, math.prod([h] * record.theta.weight))
+    return record, _dump_lines(registry.n, codewords, amplitudes)
+
+
 def conjugate_coding_state(x: BitVec, theta: BitVec) -> DenseState:
     """The product state with qubit i in basis theta_i showing value x_i."""
     if x.n != theta.n:
@@ -405,16 +425,12 @@ def verify(
 ) -> VerifyOutcome:
     """Ver: reject unknown serials, then apply P in the record's frame, charged to the session.
 
-    Only the |E_q| accepted bit-flip cosets of the note are read, 2^k
-    amplitudes each, a few cosets at a time, and each one the note occupies is
-    kept and goes through one 2^k-point Walsh filter: a note costs one gather
-    of the accepted cosets plus one 2^k transform per occupied coset, one for
-    a tolerated X^e Z^e' note, and holds only the cosets it occupies and one
-    chunk of the gather, its kept spectrum written back in place (see
-    VerifierFrame.apply).  The post-state is built on first read.  The outcome
-    carries both the exact acceptance probability and one sampled decision;
-    the post-state is the accepted branch whenever it exists, regardless of
-    how the sample came out.
+    Only the note's |E_q| accepted bit-flip cosets are read, and each one it
+    occupies goes through one 2^k-point Walsh filter (see
+    VerifierFrame.apply); a note file's lines are read with no 2^n vector.
+    The outcome carries both the exact acceptance probability and one
+    sampled decision; the post-state, built on first read, is the accepted
+    branch whenever it exists, regardless of how the sample came out.
     """
     if not registry.serial_check(note.serial):
         return VerifyOutcome(False, 0.0, None, reason="unknown serial")
@@ -504,10 +520,6 @@ def correct(
 # -- file formats -----------------------------------------------------------------
 
 
-def save_banknote(note: Banknote, path: str | Path) -> None:
-    save_banknote_dump(note.serial, dump_state(note.state), path)
-
-
 def save_banknote_dump(serial: BitVec, dump: str, path: str | Path) -> None:
     """Write a note file from its serial and a dump_state text."""
     state = {"kind": "dense", "dump": dump}
@@ -516,15 +528,16 @@ def save_banknote_dump(serial: BitVec, dump: str, path: str | Path) -> None:
 
 
 def load_banknote(path: str | Path) -> Banknote:
-    serial, dump = load_banknote_dump(path)
-    return Banknote(serial, scatter_dump(*dump))
+    note = load_banknote_dump(path)
+    return Banknote(note.serial, scatter_dump(*note.state))
 
 
-def load_banknote_dump(path: str | Path) -> tuple[BitVec, tuple[int, np.ndarray, np.ndarray]]:
-    """A note file's serial and parse_dump of its state, its envelope and serial length checked.
+def load_banknote_dump(path: str | Path) -> Banknote:
+    """A note file as a Banknote of its serial and parse_dump's lines, its envelope checked.
 
-    No 2^n vector is built: scatter_dump makes the note, and pauli_dump
-    rewrites the dump under a Pauli from the parsed support alone.
+    No 2^n vector is built: verify and diagnose score the lines in the
+    verifier frame, and pauli_dump rewrites them under a Pauli;
+    load_banknote scatters them into the note.
     """
     data = json.loads(Path(path).read_text())
     fmt = _json_field(data, "format")
@@ -535,9 +548,7 @@ def load_banknote_dump(path: str | Path) -> tuple[BitVec, tuple[int, np.ndarray,
     kind = _json_field(state, "kind")
     if kind != "dense":
         raise ValueError(f"unknown state kind {kind!r}")
-    parsed = parse_dump(_json_field(state, "dump"))
-    _check_serial_length(serial, parsed[0])
-    return serial, parsed
+    return Banknote(serial, parse_dump(_json_field(state, "dump")))
 
 
 def record_to_json_dict(record: MintRecord) -> dict:

@@ -17,7 +17,16 @@ import subspace_money
 from subspace_money import cli
 from subspace_money.cli import main
 from subspace_money.codes import enumerate_errors, save_code
-from subspace_money.scheme import load_banknote, load_record
+from subspace_money.gf2 import random_bitvec
+from subspace_money.scheme import (
+    OracleRegistry,
+    load_banknote,
+    load_record,
+    mint_conjugate,
+    mint_direct,
+    save_banknote_dump,
+)
+from subspace_money.states import dump_state
 
 from conftest import certified_codes
 from reference import uniform_state
@@ -183,6 +192,34 @@ def test_verify_unknown_serial_exit_code(tmp_path, capsys):
     assert "unknown serial" in capsys.readouterr().out
 
 
+def test_correct_names_a_serial_the_bank_never_issued(tmp_path, capsys):
+    # Another bank's note, of the same n or another, is refused with the serial
+    # written as its bits, not quoted as a repr.
+    notes = {name: tmp_path / f"{name}.json" for name in ("a", "f", "big")}
+    for (name, path), (seed, n) in zip(notes.items(), [(1, 6), (9, 6), (1, 8)]):
+        assert run_cli("--seed", seed, "--out", path, "mint", "--n", n, "--q", 1) == 0
+    capsys.readouterr()
+    bank = notes["f"].with_suffix(".bank.json")
+    for name in ("a", "big"):
+        assert run_cli("--seed", 0, "correct", notes[name], "--bank", bank) == 1
+        serial = json.loads(notes[name].read_text())["serial"]
+        assert capsys.readouterr().err == f"error: unknown serial {serial}\n"
+    assert run_cli("--seed", 0, "verify", notes["a"], "--bank", bank) == 1
+    assert capsys.readouterr().out == "reject: unknown serial\n"
+
+
+@pytest.mark.parametrize("missing", ["--out", "--bank-out"])
+def test_a_failed_mint_writes_neither_file(tmp_path, capsys, missing):
+    # A note without its bank key could never verify, so a mint that cannot
+    # write both files leaves neither.
+    paths = {"--out": tmp_path / "e.json", "--bank-out": tmp_path / "e.bank.json"}
+    paths[missing] = tmp_path / "missing" / paths[missing].name
+    argv = ["--seed", 5, "--out", paths["--out"], "mint", "--n", 6, "--q", 1]
+    assert run_cli(*argv, "--bank-out", paths["--bank-out"]) == 1
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_undecodable_correct_exit_code(tmp_path, capsys):
     # 000111 is undecodable for the worked code specifically (syndrome 111
     # is not in its table), so mint against that code rather than a random one.
@@ -330,6 +367,26 @@ def _assert_refused_without_a_traceback(tmp_path, argv) -> str:
 CONJUGATE_BANK_KEY_DIGEST = "051612eee087ca037241e612dcce6a0a3423e2ccaffa74f50e25d3b2a657e1e4"
 
 
+@pytest.mark.parametrize("route", ["direct", "conjugate"])
+@pytest.mark.parametrize("n", [6, 10, 14])
+def test_mint_writes_the_dense_notes_bytes(tmp_path, capsys, route, n):
+    # The closed-form lines are the bytes the dense note dumps: the codewords
+    # at 1/sqrt(2^k) directly, and at (1/sqrt(2))^(n/2) by conjugate coding.
+    for seed in range(3):
+        note = tmp_path / f"{route}-{seed}.json"
+        argv = ["--seed", seed, "--out", note, "mint", "--n", n, "--q", 1, "--route", route]
+        assert run_cli(*argv) == 0
+        registry = OracleRegistry(n, 1, master_seed=seed, route=route)
+        dense = (mint_direct if route == "direct" else mint_conjugate)(
+            registry, random_bitvec(n, seed)
+        )
+        save_banknote_dump(dense.serial, dump_state(dense.state), tmp_path / "dense.json")
+        assert note.read_bytes() == (tmp_path / "dense.json").read_bytes()
+        assert load_record(note.with_suffix(".bank.json")) == registry.generate(
+            random_bitvec(n, seed)
+        )
+
+
 def test_mint_conjugate_bank_key_is_pinned(tmp_path, capsys):
     note = tmp_path / "note.json"
     rc = run_cli("--seed", 13, "--out", note, "mint", "--n", 10, "--q", 1, "--route", "conjugate")
@@ -375,9 +432,9 @@ def _lifecycle_steps(tmp_path, n):
 
 
 def test_corrupt_and_correct_on_files_hold_at_most_one_note(tmp_path, capsys):
-    # corrupt rewrites the file's lines and builds no note; correct builds one
-    # for diagnose and writes the fix from the parsed lines.  Two notes, the
-    # note and its Pauli image, would read about 2.
+    # corrupt rewrites the file's lines and correct scores them in the
+    # verifier frame and writes the fix from them, so neither builds a note;
+    # one note would read about 1, two, the note and its Pauli image, about 2.
     for _, argv in _lifecycle_steps(tmp_path, 6):  # numpy's lazy imports, the parser
         assert run_cli(*argv) == 0
     n = 16
@@ -391,8 +448,32 @@ def test_corrupt_and_correct_on_files_hold_at_most_one_note(tmp_path, capsys):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * note_bytes, (step, peak / note_bytes)
+        assert peak < 0.25 * note_bytes, (step, peak / note_bytes)
     assert (tmp_path / f"fixed{n}.json").read_bytes() == (tmp_path / f"note{n}.json").read_bytes()
+
+
+def test_mint_verify_and_correct_on_files_build_no_note(tmp_path, capsys):
+    # mint writes the note's lines in closed form, and verify and correct score
+    # the file's lines in the verifier frame: each holds the code's frame,
+    # the lines and their text, a small part of one 2^16-amplitude note.
+    for _, argv in _lifecycle_steps(tmp_path, 6):  # numpy's lazy imports, the parser
+        assert run_cli(*argv) == 0
+    n = 16
+    note_bytes = 16 << n
+    steps = _lifecycle_steps(tmp_path, n)
+    assert run_cli(*steps[0][1]) == 0  # corrupt, untraced
+    fresh = tmp_path / "fresh.json"
+    steps[0] = ("mint", ["--seed", 20, "--out", fresh, "mint", "--n", n, "--q", 1])
+    for step, argv in steps:
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * note_bytes, (step, peak / note_bytes)
+    for name in ("fresh", f"fixed{n}"):
+        assert (tmp_path / f"{name}.json").read_bytes() == (tmp_path / f"note{n}.json").read_bytes()
 
 
 # Runs the CLI on its arguments, then fails if the run imported numpy.ma.

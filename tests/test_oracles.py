@@ -310,7 +310,11 @@ def test_verifier_frame_needs_the_canonical_parity_rows(worked_spec):
     unreduced = dataclasses.replace(worked_spec, parity_primal=Gf2Matrix(3, 6, [r0 ^ r1, r1, r2]))
     rows = worked_spec.parity_dual.row_values
     redundant = dataclasses.replace(worked_spec, parity_dual=Gf2Matrix(4, 6, rows + (rows[0],)))
-    for spec, side in ((unreduced, "parity_primal"), (redundant, "parity_dual")):
+    # The code's rows in another basis would put a note file's lines in the wrong columns.
+    c0, c1, c2 = rows
+    mixed = dataclasses.replace(worked_spec, parity_dual=Gf2Matrix(3, 6, [c0 ^ c1, c1, c2]))
+    cases = ((unreduced, "parity_primal"), (redundant, "parity_dual"), (mixed, "parity_dual"))
+    for spec, side in cases:
         assert [c.name for c in certify(spec).checks if not c.passed] == [side]
         with pytest.raises(ValueError, match="not RREF bases"):
             VerifierFrame.of(spec)

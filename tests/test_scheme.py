@@ -42,7 +42,7 @@ from subspace_money.scheme import (
     mint_direct,
     random_corruption,
     registry_for_record,
-    save_banknote,
+    save_banknote_dump,
     save_record,
     verify,
 )
@@ -51,7 +51,10 @@ from subspace_money.states import (
     apply_basis_permutation,
     apply_pauli,
     coset_state,
+    dump_state,
     max_deviation,
+    parse_dump,
+    scatter_dump,
     subspace_state,
 )
 
@@ -1105,7 +1108,7 @@ def test_occupied_coset_kernels_match_all_rows_reference_bitwise(pair, seed, kin
     frame = VerifierFrame.of(spec)
     state = _kernel_state(kind, spec, frame, np.random.default_rng(seed))
 
-    rows, cosets = frame._occupied(state.amplitudes)
+    rows, cosets = frame._occupied(state)
     prob, kept = frame._kept_spectrum(cosets)
     ref_prob, ref_kept = all_rows_kept_spectrum(state, frame)
     assert _bits(prob) == _bits(ref_prob)
@@ -1128,6 +1131,47 @@ def test_occupied_coset_kernels_match_all_rows_reference_bitwise(pair, seed, kin
         assert build().amplitudes.tobytes() == ref_post.amplitudes.tobytes()
     for got, ref in zip(frame.weights(state), all_rows_frame_weights(state, frame)):
         assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pair=st.sampled_from(OCCUPIED_PAIRS),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(STATE_KINDS + ["sparse"]),
+    zero_lines=st.integers(0, 6),
+)
+def test_note_file_lines_give_the_gathered_cosets_bitwise(pair, seed, kind, zero_lines):
+    # A note file's lines, in any order and with '0 0' and '-0 -0' lines in and
+    # out of the accepted cosets, put in the frame's coordinates give the stack
+    # the scattered note's gather gives, bit for bit, so apply and weights agree.
+    spec = search_applicable_code(*pair, seed)
+    frame = VerifierFrame.of(spec)
+    rng = np.random.default_rng(seed)
+    n = spec.n
+    if kind == "sparse":  # random amplitudes on a random set of strings
+        amps = np.zeros(1 << n, dtype=np.complex128)
+        support = rng.choice(1 << n, size=rng.integers(1, 1 << n, endpoint=True), replace=False)
+        amps[support] = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
+        amps /= np.linalg.norm(amps)
+    else:
+        amps = _kernel_state(kind, spec, frame, rng).amplitudes
+    support = np.flatnonzero(amps)
+    empty = np.setdiff1d(np.arange(1 << n), support)
+    zeros = rng.choice(empty, size=min(zero_lines, empty.size), replace=False)
+    lines = [(i, complex(amps[i])) for i in support.tolist()]
+    lines += [(i, complex(*rng.choice([0.0, -0.0], size=2).tolist())) for i in zeros.tolist()]
+    lines = [lines[j] for j in rng.permutation(len(lines))]
+    text = "".join(f"{i:0{n}b} {v.real!r} {v.imag!r}\n" for i, v in lines)
+    note = parse_dump(text)
+    dense = scatter_dump(*note)
+    for got, want in zip(frame._occupied(note), frame._occupied(dense)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    (prob, build), (want_prob, want_build) = frame.apply(note), frame.apply(dense)
+    assert _bits(prob) == _bits(want_prob) and (build is None) == (want_build is None)
+    if build is not None:
+        assert build().amplitudes.tobytes() == want_build().amplitudes.tobytes()
+    for got, want in zip(frame.weights(note), frame.weights(dense)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_pauli_corrupted_note_costs_one_coset_transform(monkeypatch):
@@ -1332,11 +1376,11 @@ def test_diagnose_matches_per_coset_reference(n, seed, data):
 def test_banknote_json_round_trip_dense(tmp_path, registry):
     note = mint_direct(registry, bv("011011"))
     path = tmp_path / "note.json"
-    save_banknote(note, path)
+    save_banknote_dump(note.serial, dump_state(note.state), path)
     loaded = load_banknote(path)
     assert loaded.serial == note.serial
     assert max_deviation(loaded.state, note.state) == 0
-    save_banknote(loaded, tmp_path / "again.json")
+    save_banknote_dump(loaded.serial, dump_state(loaded.state), tmp_path / "again.json")
     assert (tmp_path / "again.json").read_text() == path.read_text()
 
 
