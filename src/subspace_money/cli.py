@@ -9,7 +9,7 @@ unreadable, malformed or wrongly sized, a file that cannot be written),
 2 usage errors.  No subcommand builds a 2^n note: mint writes its lines in
 closed form, verify and correct score a file's parsed lines in the verifier
 frame, corrupt and correct rewrite them under a Pauli, and a failed mint
-writes neither file.
+writes neither file, nor does a mint whose bank key file is its note file.
 """
 
 from __future__ import annotations
@@ -171,6 +171,10 @@ def _cmd_gencode(args) -> int:
 
 
 def _cmd_mint(args) -> int:
+    out = args.out or Path("note.json")
+    bank_out = args.bank_out or out.with_suffix(".bank.json")
+    if bank_out.resolve() == out.resolve():
+        raise ValueError(f"--bank-out {bank_out} is the note file {out}; the bank key would overwrite it")
     registry = OracleRegistry(args.n, args.q, master_seed=args.seed, route=args.route)
     r = random_bitvec(args.n, args.seed) if args.r is None else BitVec.from_string(args.r)
     if args.code is not None:
@@ -178,9 +182,7 @@ def _cmd_mint(args) -> int:
             raise ValueError("--code supports only the direct route")
         registry.generate(r, load_code(args.code))
     record, text = mint_dump(registry, r)
-    out = args.out or Path("note.json")
     save_banknote_dump(record.serial, text, out)
-    bank_out = args.bank_out or out.with_suffix(".bank.json")
     try:
         save_record(record, bank_out)
     except OSError:

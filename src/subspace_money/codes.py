@@ -92,16 +92,24 @@ class CodeSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CodeSpec":
+        """The spec of a parsed code file, every field checked; ``certify`` checks its mathematics.
+
+        The basis rows are turned into ints once, as _json_rows has checked
+        them; the parity rows are checked as Gf2Matrix.from_strings checks them.
+        """
         fmt = _json_field(data, "format")
         if fmt != CODESPEC_FORMAT:
             raise ValueError(f"unsupported code file format: {fmt!r}")
         n = _json_field(data, "n", int)
         d_primal, d_dual = (_json_field(data, k, (int, type(None))) for k in ("d_primal", "d_dual"))
+        code_rows, dual_rows = (
+            [int(r, 2) for r in _json_rows(data, key, n)] for key in ("code_rows", "dual_rows")
+        )
         return cls(
             n=n,
             q=_json_field(data, "q", int),
-            code=SubspaceBasis(n, _json_rows(data, "code_rows", n)),
-            dual_code=SubspaceBasis(n, _json_rows(data, "dual_rows", n)),
+            code=SubspaceBasis(n, code_rows),
+            dual_code=SubspaceBasis(n, dual_rows),
             d_primal=math.inf if d_primal is None else d_primal,
             d_dual=math.inf if d_dual is None else d_dual,
             parity_primal=Gf2Matrix.from_strings(_json_field(data, "parity_primal", list)),

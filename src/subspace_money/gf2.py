@@ -125,6 +125,13 @@ def _echelon(values: Iterable[int]) -> dict[int, int]:
     return lead
 
 
+def _bit_string_value(text: str) -> int:
+    """The packed value of an ASCII '0'/'1' string; ValueError naming it otherwise."""
+    if not isinstance(text, str) or not text or text.strip("01"):
+        raise ValueError(f"not a bit string: {text!r}")
+    return int(text, 2)
+
+
 @dataclass(frozen=True, slots=True)
 class BitVec:
     """Immutable vector over GF(2) of fixed length n, packed into one int."""
@@ -141,9 +148,7 @@ class BitVec:
     @classmethod
     def from_string(cls, text: str) -> "BitVec":
         """Parse an ASCII '0'/'1' string, leftmost character = coordinate 1."""
-        if not isinstance(text, str) or not text or text.strip("01"):
-            raise ValueError(f"not a bit string: {text!r}")
-        return cls(len(text), int(text, 2))
+        return cls(len(text), _bit_string_value(text))
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "BitVec":
@@ -226,8 +231,13 @@ class Gf2Matrix:
 
     @classmethod
     def from_strings(cls, lines: Sequence[str]) -> "Gf2Matrix":
-        vecs = [BitVec.from_string(s) for s in lines]
-        return cls.from_rows(vecs)
+        """The matrix of bit-string rows, each checked as BitVec.from_string checks it, then as from_rows."""
+        values = [_bit_string_value(s) for s in lines]
+        if not values:
+            raise ValueError("need at least one row; use zeros() for empty shapes")
+        if any(len(s) != len(lines[0]) for s in lines):
+            raise ValueError("ragged rows")
+        return cls(len(values), len(lines[0]), values)
 
     @classmethod
     def from_rows(cls, vecs: Sequence[BitVec]) -> "Gf2Matrix":
@@ -242,9 +252,6 @@ class Gf2Matrix:
     def zeros(cls, rows: int, cols: int) -> "Gf2Matrix":
         return cls(rows, cols, [0] * rows)
 
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.cols, self.row_values[i])
-
     def __iter__(self) -> Iterator[BitVec]:
         for v in self.row_values:
             yield BitVec(self.cols, v)
@@ -256,7 +263,14 @@ class Gf2Matrix:
         return BitVec.from_bits([self.entry(i, j) for i in range(self.rows)])
 
     def transpose(self) -> "Gf2Matrix":
-        columns = _bit_rows(_bit_block(self.row_values, self.cols).T)
+        """Column j as row j: each set bit of row i goes to bit rows-1-i of its column."""
+        columns = [0] * self.cols
+        for i, v in enumerate(self.row_values):
+            bit = 1 << (self.rows - 1 - i)
+            while v:
+                top = v.bit_length()
+                columns[self.cols - top] |= bit
+                v ^= 1 << (top - 1)
         return Gf2Matrix(self.cols, self.rows, columns)
 
     def mul_vec(self, v: BitVec) -> BitVec:
@@ -298,7 +312,7 @@ class Gf2Matrix:
         return Gf2Matrix(n, n, [r & ((1 << n) - 1) for r in reduced])
 
     def to_strings(self) -> list[str]:
-        return [str(self.row(i)) for i in range(self.rows)]
+        return [format(v, f"0{self.cols}b") for v in self.row_values]
 
     def __repr__(self) -> str:
         return f"Gf2Matrix({self.to_strings()!r})"
@@ -391,18 +405,20 @@ class SubspaceBasis:
 
         Read with its pivot columns first, the RREF basis is [I | A], and
         [A^T | I] spans its complement: one row per free column f, with a
-        one at f and row i's bit f at row i's pivot.
+        one at f and row i's bit f at row i's pivot.  The rows are built on
+        the basis' ints, one step per set bit, as a code's k x n basis is small.
         """
-        n, values = self.n, self.basis.row_values
-        bits = _bit_block(values, n)
-        pivots = [n - v.bit_length() for v in values]
-        is_free = np.ones(n, dtype=bool)
-        is_free[pivots] = False
-        free = np.flatnonzero(is_free)
-        rows = np.zeros((len(free), n), dtype=np.uint8)
-        rows[np.arange(len(free)), free] = 1
-        rows[:, pivots] = bits[:, free].T
-        return SubspaceBasis(n, _bit_rows(rows))
+        values = self.basis.row_values
+        taken = sum(1 << (v.bit_length() - 1) for v in values)
+        rows = {1 << j: 1 << j for j in range(self.n) if not taken >> j & 1}
+        for v in values:
+            pivot = 1 << (v.bit_length() - 1)
+            rest = v ^ pivot  # only free columns: no other row's pivot is set in v
+            while rest:
+                free = rest & -rest
+                rows[free] |= pivot
+                rest ^= free
+        return SubspaceBasis(self.n, rows.values())
 
     def min_distance(self) -> int:
         """Minimum Hamming weight over the nonzero span, by exhaustive walk.
@@ -418,13 +434,13 @@ class SubspaceBasis:
         reserve((1 << k,), np.uint64)
         rows = self.basis.row_values
         low = _span_table(rows[:_BLOCK_ROWS], self.n)
-        offsets = _span_table(rows[_BLOCK_ROWS:], self.n)
         counts = np.empty(low.shape, dtype=np.uint8)
         best = _weights(low, counts)[1:].min()  # entry 0 of the first block is the zero word
-        buf = np.empty_like(low)
-        for offset in offsets[1:]:
-            np.bitwise_xor(low, offset, out=buf)
-            best = min(best, _weights(buf, counts).min())
+        if k > _BLOCK_ROWS:
+            buf = np.empty_like(low)
+            for offset in _span_table(rows[_BLOCK_ROWS:], self.n)[1:]:
+                np.bitwise_xor(low, offset, out=buf)
+                best = min(best, _weights(buf, counts).min())
         return int(best)
 
     def __repr__(self) -> str:

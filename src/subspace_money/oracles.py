@@ -30,7 +30,7 @@ import numpy as np
 
 from .codes import CodeSpec, _error_positions, _error_syndromes
 from .errors import reserve
-from .gf2 import BitVec, _span_table
+from .gf2 import BitVec, Gf2Matrix, _span_table
 from .states import DenseState, _coset_amplitudes, fwht, walsh_butterflies
 
 SIDES = ("primal", "dual")
@@ -48,7 +48,10 @@ def _side_index(side: str) -> int:
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     """np.unique of a 1-d array, by a sort and a neighbour compare: np.unique imports numpy.ma."""
     values = np.sort(values)
-    return values[np.append(True, values[1:] != values[:-1])]
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
 
 
 def _pivots(row_values) -> np.ndarray:
@@ -106,21 +109,23 @@ class VerifierFrame(NamedTuple):
         parity, basis = spec.parity_primal, spec.parity_dual
         syndromes = _error_syndromes(parity, spec.q)
         rows = _sorted_distinct(syndromes.astype(np.int64))
-        frequencies = _reverse_bits(_error_syndromes(basis, spec.q), basis.rows)
+        # Under the code rows in reverse order, bit j of a syndrome is row j: a frequency of u.
+        reversed_rows = Gf2Matrix(basis.rows, basis.cols, basis.row_values[::-1])
+        frequencies = _error_syndromes(reversed_rows, spec.q).astype(np.int64)
         keep = _sorted_distinct(frequencies)
         # Bit i of a syndrome value is row parity.rows-1-i, so the pivots run bottom-up.
         pivots = _pivots(parity.row_values[::-1])
         leaders = ((rows[:, None] >> np.arange(parity.rows)) & 1) @ pivots
         # Each code pivot lies in its own row alone, so a codeword's pivot bits are its u.
-        code_pivots = _pivots(basis.row_values)
-        code_rows = np.array(basis.row_values, dtype=np.int64)
-        reduced = np.all((code_rows[:, None] & code_pivots) == np.diag(code_pivots))
+        code_pivots = [1 << (r.bit_length() - 1) for r in basis.row_values]
+        mask = sum(code_pivots)
+        reduced = all(r & mask == p for r, p in zip(basis.row_values, code_pivots))
         images = _syndromes(spec, leaders)
         if basis.rows + parity.rows != spec.n or np.any(images != rows) or not reduced:
             raise ValueError("the parity rows are not RREF bases of the dual and the code")
         reserve((rows.size, 1 << basis.rows), np.int64)
         index = leaders[:, None] ^ _span_table(basis.row_values, spec.n).astype(np.int64)
-        error_cosets = np.stack([np.searchsorted(rows, syndromes), frequencies])
+        error_cosets = np.array([np.searchsorted(rows, syndromes), frequencies])
         for array in (index, keep, rows, error_cosets):
             array.setflags(write=False)
         return cls(spec, index, keep, rows, error_cosets)

@@ -215,8 +215,11 @@ class OracleRegistry:
         self.route = route
         self.records: dict[BitVec, MintRecord] = {}
         self.serial_index: dict[BitVec, BitVec] = {}
-        # Stream for sampled accept/reject decisions when callers pass no rng.
-        self._decision_rng = as_generator(derive_sequence(self.master_seed, 0xDEC1DE))
+
+    @cached_property
+    def _decision_rng(self) -> np.random.Generator:
+        """Stream for sampled accept/reject decisions when callers pass no rng, built on first use."""
+        return as_generator(derive_sequence(self.master_seed, 0xDEC1DE))
 
     # -- record generation ---------------------------------------------------
 

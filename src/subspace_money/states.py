@@ -12,8 +12,10 @@ maximally mixed or measured, the verifier frame scores in closed form.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, count, groupby, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -281,34 +283,104 @@ def dump_state(st: DenseState) -> str:
 def _dump_lines(n: int, indices: np.ndarray, values: np.ndarray) -> str:
     """dump_state's text of the nonzero values at their indices, which ascend.
 
-    Adding 0.0 writes a -0 part as 0, so equal states give equal files.
+    A line is '<bits> <re> <im>', each part written '%.17g' after adding 0.0,
+    so a -0 part is written 0 and equal states give equal files.  No line is
+    formatted on its own: each distinct part is formatted once (a coset
+    note's parts are +a, -a and 0), and the lines are joined from the bit
+    strings and those texts, each step one C-level operation over the lines.
     """
     kept = values != 0
-    bits = f"0{n}b"
-    lines = [
-        "%s %.17g %.17g" % (format(i, bits), amp.real + 0.0, amp.imag + 0.0)
-        for i, amp in zip(indices[kept].tolist(), values[kept].tolist())
-    ]
-    return "\n".join(lines) + "\n"
+    parts = (values[kept].astype(np.complex128, copy=False).view(np.float64) + 0.0).tolist()
+    texts = {part: "%.17g" % part for part in set(parts)}
+    re_texts = {part: f" {text} " for part, text in texts.items()}
+    im_texts = {part: f"{text}\n" for part, text in texts.items()}
+    pieces = zip(
+        map(format, indices[kept].tolist(), repeat(f"0{n}b")),
+        map(re_texts.__getitem__, parts[0::2]),
+        map(im_texts.__getitem__, parts[1::2]),
+    )
+    return "".join(chain.from_iterable(pieces)) or "\n"
 
 
 def parse_dump(text: str) -> tuple[int, np.ndarray, np.ndarray]:
     """(n, indices, values) of dump_state's text, in line order, refusing what no note dumps.
 
-    Each line is checked in order, field count, bit string, then numeric parts, and
-    the first bad line is named; repeated bit strings, the budget for the note's
+    A line's fields are split as str.split() splits them: a bit string, whose
+    length on the first line is n, and the real and imaginary parts.  Each line
+    is checked in order, field count, bit string, then numeric parts, and the
+    first bad line is named; repeated bit strings, the budget for the note's
     2^n amplitudes and the norm come after the last line, so a dump parses only
     if scatter_dump would build a note from it.  The norm is taken over the
     parsed values.  Indices are int64, values complex128; zero values are kept.
+
+    No line is parsed on its own (see _columns): each step maps one C-level
+    operation over the lines, the bit strings become indices in one such
+    pass, and float() runs once per distinct numeric field.  A dump that fails
+    a check is walked line by line for the first bad line (see _bad_line).
+    Beside its lines, parsing holds one column of them at a time.
     """
-    indices, values = [], []
+    columns = _columns(text.splitlines())
+    if columns is None:
+        # Fields split by other whitespace or by runs of it: one space between
+        # fields, blank lines dropped.
+        lines = list(filter(None, (" ".join(line.split()) for line in text.splitlines())))
+        if not lines:
+            raise ValueError("empty state dump")
+        columns = _columns(lines)
+    if columns is None:
+        raise _bad_line(text)
+    n, indices, group, pairs = columns
+    try:
+        numbers = {token: float(token) for token in set(chain.from_iterable(pairs))}
+    except ValueError:
+        raise _bad_line(text) from None
+    if len(set(indices)) != len(indices):
+        raise ValueError("repeated bit string in state dump")
+    reserve((1 << n,))
+    values = np.array([(numbers[re], numbers[im]) for re, im in pairs]).view(np.complex128)
+    values = values[group, 0]
+    _check_unit_norm(values)
+    return n, np.array(indices, dtype=np.int64), values
+
+
+def _columns(lines: list[str]):
+    """(n, indices, group, pairs) of lines that are each '<bits> <re> <im>' split by single spaces.
+
+    indices are the bit strings' values as ints, pairs each distinct
+    '<re> <im>' as its two fields, in order of first use, and group[i] line
+    i's pair.  None when some line is not so, or the bit strings are not all
+    n binary digits.  Each step maps one C-level operation over the lines.
+    Other whitespace can only sit at the ends of a numeric field, where
+    float() ignores it as str.split() would; a field that is not a number,
+    empty ones included, fails float() and sends the dump to _bad_line.
+    """
+    n = lines[0].find(" ") if lines else 0
+    if n < 1:
+        return None
+    bits = "".join(map(itemgetter(slice(n + 1)), lines))
+    m = len(lines)
+    if len(bits) != m * (n + 1) or bits[n :: n + 1] != " " * m or bits.count(" ") != m:
+        return None
+    if bits.strip("01 "):  # only binary digits beside those m spaces
+        return None
+    # Each distinct pair gets the next id the first time a line holds it.
+    ids = defaultdict(count().__next__)
+    group = np.fromiter(map(ids.__getitem__, map(itemgetter(slice(n + 1, None)), lines)), np.intp, m)
+    pairs = [pair.split(" ") for pair in ids]
+    if any(len(fields) != 2 for fields in pairs):
+        return None
+    return n, list(map(int, map(itemgetter(slice(n)), lines), repeat(2))), group, pairs
+
+
+def _bad_line(text: str) -> ValueError:
+    """The error naming the first line of text that has no three fields, n binary digits or numbers."""
     n = None
     for number, line in enumerate(text.splitlines(), 1):
         fields = line.split()
         if not fields:
             continue
         if len(fields) != 3:
-            raise ValueError(
+            return ValueError(
                 f"line {number} of the state dump has {len(fields)} field(s); "
                 "expected '<bits> <re> <im>'"
             )
@@ -316,23 +388,15 @@ def parse_dump(text: str) -> tuple[int, np.ndarray, np.ndarray]:
         if n is None:
             n = len(bits)
         if len(bits) != n or bits.strip("01"):
-            raise ValueError(f"bit string {bits!r} is not {n} binary digits")
-        indices.append(int(bits, 2))
+            return ValueError(f"bit string {bits!r} is not {n} binary digits")
         try:
-            values.append(complex(float(re_s), float(im_s)))
+            float(re_s), float(im_s)
         except ValueError:
-            raise ValueError(
+            return ValueError(
                 f"line {number} of the state dump has an amplitude that is not a number: "
                 f"{re_s!r} {im_s!r}"
-            ) from None
-    if n is None:
-        raise ValueError("empty state dump")
-    if len(set(indices)) != len(indices):
-        raise ValueError("repeated bit string in state dump")
-    reserve((1 << n,))
-    values = np.array(values, dtype=np.complex128)
-    _check_unit_norm(values)
-    return n, np.array(indices, dtype=np.int64), values
+            )
+    raise AssertionError("every line of the dump is well formed")
 
 
 def scatter_dump(n: int, indices: np.ndarray, values: np.ndarray) -> DenseState:
@@ -359,8 +423,8 @@ def pauli_dump(
         raise ValueError("error vector length differs from the state size")
     if sign not in (1, -1):
         raise ValueError(f"a Pauli's sign is +1 or -1, not {sign!r}")
-    odd = np.bitwise_count(indices & e_prime.value) & 1
+    order = np.argsort(indices ^ e.value)
+    odd = np.bitwise_count(indices[order] & e_prime.value) & 1
     factor = np.where(odd, -float(sign), float(sign)).astype(np.complex128)
-    moved = indices ^ e.value
-    order = np.argsort(moved)
-    return _dump_lines(n, moved[order], (values * factor)[order])
+    factor *= values[order]
+    return _dump_lines(n, indices[order] ^ e.value, factor)

@@ -14,7 +14,8 @@ M_primal on full 2^n masks, or in its coset frame with every accepted coset
 transformed and the post-state built at once; the subset testers as a
 classical query surface; code search by exhaustive minimum distances,
 syndrome tables one matrix-vector product per error, RREF column by column,
-and a Pauli as one gather of every source index.  The Hadamard on every
+a Pauli as one gather of every source index, and the state dump's text
+written and parsed one line at a time.  The Hadamard on every
 qubit, subspace membership and intersection dimension have no library
 caller and live here too, as do the references the acceptance criteria
 compare against: the verifier's projector as a dense matrix, random
@@ -477,6 +478,55 @@ def rref_by_columns(m: Gf2Matrix) -> tuple[Gf2Matrix, int]:
     return Gf2Matrix(len(nonzero), n, nonzero), len(nonzero)
 
 
+def dump_lines_by_format(n: int, indices: np.ndarray, values: np.ndarray) -> str:
+    """The state dump's text of the nonzero values at their indices, one '%s %.17g %.17g' per line."""
+    kept = values != 0
+    bits = f"0{n}b"
+    lines = [
+        "%s %.17g %.17g" % (format(i, bits), amp.real + 0.0, amp.imag + 0.0)
+        for i, amp in zip(indices[kept].tolist(), values[kept].tolist())
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def parse_dump_by_lines(text: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """parse_dump one line at a time: each line split, checked and converted in turn."""
+    indices, values = [], []
+    n = None
+    for number, line in enumerate(text.splitlines(), 1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 3:
+            raise ValueError(
+                f"line {number} of the state dump has {len(fields)} field(s); "
+                "expected '<bits> <re> <im>'"
+            )
+        bits, re_s, im_s = fields
+        if n is None:
+            n = len(bits)
+        if len(bits) != n or bits.strip("01"):
+            raise ValueError(f"bit string {bits!r} is not {n} binary digits")
+        indices.append(int(bits, 2))
+        try:
+            values.append(complex(float(re_s), float(im_s)))
+        except ValueError:
+            raise ValueError(
+                f"line {number} of the state dump has an amplitude that is not a number: "
+                f"{re_s!r} {im_s!r}"
+            ) from None
+    if n is None:
+        raise ValueError("empty state dump")
+    if len(set(indices)) != len(indices):
+        raise ValueError("repeated bit string in state dump")
+    reserve((1 << n,))
+    values = np.array(values, dtype=np.complex128)
+    norm = float(np.linalg.norm(values))
+    if not math.isfinite(norm) or abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"state is not a finite unit vector: |psi| = {norm}")
+    return n, np.array(indices, dtype=np.int64), values
+
+
 def dump_state_by_fstrings(st: DenseState) -> str:
     """dump_state as one f-string per nonzero amplitude of np.flatnonzero's scan."""
     support = np.flatnonzero(st.amplitudes)
@@ -545,7 +595,7 @@ def conjugate_coset_parameters(
     dual_rows = basis_map.matrix.inverse()
     for i in range(n):
         for j in range(n):
-            if dual_rows.row(i).dot(basis_map.column(j)) != (1 if i == j else 0):
+            if BitVec(n, dual_rows.row_values[i]).dot(basis_map.column(j)) != (1 if i == j else 0):
                 raise AssertionError("dual basis failed the delta check")
     t = BitVec.zeros(n)
     t_prime = BitVec.zeros(n)
@@ -553,7 +603,7 @@ def conjugate_coset_parameters(
         if not x.bit(i):
             continue
         if theta.bit(i):
-            t_prime = t_prime ^ dual_rows.row(i)
+            t_prime = t_prime ^ BitVec(n, dual_rows.row_values[i])
         else:
             t = t ^ basis_map.column(i)
     return t, t_prime

@@ -59,7 +59,7 @@ ENTRY_POINTS = [
         PURE_BYTES,
     ),
     (
-        "load_state",
+        "parse_dump",
         lambda: (dump_state(_pure()),),
         lambda text: scatter_dump(*parse_dump(text)),
         PURE_BYTES,
@@ -148,7 +148,7 @@ def test_mint_refuses_before_the_code_search(tmp_path, capsys, monkeypatch, rout
     assert note.exists() and note.with_suffix(".bank.json").exists()
 
 
-def test_load_state_bounds_outside_input(tmp_path, capsys, monkeypatch):
+def test_parse_dump_bounds_outside_input(tmp_path, capsys, monkeypatch):
     note, bank = tmp_path / "note.json", tmp_path / "note.bank.json"
     assert main(["--seed", "3", "--out", str(note), "mint", "--n", "12", "--q", "1"]) == 0
     dump = json.loads(note.read_text())["state"]["dump"]

@@ -220,6 +220,20 @@ def test_a_failed_mint_writes_neither_file(tmp_path, capsys, missing):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("bank_out", ["note.json", "./sub/../note.json"])
+def test_mint_refuses_a_bank_key_file_that_is_its_note_file(tmp_path, capsys, monkeypatch, bank_out):
+    # The bank key written over the note would leave a file that verify refuses
+    # as a note ('bankkey-v1'), so the mint is refused before either is written.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    argv = ["--seed", 3, "--out", "note.json", "mint", "--n", 6, "--q", 1, "--bank-out", bank_out]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    shown = Path(bank_out)  # as argparse gives it, './' dropped
+    assert err == f"error: --bank-out {shown} is the note file note.json; the bank key would overwrite it\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
 def test_undecodable_correct_exit_code(tmp_path, capsys):
     # 000111 is undecodable for the worked code specifically (syndrome 111
     # is not in its table), so mint against that code rather than a random one.

@@ -2,7 +2,11 @@
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,3 +396,42 @@ def test_report_save(tmp_path):
     assert path.read_text() == report.to_csv_text()
     explicit = tmp_path / "custom.csv"
     assert report.save(explicit) == explicit
+
+
+# The block kernel's bits: random-state reports at n = 6 and n = 14, and the
+# probability of one random one-trial block at n = 14, each as float.hex.
+_RANDOM_STATE_BITS = """
+import numpy as np
+from subspace_money.experiments import run_attack
+from subspace_money.gf2 import BitVec
+from subspace_money.scheme import OracleRegistry
+for n, trials in ((6, 1000), (14, 40)):
+    report = run_attack(OracleRegistry(n, 1, master_seed=n), "random-state", trials, n)
+    row = dict(zip(report.columns, report.rows[0]))
+    print(row["mean_probability"].hex(), row["successes"])
+frame = OracleRegistry(14, 1, master_seed=3).generate(BitVec.zeros(14)).frame
+block = np.random.default_rng(14).standard_normal((1, 2, 2, 1 << 14))
+print(float(frame.pair_probability(block)[0]).hex())
+"""
+
+
+def test_block_kernel_bits_do_not_depend_on_the_blas_thread_count():
+    # The random-state blocks reduce through np.vecdot; a BLAS that split those
+    # sums across threads would change the reports' bits with the thread count.
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _RANDOM_STATE_BITS],
+            capture_output=True,
+            text=True,
+            env={
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "PYTHONPATH": str(Path(experiments.__file__).parents[1]),
+            },
+            timeout=120,
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert runs[0] == runs[1]
+    assert len(runs[0].splitlines()) == 3

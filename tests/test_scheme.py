@@ -267,7 +267,7 @@ def test_record_refuses_theta_and_basis_map_of_the_wrong_length():
 
 def test_tester_oracle_surface(registry):
     rec = registry.generate(bv("011000"))
-    member = rec.spec.code.basis.row(0)
+    member = next(iter(rec.spec.code.basis))
     tester = SubsetTesters(registry)
     assert tester("primal", rec.serial, member)
     # An invalid serial makes the tester do nothing: the predicate reads False.

@@ -22,6 +22,7 @@ from subspace_money.gf2 import (
 )
 from subspace_money.states import (
     DenseState,
+    _dump_lines,
     apply_basis_permutation,
     apply_pauli,
     coset_state,
@@ -39,9 +40,11 @@ from reference import (
     ATOL_EXACT,
     apply_pauli_by_gather,
     basis_state,
+    dump_lines_by_format,
     dump_state_by_fstrings,
     hadamard_all,
     intersection_dim,
+    parse_dump_by_lines,
     random_basis_map,
     tolerated_coset_states,
     uniform_state,
@@ -279,7 +282,7 @@ def test_dense_state_repr_counts_the_support_without_listing_it(monkeypatch):
     assert repr(state) == "DenseState(n=3, support=3)"
 
 
-def test_load_state_rejects_a_non_unit_dump():
+def test_parse_dump_rejects_a_non_unit_dump():
     with pytest.raises(ValueError, match="unit vector"):
         scatter_dump(*parse_dump("00 1 0\n11 1 0\n"))
 
@@ -511,7 +514,7 @@ def test_dense_state_rejects_non_finite_amplitudes():
         DenseState(1, [float("nan"), 1.0])
 
 
-def test_load_state_rejects_repeated_bit_strings():
+def test_parse_dump_rejects_repeated_bit_strings():
     with pytest.raises(ValueError, match="repeated"):
         scatter_dump(*parse_dump("00 0.6 0\n00 1 0\n"))
 
@@ -551,6 +554,64 @@ def test_load_state_names_a_line_without_three_fields(text, message):
 def test_load_state_names_a_line_whose_amplitude_is_not_a_number(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         scatter_dump(*parse_dump(text))
+
+
+# What a malformed dump may hold in place of a character: separators that
+# str.split() and str.splitlines() treat alike or apart, runs of them, and
+# characters that no bit string or number holds, or that float() reads.
+DUMP_NOISE = [
+    "", " ", "  ", "\t", "\r", "\r\n", "\n", "\n\n", "\v", "\x1c", "\x1f", "\xa0", "\u2028",
+    "x", "-", "+", ".", "e", "_", "2", "0", "1", "nan", "inf", "\u0661", "\x00",
+]
+
+
+def _codec_outcome(parse, text):
+    try:
+        n, indices, values = parse(text)
+    except (ValueError, BudgetExceededError) as exc:
+        return type(exc), str(exc)
+    return n, indices.dtype, indices.tobytes(), values.dtype, values.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_parse_dump_matches_the_line_by_line_reference(n, data):
+    # Valid dumps, with signed and zero parts and zero lines, and the same dumps
+    # edited at random: the result's bytes, or the error and its text, are the
+    # reference's.
+    support = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=10, unique=True))
+    a = 1.0 / math.sqrt(len(support))
+    part = st.sampled_from([a, -a, 0.0, -0.0, 0.5, 1e-300])
+    lines = [
+        "%s %s %s" % (format(i, f"0{n}b"), *("%.17g" % x for x in data.draw(st.tuples(part, part))))
+        for i in support
+    ]
+    text = "\n".join(lines) + data.draw(st.sampled_from(["\n", "", "\n\n", " \n"]))
+    for _ in range(data.draw(st.integers(0, 3))):
+        # Anywhere, or in some line's bit string or the separator after it.
+        line = data.draw(st.integers(0, len(lines) - 1))
+        near = text.find("\n".join(lines[line:])) + data.draw(st.integers(0, n + 1))
+        at = data.draw(st.one_of(st.integers(0, len(text)), st.just(max(near, 0))))
+        cut = data.draw(st.integers(0, 2))
+        text = text[:at] + data.draw(st.sampled_from(DUMP_NOISE)) + text[at + cut :]
+    assert _codec_outcome(parse_dump, text) == _codec_outcome(parse_dump_by_lines, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 16), data=st.data())
+def test_dump_lines_matches_the_per_line_format(n, data):
+    # Signed and zero parts, zero values (not written), repeated and distinct
+    # values, and real arrays, as mint_dump passes.
+    support = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=0, max_size=40, unique=True))
+    part = st.one_of(
+        st.sampled_from([0.125, -0.125, 0.0, -0.0]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    indices = np.array(sorted(support), dtype=np.int64)
+    values = np.array([complex(*data.draw(st.tuples(part, part))) for _ in support], dtype=np.complex128)
+    if data.draw(st.booleans()):
+        values = values.real.copy()
+    assert _dump_lines(n, indices, values) == dump_lines_by_format(n, indices, values)
 
 
 # ---------------------------------------------------------------------------
