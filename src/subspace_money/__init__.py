@@ -73,8 +73,8 @@ from .scheme import (
     mint_conjugate,
     mint_direct,
     random_corruption,
+    record_text,
     registry_for_record,
-    save_record,
     verify,
 )
 from .states import (

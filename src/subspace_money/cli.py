@@ -8,8 +8,9 @@ allocation refused as over the budget, an input file that is missing,
 unreadable, malformed or wrongly sized, a file that cannot be written),
 2 usage errors.  No subcommand builds a 2^n note: mint writes its lines in
 closed form, verify and correct score a file's parsed lines in the verifier
-frame, corrupt and correct rewrite them under a Pauli, and a failed mint
-writes neither file, nor does a mint whose bank key file is its note file.
+frame, corrupt and correct rewrite them under a Pauli.  A failed command
+leaves every file it would write as it was (see codes._write_files), and a
+mint whose bank key file is its note file writes neither.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import demo as demo_module
-from .codes import certify, load_code, save_code, search_applicable_code
+from .codes import _write_files, certify, load_code, save_code, search_applicable_code
 from .errors import (
     BudgetExceededError,
     CodeSearchError,
@@ -36,17 +37,19 @@ from .experiments import ATTACK_KINDS, gv_table, run_attack, soundness_table
 from .gf2 import BitVec, random_bitvec
 from .scheme import (
     OracleRegistry,
-    diagnose,
+    banknote_text,
+    correct,
+    corrupt,
     load_banknote_dump,
     load_record,
     mint_dump,
     random_corruption,
+    record_text,
     registry_for_record,
     save_banknote_dump,
-    save_record,
     verify,
 )
-from .states import pauli_dump
+from .states import _dump_lines
 
 DOMAIN_ERRORS = (
     BudgetExceededError,
@@ -182,12 +185,8 @@ def _cmd_mint(args) -> int:
             raise ValueError("--code supports only the direct route")
         registry.generate(r, load_code(args.code))
     record, text = mint_dump(registry, r)
-    save_banknote_dump(record.serial, text, out)
-    try:
-        save_record(record, bank_out)
-    except OSError:
-        out.unlink()  # a note with no bank key could never verify
-        raise
+    # The bank key first: a note with no bank key could never verify.
+    _write_files((bank_out, record_text(record)), (out, banknote_text(record.serial, text)))
     _emit(
         args,
         {"serial": str(record.serial), "note": str(out), "bank": str(bank_out), "r": str(r)},
@@ -206,10 +205,8 @@ def _cmd_corrupt(args) -> int:
     else:
         e = BitVec.from_string(args.e) if args.e else BitVec.zeros(n)
         ep = BitVec.from_string(args.ez) if args.ez else BitVec.zeros(n)
-    # The note's support moves under X^e Z^e' without a 2^n vector: see pauli_dump.
-    text = pauli_dump(*note.state, e, ep)
     out = args.out or args.note
-    save_banknote_dump(note.serial, text, out)
+    save_banknote_dump(note.serial, _dump_lines(*corrupt(note, e, ep).state), out)
     _emit(
         args,
         {"serial": str(note.serial), "e": str(e), "e_prime": str(ep), "file": str(out)},
@@ -244,12 +241,9 @@ def _cmd_correct(args) -> int:
     registry = registry_for_record(load_record(args.bank))
     note = load_banknote_dump(args.note)
     session = registry.session(note.serial)
-    # diagnose reads the parsed lines in the frame, and the fix rewrites them, with the
-    # inverse's commutation sign, as correct applies it.
-    e, ep = diagnose(registry, note, session=session)
-    text = pauli_dump(*note.state, e, ep, sign=-1 if e.dot(ep) else 1)
+    fixed = correct(registry, note, session=session)
     out = args.out or args.note
-    save_banknote_dump(note.serial, text, out)
+    save_banknote_dump(note.serial, _dump_lines(*fixed.state), out)
     _emit(
         args,
         {

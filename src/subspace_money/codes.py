@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -129,6 +130,27 @@ def _dumps_json(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _write_files(*files: tuple[str | Path, str]) -> None:
+    """Write each (path, text), in order, so that a failed write leaves every path as it was.
+
+    Every text first goes to a new ("x") temporary file beside its path, and
+    only then does each replace its path; on a failure they are removed.
+    """
+    staged = []
+    try:
+        for path, text in files:
+            with open(f"{path}.{os.getpid()}.tmp", "x") as f:
+                staged.append(f.name)
+                f.write(text)
+        for temporary, (path, _) in zip(staged, files):
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary in staged:
+            if os.path.exists(temporary):
+                os.remove(temporary)
+        raise
+
+
 def _json_rows(data, key: str, n: int) -> list[str]:
     """data[key] as a list of n-digit bit strings; ValueError naming the field otherwise."""
     rows = _json_field(data, key, list)
@@ -142,7 +164,7 @@ def _distance_or_inf(s: SubspaceBasis):
 
 
 def save_code(spec: CodeSpec, path: str | Path) -> None:
-    Path(path).write_text(_dumps_json(spec.to_json_dict()))
+    _write_files((path, _dumps_json(spec.to_json_dict())))
 
 
 def load_code(path: str | Path) -> CodeSpec:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .codes import (
     CodeSpec,
+    _write_files,
     count_error_pairs,
     enumerate_errors,
     error_count,
@@ -57,7 +58,7 @@ class ExperimentReport:
     def save(self, directory: str | Path) -> Path:
         directory = Path(directory)
         path = directory / self.default_filename() if directory.is_dir() else directory
-        path.write_text(self.to_csv_text())
+        _write_files((path, self.to_csv_text()))
         return path
 
 
@@ -112,50 +113,42 @@ def completeness_sweep(spec: CodeSpec) -> ExperimentReport:
 # attacks
 
 
-# A strategy(note, session, rng, trials) sees only the banknote and a
-# charge-counting oracle session, never the code itself.  It yields blocks of
-# consecutive trials as (pair, uniforms), pair in one of the two forms that
-# VerifierFrame.pair_probability takes: a tuple (sigma1, sigma2) of registers
-# that VerifierFrame.probability takes, or one real array of shape (trials,
-# 2, parts, 2^n) holding both registers on axis -3.  A register with a
-# closed form under P is described, not built: an integer array of basis
-# strings for classical registers, one per trial, None for the maximally
-# mixed one.  The pair's probability is one per trial of the block, or one
-# scalar for all of them, and trial t is accepted when uniforms[t] falls
-# below its probability.  A block's arrays may be refilled for the next
-# block, so they are read before the next one is asked for.
+# A strategy(note, frame, rng, trials) sees only the banknote and the verifier
+# frame's scoring kernels, never the code.  It yields blocks of consecutive
+# trials as (Ver2's probability per trial or one for all, uniforms): trial t
+# is accepted when uniforms[t] falls below its probability.  A block's arrays
+# may be refilled for the next block, so they are read before it is asked for.
 
 # Live float64 entries in one block of random-state registers: sixteen trials
 # (four 2^n-entry normal vectors each) at n = 6, one trial from n = 10 on.
 # Beside the block, its kernel holds the gathered cosets and their kept Walsh
-# rows, under twice the block, because walsh_butterflies keeps numpy's operand
-# buffers out.  So random-state sets the attack's peak; the other strategies
-# hold the note, for measure-and-copy its CDF, and a block of a quarter as
-# many trials (see _trial_blocks).
+# rows, under twice the block, as walsh_butterflies keeps numpy's operand
+# buffers out, so random-state sets the attack's peak (see _trial_blocks).
 _BLOCK_ENTRIES = 4096
 
 
 def _trial_blocks(trials):
     """The sizes of consecutive blocks of trials, of at most _BLOCK_ENTRIES / 4 each.
 
-    The closed-form strategies draw and score one block at a time, so their
-    trial-sized arrays (a trial's two draws, its probability and its running
-    sum) stay under _BLOCK_ENTRIES float64 entries whatever the trial count.
-    Successive draws give the same doubles as one draw for every trial.
+    The closed-form strategies hold the note (and its CDF) and draw and score
+    one block at a time, so their trial-sized arrays (a trial's two draws,
+    its probability and its running sum) stay under _BLOCK_ENTRIES float64
+    entries whatever the trial count.  Successive draws give the same doubles
+    as one draw for every trial.
     """
     size = _BLOCK_ENTRIES // 4
     for start in range(0, trials, size):
         yield min(size, trials - start)
 
 
-def _attack_passthrough_mixed(note, session, rng, trials):
+def _attack_passthrough_mixed(note, frame, rng, trials):
     """Keep the real note in register one, attach a maximally mixed register."""
-    pair = (note.state, None)
+    prob = frame.apply(note.state)[0] * frame.mixed_probability()
     for size in _trial_blocks(trials):
-        yield pair, rng.random(size)
+        yield prob, rng.random(size)
 
 
-def _attack_measure_and_copy(note, session, rng, trials):
+def _attack_measure_and_copy(note, frame, rng, trials):
     """Measure the note in the computational basis and emit the string twice."""
     cdf = note.state.probabilities()
     np.cumsum(cdf, out=cdf)
@@ -164,14 +157,14 @@ def _attack_measure_and_copy(note, session, rng, trials):
         # A trial draws the measurement, one uniform through the CDF as
         # Generator.choice(p=...) does, then the decision uniform.
         draws = rng.random((size, 2))
-        outcomes = cdf.searchsorted(draws[:, 0], side="right")
-        yield (outcomes, outcomes), draws[:, 1]
-        del draws, outcomes  # before the next block is drawn
+        p = frame.basis_probabilities(cdf.searchsorted(draws[:, 0], side="right"))
+        yield p * p, draws[:, 1]
+        del draws, p  # before the next block is drawn
 
 
-def _attack_random_state(note, session, rng, trials):
+def _attack_random_state(note, frame, rng, trials):
     """Two independent Haar-ish random pure registers; ignores the note."""
-    dim = 1 << session.n
+    dim = 1 << frame.n
     shape = (min(trials, max(1, _BLOCK_ENTRIES // (4 * dim))), 2, 2, dim)
     reserve(shape, np.float64)
     # One block, refilled in place: the caller is done with a block when it asks for the next.
@@ -183,7 +176,7 @@ def _attack_random_state(note, session, rng, trials):
         for t, row in enumerate(parts):
             rng.standard_normal(out=row)
             uniforms[t] = rng.random()
-        yield parts, uniforms[: len(parts)]
+        yield frame.block_probabilities(parts).prod(axis=-1), uniforms[: len(parts)]
 
 
 _STRATEGIES = {
@@ -226,21 +219,12 @@ def run_attack(
     where available, the mean exact per-trial probability, and the session's
     total oracle charges.
 
-    Trials run in blocks through double_verify's kernel,
-    VerifierFrame.pair_probability, with the record's verifier frame taken
-    once and charged as two passes per trial.  Only random-state builds
-    registers: it refills one real (trials, 2, 2, 2^n) block of their real
-    and imaginary parts in place, of at most _BLOCK_ENTRIES float64 entries
-    or one trial, reserved against the allocation budget before it is
-    allocated, and both registers of a block of trials go in one call.  The
-    other two take the frame's closed forms, so they hold only the note, for
-    measure-and-copy its CDF, and one block of at most _BLOCK_ENTRIES / 4
-    trials' draws and probabilities: passthrough-mixed evaluates its one
-    pair once a block, measure-and-copy the measured string of each trial.
-    After the minting draws, the stream is per trial: random-state's four
-    normal vectors, or measure-and-copy's measurement uniform, then the
-    decision uniform; the per-trial probabilities are summed in trial order,
-    so the report does not depend on the block size.
+    Each strategy scores its blocks of trials with the record's verifier
+    frame, taken once and charged as two passes per trial.  After the minting
+    draws, the stream is per trial: random-state's four normal vectors, or
+    measure-and-copy's measurement uniform, then the decision uniform; the
+    per-trial probabilities are summed in trial order, so the report does
+    not depend on the block size.
     """
     attack = _STRATEGIES.get(strategy)
     if attack is None:
@@ -255,15 +239,14 @@ def run_attack(
 
     successes = 0
     prob_sum = 0.0
-    for pair, uniforms in attack(note, session, rng, trials):
+    for probs, uniforms in attack(note, frame, rng, trials):
         # The method, not np.clip, whose wrapper leaves its keyword dicts in the interpreter's
         # free lists, traced-heap memory that only a full gc collection releases.
-        probs = np.asarray(frame.pair_probability(pair)).clip(0.0, 1.0)
-        probs = np.broadcast_to(probs, uniforms.shape)
+        probs = np.broadcast_to(np.asarray(probs).clip(0.0, 1.0), uniforms.shape)
         successes += int(np.count_nonzero(uniforms < probs))
         prob_sum = float(np.add.accumulate(np.concatenate(([prob_sum], probs)))[-1])
         # The block goes before the next one is drawn.
-        del pair, uniforms, probs
+        del uniforms, probs
 
     low, high = wilson_interval(successes, trials)
     analytic = analytic_attack_rate(strategy, registry.n, registry.q)

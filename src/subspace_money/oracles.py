@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -213,53 +213,36 @@ class VerifierFrame(NamedTuple):
         accepted = np.isin(strings, self.index, kind="table")
         return np.where(accepted, self.keep.size / self.index.shape[1], 0.0)
 
-    def probability(self, sigma: Union[DenseState, np.ndarray, None]) -> Union[float, np.ndarray]:
-        """tr(P sigma) for one n-qubit register, or for every register of a block.
+    def block_probabilities(self, block: np.ndarray) -> np.ndarray:
+        """tr(P sigma) for every pure register of a block, shape (...).
 
-        sigma is a DenseState, whose probability is apply's; or a block of
-        pure registers: a float array of shape (...,
-        parts, 2^n) whose parts are each register's real and imaginary
-        amplitudes (one part for a real register), not necessarily normalised.
-        P is real, so <a + ib|P|a + ib> is the sum of the parts' <a|P|a>, the
-        kept Walsh energy of their accepted cosets over 2^k, and a block's
-        probabilities, of shape (...), are those sums divided by the
-        registers' squared norms; a block transforms every accepted coset.
-        Two registers take closed forms and are never built: an integer array
-        of basis strings v, the classical registers |v> (basis_probabilities),
-        and None, the maximally mixed register (mixed_probability).
+        block is a float array of shape (..., parts, 2^n) whose parts are each
+        register's real and imaginary amplitudes (one part for a real
+        register), not necessarily normalised.  P is real, so <a + ib|P|a + ib>
+        is the sum of the parts' <a|P|a>, the kept Walsh energy of their
+        accepted cosets over 2^k, divided here by the register's squared norm;
+        a block transforms every accepted coset.
         """
-        n = self.n
-        if sigma is None:
-            return self.mixed_probability()
-        if isinstance(sigma, DenseState):
-            if sigma.n != n:
-                raise ValueError(f"register must act on n={n} qubits")
-            return self.apply(sigma)[0]
-        if sigma.dtype.kind in "iu":
-            return self.basis_probabilities(sigma)
-        if sigma.shape[-1] != 1 << n:
-            raise ValueError(f"registers of the block must have {1 << n} amplitudes")
-        coeffs = self._kept_coefficients(sigma)
+        if block.shape[-1] != 1 << self.n:
+            raise ValueError(f"registers of the block must have {1 << self.n} amplitudes")
+        coeffs = self._kept_coefficients(block)
         weight = np.vecdot(coeffs, coeffs).real
-        norm = np.vecdot(sigma, sigma).sum(axis=-1)
+        norm = np.vecdot(block, block).sum(axis=-1)
         if not np.all(np.isfinite(norm) & (norm > 0.0)):
             raise ValueError("a register of the block is not a finite nonzero vector")
         return weight.sum(axis=-1) / norm / self.index.shape[1]
 
-    def pair_probability(self, joint) -> Union[float, np.ndarray]:
+    def pair_probability(self, joint: DenseState | tuple) -> float:
         """Ver2's kernel: tr((P (x) P) rho) for two registers under one serial number.
 
-        joint is a pair (sigma1, sigma2) meaning sigma1 (x) sigma2, each a
-        register or a block of them for probability; a real block of shape
-        (..., 2, parts, 2^n) holding both registers on axis -3; or a 2n-qubit
-        DenseState, computed one register axis at a time.  A pair's or a
-        block's probability is the product of its registers'.
+        joint is a pair (sigma1, sigma2) meaning sigma1 (x) sigma2, each an
+        n-qubit DenseState, scored as apply scores it, or None for the
+        maximally mixed register; or a 2n-qubit DenseState, computed one
+        register axis at a time.
         """
         if isinstance(joint, tuple):
-            sigma1, sigma2 = joint
-            return self.probability(sigma1) * self.probability(sigma2)
-        if isinstance(joint, np.ndarray):
-            return self.probability(joint).prod(axis=-1)
+            p1, p2 = (self.mixed_probability() if s is None else self.apply(s)[0] for s in joint)
+            return p1 * p2
         if not isinstance(joint, DenseState):
             raise TypeError(f"unsupported joint state type {type(joint).__name__}")
         if joint.n != 2 * self.n:
@@ -302,11 +285,14 @@ class VerifierFrame(NamedTuple):
         not); the entries are a C-ordered (rows, 2^k) complex stack in the
         frame's layout.  A DenseState's rows are gathered up to _GATHER_CHUNK
         amplitudes at a time, so the working set is the occupied cosets plus
-        one chunk; a note file's lines, parse_dump's (n, indices, values), are
-        put in place (see _place).  A tolerated X^e Z^e' note occupies one coset.
+        one chunk, and one of another n is refused; a note file's lines,
+        parse_dump's (n, indices, values), are put in place (see _place).  A
+        tolerated X^e Z^e' note occupies one coset.
         """
         if not isinstance(note, DenseState):
             return self._place(*note[1:])
+        if note.n != self.n:
+            raise ValueError(f"register must act on n={self.n} qubits")
         amplitudes, index = note.amplitudes, self.index
         step = max(1, _GATHER_CHUNK // index.shape[1])
         rows, cosets = [], []

@@ -33,7 +33,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .codes import CodeSpec, _dumps_json, _json_field, certify, error_count, search_applicable_code
+from .codes import CodeSpec, _dumps_json, _json_field, _write_files, certify, error_count
+from .codes import search_applicable_code
 from .errors import SerialCollisionError, UndecodableError, UnknownSerialError, reserve
 from .gf2 import BasisMap, BitVec, Gf2Matrix, SubspaceBasis, random_bitvec
 from .gf2 import _independent_rows, _random_rows
@@ -46,6 +47,7 @@ from .states import (
     apply_basis_permutation,
     apply_pauli,
     parse_dump,
+    pauli_lines,
     scatter_dump,
     subspace_state,
 )
@@ -63,7 +65,8 @@ class Banknote:
     """A serial number and the money state a wallet holds for it.
 
     The state is a DenseState, or a note file's lines, parse_dump's (n,
-    indices, values), which verify and diagnose read as they are.
+    indices, values), which verify, diagnose, corrupt and correct take as
+    they are.
     """
 
     serial: BitVec
@@ -155,10 +158,6 @@ class OracleSession:
         self.serial = serial
         self._counts = dict.fromkeys(ORACLE_NAMES, 0)
 
-    @property
-    def n(self) -> int:
-        return self._record.spec.n
-
     def charge(self, name: str, count: int = 1) -> None:
         """Record count queries to the named oracle."""
         if count < 0:
@@ -174,8 +173,8 @@ class OracleSession:
     @property
     def combined_equivalent(self) -> int:
         """In combined-oracle queries: |E_q| per primal or dual query, one per coset test."""
-        counts = self._counts
-        factor = error_count(self.n, self._record.spec.q)
+        counts, spec = self._counts, self._record.spec
+        factor = error_count(spec.n, spec.q)
         return factor * (counts["primal"] + counts["dual"]) + counts["coset"]
 
     def member(self, side: str, x: BitVec) -> bool:
@@ -402,8 +401,15 @@ def conjugate_coding_state(x: BitVec, theta: BitVec) -> DenseState:
 
 
 def corrupt(note: Banknote, e: BitVec, e_prime: BitVec) -> Banknote:
-    """Apply the Pauli noise X^e Z^e' to the note's state, any weights allowed."""
-    return Banknote(note.serial, apply_pauli(note.state, e, e_prime))
+    """Apply the Pauli noise X^e Z^e' to the note's state, any weights allowed (see _pauli)."""
+    return Banknote(note.serial, _pauli(note.state, e, e_prime))
+
+
+def _pauli(state, e: BitVec, e_prime: BitVec, sign: int = 1):
+    """sign X^e Z^e' on a DenseState, or on a note file's lines as lines, with no 2^n vector."""
+    if isinstance(state, DenseState):
+        return apply_pauli(state, e, e_prime, sign)
+    return pauli_lines(*state, e, e_prime, sign)
 
 
 def random_corruption(n: int, weight: int, seed: Seed) -> tuple[BitVec, BitVec]:
@@ -461,8 +467,8 @@ def double_verify(
     P = H M_dual H M_primal onto the tolerated span, computed by the record's
     frame (see VerifierFrame.pair_probability) and clipped to [0, 1].  The
     joint state is a 2n-qubit DenseState, or a pair (sigma1, sigma2) meaning
-    sigma1 (x) sigma2 of n-qubit registers as VerifierFrame.probability takes
-    them: a DenseState, or None for the maximally mixed register.
+    sigma1 (x) sigma2 of n-qubit registers, each a DenseState or None for
+    the maximally mixed register.
     """
     session = registry._session_for(serial, session)
     prob = float(session.verifier_frame(passes=2).pair_probability(joint))
@@ -510,24 +516,26 @@ def correct(
 ) -> Banknote:
     """Identify and invert the note's Pauli error, restoring the fresh codeword.
 
-    The inverse of X^e Z^e' is applied with its commutation sign through
-    apply_pauli's `sign`, which folds it into the blocks' +-1 factors, so each
-    amplitude takes one product and for a state that was exactly a signed
-    coset state the result equals the fresh subspace state exactly, not just
-    up to phase, in one 2^n pass.
+    The inverse of X^e Z^e' takes its commutation sign (see _pauli), so a
+    signed coset state becomes the fresh subspace state exactly, not just up
+    to phase: in one 2^n pass, or as lines for a note file's lines.
     """
     e, ep = diagnose(registry, note, session=session)
-    return Banknote(note.serial, apply_pauli(note.state, e, ep, sign=-1 if e.dot(ep) else 1))
+    return Banknote(note.serial, _pauli(note.state, e, ep, sign=-1 if e.dot(ep) else 1))
 
 
 # -- file formats -----------------------------------------------------------------
 
 
-def save_banknote_dump(serial: BitVec, dump: str, path: str | Path) -> None:
-    """Write a note file from its serial and a dump_state text."""
+def banknote_text(serial: BitVec, dump: str) -> str:
+    """A note file's text from its serial and a dump_state text."""
     state = {"kind": "dense", "dump": dump}
-    data = {"format": BANKNOTE_FORMAT, "serial": str(serial), "state": state}
-    Path(path).write_text(_dumps_json(data))
+    return _dumps_json({"format": BANKNOTE_FORMAT, "serial": str(serial), "state": state})
+
+
+def save_banknote_dump(serial: BitVec, dump: str, path: str | Path) -> None:
+    """Write a note file from its serial and a dump_state text (see codes._write_files)."""
+    _write_files((path, banknote_text(serial, dump)))
 
 
 def load_banknote(path: str | Path) -> Banknote:
@@ -539,7 +547,7 @@ def load_banknote_dump(path: str | Path) -> Banknote:
     """A note file as a Banknote of its serial and parse_dump's lines, its envelope checked.
 
     No 2^n vector is built: verify and diagnose score the lines in the
-    verifier frame, and pauli_dump rewrites them under a Pauli;
+    verifier frame, and corrupt and correct rewrite them under a Pauli;
     load_banknote scatters them into the note.
     """
     data = json.loads(Path(path).read_text())
@@ -589,8 +597,9 @@ def record_from_json_dict(data: dict) -> MintRecord:
     )
 
 
-def save_record(record: MintRecord, path: str | Path) -> None:
-    Path(path).write_text(_dumps_json(record_to_json_dict(record)))
+def record_text(record: MintRecord) -> str:
+    """A bank key file's text."""
+    return _dumps_json(record_to_json_dict(record))
 
 
 def load_record(path: str | Path) -> MintRecord:

@@ -349,10 +349,10 @@ def _columns(lines: list[str]):
     indices are the bit strings' values as ints, pairs each distinct
     '<re> <im>' as its two fields, in order of first use, and group[i] line
     i's pair.  None when some line is not so, or the bit strings are not all
-    n binary digits.  Each step maps one C-level operation over the lines.
-    Other whitespace can only sit at the ends of a numeric field, where
-    float() ignores it as str.split() would; a field that is not a number,
-    empty ones included, fails float() and sends the dump to _bad_line.
+    n binary digits, or a pair that str.split() splits otherwise, as it does
+    at 0x1f, which float() does not strip.  Each step maps one C-level
+    operation over the lines.  A field that is not a number, empty ones
+    included, fails float() and sends the dump to _bad_line.
     """
     n = lines[0].find(" ") if lines else 0
     if n < 1:
@@ -367,7 +367,7 @@ def _columns(lines: list[str]):
     ids = defaultdict(count().__next__)
     group = np.fromiter(map(ids.__getitem__, map(itemgetter(slice(n + 1, None)), lines)), np.intp, m)
     pairs = [pair.split(" ") for pair in ids]
-    if any(len(fields) != 2 for fields in pairs):
+    if any(len(fields) != 2 or fields != pair.split() for fields, pair in zip(pairs, ids)):
         return None
     return n, list(map(int, map(itemgetter(slice(n)), lines), repeat(2))), group, pairs
 
@@ -407,17 +407,17 @@ def scatter_dump(n: int, indices: np.ndarray, values: np.ndarray) -> DenseState:
     return DenseState._own(n, amps)
 
 
-def pauli_dump(
+def pauli_lines(
     n: int, indices: np.ndarray, values: np.ndarray, e: BitVec, e_prime: BitVec, sign: int = 1
-) -> str:
-    """dump_state(apply_pauli(scatter_dump(n, indices, values), e, e_prime, sign)), byte for byte.
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """apply_pauli on parse_dump's lines, as lines in ascending order, with no 2^n vector.
 
     Only the listed amplitudes move: the one at s goes to s + e, times
     sign (-1)^(s.e').  apply_pauli's extra (-1)^(e.e') cancels here, as its
     phase is taken at the destination, (s + e).e' = s.e' + e.e'.  The
     factor is chosen in float and cast to complex, as apply_pauli's is, so
-    every nonzero part keeps its bits and only a zero part's sign can differ,
-    which the dump does not write.
+    every nonzero part keeps its bits and only a zero part's sign can
+    differ, which _dump_lines does not write: the bytes are dump_state's.
     """
     if e.n != n or e_prime.n != n:
         raise ValueError("error vector length differs from the state size")
@@ -427,4 +427,4 @@ def pauli_dump(
     odd = np.bitwise_count(indices[order] & e_prime.value) & 1
     factor = np.where(odd, -float(sign), float(sign)).astype(np.complex128)
     factor *= values[order]
-    return _dump_lines(n, indices[order] ^ e.value, factor)
+    return n, indices[order] ^ e.value, factor

@@ -422,6 +422,59 @@ def test_corrected_note_file_equals_the_fresh_one(tmp_path, capsys, n):
     assert fixed.read_bytes() == note.read_bytes()
 
 
+def _run_with_file_size_limit(cwd, argv, limit):
+    """The CLI in a fresh interpreter in cwd whose files may not grow past limit bytes."""
+    import resource
+
+    return subprocess.run(
+        [sys.executable, "-m", "subspace_money.cli", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(Path(subspace_money.__file__).parents[1])},
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+    )
+
+
+# Each write that outgrows the limit: the n = 14 note (5134 bytes) under 2 KiB,
+# beside a bank key of 1017 bytes that fits; a code and a CSV under 128 bytes.
+LIMITED_WRITES = {
+    "mint-fresh": ([], ["--out", "new.json", "mint", "--n", 14, "--q", 1], 2048),
+    "mint-over-a-pair": ([], ["--out", "note.json", "mint", "--n", 14, "--q", 1], 2048),
+    "corrupt-in-place": ([], ["corrupt", "note.json", "--e", "1" + "0" * 13], 2048),
+    "correct-in-place": (["bad.json"], ["correct", "bad.json", "--bank", "note.bank.json"], 2048),
+    "gencode": (["c.json"], ["--out", "c.json", "gencode", "--n", 6, "--q", 1], 128),
+    "attack": (
+        ["a.csv"], ["--out", "a.csv", "attack", "--strategy", "random-state", "--trials", 5], 128
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIMITED_WRITES))
+def test_a_failed_write_leaves_every_file_as_it_was(tmp_path, capsys, case):
+    # Each file is written beside its path and then moved into place, so a
+    # write cut short (here by RLIMIT_FSIZE, set in the child only) leaves the
+    # old bytes, or no file, and no temporary file.
+    made, argv, limit = LIMITED_WRITES[case]
+    note = tmp_path / "note.json"
+    assert run_cli("--seed", 14, "--out", note, "mint", "--n", 14, "--q", 1) == 0
+    if "bad.json" in made:
+        bad = ["--out", tmp_path / "bad.json", "corrupt", note, "--ez", "1" + "0" * 13]
+        assert run_cli("--seed", 0, *bad) == 0
+    if "c.json" in made:
+        gencode = ["gencode", "--n", 6, "--q", 1]
+        assert run_cli("--seed", 2, "--out", tmp_path / "c.json", *gencode) == 0
+    if "a.csv" in made:
+        attack = ["attack", "--strategy", "passthrough-mixed", "--trials", 5]
+        assert run_cli("--seed", 2, "--out", tmp_path / "a.csv", *attack) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    proc = _run_with_file_size_limit(tmp_path, ["--seed", 15, *argv], limit)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: [Errno 27] File too large\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_corrupt_refuses_an_error_pattern_of_another_length(tmp_path, capsys):
     note, out = tmp_path / "note.json", tmp_path / "bad.json"
     run_cli("--seed", 43, "--out", note, "mint", "--n", 6, "--q", 1)

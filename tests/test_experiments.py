@@ -144,24 +144,37 @@ def test_unknown_strategy_rejected(registry):
 
 
 def test_strategies_see_only_the_session_surface(registry):
-    # Strategies must work against a stub exposing nothing but the session
-    # surface they are allowed to use: n.
+    # Strategies must work against a stub exposing nothing but n and the
+    # verifier frame's four scoring kernels: no code, no frame arrays.
     from subspace_money.experiments import _STRATEGIES
 
-    class OpaqueSession:
-        __slots__ = ()
-        n = 6
-
     note = mint_direct(registry, random_bitvec(6, 1))
-    rng = np.random.default_rng(0)
+    frame = registry.session(note.serial).verifier_frame(passes=0)
+
+    class OpaqueFrame:
+        __slots__ = ()
+        n = frame.n
+        apply = staticmethod(frame.apply)
+        mixed_probability = staticmethod(frame.mixed_probability)
+        basis_probabilities = staticmethod(frame.basis_probabilities)
+        block_probabilities = staticmethod(frame.block_probabilities)
+
+    def blocks(fn, scorer):
+        # Copied as they come, since a strategy may refill a block's arrays.
+        return [
+            (np.broadcast_to(probs, uniforms.shape).copy(), uniforms.copy())
+            for probs, uniforms in fn(note, scorer, np.random.default_rng(0), 11)
+        ]
+
     for kind, fn in _STRATEGIES.items():
-        blocks = list(fn(note, OpaqueSession(), rng, 11))
-        assert sum(len(uniforms) for _, uniforms in blocks) == 11
-        for pair, _ in blocks:
-            # A pair is a 2-tuple of registers, or one array stacking both on axis -3.
-            assert (isinstance(pair, tuple) and len(pair) == 2) or (
-                isinstance(pair, np.ndarray) and pair.shape[-3] == 2
-            )
+        got = blocks(fn, OpaqueFrame())
+        assert sum(len(uniforms) for _, uniforms in got) == 11
+        want = blocks(fn, frame)
+        assert len(got) == len(want)
+        for (probs, uniforms), (want_probs, want_uniforms) in zip(got, want):
+            assert probs.tobytes() == want_probs.tobytes()
+            assert uniforms.tobytes() == want_uniforms.tobytes()
+            assert np.all((0.0 <= probs) & (probs <= 1.0 + 1e-12))
 
 
 def reference_attack(registry, kind, trials, seed):
@@ -411,7 +424,7 @@ for n, trials in ((6, 1000), (14, 40)):
     print(row["mean_probability"].hex(), row["successes"])
 frame = OracleRegistry(14, 1, master_seed=3).generate(BitVec.zeros(14)).frame
 block = np.random.default_rng(14).standard_normal((1, 2, 2, 1 << 14))
-print(float(frame.pair_probability(block)[0]).hex())
+print(float(frame.block_probabilities(block).prod(axis=-1)[0]).hex())
 """
 
 

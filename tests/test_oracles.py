@@ -206,7 +206,7 @@ def _worked_session(spec):
     return registry.session(record.serial)
 
 
-def test_ledger_charges(worked_spec):
+def test_session_counters_charge_each_oracle(worked_spec):
     # A session counts three oracles; a primal or dual query is |E_1| = 7 combined ones.
     assert error_count(6, 1) == 7
     session = _worked_session(worked_spec)
@@ -227,7 +227,7 @@ def test_ledger_charges(worked_spec):
     assert session.counters == {"primal": 1, "dual": 1, "coset": 2}
 
 
-def test_ledger_is_a_value(worked_spec):
+def test_session_counters_are_a_snapshot(worked_spec):
     # counters is a snapshot: later charges do not reach it, and editing it charges nothing.
     session = _worked_session(worked_spec)
     before = session.counters
@@ -392,7 +392,7 @@ def test_closed_forms_are_the_kernels_bitwise(spec, seed):
     frame = VerifierFrame.of(spec)
     proj = tolerated_projector(spec)
     assert frame.mixed_probability() == pytest.approx(np.trace(proj).real / len(proj), abs=1e-12)
-    assert frame.probability(None) == frame.mixed_probability()
+    assert frame.pair_probability((None, None)) == frame.mixed_probability() ** 2
     rng = np.random.default_rng(seed)
     dim = 1 << spec.n
     outside = np.setdiff1d(np.arange(dim), frame.index)
@@ -402,9 +402,9 @@ def test_closed_forms_are_the_kernels_bitwise(spec, seed):
     )
     one_hot = np.zeros((strings.size, 1, dim))
     one_hot[np.arange(strings.size), 0, strings] = 1.0
-    want = frame.probability(one_hot)
-    for got in (frame.basis_probabilities(strings), frame.probability(strings)):
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    want = frame.block_probabilities(one_hot)
+    got = frame.basis_probabilities(strings)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     assert np.count_nonzero(want[:5]) == 5 and not np.any(want[5:10])
     assert np.abs(want - np.diagonal(proj).real[strings]).max() < 1e-12
     for bad in ([-1], [dim]):
@@ -425,26 +425,29 @@ def _pauli_error(rng, n, q, over):
     over=st.tuples(st.booleans(), st.booleans()),
 )
 def test_register_probability_is_vers_probability_bitwise(spec, seed, over):
-    # probability runs Ver's kernel, so a note scores the same bits in Ver2
-    # as in Ver, whether its X and Z errors are tolerated or over-weight.
-    # Transforming the cosets unnormalised scored a fresh note 1 - 2^-53
-    # where k = n/2 is odd.
+    # Ver2 scores each register with Ver's kernel, so a note scores the same
+    # bits in Ver2 as in Ver, whether its X and Z errors are tolerated or
+    # over-weight.  Transforming the cosets unnormalised scored a fresh note
+    # 1 - 2^-53 where k = n/2 is odd.
     frame = VerifierFrame.of(spec)
     rng = np.random.default_rng(seed)
     e, ep = (_pauli_error(rng, spec.n, spec.q, side_over) for side_over in over)
     note = apply_pauli(subspace_state(spec.code), e, ep)
-    got, want = frame.probability(note), frame.apply(note)[0]
-    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    want = frame.apply(note)[0]
+    products = {(note, note): want * want, (note, None): want * frame.mixed_probability()}
+    for pair, product in products.items():
+        assert np.float64(frame.pair_probability(pair)).tobytes() == np.float64(product).tobytes()
     if not any(over):
-        assert got == 1.0
+        assert want == 1.0
 
 
 def _note_outputs(frame, state):
-    """The bytes of Ver's probability, its post-state, probability and both weights arrays."""
+    """The bytes of Ver's probability, its post-state, Ver2's and both weights arrays."""
     prob, build = frame.apply(state)
     post = b"" if build is None else build().amplitudes.tobytes()
     weights = (w.tobytes() for w in frame.weights(state))
-    return np.float64(prob).tobytes(), post, np.float64(frame.probability(state)).tobytes(), *weights
+    pair = np.float64(frame.pair_probability((state, state))).tobytes()
+    return np.float64(prob).tobytes(), post, pair, *weights
 
 
 @settings(max_examples=60, deadline=None)

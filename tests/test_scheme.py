@@ -37,17 +37,19 @@ from subspace_money.scheme import (
     diagnose,
     double_verify,
     load_banknote,
+    load_banknote_dump,
     load_record,
     mint_conjugate,
     mint_direct,
     random_corruption,
+    record_text,
     registry_for_record,
     save_banknote_dump,
-    save_record,
     verify,
 )
 from subspace_money.states import (
     DenseState,
+    _dump_lines,
     apply_basis_permutation,
     apply_pauli,
     coset_state,
@@ -225,16 +227,13 @@ def test_conjugate_record_invariant():
 
 
 def test_record_json_round_trip(tmp_path):
-    from subspace_money.codes import _dumps_json
-    from subspace_money.scheme import record_to_json_dict
-
     reg = OracleRegistry(6, 1, master_seed=5, route="conjugate")
     rec = reg.generate(bv("010101"))
     path = tmp_path / "bank.json"
-    save_record(rec, path)
+    path.write_text(record_text(rec))
     loaded = load_record(path)
     assert loaded == rec
-    assert _dumps_json(record_to_json_dict(loaded)) == path.read_text()
+    assert record_text(loaded) == path.read_text()
 
 
 def test_mint_record_validates_theta_weight(worked_spec):
@@ -421,10 +420,12 @@ def test_verify_probability_matches_span_overlap(worked_registry, worked_spec):
 
 def test_verify_maximally_mixed(worked_registry):
     # Ver's probability of the maximally mixed register is tr(P) / 2^n, a
-    # closed form of the record's frame: no register is built.
+    # closed form of the record's frame: no register is built, in Ver or Ver2.
     reg, record = worked_registry
     frame = reg.session(record.serial).verifier_frame()
-    assert frame.probability(None) == 49 / 64
+    assert frame.mixed_probability() == 49 / 64
+    outcome = double_verify(reg, record.serial, (None, None), rng=0)
+    assert outcome.accept_probability == (49 / 64) ** 2
 
 
 def test_verify_charges_ledger(worked_registry):
@@ -630,19 +631,22 @@ def test_register_probability_block_matches_states(worked_registry):
     frame = reg.session(record.serial).verifier_frame()
     rng = np.random.default_rng(62)
     parts = rng.standard_normal((5, 2, 64))
-    block = frame.probability(parts)
+    block = frame.block_probabilities(parts)
     assert block.shape == (5,)
     for (a, b), p in zip(parts, block):
         amps = a + 1j * b
-        assert p == pytest.approx(
-            frame.probability(DenseState(6, amps / np.linalg.norm(amps))), abs=1e-12
-        )
+        want = frame.apply(DenseState(6, amps / np.linalg.norm(amps)))[0]
+        assert p == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValueError, match="64 amplitudes"):
-        frame.probability(parts[..., :32])
+        frame.block_probabilities(parts[..., :32])
     with pytest.raises(ValueError, match="finite nonzero"):
-        frame.probability(np.zeros((1, 2, 64)))
-    with pytest.raises(ValueError, match="n=6"):
-        frame.probability(basis_state(4, 0))
+        frame.block_probabilities(np.zeros((1, 2, 64)))
+    # A register of another n is refused by Ver and by Ver2, alone or in a pair.
+    for bad in (basis_state(4, 0), basis_state(7, 0)):
+        with pytest.raises(ValueError, match="n=6"):
+            frame.apply(bad)
+        with pytest.raises(ValueError, match="n=6"):
+            double_verify(reg, record.serial, (None, bad), rng=0)
 
 
 def _random_pure(rng, n):
@@ -778,13 +782,13 @@ def test_coset_frame_kernel_matches_masked_reference(n, data):
             assert (post is None) == (ref_post is None)
             if post is not None:
                 assert np.abs(post.amplitudes - ref_post.amplitudes).max() < 1e-10
-            assert abs(frame.probability(state) - ref_prob) < 1e-12
+            assert abs(frame.apply(state)[0] - ref_prob) < 1e-12
 
         parts = rng.standard_normal((3, 2, 2, dim))
-        pairs = frame.probability(parts)
+        pairs = frame.block_probabilities(parts)
         assert pairs.shape == (3, 2)
         assert np.abs(pairs - _block_reference(parts, primal, dual)).max() < 1e-12
-        real = frame.probability(parts[:, 0, :1])
+        real = frame.block_probabilities(parts[:, 0, :1])
         assert np.abs(real - _block_reference(parts[:, 0, :1], primal, dual)).max() < 1e-12
 
         # Ver2 on joint states, through a registry holding this code.
@@ -932,8 +936,8 @@ def tolerated_n20():
 # register_probability 1.15 and diagnose 1.55 blocks, so each bound fails it.
 KERNEL_PEAKS = [
     ("verify", lambda reg, note, session, frame: verify(reg, note, session=session, rng=0), 0.4),
-    ("register_probability", lambda reg, note, session, frame: frame.probability(
-        note.state), 0.4),
+    ("register_probability", lambda reg, note, session, frame: frame.pair_probability(
+        (note.state, None)), 0.4),
     ("diagnose", lambda reg, note, session, frame: diagnose(reg, note, session=session), 0.8),
 ]
 
@@ -1112,8 +1116,9 @@ def test_occupied_coset_kernels_match_all_rows_reference_bitwise(pair, seed, kin
     prob, kept = frame._kept_spectrum(cosets)
     ref_prob, ref_kept = all_rows_kept_spectrum(state, frame)
     assert _bits(prob) == _bits(ref_prob)
-    # One register's probability is Ver's, from the same kernel.
-    assert _bits(frame.probability(state)) == _bits(ref_prob)
+    # Ver2 scores a register with Ver's kernel.
+    want = ref_prob * frame.mixed_probability()
+    assert _bits(frame.pair_probability((state, None))) == _bits(want)
     assert (kept is None) == (ref_kept is None) == (kind == "outside")
     if kept is not None:
         # Equal entry for entry once the occupied rows are put back among the
@@ -1384,11 +1389,31 @@ def test_banknote_json_round_trip_dense(tmp_path, registry):
     assert (tmp_path / "again.json").read_text() == path.read_text()
 
 
+@pytest.mark.parametrize("route", ["direct", "conjugate"])
+def test_corrupt_and_correct_keep_a_note_read_from_a_file_as_lines(tmp_path, route):
+    # corrupt and correct move a file's parsed lines with no 2^n vector, to the
+    # bytes the dense note dumps, and the corrected lines dump to the fresh
+    # note file's bytes; e.e' = 1, so the inverse carries its commutation sign.
+    reg = OracleRegistry(8, 1, master_seed=8, route=route)
+    record, dump = scheme.mint_dump(reg, bv("01101100"))
+    path = tmp_path / "note.json"
+    save_banknote_dump(record.serial, dump, path)
+    e, ep = bv("00010000"), bv("00010000")
+    bad = corrupt(load_banknote_dump(path), e, ep)
+    assert isinstance(bad.state, tuple)
+    assert _dump_lines(*bad.state) == dump_state(corrupt(load_banknote(path), e, ep).state)
+    save_banknote_dump(bad.serial, _dump_lines(*bad.state), tmp_path / "bad.json")
+    fixed = correct(reg, load_banknote_dump(tmp_path / "bad.json"))
+    assert isinstance(fixed.state, tuple)
+    save_banknote_dump(fixed.serial, _dump_lines(*fixed.state), tmp_path / "fixed.json")
+    assert (tmp_path / "fixed.json").read_bytes() == path.read_bytes()
+
+
 def test_registry_for_record_round_trip(tmp_path):
     reg = OracleRegistry(6, 1, master_seed=3)
     r = bv("110110")
     note = mint_direct(reg, r)
-    save_record(reg.generate(r), tmp_path / "bank.json")
+    (tmp_path / "bank.json").write_text(record_text(reg.generate(r)))
 
     verifier_side = registry_for_record(load_record(tmp_path / "bank.json"))
     outcome = verify(verifier_side, note, rng=0)

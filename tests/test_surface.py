@@ -18,8 +18,8 @@ PACKAGE = ROOT / "src" / "subspace_money"
 # The paper's operations, kept whether or not shipped code calls them: the
 # membership oracle, the one surface an attacker is granted; Ver's accepted
 # branch, the note a wallet keeps after verifying; and Ver2, the double
-# verifier that the soundness bound is stated against (the attacks call its
-# kernel, VerifierFrame.pair_probability, in blocks).
+# verifier that the soundness bound is stated against (the attacks score
+# their registers with the verifier frame's kernels, block by block).
 EXEMPT = {"OracleSession.member", "VerifyOutcome.post_state", "double_verify"}
 
 
