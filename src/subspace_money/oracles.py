@@ -23,7 +23,8 @@ tolerated error on each side.  No other module reads its arrays.
 from __future__ import annotations
 
 import math
-from functools import partial
+import operator
+from functools import partial, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -65,6 +66,11 @@ def _syndromes(spec: CodeSpec, strings: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(strings[:, None] & bottom_up) & 1) @ (1 << np.arange(bottom_up.size))
 
 
+def _row_energy(rows: np.ndarray) -> float:
+    """sum |x|^2 of a C-ordered stack of frame rows, by the rule VerifierFrame states."""
+    return reduce(operator.add, np.vecdot(rows, rows).real.tolist(), 0.0)
+
+
 def _reverse_bits(values, k: int) -> np.ndarray:
     """k-bit dual syndromes as Walsh frequencies of u: syndrome row j is bit j of u.
 
@@ -88,6 +94,9 @@ class VerifierFrame(NamedTuple):
     + e of each tolerated error e sits, in ``enumerate_errors`` order: a
     bit-flip coset C + e is the row of its syndrome, a phase-flip coset the
     Walsh frequency of u that reads as its syndrome.
+    A sum over rows reduces each row alone (2^11 entries at most up to n = 22,
+    below OpenBLAS's thread split) and adds the results one after another in
+    ascending row order, so neither threads nor rows of zeros move a bit.
     """
 
     spec: CodeSpec
@@ -251,7 +260,7 @@ class VerifierFrame(NamedTuple):
         # Register two's kept coefficients, then register one's.
         coeffs = self._kept_coefficients(joint.amplitudes.reshape(dim, dim))
         coeffs = self._kept_coefficients(coeffs.T)
-        return float(np.vdot(coeffs, coeffs).real) / self.index.shape[1] ** 2
+        return _row_energy(coeffs) / self.index.shape[1] ** 2
 
     def weights(self, note) -> tuple[np.ndarray, np.ndarray]:
         """The note's probability on each accepted bit-flip coset (row) and phase-flip frequency.
@@ -259,22 +268,14 @@ class VerifierFrame(NamedTuple):
         note is a DenseState or a note file's parsed lines (see _occupied).  A
         frequency s of u counts the Hadamard-basis weight within the accepted
         cosets only: |fwht(amps[index])|^2 summed over rows / 2^k.  It costs
-        the occupied cosets plus one 2^k transform for each; beside them, the
-        kernel holds one half-size real array.
+        the occupied cosets, one 2^k transform for each and a few 2^k arrays.
         """
-        index = self.index
         rows, cosets = self._occupied(note)
-        bit_flip = np.zeros(index.shape[0])
-        sums = np.abs(cosets)
-        bit_flip[rows] = np.square(sums, out=sums).sum(axis=1)
-        # Zero-filled, with the occupied rows' magnitudes written in.  F order lays
-        # each frequency's rows side by side, as fwht's output is, so the sum over
-        # rows adds them in the order of the all-rows transform.  Row by row, the
-        # abs of fwht's strided rows takes none of numpy's operand buffers.
-        energy = np.zeros(index.shape, order="F")
-        for row, spectrum in zip(rows, fwht(cosets)):
-            np.abs(spectrum, out=energy[row])
-        return bit_flip, np.square(energy, out=energy).sum(axis=0) / index.shape[1]
+        bit_flip, phase_flip = np.zeros(self.index.shape[0]), np.zeros(self.index.shape[1])
+        for row, coset, spectrum in zip(rows, cosets, fwht(cosets)):
+            bit_flip[row] = np.square(np.abs(coset)).sum()
+            phase_flip += np.square(np.abs(spectrum))
+        return bit_flip, phase_flip / self.index.shape[1]
 
     # -- kernels -----------------------------------------------------------------------
 
@@ -337,22 +338,21 @@ class VerifierFrame(NamedTuple):
         cosets is a C-ordered (rows, 2^k) complex stack of frame rows.  They are
         normalised where they lie before the transform, so the second stage's
         probability is a unit vector's kept energy / 2^k; the product is
-        clipped at one.  Callers pass the occupied cosets (see _occupied): a
-        coset holding no amplitude adds exact zeros to both stages, so a note
+        clipped at one.  A coset holding no amplitude changes no bit of either
+        stage, so callers pass the occupied cosets (see _occupied): a note
         costs the gather of the cosets it occupies plus one 2^k transform for
-        each of them, one for a tolerated coset state.  The kept spectrum is
-        written back into the gathered cosets, so the kernel holds them and
-        fwht's two arrays of their size; it is None when the probability is zero.
+        each, one for a tolerated coset state.  The kept spectrum is written
+        back into the gathered cosets, so the kernel holds them and fwht's two
+        arrays of their size; it is None when the probability is zero.
         """
-        prob1 = float(np.vdot(cosets, cosets).real)
+        prob1 = _row_energy(cosets)
         if prob1 == 0.0:
             return 0.0, None
         cosets /= math.sqrt(prob1)
         spectrum = fwht(cosets)
-        # Zero-filled and C-ordered, so the vdot adds in the same order for every note.
         cosets.fill(0)
         cosets[:, self.keep] = spectrum[:, self.keep]
-        prob2 = float(np.vdot(cosets, cosets).real) / self.index.shape[1]
+        prob2 = _row_energy(cosets) / self.index.shape[1]
         if prob2 == 0.0:
             return 0.0, None
         return min(prob1 * prob2, 1.0), cosets
@@ -368,7 +368,7 @@ class VerifierFrame(NamedTuple):
         """
         size = self.index.shape[1]
         reserve((1 << self.n,))
-        norm = size * math.sqrt(float(np.vdot(kept, kept).real) / size)
+        norm = size * math.sqrt(_row_energy(kept) / size)
         branch = np.ascontiguousarray(fwht(kept))
         branch /= norm
         out = np.zeros(1 << self.n, dtype=branch.dtype)
@@ -382,8 +382,7 @@ class VerifierFrame(NamedTuple):
         cosets are gathered straight into the transform-leading layout
         (2^k, |S_p|, ...), one C-contiguous array that walsh_butterflies
         transforms in place; its keep rows then take one transposed copy, so
-        each vector's coefficients are contiguous, coset by coset, and a
-        vecdot over them adds in the same order as over fwht's output.  Beside
+        each vector's coefficients are contiguous, coset by coset.  Beside
         amps, the working set is the gather and the transform's half-size
         scratch, then the gather and its keep rows, then those rows and their
         copy.

@@ -25,6 +25,7 @@ from .gf2 import BasisMap, BitVec, SubspaceBasis, _span_table
 ATOL_INVARIANT = 1e-9  # normalization and orthonormality checks
 
 
+@np.errstate(over="ignore")  # parts near 1e300 overflow the squared norm to inf, refused below
 def _check_unit_norm(amps: np.ndarray) -> None:
     norm = float(np.linalg.norm(amps))
     # NaN compares False against any tolerance, so finiteness is checked apart.
@@ -111,9 +112,9 @@ def apply_pauli(st: DenseState, e: BitVec, e_prime: BitVec, sign: int = 1) -> De
     block's shape, chosen in float and cast to complex once, with the source
     row read through a view with one axis per run of coordinates that e
     flips alike, reversed where it flips them.  A row's sign from above the
-    block is a scalar, so odd rows run after the factor's real part is
-    negated.  +1 multiplies too: a complex product by 1 can change the sign
-    of a zero part.
+    block is a scalar, so odd rows run after the factor is negated.  A
+    complex product by +-1 can give a zero part the sign -, so each block
+    then adds 0.0 where it lies: no part of the result is -0.0.
     """
     if e.n != st.n or e_prime.n != st.n:
         raise ValueError("error vector length differs from the state size")
@@ -135,10 +136,10 @@ def apply_pauli(st: DenseState, e: BitVec, e_prime: BitVec, sign: int = 1) -> De
     e_top, ep_top, negated = e.value >> low, e_prime.value >> low, 0
     for odd, r in sorted(((r & ep_top).bit_count() & 1, r) for r in range(len(rows))):
         if odd != negated:
-            # The real parts only: -(-1+0j) would be 1-0j.
-            factor.real *= -1
+            factor *= -1
             negated = odd
         np.multiply(factor, sources[r ^ e_top], out=rows[r])
+        rows[r] += 0.0
     return DenseState._own(n, out)
 
 
@@ -147,11 +148,7 @@ _BLOCK_BITS = 14
 
 
 def _sign_factor(bits: int, shape: list[int], sign: int) -> np.ndarray:
-    """sign (-1)^(p.bits) at each index p of a C-ordered `shape` block, complex; 0-d if bits is 0.
-
-    The signs are chosen in float and cast once: a float cast to complex has
-    a +0 imaginary part, where negating a complex -1 would give -0.
-    """
+    """sign (-1)^(p.bits) at each index p of a C-ordered `shape` block, complex; 0-d if bits is 0."""
     if not bits:
         return np.array(sign, dtype=np.complex128)
     odd = np.bitwise_count(np.arange(math.prod(shape)) & bits) & 1
@@ -169,8 +166,8 @@ def fwht(a: np.ndarray) -> np.ndarray:
     i >> t) of a C-ordered (2^t, rows, size / 2^t) buffer, f the t frequency
     bits done, so every operand is one run of one stride, which numpy reads
     and writes where it lies, and each stage is two ufunc calls.  After the
-    last stage the transformed axis leads in memory, the layout the
-    verifier's reductions add over, and for one row that is its own order.
+    last stage the transformed axis leads in memory, which for one row is
+    its own order.
     The input is read by the first stage, not copied; beside it the
     transform holds two arrays of its size.  It serves a note's occupied
     cosets because walsh_butterflies was measured slower there: at n = 20,

@@ -11,7 +11,8 @@ through a bit string; predicate masks as a lookup of H x over all 2^n
 strings; the tag-packed combined oracle; the phase oracle as a sign flip
 over a 2^n mask; the verifier as the four-stage pipeline M_dual, FWHT,
 M_primal on full 2^n masks, or in its coset frame with every accepted coset
-transformed and the post-state built at once; the subset testers as a
+transformed, its sums over rows added one row after another in a Python
+loop, and the post-state built at once; the subset testers as a
 classical query surface; code search by exhaustive minimum distances,
 syndrome tables one matrix-vector product per error, RREF column by column,
 a Pauli as one gather of every source index, and the state dump's text
@@ -270,10 +271,13 @@ def intersection_dim(a: SubspaceBasis, b: SubspaceBasis) -> int:
 
 
 def apply_pauli_by_gather(st: DenseState, e: BitVec, e_prime: BitVec) -> DenseState:
-    """X^e Z^e' on a pure state as one gather of every source index and a float sign array."""
+    """X^e Z^e' on a pure state as one gather of every source index and a float sign array.
+
+    Adding 0.0 turns the -0.0 parts that a product by -1 can leave into +0.0.
+    """
     source = np.arange(1 << st.n, dtype=np.int64) ^ e.value
     signs = 1.0 - 2.0 * (np.bitwise_count(source & e_prime.value) & 1)
-    return DenseState._own(st.n, signs * st.amplitudes[source])
+    return DenseState._own(st.n, signs * st.amplitudes[source] + 0.0)
 
 
 def tolerated_coset_states(spec: CodeSpec) -> list[DenseState]:
@@ -342,18 +346,26 @@ def apply_verifier(state: DenseState, primal, dual) -> tuple[float, DenseState |
     return prob, None if build is None else build()
 
 
+def row_ordered_energy(rows: np.ndarray) -> float:
+    """sum |x|^2 over a C-ordered stack: each row's vdot, added one row after another."""
+    total = 0.0
+    for row in rows:
+        total += float(np.vdot(row, row).real)
+    return total
+
+
 def all_rows_kept_spectrum(
     state: DenseState, frame: VerifierFrame
 ) -> tuple[float, np.ndarray | None]:
     """VerifierFrame._kept_spectrum with every accepted coset normalised and transformed."""
     cosets = state.amplitudes[frame.index]
-    prob1 = float(np.vdot(cosets, cosets).real)
+    prob1 = row_ordered_energy(cosets)
     if prob1 == 0.0:
         return 0.0, None
     spectrum = fwht(cosets / math.sqrt(prob1))
-    kept = np.zeros_like(spectrum)
+    kept = np.zeros(spectrum.shape, dtype=spectrum.dtype)
     kept[:, frame.keep] = spectrum[:, frame.keep]
-    prob2 = float(np.vdot(kept, kept).real) / frame.index.shape[1]
+    prob2 = row_ordered_energy(kept) / frame.index.shape[1]
     if prob2 == 0.0:
         return 0.0, None
     return min(prob1 * prob2, 1.0), kept
@@ -363,17 +375,20 @@ def all_rows_post_state(n: int, kept: np.ndarray, frame: VerifierFrame) -> Dense
     """The accepted branch of a kept spectrum, transforming every row of it."""
     size = frame.index.shape[1]
     post = np.zeros(1 << n, dtype=kept.dtype)
-    post[frame.index] = fwht(kept) / (size * math.sqrt(float(np.vdot(kept, kept).real) / size))
+    post[frame.index] = fwht(kept) / (size * math.sqrt(row_ordered_energy(kept) / size))
     return DenseState._own(n, post)
 
 
 def all_rows_frame_weights(
     state: DenseState, frame: VerifierFrame
 ) -> tuple[np.ndarray, np.ndarray]:
-    """VerifierFrame.weights of a pure state, transforming every accepted coset."""
+    """VerifierFrame.weights of a pure state, transforming every accepted coset.
+
+    The energies are C-ordered, so the sum over rows adds them one after another.
+    """
     cosets = state.amplitudes[frame.index]
-    spectrum = (np.abs(fwht(cosets)) ** 2).sum(axis=0) / frame.index.shape[1]
-    return (np.abs(cosets) ** 2).sum(axis=1), spectrum
+    energy = np.abs(np.ascontiguousarray(fwht(cosets))) ** 2
+    return (np.abs(cosets) ** 2).sum(axis=1), energy.sum(axis=0) / frame.index.shape[1]
 
 
 def all_rows_kept_coefficients(amps: np.ndarray, frame: VerifierFrame) -> np.ndarray:
@@ -521,7 +536,8 @@ def parse_dump_by_lines(text: str) -> tuple[int, np.ndarray, np.ndarray]:
         raise ValueError("repeated bit string in state dump")
     reserve((1 << n,))
     values = np.array(values, dtype=np.complex128)
-    norm = float(np.linalg.norm(values))
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below, as parse_dump does
+        norm = float(np.linalg.norm(values))
     if not math.isfinite(norm) or abs(norm - 1.0) > 1e-9:
         raise ValueError(f"state is not a finite unit vector: |psi| = {norm}")
     return n, np.array(indices, dtype=np.int64), values

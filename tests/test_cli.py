@@ -375,6 +375,19 @@ def _assert_refused_without_a_traceback(tmp_path, argv) -> str:
     return proc.stderr
 
 
+def test_verify_refuses_an_overflowing_note_with_one_error_line(tmp_path):
+    # Parts near 1e300 overflow the squared norm; numpy's overflow warning
+    # must not print before the error.
+    note = tmp_path / "note.json"
+    run_cli("--seed", 41, "--out", note, "mint", "--n", 6, "--q", 1)
+    data = json.loads(note.read_text())
+    data["state"]["dump"] = "000000 1e300 1e300\n000001 1e300 0\n"
+    note.write_text(json.dumps(data))
+    argv = ["verify", note, "--bank", note.with_suffix(".bank.json")]
+    stderr = _assert_refused_without_a_traceback(tmp_path, argv)
+    assert stderr.splitlines() == ["error: state is not a finite unit vector: |psi| = inf"]
+
+
 # SHA-256 of the bank key written by `mint --seed 13 --n 10 --q 1 --route
 # conjugate`: theta, the code's mixing matrix and the outside basis columns
 # are all drawn from the record's basis stream.

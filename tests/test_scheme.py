@@ -879,13 +879,11 @@ for e, ep in [(0, 0), (1 << 19, 0), (0, 1), (1 << 3, 1 << 3)]:
 """
 
 
-def test_tolerated_n20_verify_bits_do_not_depend_on_the_blas_thread_count():
-    # A tolerated note occupies one accepted coset, 2^10 amplitudes at n = 20, and
-    # OpenBLAS splits a complex vdot across threads only above 10,000 entries.  A
-    # note on 10 or more accepted cosets can score other bits, and is not tested here.
-    runs = [
+def _stdout_under_one_and_two_blas_threads(script: str, *args) -> list[str]:
+    """The script's standard output in a fresh interpreter under OPENBLAS_NUM_THREADS 1, then 2."""
+    return [
         subprocess.run(
-            [sys.executable, "-c", _VERIFY_TOLERATED_N20],
+            [sys.executable, "-c", script, *map(str, args)],
             capture_output=True,
             text=True,
             env={
@@ -898,8 +896,75 @@ def test_tolerated_n20_verify_bits_do_not_depend_on_the_blas_thread_count():
         ).stdout
         for threads in ("1", "2")
     ]
+
+
+def test_tolerated_n20_verify_bits_do_not_depend_on_the_blas_thread_count():
+    # A tolerated note occupies one accepted coset, 2^10 amplitudes at n = 20:
+    # one dot, below the 10,000 entries above which OpenBLAS splits a complex
+    # dot across threads.  Notes on several cosets are scored in the next test.
+    runs = _stdout_under_one_and_two_blas_threads(_VERIFY_TOLERATED_N20)
     assert runs[0] == runs[1]
     assert [line.split()[0] for line in runs[0].splitlines()] == [(1.0).hex()] * 4
+
+
+# Scores saved n = 20 notes of the registry below, one .npy file each: the
+# probability's float.hex, the post-state's sha256 and the sha256 of weights' bytes.
+_SCORE_SAVED_N20 = """
+import hashlib, sys
+import numpy as np
+from subspace_money.gf2 import BitVec
+from subspace_money.scheme import Banknote, OracleRegistry, mint_direct, verify
+from subspace_money.states import DenseState
+reg = OracleRegistry(20, 1, master_seed=20)
+serial = mint_direct(reg, BitVec.zeros(20)).serial
+frame = reg.session(serial).verifier_frame(passes=0)
+for path in sys.argv[1:]:
+    state = DenseState(20, np.load(path))
+    outcome = verify(reg, Banknote(serial, state), rng=0)
+    post = hashlib.sha256(outcome.post_state.amplitudes.tobytes()).hexdigest()
+    weights = hashlib.sha256(b"".join(w.tobytes() for w in frame.weights(state))).hexdigest()
+    print(outcome.accept_probability.hex(), post, weights)
+"""
+
+
+def test_multi_coset_n20_verify_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Notes on 2, 3 and 5 accepted cosets with unequal complex weights, the last
+    # with a weight-2 phase flip on one coset, so it scores strictly between 0
+    # and 1, and a Haar-random note on all 21 cosets, 21,504 entries.  Each is
+    # written once, so every child scores the same bits.
+    reg = OracleRegistry(20, 1, master_seed=20)
+    note = mint_direct(reg, BitVec.zeros(20))
+    zero = BitVec.zeros(20)
+    flip = [BitVec(20, 1 << j) for j in (19, 12, 7, 3, 0)]
+    superpositions = [
+        [(1.0, zero, flip[2]), (0.5j, flip[0], zero)],
+        [(0.3 + 0.4j, flip[1], flip[1]), (-1.2, flip[3], flip[0]), (0.7j, flip[4], flip[4])],
+        [
+            (1.0, zero, flip[4]),
+            (-0.6j, flip[0], BitVec(20, 0b11 << 9)),
+            (0.45 + 0.2j, flip[1], flip[2]),
+            (-0.3, flip[2], flip[1]),
+            (0.25j, flip[3], zero),
+        ],
+    ]
+    paths = []
+    for terms in superpositions:
+        # The terms lie in distinct cosets, each a unit vector, so the norm is
+        # that of the weights.
+        scale = math.sqrt(sum(abs(weight) ** 2 for weight, _, _ in terms))
+        amps = sum(w / scale * corrupt(note, e, ep).state.amplitudes for w, e, ep in terms)
+        paths.append(tmp_path / f"cosets{len(terms)}.npy")
+        np.save(paths[-1], amps)
+    rng = np.random.default_rng(20)
+    haar = rng.standard_normal(1 << 20) + 1j * rng.standard_normal(1 << 20)
+    paths.append(tmp_path / "haar.npy")
+    np.save(paths[-1], haar / np.linalg.norm(haar))
+    del amps, haar
+
+    runs = _stdout_under_one_and_two_blas_threads(_SCORE_SAVED_N20, *paths)
+    assert runs[0] == runs[1]
+    probabilities = [float.fromhex(line.split()[0]) for line in runs[0].splitlines()]
+    assert len(probabilities) == 4 and 0.0 < probabilities[2] < 1.0 - 1e-3
 
 
 def test_verify_n18_builds_no_dense_array_until_the_post_state_is_read():
@@ -931,14 +996,14 @@ def tolerated_n20():
 # keeps only those the note occupies: one row for this note, beside one gather
 # chunk of four rows.  The bound is its tracemalloc peak beyond the note, in
 # units of the (|S_p|, 2^k) = 21 x 1024 complex block of every accepted coset,
-# 344 KB at n = 20, q = 1; diagnose also keeps a half-block real array of
-# phase-flip energies.  A kernel that holds the whole block reads verify 1.15,
-# register_probability 1.15 and diagnose 1.55 blocks, so each bound fails it.
+# 344 KB at n = 20, q = 1; diagnose sums its phase-flip energies row by row into
+# one 2^k array.  A kernel that holds the whole block reads at least one block
+# (verify and register_probability 1.15), so each bound fails it.
 KERNEL_PEAKS = [
     ("verify", lambda reg, note, session, frame: verify(reg, note, session=session, rng=0), 0.4),
     ("register_probability", lambda reg, note, session, frame: frame.pair_probability(
         (note.state, None)), 0.4),
-    ("diagnose", lambda reg, note, session, frame: diagnose(reg, note, session=session), 0.8),
+    ("diagnose", lambda reg, note, session, frame: diagnose(reg, note, session=session), 0.4),
 ]
 
 
@@ -988,12 +1053,12 @@ def test_verifier_and_corrector_at_q2_on_a_pinned_22_qubit_code():
     frame = session.verifier_frame(passes=0)
     assert frame.index.shape == (254, 1 << 11)
     bad = corrupt(fresh, bv("0000100000000000100000"), bv("0000100000000000000010"))
-    # The note occupies one of the 254 cosets, so verify holds that row and a
-    # chunk of two rows, not the 8.3 MB block of every accepted coset; diagnose
-    # adds a half-block real array of phase-flip energies.  A second session
-    # shares the frame and keeps these calls off the ledger read below.
+    # The note occupies one of the 254 cosets, so verify and diagnose hold that
+    # row and a chunk of two rows, not the 8.3 MB block of every accepted coset;
+    # diagnose sums the phase-flip energies row by row into one 2^11 array.  A
+    # second session shares the frame and keeps these calls off the ledger read below.
     probe = reg.session(fresh.serial)
-    for call, bound_mb in ((verify, 0.5), (diagnose, 6.0)):
+    for call, bound_mb in ((verify, 0.5), (diagnose, 0.5)):
         gc.collect()
         tracemalloc.start()
         try:
@@ -1006,11 +1071,9 @@ def test_verifier_and_corrector_at_q2_on_a_pinned_22_qubit_code():
     fixed = correct(reg, bad, session=session).state.amplitudes
     del bad
     assert session.counters["coset"] == 318
-    # Every amplitude's bytes come back, but for the sign of a zero part: a +0
-    # times a -1 sign is -0.0, which dump_state writes as 0, as adding 0.0 does.
-    support = np.flatnonzero(fresh.state.amplitudes)
-    assert support.size == 1 << 11 and np.count_nonzero(fixed) == support.size
-    assert (fixed[support] + 0.0).tobytes() == (fresh.state.amplitudes[support] + 0.0).tobytes()
+    # Every amplitude's bytes come back, the zero parts' signs too: apply_pauli
+    # writes no -0.0.  The uint64 views compare the bytes without a copy of either note.
+    assert np.array_equal(fixed.view(np.uint64), fresh.state.amplitudes.view(np.uint64))
     del fixed
     # At d = 5 a weight-3 error can share a weight-2 error's syndrome, so the
     # rejected error is drawn by syndrome, not by weight.
