@@ -24,6 +24,7 @@ from .gf2 import (
     BitVec,
     Gf2Matrix,
     SubspaceBasis,
+    _BLOCK_ROWS,
     _bit_block,
     _bit_rows,
     _echelon,
@@ -43,9 +44,9 @@ class CodeSpec:
 
     ``parity_primal`` (the check matrix of the code itself) has the dual's
     basis for rows; ``parity_dual`` checks the dual code and has the code's
-    basis for rows.  Distances are exhaustively computed; ``certify``
-    recomputes everything from scratch and reports whether the spec really
-    tolerates q errors per type.
+    basis for rows.  Distances are exact; ``certify`` recomputes everything
+    from scratch and reports whether the spec really tolerates q errors per
+    type.
     """
 
     n: int
@@ -72,8 +73,8 @@ class CodeSpec:
             q=q,
             code=code,
             dual_code=dual,
-            d_primal=_distance_or_inf(code),
-            d_dual=_distance_or_inf(dual),
+            d_primal=_distance_or_inf(code, dual, q),
+            d_dual=_distance_or_inf(dual, code, q),
             parity_primal=dual.basis,
             parity_dual=code.basis,
         )
@@ -159,8 +160,26 @@ def _json_rows(data, key: str, n: int) -> list[str]:
     return rows
 
 
-def _distance_or_inf(s: SubspaceBasis):
-    return s.min_distance() if s.dim > 0 else math.inf
+def _distance_or_inf(code: SubspaceBasis, checks: SubspaceBasis, q: int):
+    """code's exact minimum distance, math.inf if it is zero; checks spans code's dual.
+
+    Distinct syndromes of the errors of weight <= q under the rows of checks
+    prove d >= 2q+1, and the walk then stops there; otherwise it runs to the
+    end.  The proof is made only where it can shorten a walk of more than one
+    block: q >= 0, fewer than 64 check rows (the syndrome packer's limit),
+    and no more errors than syndromes (else two collide) or codewords (the
+    walk's own budget).
+    """
+    floor = 1
+    if (
+        code.dim > _BLOCK_ROWS
+        and q >= 0
+        and checks.dim < 64
+        and error_count(code.n, q) <= 1 << min(code.dim, checks.dim)
+        and _block_syndromes_distinct(_bit_block(checks.basis.row_values, code.n)[None], q)[0]
+    ):
+        floor = 2 * q + 1
+    return code.min_distance(floor) if code.dim > 0 else math.inf
 
 
 def save_code(spec: CodeSpec, path: str | Path) -> None:
@@ -187,13 +206,17 @@ def search_applicable_code(
     the first to pass is accepted.  A batch holds the same bits as that
     many (k, n) draws, so the accepted code is the one-at-a-time search's,
     and a Generator passed as ``seed`` is left in the state that search
-    would leave it in.  Only the accepted code's distances are walked.
+    would leave it in.  Only the accepted code's distances are walked, and
+    each walk stops at the first block holding a word of weight 2q+1, the
+    floor that the two syndrome tests have proved for C and its dual.
 
     Raises CodeSearchError before the first attempt when no applicable code
     can exist: C and its dual are both [n, n/2] codes, so each must meet the
     Singleton bound (2q+1 <= n/2 + 1) and the sphere-packing bound
-    (|E_q| <= 2^(n/2)).  Passing both proves nothing: (14, 2) passes them,
-    yet no [14, 7] code has d >= 5, so its search runs out its attempts.
+    (|E_q| <= 2^(n/2)).  The Griesmer bound adds nothing here: for even n <=
+    200 and q < 40 it allows every [n, n/2, 2q+1] code that these two allow.
+    Passing both proves nothing: (14, 2) passes them, yet no [14, 7] code has
+    d >= 5, so its search runs out its attempts.
     Otherwise raises CodeSearchError after max_attempts; persistent failure
     at positive ``gv_margin(n, q)`` (existence, asymptotically) would be
     surprising, while a negative margin guarantees nothing.
@@ -238,7 +261,7 @@ def search_applicable_code(
                 # Leave the generator as if only the draws up to this one were made.
                 rng.bit_generator.state = state
                 rng.integers(0, 2, size=(i + 1, k, n))
-            d_primal, d_dual = code.min_distance(), dual.min_distance()
+            d_primal, d_dual = code.min_distance(need), dual.min_distance(need)
             return CodeSpec(n, q, code, dual, d_primal, d_dual, dual.basis, code.basis)
     raise CodeSearchError(
         f"no applicable code found for n={n}, q={q} in {max_attempts} attempts "
@@ -272,7 +295,11 @@ class CertificationReport:
 def certify(spec: CodeSpec) -> CertificationReport:
     """Recompute every invariant of the spec from scratch and report pass/fail.
 
-    A passing report means the spec is an applicable CSS code for its q.
+    From scratch includes the floor each distance walk stops at: the proof
+    of d >= 2q+1 by distinct syndromes (``_distance_or_inf``) is made again,
+    with the recomputed dual's rows as checks for the code and the code's
+    rows as checks for the dual.  A passing report means the spec is an
+    applicable CSS code for its q.
     """
     checks = []
     need = 2 * spec.q + 1
@@ -294,8 +321,8 @@ def certify(spec: CodeSpec) -> CertificationReport:
     pd_ok = spec.parity_dual == spec.code.basis
     checks.append(CertCheck("parity_dual", pd_ok, "rows are the code's RREF basis"))
 
-    d_p = _distance_or_inf(spec.code)
-    d_d = _distance_or_inf(recomputed_dual)
+    d_p = _distance_or_inf(spec.code, recomputed_dual, spec.q)
+    d_d = _distance_or_inf(recomputed_dual, spec.code, spec.q)
     checks.append(
         CertCheck("distance_primal", d_p >= need, f"d={d_p}, need >= {need} for q={spec.q}")
     )

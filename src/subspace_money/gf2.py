@@ -22,8 +22,9 @@ from .errors import reserve
 from .rng import Seed, as_generator
 
 # min_distance tabulates the span of this many basis rows once and weighs the
-# rest of the span one table-sized block at a time.  Larger blocks raise the
-# peak memory of code search without making it faster.
+# rest of the span one table-sized block at a time, stopping at the first
+# block that reaches its floor.  Larger blocks raise the peak memory of code
+# search without making it faster.
 _BLOCK_ROWS = 10
 _LIMB_MASK = (1 << 64) - 1
 
@@ -420,13 +421,18 @@ class SubspaceBasis:
                 rest ^= free
         return SubspaceBasis(self.n, rows.values())
 
-    def min_distance(self) -> int:
-        """Minimum Hamming weight over the nonzero span, by exhaustive walk.
+    def min_distance(self, floor: int = 1) -> int:
+        """Minimum Hamming weight over the nonzero span, by a blocked walk that may stop early.
 
         Every codeword is an entry of the span table of the first 10 RREF
         basis rows XOR one sum of the remaining rows.  So the walk weighs a
         block of up to 2^10 codewords per numpy call, through two reused
-        buffers, and takes 2^(dim-10) Python steps instead of 2^dim.
+        buffers, and takes at most 2^(dim-10) Python steps instead of 2^dim.
+        It stops after the first block holding a nonzero word of weight <=
+        floor, and builds no table of the remaining rows' sums when that is
+        the first block.  The result is exact whenever no nonzero word is
+        lighter than floor, as for the default of 1, so a caller that has
+        proved d >= floor gets d itself.
         """
         k = self.dim
         if k == 0:
@@ -436,11 +442,13 @@ class SubspaceBasis:
         low = _span_table(rows[:_BLOCK_ROWS], self.n)
         counts = np.empty(low.shape, dtype=np.uint8)
         best = _weights(low, counts)[1:].min()  # entry 0 of the first block is the zero word
-        if k > _BLOCK_ROWS:
+        if k > _BLOCK_ROWS and best > floor:
             buf = np.empty_like(low)
             for offset in _span_table(rows[_BLOCK_ROWS:], self.n)[1:]:
                 np.bitwise_xor(low, offset, out=buf)
                 best = min(best, _weights(buf, counts).min())
+                if best <= floor:
+                    break
         return int(best)
 
     def __repr__(self) -> str:

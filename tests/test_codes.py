@@ -12,6 +12,7 @@ from subspace_money.codes import (
     CodeSpec,
     _block_syndromes_distinct,
     _dumps_json,
+    _error_positions,
     _error_syndromes,
     build_syndrome_table,
     certify,
@@ -198,6 +199,64 @@ def test_certify_worked_code_wrong_q(worked_code):
         "distance_primal",
         "distance_dual",
     }
+
+
+@pytest.mark.parametrize("n", [28, 30])
+@pytest.mark.parametrize("seed", range(8))
+def test_search_and_certify_stop_at_the_proved_floor_with_the_full_walks_distances(n, seed):
+    # Walks of 2^(n/2) words span several blocks, where the floor 2q+1 stops them.
+    spec = search_applicable_code(n, 2, seed, max_attempts=200)
+    want = search_by_distances(n, 2, seed, max_attempts=200)
+    assert _dumps_json(spec.to_json_dict()) == _dumps_json(want.to_json_dict())
+    report = certify(spec)
+    assert report.passed and (report.d_primal, report.d_dual) == (want.d_primal, want.d_dual)
+
+
+@pytest.mark.parametrize(
+    "n, k, q",
+    [(22, 11, 2), (24, 12, 3), (26, 13, 3), (20, 12, 2), (24, 11, 2), (30, 15, 4)],
+)
+def test_certify_reports_the_full_walks_on_codes_below_their_floor(n, k, q):
+    # More than 10 rows on at least one side, so the floor proof is attempted
+    # and fails; the walks then run to the end and report the exact distances.
+    rng = np.random.default_rng(n * 100 + k)
+    for _ in range(5):
+        spec = CodeSpec.build(random_subspace(n, k, rng), q)
+        d_p, d_d = spec.code.min_distance(), spec.dual_code.min_distance()
+        need = 2 * q + 1
+        assert min(d_p, d_d) < need
+        report = certify(spec)
+        assert (report.d_primal, report.d_dual) == (d_p, d_d)
+        failed = {c.name for c in report.checks if not c.passed} - {"code_dimension"}
+        sides = (("distance_primal", d_p), ("distance_dual", d_d))
+        assert failed == {name for name, d in sides if d < need}
+
+
+def test_certify_with_a_negative_q_makes_no_floor_proof():
+    # q = -1 cannot be built, yet a file can hold it; every distance check
+    # passes, and the syndrome test, which needs q >= 0, is never reached.
+    code = random_subspace(24, 12, 5)
+    dual = code.dual()
+    d_p, d_d = code.min_distance(), dual.min_distance()
+    spec = CodeSpec(24, -1, code, dual, d_p, d_d, dual.basis, code.basis)
+    report = certify(spec)
+    assert report.passed and (report.d_primal, report.d_dual) == (d_p, d_d)
+    details = {c.name: c.detail for c in report.checks}
+    assert details["distance_primal"] == f"d={d_p}, need >= -1 for q=-1"
+    assert details["distance_dual"] == f"d={d_d}, need >= -1 for q=-1"
+
+
+def test_certify_makes_no_floor_proof_over_more_errors_than_syndromes(monkeypatch):
+    # 12,951 errors of weight <= 4 on 24 coordinates, 4096 syndromes: two must
+    # collide, so no proof is made, and none may outgrow the 2^12-word walks.
+    code = random_subspace(24, 12, 5)
+    d_p, d_d = code.min_distance(), code.dual().min_distance()
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 8 << 12)
+    _error_positions.cache_clear()
+    spec = CodeSpec.build(code, 4)
+    report = certify(spec)
+    assert (report.d_primal, report.d_dual) == (spec.d_primal, spec.d_dual) == (d_p, d_d)
+    assert not report.passed
 
 
 def test_certified_codes_have_no_light_codewords():
@@ -395,6 +454,22 @@ def test_soundness_log_domain_consistency():
             exact = count_error_pairs(n, q) ** 2 * 2.0 ** (-n / 2)
             assert soundness_tradeoff(n, q) == pytest.approx(exact, rel=1e-12)
             assert soundness_log2(n, q) == pytest.approx(math.log2(exact), abs=1e-9)
+
+
+def test_griesmer_bound_rules_out_no_code_the_other_two_allow():
+    # Griesmer: an [n, k, d] binary code needs n >= sum_{i<k} ceil(d / 2^i).
+    # Every (n, q) where it fails for k = n/2, d = 2q+1 is refused by the
+    # Singleton or sphere-packing bound before the first attempt.
+    refused = 0
+    for n in range(2, 201, 2):
+        for q in range(40):
+            k, d = n // 2, 2 * q + 1
+            if n >= sum(-(-d // (1 << i)) for i in range(k)):
+                continue
+            refused += 1
+            with pytest.raises(CodeSearchError, match="Singleton|sphere-packing"):
+                search_applicable_code(n, q, seed=0, max_attempts=0)
+    assert refused > 0
 
 
 def test_gv_negative_margin_means_search_succeeds():

@@ -308,6 +308,20 @@ def test_min_distance_finds_a_word_only_in_the_last_block(n):
     s = SubspaceBasis(n, rows)
     assert s.basis.row_values == tuple(rows)
     assert s.min_distance() == 2
+    assert s.min_distance(floor=2) == 2  # the walk stops in the last block, not before
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(11, 16), data=st.data())
+def test_min_distance_from_any_proved_floor_is_the_full_walk(k, data):
+    # 11-16 rows span 2 to 64 blocks, so a walk that stops early is seen to.
+    n = data.draw(st.integers(k, 30), label="n")
+    s = random_subspace(n, k, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    d = s.min_distance()
+    for floor in range(1, d + 1):
+        assert s.min_distance(floor) == d
+    # Above d the walk may stop early, on a word no heavier than its floor.
+    assert d <= s.min_distance(d + 1) <= d + 1
 
 
 def test_span_budget_checked_before_tabulating(monkeypatch):
