@@ -166,17 +166,18 @@ def _distance_or_inf(code: SubspaceBasis, checks: SubspaceBasis, q: int):
     Distinct syndromes of the errors of weight <= q under the rows of checks
     prove d >= 2q+1, and the walk then stops there; otherwise it runs to the
     end.  The proof is made only where it can shorten a walk of more than one
-    block: q >= 0, fewer than 64 check rows (the syndrome packer's limit),
-    and no more errors than syndromes (else two collide) or codewords (the
-    walk's own budget).
+    block: q >= 0, fewer than 64 check rows (the syndrome test's limit), no
+    more errors than syndromes (else two collide), and a support table of
+    ``_error_positions`` no larger than the walk's 2^dim words (its budget).
     """
     floor = 1
     if (
         code.dim > _BLOCK_ROWS
         and q >= 0
         and checks.dim < 64
-        and error_count(code.n, q) <= 1 << min(code.dim, checks.dim)
-        and _block_syndromes_distinct(_bit_block(checks.basis.row_values, code.n)[None], q)[0]
+        and error_count(code.n, q) <= 1 << checks.dim
+        and min(q, code.n) * error_count(code.n, q) <= 1 << code.dim
+        and _block_syndromes_distinct(_bit_block(checks.basis.row_values, code.n), q)
     ):
         floor = 2 * q + 1
     return code.min_distance(floor) if code.dim > 0 else math.inf
@@ -255,7 +256,7 @@ def search_applicable_code(
                 continue
             code = SubspaceBasis(n, rows)
             dual = code.dual()
-            if not _block_syndromes_distinct(_bit_block(dual.basis.row_values, n)[None], q)[0]:
+            if not _block_syndromes_distinct(_bit_block(dual.basis.row_values, n), q):
                 continue
             if i + 1 < len(passed):
                 # Leave the generator as if only the draws up to this one were made.
@@ -347,57 +348,63 @@ def error_count(n: int, q: int) -> int:
 
 
 def enumerate_errors(n: int, q: int) -> tuple[BitVec, ...]:
-    """All error vectors of weight at most q on n coordinates, lexicographically sorted."""
-    reserve((error_count(n, q),), np.int64)
-    values = []
-    for j in range(min(q, n) + 1):
-        for positions in itertools.combinations(range(n), j):
-            values.append(BitVec.from_support(n, positions).value)
-    values.sort()
-    return tuple(BitVec(n, v) for v in values)
+    """Every error of weight at most q on n coordinates, by value: ``_error_positions``' BitVecs."""
+    return tuple(
+        BitVec.from_support(n, [p for p in support if p < n])
+        for support in _error_positions(n, q).T.tolist()
+    )
 
 
 @functools.lru_cache(maxsize=8)
 def _error_positions(n: int, q: int) -> np.ndarray:
-    """Support of every error of weight <= q, one column each, in ``enumerate_errors`` order.
+    """Support of every error of weight <= q, one column each, in ascending order of value.
 
-    Errors lighter than q are padded with n, the index of the zero column
-    that ``_error_syndromes`` appends.
+    The supports come from ``itertools.combinations``, padded with n, the
+    index of the zero column that ``_error_syndromes`` appends.  Coordinate p
+    is bit n-1-p of a value, so values ascend as padded supports descend.
     """
-    bits = _bit_block([e.value for e in enumerate_errors(n, q)], n)
-    coordinates = np.where(bits, np.arange(n), n)
-    positions = np.sort(coordinates, axis=1)[:, : min(q, n)].T.copy()
+    width, count = min(q, n), error_count(n, q)
+    reserve((width, count), np.intp)
+    by_weight = (itertools.combinations(range(n), j) for j in range(width + 1))
+    padded = [s + (n,) * (width - len(s)) for s in itertools.chain.from_iterable(by_weight)]
+    padded.sort(reverse=True)
+    flat = np.fromiter(itertools.chain.from_iterable(padded), np.intp, width * count)
+    positions = flat.reshape(count, width).T.copy()
     positions.setflags(write=False)
     return positions
 
 
-def _error_syndromes(parity: Gf2Matrix, q: int) -> np.ndarray:
-    """H e for every error e of weight <= q, in ``enumerate_errors`` order, packed.
+def _error_syndromes(bits: np.ndarray, q: int) -> np.ndarray:
+    """H e for every error e of weight <= q, in ``enumerate_errors`` order, for each H given.
 
-    H e is the XOR of the columns of H on the support of e: one gather over
-    H's columns (and a zero column for padding), then one XOR reduction.
-    Syndromes come in ``gf2._pack``'s layout for parity.rows bits.
+    bits holds H as a (k, n) array of 0/1 bits, or a (count, k, n) stack of
+    them with k < 64.  This is where the bit order of a syndrome is decided:
+    row j of H is bit k-1-j of H e, as in ``Gf2Matrix.mul_vec``, in
+    ``gf2._pack``'s layout for k bits.  H e is the XOR of the columns of H on
+    the support of e, so the columns are packed that way, a zero column is
+    appended for the padding of ``_error_positions``, and one gather and one
+    XOR reduction give every syndrome: (|E_q|, count) for a stack, (|E_q|[,
+    limbs]) for one H.
     """
-    if not parity.rows:
-        raise ValueError("matrix has no rows")
-    columns = _pack(parity.transpose().row_values + (0,), parity.rows)
-    return np.bitwise_xor.reduce(columns[_error_positions(parity.cols, q)], axis=0)
+    k, n = bits.shape[-2:]
+    if k < 64:
+        packed = ((1 << np.arange(k - 1, -1, -1)) @ bits).T
+    else:
+        packed = _pack(_bit_rows(bits.T), k)
+    columns = np.zeros((n + 1, *packed.shape[1:]), np.min_scalar_type((1 << min(k, 64)) - 1))
+    columns[:n] = packed
+    return np.bitwise_xor.reduce(columns[_error_positions(n, q)], axis=0)
 
 
 def _block_syndromes_distinct(bits: np.ndarray, q: int) -> np.ndarray:
     """Whether the errors of weight <= q have distinct syndromes, ker H of d >= 2q+1, per H.
 
-    bits holds one (k, n) block of 0/1 bits for each H, k < 64.  The columns
-    are packed into the smallest unsigned dtype that holds k bits, a zero
-    column appended for padding: one gather and one XOR reduction give every
-    syndrome, one sort along the last axis the repeats.
+    bits is as ``_error_syndromes`` takes it, with k < 64: a sort of the
+    syndromes along the error axis finds the repeats.
     """
-    count, k, n = bits.shape
-    columns = np.zeros((count, n + 1), dtype=np.min_scalar_type((1 << k) - 1))
-    columns[:, :n] = (1 << np.arange(k - 1, -1, -1)) @ bits
-    syndromes = np.bitwise_xor.reduce(columns[:, _error_positions(n, q)], axis=1)
-    syndromes.sort(axis=1)
-    return (syndromes[:, 1:] != syndromes[:, :-1]).all(axis=1)
+    syndromes = _error_syndromes(bits, q)
+    syndromes.sort(axis=0)
+    return (syndromes[1:] != syndromes[:-1]).all(axis=0)
 
 
 def count_error_pairs(n: int, q: int) -> int:
@@ -428,13 +435,15 @@ def build_syndrome_table(parity: Gf2Matrix, q: int) -> SyndromeTable:
     """Map the syndrome H e of every error e of weight <= q back to e.
 
     ker H has d >= 2q+1 exactly when these syndromes are distinct.  They come
-    from one gather over H's columns (``_error_syndromes``); the first error,
-    in ``enumerate_errors`` order, whose syndrome repeats an earlier one
-    raises SyndromeCollisionError naming both.
+    from ``_error_syndromes``; the first error, in ``enumerate_errors`` order,
+    whose syndrome repeats an earlier one raises SyndromeCollisionError naming
+    both.
     """
-    errors = enumerate_errors(parity.cols, q)
+    if not parity.rows:
+        raise ValueError("matrix has no rows")
+    syndromes = _error_syndromes(_bit_block(parity.row_values, parity.cols), q)
     entries: dict[BitVec, BitVec] = {}
-    for e, value in zip(errors, _unpack(_error_syndromes(parity, q))):
+    for e, value in zip(enumerate_errors(parity.cols, q), _unpack(syndromes)):
         s = BitVec(parity.rows, value)
         if s in entries:
             raise SyndromeCollisionError(
@@ -495,7 +504,7 @@ def gv_margin(n: int, q: int) -> float:
 
 
 def soundness_log2(n: int, q: int, eps: float | None = None) -> float:
-    """log2 of the soundness bound |E_q|^2 * eps, default eps = 2^(-n/2)."""
+    """log2 of the bound |E_q|^2 eps (|E_q|: error_count^2 pairs), eps 2^(-n/2) by default."""
     if n < 1 or n % 2:
         raise ValueError("n must be even and >= 2")
     if eps is None:
@@ -508,5 +517,5 @@ def soundness_log2(n: int, q: int, eps: float | None = None) -> float:
 
 
 def soundness_tradeoff(n: int, q: int, eps: float | None = None) -> float:
-    """The soundness bound |E_q|^2 * eps as a float, computed in the log domain."""
+    """The soundness bound |E_q|^2 eps (|E_q|: error_count^2 pairs), computed in the log domain."""
     return float(2.0 ** soundness_log2(n, q, eps))

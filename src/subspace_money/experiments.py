@@ -290,6 +290,8 @@ def gv_table(n_range: Iterable[int], q_list: Sequence[int]) -> ExperimentReport:
     large n is where applicable codes exist (asymptotically).
     """
     n_values = list(n_range)
+    if not n_values or not q_list:
+        raise ValueError("the q list is empty" if n_values else "the n range holds no n")
     rows = []
     for q in q_list:
         for n in n_values:
@@ -307,8 +309,10 @@ def gv_table(n_range: Iterable[int], q_list: Sequence[int]) -> ExperimentReport:
 def soundness_table(
     n_range: Iterable[int], q_list: Sequence[int], eps: float | None = None
 ) -> ExperimentReport:
-    """The soundness bound |E_q|^2 eps over a grid of even n, default eps = 2^(-n/2)."""
+    """Soundness bound |E_q|^2 eps (|E_q|: error_count^2 pairs) on even n, default eps 2^(-n/2)."""
     n_values = [n for n in n_range if n % 2 == 0]
+    if not n_values or not q_list:
+        raise ValueError("the q list is empty" if n_values else "the n range holds no even n")
     rows = []
     for q in q_list:
         for n in n_values:

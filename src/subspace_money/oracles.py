@@ -31,7 +31,7 @@ import numpy as np
 
 from .codes import CodeSpec, _error_positions, _error_syndromes
 from .errors import reserve
-from .gf2 import BitVec, Gf2Matrix, _span_table
+from .gf2 import BitVec, _bit_block, _span_table
 from .states import DenseState, _coset_amplitudes, fwht, walsh_butterflies
 
 SIDES = ("primal", "dual")
@@ -60,24 +60,15 @@ def _pivots(row_values) -> np.ndarray:
     return np.array([1 << (r.bit_length() - 1) for r in row_values], dtype=np.int64)
 
 
-def _syndromes(spec: CodeSpec, strings: np.ndarray) -> np.ndarray:
-    """H x of each string x as a syndrome value, bit i from primal parity row rows-1-i."""
-    bottom_up = np.array(spec.parity_primal.row_values[::-1], dtype=np.int64)
+def _syndromes(rows, strings: np.ndarray) -> np.ndarray:
+    """H x of each string x under the parity rows of H, in ``codes._error_syndromes``' bit order."""
+    bottom_up = np.array(rows[::-1], dtype=np.int64)
     return (np.bitwise_count(strings[:, None] & bottom_up) & 1) @ (1 << np.arange(bottom_up.size))
 
 
 def _row_energy(rows: np.ndarray) -> float:
     """sum |x|^2 of a C-ordered stack of frame rows, by the rule VerifierFrame states."""
     return reduce(operator.add, np.vecdot(rows, rows).real.tolist(), 0.0)
-
-
-def _reverse_bits(values, k: int) -> np.ndarray:
-    """k-bit dual syndromes as Walsh frequencies of u: syndrome row j is bit j of u.
-
-    Row j is bit k-1-j of a syndrome value, so this reverses each value's k bits.
-    """
-    bits = np.arange(k)
-    return ((np.asarray(values, dtype=np.int64)[:, None] >> bits) & 1) @ (1 << bits[::-1])
 
 
 class VerifierFrame(NamedTuple):
@@ -89,7 +80,7 @@ class VerifierFrame(NamedTuple):
     cosets and acts inside each as the same 2^k-point Walsh filter on u.  It
     passes frequency s when s, read as a syndrome under those rows, is
     accepted on the dual side.  Row j of a syndrome is bit j of s, so keep
-    holds the dual's accepted syndrome values with their k bits reversed.
+    holds the dual's accepted syndromes under the code rows in reverse order.
     Row i of error_cosets holds, for side SIDES[i], where the coset side-code
     + e of each tolerated error e sits, in ``enumerate_errors`` order: a
     bit-flip coset C + e is the row of its syndrome, a phase-flip coset the
@@ -116,20 +107,19 @@ class VerifierFrame(NamedTuple):
         code's span is walked.
         """
         parity, basis = spec.parity_primal, spec.parity_dual
-        syndromes = _error_syndromes(parity, spec.q)
+        syndromes = _error_syndromes(_bit_block(parity.row_values, spec.n), spec.q)
         rows = _sorted_distinct(syndromes.astype(np.int64))
         # Under the code rows in reverse order, bit j of a syndrome is row j: a frequency of u.
-        reversed_rows = Gf2Matrix(basis.rows, basis.cols, basis.row_values[::-1])
-        frequencies = _error_syndromes(reversed_rows, spec.q).astype(np.int64)
-        keep = _sorted_distinct(frequencies)
-        # Bit i of a syndrome value is row parity.rows-1-i, so the pivots run bottom-up.
+        frequencies = _error_syndromes(_bit_block(basis.row_values[::-1], spec.n), spec.q)
+        keep = _sorted_distinct(frequencies.astype(np.int64))
+        # In the gather's bit order, bit i of a syndrome is parity row rows-1-i: pivots bottom-up.
         pivots = _pivots(parity.row_values[::-1])
         leaders = ((rows[:, None] >> np.arange(parity.rows)) & 1) @ pivots
         # Each code pivot lies in its own row alone, so a codeword's pivot bits are its u.
         code_pivots = [1 << (r.bit_length() - 1) for r in basis.row_values]
         mask = sum(code_pivots)
         reduced = all(r & mask == p for r, p in zip(basis.row_values, code_pivots))
-        images = _syndromes(spec, leaders)
+        images = _syndromes(parity.row_values, leaders)
         if basis.rows + parity.rows != spec.n or np.any(images != rows) or not reduced:
             raise ValueError("the parity rows are not RREF bases of the dual and the code")
         reserve((rows.size, 1 << basis.rows), np.int64)
@@ -146,17 +136,12 @@ class VerifierFrame(NamedTuple):
     # -- membership and coset tests ---------------------------------------------
 
     def member(self, side: str, x: BitVec) -> bool:
-        """Whether H x is accepted on side: a row's syndrome, or a kept frequency once reversed."""
-        syndrome = self._syndrome(side, x)
-        if side == "primal":
-            return bool(np.isin(syndrome, self.rows))
-        return bool(np.isin(_reverse_bits([syndrome], self.spec.parity_dual.rows), self.keep)[0])
-
-    def _syndrome(self, side: str, x: BitVec) -> int:
-        parity = (self.spec.parity_primal, self.spec.parity_dual)[_side_index(side)]
+        """Whether H x is accepted on side: a row's syndrome or, rows reversed, a kept frequency."""
+        i = _side_index(side)
         if x.n != self.n:
             raise ValueError(f"length mismatch: {x.n} vs {self.n}")
-        return parity.mul_vec(x).value
+        rows = (self.spec.parity_primal.row_values, self.spec.parity_dual.row_values[::-1])
+        return bool(np.isin(_syndromes(rows[i], np.array([x.value])), (self.rows, self.keep)[i])[0])
 
     def locate(self, side: str, weights: np.ndarray) -> tuple[int, BitVec | None]:
         """Find the first tolerated e whose side-code + e holds all but 1e-9 of weights.
@@ -194,7 +179,8 @@ class VerifierFrame(NamedTuple):
         that row's amplitudes are built in closed form and the kernel runs on
         that one row: no 2^n vector or (|S_p|, 2^k) block is made or gathered.
         """
-        syndrome = self._syndrome("primal", e)
+        primal = self.spec.parity_primal.row_values
+        syndrome = _syndromes(primal, np.array([e.value]))[0] if e.n == self.n else -1
         row = int(np.searchsorted(self.rows, syndrome))
         if e_prime.n != self.n or row == self.rows.size or self.rows[row] != syndrome:
             raise ValueError(f"X^{e} Z^{e_prime} is not a tolerated error on n={self.n} qubits")
@@ -318,7 +304,7 @@ class VerifierFrame(NamedTuple):
         code's pivot columns (index[r, 0] is leader(r)), so the working set is
         the occupied cosets and a few integers per line.
         """
-        syndromes = _syndromes(self.spec, indices)
+        syndromes = _syndromes(self.spec.parity_primal.row_values, indices)
         at = np.minimum(np.searchsorted(self.rows, syndromes), self.rows.size - 1)
         inside = self.rows[at] == syndromes
         hit = np.zeros(self.rows.size, dtype=bool)

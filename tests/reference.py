@@ -14,7 +14,8 @@ M_primal on full 2^n masks, or in its coset frame with every accepted coset
 transformed, its sums over rows added one row after another in a Python
 loop, and the post-state built at once; the subset testers as a
 classical query surface; code search by exhaustive minimum distances,
-syndrome tables one matrix-vector product per error, RREF column by column,
+the tolerated errors one support at a time, syndrome tables one
+matrix-vector product per error, RREF column by column,
 a Pauli as one gather of every source index, and the state dump's text
 written and parsed one line at a time.  The Hadamard on every
 qubit, subspace membership and intersection dimension have no library
@@ -452,6 +453,12 @@ def search_by_distances(n: int, q: int, seed: Seed, max_attempts: int) -> CodeSp
             continue
         return CodeSpec(n, q, code, dual, d_p, d_d, dual.basis, code.basis)
     raise CodeSearchError(f"no applicable code found for n={n}, q={q} in {max_attempts} attempts")
+
+
+def errors_by_combinations(n: int, q: int) -> list[BitVec]:
+    """Every error of weight <= q on n coordinates, one ``BitVec.from_support`` each, by value."""
+    supports = (s for j in range(min(q, n) + 1) for s in itertools.combinations(range(n), j))
+    return sorted((BitVec.from_support(n, s) for s in supports), key=lambda e: e.value)
 
 
 def syndrome_table_entries(parity: Gf2Matrix, q: int) -> dict[BitVec, BitVec]:

@@ -94,7 +94,12 @@ ENTRY_POINTS = [
     ("min_distance", lambda: (full_space(12),), SubspaceBasis.min_distance, SPAN_BYTES),
     ("vector_values", lambda: (full_space(12),), SubspaceBasis.vector_values, SPAN_BYTES),
     ("search_applicable_code", lambda: (24, 1, 24), search_applicable_code, SPAN_BYTES),
-    ("enumerate_errors", lambda: (40, 3), enumerate_errors, 8 * 10701),
+    (
+        "enumerate_errors",
+        lambda: codes._error_positions.cache_clear() or (40, 3),
+        enumerate_errors,
+        8 * 3 * 10701,  # the (3, 10701) int64 support table of codes._error_positions, built cold
+    ),
 ]
 
 

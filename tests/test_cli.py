@@ -661,6 +661,23 @@ def test_bounds_tables(tmp_path):
     assert s_out.read_text().startswith("n,q,error_pairs")
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--soundness", "--n-min", 3, "--n-max", 3], "the n range holds no even n"),
+        (["--soundness", "--n-min", 41, "--n-max", 40], "the n range holds no even n"),
+        (["--gv", "--n-min", 5, "--n-max", 4], "the n range holds no n"),
+        (["--soundness", "--q", ","], "the q list is empty"),
+    ],
+    ids=["no-even-n", "reversed-range", "gv-reversed-range", "empty-q-list"],
+)
+def test_bounds_refuses_an_empty_grid(tmp_path, capsys, flags, message):
+    out = tmp_path / "b.csv"
+    assert run_cli("--seed", 1, "--out", out, "bounds", *flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_json_format_output(tmp_path, capsys):
     note = tmp_path / "note.json"
     rc = run_cli("--seed", 43, "--out", note, "--format", "json", "mint", "--n", 6, "--q", 1)

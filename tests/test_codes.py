@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +41,12 @@ from subspace_money.gf2 import (
 )
 
 from conftest import WORKED_PARITY_ROWS
-from reference import full_space, search_by_distances, syndrome_table_entries
+from reference import (
+    errors_by_combinations,
+    full_space,
+    search_by_distances,
+    syndrome_table_entries,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +265,17 @@ def test_certify_makes_no_floor_proof_over_more_errors_than_syndromes(monkeypatc
     assert not report.passed
 
 
+def test_certify_makes_no_floor_proof_whose_error_table_outgrows_the_walk(monkeypatch):
+    # 2,325 errors of weight <= 3 on 24 coordinates fit 4096 syndromes, but
+    # their 3 x 2,325 support table is larger than the 2^12-word walks.
+    code = random_subspace(24, 12, 5)
+    d_p, d_d = code.min_distance(), code.dual().min_distance()
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 8 << 12)
+    _error_positions.cache_clear()
+    report = certify(CodeSpec.build(code, 3))
+    assert (report.d_primal, report.d_dual) == (d_p, d_d)
+
+
 def test_certified_codes_have_no_light_codewords():
     spec = search_applicable_code(8, 1, seed=9)
     for side in (spec.code, spec.dual_code):
@@ -292,6 +309,62 @@ def test_enumerate_errors_sorted_and_unique():
     assert vals == sorted(set(vals))
     assert all(e.weight <= 3 for e in es)
     assert len(es) == error_count(7, 3)
+
+
+def _largest_q(n: int, most: int) -> int:
+    """The largest q <= n + 2 with at most `most` errors of weight <= q on n coordinates."""
+    return max(q for q in range(n + 3) if error_count(n, q) <= most)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.one_of(st.integers(1, 70), st.just(140)), data=st.data())
+def test_error_table_is_the_reference_enumeration(n, data):
+    # Both the support table and its BitVec view, against one from_support per
+    # combination sorted by value; q runs past n, where every error is tolerated.
+    q = data.draw(st.integers(0, _largest_q(n, 3000)), label="q")
+    want = errors_by_combinations(n, q)
+    positions = _error_positions(n, q)
+    assert positions.shape == (min(q, n), len(want)) and not positions.flags.writeable
+    supports = [[p for p in column if p < n] for column in positions.T.tolist()]
+    assert supports == [list(e.support()) for e in want]
+    assert all(p == n for column in positions.T.tolist() for p in column[len(column) :])
+    assert enumerate_errors(n, q) == tuple(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.one_of(st.integers(2, 70), st.just(140)), data=st.data())
+def test_error_syndromes_are_per_error_products_for_one_matrix_and_a_stack(n, data):
+    # Both sides of a random code, H = the dual's rows (checks for C) and the
+    # code's rows (checks for the dual), one matrix at a time and as a stack.
+    q = data.draw(st.integers(0, _largest_q(n, 600)), label="q")
+    dim = data.draw(st.integers(1, n - 1), label="dim")
+    code = random_subspace(n, dim, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    tolerated = errors_by_combinations(n, q)
+    sides = [code.dual().basis, code.basis]
+    for parity in sides:
+        got = _unpack(_error_syndromes(_bit_block(parity.row_values, n), q))
+        assert got == [parity.mul_vec(e).value for e in tolerated]
+    rows = data.draw(st.integers(1, min(n, 63)), label="rows")
+    blocks = [random_subspace(n, rows, s).basis.row_values for s in (1, 2, 3)]
+    stack = np.stack([_bit_block(block, n) for block in blocks])
+    got = _error_syndromes(stack, q)
+    assert got.shape == (len(tolerated), 3)
+    for i, block in enumerate(blocks):
+        parity = Gf2Matrix(rows, n, block)
+        assert got[:, i].tolist() == [parity.mul_vec(e).value for e in tolerated]
+
+
+def test_a_cold_error_table_at_30_4_stays_small():
+    # 31,931 errors: one support table of 4 x 31,931 int64 and the sort's
+    # index; no BitVec or Python int per error.
+    _error_positions.cache_clear()
+    tracemalloc.start()
+    try:
+        _error_positions(30, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_enumerate_errors_budget(monkeypatch):
@@ -342,6 +415,9 @@ def test_syndrome_table_collision_detected():
     parity = Gf2Matrix.from_strings(["1100"])
     with pytest.raises(SyndromeCollisionError):
         build_syndrome_table(parity, q=1)
+    # With no rows there is no syndrome to key a table by.
+    with pytest.raises(ValueError, match="matrix has no rows"):
+        build_syndrome_table(Gf2Matrix.zeros(0, 4), q=1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -354,9 +430,9 @@ def test_error_syndromes_distinct_exactly_when_distance_allows(n, data):
     errors = enumerate_errors(n, q)
     # ker(dual basis) is the code, ker(code basis) the dual.
     for kernel, parity in ((code, dual.basis), (dual, code.basis)):
-        syndromes = _unpack(_error_syndromes(parity, q))
+        syndromes = _unpack(_error_syndromes(_bit_block(parity.row_values, n), q))
         assert syndromes == [parity.mul_vec(e).value for e in errors]
-        distinct = _block_syndromes_distinct(_bit_block(parity.row_values, n)[None], q)[0]
+        distinct = _block_syndromes_distinct(_bit_block(parity.row_values, n), q)
         assert distinct == (kernel.min_distance() >= 2 * q + 1)
 
 

@@ -18,7 +18,7 @@ from subspace_money.codes import (
 )
 from subspace_money.errors import SyndromeCollisionError
 from subspace_money.gf2 import BitVec, Gf2Matrix, random_subspace
-from subspace_money.oracles import SIDES, VerifierFrame, _reverse_bits
+from subspace_money.oracles import SIDES, VerifierFrame, _syndromes
 from subspace_money.scheme import MintRecord, OracleRegistry
 from subspace_money.states import DenseState, apply_pauli, coset_state, subspace_state
 
@@ -336,9 +336,11 @@ def test_frame_of_matches_predicate_frames(spec, data):
     frame = VerifierFrame.of(spec)
     for approach in ("subset", "syndrome"):
         _assert_same_frame(frame, predicate_frame(*predicate_pair(spec, approach)))
-    k = spec.parity_dual.rows
-    assert _reverse_bits(np.arange(1 << k), k).tolist() == [_frequency(s, k) for s in range(1 << k)]
+    # Under the code rows in reverse order, H x is the Walsh frequency of x's dual syndrome.
+    k, parity = spec.parity_dual.rows, spec.parity_dual
     strings = [BitVec(spec.n, x) for x in range(1 << spec.n)]
+    frequencies = _syndromes(parity.row_values[::-1], np.arange(1 << spec.n)).tolist()
+    assert frequencies == [_frequency(parity.mul_vec(x).value, k) for x in strings]
     for side, predicate in zip(SIDES, predicate_pair(spec, "syndrome")):
         assert [frame.member(side, x) for x in strings] == [predicate(x) for x in strings]
 
@@ -362,7 +364,7 @@ def test_coset_probability_is_ver_of_the_coset_state_bitwise(worked_spec):
             got = frame.coset_probability(e, ep)
             assert np.float64(got).tobytes() == np.float64(prob).tobytes()
     outside = next(BitVec(6, x) for x in range(64) if not frame.member("primal", BitVec(6, x)))
-    for e, ep in ((outside, errors[0]), (errors[0], BitVec.zeros(4))):
+    for e, ep in ((outside, errors[0]), (BitVec.zeros(4), errors[0]), (errors[0], BitVec.zeros(4))):
         with pytest.raises(ValueError, match="is not a tolerated error on n=6 qubits"):
             frame.coset_probability(e, ep)
 
