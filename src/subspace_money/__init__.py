@@ -52,7 +52,6 @@ from .gf2 import (
     Gf2Matrix,
     SubspaceBasis,
     random_bitvec,
-    random_subspace,
     rref,
 )
 from .oracles import VerifierFrame

@@ -373,10 +373,6 @@ class SubspaceBasis:
         object.__setattr__(self, "basis", canon)
 
     @classmethod
-    def zero(cls, n: int) -> "SubspaceBasis":
-        return cls(n)
-
-    @classmethod
     def from_strings(cls, lines: Sequence[str]) -> "SubspaceBasis":
         if not lines:
             raise ValueError("cannot infer ambient dimension from no rows")
@@ -487,19 +483,3 @@ class BasisMap:
 
     def __repr__(self) -> str:
         return f"BasisMap({self.matrix.to_strings()!r})"
-
-
-def random_subspace(n: int, dim: int, seed: Seed) -> SubspaceBasis:
-    """Uniformly random dim-dimensional subspace of F_2^n.
-
-    Samples dim random rows, as one dim x n block of bits, and redraws the
-    block on rank deficiency; conditioned on full rank, the row space is
-    uniform over all dim-dimensional subspaces.  The block draws the same
-    bits as dim calls to ``random_bitvec`` on the same generator.
-    """
-    if not 0 <= dim <= n:
-        raise ValueError(f"dim {dim} out of range for n={n}")
-    if dim == 0:
-        return SubspaceBasis.zero(n)
-    return SubspaceBasis(n, _independent_rows(n, dim, as_generator(seed)))
-

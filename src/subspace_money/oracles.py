@@ -8,9 +8,10 @@ weight <= q, so each side's accepted set is the set of syndromes of the
 tolerated errors, taken from ``codes._error_syndromes``.
 
 A VerifierFrame holds both sets, each a sorted read-only array, and is the
-only array view of them.  It lists the accepted primal cosets string by
-string, the coset with syndrome v as leader(v) ^ c(u) over the codewords
-c(u), and holds the accepted dual syndromes as Walsh frequencies of u.  In
+only array view of them.  It keeps the leader of each accepted primal coset,
+the coset with syndrome v being leader(v) ^ c(u) over the codewords c(u),
+lists those cosets string by string only for the kernels that read a 2^n
+register, and holds the accepted dual syndromes as Walsh frequencies of u.  In
 these coordinates the verifier's projector P is one Walsh filter on each
 accepted coset, and the frame is P: it answers membership queries, Ver's
 probability and post-state, Ver2's product probability and the corrector's
@@ -24,8 +25,9 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import partial, reduce
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from functools import cached_property, partial, reduce
+from typing import Callable
 
 import numpy as np
 
@@ -55,15 +57,21 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
-def _pivots(row_values) -> np.ndarray:
-    """The leading bit of each RREF row, its pivot column, as an int64 value."""
-    return np.array([1 << (r.bit_length() - 1) for r in row_values], dtype=np.int64)
+def _pivots(row_values) -> list[int]:
+    """The leading bit of each RREF row, its pivot column, as an int."""
+    return [1 << (r.bit_length() - 1) for r in row_values]
 
 
 def _syndromes(rows, strings: np.ndarray) -> np.ndarray:
-    """H x of each string x under the parity rows of H, in ``codes._error_syndromes``' bit order."""
-    bottom_up = np.array(rows[::-1], dtype=np.int64)
-    return (np.bitwise_count(strings[:, None] & bottom_up) & 1) @ (1 << np.arange(bottom_up.size))
+    """H x of each string x under the parity rows of H, in ``codes._error_syndromes``' bit order.
+
+    Row j of H is bit len(rows)-1-j; the syndromes are built one row at a time.
+    """
+    out = np.zeros(strings.shape, dtype=np.int64)
+    for row in rows:
+        out <<= 1
+        out |= np.bitwise_count(strings & row) & 1
+    return out
 
 
 def _row_energy(rows: np.ndarray) -> float:
@@ -71,13 +79,15 @@ def _row_energy(rows: np.ndarray) -> float:
     return reduce(operator.add, np.vecdot(rows, rows).real.tolist(), 0.0)
 
 
-class VerifierFrame(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class VerifierFrame:
     """Ver's projector P: the coordinates in which it is block-diagonal, and its kernels.
 
-    Row r of index lists the accepted primal coset with syndrome rows[r] as
-    index[r, u] = leader ^ c(u), where c(u) sums the dual side's parity rows
-    (a basis of the code) picked by the bits of u.  P keeps these |S_p|
-    cosets and acts inside each as the same 2^k-point Walsh filter on u.  It
+    Row r lists the accepted primal coset with syndrome rows[r] as the strings
+    leaders[r] ^ c(u), where c(u) sums the dual side's parity rows (a basis
+    of the code) picked by the bits of u; index lists them all, for the
+    kernels that read a 2^n register.  P keeps these |S_p| cosets and acts
+    inside each as the same 2^k-point Walsh filter on u.  It
     passes frequency s when s, read as a syndrome under those rows, is
     accepted on the dual side.  Row j of a syndrome is bit j of s, so keep
     holds the dual's accepted syndromes under the code rows in reverse order.
@@ -91,7 +101,7 @@ class VerifierFrame(NamedTuple):
     """
 
     spec: CodeSpec
-    index: np.ndarray  # (|S_p|, 2^k) basis-string indices
+    leaders: np.ndarray  # leader(rows[r]) of each row, the string index[r, 0]
     keep: np.ndarray  # accepted dual syndromes as Walsh frequencies of u, ascending
     rows: np.ndarray  # the accepted primal syndrome of each row, ascending
     error_cosets: np.ndarray  # (2, |E_q|) frame position of each tolerated error's coset
@@ -102,9 +112,8 @@ class VerifierFrame(NamedTuple):
 
         leader(v) puts syndrome row j on the pivot column of the RREF parity
         row j, so H leader(v) = v, which is checked, as are the count of basis
-        rows and that each code row alone holds its pivot (see _place).
-        The (|S_p|, 2^k) index is charged to the allocation budget before the
-        code's span is walked.
+        rows and that each code row alone holds its pivot (see _place).  The
+        frame holds a few integers per accepted coset; index is built later.
         """
         parity, basis = spec.parity_primal, spec.parity_dual
         syndromes = _error_syndromes(_bit_block(parity.row_values, spec.n), spec.q)
@@ -113,25 +122,50 @@ class VerifierFrame(NamedTuple):
         frequencies = _error_syndromes(_bit_block(basis.row_values[::-1], spec.n), spec.q)
         keep = _sorted_distinct(frequencies.astype(np.int64))
         # In the gather's bit order, bit i of a syndrome is parity row rows-1-i: pivots bottom-up.
-        pivots = _pivots(parity.row_values[::-1])
-        leaders = ((rows[:, None] >> np.arange(parity.rows)) & 1) @ pivots
+        leaders = np.zeros_like(rows)
+        for i, pivot in enumerate(_pivots(parity.row_values[::-1])):
+            leaders |= (rows >> i & 1) * pivot
         # Each code pivot lies in its own row alone, so a codeword's pivot bits are its u.
-        code_pivots = [1 << (r.bit_length() - 1) for r in basis.row_values]
+        code_pivots = _pivots(basis.row_values)
         mask = sum(code_pivots)
         reduced = all(r & mask == p for r, p in zip(basis.row_values, code_pivots))
         images = _syndromes(parity.row_values, leaders)
         if basis.rows + parity.rows != spec.n or np.any(images != rows) or not reduced:
             raise ValueError("the parity rows are not RREF bases of the dual and the code")
-        reserve((rows.size, 1 << basis.rows), np.int64)
-        index = leaders[:, None] ^ _span_table(basis.row_values, spec.n).astype(np.int64)
         error_cosets = np.array([np.searchsorted(rows, syndromes), frequencies])
-        for array in (index, keep, rows, error_cosets):
+        for array in (leaders, keep, rows, error_cosets):
             array.setflags(write=False)
-        return cls(spec, index, keep, rows, error_cosets)
+        return cls(spec, leaders, keep, rows, error_cosets)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """(|S_p|, 2^k) basis-string indices: index[r, u] = leaders[r] ^ c(u), read-only.
+
+        Built when a kernel that reads a 2^n register first needs it, charged
+        to the allocation budget before the code's span is walked, and kept;
+        one the budget refuses is not.  Each row is written in place, so no
+        broadcast buffer is made.
+        """
+        reserve((self.rows.size, self.size), np.int64)
+        span = self._codewords()
+        index = np.empty((self.rows.size, self.size), dtype=np.int64)
+        for row, leader in zip(index, self.leaders.tolist()):
+            np.bitwise_xor(span, leader, out=row)
+        index.setflags(write=False)
+        return index
+
+    @property
+    def size(self) -> int:
+        """2^k, the strings of each accepted coset: the codewords."""
+        return 1 << self.spec.parity_dual.rows
 
     @property
     def n(self) -> int:
         return self.spec.n
+
+    def _codewords(self) -> np.ndarray:
+        """c(u) for every u, in order of u, as int64 strings."""
+        return _span_table(self.spec.parity_dual.row_values, self.n).astype(np.int64)
 
     # -- membership and coset tests ---------------------------------------------
 
@@ -175,16 +209,18 @@ class VerifierFrame(NamedTuple):
     def coset_probability(self, e: BitVec, e_prime: BitVec) -> float:
         """Ver's acceptance probability of the tolerated coset state X^e Z^e' |C>.
 
-        Its strings e + v over the codewords v are the frame row of C + e, so
-        that row's amplitudes are built in closed form and the kernel runs on
-        that one row: no 2^n vector or (|S_p|, 2^k) block is made or gathered.
+        Its strings e + v over the codewords v are the frame row of C + e, its
+        leader ^ the code's span, so that row's amplitudes are built in closed
+        form and the kernel runs on that one row: no 2^n vector, index or
+        (|S_p|, 2^k) block is made or gathered.
         """
         primal = self.spec.parity_primal.row_values
         syndrome = _syndromes(primal, np.array([e.value]))[0] if e.n == self.n else -1
         row = int(np.searchsorted(self.rows, syndrome))
         if e_prime.n != self.n or row == self.rows.size or self.rows[row] != syndrome:
             raise ValueError(f"X^{e} Z^{e_prime} is not a tolerated error on n={self.n} qubits")
-        amplitudes = _coset_amplitudes(self.index[row] ^ e.value, e_prime)
+        shift = int(self.leaders[row]) ^ e.value  # a codeword: e and the leader share a syndrome
+        amplitudes = _coset_amplitudes(self._codewords() ^ shift, e_prime)
         return self._kept_spectrum(amplitudes.astype(np.complex128)[None])[0]
 
     def mixed_probability(self) -> float:
@@ -206,7 +242,7 @@ class VerifierFrame(NamedTuple):
         if strings.size and not 0 <= strings.min() <= strings.max() < 1 << self.n:
             raise ValueError(f"basis strings must lie in [0, {1 << self.n})")
         accepted = np.isin(strings, self.index, kind="table")
-        return np.where(accepted, self.keep.size / self.index.shape[1], 0.0)
+        return np.where(accepted, self.keep.size / self.size, 0.0)
 
     def block_probabilities(self, block: np.ndarray) -> np.ndarray:
         """tr(P sigma) for every pure register of a block, shape (...).
@@ -225,7 +261,7 @@ class VerifierFrame(NamedTuple):
         norm = np.vecdot(block, block).sum(axis=-1)
         if not np.all(np.isfinite(norm) & (norm > 0.0)):
             raise ValueError("a register of the block is not a finite nonzero vector")
-        return weight.sum(axis=-1) / norm / self.index.shape[1]
+        return weight.sum(axis=-1) / norm / self.size
 
     def pair_probability(self, joint: DenseState | tuple) -> float:
         """Ver2's kernel: tr((P (x) P) rho) for two registers under one serial number.
@@ -246,7 +282,7 @@ class VerifierFrame(NamedTuple):
         # Register two's kept coefficients, then register one's.
         coeffs = self._kept_coefficients(joint.amplitudes.reshape(dim, dim))
         coeffs = self._kept_coefficients(coeffs.T)
-        return _row_energy(coeffs) / self.index.shape[1] ** 2
+        return _row_energy(coeffs) / self.size**2
 
     def weights(self, note) -> tuple[np.ndarray, np.ndarray]:
         """The note's probability on each accepted bit-flip coset (row) and phase-flip frequency.
@@ -257,11 +293,11 @@ class VerifierFrame(NamedTuple):
         the occupied cosets, one 2^k transform for each and a few 2^k arrays.
         """
         rows, cosets = self._occupied(note)
-        bit_flip, phase_flip = np.zeros(self.index.shape[0]), np.zeros(self.index.shape[1])
+        bit_flip, phase_flip = np.zeros(self.rows.size), np.zeros(self.size)
         for row, coset, spectrum in zip(rows, cosets, fwht(cosets)):
             bit_flip[row] = np.square(np.abs(coset)).sum()
             phase_flip += np.square(np.abs(spectrum))
-        return bit_flip, phase_flip / self.index.shape[1]
+        return bit_flip, phase_flip / self.size
 
     # -- kernels -----------------------------------------------------------------------
 
@@ -281,7 +317,7 @@ class VerifierFrame(NamedTuple):
         if note.n != self.n:
             raise ValueError(f"register must act on n={self.n} qubits")
         amplitudes, index = note.amplitudes, self.index
-        step = max(1, _GATHER_CHUNK // index.shape[1])
+        step = max(1, _GATHER_CHUNK // self.size)
         rows, cosets = [], []
         for start in range(0, index.shape[0], step):
             chunk = amplitudes[index[start : start + step]]
@@ -292,7 +328,7 @@ class VerifierFrame(NamedTuple):
                 cosets.append(chunk[hits])
             del chunk  # so the next chunk is not gathered beside this one
         if not rows:
-            return np.empty(0, dtype=np.intp), np.empty((0, index.shape[1]), np.complex128)
+            return np.empty(0, dtype=np.intp), np.empty((0, self.size), np.complex128)
         return np.concatenate(rows), np.concatenate(cosets)
 
     def _place(self, indices: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,9 +336,9 @@ class VerifierFrame(NamedTuple):
 
         Line x lies in row r when H x is rows[r], found by a search and
         checked; a line outside the accepted cosets is dropped, as the gather
-        never reads it.  Its column is u, the bits of x ^ leader(r) on the
-        code's pivot columns (index[r, 0] is leader(r)), so the working set is
-        the occupied cosets and a few integers per line.
+        never reads it.  Its column is u, the bits of x ^ leaders[r] on the
+        code's pivot columns, so the working set is the occupied cosets and a
+        few integers per line: no index is built.
         """
         syndromes = _syndromes(self.spec.parity_primal.row_values, indices)
         at = np.minimum(np.searchsorted(self.rows, syndromes), self.rows.size - 1)
@@ -311,10 +347,10 @@ class VerifierFrame(NamedTuple):
         hit[at[inside & (values != 0)]] = True  # -0.0 is zero, as in the gather
         placed = inside & hit[at]
         at = at[placed]
-        codewords = indices[placed] ^ self.index[at, 0]
-        pivots = _pivots(self.spec.parity_dual.row_values)
-        u = ((codewords[:, None] & pivots) != 0) @ (1 << np.arange(pivots.size))
-        cosets = np.zeros((np.count_nonzero(hit), self.index.shape[1]), dtype=np.complex128)
+        codewords = indices[placed] ^ self.leaders[at]
+        # Bit j of u is the pivot of code row j: a syndrome under one-bit rows, bottom-up.
+        u = _syndromes(_pivots(self.spec.parity_dual.row_values)[::-1], codewords)
+        cosets = np.zeros((np.count_nonzero(hit), self.size), dtype=np.complex128)
         cosets[(np.cumsum(hit) - 1)[at], u] = values[placed]
         return np.flatnonzero(hit), cosets
 
@@ -338,7 +374,7 @@ class VerifierFrame(NamedTuple):
         spectrum = fwht(cosets)
         cosets.fill(0)
         cosets[:, self.keep] = spectrum[:, self.keep]
-        prob2 = _row_energy(cosets) / self.index.shape[1]
+        prob2 = _row_energy(cosets) / self.size
         if prob2 == 0.0:
             return 0.0, None
         return min(prob1 * prob2, 1.0), cosets
@@ -352,7 +388,7 @@ class VerifierFrame(NamedTuple):
         take a numpy buffer beside the 2^n result.  The other accepted cosets,
         which held no amplitude, keep the result's zeros.
         """
-        size = self.index.shape[1]
+        size = self.size
         reserve((1 << self.n,))
         norm = size * math.sqrt(_row_energy(kept) / size)
         branch = np.ascontiguousarray(fwht(kept))

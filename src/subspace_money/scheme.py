@@ -115,7 +115,10 @@ class MintRecord:
 
     @cached_property
     def frame(self) -> VerifierFrame:
-        """The code's verifier frame, built on first use and kept; one the budget refuses is not."""
+        """The code's verifier frame, built on first use and kept, its index once a kernel needs it.
+
+        One the budget refuses is not kept (see VerifierFrame.index).
+        """
         return VerifierFrame.of(self.spec)
 
 
@@ -180,7 +183,8 @@ class OracleSession:
     def member(self, side: str, x: BitVec) -> bool:
         """Whether H x is an accepted syndrome on side, charged as one query once x is valid.
 
-        The frame is built before the charge, so a query the budget refuses charges nothing.
+        It reads the frame's accepted syndromes, never its index, so the
+        budget refuses no query the frame itself fits in.
         """
         accepted = self.verifier_frame(passes=0).member(side, x)
         self.charge(side)
@@ -189,8 +193,9 @@ class OracleSession:
     def verifier_frame(self, passes: int = 1) -> VerifierFrame:
         """The record's coset frame, charged as passes queries to each side.
 
-        Coset tests read it with passes=0 to locate their cosets.  A frame
-        refused by the allocation budget is not kept and charges nothing.
+        Coset tests read it with passes=0 to locate their cosets, and verify
+        and double_verify to charge their passes once the kernel has run, so a
+        kernel whose index the allocation budget refuses charges nothing.
         """
         frame = self._record.frame
         self.charge("primal", passes)
@@ -202,7 +207,9 @@ class OracleRegistry:
     """The bank: lazy keyed generation of mint records and their public oracles.
 
     A record, and its verifier frame once a session has used it, lives as long
-    as the registry: at n = 20, q = 1 the frame's index is 21 x 1024 int64, about 172 KB.
+    as the registry.  The frame holds a few integers per accepted coset, plus
+    its index once a kernel has read a 2^n register: at n = 20, q = 1, 21 x
+    1024 int64, about 172 KB.
     """
 
     def __init__(self, n: int, q: int, master_seed: int, *, route: str = "direct"):
@@ -444,7 +451,8 @@ def verify(
     if not registry.serial_check(note.serial):
         return VerifyOutcome(False, 0.0, None, reason="unknown serial")
     session = registry._session_for(note.serial, session)
-    prob, build = session.verifier_frame().apply(note.state)
+    prob, build = session.verifier_frame(passes=0).apply(note.state)
+    session.verifier_frame()  # the pass is charged once the kernel has run
     return VerifyOutcome(_sample(registry, rng, prob), prob, build)
 
 
@@ -471,8 +479,8 @@ def double_verify(
     the maximally mixed register.
     """
     session = registry._session_for(serial, session)
-    prob = float(session.verifier_frame(passes=2).pair_probability(joint))
-
+    prob = float(session.verifier_frame(passes=0).pair_probability(joint))
+    session.verifier_frame(passes=2)  # charged once the kernel has run
     prob = min(max(prob, 0.0), 1.0)
     return DoubleVerifyOutcome(prob, _sample(registry, rng, prob))
 

@@ -21,10 +21,10 @@ written and parsed one line at a time.  The Hadamard on every
 qubit, subspace membership and intersection dimension have no library
 caller and live here too, as do the references the acceptance criteria
 compare against: the verifier's projector as a dense matrix, random
-invertible maps and coordinate-permutation isometries, and the coset
-parameters of a permuted conjugate-coding state.  The small constructors
-at the end (identity matrix, whole space, basis and uniform states) are
-test conveniences.
+subspaces, random invertible maps and coordinate-permutation isometries,
+and the coset parameters of a permuted conjugate-coding state.  The small
+constructors at the end (identity matrix, whole space, basis and uniform
+states) are test conveniences.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from subspace_money.gf2 import (
     BitVec,
     Gf2Matrix,
     SubspaceBasis,
+    _independent_rows,
     _random_rows,
     _span_table,
     random_bitvec,
@@ -175,7 +176,11 @@ def predicate_pair(
 
 
 def predicate_frame(primal: MembershipPredicate, dual: MembershipPredicate) -> VerifierFrame:
-    """VerifierFrame.of from two predicates of one code's sides; reads no mask."""
+    """VerifierFrame.of from two predicates of one code's sides; reads no mask.
+
+    The predicates list every accepted coset in full: the frame is given its
+    leaders, column 0, and its own index must list the same strings.
+    """
     k = dual.parity.rows
     index = primal._cosets()
     keep = np.array(sorted(_frequency(s.value, k) for s in dual.accepted), dtype=np.int64)
@@ -190,9 +195,12 @@ def predicate_frame(primal: MembershipPredicate, dual: MembershipPredicate) -> V
         ],
         dtype=np.int64,
     )
-    for array in (index, keep, rows, error_cosets):
+    leaders = index[:, 0].copy()
+    for array in (leaders, keep, rows, error_cosets):
         array.setflags(write=False)
-    return VerifierFrame(primal.spec, index, keep, rows, error_cosets)
+    frame = VerifierFrame(primal.spec, leaders, keep, rows, error_cosets)
+    assert frame.index.dtype == index.dtype and np.array_equal(frame.index, index)
+    return frame
 
 
 class CombinedOracle:
@@ -571,6 +579,21 @@ def verification_matrix(spec: CodeSpec) -> np.ndarray:
     frame = VerifierFrame.of(spec)
     kept = frame._kept_coefficients(np.eye(1 << spec.n))
     return kept @ kept.T / frame.index.shape[1]
+
+
+def random_subspace(n: int, dim: int, seed: Seed) -> SubspaceBasis:
+    """Uniformly random dim-dimensional subspace of F_2^n.
+
+    Samples dim random rows, as one dim x n block of bits, and redraws the
+    block on rank deficiency; conditioned on full rank, the row space is
+    uniform over all dim-dimensional subspaces.  The block draws the same
+    bits as dim calls to ``random_bitvec`` on the same generator.
+    """
+    if not 0 <= dim <= n:
+        raise ValueError(f"dim {dim} out of range for n={n}")
+    if dim == 0:
+        return SubspaceBasis(n)
+    return SubspaceBasis(n, _independent_rows(n, dim, as_generator(seed)))
 
 
 def random_basis_map(n: int, seed: Seed) -> BasisMap:

@@ -14,8 +14,7 @@ from subspace_money.cli import main
 from subspace_money.codes import enumerate_errors, search_applicable_code
 from subspace_money.errors import BudgetExceededError
 from subspace_money.experiments import run_attack
-from subspace_money.gf2 import BitVec, SubspaceBasis, random_subspace
-from subspace_money.oracles import VerifierFrame
+from subspace_money.gf2 import BitVec, SubspaceBasis
 from subspace_money.scheme import OracleRegistry, conjugate_coding_state, mint_direct, verify
 from subspace_money.states import (
     DenseState,
@@ -28,7 +27,7 @@ from subspace_money.states import (
     subspace_state,
 )
 
-from reference import full_space, random_basis_map, verification_matrix
+from reference import full_space, random_basis_map, random_subspace, verification_matrix
 
 PURE = 12  # a 2^12 vector, 64 KiB
 PURE_BYTES = 16 << PURE
@@ -165,34 +164,31 @@ def test_parse_dump_bounds_outside_input(tmp_path, capsys, monkeypatch):
     assert "error: 65536 bytes exceed the budget" in capsys.readouterr().err
 
 
-def test_member_refuses_its_frame_before_charging(monkeypatch):
+def test_only_dense_kernels_build_the_frame_index_and_refused_ones_charge_nothing(monkeypatch):
     # At n = 14, q = 1 the frame's index is 15 accepted cosets of 2^7 strings, int64.
-    build = VerifierFrame.of
-    built = []
-
-    def counted(cls, spec):
-        frame = build(spec)
-        built.append(frame)
-        return frame
-
-    monkeypatch.setattr(VerifierFrame, "of", classmethod(counted))
     reg = OracleRegistry(14, 1, master_seed=14)
-    serial = reg.generate(BitVec.zeros(14)).serial
-    session = reg.session(serial)
+    note = mint_direct(reg, BitVec.zeros(14))
+    session = reg.session(note.serial)
+    frame = session.verifier_frame(passes=0)
     monkeypatch.setattr(errors, "BUDGET_BYTES", 4096)
-    with pytest.raises(BudgetExceededError, match="15360 bytes exceed the budget of 4096 bytes"):
-        session.member("primal", BitVec(14, 3))
-    assert session.counters == {"primal": 0, "dual": 0, "coset": 0}
-    assert built == []
-    # The refused frame was not kept: a new session on the record builds it
-    # under the raised budget, and both sessions then share it.
-    monkeypatch.setattr(errors, "BUDGET_BYTES", 15360)
-    fresh = reg.session(serial)
-    fresh.member("primal", BitVec(14, 3))
-    assert fresh.counters == {"primal": 1, "dual": 0, "coset": 0}
+    # A membership query reads the accepted syndromes alone.
     session.member("primal", BitVec(14, 3))
-    assert session.counters["primal"] == 1
-    assert len(built) == 1 and session.verifier_frame(passes=0) is built[0]
+    assert session.counters == {"primal": 1, "dual": 0, "coset": 0}
+    assert "index" not in vars(frame)
+    # A dense verify needs the index; the refused one is not kept and the pass is not charged.
+    with pytest.raises(BudgetExceededError, match="15360 bytes exceed the budget of 4096 bytes"):
+        verify(reg, note, session=session, rng=0)
+    assert session.counters == {"primal": 1, "dual": 0, "coset": 0}
+    assert "index" not in vars(frame)
+    # Under the raised budget the first verify builds it, and a second session shares it.
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 15360)
+    assert verify(reg, note, session=session, rng=0).accept_probability == 1.0
+    index = vars(frame)["index"]
+    fresh = reg.session(note.serial)
+    assert verify(reg, note, session=fresh, rng=0).accept_probability == 1.0
+    assert fresh.verifier_frame(passes=0) is frame and vars(frame)["index"] is index
+    assert session.counters == {"primal": 2, "dual": 1, "coset": 0}
+    assert fresh.counters == {"primal": 1, "dual": 1, "coset": 0}
 
 
 @pytest.mark.parametrize("strategy, trials", [("random-state", 3)])

@@ -37,13 +37,13 @@ from subspace_money.gf2 import (
     _bit_block,
     _unpack,
     random_bitvec,
-    random_subspace,
 )
 
 from conftest import WORKED_PARITY_ROWS
 from reference import (
     errors_by_combinations,
     full_space,
+    random_subspace,
     search_by_distances,
     syndrome_table_entries,
 )

@@ -1,6 +1,7 @@
 """Tests for membership predicates, phase oracles, coset frames and query counts."""
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -17,10 +18,25 @@ from subspace_money.codes import (
     search_applicable_code,
 )
 from subspace_money.errors import SyndromeCollisionError
-from subspace_money.gf2 import BitVec, Gf2Matrix, random_subspace
+from subspace_money.gf2 import BitVec, Gf2Matrix
 from subspace_money.oracles import SIDES, VerifierFrame, _syndromes
-from subspace_money.scheme import MintRecord, OracleRegistry
-from subspace_money.states import DenseState, apply_pauli, coset_state, subspace_state
+from subspace_money.scheme import (
+    Banknote,
+    MintRecord,
+    OracleRegistry,
+    correct,
+    corrupt,
+    diagnose,
+    mint_dump,
+    verify,
+)
+from subspace_money.states import (
+    DenseState,
+    apply_pauli,
+    coset_state,
+    parse_dump,
+    subspace_state,
+)
 
 from conftest import certified_codes
 from reference import (
@@ -31,6 +47,7 @@ from reference import (
     member,
     predicate_frame,
     predicate_pair,
+    random_subspace,
     subset_predicate,
     syndrome_mask,
     syndrome_predicate,
@@ -324,7 +341,8 @@ def test_verifier_frame_needs_the_canonical_parity_rows(worked_spec):
 
 def _assert_same_frame(got, want):
     assert got.n == want.n
-    for a, b in zip(got[1:], want[1:]):
+    for name in ("leaders", "keep", "rows", "error_cosets", "index"):
+        a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         assert not a.flags.writeable
 
@@ -352,6 +370,39 @@ def test_frame_of_matches_predicate_frames(spec, data):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     spec = CodeSpec.build(random_subspace(n, dim, seed), q)
     _assert_same_frame(VerifierFrame.of(spec), predicate_frame(*predicate_pair(spec, "syndrome")))
+
+
+@functools.cache
+def _pinned_22_2() -> CodeSpec:
+    """The [22, 11] code with d = 5/5 that CI pins: 254 accepted cosets of 2^11 strings."""
+    return search_applicable_code(22, 2, 0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(spec=st.one_of(st.builds(_pinned_22_2), certified_codes()), data=st.data())
+def test_note_lines_leave_the_index_unbuilt_and_the_index_lists_leader_cosets(spec, data):
+    # A note file's lines are scored, diagnosed and corrected from the leaders alone.
+    reg = OracleRegistry(spec.n, spec.q, master_seed=spec.n)
+    r = BitVec.zeros(spec.n)
+    record = reg.generate(r, spec)
+    lines = parse_dump(mint_dump(reg, r)[1])
+    errors = enumerate_errors(spec.n, spec.q)
+    e, ep = (errors[data.draw(st.integers(0, len(errors) - 1), label=s)] for s in ("e", "e'"))
+    bad = corrupt(Banknote(record.serial, lines), e, ep)
+    assert verify(reg, bad, rng=0).accept_probability == 1.0
+    assert diagnose(reg, bad) == (e, ep)
+    fixed = correct(reg, bad)
+    for got, want in zip(fixed.state, lines):
+        assert np.array_equal(got, want)
+    frame = record.frame
+    assert "index" not in vars(frame)
+    # Built on first read, index lists leader ^ c(u), c(u) summing the code rows picked by u.
+    code_rows = spec.parity_dual.row_values
+    span = [functools.reduce(int.__xor__, (c for j, c in enumerate(code_rows) if u >> j & 1), 0)
+            for u in range(1 << len(code_rows))]
+    want = frame.leaders[:, None] ^ np.array(span, dtype=np.int64)
+    assert (frame.index.dtype, frame.index.tobytes()) == (want.dtype, want.tobytes())
+    assert np.array_equal(frame.index[:, 0], frame.leaders) and not frame.index.flags.writeable
 
 
 def test_coset_probability_is_ver_of_the_coset_state_bitwise(worked_spec):

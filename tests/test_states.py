@@ -75,7 +75,7 @@ def test_subspace_state_worked_codewords(worked_code):
 
 
 def test_subspace_state_zero_space():
-    st = subspace_state(SubspaceBasis.zero(3))
+    st = subspace_state(SubspaceBasis(3))
     assert st.amplitude(0) == 1
     assert len(st.support()) == 1
 
@@ -83,7 +83,7 @@ def test_subspace_state_zero_space():
 def test_subspace_state_budget(monkeypatch):
     monkeypatch.setattr(errors, "BUDGET_BYTES", 16 << 6)  # a 6-qubit state
     with pytest.raises(BudgetExceededError):
-        subspace_state(SubspaceBasis.zero(8))
+        subspace_state(SubspaceBasis(8))
 
 
 def test_coset_state_trivial_label(worked_spec):

@@ -66,10 +66,10 @@ def test_every_public_name_is_named_outside_the_tests():
     assert not unused, "public names that only tests call: " + ", ".join(unused)
 
 
-# The verifier frame's arrays.  keep and error_cosets name nothing else in
-# the package; index and rows are also list and matrix attributes, so those
-# count when the object read is named as a frame.
-FRAME_ONLY = {"keep", "error_cosets"}
+# The verifier frame's arrays.  leaders, keep and error_cosets name nothing
+# else in the package; index and rows are also list and matrix attributes, so
+# those count when the object read is named as a frame.
+FRAME_ONLY = {"leaders", "keep", "error_cosets"}
 FRAME_ALSO = {"index", "rows"}
 
 
