@@ -10,15 +10,15 @@ tolerated errors, taken from ``codes._error_syndromes``.
 A VerifierFrame holds both sets, each a sorted read-only array, and is the
 only array view of them.  It keeps the leader of each accepted primal coset,
 the coset with syndrome v being leader(v) ^ c(u) over the codewords c(u),
-lists those cosets string by string only for the kernels that read a 2^n
-register, and holds the accepted dual syndromes as Walsh frequencies of u.  In
-these coordinates the verifier's projector P is one Walsh filter on each
-accepted coset, and the frame is P: it answers membership queries, Ver's
-probability and post-state, Ver2's product probability and the corrector's
-coset weights.  The same frame locates every coset test of the corrector:
+finds a string's coset by its syndrome (only a dense note's gather lists the
+cosets string by string), and holds the accepted dual syndromes as Walsh
+frequencies of u.  In these coordinates the verifier's projector P is one
+Walsh filter on each accepted coset, and the frame is P: it answers membership
+queries, Ver's probability and post-state, Ver2's product probability and the
+corrector's coset weights.  It also locates each coset test of the corrector:
 a bit-flip coset C + e is one of its rows, a phase-flip coset one Walsh
-frequency of its rows, and the frame lists that position for each
-tolerated error on each side.  No other module reads its arrays.
+frequency of its rows, and the frame lists that position for each tolerated
+error on each side.  No other module reads its arrays.
 """
 
 from __future__ import annotations
@@ -85,12 +85,12 @@ class VerifierFrame:
 
     Row r lists the accepted primal coset with syndrome rows[r] as the strings
     leaders[r] ^ c(u), where c(u) sums the dual side's parity rows (a basis
-    of the code) picked by the bits of u; index lists them all, for the
-    kernels that read a 2^n register.  P keeps these |S_p| cosets and acts
-    inside each as the same 2^k-point Walsh filter on u.  It
-    passes frequency s when s, read as a syndrome under those rows, is
-    accepted on the dual side.  Row j of a syndrome is bit j of s, so keep
-    holds the dual's accepted syndromes under the code rows in reverse order.
+    of the code) picked by the bits of u; index lists them all, and only a
+    dense note's gather builds it.  P keeps these |S_p| cosets and acts inside
+    each as the same 2^k-point Walsh filter on u.  It passes frequency s when
+    s, read as a syndrome under those rows, is accepted on the dual side.  Row
+    j of a syndrome is bit j of s, so keep holds the dual's accepted syndromes
+    under the code rows in reverse order.
     Row i of error_cosets holds, for side SIDES[i], where the coset side-code
     + e of each tolerated error e sits, in ``enumerate_errors`` order: a
     bit-flip coset C + e is the row of its syndrome, a phase-flip coset the
@@ -101,7 +101,7 @@ class VerifierFrame:
     """
 
     spec: CodeSpec
-    leaders: np.ndarray  # leader(rows[r]) of each row, the string index[r, 0]
+    leaders: np.ndarray  # leader(rows[r]) of each row, its string at u = 0
     keep: np.ndarray  # accepted dual syndromes as Walsh frequencies of u, ascending
     rows: np.ndarray  # the accepted primal syndrome of each row, ascending
     error_cosets: np.ndarray  # (2, |E_q|) frame position of each tolerated error's coset
@@ -112,8 +112,8 @@ class VerifierFrame:
 
         leader(v) puts syndrome row j on the pivot column of the RREF parity
         row j, so H leader(v) = v, which is checked, as are the count of basis
-        rows and that each code row alone holds its pivot (see _place).  The
-        frame holds a few integers per accepted coset; index is built later.
+        rows and that each code row alone holds its pivot (see _place).  It
+        holds a few integers per coset; only a dense note's gather builds index.
         """
         parity, basis = spec.parity_primal, spec.parity_dual
         syndromes = _error_syndromes(_bit_block(parity.row_values, spec.n), spec.q)
@@ -141,16 +141,15 @@ class VerifierFrame:
     def index(self) -> np.ndarray:
         """(|S_p|, 2^k) basis-string indices: index[r, u] = leaders[r] ^ c(u), read-only.
 
-        Built when a kernel that reads a 2^n register first needs it, charged
-        to the allocation budget before the code's span is walked, and kept;
-        one the budget refuses is not.  Each row is written in place, so no
-        broadcast buffer is made.
+        Built when _occupied, its one reader, first gathers a DenseState,
+        charged to the allocation budget before anything is walked or written,
+        and kept; one the budget refuses is not.  Each row is written in place,
+        so no broadcast buffer is made.
         """
         reserve((self.rows.size, self.size), np.int64)
-        span = self._codewords()
         index = np.empty((self.rows.size, self.size), dtype=np.int64)
         for row, leader in zip(index, self.leaders.tolist()):
-            np.bitwise_xor(span, leader, out=row)
+            np.bitwise_xor(self._codewords, leader, out=row)
         index.setflags(write=False)
         return index
 
@@ -163,9 +162,12 @@ class VerifierFrame:
     def n(self) -> int:
         return self.spec.n
 
+    @cached_property
     def _codewords(self) -> np.ndarray:
-        """c(u) for every u, in order of u, as int64 strings."""
-        return _span_table(self.spec.parity_dual.row_values, self.n).astype(np.int64)
+        """c(u) for every u, in order of u, as int64 strings: 2^k of them, read-only and kept."""
+        codewords = _span_table(self.spec.parity_dual.row_values, self.n).astype(np.int64)
+        codewords.setflags(write=False)
+        return codewords
 
     # -- membership and coset tests ---------------------------------------------
 
@@ -214,13 +216,12 @@ class VerifierFrame:
         form and the kernel runs on that one row: no 2^n vector, index or
         (|S_p|, 2^k) block is made or gathered.
         """
-        primal = self.spec.parity_primal.row_values
-        syndrome = _syndromes(primal, np.array([e.value]))[0] if e.n == self.n else -1
-        row = int(np.searchsorted(self.rows, syndrome))
-        if e_prime.n != self.n or row == self.rows.size or self.rows[row] != syndrome:
+        fits = e.n == e_prime.n == self.n
+        row, accepted = self._rows_of(np.array([e.value if fits else 0]))
+        if not (fits and accepted[0]):
             raise ValueError(f"X^{e} Z^{e_prime} is not a tolerated error on n={self.n} qubits")
-        shift = int(self.leaders[row]) ^ e.value  # a codeword: e and the leader share a syndrome
-        amplitudes = _coset_amplitudes(self._codewords() ^ shift, e_prime)
+        shift = int(self.leaders[row[0]]) ^ e.value  # a codeword: e and the leader share H x
+        amplitudes = _coset_amplitudes(self._codewords ^ shift, e_prime)
         return self._kept_spectrum(amplitudes.astype(np.complex128)[None])[0]
 
     def mixed_probability(self) -> float:
@@ -235,14 +236,12 @@ class VerifierFrame:
         """<v|P|v> for each basis string v: |keep| / 2^k in an accepted coset, else zero.
 
         A one-hot coset transforms to 2^k coefficients of +-1, so the dyadic
-        values are those of the block kernel on one-hot registers.  Membership
-        is looked up in a table of at most 2^n bytes, so the working set does
-        not depend on how many strings there are.
+        values are those of the block kernel on one-hot registers.  A string's
+        coset is found by its syndrome (see _rows_of), a few integers a string.
         """
         if strings.size and not 0 <= strings.min() <= strings.max() < 1 << self.n:
             raise ValueError(f"basis strings must lie in [0, {1 << self.n})")
-        accepted = np.isin(strings, self.index, kind="table")
-        return np.where(accepted, self.keep.size / self.size, 0.0)
+        return np.where(self._rows_of(strings)[1], self.keep.size / self.size, 0.0)
 
     def block_probabilities(self, block: np.ndarray) -> np.ndarray:
         """tr(P sigma) for every pure register of a block, shape (...).
@@ -289,7 +288,7 @@ class VerifierFrame:
 
         note is a DenseState or a note file's parsed lines (see _occupied).  A
         frequency s of u counts the Hadamard-basis weight within the accepted
-        cosets only: |fwht(amps[index])|^2 summed over rows / 2^k.  It costs
+        cosets only: |fwht(each row's entries)|^2 summed over rows / 2^k.  It costs
         the occupied cosets, one 2^k transform for each and a few 2^k arrays.
         """
         rows, cosets = self._occupied(note)
@@ -300,6 +299,12 @@ class VerifierFrame:
         return bit_flip, phase_flip / self.size
 
     # -- kernels -----------------------------------------------------------------------
+
+    def _rows_of(self, strings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each string's row, where H x sorts into rows (clamped), and whether H x is that row's."""
+        syndromes = _syndromes(self.spec.parity_primal.row_values, strings)
+        row = np.minimum(np.searchsorted(self.rows, syndromes), self.rows.size - 1)
+        return row, self.rows[row] == syndromes
 
     def _occupied(self, note) -> tuple[np.ndarray, np.ndarray]:
         """The accepted cosets holding any amplitude: their rows, ascending, and their entries.
@@ -334,15 +339,12 @@ class VerifierFrame:
     def _place(self, indices: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """_occupied's rows and stack, bit for bit, from a note's distinct lines, in any order.
 
-        Line x lies in row r when H x is rows[r], found by a search and
-        checked; a line outside the accepted cosets is dropped, as the gather
-        never reads it.  Its column is u, the bits of x ^ leaders[r] on the
-        code's pivot columns, so the working set is the occupied cosets and a
-        few integers per line: no index is built.
+        Line x lies in row r when H x is rows[r] (see _rows_of); a line outside
+        the accepted cosets is dropped, as the gather never reads it.  Its
+        column is u, the bits of x ^ leaders[r] on the code's pivot columns, so
+        the working set is the occupied cosets and a few integers per line.
         """
-        syndromes = _syndromes(self.spec.parity_primal.row_values, indices)
-        at = np.minimum(np.searchsorted(self.rows, syndromes), self.rows.size - 1)
-        inside = self.rows[at] == syndromes
+        at, inside = self._rows_of(indices)
         hit = np.zeros(self.rows.size, dtype=bool)
         hit[at[inside & (values != 0)]] = True  # -0.0 is zero, as in the gather
         placed = inside & hit[at]
@@ -383,35 +385,33 @@ class VerifierFrame:
         """The normalised accepted branch of the kept spectrum of rows, in a fresh 2^n vector.
 
         fwht only reads the spectrum, so the builder can run again.  The branch
-        is put in C order, as the gathered strings are, before it is scattered
-        to its rows' strings: from fwht's transposed layout the scatter would
-        take a numpy buffer beside the 2^n result.  The other accepted cosets,
-        which held no amplitude, keep the result's zeros.
+        is put in C order, as its rows' strings leaders ^ c(u) are, before it is
+        scattered to them: from fwht's transposed layout the scatter would take
+        a numpy buffer beside the 2^n result.  The other accepted cosets, which
+        held no amplitude, keep the result's zeros.
         """
-        size = self.size
         reserve((1 << self.n,))
-        norm = size * math.sqrt(_row_energy(kept) / size)
+        norm = self.size * math.sqrt(_row_energy(kept) / self.size)
         branch = np.ascontiguousarray(fwht(kept))
         branch /= norm
         out = np.zeros(1 << self.n, dtype=branch.dtype)
-        out[self.index[rows]] = branch
+        out[self.leaders[rows, None] ^ self._codewords] = branch
         return DenseState._own(self.n, out)
 
     def _kept_coefficients(self, amps: np.ndarray) -> np.ndarray:
         """The kept Walsh coefficients of amps' accepted cosets, shape (..., |S_p| |keep|).
 
         Their squared norm over 2^k is <amps|P|amps> along the last axis.  The
-        cosets are gathered straight into the transform-leading layout
-        (2^k, |S_p|, ...), one C-contiguous array that walsh_butterflies
-        transforms in place; its keep rows then take one transposed copy, so
-        each vector's coefficients are contiguous, coset by coset.  Beside
-        amps, the working set is the gather and the transform's half-size
-        scratch, then the gather and its keep rows, then those rows and their
-        copy.
+        cosets are gathered through the C-ordered strings c(u) ^ leaders[r]
+        straight into the transform-leading layout (2^k, |S_p|, ...), one
+        C-contiguous array that walsh_butterflies transforms in place; its keep
+        rows then take one transposed copy, so each vector's coefficients are
+        contiguous, coset by coset.  Beside amps and the strings, the working
+        set is the gather and the transform's half-size scratch, then the
+        gather and its keep rows, then those rows and their copy.
         """
         lead = amps.ndim - 1
-        # With one entry per string the gather takes index.T's layout, not C order.
-        cosets = np.ascontiguousarray(amps.transpose(lead, *range(lead))[self.index.T])
+        cosets = amps.transpose(lead, *range(lead))[self._codewords[:, None] ^ self.leaders]
         walsh_butterflies(cosets)
         cosets = cosets[self.keep]
         return cosets.transpose(*range(2, lead + 2), 1, 0).reshape(*amps.shape[:-1], -1)

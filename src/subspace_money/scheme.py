@@ -115,9 +115,9 @@ class MintRecord:
 
     @cached_property
     def frame(self) -> VerifierFrame:
-        """The code's verifier frame, built on first use and kept, its index once a kernel needs it.
+        """The code's verifier frame, built on first use and kept, as is its index once built.
 
-        One the budget refuses is not kept (see VerifierFrame.index).
+        Only a dense note's gather builds the index; one the budget refuses is not kept.
         """
         return VerifierFrame.of(self.spec)
 
@@ -183,8 +183,8 @@ class OracleSession:
     def member(self, side: str, x: BitVec) -> bool:
         """Whether H x is an accepted syndrome on side, charged as one query once x is valid.
 
-        It reads the frame's accepted syndromes, never its index, so the
-        budget refuses no query the frame itself fits in.
+        It reads the frame's accepted syndromes, never its index (only a dense
+        note's gather builds it), so the budget refuses no query the frame fits in.
         """
         accepted = self.verifier_frame(passes=0).member(side, x)
         self.charge(side)
@@ -195,7 +195,7 @@ class OracleSession:
 
         Coset tests read it with passes=0 to locate their cosets, and verify
         and double_verify to charge their passes once the kernel has run, so a
-        kernel whose index the allocation budget refuses charges nothing.
+        dense gather whose index the allocation budget refuses charges nothing.
         """
         frame = self._record.frame
         self.charge("primal", passes)
@@ -208,8 +208,8 @@ class OracleRegistry:
 
     A record, and its verifier frame once a session has used it, lives as long
     as the registry.  The frame holds a few integers per accepted coset, plus
-    its index once a kernel has read a 2^n register: at n = 20, q = 1, 21 x
-    1024 int64, about 172 KB.
+    its index once a dense note's gather, the only kernel that builds it, has
+    run: at n = 20, q = 1, 21 x 1024 int64, about 172 KB.
     """
 
     def __init__(self, n: int, q: int, master_seed: int, *, route: str = "direct"):

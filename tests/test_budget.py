@@ -7,6 +7,7 @@ more than a few MiB whatever the default budget is.
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from subspace_money import codes, errors, scheme
@@ -15,7 +16,14 @@ from subspace_money.codes import enumerate_errors, search_applicable_code
 from subspace_money.errors import BudgetExceededError
 from subspace_money.experiments import run_attack
 from subspace_money.gf2 import BitVec, SubspaceBasis
-from subspace_money.scheme import OracleRegistry, conjugate_coding_state, mint_direct, verify
+from subspace_money.scheme import (
+    Banknote,
+    OracleRegistry,
+    conjugate_coding_state,
+    mint_direct,
+    mint_dump,
+    verify,
+)
 from subspace_money.states import (
     DenseState,
     apply_basis_permutation,
@@ -189,6 +197,28 @@ def test_only_dense_kernels_build_the_frame_index_and_refused_ones_charge_nothin
     assert fresh.verifier_frame(passes=0) is frame and vars(frame)["index"] is index
     assert session.counters == {"primal": 2, "dual": 1, "coset": 0}
     assert fresh.counters == {"primal": 1, "dual": 1, "coset": 0}
+
+
+@pytest.mark.parametrize("kernel", ["apply", "weights"])
+def test_only_a_dense_gather_builds_the_frame_index(kernel):
+    # Every other kernel finds a string's coset by its syndrome or forms its
+    # rows' strings leaders ^ c(u) per call, so the fresh frame keeps no index.
+    reg = OracleRegistry(6, 1, master_seed=6)
+    record, dump = mint_dump(reg, BitVec.zeros(6))
+    frame, note = record.frame, scatter_dump(*parse_dump(dump))
+    assert frame.basis_probabilities(np.arange(64)).mean() == frame.mixed_probability()
+    assert "index" not in vars(frame)
+    parts = np.stack([note.amplitudes.real, note.amplitudes.imag])
+    assert frame.block_probabilities(parts) == pytest.approx(1.0)
+    assert "index" not in vars(frame)
+    pair = DenseState(12, np.kron(note.amplitudes, note.amplitudes))
+    assert frame.pair_probability(pair) == pytest.approx(1.0)
+    assert "index" not in vars(frame)
+    post = verify(reg, Banknote(record.serial, parse_dump(dump)), rng=0).post_state
+    assert np.allclose(post.amplitudes, note.amplitudes)
+    assert "index" not in vars(frame)
+    getattr(frame, kernel)(note)
+    assert vars(frame)["index"].shape == (7, 8)
 
 
 @pytest.mark.parametrize("strategy, trials", [("random-state", 3)])

@@ -1054,6 +1054,25 @@ def test_verifier_and_corrector_at_q2_on_a_pinned_22_qubit_code():
     fresh = mint_direct(reg, BitVec.zeros(22))
     session = reg.session(fresh.serial)
     frame = session.verifier_frame(passes=0)
+    # At d = 5 a weight-3 error can share a weight-2 error's syndrome, so the
+    # rejected error is drawn by syndrome, not by weight.
+    rng = np.random.default_rng(22)
+    over = random_bitvec(22, rng)
+    while frame.member("primal", over):
+        over = random_bitvec(22, rng)
+    # Ver's diagonal finds each string's coset by its syndrome, a few integers
+    # a string, and builds no index (254 x 2^11 int64, 4.16 MB).
+    codeword = spec.parity_dual.row_values[0]
+    strings = np.array([frame.leaders[0], frame.leaders[-1] ^ codeword, over.value])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        diagonal = frame.basis_probabilities(strings)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert diagonal.tolist() == [frame.keep.size / (1 << 11)] * 2 + [0.0]
+    assert peak < 64 << 10 and "index" not in vars(frame)
     assert frame.index.shape == (254, 1 << 11)
     bad = corrupt(fresh, bv("0000100000000000100000"), bv("0000100000000000000010"))
     # The note occupies one of the 254 cosets, so verify and diagnose hold that
@@ -1078,12 +1097,6 @@ def test_verifier_and_corrector_at_q2_on_a_pinned_22_qubit_code():
     # writes no -0.0.  The uint64 views compare the bytes without a copy of either note.
     assert np.array_equal(fixed.view(np.uint64), fresh.state.amplitudes.view(np.uint64))
     del fixed
-    # At d = 5 a weight-3 error can share a weight-2 error's syndrome, so the
-    # rejected error is drawn by syndrome, not by weight.
-    rng = np.random.default_rng(22)
-    over = random_bitvec(22, rng)
-    while frame.member("primal", over):
-        over = random_bitvec(22, rng)
     outside = corrupt(fresh, over, BitVec.zeros(22))
     assert verify(reg, outside, session=session).accept_probability == 0.0
 

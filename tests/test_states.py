@@ -511,7 +511,7 @@ def test_state_dump_round_trip_random_sparse(n, data):
 
 
 @pytest.mark.parametrize("text", ["00 nan 0\n", "00 1 0\n01 inf 0\n", "0 0 nan\n"])
-def test_load_state_rejects_non_finite_amplitudes(text):
+def test_parse_dump_rejects_non_finite_amplitudes(text):
     with pytest.raises(ValueError, match="finite"):
         scatter_dump(*parse_dump(text))
 
@@ -527,7 +527,7 @@ def test_parse_dump_rejects_repeated_bit_strings():
 
 
 @pytest.mark.parametrize("text", ["00 1 0\n1 0 0\n", "-1 1 0\n", "0_1 1 0\n"])
-def test_load_state_rejects_malformed_bit_strings(text):
+def test_parse_dump_rejects_malformed_bit_strings(text):
     with pytest.raises(ValueError, match="binary digits"):
         scatter_dump(*parse_dump(text))
 
@@ -543,7 +543,7 @@ def test_load_state_rejects_malformed_bit_strings(text):
         ("00 1 0\n0x 0\n", "line 2 of the state dump has 2 field(s)"),
     ],
 )
-def test_load_state_names_a_line_without_three_fields(text, message):
+def test_parse_dump_names_a_line_without_three_fields(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         scatter_dump(*parse_dump(text))
 
@@ -558,7 +558,7 @@ def test_load_state_names_a_line_without_three_fields(text, message):
         ("00 0.6 0\n00 0.8 0\n01 - 0\n", "line 3 of the state dump has an amplitude"),
     ],
 )
-def test_load_state_names_a_line_whose_amplitude_is_not_a_number(text, message):
+def test_parse_dump_names_a_line_whose_amplitude_is_not_a_number(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         scatter_dump(*parse_dump(text))
 
