@@ -8,9 +8,11 @@ allocation refused as over the budget, an input file that is missing,
 unreadable, malformed or wrongly sized, a file that cannot be written),
 2 usage errors.  No subcommand builds a 2^n note: mint writes its lines in
 closed form, verify and correct score a file's parsed lines in the verifier
-frame, corrupt and correct rewrite them under a Pauli.  A failed command
-leaves every file it would write as it was (see codes._write_files), and a
-mint whose bank key file is its note file writes neither.
+frame, corrupt and correct rewrite them under a Pauli.  Each file is written
+to a new temporary beside it, under a random name, and then moved into place,
+so a failed command leaves every file it would write as it was and a
+temporary left by a killed run blocks no later one (see codes._write_files);
+a mint whose bank key file is its note file writes neither.
 """
 
 from __future__ import annotations

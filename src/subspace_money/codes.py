@@ -134,13 +134,15 @@ def _dumps_json(data: dict) -> str:
 def _write_files(*files: tuple[str | Path, str]) -> None:
     """Write each (path, text), in order, so that a failed write leaves every path as it was.
 
-    Every text first goes to a new ("x") temporary file beside its path, and
-    only then does each replace its path; on a failure they are removed.
+    Every text first goes to a temporary file beside its path, created anew
+    ("x") under a random name, ``<path>.<16 hex digits>.tmp``, so a temporary
+    that a killed run left behind blocks no later write; only then does each
+    replace its path.  On a failure the temporaries are removed.
     """
     staged = []
     try:
         for path, text in files:
-            with open(f"{path}.{os.getpid()}.tmp", "x") as f:
+            with open(f"{path}.{os.urandom(8).hex()}.tmp", "x") as f:
                 staged.append(f.name)
                 f.write(text)
         for temporary, (path, _) in zip(staged, files):

@@ -2,13 +2,20 @@
 
 The generator matrix below is the 6x3 matrix whose columns span the code;
 the golden constants (parity rows, the 8 codewords, both distances equal to
-3) are the published ground truth for it and are frozen here verbatim.
+3) are the published ground truth for it and are frozen here verbatim.  The
+helpers at the end run this tree's package in a fresh interpreter.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import reject
 from hypothesis import strategies as st
 
+import subspace_money
 from subspace_money.codes import CodeSpec, search_applicable_code
 from subspace_money.errors import CodeSearchError
 from subspace_money.gf2 import SubspaceBasis
@@ -64,3 +71,30 @@ def certified_codes(draw) -> CodeSpec:
         return search_applicable_code(n, q, seed)
     except CodeSearchError:
         reject()
+
+
+_SOURCE_TREE = str(Path(subspace_money.__file__).parents[1])
+
+
+def fresh_python(*args, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """The interpreter run on args in a fresh process that imports this tree's package.
+
+    env adds variables to the inherited environment; kwargs go to subprocess.run.
+    """
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SOURCE_TREE, **(env or {})},
+        **kwargs,
+    )
+
+
+def stdout_under_one_and_two_blas_threads(script: str, *args) -> list[str]:
+    """The script's standard output in a fresh interpreter under OPENBLAS_NUM_THREADS 1, then 2."""
+    return [
+        fresh_python(
+            "-c", script, *args, env={"OPENBLAS_NUM_THREADS": threads}, timeout=120, check=True
+        ).stdout
+        for threads in ("1", "2")
+    ]

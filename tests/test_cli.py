@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
 import hashlib
 import json
+import math
 import os
-import subprocess
+import re
+import runpy
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -13,7 +17,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import subspace_money
 from subspace_money import cli
 from subspace_money.cli import main
 from subspace_money.codes import enumerate_errors, save_code
@@ -28,7 +31,7 @@ from subspace_money.scheme import (
 )
 from subspace_money.states import dump_state
 
-from conftest import certified_codes
+from conftest import certified_codes, fresh_python, stdout_under_one_and_two_blas_threads
 from reference import uniform_state
 
 
@@ -49,8 +52,11 @@ def test_gencode_writes_certified_code(tmp_path, capsys):
 
 # SHA-256 of the file written by `gencode --seed s --n N --q 2`, taken with
 # the search that walked both minimum distances of every candidate: the
-# syndrome test must accept the same codes from the same draws.
+# syndrome test must accept the same codes from the same draws.  (0, 22) is
+# a [22, 11] code with d = 5/5, 254 accepted cosets of 2^11 strings, which
+# the (22, 2) pins below mint from.
 GENCODE_Q2_DIGESTS = {
+    (0, 22): "a60b203b186fb3f5295761f697db4922d76ae564b416b3909a32257e49ce80c7",
     (1, 24): "1973f2a6eec489e1ba5660e452f9447c1fe967216130a7cffe2dff551246bf85",
     (1, 28): "57ebc99a4341525406ff1adddff1f554f0d79f5b2d9b853bee209cb8b98495aa",
     (1, 30): "0735358f11ff674d659e74f2dfe6b2ab3a5b16c6a9776751695fa330125ecc52",
@@ -99,23 +105,215 @@ def test_gencode_q1_files_are_pinned(tmp_path, capsys, seed, n):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GENCODE_Q1_DIGESTS[seed, n]
 
 
-# SHA-256 of the CSV written by `attack --seed 3 --trials 2000 --n 6 --q 1`,
-# taken with the search that drew one candidate per generator call.
-# passthrough-mixed's was taken again once a pure register's probability ran
-# Ver's own kernel: the note scores 1.0, not 1 - 2^-53, where k = n/2 is odd.
+# SHA-256 of the CSV written by `attack --seed 3 --strategy s --n N --q 1
+# --trials t`, keyed (s, N, t), taken with the search that drew one candidate
+# per generator call.  passthrough-mixed's was taken again once a pure
+# register's probability ran Ver's own kernel: the note scores 1.0, not
+# 1 - 2^-53, where k = n/2 is odd.
 ATTACK_CSV_DIGESTS = {
-    "passthrough-mixed": "aec93b670db868ff66980d13a5e98fb15a8f443de6e5b7da17fa1f38b6234a10",
-    "measure-and-copy": "efe186193d4f375709dc4fae083f6bb307d0aad3fa2c56949ea74270fd00dc40",
-    "random-state": "bd9840453c6f6c9ad26bd7dccdda3d32447569fb1dc1f03fdf681e42a7f584a4",
+    ("passthrough-mixed", 6, 2000): "aec93b670db868ff66980d13a5e98fb15a8f443de6e5b7da17fa1f38b6234a10",
+    ("measure-and-copy", 6, 2000): "efe186193d4f375709dc4fae083f6bb307d0aad3fa2c56949ea74270fd00dc40",
+    ("random-state", 6, 2000): "bd9840453c6f6c9ad26bd7dccdda3d32447569fb1dc1f03fdf681e42a7f584a4",
+    # Trial counts that leave a partial last block of random-state trials.
+    ("random-state", 6, 1001): "21ba9ba9619c5e8f958925faf5fc60a3ec327adf2e5f4672af619b2f58752d2e",
+    ("random-state", 8, 1001): "05eaa1b561267670130896287766dbfcdee4b155428a08ab0c67282272eb4600",
+    ("random-state", 6, 37): "7960238ae4bc730df49cc1ffebb88205cea66d92d58ec5dba82182b421439874",
+    # 1025 trials leave a last block of one trial for the closed-form
+    # strategies, whose one probability per block is widened to the block's trials.
+    ("passthrough-mixed", 6, 1025): "93be9eb21ebfd4c7bd74cd9c695c074ee0ec1b12b2f881907ddda71ab1037ba7",
+    ("measure-and-copy", 6, 1025): "f178c09d45a4221b0dbab62fc0558cd7d5610122d7f3c67291fcdc98ae68dd96",
 }
 
 
-@pytest.mark.parametrize("strategy", sorted(ATTACK_CSV_DIGESTS))
-def test_attack_csvs_are_pinned(tmp_path, capsys, strategy):
-    out = tmp_path / "attack.csv"
-    argv = ["--seed", 3, "--out", out, "attack", "--trials", 2000, "--n", 6, "--q", 1]
-    assert run_cli(*argv, "--strategy", strategy) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == ATTACK_CSV_DIGESTS[strategy]
+@pytest.mark.parametrize(
+    "strategy, n, trials",
+    sorted(ATTACK_CSV_DIGESTS),
+    ids=[s if (n, t) == (6, 2000) else f"{s}-n{n}-{t}" for s, n, t in sorted(ATTACK_CSV_DIGESTS)],
+)
+def test_attack_csvs_are_pinned(tmp_path, capsys, strategy, n, trials):
+    # A rerun writes the same bytes.
+    runs = []
+    for name in ("a.csv", "b.csv"):
+        argv = ["--seed", 3, "--out", tmp_path / name, "attack", "--strategy", strategy]
+        assert run_cli(*argv, "--trials", trials, "--n", n, "--q", 1) == 0
+        runs.append((tmp_path / name).read_bytes())
+    assert runs[0] == runs[1]
+    assert hashlib.sha256(runs[0]).hexdigest() == ATTACK_CSV_DIGESTS[strategy, n, trials]
+
+
+@pytest.mark.parametrize("strategy", ["passthrough-mixed", "measure-and-copy"])
+def test_closed_form_attacks_at_n14_score_their_analytic_rate(tmp_path, capsys, strategy):
+    # Neither builds a register: a 2^14 x 2^14 maximally mixed one would be 4 GiB.
+    out = tmp_path / "a.csv"
+    argv = ["--seed", 3, "--out", out, "attack", "--strategy", strategy]
+    assert run_cli(*argv, "--n", 14, "--trials", 2000) == 0
+    row = next(csv.DictReader(out.read_text().splitlines()))
+    assert float(row["mean_probability"]) == float(row["analytic_rate"])
+
+
+@pytest.mark.parametrize("route", ["direct", "conjugate"])
+def test_mint_above_the_allocation_budget_refuses_on_both_routes(tmp_path, capsys, route):
+    # A 2^26-amplitude note is 1 GiB: refused, within 20 s, before either file is written.
+    out = tmp_path / "big.json"
+    start = time.perf_counter()
+    rc = run_cli("--seed", 5, "--out", out, "mint", "--n", 26, "--q", 1, "--route", route)
+    assert time.perf_counter() - start < 20
+    assert rc == 1
+    assert "1073741824 bytes exceed the budget of 268435456 bytes" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".bank.json").exists()
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _printed(capsys, key, *argv) -> str:
+    """A key of a CLI run's --format json summary as print() writes it; the run exits 0."""
+    capsys.readouterr()
+    assert run_cli("--format", "json", *argv) == 0
+    return str(json.loads(capsys.readouterr().out)[key])
+
+
+def _accept(capsys, note) -> str:
+    """verify's accept probability of note against note.bank.json, printed: "1.0" is exactly 1."""
+    argv = ["--seed", 0, "verify", note, "--bank", "note.bank.json"]
+    return _printed(capsys, "accept_probability", *argv)
+
+
+def _coset_queries(capsys, note) -> str:
+    """correct's coset-query count, printed; the corrected note goes to fixed.json."""
+    argv = ["--seed", 0, "--out", "fixed.json", "correct", note, "--bank", "note.bank.json"]
+    return _printed(capsys, "coset_queries", *argv)
+
+
+# SHA-256 of the n = 20 files.  The closed-form mint writes the bytes the
+# dense note dumped; a corrupted note has negative and zero parts, which a
+# fresh note's pin never writes.
+N20_DIGESTS = {
+    "note.json": "85bedfcaca9da2067d556438cb553e04b18ab609dafb6fd275e47da678d5fab3",
+    "note.bank.json": "8249212504b11144dba1d78279b377eb4773fa32937dacadb0a7631e619e6b8d",
+    "bad.json": "3d74e318be2248bd95297859bb19d13aada8b5a5e9f55f130de6b3d07aaf6df6",
+}
+
+
+def test_verify_and_correct_at_the_benchmarks_size_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("--seed", 20, "--out", "note.json", "mint", "--n", 20, "--q", 1) == 0
+    e, ez, over = "1" + "0" * 19, "0" * 19 + "1", "11" + "0" * 18
+    assert run_cli("--seed", 0, "--out", "bad.json", "corrupt", "note.json", "--e", e) == 0
+    assert run_cli("--seed", 0, "--out", "bad.json", "corrupt", "bad.json", "--ez", ez) == 0
+    assert {name: _sha256(name) for name in N20_DIGESTS} == N20_DIGESTS
+    assert _accept(capsys, "bad.json") == "1.0"
+    assert run_cli("--seed", 0, "--out", "over.json", "corrupt", "note.json", "--e", over) == 0
+    assert _accept(capsys, "over.json") == "0.0"
+    assert _coset_queries(capsys, "bad.json") == "23"
+    assert _accept(capsys, "fixed.json") == "1.0"
+    assert Path("fixed.json").read_bytes() == Path("note.json").read_bytes()
+    # diagnose refuses a note outside the tolerated cosets on either side, and
+    # correct writes no note for it.
+    assert run_cli("--seed", 0, "--out", "zz.json", "corrupt", "note.json", "--ez", over) == 0
+    for note, side in (("over.json", "bit-flip"), ("zz.json", "phase-flip")):
+        capsys.readouterr()
+        argv = ["--seed", 0, "--out", "refused.json", "correct", note, "--bank", "note.bank.json"]
+        assert run_cli(*argv) == 1
+        assert f"state lies in no tolerated {side} coset" in capsys.readouterr().err
+        assert not Path("refused.json").exists()
+
+
+# Six corrupted notes in distinct accepted cosets, as (e, e'), superposed with
+# unequal complex weights: 12,288 occupied entries, above the 10,000 from which
+# OpenBLAS splits a dot across threads.  A weight-3 phase flip on one coset
+# puts the probability below 1.
+MIXED_PARTS = [
+    ("0000000000000000000000", "1000000000000000000000"),
+    ("1000000000000000000000", "0000000000000000000001"),
+    ("0100000000000000000010", "0010000000000000000000"),
+    ("0000000000100000000000", "0000000000000000000000"),
+    ("0000000000000000000011", "0000000001000000000100"),
+    ("0000010000000000000000", "0000000000000000000111"),
+]
+MIXED_WEIGHTS = (1.0, 0.5j, -0.7 + 0.2j, 0.3, -0.4j, 0.25 + 0.25j)
+
+# Runs the CLI on its arguments and prints the run's traced peak in bytes; the
+# modules the cli module imports are loaded before tracing starts.
+_TRACED_CLI = """
+import contextlib, io, sys, tracemalloc
+from subspace_money.cli import main
+tracemalloc.start()
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(sys.argv[1:])
+print(tracemalloc.get_traced_memory()[1])
+sys.exit(status)
+"""
+
+# Runs the CLI on its arguments, as the console script does.
+_CLI = "import sys; from subspace_money.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_verify_and_correct_at_q2_n22_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # The code of GENCODE_Q2_DIGESTS[0, 22]; its notes are 64 MiB dense.
+    assert run_cli("--seed", 0, "--out", "c22.json", "gencode", "--n", 22, "--q", 2) == 0
+    mint = ["--seed", 22, "--out", "note.json", "mint", "--n", 22, "--q", 2, "--code", "c22.json"]
+    assert run_cli(*mint) == 0
+    e, ez = "0000100000000000100000", "0100000000000000000010"
+    corrupt = ["corrupt", "note.json", "--e", e, "--ez", ez]
+    assert run_cli("--seed", 0, "--out", "bad.json", *corrupt) == 0
+    assert _accept(capsys, "bad.json") == "1.0"
+    # verify places the note's lines by coset leader, so it builds no coset
+    # index (4.16 MB here).  In a fresh interpreter, where no cache is warm,
+    # its traced peak stays below 1 MB.
+    verify = ["--seed", 0, "verify", "bad.json", "--bank", "note.bank.json"]
+    proc = fresh_python("-c", _TRACED_CLI, *verify, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 1_000_000
+    assert _coset_queries(capsys, "bad.json") == "375"
+    assert _accept(capsys, "fixed.json") == "1.0"
+    assert Path("fixed.json").read_bytes() == Path("note.json").read_bytes()
+    # The mixed note's verdict must not depend on the BLAS thread count.
+    scale = math.sqrt(sum(abs(w) ** 2 for w in MIXED_WEIGHTS))
+    lines = []
+    for i, ((e, ez), w) in enumerate(zip(MIXED_PARTS, MIXED_WEIGHTS)):
+        part = f"part{i}.json"
+        corrupt = ["corrupt", "note.json", "--e", e, "--ez", ez]
+        assert run_cli("--seed", 0, "--out", part, *corrupt) == 0
+        note = json.loads(Path(part).read_text())
+        for line in note["state"]["dump"].splitlines():
+            bits, real, imag = line.split()
+            a = w / scale * complex(float(real), float(imag))
+            lines.append("%s %.17g %.17g\n" % (bits, a.real, a.imag))
+    note["state"]["dump"] = "".join(lines)
+    Path("mix.json").write_text(json.dumps(note))
+    verify = ["--seed", 0, "--format", "json", "verify", "mix.json", "--bank", "note.bank.json"]
+    runs = stdout_under_one_and_two_blas_threads(_CLI, *verify)
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0])["accept_probability"] < 1
+
+
+# The conjugate-route n = 14 note, and the note under X on its last bit and Z
+# on its first.
+CONJUGATE_N14 = [
+    ["--seed", 14, "--out", "note.json", "mint", "--n", 14, "--q", 1, "--route", "conjugate"],
+    ["--seed", 0, "--out", "bad.json", "corrupt", "note.json", "--e", "0" * 13 + "1"]
+    + ["--ez", "1" + "0" * 13],
+]
+CONJUGATE_N14_DIGESTS = {
+    "note.json": "b3304c1880b276bb6c7c63a9020edf2476f575cca1e0209e99229117b0297572",
+    "note.bank.json": "6e6a7f33d505470300395c6b86dae189fbf57251bd9d0b5e2b2f367fc466751d",
+    "bad.json": "8ba68578b72d49ee4dc450dcb3a00aceb01f2fefe794abc7c0dec469ebef0441",
+}
+
+
+def test_conjugate_route_round_trip_is_pinned(tmp_path, monkeypatch, capsys):
+    # LIMITED_WRITES["correct-conjugate-in-place"] cuts a correct of this bad.json short.
+    monkeypatch.chdir(tmp_path)
+    for argv in CONJUGATE_N14:
+        assert run_cli(*argv) == 0
+    assert {name: _sha256(name) for name in CONJUGATE_N14_DIGESTS} == CONJUGATE_N14_DIGESTS
+    assert abs(float(_accept(capsys, "bad.json")) - 1.0) < 1e-9
+    assert _coset_queries(capsys, "bad.json") == "17"
+    assert abs(float(_accept(capsys, "fixed.json")) - 1.0) < 1e-9
+    assert Path("fixed.json").read_bytes() == Path("note.json").read_bytes()
 
 
 def test_gencode_infeasible_is_domain_error(tmp_path, capsys):
@@ -361,14 +559,7 @@ def test_unreadable_files_are_refused_without_a_traceback(tmp_path, case):
 def _assert_refused_without_a_traceback(tmp_path, argv) -> str:
     """Run the CLI in a fresh interpreter: exit 1, one error line, nothing written."""
     out = tmp_path / "out.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "subspace_money.cli", "--seed", "1", "--out", str(out)]
-        + [str(a) for a in argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(subspace_money.__file__).parents[1])},
-        timeout=60,
-    )
+    proc = fresh_python("-m", "subspace_money.cli", "--seed", 1, "--out", out, *argv, timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert not out.exists() and not out.with_suffix(".bank.json").exists()
@@ -435,57 +626,83 @@ def test_corrected_note_file_equals_the_fresh_one(tmp_path, capsys, n):
     assert fixed.read_bytes() == note.read_bytes()
 
 
-def _run_with_file_size_limit(cwd, argv, limit):
-    """The CLI in a fresh interpreter in cwd whose files may not grow past limit bytes."""
-    import resource
+# The n = 14 note every case but one starts from.
+MINT_N14 = ["--seed", 14, "--out", "note.json", "mint", "--n", 14, "--q", 1]
 
-    return subprocess.run(
-        [sys.executable, "-m", "subspace_money.cli", *map(str, argv)],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env={**os.environ, "PYTHONPATH": str(Path(subspace_money.__file__).parents[1])},
-        timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
-    )
-
-
-# Each write that outgrows the limit: the n = 14 note (5134 bytes) under 2 KiB,
-# beside a bank key of 1017 bytes that fits; a code and a CSV under 128 bytes.
+# Each write that outgrows the limit, as (the runs that make its files, the
+# run, the limit in bytes): the n = 14 note (5134 bytes) under 2 KiB, beside a
+# bank key of 1017 bytes that fits; a code and a CSV under 128 bytes.
 LIMITED_WRITES = {
-    "mint-fresh": ([], ["--out", "new.json", "mint", "--n", 14, "--q", 1], 2048),
-    "mint-over-a-pair": ([], ["--out", "note.json", "mint", "--n", 14, "--q", 1], 2048),
-    "corrupt-in-place": ([], ["corrupt", "note.json", "--e", "1" + "0" * 13], 2048),
-    "correct-in-place": (["bad.json"], ["correct", "bad.json", "--bank", "note.bank.json"], 2048),
-    "gencode": (["c.json"], ["--out", "c.json", "gencode", "--n", 6, "--q", 1], 128),
+    "mint-fresh": ([MINT_N14], ["--out", "new.json", "mint", "--n", 14, "--q", 1], 2048),
+    "mint-over-a-pair": ([MINT_N14], ["--out", "note.json", "mint", "--n", 14, "--q", 1], 2048),
+    "corrupt-in-place": ([MINT_N14], ["corrupt", "note.json", "--e", "1" + "0" * 13], 2048),
+    "correct-in-place": (
+        [
+            MINT_N14,
+            ["--seed", 0, "--out", "bad.json", "corrupt", "note.json", "--ez", "1" + "0" * 13],
+        ],
+        ["correct", "bad.json", "--bank", "note.bank.json"],
+        2048,
+    ),
+    "correct-conjugate-in-place": (
+        CONJUGATE_N14, ["correct", "bad.json", "--bank", "note.bank.json"], 2048
+    ),
+    "gencode": (
+        [MINT_N14, ["--seed", 2, "--out", "c.json", "gencode", "--n", 6, "--q", 1]],
+        ["--out", "c.json", "gencode", "--n", 6, "--q", 1],
+        128,
+    ),
     "attack": (
-        ["a.csv"], ["--out", "a.csv", "attack", "--strategy", "random-state", "--trials", 5], 128
+        [
+            MINT_N14,
+            ["--seed", 2, "--out", "a.csv", "attack", "--strategy", "passthrough-mixed", "--trials", 5],
+        ],
+        ["--out", "a.csv", "attack", "--strategy", "random-state", "--trials", 5],
+        128,
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LIMITED_WRITES))
-def test_a_failed_write_leaves_every_file_as_it_was(tmp_path, capsys, case):
+def test_a_failed_write_leaves_every_file_as_it_was(tmp_path, capsys, monkeypatch, case):
     # Each file is written beside its path and then moved into place, so a
     # write cut short (here by RLIMIT_FSIZE, set in the child only) leaves the
     # old bytes, or no file, and no temporary file.
+    import resource
+
     made, argv, limit = LIMITED_WRITES[case]
-    note = tmp_path / "note.json"
-    assert run_cli("--seed", 14, "--out", note, "mint", "--n", 14, "--q", 1) == 0
-    if "bad.json" in made:
-        bad = ["--out", tmp_path / "bad.json", "corrupt", note, "--ez", "1" + "0" * 13]
-        assert run_cli("--seed", 0, *bad) == 0
-    if "c.json" in made:
-        gencode = ["gencode", "--n", 6, "--q", 1]
-        assert run_cli("--seed", 2, "--out", tmp_path / "c.json", *gencode) == 0
-    if "a.csv" in made:
-        attack = ["attack", "--strategy", "passthrough-mixed", "--trials", 5]
-        assert run_cli("--seed", 2, "--out", tmp_path / "a.csv", *attack) == 0
+    monkeypatch.chdir(tmp_path)
+    for step in made:
+        assert run_cli(*step) == 0
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    proc = _run_with_file_size_limit(tmp_path, ["--seed", 15, *argv], limit)
+    proc = fresh_python(
+        "-m", "subspace_money.cli", "--seed", 15, *argv,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+    )
     assert proc.returncode == 1
     assert proc.stderr == "error: [Errno 27] File too large\n"
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("case", sorted(LIMITED_WRITES))
+def test_a_stale_temporary_file_does_not_block_a_write(tmp_path, capsys, monkeypatch, case):
+    # A write killed before its cleanup leaves its temporary behind.  One named
+    # <path>.<pid>.tmp with this process's id, as a run of a container's first
+    # process always has, blocks no later write, which leaves no temporary of
+    # its own.
+    made, argv, _ = LIMITED_WRITES[case]
+    monkeypatch.chdir(tmp_path)
+    for step in made:
+        assert run_cli(*step) == 0
+    written = ("new.json", "new.bank.json", "note.json", "note.bank.json", "bad.json", "c.json")
+    written += ("a.csv",)
+    stale = {f"{name}.{os.getpid()}.tmp" for name in written}
+    for name in stale:
+        Path(name).write_text("stale")
+    assert run_cli("--seed", 15, *argv) == 0
+    temporaries = {p.name: p.read_text() for p in tmp_path.glob("*.tmp")}
+    assert temporaries == dict.fromkeys(stale, "stale")
 
 
 def test_corrupt_refuses_an_error_pattern_of_another_length(tmp_path, capsys):
@@ -571,13 +788,7 @@ def test_cold_verify_and_correct_do_not_import_numpy_ma(tmp_path, capsys):
     steps = dict(_lifecycle_steps(tmp_path, 6))
     assert run_cli(*steps["corrupt"]) == 0
     for step in ("verify", "correct"):
-        proc = subprocess.run(
-            [sys.executable, "-c", _NO_NUMPY_MA, *map(str, steps[step])],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(Path(subspace_money.__file__).parents[1])},
-            timeout=60,
-        )
+        proc = fresh_python("-c", _NO_NUMPY_MA, *steps[step], timeout=60)
         assert proc.returncode == 0, (step, proc.stderr)
 
 
@@ -697,13 +908,54 @@ def test_json_output_schema_stable_across_runs(tmp_path, capsys):
     assert json.loads(first)["serial"] == json.loads(second)["serial"]
 
 
+# SHA-256 of `demo --seed 0`'s standard output and of each file it writes; the
+# completeness sweep lists the tolerated errors in order.
+DEMO_DIGESTS = {
+    "stdout": "b0731e02eccd14c0f6ac21876b978e389c63e499b8849c0e67632861b5fbfbda",
+    "completeness-6-1-none.csv": "39a49a59ca92e2b54eb6c7134a39d387ce661c291b025e6ab0de230a7c03837d",
+    "worked-code.json": "6774ada24918828c1963679f0692a85df96f7bf3a95d4be27ba8cb38e9e65899",
+}
+
+
 def test_demo_passes(tmp_path, capsys):
-    rc = run_cli("--seed", 0, "--out", tmp_path / "demo", "demo")
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "FAIL" not in out
-    assert "ok  completeness_sweep" in out
-    assert (tmp_path / "demo" / "worked-code.json").exists()
+    # A rerun prints and writes the same bytes.
+    runs = []
+    for name in ("a", "b"):
+        rc = run_cli("--seed", 0, "--out", tmp_path / name, "demo")
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "FAIL" not in out
+        assert "ok  completeness_sweep" in out
+        files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        runs.append({"stdout": out.encode(), **files})
+    assert runs[0] == runs[1]
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in runs[0].items()}
+    assert digests == DEMO_DIGESTS
+
+
+# SHA-256 of each demo script's standard output.  Demo 02 prints one float
+# deviation (5.55e-17), as platform-bound as the attack CSVs.
+DEMO_SCRIPT_DIGESTS = {
+    "01_worked_code": "b3dbac48d2aee9ae88b4187d8d5994c16a5a5e679d56e9dbd0166c8ba45fdf1b",
+    "02_mint_corrupt_verify": "2a326025bf38497badc732348ce6f554480b06174677858aa5575930f5661255",
+    "03_attacks_and_bounds": "413efd93f38af3164230b344be717fcf989921a78e5964e9fb798b11f5187951",
+}
+DEMOS = Path(__file__).parents[1] / "demos"
+
+
+@pytest.mark.parametrize("script", sorted(DEMOS.glob("0*.py")), ids=lambda path: path.stem)
+def test_demo_scripts_print_the_pinned_text_on_a_rerun(capsys, script):
+    for _ in range(2):
+        runpy.run_path(str(script), run_name="__main__")
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == DEMO_SCRIPT_DIGESTS[script.stem]
+
+
+def test_the_ci_workflow_holds_no_digest():
+    # Every pin lives in the tests above, which CI runs; a digest checked only
+    # in the workflow's shell steps would go unchecked wherever the tests run.
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    assert re.findall(r"\b[0-9a-fA-F]{64}\b", workflow.read_text()) == []
 
 
 def test_demo_json_format(capsys):

@@ -2,11 +2,7 @@
 
 import gc
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +25,7 @@ from subspace_money.gf2 import random_bitvec
 from subspace_money.scheme import OracleRegistry, double_verify, mint_direct
 from subspace_money.states import DenseState
 
+from conftest import stdout_under_one_and_two_blas_threads
 from reference import basis_state, tolerated_projector
 
 
@@ -431,20 +428,6 @@ print(float(frame.block_probabilities(block).prod(axis=-1)[0]).hex())
 def test_block_kernel_bits_do_not_depend_on_the_blas_thread_count():
     # The random-state blocks reduce through np.vecdot; a BLAS that split those
     # sums across threads would change the reports' bits with the thread count.
-    runs = [
-        subprocess.run(
-            [sys.executable, "-c", _RANDOM_STATE_BITS],
-            capture_output=True,
-            text=True,
-            env={
-                **os.environ,
-                "OPENBLAS_NUM_THREADS": threads,
-                "PYTHONPATH": str(Path(experiments.__file__).parents[1]),
-            },
-            timeout=120,
-            check=True,
-        ).stdout
-        for threads in ("1", "2")
-    ]
+    runs = stdout_under_one_and_two_blas_threads(_RANDOM_STATE_BITS)
     assert runs[0] == runs[1]
     assert len(runs[0].splitlines()) == 3

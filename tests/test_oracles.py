@@ -156,17 +156,17 @@ def test_project_uniform_superposition(worked_spec):
 
 
 # ---------------------------------------------------------------------------
-# combined oracle
+# the reference combined oracle, tests/reference.CombinedOracle
 
 
-def test_combined_oracle_tag_width(worked_spec):
+def test_reference_combined_oracle_tag_width(worked_spec):
     oracle = CombinedOracle(worked_spec)
     assert oracle.k == 4  # 1 + ceil(log2 7)
     assert oracle.n == 10
     assert len(oracle.tag_map) == 14
 
 
-def test_combined_oracle_layout_matches_low_bit_side_selection(worked_spec):
+def test_reference_combined_oracle_layout_matches_low_bit_side_selection(worked_spec):
     oracle = CombinedOracle(worked_spec)
     zero = BitVec.zeros(6)
     assert oracle.tag_for("primal", zero).value == 0
@@ -176,7 +176,7 @@ def test_combined_oracle_layout_matches_low_bit_side_selection(worked_spec):
     assert oracle.tag_for("dual", e1).value == 3
 
 
-def test_member_combined_basic(worked_spec):
+def test_reference_combined_oracle_member_basic(worked_spec):
     oracle = CombinedOracle(worked_spec)
     tag = oracle.tag_for("primal", BitVec.zeros(6))
     for w in worked_spec.code.vectors():
@@ -188,7 +188,7 @@ def test_member_combined_basic(worked_spec):
         oracle.member(bv("000000"))
 
 
-def test_member_combined_unfolds_to_subset(worked_spec):
+def test_reference_combined_oracle_member_unfolds_to_subset(worked_spec):
     oracle = CombinedOracle(worked_spec)
     pred = subset_predicate(worked_spec, "primal")
     errors = enumerate_errors(6, 1)
@@ -200,7 +200,7 @@ def test_member_combined_unfolds_to_subset(worked_spec):
         assert via_tags == pred(x)
 
 
-def test_combined_oracle_total_matching_count(worked_spec):
+def test_reference_combined_oracle_total_matching_count(worked_spec):
     oracle = CombinedOracle(worked_spec)
     total = sum(
         1

@@ -3,10 +3,7 @@
 import gc
 import itertools
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -61,7 +58,7 @@ from subspace_money.states import (
 )
 
 import reference
-from conftest import WORKED_CODEWORDS
+from conftest import WORKED_CODEWORDS, stdout_under_one_and_two_blas_threads
 from reference import (
     ATOL_EXACT,
     SubsetTesters,
@@ -880,30 +877,11 @@ for e, ep in [(0, 0), (1 << 19, 0), (0, 1), (1 << 3, 1 << 3)]:
 """
 
 
-def _stdout_under_one_and_two_blas_threads(script: str, *args) -> list[str]:
-    """The script's standard output in a fresh interpreter under OPENBLAS_NUM_THREADS 1, then 2."""
-    return [
-        subprocess.run(
-            [sys.executable, "-c", script, *map(str, args)],
-            capture_output=True,
-            text=True,
-            env={
-                **os.environ,
-                "OPENBLAS_NUM_THREADS": threads,
-                "PYTHONPATH": str(Path(scheme.__file__).parents[1]),
-            },
-            timeout=120,
-            check=True,
-        ).stdout
-        for threads in ("1", "2")
-    ]
-
-
 def test_tolerated_n20_verify_bits_do_not_depend_on_the_blas_thread_count():
     # A tolerated note occupies one accepted coset, 2^10 amplitudes at n = 20:
     # one dot, below the 10,000 entries above which OpenBLAS splits a complex
     # dot across threads.  Notes on several cosets are scored in the next test.
-    runs = _stdout_under_one_and_two_blas_threads(_VERIFY_TOLERATED_N20)
+    runs = stdout_under_one_and_two_blas_threads(_VERIFY_TOLERATED_N20)
     assert runs[0] == runs[1]
     assert [line.split()[0] for line in runs[0].splitlines()] == [(1.0).hex()] * 4
 
@@ -962,7 +940,7 @@ def test_multi_coset_n20_verify_bits_do_not_depend_on_the_blas_thread_count(tmp_
     np.save(paths[-1], haar / np.linalg.norm(haar))
     del amps, haar
 
-    runs = _stdout_under_one_and_two_blas_threads(_SCORE_SAVED_N20, *paths)
+    runs = stdout_under_one_and_two_blas_threads(_SCORE_SAVED_N20, *paths)
     assert runs[0] == runs[1]
     probabilities = [float.fromhex(line.split()[0]) for line in runs[0].splitlines()]
     assert len(probabilities) == 4 and 0.0 < probabilities[2] < 1.0 - 1e-3
