@@ -26,7 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from . import demo as demo_module
-from .codes import _write_files, certify, load_code, save_code, search_applicable_code
+from .codes import (
+    DEFAULT_MAX_ATTEMPTS,
+    _write_files,
+    certify,
+    load_code,
+    save_code,
+    search_applicable_code,
+)
 from .errors import (
     BudgetExceededError,
     CodeSearchError,
@@ -84,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gencode", help="search for an applicable CSS code and write it as JSON")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--max-attempts", type=int, default=10_000)
+    p.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
 
     p = sub.add_parser("mint", help="mint a banknote; writes the note and a bank key file")
     p.add_argument("--n", type=int, required=True)

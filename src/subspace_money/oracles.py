@@ -10,8 +10,8 @@ tolerated errors, taken from ``codes._error_syndromes``.
 A VerifierFrame holds both sets, each a sorted read-only array, and is the
 only array view of them.  It keeps the leader of each accepted primal coset,
 the coset with syndrome v being leader(v) ^ c(u) over the codewords c(u),
-finds a string's coset by its syndrome (only a dense note's gather lists the
-cosets string by string), and holds the accepted dual syndromes as Walsh
+lists the strings of the cosets a kernel reads in that form, finds a string's
+coset by its syndrome, and holds the accepted dual syndromes as Walsh
 frequencies of u.  In these coordinates the verifier's projector P is one
 Walsh filter on each accepted coset, and the frame is P: it answers membership
 queries, Ver's probability and post-state, Ver2's product probability and the
@@ -38,8 +38,9 @@ from .states import DenseState, _coset_amplitudes, fwht, walsh_butterflies
 
 SIDES = ("primal", "dual")
 
-# Amplitudes a pure-note kernel gathers at a time, in whole frame rows (at least one).
-_GATHER_CHUNK = 1 << 12
+# Bytes of strings and amplitudes a pure-note gather holds at a time, in whole frame rows
+# (at least one).
+_GATHER_BYTES = 1 << 16
 
 
 def _side_index(side: str) -> int:
@@ -85,12 +86,12 @@ class VerifierFrame:
 
     Row r lists the accepted primal coset with syndrome rows[r] as the strings
     leaders[r] ^ c(u), where c(u) sums the dual side's parity rows (a basis
-    of the code) picked by the bits of u; index lists them all, and only a
-    dense note's gather builds it.  P keeps these |S_p| cosets and acts inside
-    each as the same 2^k-point Walsh filter on u.  It passes frequency s when
-    s, read as a syndrome under those rows, is accepted on the dual side.  Row
-    j of a syndrome is bit j of s, so keep holds the dual's accepted syndromes
-    under the code rows in reverse order.
+    of the code) picked by the bits of u, and a kernel forms the strings of
+    the rows it reads: only the 2^k codewords are kept.  P keeps these |S_p|
+    cosets and acts inside each as the same 2^k-point Walsh filter on u.  It
+    passes frequency s when s, read as a syndrome under those rows, is
+    accepted on the dual side.  Row j of a syndrome is bit j of s, so keep
+    holds the dual's accepted syndromes under the code rows in reverse order.
     Row i of error_cosets holds, for side SIDES[i], where the coset side-code
     + e of each tolerated error e sits, in ``enumerate_errors`` order: a
     bit-flip coset C + e is the row of its syndrome, a phase-flip coset the
@@ -113,7 +114,7 @@ class VerifierFrame:
         leader(v) puts syndrome row j on the pivot column of the RREF parity
         row j, so H leader(v) = v, which is checked, as are the count of basis
         rows and that each code row alone holds its pivot (see _place).  It
-        holds a few integers per coset; only a dense note's gather builds index.
+        holds a few integers per coset.
         """
         parity, basis = spec.parity_primal, spec.parity_dual
         syndromes = _error_syndromes(_bit_block(parity.row_values, spec.n), spec.q)
@@ -136,22 +137,6 @@ class VerifierFrame:
         for array in (leaders, keep, rows, error_cosets):
             array.setflags(write=False)
         return cls(spec, leaders, keep, rows, error_cosets)
-
-    @cached_property
-    def index(self) -> np.ndarray:
-        """(|S_p|, 2^k) basis-string indices: index[r, u] = leaders[r] ^ c(u), read-only.
-
-        Built when _occupied, its one reader, first gathers a DenseState,
-        charged to the allocation budget before anything is walked or written,
-        and kept; one the budget refuses is not.  Each row is written in place,
-        so no broadcast buffer is made.
-        """
-        reserve((self.rows.size, self.size), np.int64)
-        index = np.empty((self.rows.size, self.size), dtype=np.int64)
-        for row, leader in zip(index, self.leaders.tolist()):
-            np.bitwise_xor(self._codewords, leader, out=row)
-        index.setflags(write=False)
-        return index
 
     @property
     def size(self) -> int:
@@ -213,7 +198,7 @@ class VerifierFrame:
 
         Its strings e + v over the codewords v are the frame row of C + e, its
         leader ^ the code's span, so that row's amplitudes are built in closed
-        form and the kernel runs on that one row: no 2^n vector, index or
+        form and the kernel runs on that one row: no 2^n vector or
         (|S_p|, 2^k) block is made or gathered.
         """
         fits = e.n == e_prime.n == self.n
@@ -311,21 +296,23 @@ class VerifierFrame:
 
         A row counts as occupied when a part of an entry is nonzero (-0.0 is
         not); the entries are a C-ordered (rows, 2^k) complex stack in the
-        frame's layout.  A DenseState's rows are gathered up to _GATHER_CHUNK
-        amplitudes at a time, so the working set is the occupied cosets plus
-        one chunk, and one of another n is refused; a note file's lines,
-        parse_dump's (n, indices, values), are put in place (see _place).  A
-        tolerated X^e Z^e' note occupies one coset.
+        frame's layout.  A register of another n is refused.  A DenseState is
+        gathered a chunk of rows at a time through their strings leaders ^
+        c(u), as many rows as _GATHER_BYTES holds of strings and amplitudes,
+        so the working set is the occupied cosets plus one chunk; a note
+        file's lines, parse_dump's (n, indices, values), are put in place (see
+        _place).  A tolerated X^e Z^e' note occupies one coset.
         """
-        if not isinstance(note, DenseState):
-            return self._place(*note[1:])
-        if note.n != self.n:
+        dense = isinstance(note, DenseState)
+        if (note.n if dense else note[0]) != self.n:
             raise ValueError(f"register must act on n={self.n} qubits")
-        amplitudes, index = note.amplitudes, self.index
-        step = max(1, _GATHER_CHUNK // self.size)
+        if not dense:
+            return self._place(*note[1:])
+        amplitudes, leaders, codewords = note.amplitudes, self.leaders, self._codewords
+        step = max(1, _GATHER_BYTES // (self.size * (codewords.itemsize + amplitudes.itemsize)))
         rows, cosets = [], []
-        for start in range(0, index.shape[0], step):
-            chunk = amplitudes[index[start : start + step]]
+        for start in range(0, leaders.size, step):
+            chunk = amplitudes[leaders[start : start + step, None] ^ codewords]
             # The float64 view tests both parts, with no complex-to-bool temporary.
             hits = np.flatnonzero(chunk.view(np.float64).any(axis=1))
             if hits.size:

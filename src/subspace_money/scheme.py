@@ -115,10 +115,7 @@ class MintRecord:
 
     @cached_property
     def frame(self) -> VerifierFrame:
-        """The code's verifier frame, built on first use and kept, as is its index once built.
-
-        Only a dense note's gather builds the index; one the budget refuses is not kept.
-        """
+        """The code's verifier frame, built on first use and kept."""
         return VerifierFrame.of(self.spec)
 
 
@@ -181,11 +178,7 @@ class OracleSession:
         return factor * (counts["primal"] + counts["dual"]) + counts["coset"]
 
     def member(self, side: str, x: BitVec) -> bool:
-        """Whether H x is an accepted syndrome on side, charged as one query once x is valid.
-
-        It reads the frame's accepted syndromes, never its index (only a dense
-        note's gather builds it), so the budget refuses no query the frame fits in.
-        """
+        """Whether H x is an accepted syndrome on side, charged as one query once x is valid."""
         accepted = self.verifier_frame(passes=0).member(side, x)
         self.charge(side)
         return accepted
@@ -193,9 +186,9 @@ class OracleSession:
     def verifier_frame(self, passes: int = 1) -> VerifierFrame:
         """The record's coset frame, charged as passes queries to each side.
 
-        Coset tests read it with passes=0 to locate their cosets, and verify
-        and double_verify to charge their passes once the kernel has run, so a
-        dense gather whose index the allocation budget refuses charges nothing.
+        Membership queries and coset tests read it with passes=0 and charge
+        their own oracle; double_verify charges its passes once the kernel has
+        run (see there).
         """
         frame = self._record.frame
         self.charge("primal", passes)
@@ -207,9 +200,9 @@ class OracleRegistry:
     """The bank: lazy keyed generation of mint records and their public oracles.
 
     A record, and its verifier frame once a session has used it, lives as long
-    as the registry.  The frame holds a few integers per accepted coset, plus
-    its index once a dense note's gather, the only kernel that builds it, has
-    run: at n = 20, q = 1, 21 x 1024 int64, about 172 KB.
+    as the registry.  The frame holds a few integers per accepted coset and,
+    once a kernel has read them, the code's 2^k codewords as int64: at n = 20,
+    q = 1, 8 KB.
     """
 
     def __init__(self, n: int, q: int, master_seed: int, *, route: str = "direct"):
@@ -451,8 +444,7 @@ def verify(
     if not registry.serial_check(note.serial):
         return VerifyOutcome(False, 0.0, None, reason="unknown serial")
     session = registry._session_for(note.serial, session)
-    prob, build = session.verifier_frame(passes=0).apply(note.state)
-    session.verifier_frame()  # the pass is charged once the kernel has run
+    prob, build = session.verifier_frame().apply(note.state)
     return VerifyOutcome(_sample(registry, rng, prob), prob, build)
 
 
@@ -476,7 +468,9 @@ def double_verify(
     frame (see VerifierFrame.pair_probability) and clipped to [0, 1].  The
     joint state is a 2n-qubit DenseState, or a pair (sigma1, sigma2) meaning
     sigma1 (x) sigma2 of n-qubit registers, each a DenseState or None for
-    the maximally mixed register.
+    the maximally mixed register.  Only the kernel checks the joint state's
+    size, so the two passes are charged once it has run: a refused joint
+    state charges nothing.
     """
     session = registry._session_for(serial, session)
     prob = float(session.verifier_frame(passes=0).pair_probability(joint))

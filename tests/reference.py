@@ -7,8 +7,9 @@ in two separate ways (the keys of a decoding SyndromeTable, or an
 enumeration of the weight-<=q errors here), each with a per-string test, a
 2^n mask scattered from its cosets and per-coset predicates; the verifier
 frame built from two such predicates, with its dual frequencies reversed
-through a bit string; predicate masks as a lookup of H x over all 2^n
-strings; the tag-packed combined oracle; the phase oracle as a sign flip
+through a bit string, and its coset index, each accepted string listed as
+leader ^ a codeword summed row by row; predicate masks as a lookup of H x
+over all 2^n strings; the tag-packed combined oracle; the phase oracle as a sign flip
 over a 2^n mask; the verifier as the four-stage pipeline M_dual, FWHT,
 M_primal on full 2^n masks, or in its coset frame with every accepted coset
 transformed, its sums over rows added one row after another in a Python
@@ -29,6 +30,7 @@ states) are test conveniences.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numpy as np
@@ -179,7 +181,7 @@ def predicate_frame(primal: MembershipPredicate, dual: MembershipPredicate) -> V
     """VerifierFrame.of from two predicates of one code's sides; reads no mask.
 
     The predicates list every accepted coset in full: the frame is given its
-    leaders, column 0, and its own index must list the same strings.
+    leaders, column 0, and frame_index must list the same strings.
     """
     k = dual.parity.rows
     index = primal._cosets()
@@ -199,8 +201,29 @@ def predicate_frame(primal: MembershipPredicate, dual: MembershipPredicate) -> V
     for array in (leaders, keep, rows, error_cosets):
         array.setflags(write=False)
     frame = VerifierFrame(primal.spec, leaders, keep, rows, error_cosets)
-    assert frame.index.dtype == index.dtype and np.array_equal(frame.index, index)
+    want = frame_index(frame)
+    assert want.dtype == index.dtype and np.array_equal(want, index)
     return frame
+
+
+def frame_index(frame: VerifierFrame) -> np.ndarray:
+    """(|S_p|, 2^k) basis-string indices: index[r, u] = leaders[r] ^ c(u).
+
+    c(u) sums the code rows picked by the bits of u, one row after another.
+    """
+    code_rows = frame.spec.parity_dual.row_values
+    span = [
+        functools.reduce(int.__xor__, (c for j, c in enumerate(code_rows) if u >> j & 1), 0)
+        for u in range(1 << len(code_rows))
+    ]
+    return frame.leaders[:, None] ^ np.array(span, dtype=np.int64)
+
+
+def index_gather(frame: VerifierFrame, state: DenseState) -> tuple[np.ndarray, np.ndarray]:
+    """VerifierFrame._occupied on a DenseState: every coset gathered at once through frame_index."""
+    cosets = state.amplitudes[frame_index(frame)]
+    rows = np.flatnonzero(cosets.view(np.float64).any(axis=1))
+    return rows, cosets[rows]
 
 
 class CombinedOracle:
@@ -367,14 +390,14 @@ def all_rows_kept_spectrum(
     state: DenseState, frame: VerifierFrame
 ) -> tuple[float, np.ndarray | None]:
     """VerifierFrame._kept_spectrum with every accepted coset normalised and transformed."""
-    cosets = state.amplitudes[frame.index]
+    cosets = state.amplitudes[frame_index(frame)]
     prob1 = row_ordered_energy(cosets)
     if prob1 == 0.0:
         return 0.0, None
     spectrum = fwht(cosets / math.sqrt(prob1))
     kept = np.zeros(spectrum.shape, dtype=spectrum.dtype)
     kept[:, frame.keep] = spectrum[:, frame.keep]
-    prob2 = row_ordered_energy(kept) / frame.index.shape[1]
+    prob2 = row_ordered_energy(kept) / frame.size
     if prob2 == 0.0:
         return 0.0, None
     return min(prob1 * prob2, 1.0), kept
@@ -382,9 +405,9 @@ def all_rows_kept_spectrum(
 
 def all_rows_post_state(n: int, kept: np.ndarray, frame: VerifierFrame) -> DenseState:
     """The accepted branch of a kept spectrum, transforming every row of it."""
-    size = frame.index.shape[1]
+    size = frame.size
     post = np.zeros(1 << n, dtype=kept.dtype)
-    post[frame.index] = fwht(kept) / (size * math.sqrt(row_ordered_energy(kept) / size))
+    post[frame_index(frame)] = fwht(kept) / (size * math.sqrt(row_ordered_energy(kept) / size))
     return DenseState._own(n, post)
 
 
@@ -395,14 +418,14 @@ def all_rows_frame_weights(
 
     The energies are C-ordered, so the sum over rows adds them one after another.
     """
-    cosets = state.amplitudes[frame.index]
+    cosets = state.amplitudes[frame_index(frame)]
     energy = np.abs(np.ascontiguousarray(fwht(cosets))) ** 2
-    return (np.abs(cosets) ** 2).sum(axis=1), energy.sum(axis=0) / frame.index.shape[1]
+    return (np.abs(cosets) ** 2).sum(axis=1), energy.sum(axis=0) / frame.size
 
 
 def all_rows_kept_coefficients(amps: np.ndarray, frame: VerifierFrame) -> np.ndarray:
     """VerifierFrame._kept_coefficients by fwht of amps' gathered cosets, transformed axis last."""
-    kept = fwht(amps[..., frame.index])[..., frame.keep]
+    kept = fwht(amps[..., frame_index(frame)])[..., frame.keep]
     return kept.reshape(*kept.shape[:-2], -1)
 
 
@@ -578,7 +601,7 @@ def verification_matrix(spec: CodeSpec) -> np.ndarray:
     reserve((1 << spec.n, 1 << spec.n), np.float64)
     frame = VerifierFrame.of(spec)
     kept = frame._kept_coefficients(np.eye(1 << spec.n))
-    return kept @ kept.T / frame.index.shape[1]
+    return kept @ kept.T / frame.size
 
 
 def random_subspace(n: int, dim: int, seed: Seed) -> SubspaceBasis:

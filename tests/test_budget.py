@@ -172,53 +172,25 @@ def test_parse_dump_bounds_outside_input(tmp_path, capsys, monkeypatch):
     assert "error: 65536 bytes exceed the budget" in capsys.readouterr().err
 
 
-def test_only_dense_kernels_build_the_frame_index_and_refused_ones_charge_nothing(monkeypatch):
-    # At n = 14, q = 1 the frame's index is 15 accepted cosets of 2^7 strings, int64.
-    reg = OracleRegistry(14, 1, master_seed=14)
-    note = mint_direct(reg, BitVec.zeros(14))
-    session = reg.session(note.serial)
-    frame = session.verifier_frame(passes=0)
-    monkeypatch.setattr(errors, "BUDGET_BYTES", 4096)
-    # A membership query reads the accepted syndromes alone.
-    session.member("primal", BitVec(14, 3))
-    assert session.counters == {"primal": 1, "dual": 0, "coset": 0}
-    assert "index" not in vars(frame)
-    # A dense verify needs the index; the refused one is not kept and the pass is not charged.
-    with pytest.raises(BudgetExceededError, match="15360 bytes exceed the budget of 4096 bytes"):
-        verify(reg, note, session=session, rng=0)
-    assert session.counters == {"primal": 1, "dual": 0, "coset": 0}
-    assert "index" not in vars(frame)
-    # Under the raised budget the first verify builds it, and a second session shares it.
-    monkeypatch.setattr(errors, "BUDGET_BYTES", 15360)
-    assert verify(reg, note, session=session, rng=0).accept_probability == 1.0
-    index = vars(frame)["index"]
-    fresh = reg.session(note.serial)
-    assert verify(reg, note, session=fresh, rng=0).accept_probability == 1.0
-    assert fresh.verifier_frame(passes=0) is frame and vars(frame)["index"] is index
-    assert session.counters == {"primal": 2, "dual": 1, "coset": 0}
-    assert fresh.counters == {"primal": 1, "dual": 1, "coset": 0}
-
-
-@pytest.mark.parametrize("kernel", ["apply", "weights"])
-def test_only_a_dense_gather_builds_the_frame_index(kernel):
-    # Every other kernel finds a string's coset by its syndrome or forms its
-    # rows' strings leaders ^ c(u) per call, so the fresh frame keeps no index.
+def test_every_frame_kernel_leaves_the_frame_its_fields_and_codewords():
+    # Each kernel forms the strings of the rows it reads, leaders ^ c(u), per
+    # call, or finds a string's coset by its syndrome, so no (|S_p|, 2^k)
+    # array outlives the call: the frame keeps its fields and the 2^k codewords.
     reg = OracleRegistry(6, 1, master_seed=6)
     record, dump = mint_dump(reg, BitVec.zeros(6))
-    frame, note = record.frame, scatter_dump(*parse_dump(dump))
-    assert frame.basis_probabilities(np.arange(64)).mean() == frame.mixed_probability()
-    assert "index" not in vars(frame)
+    frame, lines = record.frame, parse_dump(dump)
+    note = scatter_dump(*lines)
+    for register in (note, lines):
+        assert frame.apply(register)[0] == 1.0
+        assert frame.weights(register)[0].sum() == pytest.approx(1.0)
     parts = np.stack([note.amplitudes.real, note.amplitudes.imag])
     assert frame.block_probabilities(parts) == pytest.approx(1.0)
-    assert "index" not in vars(frame)
+    assert frame.basis_probabilities(np.arange(64)).mean() == frame.mixed_probability()
     pair = DenseState(12, np.kron(note.amplitudes, note.amplitudes))
     assert frame.pair_probability(pair) == pytest.approx(1.0)
-    assert "index" not in vars(frame)
-    post = verify(reg, Banknote(record.serial, parse_dump(dump)), rng=0).post_state
+    post = verify(reg, Banknote(record.serial, lines), rng=0).post_state
     assert np.allclose(post.amplitudes, note.amplitudes)
-    assert "index" not in vars(frame)
-    getattr(frame, kernel)(note)
-    assert vars(frame)["index"].shape == (7, 8)
+    assert set(vars(frame)) == {"spec", "leaders", "keep", "rows", "error_cosets", "_codewords"}
 
 
 @pytest.mark.parametrize("strategy, trials", [("random-state", 3)])

@@ -35,6 +35,7 @@ from subspace_money.states import (
     apply_pauli,
     coset_state,
     parse_dump,
+    scatter_dump,
     subspace_state,
 )
 
@@ -44,6 +45,8 @@ from reference import (
     _frequency,
     all_rows_kept_coefficients,
     basis_state,
+    frame_index,
+    index_gather,
     member,
     predicate_frame,
     predicate_pair,
@@ -336,12 +339,12 @@ def test_verifier_frame_needs_the_canonical_parity_rows(worked_spec):
         with pytest.raises(ValueError, match="not RREF bases"):
             VerifierFrame.of(spec)
     frame = VerifierFrame.of(worked_spec)
-    assert frame.index.shape == (7, 8) and sorted(frame.keep) == list(frame.keep)
+    assert (frame.rows.size, frame.size) == (7, 8) and sorted(frame.keep) == list(frame.keep)
 
 
 def _assert_same_frame(got, want):
     assert got.n == want.n
-    for name in ("leaders", "keep", "rows", "error_cosets", "index"):
+    for name in ("leaders", "keep", "rows", "error_cosets"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         assert not a.flags.writeable
@@ -395,14 +398,12 @@ def test_note_lines_leave_the_index_unbuilt_and_the_index_lists_leader_cosets(sp
     for got, want in zip(fixed.state, lines):
         assert np.array_equal(got, want)
     frame = record.frame
-    assert "index" not in vars(frame)
-    # Built on first read, index lists leader ^ c(u), c(u) summing the code rows picked by u.
-    code_rows = spec.parity_dual.row_values
-    span = [functools.reduce(int.__xor__, (c for j, c in enumerate(code_rows) if u >> j & 1), 0)
-            for u in range(1 << len(code_rows))]
-    want = frame.leaders[:, None] ^ np.array(span, dtype=np.int64)
-    assert (frame.index.dtype, frame.index.tobytes()) == (want.dtype, want.tobytes())
-    assert np.array_equal(frame.index[:, 0], frame.leaders) and not frame.index.flags.writeable
+    # Lines are placed by syndrome, so the frame keeps its fields alone, not even the codewords.
+    assert set(vars(frame)) == {field.name for field in dataclasses.fields(frame)}
+    # The kernels list each coset as leader ^ c(u), c(u) summing the code rows picked by u.
+    got, want = frame.leaders[:, None] ^ frame._codewords, frame_index(frame)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+    assert np.array_equal(want[:, 0], frame.leaders) and not frame._codewords.flags.writeable
 
 
 def test_coset_probability_is_ver_of_the_coset_state_bitwise(worked_spec):
@@ -432,8 +433,8 @@ def test_coset_probability_runs_on_one_frame_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert frame.index.shape == (17, 256)
-    assert peak < 8 * 16 * frame.index.shape[1]
+    assert (frame.rows.size, frame.size) == (17, 256)
+    assert peak < 8 * 16 * frame.size
 
 
 @settings(max_examples=30, deadline=None)
@@ -448,10 +449,11 @@ def test_closed_forms_are_the_kernels_bitwise(spec, seed):
     assert frame.pair_probability((None, None)) == frame.mixed_probability() ** 2
     rng = np.random.default_rng(seed)
     dim = 1 << spec.n
-    outside = np.setdiff1d(np.arange(dim), frame.index)
+    index = frame_index(frame)
+    outside = np.setdiff1d(np.arange(dim), index)
     assert outside.size
     strings = np.concatenate(
-        [rng.choice(frame.index.reshape(-1), 5), rng.choice(outside, 5), rng.integers(0, dim, 6)]
+        [rng.choice(index.reshape(-1), 5), rng.choice(outside, 5), rng.integers(0, dim, 6)]
     )
     one_hot = np.zeros((strings.size, 1, dim))
     one_hot[np.arange(strings.size), 0, strings] = 1.0
@@ -494,6 +496,17 @@ def test_register_probability_is_vers_probability_bitwise(spec, seed, over):
         assert want == 1.0
 
 
+@pytest.mark.parametrize("register", ["lines", "dense"])
+def test_frame_kernels_refuse_a_register_of_another_qubit_count(worked_spec, register):
+    # An 8-qubit note's lines on a 6-qubit frame were scored 1.0 by apply.
+    lines = parse_dump(mint_dump(OracleRegistry(8, 1, master_seed=8), BitVec.zeros(8))[1])
+    note = lines if register == "lines" else scatter_dump(*lines)
+    frame = VerifierFrame.of(worked_spec)
+    for kernel in (frame.apply, frame.weights, lambda s: frame.pair_probability((s, None))):
+        with pytest.raises(ValueError, match="register must act on n=6 qubits"):
+            kernel(note)
+
+
 def _note_outputs(frame, state):
     """The bytes of Ver's probability, its post-state, Ver2's and both weights arrays."""
     prob, build = frame.apply(state)
@@ -511,8 +524,9 @@ def _note_outputs(frame, state):
 )
 def test_gather_chunk_size_changes_no_bit(spec, seed, kind):
     # The occupied cosets are gathered a chunk of rows at a time: one row, two
-    # rows and every row at once stack the same rows in the same order, so a
-    # row dropped at a chunk boundary or stacked out of order shows here.
+    # rows and every row at once stack the same rows in the same order as the
+    # whole reference index read at once, so a row dropped at a chunk boundary,
+    # stacked out of order or read at other strings shows here.
     frame = VerifierFrame.of(spec)
     rng = np.random.default_rng(seed)
     if kind == "superposition":
@@ -528,13 +542,16 @@ def test_gather_chunk_size_changes_no_bit(spec, seed, kind):
         over = (kind == "over", bool(rng.integers(2)))
         e, ep = (_pauli_error(rng, spec.n, spec.q, side_over) for side_over in over)
         state = apply_pauli(subspace_state(spec.code), e, ep)
-    rows, size = frame.index.shape
     runs = []
-    for chunk in (size, 2 * size, rows * size):
+    for rows in (1, 2, frame.rows.size):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracles, "_GATHER_CHUNK", chunk)
+            # 24 bytes an entry: an int64 string and a complex128 amplitude.
+            patch.setattr(oracles, "_GATHER_BYTES", rows * 24 * frame.size)
             runs.append(_note_outputs(frame, state))
-    assert runs[0] == runs[1] == runs[2]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(VerifierFrame, "_occupied", index_gather)
+        runs.append(_note_outputs(frame, state))
+    assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
 @settings(max_examples=30, deadline=None)

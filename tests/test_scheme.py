@@ -68,6 +68,7 @@ from reference import (
     basis_state,
     conjugate_coset_parameters,
     eager_frame_pipeline,
+    frame_index,
     full_space,
     hadamard_all,
     identity_matrix,
@@ -473,7 +474,18 @@ def test_verifier_charges_per_pass(registry):
     frame = session.verifier_frame(passes=2)
     assert session.counters["primal"] == session.counters["dual"] == 4
     assert session.combined_equivalent == 7 * 8
-    assert frame.index.shape == (7, 8) and frame.keep.shape == (7,)
+    assert (frame.rows.size, frame.size) == (7, 8) and frame.keep.shape == (7,)
+
+
+def test_a_refused_joint_state_charges_nothing(registry):
+    # Only the kernel checks a joint state's size, and Ver2 charges its passes after it.
+    note = mint_direct(registry, BitVec.zeros(6))
+    session = registry.session(note.serial)
+    with pytest.raises(ValueError, match="joint state must act on 2n=12 qubits"):
+        double_verify(registry, note.serial, uniform_state(10), rng=0, session=session)
+    with pytest.raises(ValueError, match="register must act on n=6 qubits"):
+        double_verify(registry, note.serial, (uniform_state(5), None), rng=0, session=session)
+    assert session.counters == {"primal": 0, "dual": 0, "coset": 0}
 
 
 def test_each_record_builds_one_verifier_frame(monkeypatch, registry):
@@ -767,10 +779,10 @@ def test_coset_frame_kernel_matches_masked_reference(n, data):
     dim = 1 << n
     for route, primal, dual in _predicate_pairs(spec):
         frame = predicate_frame(primal, dual)
-        assert frame.index.shape == (len(primal.accepted), 1 << k)
+        assert (frame.rows.size, frame.size) == (len(primal.accepted), 1 << k)
         assert len(frame.keep) == len(dual.accepted)
         inside = np.flatnonzero(primal.support_mask())
-        assert np.array_equal(np.sort(frame.index, axis=None), inside)
+        assert np.array_equal(np.sort(frame_index(frame), axis=None), inside)
 
         states = [_random_pure(rng, n), basis_state(n, int(rng.integers(dim)))]
         for state in states:
@@ -973,7 +985,7 @@ def tolerated_n20():
 
 # Each pure-note kernel gathers the accepted cosets a few rows at a time and
 # keeps only those the note occupies: one row for this note, beside one gather
-# chunk of four rows.  The bound is its tracemalloc peak beyond the note, in
+# chunk of two rows' strings and amplitudes, 48 KB.  The bound is its tracemalloc peak beyond the note, in
 # units of the (|S_p|, 2^k) = 21 x 1024 complex block of every accepted coset,
 # 344 KB at n = 20, q = 1; diagnose sums its phase-flip energies row by row into
 # one 2^k array.  A kernel that holds the whole block reads at least one block
@@ -991,8 +1003,8 @@ KERNEL_PEAKS = [
 )
 def test_pure_note_kernel_holds_its_occupied_cosets(tolerated_n20, call, bound):
     frame = tolerated_n20[3]
-    # The first dense kernel builds and keeps the frame's index, 172 KB, outside the trace.
-    assert frame.index.shape == (21, 1 << 10)
+    # The frame keeps its 2^k codewords, 8 KB, once read: here outside the trace.
+    assert (frame.rows.size, frame._codewords.size) == (21, 1 << 10)
     gc.collect()
     tracemalloc.start()
     try:
@@ -1000,7 +1012,7 @@ def test_pure_note_kernel_holds_its_occupied_cosets(tolerated_n20, call, bound):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < bound * frame.index.size * 16
+    assert peak < bound * frame.rows.size * frame.size * 16
 
 
 def test_correct_with_a_commutation_sign_builds_one_dense_vector():
@@ -1039,7 +1051,7 @@ def test_verifier_and_corrector_at_q2_on_a_pinned_22_qubit_code():
     while frame.member("primal", over):
         over = random_bitvec(22, rng)
     # Ver's diagonal finds each string's coset by its syndrome, a few integers
-    # a string, and builds no index (254 x 2^11 int64, 4.16 MB).
+    # a string, and lists no coset's strings (254 x 2^11 int64, 4.16 MB, for all).
     codeword = spec.parity_dual.row_values[0]
     strings = np.array([frame.leaders[0], frame.leaders[-1] ^ codeword, over.value])
     gc.collect()
@@ -1050,11 +1062,11 @@ def test_verifier_and_corrector_at_q2_on_a_pinned_22_qubit_code():
     finally:
         tracemalloc.stop()
     assert diagonal.tolist() == [frame.keep.size / (1 << 11)] * 2 + [0.0]
-    assert peak < 64 << 10 and "index" not in vars(frame)
-    assert frame.index.shape == (254, 1 << 11)
+    assert peak < 64 << 10
+    assert (frame.rows.size, frame.size) == (254, 1 << 11)
     bad = corrupt(fresh, bv("0000100000000000100000"), bv("0000100000000000000010"))
     # The note occupies one of the 254 cosets, so verify and diagnose hold that
-    # row and a chunk of two rows, not the 8.3 MB block of every accepted coset;
+    # row and a chunk of one row's strings and amplitudes, not the 8.3 MB block of every accepted coset;
     # diagnose sums the phase-flip energies row by row into one 2^11 array.  A
     # second session shares the frame and keeps these calls off the ledger read below.
     probe = reg.session(fresh.serial)
@@ -1149,7 +1161,7 @@ def _kernel_state(kind, spec, frame, rng):
         return DenseState(n, amps / np.linalg.norm(amps))
     if kind == "haar":
         return _random_pure(rng, n)
-    outside = np.setdiff1d(np.arange(1 << n), frame.index)
+    outside = np.setdiff1d(np.arange(1 << n), frame_index(frame))
     assume(outside.size)  # a perfect code leaves no string outside the accepted cosets
     return coset_state(spec.code, BitVec(n, int(rng.choice(outside))), tolerated()[1])
 
@@ -1182,7 +1194,7 @@ def test_occupied_coset_kernels_match_all_rows_reference_bitwise(pair, seed, kin
         # rest; adding 0.0 forgets the sign of zero, since a row with no
         # amplitude holds +0.0 where the transform of a row of -0.0 entries (a
         # negated note) gives -0.0 at frequency 0.
-        every = np.zeros(frame.index.shape, dtype=kept.dtype)
+        every = np.zeros((frame.rows.size, frame.size), dtype=kept.dtype)
         every[rows] = kept
         assert (every + 0.0).tobytes() == (ref_kept + 0.0).tobytes()
     prob, build = frame.apply(state)

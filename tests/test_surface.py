@@ -71,10 +71,10 @@ def test_every_public_name_is_named_outside_the_tests():
 
 
 # The verifier frame's arrays.  leaders, keep and error_cosets name nothing
-# else in the package; index and rows are also list and matrix attributes, so
-# those count when the object read is named as a frame.
+# else in the package; rows is also a matrix attribute, so it counts when the
+# object read is named as a frame.
 FRAME_ONLY = {"leaders", "keep", "error_cosets"}
-FRAME_ALSO = {"index", "rows"}
+FRAME_ALSO = {"rows"}
 
 
 def test_only_oracles_reads_the_verifier_frame_arrays():
