@@ -572,6 +572,36 @@ def test_code_json_round_trip(tmp_path, worked_spec):
     assert data["d_primal"] == 3
 
 
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("key", ["n", "q", "d_primal", "d_dual"])
+def test_code_json_refuses_a_bool_where_an_int_is_asked_for(tmp_path, worked_spec, key, value):
+    # A JSON true is no int, though Python's bool subclasses int.
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({**worked_spec.to_json_dict(), key: value}))
+    with pytest.raises(ValueError, match=f"^field '{key}' is missing or malformed$"):
+        load_code(path)
+
+
+# Every value a JSON file of the package could hold, and more: nested
+# containers, tuples, empty ones, strings that need escapes, big and negative
+# ints, and the non-finite floats that json writes as NaN and Infinity.
+_JSON_STRINGS = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€😀a0 ') | st.characters())
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_STRINGS,
+    lambda values: (
+        st.lists(values, max_size=3)
+        | st.lists(values, max_size=3).map(tuple)
+        | st.dictionaries(_JSON_STRINGS, values, max_size=3)
+    ),
+    max_leaves=12,
+)
+
+
+@given(data=st.dictionaries(_JSON_STRINGS, _JSON_VALUES, max_size=3))
+def test_dumps_json_writes_the_bytes_of_the_stdlib_indenter(data):
+    assert _dumps_json(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def test_code_json_rejects_unknown_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"format": "nope"}))
